@@ -75,6 +75,8 @@ class JobConfig:
             raise ConfigError("signs must be +1 or -1")
         if self.degree_max < 2:
             raise ConfigError("degree_max must be at least 2")
+        if not self.verify_degrees:
+            raise ConfigError("verify degrees must name at least one degree")
         if any(d < 0 for d in self.verify_degrees):
             raise ConfigError("verify degrees must be nonnegative")
         if self.fmt not in ("text", "json", "latex"):
@@ -97,14 +99,32 @@ class JobConfig:
         return SymmetryContext.from_case(self.case, self.params, self.signs)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _int(value, what: str) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _int_list(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_int(v, what) for v in values)
+
+
+def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(chunk) for chunk in text.split(","))
+        bounds = text.split("..")
+        if len(bounds) != 2:
+            raise ConfigError(f"{what} range must be lo..hi, got {text!r}")
+        lo, hi = (_int(b, what) for b in bounds)
+        return tuple(range(lo, hi + 1))
+    return tuple(_int(chunk, what) for chunk in text.split(","))
 
 
 def load_config(args: argparse.Namespace) -> JobConfig:
@@ -115,6 +135,8 @@ def load_config(args: argparse.Namespace) -> JobConfig:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
         known = {
             "case",
             "params",
@@ -130,27 +152,27 @@ def load_config(args: argparse.Namespace) -> JobConfig:
         if "case" in data:
             cfg.case = data["case"]
         if "params" in data:
-            cfg.params = tuple(int(p) for p in data["params"])
+            cfg.params = _int_list(data["params"], "params")
         if "signs" in data:
-            cfg.signs = tuple(int(s) for s in data["signs"])
+            cfg.signs = _int_list(data["signs"], "signs")
         if "degree_max" in data:
-            cfg.degree_max = int(data["degree_max"])
+            cfg.degree_max = _int(data["degree_max"], "degree_max")
         if "verify_degrees" in data:
-            cfg.verify_degrees = tuple(int(d) for d in data["verify_degrees"])
+            cfg.verify_degrees = _int_list(data["verify_degrees"], "verify_degrees")
         if "format" in data:
             cfg.fmt = data["format"]
         if "limit_monomials" in data:
-            cfg.limit_monomials = int(data["limit_monomials"])
+            cfg.limit_monomials = _int(data["limit_monomials"], "limit_monomials")
     if args.case:
         cfg.case = args.case
     if args.params:
-        cfg.params = _parse_int_list(args.params)
+        cfg.params = _parse_int_list(args.params, "params")
     if args.signs:
-        cfg.signs = _parse_int_list(args.signs)
+        cfg.signs = _parse_int_list(args.signs, "signs")
     if args.degree is not None:
         cfg.degree_max = args.degree
     if args.verify_degrees:
-        cfg.verify_degrees = _parse_int_list(args.verify_degrees)
+        cfg.verify_degrees = _parse_int_list(args.verify_degrees, "verify degrees")
     if args.format:
         cfg.fmt = args.format
     if args.limit_monomials is not None:

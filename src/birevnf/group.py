@@ -40,9 +40,9 @@ from .linalg import (
 )
 from .poly import (
     GaussianRational,
+    LinearAction,
     PolyMap,
     Polynomial,
-    check_conjugation_compatible,
     parse_polynomial,
     render_coefficient,
 )
@@ -54,17 +54,22 @@ MembershipKind = Literal[
 
 @dataclass(frozen=True)
 class SignedElement:
-    """An exact linear map on V together with its sign under the epimorphism."""
+    """An exact linear map on V together with its sign under the epimorphism.
+
+    `action` is the matrix compiled once into a checked LinearAction; pass it,
+    not `matrix`, to the substitution methods so they skip the check.
+    """
 
     matrix: Matrix
     sign: int
     name: str = field(default="", compare=False)
+    action: LinearAction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise SignInconsistency(f"sign must be +1 or -1, got {self.sign}")
         size = len(self.matrix)
-        check_conjugation_compatible(self.matrix, size)
+        object.__setattr__(self, "action", LinearAction(self.matrix, size))
         if mat_rank(self.matrix) != size:
             raise DimensionError("group element matrix must be invertible")
 
@@ -385,7 +390,7 @@ def membership(obj, context: GroupContext, kind: MembershipKind) -> bool:
         if not isinstance(obj, Polynomial):
             raise TypeError("function membership kinds apply to Polynomial")
         for el in context.elements:
-            pulled = obj.substitute_linear(el.matrix)
+            pulled = obj.substitute_linear(el.action)
             expected = obj if kind == "invariant" else obj.scale(el.sign)
             if pulled != expected:
                 return False
@@ -396,8 +401,8 @@ def membership(obj, context: GroupContext, kind: MembershipKind) -> bool:
         if not isinstance(obj, PolyMap):
             raise TypeError("mapping membership kinds apply to PolyMap")
         for el in context.elements:
-            lhs = obj.compose_linear(el.matrix)
-            rhs = obj.apply_linear(el.matrix)
+            lhs = obj.compose_linear(el.action)
+            rhs = obj.apply_linear(el.action)
             if kind == "reversible_equivariant":
                 rhs = rhs.scale(el.sign)
             if lhs != rhs:

@@ -170,7 +170,7 @@ def _function_constraints(context: GroupContext, kind: str, param: Polynomial):
     images = []
     for idx, el in enumerate(context.elements):
         sign = 1 if kind == "invariant" else el.sign
-        defect = param.substitute_linear(el.matrix) - param.scale(sign)
+        defect = param.substitute_linear(el.action) - param.scale(sign)
         images.append((f"el{idx}", vectorize_polynomial(defect)))
     if sgroup.has_shear:
         images.append(("shear", vectorize_polynomial(_shear_defect_function(param))))
@@ -181,10 +181,10 @@ def _map_constraints(context: GroupContext, kind: str, param: PolyMap):
     sgroup = _sgroup_of(context)
     images = []
     for idx, el in enumerate(context.elements):
-        rhs = param.apply_linear(el.matrix)
+        rhs = param.apply_linear(el.action)
         if kind == "reversible_equivariant":
             rhs = rhs.scale(el.sign)
-        defect = param.compose_linear(el.matrix) - rhs
+        defect = param.compose_linear(el.action) - rhs
         images.append((f"el{idx}", vectorize_polymap(defect)))
     if sgroup.has_shear:
         images.append(("shear", vectorize_polymap(_shear_defect_map(param))))

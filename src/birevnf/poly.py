@@ -15,6 +15,10 @@ All values are immutable after construction and safe to share between
 threads.  The term order is graded lexicographic (degree first, then the
 exponent tuple), fixed once so rendering and iteration are deterministic.
 No floating point is used anywhere.
+
+Linear changes of coordinates must respect the z/zb pairing.  That is
+checked once when a LinearAction is built (a SignedElement builds its own),
+and on every substitution call that is handed a raw matrix instead.
 """
 
 from __future__ import annotations
@@ -426,21 +430,21 @@ class Polynomial:
     def homogeneous_degrees(self) -> list[int]:
         return sorted({sum(m) for m in self._terms})
 
-    def substitute_linear(self, matrix: Sequence[Sequence[GaussianRational]]) -> "Polynomial":
+    def substitute_linear(
+        self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
+    ) -> "Polynomial":
         """Compose with a linear change of coordinates: returns p(A v).
 
         The matrix acts on the coordinate column vector, (A v)_i = sum_j
         A[i][j] v_j, and must respect the conjugation pairing so that the
-        real locus maps to itself.
+        real locus maps to itself.  A raw matrix is checked on this call; a
+        LinearAction was checked when it was built.
         """
-        check_conjugation_compatible(matrix, self.nvars)
+        action = _linear_action(matrix, self.nvars)
         if self.is_zero():
             return self
-        row_support = [
-            [(j, matrix[i][j]) for j in range(self.nvars) if matrix[i][j]]
-            for i in range(self.nvars)
-        ]
-        if all(len(entries) <= 1 for entries in row_support):
+        rows = action.rows
+        if action.monomial:
             # Monomial matrix: variables map to scalar multiples of variables.
             terms: dict[Monomial, GaussianRational] = {}
             for mono, coeff in self._terms.items():
@@ -449,10 +453,10 @@ class Polynomial:
                 for i, e in enumerate(mono):
                     if e == 0:
                         continue
-                    if not row_support[i]:
+                    if not rows[i]:
                         c = ZERO
                         break
-                    j, entry = row_support[i][0]
+                    j, entry = rows[i][0]
                     out[j] += e
                     c = c * entry ** e if e > 1 else c * entry
                 if not c:
@@ -466,7 +470,7 @@ class Polynomial:
             return Polynomial(self.nvars, terms)
         forms = [
             Polynomial(self.nvars, {_unit(self.nvars, j): entry for j, entry in entries})
-            for entries in row_support
+            for entries in rows
         ]
         result = Polynomial.zero(self.nvars)
         for mono, coeff in self._terms.items():
@@ -529,6 +533,41 @@ def check_conjugation_compatible(matrix, nvars: int):
                 raise IncompatibleMatrix(
                     f"entry ({i},{j}) breaks the conjugation pairing"
                 )
+
+
+class LinearAction:
+    """A conjugation-compatible linear map on nvars coordinates, checked once.
+
+    Building one runs check_conjugation_compatible; the substitution methods
+    then trust it.  rows[i] holds the nonzero entries (j, A[i][j]) of row i,
+    and monomial says that no row has more than one, so every variable maps
+    to a scalar multiple of a single variable.
+    """
+
+    __slots__ = ("nvars", "rows", "monomial")
+
+    def __init__(self, matrix, nvars: int):
+        check_conjugation_compatible(matrix, nvars)
+        rows = tuple(
+            tuple((j, entry) for j, entry in enumerate(row) if entry) for row in matrix
+        )
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "monomial", all(len(row) <= 1 for row in rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearAction is immutable")
+
+
+def _linear_action(matrix, nvars: int) -> LinearAction:
+    """`matrix` as an action on nvars coordinates, checking it if it is raw."""
+    if isinstance(matrix, LinearAction):
+        if matrix.nvars != nvars:
+            raise DimensionError(
+                f"action is on {matrix.nvars} coordinates, expected {nvars}"
+            )
+        return matrix
+    return LinearAction(matrix, nvars)
 
 
 def re_part(p: Polynomial) -> Polynomial:
@@ -669,25 +708,28 @@ class PolyMap:
             tuple(comp * u for comp in self.z_components),
         )
 
-    def compose_linear(self, matrix) -> "PolyMap":
+    def compose_linear(
+        self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
+    ) -> "PolyMap":
         """g . A : substitute the linear map into every component."""
+        action = _linear_action(matrix, self.nvars)
         return PolyMap(
-            tuple(c.substitute_linear(matrix) for c in self.x_components),
-            tuple(c.substitute_linear(matrix) for c in self.z_components),
+            tuple(c.substitute_linear(action) for c in self.x_components),
+            tuple(c.substitute_linear(action) for c in self.z_components),
         )
 
-    def apply_linear(self, matrix) -> "PolyMap":
+    def apply_linear(
+        self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
+    ) -> "PolyMap":
         """A . g : act on the output vector by the matrix."""
-        check_conjugation_compatible(matrix, self.nvars)
+        rows = _linear_action(matrix, self.nvars).rows
         full = self.components()
         nvars = self.nvars
 
         def row(i: int) -> Polynomial:
             acc = Polynomial.zero(nvars)
-            for j in range(nvars):
-                entry = matrix[i][j]
-                if entry:
-                    acc = acc + full[j].scale(entry)
+            for j, entry in rows[i]:
+                acc = acc + full[j].scale(entry)
             return acc
 
         xs = (row(0), row(1))

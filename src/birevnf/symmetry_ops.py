@@ -56,19 +56,19 @@ def _require_involution(kappa: SignedElement):
 def reynolds_R(f: Polynomial, kappa: SignedElement) -> Polynomial:
     """(f + f . kappa)/2: projection onto kappa-invariant functions."""
     _require_involution(kappa)
-    return (f + f.substitute_linear(kappa.matrix)).scale(HALF)
+    return (f + f.substitute_linear(kappa.action)).scale(HALF)
 
 
 def reynolds_S(f: Polynomial, kappa: SignedElement) -> Polynomial:
     """(f - f . kappa)/2: projection onto the kappa-odd functions."""
     _require_involution(kappa)
-    return (f - f.substitute_linear(kappa.matrix)).scale(HALF)
+    return (f - f.substitute_linear(kappa.action)).scale(HALF)
 
 
 def transfer_T(g: PolyMap, kappa: SignedElement) -> PolyMap:
     """(g - kappa . g . kappa)/2: projection onto kappa-reversible mappings."""
     _require_involution(kappa)
-    conjugated = g.compose_linear(kappa.matrix).apply_linear(kappa.matrix)
+    conjugated = g.compose_linear(kappa.action).apply_linear(kappa.action)
     return (g - conjugated).scale(HALF)
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from birevnf.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -140,6 +142,64 @@ def test_bad_signs_are_config_errors(capsys):
         "--signs", "1,1",
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "params, signs, degrees",
+    [
+        ("1,x", "1,1,1,1", "2"),
+        ("1..x", "1,1,1,1", "2"),
+        ("1,2", "1,one,1,1", "2"),
+        ("1,2", "1,1,1,1", "5..2"),
+        ("1,2", "1,1,1,1", "2..3..4"),
+        ("1,2", "1,1,1,1", "2,,3"),
+    ],
+)
+def test_malformed_integer_flags_are_config_errors(capsys, params, signs, degrees):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--case", "res_n1n2_C3",
+        "--params", params,
+        "--signs", signs,
+        "--verify-degrees", degrees,
+    )
+    assert code == EXIT_CONFIG
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert "certified" not in out
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("params", "1,2"),
+        ("params", [1, "x"]),
+        ("signs", 1),
+        ("degree_max", "four"),
+        ("degree_max", 2.5),
+        ("verify_degrees", []),
+        ("limit_monomials", None),
+    ],
+)
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, field, value):
+    job = {"case": "res_n1n2_C3", "params": [1, 2], "signs": [1, 1, 1, 1]}
+    job[field] = value
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert "certified" not in out
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text("[1, 2]")
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert "config error" in err
 
 
 def test_monomial_limit_yields_resource_exit(capsys):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from birevnf.continuous import phi_matrix, psi_matrix
-from birevnf.errors import IncompatibleMatrix
-from birevnf.linalg import identity_matrix, mat_mul
+from birevnf.continuous import phi_element, phi_matrix, psi_element, psi_matrix
+from birevnf.errors import DimensionError, IncompatibleMatrix
+from birevnf.group import SignedElement
+from birevnf.linalg import identity_matrix, mat_mul, matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
     I,
+    LinearAction,
     PolyMap,
     Polynomial,
     im_part,
@@ -220,3 +222,101 @@ def test_gaussian_rational_field_ops():
     assert (a - a) == GaussianRational(0)
     assert b ** 2 == GaussianRational(-1)
     assert b ** 3 == -b
+
+
+# -- compiled linear actions -------------------------------------------------
+
+
+def shear_matrix(nvars):
+    """x2 -> x1 + x2, the identity elsewhere: conjugation-compatible, not monomial."""
+    rows = [[int(i == j) for j in range(nvars)] for i in range(nvars)]
+    rows[1][0] = 1
+    return matrix_from_rows(rows)
+
+
+def x_z_swap_matrix():
+    """Swaps x1 with z1, which breaks the conjugation pairing."""
+    nvars = 4
+    rows = [[0] * nvars for _ in range(nvars)]
+    rows[0][z_index(1)] = 1
+    rows[1][1] = 1
+    rows[z_index(1)][0] = 1
+    rows[zbar_index(1)][zbar_index(1)] = 1
+    return matrix_from_rows(rows)
+
+
+ACTION_ELEMENTS = {
+    "phi": phi_element(2),
+    "psi": psi_element((-1, 1, -1)),
+    "phi*psi": phi_element(2) * psi_element((-1, 1, -1)),
+    "shear": SignedElement(shear_matrix(6), 1, "shear"),
+}
+
+
+def naive_substitute(p, matrix):
+    """p(A v) by expanding every variable into its full row of A."""
+    n = p.nvars
+    forms = [
+        sum((var(n, j).scale(matrix[i][j]) for j in range(n)), Polynomial.zero(n))
+        for i in range(n)
+    ]
+    result = Polynomial.zero(n)
+    for mono, coeff in p.sorted_terms():
+        term = Polynomial.constant(n, coeff)
+        for i, e in enumerate(mono):
+            term = term * forms[i] ** e
+        result = result + term
+    return result
+
+
+def naive_apply(g, matrix):
+    """A . g by the dense product of A with the full component vector."""
+    full = g.components()
+    n = g.nvars
+    rows = [
+        sum((full[j].scale(matrix[i][j]) for j in range(n)), Polynomial.zero(n))
+        for i in range(n)
+    ]
+    return PolyMap(rows[:2], [rows[z_index(j)] for j in range(1, g.nblocks + 1)])
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_ELEMENTS))
+@given(st.integers(0, 10_000))
+def test_action_and_raw_matrix_agree(name, seed):
+    el = ACTION_ELEMENTS[name]
+    rng = make_rng(seed)
+    p = random_polynomial(rng, 2, max_degree=4)
+    g = random_polymap(rng, 2, max_degree=3)
+    expected_p = naive_substitute(p, el.matrix)
+    assert p.substitute_linear(el.action) == expected_p
+    assert p.substitute_linear(el.matrix) == expected_p
+    expected_compose = PolyMap(
+        [naive_substitute(c, el.matrix) for c in g.x_components],
+        [naive_substitute(c, el.matrix) for c in g.z_components],
+    )
+    assert g.compose_linear(el.action) == expected_compose
+    assert g.compose_linear(el.matrix) == expected_compose
+    expected_apply = naive_apply(g, el.matrix)
+    assert g.apply_linear(el.action) == expected_apply
+    assert g.apply_linear(el.matrix) == expected_apply
+
+
+def test_incompatible_matrix_rejected_by_every_entry_point():
+    bad = x_z_swap_matrix()
+    g = random_polymap(make_rng(3), 1, max_degree=2)
+    with pytest.raises(IncompatibleMatrix):
+        g.apply_linear(bad)
+    with pytest.raises(IncompatibleMatrix):
+        g.compose_linear(bad)
+    with pytest.raises(IncompatibleMatrix):
+        SignedElement(bad, 1)
+    with pytest.raises(IncompatibleMatrix):
+        LinearAction(bad, 4)
+
+
+def test_action_on_the_wrong_number_of_coordinates_rejected():
+    action = phi_element(1).action
+    with pytest.raises(DimensionError):
+        var(6, 0).substitute_linear(action)
+    with pytest.raises(DimensionError):
+        random_polymap(make_rng(4), 2, max_degree=2).apply_linear(action)
