@@ -258,16 +258,18 @@ def cmd_verify(cfg: JobConfig, args: argparse.Namespace) -> int:
         )
         pipeline_slice = module_slice(genset, degree, cfg.limit_monomials)
         comparison = spans_equal(oracle_slice, pipeline_slice)
-        report_rows.append(
-            {
-                "degree": degree,
-                "oracle_dimension": oracle_slice.dimension,
-                "module_dimension": pipeline_slice.dimension,
-                "equal": comparison.equal,
-            }
-        )
+        row = {
+            "degree": degree,
+            "oracle_dimension": oracle_slice.dimension,
+            "module_dimension": pipeline_slice.dimension,
+            "equal": comparison.equal,
+        }
         if not comparison.equal:
             all_equal = False
+            row["witness"] = str(comparison.witness)
+            # spans_equal(a=oracle, b=module) names the side lacking the witness
+            row["missing_from"] = "oracle" if comparison.missing_from == "a" else "module"
+        report_rows.append(row)
     payload = {
         "case": cfg.case,
         "params": list(cfg.params),
@@ -285,6 +287,10 @@ def cmd_verify(cfg: JobConfig, args: argparse.Namespace) -> int:
                 f"  degree {row['degree']}: oracle dim {row['oracle_dimension']}, "
                 f"module dim {row['module_dimension']} -> {status}"
             )
+            if "witness" in row:
+                lines.append(
+                    f"  witness missing from {row['missing_from']}: {row['witness']}"
+                )
         lines.append("certified" if all_equal else "certification FAILED")
         _emit_output("\n".join(lines), args)
     if not all_equal:

@@ -93,19 +93,15 @@ class LinearPart:
             rels.append(row)
         object.__setattr__(self, "resonance_relations", tuple(rels))
         # a frequency forced to zero contradicts the nonzero-frequency requirement
-        ech = Echelon()
-        for row in self.resonance_relations:
-            ech.insert({j: c for j, c in enumerate(row) if c})
-        rank = ech.rank
+        ech = Echelon(
+            {j: c for j, c in enumerate(row) if c} for row in self.resonance_relations
+        )
         for j in range(self.n):
-            probe = Echelon()
-            for row in self.resonance_relations:
-                probe.insert({k: c for k, c in enumerate(row) if c})
-            if not probe.insert({j: 1}):
+            if ech.contains({j: 1}):
                 raise DimensionError(
                     f"relations force omega{j + 1} = 0; frequencies must be nonzero"
                 )
-        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_rank", ech.rank)
 
     @property
     def nvars(self) -> int:
@@ -117,9 +113,9 @@ class LinearPart:
 
     def torus_weight_rows(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer basis of the frequency solution lattice."""
-        ech = Echelon()
-        for row in self.resonance_relations:
-            ech.insert({j: c for j, c in enumerate(row) if c})
+        ech = Echelon(
+            {j: c for j, c in enumerate(row) if c} for row in self.resonance_relations
+        )
         basis = ech.nullspace(list(range(self.n)))
         rows = []
         for vec in basis:

@@ -1,13 +1,15 @@
-"""Exact linear algebra: Gaussian-rational matrices and sparse rational elimination.
+"""Exact linear algebra: one sparse elimination kernel and one dense helper.
 
-Two layers live here.  Small dense matrices over the Gaussian rationals
-represent group elements and infinitesimal generators; plain Gauss-Jordan
-over the field is exact and is all they need.  The brute-force oracle and
-the redundancy pruning instead reduce large sparse systems over Q: rows are
-dicts keyed by arbitrary sortable column keys, eliminated fraction-free
-(integer rows, gcd-reduced), with nullspaces returned as a canonical
+Small dense matrices over the Gaussian rationals represent group elements
+and infinitesimal generators; a single Gauss-Jordan loop over the field
+(`_gauss_jordan`) serves their rank, inverse and combination solves.  Every
+larger system goes through one sparse kernel, `Echelon`: rows are dicts
+keyed by arbitrary sortable column keys over Q, eliminated fraction-free
+(integer rows, gcd-reduced).  It answers rank and membership, returns the
+span's reduced row-echelon basis, and returns nullspaces as a canonical
 reduced-echelon basis.  Determinism: pivot columns are the unique
-rank-increase columns of the system, independent of row order.
+rank-increase columns of the system, independent of row order, and both
+returned bases are unique for their space.
 """
 
 from __future__ import annotations
@@ -96,11 +98,16 @@ def matrix_key(a: Matrix):
     return tuple(tuple(x.sort_key() for x in row) for row in a)
 
 
-def mat_rank(a: Matrix) -> int:
-    rows = [list(r) for r in a]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
+def _gauss_jordan(rows: list[list], ncols: int) -> list[int]:
+    """Bring `rows` to reduced row-echelon form on its first `ncols` columns.
+
+    Works in place over the field; row operations act on whole rows, so
+    columns past `ncols` (an augmented block) are carried along.  Returns
+    the pivot columns: row r has entry 1 at the r-th of them.
+    """
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -113,8 +120,12 @@ def mat_rank(a: Matrix) -> int:
                 rows[r] = [
                     x - factor * y if y else x for x, y in zip(rows[r], rows[rank])
                 ]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def mat_rank(a: Matrix) -> int:
+    return len(_gauss_jordan([list(r) for r in a], len(a[0]) if a else 0))
 
 
 def mat_nullity(a: Matrix) -> int:
@@ -124,58 +135,28 @@ def mat_nullity(a: Matrix) -> int:
 def mat_inverse(a: Matrix) -> Matrix:
     size = len(a)
     rows = [list(r) + [ONE if i == j else ZERO for j in range(size)] for i, r in enumerate(a)]
-    rank = 0
-    for col in range(size):
-        pivot = next((r for r in range(rank, size) if rows[r][col]), None)
-        if pivot is None:
-            raise DimensionError("matrix is singular")
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [inv * x if x else x for x in rows[rank]]
-        for r in range(size):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [
-                    x - factor * y if y else x for x, y in zip(rows[r], rows[rank])
-                ]
-        rank += 1
+    if len(_gauss_jordan(rows, size)) < size:
+        raise DimensionError("matrix is singular")
     return tuple(tuple(row[size:]) for row in rows)
 
 
 def solve_combination(vectors: Sequence[SparseRow], target: SparseRow):
     """Coefficients expressing target as a combination of the given vectors.
 
-    Entries may be Fractions or GaussianRationals.  Returns a list of
-    coefficients, or None when the target lies outside the span.
+    Entries may be integers, Fractions or GaussianRationals; nonzero
+    coefficients come back as GaussianRationals.  Returns None when the
+    target lies outside the span.
     """
     keys = sorted({k for v in vectors for k in v} | set(target))
     nvec = len(vectors)
-    rows = []
-    for key in keys:
-        row = [v.get(key, 0) for v in vectors] + [target.get(key, 0)]
-        rows.append(row)
-    rank = 0
-    pivot_cols = []
-    for col in range(nvec):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
+    rows = [[v.get(key, 0) for v in vectors] + [target.get(key, 0)] for key in keys]
+    pivots = _gauss_jordan(rows, nvec)
     # rows below the rank are zero on every vector column; a nonzero tail
     # there means the target is outside the span
-    for r in range(rank, len(rows)):
-        if rows[r][nvec]:
-            return None
+    if any(row[nvec] for row in rows[len(pivots):]):
+        return None
     solution = [0] * nvec
-    for r, col in enumerate(pivot_cols):
+    for r, col in enumerate(pivots):
         solution[col] = rows[r][nvec]
     return solution
 
@@ -213,8 +194,10 @@ def _combine(scale_r, row_r: dict, scale_p, row_p: dict) -> dict:
 class Echelon:
     """Incrementally built echelon form with integer gcd-reduced rows."""
 
-    def __init__(self):
+    def __init__(self, rows: Iterable[SparseRow] = ()):
         self.pivots: dict = {}
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self) -> int:
@@ -250,6 +233,24 @@ class Echelon:
     def contains(self, row: SparseRow) -> bool:
         return not self.residual(row)
 
+    def reduced_rows(self) -> list[dict]:
+        """The reduced row-echelon basis of the span, in pivot order.
+
+        Each row has entry 1 at its pivot column and 0 at every other pivot
+        column.  That basis is unique for the span, so it does not depend on
+        the order in which rows were inserted.
+        """
+        reduced: dict = {}
+        # a stored row holds only pivot columns to the right of its own, and
+        # reduced rows are zero on other pivots: one pass right to left clears them
+        for pc in sorted(self.pivots, reverse=True):
+            row = self.pivots[pc]
+            vec = {k: Fraction(v, row[pc]) for k, v in row.items()}
+            for col in [c for c in row if c != pc and c in reduced]:
+                vec = _combine(1, vec, -vec[col], reduced[col])
+            reduced[pc] = vec
+        return [reduced[c] for c in sorted(reduced)]
+
     def nullspace(self, columns: Sequence[ColKey]) -> list[dict]:
         """Canonical reduced-echelon basis of the solution space.
 
@@ -274,64 +275,7 @@ class Echelon:
 
 
 def nullspace(rows: Iterable[SparseRow], columns: Sequence[ColKey]) -> list[dict]:
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.nullspace(columns)
-
-
-class SpanBasis:
-    """Reduced row-echelon basis of a span of sparse rational vectors."""
-
-    def __init__(self, vectors: Iterable[SparseRow] = ()):
-        self.rows: dict = {}
-        for v in vectors:
-            self.insert(v)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, row: SparseRow) -> dict:
-        r = {k: Fraction(v) for k, v in row.items() if v}
-        while r:
-            col = min(r)
-            pivot = self.rows.get(col)
-            if pivot is None:
-                return r
-            factor = r[col]
-            for k, v in pivot.items():
-                acc = r.get(k, Fraction(0)) - factor * v
-                if acc:
-                    r[k] = acc
-                else:
-                    r.pop(k, None)
-        return r
-
-    def insert(self, row: SparseRow) -> bool:
-        r = self._reduce(row)
-        if not r:
-            return False
-        col = min(r)
-        inv = 1 / r[col]
-        r = {k: v * inv for k, v in r.items()}
-        for other in self.rows.values():
-            if col in other:
-                factor = other[col]
-                for k, v in r.items():
-                    acc = other.get(k, Fraction(0)) - factor * v
-                    if acc:
-                        other[k] = acc
-                    else:
-                        other.pop(k, None)
-        self.rows[col] = r
-        return True
-
-    def contains(self, row: SparseRow) -> bool:
-        return not self._reduce(row)
-
-    def canonical_rows(self) -> list[dict]:
-        return [dict(self.rows[c]) for c in sorted(self.rows)]
+    return Echelon(rows).nullspace(columns)
 
 
 # -- vector encodings of polynomials and maps --------------------------------

@@ -10,7 +10,10 @@ fraction-free elimination returns a canonical reduced-echelon basis.
 
 A slower naive variant skips the torus prefilter and uses plain rational
 elimination; the test suite cross-checks the two paths against each other
-and against the membership predicates.
+and against the membership predicates.  That elimination, `_plain_nullspace`,
+is deliberately the one sparse solver outside `linalg.Echelon`: it shares no
+code with the kernel (Fraction rows, no gcd reduction, no integer
+combination), so a fault in the kernel cannot hide by agreeing with itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .errors import DimensionError, ResourceLimit
 from .group import GroupContext
 from .linalg import (
     Echelon,
-    SpanBasis,
     polymap_from_vector,
     vectorize,
     vectorize_polymap,
@@ -201,10 +203,7 @@ def _solve(params, image_fn, columns_builder, use_fraction_free=True):
     columns = list(range(len(params)))
     ordered_rows = [rows[key] for key in sorted(rows)]
     if use_fraction_free:
-        ech = Echelon()
-        for row in ordered_rows:
-            ech.insert(row)
-        solutions = ech.nullspace(columns)
+        solutions = Echelon(ordered_rows).nullspace(columns)
     else:
         solutions = _plain_nullspace(ordered_rows, columns)
     combos = []
@@ -380,7 +379,7 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
     from .symmetry_ops import ring_products  # local import avoids a cycle
 
     ring = genset.ring_basis
-    span = SpanBasis()
+    span = Echelon()
     count = 0
     for gen in genset.module_generators:
         gap = degree - gen.degree()
@@ -403,7 +402,7 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
     nblocks = genset.module_generators[0].nblocks if genset.module_generators else (
         genset.context.nblocks
     )
-    basis = [polymap_from_vector(row, nblocks) for row in span.canonical_rows()]
+    basis = [polymap_from_vector(row, nblocks) for row in span.reduced_rows()]
     basis.sort(key=lambda b: b.sort_key())
     return DegreeSlice(degree, "reversible_equivariant", tuple(basis))
 
@@ -419,11 +418,11 @@ def spans_equal(a: DegreeSlice, b: DegreeSlice) -> SpanComparison:
     """Exact equality of the two spans; a witness element on failure."""
     if a.degree != b.degree or a.kind != b.kind:
         raise DimensionError("slices of different degree or kind are not comparable")
-    span_a = SpanBasis(vectorize(e) for e in a.basis)
+    span_a = Echelon(vectorize(e) for e in a.basis)
     for elem in b.basis:
         if not span_a.contains(vectorize(elem)):
             return SpanComparison(False, elem, "a")
-    span_b = SpanBasis(vectorize(e) for e in b.basis)
+    span_b = Echelon(vectorize(e) for e in b.basis)
     for elem in a.basis:
         if not span_b.contains(vectorize(elem)):
             return SpanComparison(False, elem, "b")

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .errors import CertificationFailure, ConditionViolated
 from .group import SignedElement, membership
-from .linalg import SpanBasis, vectorize_polymap, vectorize_polynomial
+from .linalg import Echelon, vectorize_polymap, vectorize_polynomial
 from .poly import (
     HALF,
     PolyMap,
@@ -146,7 +146,7 @@ def prune_ring(candidates: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     for idx in reversed(range(len(elems))):
         others = [elems[i] for i in alive if i != idx]
         degree = elems[idx].degree()
-        span = SpanBasis(
+        span = Echelon(
             vectorize_polynomial(p) for p in ring_products(others, degree) if p
         )
         if span.contains(vectorize_polynomial(elems[idx])):
@@ -163,7 +163,7 @@ def prune_module(
     for idx in reversed(range(len(elems))):
         target = elems[idx]
         degree = target.degree()
-        span = SpanBasis()
+        span = Echelon()
         for i in alive:
             if i == idx:
                 continue

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from birevnf.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
+from birevnf.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +83,30 @@ def test_verify_certifies_type_a(capsys):
     )
     assert code == EXIT_OK
     assert "certified" in out
+
+
+def test_verify_mismatch_shows_witness(monkeypatch, capsys):
+    import birevnf.cli
+    from birevnf.oracle import DegreeSlice, module_slice
+
+    def short_slice(genset, degree, limit):
+        full = module_slice(genset, degree, limit)
+        return DegreeSlice(degree, full.kind, full.basis[:-1])
+
+    monkeypatch.setattr(birevnf.cli, "module_slice", short_slice)
+    args = ("verify", "--case", "non_resonant", "--params", "1", "--signs", "1,1",
+            "--verify-degrees", "2")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_CERTIFICATION
+    lines = out.splitlines()
+    assert lines[1].endswith("-> MISMATCH")
+    assert lines[2].startswith("  witness missing from module: (")
+    assert lines[3] == "certification FAILED"
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == EXIT_CERTIFICATION
+    (row,) = json.loads(out)["slices"]
+    assert row["missing_from"] == "module"
+    assert "  witness missing from module: " + row["witness"] in lines
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -231,14 +255,22 @@ def test_repo_job_fixtures(capsys):
 
 
 def test_python_dash_m_entry_point():
+    import os
+    import pathlib
     import subprocess
     import sys
 
+    import birevnf
+
+    # the child imports the same package as this process, installed or not
+    src = str(pathlib.Path(birevnf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "birevnf", "classify", "--case", "non_resonant",
          "--params", "1", "--signs", "1,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == EXIT_OK
     assert "involution pairs: 2" in result.stdout

@@ -1,13 +1,16 @@
 """Exact elimination: nullspaces, span bases, and dense field operations."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from birevnf.errors import DimensionError
 from birevnf.linalg import (
     Echelon,
-    SpanBasis,
+    _gauss_jordan,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -58,14 +61,14 @@ def test_fraction_free_matches_plain_on_random_systems():
         a = nullspace([dict(r) for r in rows], cols)
         b = _plain_nullspace([dict(r) for r in rows], cols)
         assert len(a) == len(b)
-        span = SpanBasis(a)
+        span = Echelon(a)
         for vec in b:
             assert span.contains(vec)
 
 
 def test_span_basis_membership_and_dimension():
-    span = SpanBasis([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(2)}])
-    assert span.dimension == 2
+    span = Echelon([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(2)}])
+    assert span.rank == 2
     assert span.contains({0: Fraction(3)})
     assert not span.contains({2: Fraction(1)})
     assert not span.insert({0: Fraction(1), 1: Fraction(-7)})
@@ -118,3 +121,30 @@ def test_echelon_rank_is_row_order_independent():
         e2.insert(dict(r))
     assert e1.rank == e2.rank == 2
     assert sorted(e1.pivots) == sorted(e2.pivots)
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+)
+
+
+@st.composite
+def rational_systems(draw):
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=ncols, max_size=ncols)
+    return ncols, draw(st.lists(row, max_size=6))
+
+
+@given(rational_systems(), st.randoms())
+# a row whose lead is new but whose tail hits an existing pivot
+@example((2, [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]), Random(0))
+def test_reduced_rows_are_the_dense_rref_in_any_order(system, rnd):
+    ncols, dense = system
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    shuffled = list(sparse)
+    rnd.shuffle(shuffled)
+    rref = [list(row) for row in dense]
+    rank = len(_gauss_jordan(rref, ncols))
+    expected = [{c: x for c, x in enumerate(row) if x} for row in rref[:rank]]
+    assert Echelon(sparse).reduced_rows() == expected
+    assert Echelon(shuffled).reduced_rows() == expected

@@ -132,6 +132,22 @@ def test_module_slice_invariant_under_permutation_and_scaling(nonres1):
         assert spans_equal(a, b).equal
 
 
+def test_module_slice_basis_is_canonical():
+    # the reduced basis of a span is unique, so reordering and rescaling the
+    # ring basis and the generators must give the very same basis elements
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    gs = pipeline(ctx)
+    reordered = GeneratorSet(
+        tuple(reversed(gs.ring_basis)),
+        tuple(reversed([g.scale(3) for g in gs.module_generators])),
+        ctx,
+    )
+    a = module_slice(gs, 5)
+    b = module_slice(reordered, 5)
+    assert a.dimension > 0
+    assert a.basis == b.basis
+
+
 def test_spans_equal_examples(nonres1):
     x1 = Polynomial.variable(4, 0)
     x2 = Polynomial.variable(4, 1)
