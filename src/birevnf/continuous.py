@@ -101,24 +101,9 @@ class LinearPart:
                 raise DimensionError(
                     f"relations force omega{j + 1} = 0; frequencies must be nonzero"
                 )
-        object.__setattr__(self, "_rank", ech.rank)
-
-    @property
-    def nvars(self) -> int:
-        return 2 * self.n + 2
-
-    @property
-    def torus_rank(self) -> int:
-        return self.n - self._rank
-
-    def torus_weight_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer basis of the frequency solution lattice."""
-        ech = Echelon(
-            {j: c for j, c in enumerate(row) if c} for row in self.resonance_relations
-        )
-        basis = ech.nullspace(list(range(self.n)))
+        # the primitive integer basis of the frequency solution lattice
         rows = []
-        for vec in basis:
+        for vec in ech.nullspace(range(self.n)):
             denom = 1
             for value in vec.values():
                 denom = denom * value.denominator // gcd(denom, value.denominator)
@@ -130,7 +115,19 @@ class LinearPart:
             if lead < 0:
                 ints = [-v for v in ints]
             rows.append(tuple(ints))
-        return tuple(sorted(rows, reverse=True))
+        object.__setattr__(self, "_weight_rows", tuple(sorted(rows, reverse=True)))
+
+    @property
+    def nvars(self) -> int:
+        return 2 * self.n + 2
+
+    @property
+    def torus_rank(self) -> int:
+        return len(self._weight_rows)
+
+    def torus_weight_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer basis of the frequency solution lattice."""
+        return self._weight_rows
 
     def shear_generator(self) -> Matrix:
         rows = [[0] * self.nvars for _ in range(self.nvars)]

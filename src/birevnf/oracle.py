@@ -374,34 +374,27 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
     """Degree-d part of the module spanned by the generator set.
 
     Spans {m * G} over all module generators G and all monomials m in the
-    ring basis with matching total degree, reduced to an exact basis.
+    ring basis with matching total degree, reduced to an exact basis.  The
+    monomials come from one `ProductTable` built for this call.
     """
-    from .symmetry_ops import ring_products  # local import avoids a cycle
+    from .symmetry_ops import ProductTable  # local import avoids a cycle
 
-    ring = genset.ring_basis
+    gens = genset.module_generators
+    nblocks = gens[0].nblocks if gens else genset.context.nblocks
+    products = ProductTable(genset.ring_basis, 2 * nblocks + 2)
     span = Echelon()
     count = 0
-    for gen in genset.module_generators:
+    for gen in gens:
         gap = degree - gen.degree()
         if gap < 0:
             continue
-        if ring:
-            coeffs = ring_products(ring, gap)
-        else:
-            # module over the bare scalars: only the generator itself
-            coeffs = [Polynomial.constant(gen.nvars, 1)] if gap == 0 else []
-        for coeff in coeffs:
-            if not coeff:
-                continue
+        for coeff in products[gap]:
             count += 1
             if count > limit:
                 raise ResourceLimit(
                     f"module slice at degree {degree} exceeded {limit} products"
                 )
             span.insert(vectorize_polymap(gen.mul_invariant(coeff)))
-    nblocks = genset.module_generators[0].nblocks if genset.module_generators else (
-        genset.context.nblocks
-    )
     basis = [polymap_from_vector(row, nblocks) for row in span.reduced_rows()]
     basis.sort(key=lambda b: b.sort_key())
     return DegreeSlice(degree, "reversible_equivariant", tuple(basis))

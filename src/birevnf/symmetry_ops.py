@@ -31,9 +31,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
-from .errors import CertificationFailure, ConditionViolated
+from .errors import CertificationFailure, ConditionViolated, DimensionError
 from .group import SignedElement, membership
 from .linalg import Echelon, vectorize_polymap, vectorize_polynomial
 from .poly import (
@@ -103,86 +104,117 @@ def _dedupe(elems):
     return out
 
 
-def _weighted_exponents(degrees: Sequence[int], target: int):
-    """Exponent tuples e with sum(e_i * degrees_i) == target, lexicographic."""
+class ProductTable:
+    """Products of ring-basis elements, one level per total degree.
 
-    def rec(i: int, remaining: int, prefix: tuple):
-        if i == len(degrees):
-            if remaining == 0:
-                yield prefix
-            return
-        step = degrees[i]
-        for e in range(remaining // step + 1):
-            yield from rec(i + 1, remaining - e * step, prefix + (e,))
+    Level d holds every product u_{i_1} ... u_{i_k} with i_1 <= ... <= i_k
+    and total degree d, each once, in no particular order.  It is built on
+    demand from level d - deg(u_i) times u_i, over the entries whose last
+    factor index is at most i, so each product costs one multiplication.
+    A table lives only as long as the call that builds it.
+    """
 
-    yield from rec(0, target, ())
+    def __init__(self, basis: Iterable[Polynomial], nvars: int):
+        self.basis: list[tuple[Polynomial, int]] = []
+        # level d: (product, index of its last factor); the empty product is 1
+        self.levels = [[(Polynomial.constant(nvars, 1), 0)]]
+        for u in basis:
+            self.add(u)
+
+    def add(self, u: Polynomial):
+        """Append a basis element; levels from its degree on are rebuilt."""
+        degree = u.degree()
+        if degree < 1:
+            raise DimensionError("ring products need basis elements of positive degree")
+        self.basis.append((u, degree))
+        del self.levels[degree:]
+
+    def __getitem__(self, degree: int) -> list[Polynomial]:
+        if degree < 0:
+            return []
+        levels = self.levels
+        while len(levels) <= degree:
+            top = len(levels)
+            level = []
+            for i, (u, du) in enumerate(self.basis):
+                if du <= top:
+                    level.extend((p * u, i) for p, last in levels[top - du] if last <= i)
+            levels.append(level)
+        return [p for p, _ in levels[degree]]
 
 
 def ring_products(basis: Sequence[Polynomial], degree: int) -> list[Polynomial]:
-    """All monomials in the basis elements of the given total degree."""
+    """All monomials in the basis elements of the given total degree.
+
+    One `ProductTable` level, in no particular order; empty for an empty
+    basis.  A basis element of degree 0 raises `DimensionError`.
+    """
     if not basis:
         return []
-    degrees = [u.degree() for u in basis]
-    nvars = basis[0].nvars
-    out = []
-    for exps in _weighted_exponents(degrees, degree):
-        prod = Polynomial.constant(nvars, 1)
-        for u, e in zip(basis, exps):
-            if e:
-                prod = prod * u ** e
-        out.append(prod)
-    return out
+    return ProductTable(basis, basis[0].nvars)[degree]
+
+
+def _require_homogeneous(elems):
+    if not all(e.is_homogeneous() for e in elems):
+        raise DimensionError("pruning needs homogeneous elements")
 
 
 def prune_ring(candidates: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """Drop elements that are polynomials in the remaining ones.
 
-    Homogeneous elements can only be generated in their own degree, so a
-    degree-d candidate is tested against the span of all degree-d products
-    of the others; ties keep the earlier element in canonical order.
+    One pass in canonical order, which is degree order.  At each degree d
+    the span of the degree-d products of the kept lower-degree elements is
+    built once; a degree-d candidate is kept, and inserted, only if that
+    span does not already contain it.  This keeps the same set as deleting
+    redundant elements from the last one backwards: a homogeneous element
+    is generated only in its own degree, and dropping a redundant
+    lower-degree element leaves the lower-degree part of the ring as it
+    was, so either way element i goes iff it lies in the span of the
+    earlier ones modulo that part, and ties keep the earlier element.
+    Nonzero constants are dropped (the empty product is 1).  The input must
+    be homogeneous; anything else raises `DimensionError`.
     """
     elems = [e for e in _dedupe(_canonical(candidates)) if e]
-    alive = list(range(len(elems)))
-    for idx in reversed(range(len(elems))):
-        others = [elems[i] for i in alive if i != idx]
-        degree = elems[idx].degree()
-        span = Echelon(
-            vectorize_polynomial(p) for p in ring_products(others, degree) if p
-        )
-        if span.contains(vectorize_polynomial(elems[idx])):
-            alive.remove(idx)
-    return tuple(elems[i] for i in alive)
+    _require_homogeneous(elems)
+    if not elems:
+        return ()
+    products = ProductTable((), elems[0].nvars)
+    kept: list[Polynomial] = []
+    for degree, group in groupby(elems, key=lambda e: e.degree()):
+        span = Echelon(vectorize_polynomial(p) for p in products[degree])
+        for e in group:
+            if span.insert(vectorize_polynomial(e)):
+                kept.append(e)
+                products.add(e)
+    return tuple(kept)
 
 
 def prune_module(
     gens: Iterable[PolyMap], ring_basis: Sequence[Polynomial]
 ) -> tuple[PolyMap, ...]:
-    """Drop generators lying in the module generated by the others."""
+    """Drop generators lying in the module generated by the others.
+
+    The same degree-order pass as `prune_ring`, over one `ProductTable` of
+    the ring basis: at each degree d the span of every kept lower-degree
+    generator times the ring products of the missing degree is built once,
+    then the degree-d candidates are kept, and inserted, only if not in it.
+    It keeps the same set as reverse deletion, by the same argument.  The
+    input must be homogeneous; anything else raises `DimensionError`.
+    """
     elems = [g for g in _dedupe(_canonical(gens)) if g]
-    alive = list(range(len(elems)))
-    for idx in reversed(range(len(elems))):
-        target = elems[idx]
-        degree = target.degree()
-        span = Echelon()
-        for i in alive:
-            if i == idx:
-                continue
-            other = elems[i]
-            gap = degree - other.degree()
-            if gap < 0:
-                continue
-            if ring_basis:
-                coeffs = ring_products(ring_basis, gap)
-            elif gap == 0:
-                coeffs = [Polynomial.constant(other.nvars, 1)]
-            else:
-                coeffs = []
-            for coeff in coeffs:
-                if coeff:
-                    span.insert(vectorize_polymap(other.mul_invariant(coeff)))
-        if span.contains(vectorize_polymap(target)):
-            alive.remove(idx)
-    return tuple(elems[i] for i in alive)
+    _require_homogeneous(elems)
+    if not elems:
+        return ()
+    products = ProductTable(ring_basis, elems[0].nvars)
+    kept: list[PolyMap] = []
+    for degree, group in groupby(elems, key=lambda g: g.degree()):
+        span = Echelon(
+            vectorize_polymap(g.mul_invariant(p))
+            for g in kept
+            for p in products[degree - g.degree()]
+        )
+        kept.extend([g for g in group if span.insert(vectorize_polymap(g))])
+    return tuple(kept)
 
 
 # -- generator transport -----------------------------------------------------
@@ -284,6 +316,13 @@ def simplify(genset: GeneratorSet) -> GeneratorSet:
     return replace(genset, ring_basis=ring, module_generators=gens)
 
 
+def _transport(basis, gens, kappa: SignedElement):
+    """One involution step: extend the ring, transport, project and prune."""
+    extended = extend_hilbert_basis(basis, kappa)
+    projected = project_generators(generators_over_extension(basis, gens, kappa), kappa)
+    return extended, prune_module(projected, extended)
+
+
 def pipeline(context: SymmetryContext) -> GeneratorSet:
     """Run the five-step transport for the semidirect product of both involutions.
 
@@ -297,40 +336,17 @@ def pipeline(context: SymmetryContext) -> GeneratorSet:
         raise CertificationFailure(
             "symmetry context carries no closure-group catalog data"
         )
-    phi, psi = context.phi, context.psi
-
-    basis_phi = extend_hilbert_basis(sdata.hilbert_basis, phi)
-    step3 = generators_over_extension(
-        sdata.hilbert_basis, sdata.equivariant_generators, phi
-    )
-    gens_phi = prune_module(project_generators(step3, phi), basis_phi)
-
-    basis_full = extend_hilbert_basis(basis_phi, psi)
-    step5 = generators_over_extension(basis_phi, gens_phi, psi)
-    gens_full = prune_module(project_generators(step5, psi), basis_full)
-
-    genset = GeneratorSet(
-        ring_basis=_canonical(basis_full),
-        module_generators=_canonical(gens_full),
-        context=context,
-    )
-    return certify(genset)
+    basis, gens = sdata.hilbert_basis, sdata.equivariant_generators
+    for kappa in (context.phi, context.psi):
+        basis, gens = _transport(basis, gens, kappa)
+    return certify(GeneratorSet(_canonical(basis), _canonical(gens), context))
 
 
 def intermediate_generators(context: SymmetryContext) -> GeneratorSet:
     """Generators after the first extension only (sign map sigma_1)."""
     sdata = context.sgroup
-    phi = context.phi
-    basis_phi = extend_hilbert_basis(sdata.hilbert_basis, phi)
-    step3 = generators_over_extension(
-        sdata.hilbert_basis, sdata.equivariant_generators, phi
-    )
-    gens_phi = prune_module(project_generators(step3, phi), basis_phi)
-    return GeneratorSet(
-        ring_basis=_canonical(basis_phi),
-        module_generators=_canonical(gens_phi),
-        context=context,
-    )
+    basis, gens = _transport(sdata.hilbert_basis, sdata.equivariant_generators, context.phi)
+    return GeneratorSet(_canonical(basis), _canonical(gens), context)
 
 
 # -- serialization -----------------------------------------------------------

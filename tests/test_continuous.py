@@ -51,6 +51,15 @@ def test_structure_without_relations_is_full_torus():
     assert data.torus_weights == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def test_torus_weight_rows_are_solved_once():
+    linear = LinearPart(4, ((1, 2, 3, 0),))
+    rows = linear.torus_weight_rows()
+    assert linear.torus_weight_rows() is rows
+    assert linear.torus_rank == len(rows) == 3
+    for row in rows:
+        assert sum(c * w for c, w in zip((1, 2, 3, 0), row)) == 0
+
+
 def test_linear_part_rejects_forced_zero_frequency():
     with pytest.raises(DimensionError):
         LinearPart(2, ((1, 0),))

@@ -5,6 +5,7 @@ import pytest
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import DimensionError, ResourceLimit
 from birevnf.group import membership
+from birevnf.linalg import Echelon, polynomial_from_vector, vectorize_polynomial
 from birevnf.oracle import (
     DegreeSlice,
     dimension_table,
@@ -16,7 +17,7 @@ from birevnf.oracle import (
     spans_equal,
 )
 from birevnf.poly import Polynomial
-from birevnf.symmetry_ops import GeneratorSet, pipeline
+from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +187,28 @@ def test_dimension_table_rendering(nonres1):
     decoded = json.loads(payload)
     assert decoded["schema"] == "dimtable-v1"
     assert decoded["dimensions"]["invariant"]["2"] == table["invariant"][2]
+
+
+@pytest.mark.parametrize(
+    "case,params,signs",
+    [
+        ("res_n1n2_C3", (1, 2), (1, 1, -1, 1)),
+        ("res_n1n2_C3", (2, 3), (1, -1, 1, 1)),
+        ("res_n1n2_Cn", (1, 2, 3), (1, 1, 1, -1)),
+    ],
+)
+def test_ring_basis_products_span_the_invariant_slices(case, params, signs):
+    # the Hilbert basis is complete up to its top degree: its products span
+    # every oracle invariant slice, not only a subspace of it
+    ctx = SymmetryContext.from_case(case, params, signs)
+    gs = pipeline(ctx)
+    nvars = ctx.linear_part.nvars
+    for degree in range(max(u.degree() for u in gs.ring_basis) + 1):
+        products = Echelon(vectorize_polynomial(p) for p in ring_products(gs.ring_basis, degree))
+        ours = DegreeSlice(
+            degree,
+            "invariant",
+            tuple(polynomial_from_vector(row, nvars) for row in products.reduced_rows()),
+        )
+        oracle = slice_space(ctx.full_context(), degree, "invariant")
+        assert spans_equal(ours, oracle).equal, degree

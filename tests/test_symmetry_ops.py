@@ -1,16 +1,23 @@
 """Reynolds averages, transfer projection, extensions, and the pipeline."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from birevnf.continuous import SymmetryContext, catalog, phi_element, psi_element
-from birevnf.errors import CertificationFailure, ConditionViolated
+from birevnf.errors import CertificationFailure, ConditionViolated, DimensionError
 from birevnf.group import GroupContext, membership
+from birevnf.linalg import Echelon, vectorize_polymap, vectorize_polynomial
 from birevnf.oracle import module_slice, spans_equal
 from birevnf.poly import GaussianRational, PolyMap, Polynomial
 from birevnf.symmetry_ops import (
     GeneratorSet,
+    _canonical,
+    _dedupe,
     extend_hilbert_basis,
     generators_over_extension,
     normalize_leading,
@@ -368,3 +375,193 @@ def test_ring_products_enumeration():
     # x1^4, x1^2 |z1|^2, |z1|^4
     assert len(prods) == 3
     assert len(ring_products(basis, 0)) == 1  # the empty product
+
+
+# -- the degree-order prune against the reverse-deletion reference -----------
+
+
+def _reference_weighted_exponents(degrees, target):
+    """Exponent tuples e with sum(e_i * degrees_i) == target, lexicographic."""
+
+    def rec(i, remaining, prefix):
+        if i == len(degrees):
+            if remaining == 0:
+                yield prefix
+            return
+        step = degrees[i]
+        for e in range(remaining // step + 1):
+            yield from rec(i + 1, remaining - e * step, prefix + (e,))
+
+    yield from rec(0, target, ())
+
+
+def _reference_ring_products(basis, degree):
+    """Each product rebuilt from powers, one exponent tuple at a time."""
+    if not basis:
+        return []
+    out = []
+    for exps in _reference_weighted_exponents([u.degree() for u in basis], degree):
+        prod = Polynomial.constant(basis[0].nvars, 1)
+        for u, e in zip(basis, exps):
+            if e:
+                prod = prod * u ** e
+        out.append(prod)
+    return out
+
+
+def _reference_prune_ring(candidates):
+    """Reverse deletion: drop each element in the span of the others' products."""
+    elems = [e for e in _dedupe(_canonical(candidates)) if e]
+    alive = list(range(len(elems)))
+    for idx in reversed(range(len(elems))):
+        others = [elems[i] for i in alive if i != idx]
+        degree = elems[idx].degree()
+        span = Echelon(
+            vectorize_polynomial(p) for p in _reference_ring_products(others, degree) if p
+        )
+        if span.contains(vectorize_polynomial(elems[idx])):
+            alive.remove(idx)
+    return tuple(elems[i] for i in alive)
+
+
+def _reference_prune_module(gens, ring_basis):
+    """Reverse deletion: drop each generator in the module of the others."""
+    elems = [g for g in _dedupe(_canonical(gens)) if g]
+    alive = list(range(len(elems)))
+    for idx in reversed(range(len(elems))):
+        target = elems[idx]
+        degree = target.degree()
+        span = Echelon()
+        for i in alive:
+            if i == idx:
+                continue
+            other = elems[i]
+            gap = degree - other.degree()
+            if gap < 0:
+                continue
+            if ring_basis:
+                coeffs = _reference_ring_products(ring_basis, gap)
+            elif gap == 0:
+                coeffs = [Polynomial.constant(other.nvars, 1)]
+            else:
+                coeffs = []
+            for coeff in coeffs:
+                if coeff:
+                    span.insert(vectorize_polymap(other.mul_invariant(coeff)))
+        if span.contains(vectorize_polymap(target)):
+            alive.remove(idx)
+    return tuple(elems[i] for i in alive)
+
+
+@pytest.mark.parametrize(
+    "case,params,n",
+    [("non_resonant", (2,), 2), ("res_n1n2_C3", (1, 2), 3), ("res_n1n2_C3", (2, 3), 3)],
+)
+def test_prune_matches_reverse_deletion_on_pipeline_candidates(monkeypatch, case, params, n):
+    import birevnf.symmetry_ops as ops
+
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args):
+            args = tuple(tuple(a) for a in args)
+            calls.append((fn, args, fn(*args)))
+            return calls[-1][2]
+        return wrapper
+
+    monkeypatch.setattr(ops, "prune_ring", recording(prune_ring))
+    monkeypatch.setattr(ops, "prune_module", recording(prune_module))
+    for signs in itertools.product((1, -1), repeat=n + 1):
+        pipeline(SymmetryContext.from_case(case, params, signs))
+    reference = {prune_ring: _reference_prune_ring, prune_module: _reference_prune_module}
+    # one ring and one module prune per involution step
+    assert len(calls) == 4 * 2 ** (n + 1)
+    for fn, args, kept in calls:
+        assert kept == reference[fn](*args)
+
+
+_REDUNDANCY_CATALOGS = (
+    ("non_resonant", (2,)),
+    ("res_n1n2_C3", (1, 2)),
+    ("res_n1n2_C3", (1, 3)),
+)
+
+
+def _with_redundancies(elems, ring, ops, multiply):
+    """`elems` plus scalar multiples, ring multiples and same-degree sums."""
+    out = list(elems)
+    for kind, i, j, scalar in ops:
+        a, b = elems[i % len(elems)], elems[j % len(elems)]
+        if kind == "scale":
+            out.append(a.scale(scalar))
+        elif kind == "ring":
+            out.append(multiply(a, ring[j % len(ring)]))
+        elif a.degree() == b.degree():
+            out.append(a + b.scale(scalar))
+    return out
+
+
+_redundancy_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("scale", "ring", "sum")),
+        st.integers(0, 20),
+        st.integers(0, 20),
+        st.sampled_from((Fraction(2), Fraction(-1, 3), Fraction(5, 2))),
+    ),
+    max_size=6,
+)
+
+
+@given(
+    which=st.sampled_from(_REDUNDANCY_CATALOGS),
+    ops=_redundancy_ops,
+    order=st.randoms(use_true_random=False),
+)
+def test_prune_ring_matches_reverse_deletion_with_redundancies(which, ops, order):
+    basis = list(catalog(*which).hilbert_basis)
+    candidates = _with_redundancies(basis, basis, ops, lambda a, u: a * u)
+    order.shuffle(candidates)
+    assert prune_ring(candidates) == _reference_prune_ring(candidates)
+
+
+@given(
+    which=st.sampled_from(_REDUNDANCY_CATALOGS),
+    ops=_redundancy_ops,
+    order=st.randoms(use_true_random=False),
+)
+def test_prune_module_matches_reverse_deletion_with_redundancies(which, ops, order):
+    data = catalog(*which)
+    ring = data.hilbert_basis
+    gens = _with_redundancies(
+        list(data.equivariant_generators), ring, ops, lambda g, u: g.mul_invariant(u)
+    )
+    order.shuffle(gens)
+    assert prune_module(gens, ring) == _reference_prune_module(gens, ring)
+
+
+@pytest.mark.parametrize(
+    "case,params", [("non_resonant", (3,)), ("res_n1n2_C3", (1, 2)), ("res_n1n2_Cn", (1, 2, 3))]
+)
+def test_ring_products_match_exponent_enumeration(case, params):
+    basis = catalog(case, params).hilbert_basis
+    for degree in range(9):
+        assert Counter(ring_products(basis, degree)) == Counter(
+            _reference_ring_products(basis, degree)
+        ), degree
+
+
+def test_ring_products_reject_degree_zero_elements():
+    one = Polynomial.constant(4, 1)
+    with pytest.raises(DimensionError):
+        ring_products([one, Polynomial.variable(4, 0)], 2)
+    assert ring_products([Polynomial.variable(4, 0)], -1) == []
+
+
+def test_prune_rejects_inhomogeneous_input(c3_data):
+    u1, u2 = c3_data.hilbert_basis[:2]
+    assert u1.degree() != u2.degree()
+    with pytest.raises(DimensionError):
+        prune_ring([u1, u1 + u2])
+    g = c3_data.equivariant_generators[0]
+    with pytest.raises(DimensionError):
+        prune_module([g, g + g.mul_invariant(u2)], c3_data.hilbert_basis)
