@@ -1,13 +1,18 @@
-"""Pinned generator sets: SHA-256 of the genset-v1 JSON of every sign class.
+"""Pinned artifacts: SHA-256 of every rendering of every sign class.
 
-`tests/golden/gensets.json` maps each regime to the digest of
-`genset_to_json(pipeline(ctx))` for all 2^(n+1) sign vectors, so any change
-to the pipeline that moves an artifact by one byte fails here.  Regenerate
-(only when an artifact is meant to change) with
+`tests/golden/gensets.json` maps each test id to the digests of all 2^(n+1)
+sign vectors of one regime and one artifact.  The artifacts are the
+generator set in its three formats (`genset_to_json`, `genset_to_text` and
+`genset_to_latex` of `pipeline(ctx)`) and the normal form
+`emit(assemble(gs, ctx.linear_part, 4), fmt)` in its three formats, so any
+change to the pipeline or to a renderer that moves an artifact by one byte
+fails here.  The genset-v1 JSON keeps the bare regime name as its id.
+Regenerate (only when an artifact is meant to change) with
 
     PYTHONPATH=src python tests/test_golden_gensets.py
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -16,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from birevnf.continuous import SymmetryContext
-from birevnf.symmetry_ops import genset_to_json, pipeline
+from birevnf.normalform import assemble, emit
+from birevnf.symmetry_ops import genset_to_json, genset_to_latex, genset_to_text, pipeline
 
 GOLDEN = Path(__file__).parent / "golden" / "gensets.json"
 
@@ -32,28 +38,53 @@ REGIMES = (
     ("res_n1n2_Cn", (1, 2, 3), 3),
 )
 
+# artifact name -> renderer of (context, certified generator set)
+ARTIFACTS = {
+    "genset-json": lambda ctx, gs: genset_to_json(gs),
+    "genset-text": lambda ctx, gs: genset_to_text(gs),
+    "genset-latex": lambda ctx, gs: genset_to_latex(gs),
+    "nf-text": lambda ctx, gs: emit(assemble(gs, ctx.linear_part, 4), "text"),
+    "nf-latex": lambda ctx, gs: emit(assemble(gs, ctx.linear_part, 4), "latex"),
+    "nf-json": lambda ctx, gs: emit(assemble(gs, ctx.linear_part, 4), "json"),
+}
 
-def _name(case, params) -> str:
-    return f"{case} {','.join(map(str, params))}"
+
+def _id(case, params, artifact) -> str:
+    name = f"{case} {','.join(map(str, params))}"
+    return name if artifact == "genset-json" else f"{name} {artifact}"
 
 
-def digests(case, params, n) -> dict:
-    out = {}
+@functools.lru_cache(maxsize=None)
+def gensets(case, params, n) -> tuple:
+    """(signs, context, pipeline output) of every sign class, computed once."""
+    out = []
     for signs in itertools.product((1, -1), repeat=n + 1):
         ctx = SymmetryContext.from_case(case, params, signs)
-        text = genset_to_json(pipeline(ctx))
-        out[",".join(map(str, signs))] = hashlib.sha256(text.encode()).hexdigest()
-    return out
+        out.append((signs, ctx, pipeline(ctx)))
+    return tuple(out)
 
 
-@pytest.mark.parametrize("case,params,n", REGIMES, ids=[_name(c, p) for c, p, _ in REGIMES])
-def test_gensets_match_golden(case, params, n):
-    golden = json.loads(GOLDEN.read_text())[_name(case, params)]
-    assert digests(case, params, n) == golden
+def digests(case, params, n, artifact) -> dict:
+    render = ARTIFACTS[artifact]
+    return {
+        ",".join(map(str, signs)): hashlib.sha256(render(ctx, gs).encode()).hexdigest()
+        for signs, ctx, gs in gensets(case, params, n)
+    }
+
+
+CASES = [(*regime, artifact) for regime in REGIMES for artifact in ARTIFACTS]
+
+
+@pytest.mark.parametrize(
+    "case,params,n,artifact", CASES, ids=[_id(c, p, a) for c, p, _, a in CASES]
+)
+def test_gensets_match_golden(case, params, n, artifact):
+    golden = json.loads(GOLDEN.read_text())[_id(case, params, artifact)]
+    assert digests(case, params, n, artifact) == golden
 
 
 if __name__ == "__main__":
-    table = {_name(c, p): digests(c, p, n) for c, p, n in REGIMES}
+    table = {_id(c, p, a): digests(c, p, n, a) for c, p, n, a in CASES}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, table.values()))} digests to {GOLDEN}")
