@@ -69,7 +69,6 @@ from .symmetry_ops import (
     project_generators,
     reynolds_R,
     reynolds_S,
-    simplify,
     transfer_T,
 )
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .normalform import assemble, emit
 from .oracle import DEFAULT_MONOMIAL_LIMIT, module_slice, slice_space, spans_equal
-from .symmetry_ops import genset_to_json, genset_to_latex, genset_to_text, pipeline
+from .symmetry_ops import emit_genset, pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,10 +182,13 @@ def load_config(args: argparse.Namespace) -> JobConfig:
 
 def _emit_output(text: str, args: argparse.Namespace):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                if not text.endswith("\n"):
+                    handle.write("\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -229,12 +232,7 @@ def cmd_classify(cfg: JobConfig, args: argparse.Namespace) -> int:
 
 def cmd_generators(cfg: JobConfig, args: argparse.Namespace) -> int:
     genset = pipeline(cfg.context())
-    if cfg.fmt == "json":
-        _emit_output(genset_to_json(genset), args)
-    elif cfg.fmt == "latex":
-        _emit_output(genset_to_latex(genset), args)
-    else:
-        _emit_output(genset_to_text(genset), args)
+    _emit_output(emit_genset(genset, cfg.fmt), args)
     return EXIT_OK
 
 

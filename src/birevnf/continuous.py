@@ -655,15 +655,6 @@ class SymmetryContext:
         """The first extension only: sign map sigma_1 on S x| Z2(phi)."""
         return GroupContext((self.phi,), self.sgroup)
 
-    def psi_context(self) -> GroupContext:
-        return GroupContext((self.psi,), self.sgroup)
-
     def sigma_tilde_psi_context(self) -> GroupContext:
         """phi acting as a symmetry, psi reversing: the forgetful sign map."""
         return GroupContext((replace(self.phi, sign=1), self.psi), self.sgroup)
-
-    def symmetric_context(self) -> GroupContext:
-        """Both involutions acting as plain symmetries."""
-        return GroupContext(
-            (replace(self.phi, sign=1), replace(self.psi, sign=1)), self.sgroup
-        )

@@ -134,10 +134,6 @@ class FiniteSignedGroup:
                 return el.sign
         raise KeyError("matrix is not an element of this group")
 
-    def __contains__(self, element: SignedElement) -> bool:
-        key = element.key()
-        return any(el.key() == key and el.sign == element.sign for el in self.elements)
-
 
 def close_group(
     generators: Sequence[SignedElement], max_order: int = 64

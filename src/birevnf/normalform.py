@@ -7,6 +7,12 @@ Truncation at degree_max is bookkeeping for certification only; the f_j
 stay formal.  Generators are ordered by the first coordinate component
 they touch (x1, x2, z1, ..., zn) and the f-indices are renumbered
 canonically in that order.
+
+The text and LaTeX emitters build each right-hand side with one function
+over the `poly.Notation` table (the linear term, then each generator
+component times f_k(X), a factor bracketed when it has several terms or a
+leading minus sign); they differ only in names and in how they lay out
+lines.
 """
 
 from __future__ import annotations
@@ -16,13 +22,16 @@ from dataclasses import dataclass
 from .continuous import LinearPart
 from .errors import ConfigError, UncertifiedInput
 from .poly import (
+    LATEX,
+    TEXT,
+    Notation,
     PolyMap,
     Polynomial,
-    latex_polynomial,
     parse_polymap,
     parse_polynomial,
     render_polymap,
     render_polynomial,
+    render_tuple,
 )
 from .symmetry_ops import GeneratorSet, ring_products
 
@@ -98,114 +107,64 @@ def instantiate_term(nf: NormalForm, term: NormalFormTerm, min_total_degree: int
 # -- rendering ----------------------------------------------------------------
 
 
-def _component_names(n: int) -> list[str]:
-    return ["x1", "x2"] + [f"z{j}" for j in range(1, n + 1)]
+def _right_hand_sides(
+    nf: NormalForm, notation: Notation, linear: list[str], times: str
+) -> list[str]:
+    """Each component's linear term plus its generator components times f_k(X).
 
-
-def _linear_text(nf: NormalForm, comp: int) -> str:
-    if comp == 0:
-        return "x2"
-    if comp == 1:
-        return ""
-    j = comp - 2
-    return f"-i*{nf.linear_part.omegas[j]}*z{j + 1}"
-
-
-def _poly_factor_text(p: Polynomial) -> str:
-    text = render_polynomial(p)
-    if len(p) > 1 or text.startswith("-"):
-        return f"({text})"
-    return text
+    A factor with several terms or a leading minus sign is bracketed; `times`
+    joins a factor to its f_k(X).
+    """
+    rows = []
+    for comp, linear_term in enumerate(linear):
+        pieces = [linear_term] if linear_term else []
+        for term in nf.terms:
+            comp_poly = (*term.generator.x_components, *term.generator.z_components)[comp]
+            if not comp_poly:
+                continue
+            function = notation.subscript.format("f", term.f_index) + "(X)"
+            if comp_poly == Polynomial.constant(comp_poly.nvars, 1):
+                pieces.append(function)
+                continue
+            factor = render_polynomial(comp_poly, notation)
+            if len(comp_poly) > 1 or factor.startswith("-"):
+                factor = notation.bracket(factor)
+            pieces.append(f"{factor}{times}{function}")
+        rows.append(" + ".join(pieces) if pieces else "0")
+    return rows
 
 
 def emit_text(nf: NormalForm) -> str:
     if not nf.terms:
         return "xdot = L x"
-    names = _component_names(nf.nblocks)
-    lines = []
-    for comp, name in enumerate(names):
-        pieces = []
-        linear = _linear_text(nf, comp)
-        if linear:
-            pieces.append(linear)
-        for term in nf.terms:
-            comp_poly = (
-                term.generator.x_components[comp]
-                if comp < 2
-                else term.generator.z_components[comp - 2]
-            )
-            if not comp_poly:
-                continue
-            ftxt = f"f{term.f_index}(X)"
-            if comp_poly == Polynomial.constant(comp_poly.nvars, 1):
-                pieces.append(ftxt)
-            else:
-                pieces.append(f"{_poly_factor_text(comp_poly)}*{ftxt}")
-        rhs = " + ".join(pieces) if pieces else "0"
-        lines.append(f"{name}' = {rhs}")
-    args = ", ".join(render_polynomial(p) for p in nf.argument_list)
-    lines.append(f"X = ({args})")
+    omegas = enumerate(nf.linear_part.omegas, 1)
+    linear = ["x2", "", *(f"-i*{omega}*z{j}" for j, omega in omegas)]
+    names = ["x1", "x2", *(f"z{j}" for j in range(1, nf.nblocks + 1))]
+    rhs = _right_hand_sides(nf, TEXT, linear, "*")
+    lines = [f"{name}' = {row}" for name, row in zip(names, rhs)]
+    lines.append(f"X = {render_tuple(nf.argument_list)}")
     lines.append(f"truncation degree = {nf.degree_max}")
     return "\n".join(lines)
 
 
-def _latex_linear(nf: NormalForm, comp: int) -> str:
-    if comp == 0:
-        return "x_2"
-    if comp == 1:
-        return ""
-    j = comp - 2
-    omega = nf.linear_part.omegas[j]
-    # omega labels render as \omega_j
-    return f"-i\\omega_{{{j + 1}}}z_{{{j + 1}}}" if omega == f"omega{j + 1}" else f"-i\\,{omega}\\,z_{{{j + 1}}}"
+def _latex_rotation(j: int, omega: str) -> str:
+    # the default labels omega_j render as \omega_j
+    if omega == f"omega{j}":
+        return f"-i\\omega_{{{j}}}z_{{{j}}}"
+    return f"-i\\,{omega}\\,z_{{{j}}}"
 
 
-def _latex_component_names(n: int) -> list[str]:
-    return ["\\dot{x}_1", "\\dot{x}_2"] + [f"\\dot{{z}}_{{{j}}}" for j in range(1, n + 1)]
-
-
-def emit_latex(nf: NormalForm, standalone: bool = False) -> str:
-    names = _latex_component_names(nf.nblocks)
-    lines = ["\\begin{align*}"]
+def emit_latex(nf: NormalForm) -> str:
     if not nf.terms:
-        lines.append("\\dot{x} &= Lx")
-    else:
-        for comp, name in enumerate(names):
-            pieces = []
-            linear = _latex_linear(nf, comp)
-            if linear:
-                pieces.append(linear)
-            for term in nf.terms:
-                comp_poly = (
-                    term.generator.x_components[comp]
-                    if comp < 2
-                    else term.generator.z_components[comp - 2]
-                )
-                if not comp_poly:
-                    continue
-                ftxt = f"f_{{{term.f_index}}}(X)"
-                if comp_poly == Polynomial.constant(comp_poly.nvars, 1):
-                    pieces.append(ftxt)
-                else:
-                    body = latex_polynomial(comp_poly)
-                    if len(comp_poly) > 1 or body.startswith("-"):
-                        body = f"\\left({body}\\right)"
-                    pieces.append(f"{body}\\, {ftxt}")
-            rhs = " + ".join(pieces) if pieces else "0"
-            sep = " \\\\" if comp + 1 < len(names) else ""
-            lines.append(f"{name} &= {rhs}{sep}")
-    lines.append("\\end{align*}")
-    if nf.terms:
-        args = ",\\; ".join(latex_polynomial(p) for p in nf.argument_list)
-        lines.append(f"\\[ X = \\left({args}\\right) \\]")
-    body = "\n".join(lines)
-    if standalone:
-        return (
-            "\\documentclass{article}\n"
-            "\\usepackage{amsmath}\n"
-            "\\begin{document}\n" + body + "\n\\end{document}\n"
-        )
-    return body
+        return "\\begin{align*}\n\\dot{x} &= Lx\n\\end{align*}"
+    omegas = enumerate(nf.linear_part.omegas, 1)
+    linear = ["x_2", "", *(_latex_rotation(j, omega) for j, omega in omegas)]
+    names = ["\\dot{x}_1", "\\dot{x}_2"]
+    names += [f"\\dot{{z}}_{{{j}}}" for j in range(1, nf.nblocks + 1)]
+    rhs = _right_hand_sides(nf, LATEX, linear, "\\, ")
+    rows = " \\\\\n".join(f"{name} &= {row}" for name, row in zip(names, rhs))
+    args = render_tuple(nf.argument_list, LATEX)
+    return f"\\begin{{align*}}\n{rows}\n\\end{{align*}}\n\\[ X = {args} \\]"
 
 
 def emit_json(nf: NormalForm) -> str:
@@ -240,13 +199,10 @@ def parse_normal_form(text: str) -> NormalForm:
     return NormalForm(linear, data["degree_max"], args, terms)
 
 
+_EMITTERS = {"text": emit_text, "latex": emit_latex, "json": emit_json}
+
+
 def emit(nf: NormalForm, fmt: str) -> str:
-    if fmt == "text":
-        return emit_text(nf)
-    if fmt == "latex":
-        return emit_latex(nf)
-    if fmt == "latex-standalone":
-        return emit_latex(nf, standalone=True)
-    if fmt == "json":
-        return emit_json(nf)
-    raise ConfigError(f"unknown output format {fmt!r}")
+    if fmt not in _EMITTERS:
+        raise ConfigError(f"unknown output format {fmt!r}")
+    return _EMITTERS[fmt](nf)

@@ -19,10 +19,19 @@ No floating point is used anywhere.
 Linear changes of coordinates must respect the z/zb pairing.  That is
 checked once when a LinearAction is built (a SignedElement builds its own),
 and on every substitution call that is handed a raw matrix instead.
+
+One family of functions renders coefficients, monomials, polynomials and
+maps, as text (the form the parser reads back) or as LaTeX.  The two differ
+only through a small immutable `Notation` table with two instances, TEXT
+and LATEX: how fractions, i, variable names and exponents are written, the
+product joiner, the brackets and the tuple separator.  Sign extraction,
+unit-coefficient elision and the bracketing of mixed complex coefficients
+are written once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -139,20 +148,64 @@ I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
 
 
-def render_coefficient(c: GaussianRational) -> str:
-    """Canonical text for a Gaussian rational: 3, -1/2, i, -2*i, (1/2-3*i)."""
+@dataclass(frozen=True)
+class Notation:
+    """What text and LaTeX write differently; TEXT and LATEX are the instances.
+
+    Format strings take, in order: numerator and denominator (fraction), the
+    index k of x_k (x), a symbol and its index (subscript), a base and its
+    exponent (power).
+    """
+
+    fraction: str
+    imaginary: str  # joins a number to i
+    x: str
+    zbar: str  # symbol of a conjugate coordinate
+    subscript: str
+    power: str
+    times: str  # joins the factors of a product
+    left: str  # opening bracket
+    right: str
+    separator: str  # between the components of a tuple
+
+    def bracket(self, text: str) -> str:
+        return f"{self.left}{text}{self.right}"
+
+
+TEXT = Notation(
+    fraction="{}/{}", imaginary="*i", x="x{}", zbar="zb", subscript="{}{}",
+    power="{}^{}", times="*", left="(", right=")", separator=", ",
+)
+LATEX = Notation(
+    fraction="\\tfrac{{{}}}{{{}}}", imaginary="i", x="x_{}", zbar="\\bar{z}",
+    subscript="{}_{{{}}}", power="{}^{{{}}}", times="", left="\\left(",
+    right="\\right)", separator=",\\; ",
+)
+
+
+def render_coefficient(c: GaussianRational, notation: Notation = TEXT) -> str:
+    """A Gaussian rational: 3, -1/2, i, -2*i, (1/2-3*i) in text.
+
+    In LaTeX: 3, -\\tfrac{1}{2}, i, -2i, \\left(\\tfrac{1}{2}-3i\\right).
+    """
+
+    def rational(q: Fraction) -> str:
+        if q.denominator == 1:
+            return str(q.numerator)
+        sign = "-" if q < 0 else ""
+        return sign + notation.fraction.format(abs(q.numerator), q.denominator)
+
+    def imaginary(q: Fraction) -> str:
+        if q == 1 or q == -1:
+            return "i" if q == 1 else "-i"
+        return rational(q) + notation.imaginary
+
     if c.im == 0:
-        return str(c.re)
+        return rational(c.re)
     if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    im = c.im
-    im_txt = "i" if abs(im) == 1 else f"{abs(im)}*i"
-    sign = "+" if im > 0 else "-"
-    return f"({c.re}{sign}{im_txt})"
+        return imaginary(c.im)
+    sign = "+" if c.im > 0 else "-"
+    return notation.bracket(f"{rational(c.re)}{sign}{imaginary(abs(c.im))}")
 
 
 # -- monomial helpers --------------------------------------------------------
@@ -206,13 +259,11 @@ def grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
-def variable_name(i: int) -> str:
-    if i == 0:
-        return "x1"
-    if i == 1:
-        return "x2"
-    j = i // 2
-    return f"z{j}" if i % 2 == 0 else f"zb{j}"
+def variable_name(i: int, notation: Notation = TEXT) -> str:
+    if i < 2:
+        return notation.x.format(i + 1)
+    symbol = "z" if i % 2 == 0 else notation.zbar
+    return notation.subscript.format(symbol, i // 2)
 
 
 def variable_index(name: str, nvars: int) -> int:
@@ -233,14 +284,14 @@ def variable_index(name: str, nvars: int) -> int:
     return idx
 
 
-def render_monomial(mono: Monomial) -> str:
+def render_monomial(mono: Monomial, notation: Notation = TEXT) -> str:
     parts = []
     for i, e in enumerate(mono):
         if e == 0:
             continue
-        name = variable_name(i)
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+        name = variable_name(i, notation)
+        parts.append(name if e == 1 else notation.power.format(name, e))
+    return notation.times.join(parts)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
@@ -775,113 +826,40 @@ class PolyMap:
 # -- rendering and parsing ---------------------------------------------------
 
 
-def render_polynomial(p: Polynomial) -> str:
+def render_polynomial(p: Polynomial, notation: Notation = TEXT) -> str:
     if p.is_zero():
         return "0"
-    chunks: list[tuple[str, str]] = []
+    text = ""
     for mono, coeff in p.sorted_terms():
-        mono_txt = render_monomial(mono)
-        if coeff.im == 0 or coeff.re == 0:
-            # purely real or purely imaginary: pull the sign out
-            negative = (coeff.re or coeff.im) < 0
-            mag = GaussianRational(abs(coeff.re), abs(coeff.im))
-            if not mono_txt:
-                body = render_coefficient(mag)
-            elif mag == ONE:
-                body = mono_txt
-            else:
-                body = f"{render_coefficient(mag)}*{mono_txt}"
-            sign = "-" if negative else "+"
+        if coeff.re and coeff.im:
+            # a mixed coefficient is bracketed whole, its sign stays inside
+            sign, mag = "+", coeff
         else:
-            body = render_coefficient(coeff)
-            if mono_txt:
-                body = f"{body}*{mono_txt}"
-            sign = "+"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    text = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
+            sign = "-" if (coeff.re or coeff.im) < 0 else "+"
+            mag = GaussianRational(abs(coeff.re), abs(coeff.im))
+        mono_txt = render_monomial(mono, notation)
+        if not mono_txt:
+            body = render_coefficient(mag, notation)
+        elif mag == ONE:
+            body = mono_txt
+        else:
+            body = render_coefficient(mag, notation) + notation.times + mono_txt
+        if text:
+            text += f" {sign} {body}"
+        else:
+            text = body if sign == "+" else f"-{body}"
     return text
 
 
-def render_polymap(g: PolyMap) -> str:
-    comps = [*g.x_components, *g.z_components]
-    return "(" + ", ".join(render_polynomial(c) for c in comps) + ")"
-
-
-def latex_coefficient(c: GaussianRational) -> str:
-    def frac(q: Fraction) -> str:
-        if q.denominator == 1:
-            return str(q.numerator)
-        sign = "-" if q < 0 else ""
-        return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-
-    if c.im == 0:
-        return frac(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{frac(c.im)}i"
-    im = c.im
-    im_txt = "i" if abs(im) == 1 else f"{frac(abs(im))}i"
-    sign = "+" if im > 0 else "-"
-    return f"\\left({frac(c.re)}{sign}{im_txt}\\right)"
-
-
-def latex_variable(i: int) -> str:
-    if i == 0:
-        return "x_1"
-    if i == 1:
-        return "x_2"
-    j = i // 2
-    return f"z_{{{j}}}" if i % 2 == 0 else f"\\bar{{z}}_{{{j}}}"
-
-
-def latex_monomial(mono: Monomial) -> str:
-    parts = []
-    for i, e in enumerate(mono):
-        if e == 0:
-            continue
-        name = latex_variable(i)
-        parts.append(name if e == 1 else f"{name}^{{{e}}}")
-    return "".join(parts)
-
-
-def latex_polynomial(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for mono, coeff in p.sorted_terms():
-        mono_txt = latex_monomial(mono)
-        if coeff.im == 0 or coeff.re == 0:
-            negative = (coeff.re or coeff.im) < 0
-            mag = GaussianRational(abs(coeff.re), abs(coeff.im))
-            if not mono_txt:
-                body = latex_coefficient(mag)
-            elif mag == ONE:
-                body = mono_txt
-            else:
-                body = f"{latex_coefficient(mag)}{mono_txt}"
-            sign = "-" if negative else "+"
-        else:
-            body = latex_coefficient(coeff) + mono_txt
-            sign = "+"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    text = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def latex_polymap(g: PolyMap) -> str:
-    comps = [*g.x_components, *g.z_components]
-    return (
-        "\\left(" + ",\\; ".join(latex_polynomial(c) for c in comps) + "\\right)"
+def render_tuple(polys: Sequence[Polynomial], notation: Notation = TEXT) -> str:
+    """Polynomials in brackets: (x1, z1) in text."""
+    return notation.bracket(
+        notation.separator.join(render_polynomial(p, notation) for p in polys)
     )
+
+
+def render_polymap(g: PolyMap, notation: Notation = TEXT) -> str:
+    return render_tuple((*g.x_components, *g.z_components), notation)
 
 
 class _Parser:

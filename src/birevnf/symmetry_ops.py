@@ -21,9 +21,10 @@ The pipeline runs this twice, once per reversing involution, starting from
 the closure-group catalog: it yields a Hilbert basis for the full invariant
 ring and module generators for the reversible-equivariant mappings under
 the whole semidirect product.  Operator outputs keep their exact one-half
-prefactors; only the simplification step rescales leading coefficients, so
-idempotence identities hold on the nose while presented tables match the
-cleaned-up convention.
+prefactors; only `normalize_leading`, applied to the candidates that the
+extension and projection steps hand to the prunes, rescales leading
+coefficients, so idempotence identities hold on the nose while presented
+tables match the cleaned-up convention.
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
-from .errors import CertificationFailure, ConditionViolated, DimensionError
+from .errors import CertificationFailure, ConditionViolated, ConfigError, DimensionError
 from .group import SignedElement, membership
 from .linalg import Echelon, vectorize_polymap, vectorize_polynomial
 from .poly import (
     HALF,
+    LATEX,
+    TEXT,
+    Notation,
     PolyMap,
     Polynomial,
-    latex_polymap,
-    latex_polynomial,
     render_polymap,
     render_polynomial,
 )
@@ -307,15 +309,6 @@ def certify(genset: GeneratorSet) -> GeneratorSet:
     return replace(genset, certified=True)
 
 
-def simplify(genset: GeneratorSet) -> GeneratorSet:
-    """Remove zeros, rescale leading coefficients, prune redundancies."""
-    ring = prune_ring(normalize_leading(p) for p in genset.ring_basis if p)
-    gens = prune_module(
-        (normalize_leading(g) for g in genset.module_generators if g), ring
-    )
-    return replace(genset, ring_basis=ring, module_generators=gens)
-
-
 def _transport(basis, gens, kappa: SignedElement):
     """One involution step: extend the ring, transport, project and prune."""
     extended = extend_hilbert_basis(basis, kappa)
@@ -370,22 +363,40 @@ def genset_to_json(genset: GeneratorSet) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _genset_rows(genset: GeneratorSet, notation: Notation):
+    """(name, formula) of each ring-basis element and of each module generator."""
+    ring = [
+        (notation.subscript.format("u", i + 1), render_polynomial(p, notation))
+        for i, p in enumerate(genset.ring_basis)
+    ]
+    gens = [
+        (notation.subscript.format("G", i), render_polymap(g, notation))
+        for i, g in enumerate(genset.module_generators)
+    ]
+    return ring, gens
+
+
 def genset_to_latex(genset: GeneratorSet) -> str:
-    lines = ["\\begin{align*}"]
-    for i, p in enumerate(genset.ring_basis):
-        lines.append(f"u_{{{i + 1}}} &= {latex_polynomial(p)} \\\\")
-    for i, g in enumerate(genset.module_generators):
-        sep = " \\\\" if i + 1 < len(genset.module_generators) else ""
-        lines.append(f"G_{{{i}}} &= {latex_polymap(g)}{sep}")
+    ring, gens = _genset_rows(genset, LATEX)
+    lines = ["\\begin{align*}", *(f"{name} &= {f} \\\\" for name, f in ring)]
+    if gens:
+        lines.append(" \\\\\n".join(f"{name} &= {f}" for name, f in gens))
     lines.append("\\end{align*}")
     return "\n".join(lines)
 
 
 def genset_to_text(genset: GeneratorSet) -> str:
-    lines = ["ring basis:"]
-    for i, p in enumerate(genset.ring_basis):
-        lines.append(f"  u{i + 1} = {render_polynomial(p)}")
+    ring, gens = _genset_rows(genset, TEXT)
+    lines = ["ring basis:", *(f"  {name} = {f}" for name, f in ring)]
     lines.append("module generators:")
-    for i, g in enumerate(genset.module_generators):
-        lines.append(f"  G{i} = {render_polymap(g)}")
+    lines += [f"  {name} = {f}" for name, f in gens]
     return "\n".join(lines)
+
+
+_GENSET_RENDERERS = {"text": genset_to_text, "latex": genset_to_latex, "json": genset_to_json}
+
+
+def emit_genset(genset: GeneratorSet, fmt: str) -> str:
+    if fmt not in _GENSET_RENDERERS:
+        raise ConfigError(f"unknown output format {fmt!r}")
+    return _GENSET_RENDERERS[fmt](genset)

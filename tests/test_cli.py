@@ -289,3 +289,28 @@ def test_output_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert "involution pairs: 2" in target.read_text()
+
+
+def test_unwritable_output_is_config_error(tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import birevnf
+
+    # a separate process, so that an uncaught error would print its traceback
+    src = str(pathlib.Path(birevnf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    target = tmp_path / "missing" / "x.txt"
+    result = subprocess.run(
+        [sys.executable, "-m", "birevnf", "classify", "--case", "non_resonant",
+         "--params", "1", "--signs", "1,1", "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert f"config error: cannot write output {target}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

@@ -8,7 +8,6 @@ from birevnf.group import membership
 from birevnf.normalform import (
     assemble,
     emit,
-    emit_latex,
     instantiate_term,
     parse_normal_form,
 )
@@ -89,9 +88,6 @@ def test_latex_renders_deterministically_and_balanced(nonres3_plus):
     assert one == two
     assert one.count("\\begin{align*}") == one.count("\\end{align*}") == 1
     assert one.count("{") == one.count("}")
-    standalone = emit_latex(nf, standalone=True)
-    assert standalone.startswith("\\documentclass")
-    assert standalone.rstrip().endswith("\\end{document}")
 
 
 def test_uncertified_input_rejected(nonres3_plus):
