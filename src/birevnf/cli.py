@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -190,12 +191,27 @@ def _emit_output(text: str, args: argparse.Namespace):
         except OSError as exc:
             raise ConfigError(f"cannot write output {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (`... | head -1`); Python's documented
+            # recipe: point stdout at devnull so that the flush at exit cannot
+            # fail a second time, then exit 1
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            sys.exit(1)
+
+
+def _require_report_format(cfg: JobConfig, command: str):
+    if cfg.fmt not in ("text", "json"):
+        raise ConfigError(f"{command} reports in text or json, not {cfg.fmt}")
 
 
 def cmd_classify(cfg: JobConfig, args: argparse.Namespace) -> int:
+    _require_report_format(cfg, "classify")
     linear = linear_part_for_case(cfg.case, cfg.params)
     pairs = enumerate_involution_pairs(linear)
     rows = []
@@ -245,6 +261,7 @@ def cmd_normal_form(cfg: JobConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: JobConfig, args: argparse.Namespace) -> int:
+    _require_report_format(cfg, "verify")
     ctx = cfg.context()
     genset = pipeline(ctx)
     full = ctx.full_context()

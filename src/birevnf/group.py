@@ -78,7 +78,12 @@ class SignedElement:
         return len(self.matrix)
 
     def is_involution(self) -> bool:
-        return mat_equal(mat_mul(self.matrix, self.matrix), identity_matrix(self.size))
+        """A * A = I, decided on the first call and kept (the element is frozen)."""
+        known = self.__dict__.get("_involution")
+        if known is None:
+            known = mat_equal(mat_mul(self.matrix, self.matrix), identity_matrix(self.size))
+            object.__setattr__(self, "_involution", known)
+        return known
 
     def inverse(self) -> "SignedElement":
         return SignedElement(mat_inverse(self.matrix), self.sign, self.name + "^-1")

@@ -6,10 +6,12 @@ and infinitesimal generators; a single Gauss-Jordan loop over the field
 larger system goes through one sparse kernel, `Echelon`: rows are dicts
 keyed by arbitrary sortable column keys over Q, eliminated fraction-free
 (integer rows, gcd-reduced).  It answers rank and membership, returns the
-span's reduced row-echelon basis, and returns nullspaces as a canonical
-reduced-echelon basis.  Determinism: pivot columns are the unique
-rank-increase columns of the system, independent of row order, and both
-returned bases are unique for their space.
+span's reduced row-echelon basis, and reads nullspaces straight off that
+basis: one vector per free column, with entry 1 there and minus the
+column's entry of each reduced row at that row's pivot.  Determinism:
+pivot columns are the unique rank-increase columns of the system,
+independent of row order, and both returned bases are unique for their
+space.
 """
 
 from __future__ import annotations
@@ -255,23 +257,17 @@ class Echelon:
         """Canonical reduced-echelon basis of the solution space.
 
         `columns` must list every unknown; each basis vector has entry 1 at
-        its free column and 0 at the other free columns.
+        its free column and 0 at the other free columns.  It is read off
+        `reduced_rows()`: a reduced row R with pivot pc holds only free
+        columns besides pc, so the vector of free column f takes -R[f] at pc.
         """
-        pivot_cols = sorted(self.pivots, reverse=True)
-        free_cols = [c for c in columns if c not in self.pivots]
-        basis = []
-        for free in free_cols:
-            vec = {free: Fraction(1)}
-            for pc in pivot_cols:
-                row = self.pivots[pc]
-                s = Fraction(0)
-                for col, val in row.items():
-                    if col != pc and col in vec:
-                        s += Fraction(val) * vec[col]
-                if s:
-                    vec[pc] = -s / row[pc]
-            basis.append(vec)
-        return basis
+        basis = {c: {c: Fraction(1)} for c in columns if c not in self.pivots}
+        for row in self.reduced_rows():
+            pc = min(row)
+            for col, value in row.items():
+                if col != pc:
+                    basis[col][pc] = -value
+        return list(basis.values())
 
 
 def nullspace(rows: Iterable[SparseRow], columns: Sequence[ColKey]) -> list[dict]:

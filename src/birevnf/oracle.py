@@ -2,18 +2,31 @@
 
 Independent certification path: instead of transporting generators, each
 degree slice is computed from scratch as the exact rational nullspace of
-the defining linear identities.  Degree-d monomials are enumerated, the
-torus weight filter removes everything with the wrong character (this is
-what keeps the matrices small), the shear and finite-group identities are
-imposed as sparse linear constraints on the surviving coefficients, and a
-fraction-free elimination returns a canonical reduced-echelon basis.
+the defining linear identities.
 
-A slower naive variant skips the torus prefilter and uses plain rational
-elimination; the test suite cross-checks the two paths against each other
-and against the membership predicates.  That elimination, `_plain_nullspace`,
-is deliberately the one sparse solver outside `linalg.Echelon`: it shares no
-code with the kernel (Fraction rows, no gcd reduction, no integer
-combination), so a fault in the kernel cannot hide by agreeing with itself.
+`slice_space` compiles its system once per call, on exponent tuples and
+exact integers.  A torus weight reads only the z/zb exponents, so a walk
+over the rotation blocks enumerates only the torus-admissible monomials,
+and the resource bound counts those (component, monomial) pairs: the
+unknowns actually solved for.  Each parameter is one or two records
+(component, monomial, coefficient).  Its image under g.A - sigma A.g is
+expanded from the rows of the element's LinearAction (a single term per
+monomial for a signed permutation), and its shear image is an exponent
+shift.  Entries are ints, and Fractions only where an element has a
+denominator; no Polynomial or PolyMap is built until the nullspace basis
+vectors, read off `linalg.Echelon`, become the slice's elements.  Nothing
+outlives the call.
+
+`slice_space_naive` is the independent reference.  It skips the torus
+prefilter and imposes the torus conditions as explicit rows, builds every
+parameter and defect image as a Polynomial or PolyMap through
+`substitute_linear`, `compose_linear` and `apply_linear`, and has its own
+row assembly and elimination, `_plain_nullspace`: the one sparse solver
+outside `linalg.Echelon` (Fraction rows, no gcd reduction, no integer
+combination).  It shares neither the assembly nor the elimination with
+`slice_space`, so a fault in either cannot hide by agreeing with itself.
+The test suite cross-checks the two paths, the compiled rows against the
+PolyMap rows, and both against the membership predicates.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ResourceLimit
@@ -35,12 +49,14 @@ from .linalg import (
 )
 from .poly import (
     I,
+    GaussianRational,
     Monomial,
     PolyMap,
     Polynomial,
     conj_monomial,
     grlex_key,
     monomials_of_degree,
+    nblocks_of,
     x_index,
 )
 
@@ -70,31 +86,289 @@ def _sgroup_of(context: GroupContext):
     return data
 
 
+def _torus_monomials(
+    sgroup, degree: int, component: int | None, used: int, limit: int
+) -> list:
+    """Degree-d monomials with the torus character of the given component.
+
+    component None means weight zero (polynomial functions); otherwise the
+    stored component index (0, 1 for x; 2+j for z_{j+1}).  A torus weight
+    reads only the z/zb exponents, so the walk picks the exponent pair of
+    z_j, zb_j block by block, drops a branch once the blocks left cannot
+    reach the target weight, and spreads the remaining degree over x1 and
+    x2 in every way.  Raises ResourceLimit once `used` plus the monomials
+    found passes `limit`.
+    """
+    rows = sgroup.torus_weights
+    nblocks = sgroup.nblocks
+    targets = tuple(
+        0 if component is None else sgroup.component_weight(component, weights)
+        for weights in rows
+    )
+    # reach[j][t]: the most one unit of degree in blocks j.. moves weight t
+    reach = [
+        [max((abs(w) for w in weights[j:]), default=0) for weights in rows]
+        for j in range(nblocks + 1)
+    ]
+    out: list = []
+
+    def walk(j: int, left: int, zpart: tuple, need: tuple):
+        if any(abs(n) > left * r for n, r in zip(need, reach[j])):
+            return
+        if j == nblocks:
+            # reach is 0 past the last block, so need is 0 here
+            out.extend((a, left - a) + zpart for a in range(left, -1, -1))
+            if used + len(out) > limit:
+                raise ResourceLimit(
+                    f"more than {limit} admissible (component, monomial) pairs "
+                    f"in the degree-{degree} oracle slice"
+                )
+            return
+        for a in range(left, -1, -1):
+            for b in range(left - a, -1, -1):
+                walk(
+                    j + 1,
+                    left - a - b,
+                    zpart + (a, b),
+                    tuple(n - w[j] * (a - b) for n, w in zip(need, rows)),
+                )
+
+    walk(0, degree, (), targets)
+    return out
+
+
+# -- the compiled slice system ------------------------------------------------
+#
+# A parameter is a tuple of records (component, monomial, (re, im)): the
+# component is the stored one (-1 for a bare polynomial; 0, 1 for x1, x2;
+# 1 + j for z_j) and the coefficient parts are ints, or Fractions where an
+# entry of a group element has a denominator.  Defect images are dicts
+# (component, monomial) -> (re, im), emitted with vectorize's column keys.
+
+
+def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
+    """Real-valued basis on a conjugation-closed set, as `_real_parameter_polys`."""
+    out = []
+    for mono in sorted(monos, key=grlex_key, reverse=True):
+        conj = conj_monomial(mono)
+        if conj == mono:
+            out.append(((comp, mono, (1, 0)),))
+        elif grlex_key(mono) > grlex_key(conj):
+            out.append(((comp, mono, (1, 0)), (comp, conj, (1, 0))))
+            out.append(((comp, mono, (0, 1)), (comp, conj, (0, -1))))
+    return out
+
+
+def _parameters(sgroup, degree: int, kind: str, limit: int) -> list[tuple]:
+    """Parameter records of a slice: the torus-admissible naive parameters, in order.
+
+    The order fixes the columns, and with them the canonical nullspace.
+    """
+    if kind in FUNCTION_KINDS:
+        return _real_records(-1, _torus_monomials(sgroup, degree, None, 0, limit))
+    params: list[tuple] = []
+    used = 0
+    for comp in range(sgroup.nblocks + 2):
+        monos = _torus_monomials(sgroup, degree, comp, used, limit)
+        used += len(monos)
+        if comp < 2:
+            params += _real_records(comp, monos)
+            continue
+        for mono in sorted(monos, key=grlex_key, reverse=True):
+            params.append(((comp, mono, (1, 0)),))
+            params.append(((comp, mono, (0, 1)),))
+    return params
+
+
+def _exact(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
+def _add(acc: dict, key, re, im):
+    if key in acc:
+        r0, i0 = acc[key]
+        re, im = re + r0, im + i0
+    if re or im:
+        acc[key] = (re, im)
+    else:
+        acc.pop(key, None)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, (r1, i1) in a.items():
+        for m2, (r2, i2) in b.items():
+            _add(out, tuple(map(add, m1, m2)), r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+    return out
+
+
+class _Substitution:
+    """Monomial images m(Av) under one LinearAction, expanded on exponent tuples.
+
+    The image of a monomial is the product of the rows' linear forms, one
+    factor per exponent; for a signed permutation it is a single term.
+    Images and powers are kept for the life of one slice_space call.
+    """
+
+    def __init__(self, action):
+        nvars = action.nvars
+        self.one = (0,) * nvars
+        units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+        self.forms = [
+            {units[j]: (_exact(c.re), _exact(c.im)) for j, c in row} for row in action.rows
+        ]
+        self.powers: dict = {}
+        self.images: dict = {}
+
+    def power(self, i: int, e: int) -> dict:
+        key = (i, e)
+        if key not in self.powers:
+            self.powers[key] = (
+                self.forms[i] if e == 1 else _mul_terms(self.power(i, e - 1), self.forms[i])
+            )
+        return self.powers[key]
+
+    def __call__(self, mono: Monomial) -> dict:
+        image = self.images.get(mono)
+        if image is None:
+            image = {self.one: (1, 0)}
+            for i, e in enumerate(mono):
+                if e:
+                    image = _mul_terms(image, self.power(i, e))
+            self.images[mono] = image
+        return image
+
+
+def _output_columns(action) -> list[list]:
+    """For each coordinate j, the (stored component, A[r][j]) of the stored rows r."""
+    columns: list[list] = [[] for _ in range(action.nvars)]
+    for r, row in enumerate(action.rows):
+        if r >= 2 and r % 2:
+            continue  # zb rows are implied by the z rows
+        comp = r if r < 2 else r // 2 + 1
+        for j, c in row:
+            columns[j].append((comp, (_exact(c.re), _exact(c.im))))
+    return columns
+
+
+def _vector(acc: dict, degree: int) -> dict:
+    vec = {}
+    for (comp, mono), (re, im) in acc.items():
+        if re:
+            vec[(comp, (degree, mono), 0)] = re
+        if im:
+            vec[(comp, (degree, mono), 1)] = im
+    return vec
+
+
+def _defect_images(context: GroupContext, kind: str, degree: int, params) -> list[list]:
+    """Per parameter, its (tag, vector) image under every defect operator.
+
+    Element idx gives tag f"el{idx}": p(Av) - s p on functions and
+    g(Av) - s A g(v) on maps, s the element's sign for the anti-invariant
+    and reversible kinds and 1 otherwise.  The shear gives tag "shear":
+    x1 d/dx2 applied to every component, less g_x1 in the x2 component.
+    The vectors equal `vectorize` of the naive path's images.
+    """
+    sgroup = _sgroup_of(context)
+    functions = kind in FUNCTION_KINDS
+    images: list[list] = [[] for _ in params]
+    for idx, el in enumerate(context.elements):
+        tag = f"el{idx}"
+        sign = el.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
+        substitute = _Substitution(el.action)
+        columns = None if functions else _output_columns(el.action)
+        for records, out in zip(params, images):
+            acc: dict = {}
+            for comp, mono, (cr, ci) in records:
+                for m, (tr, ti) in substitute(mono).items():
+                    _add(acc, (comp, m), cr * tr - ci * ti, cr * ti + ci * tr)
+                if functions:
+                    _add(acc, (comp, mono), -sign * cr, -sign * ci)
+                    continue
+                # A g: the record sits in full component j and, for z, its
+                # conjugate in j + 1; row r of A reads full component j
+                j = comp if comp < 2 else 2 * comp - 2
+                placed = [(j, mono, cr, ci)]
+                if comp >= 2:
+                    placed.append((j + 1, conj_monomial(mono), cr, -ci))
+                for jj, m, pr, pi in placed:
+                    for out_comp, (ar, ai) in columns[jj]:
+                        _add(
+                            acc,
+                            (out_comp, m),
+                            -sign * (ar * pr - ai * pi),
+                            -sign * (ar * pi + ai * pr),
+                        )
+            out.append((tag, _vector(acc, degree)))
+    if sgroup.has_shear:
+        for records, out in zip(params, images):
+            acc = {}
+            for comp, mono, (cr, ci) in records:
+                e = mono[1]
+                if e:
+                    _add(acc, (comp, (mono[0] + 1, e - 1) + mono[2:]), e * cr, e * ci)
+                if comp == 0:
+                    _add(acc, (1, mono), -cr, -ci)
+            out.append(("shear", _vector(acc, degree)))
+    return images
+
+
+def _from_records(params, sol: dict, nvars: int, functions: bool):
+    """The Polynomial or PolyMap sum of coeff * parameter over a solution."""
+    comps: dict = {}
+    for k, q in sol.items():
+        for comp, mono, (cr, ci) in params[k]:
+            _add(comps.setdefault(comp, {}), mono, q * cr, q * ci)
+    polys = {
+        comp: Polynomial(nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
+        for comp, terms in comps.items()
+    }
+    zero = Polynomial.zero(nvars)
+    if functions:
+        return polys.get(-1, zero)
+    full = [polys.get(comp, zero) for comp in range(nblocks_of(nvars) + 2)]
+    return PolyMap(full[:2], full[2:])
+
+
+def slice_space(
+    context: GroupContext,
+    degree: int,
+    kind: str,
+    limit: int = DEFAULT_MONOMIAL_LIMIT,
+) -> DegreeSlice:
+    """Exact basis of the degree-d members of the requested class.
+
+    `limit` bounds the (component, admissible monomial) pairs, which is the
+    number of unknowns solved for up to the real/imaginary split.
+    """
+    if degree < 0:
+        raise DimensionError("degree must be nonnegative")
+    if kind not in FUNCTION_KINDS + MAP_KINDS:
+        raise DimensionError(f"unknown membership kind {kind!r}")
+    sgroup = _sgroup_of(context)
+    params = _parameters(sgroup, degree, kind, limit)
+    rows: dict = {}
+    for k, images in enumerate(_defect_images(context, kind, degree, params)):
+        for tag, vec in images:
+            for key, value in vec.items():
+                rows.setdefault((tag, key), {})[k] = value
+    solutions = Echelon(rows[key] for key in sorted(rows)).nullspace(range(len(params)))
+    functions = kind in FUNCTION_KINDS
+    basis = [_from_records(params, sol, sgroup.nvars, functions) for sol in solutions]
+    basis.sort(key=lambda b: b.sort_key())
+    return DegreeSlice(degree, kind, tuple(basis))
+
+
+# -- the naive reference path -------------------------------------------------
+
+
 def _monomial_budget(nvars: int, degree: int, components: int, limit: int):
     raw = comb(nvars - 1 + degree, degree) * components
     if raw > limit:
         raise ResourceLimit(
             f"{raw} degree-{degree} monomials exceed the configured bound {limit}"
         )
-
-
-def _torus_monomials(sgroup, nvars: int, degree: int, component: int | None):
-    """Degree-d monomials with the torus character of the given component.
-
-    component None means weight zero (polynomial functions); otherwise the
-    full component index (0, 1 for x; 2+j for z_{j+1}).
-    """
-    keep = []
-    for mono in monomials_of_degree(nvars, degree):
-        ok = True
-        for weights in sgroup.torus_weights:
-            target = 0 if component is None else sgroup.component_weight(component, weights)
-            if sgroup.monomial_weight_defect(mono, weights) != target:
-                ok = False
-                break
-        if ok:
-            keep.append(mono)
-    return keep
 
 
 def _real_parameter_polys(nvars: int, monos: Sequence[Monomial]) -> list[Polynomial]:
@@ -107,8 +381,8 @@ def _real_parameter_polys(nvars: int, monos: Sequence[Monomial]) -> list[Polynom
             out.append(Polynomial.monomial(nvars, mono))
         elif grlex_key(mono) > grlex_key(conj):
             if conj not in mono_set:
-                # torus filters are conj-stable for weight-zero targets; a
-                # missing partner can only mean the caller passed a bad set
+                # a full degree slice is conj-closed; a missing partner can
+                # only mean the caller passed a bad set
                 raise DimensionError("monomial set is not conjugation-closed")
             base = Polynomial.monomial(nvars, mono)
             out.append(base + base.conj())
@@ -117,23 +391,16 @@ def _real_parameter_polys(nvars: int, monos: Sequence[Monomial]) -> list[Polynom
     return out
 
 
-def _function_parameters(sgroup, nvars, degree, filtered=True):
-    if filtered:
-        monos = _torus_monomials(sgroup, nvars, degree, None)
-    else:
-        monos = list(monomials_of_degree(nvars, degree))
-    return _real_parameter_polys(nvars, monos)
+def _function_parameters(nvars: int, degree: int) -> list[Polynomial]:
+    return _real_parameter_polys(nvars, list(monomials_of_degree(nvars, degree)))
 
 
-def _map_parameters(sgroup, nblocks, degree, filtered=True):
+def _map_parameters(nblocks: int, degree: int) -> list[PolyMap]:
     nvars = 2 * nblocks + 2
     zero = Polynomial.zero(nvars)
+    monos = list(monomials_of_degree(nvars, degree))
     params: list[PolyMap] = []
     for comp in range(nblocks + 2):
-        if filtered:
-            monos = _torus_monomials(sgroup, nvars, degree, comp)
-        else:
-            monos = list(monomials_of_degree(nvars, degree))
         if comp < 2:
             comp_polys = _real_parameter_polys(nvars, monos)
         else:
@@ -193,26 +460,6 @@ def _map_constraints(context: GroupContext, kind: str, param: PolyMap):
     return images
 
 
-def _solve(params, image_fn, columns_builder, use_fraction_free=True):
-    """Nullspace of the stacked defect operators over the parameter space."""
-    rows: dict = {}
-    for k, param in enumerate(params):
-        for tag, vec in image_fn(param):
-            for colkey, value in vec.items():
-                rows.setdefault((tag, colkey), {})[k] = value
-    columns = list(range(len(params)))
-    ordered_rows = [rows[key] for key in sorted(rows)]
-    if use_fraction_free:
-        solutions = Echelon(ordered_rows).nullspace(columns)
-    else:
-        solutions = _plain_nullspace(ordered_rows, columns)
-    combos = []
-    for sol in solutions:
-        combo = columns_builder(sol)
-        combos.append(combo)
-    return combos
-
-
 def _plain_nullspace(rows: Iterable[dict], columns: Sequence) -> list[dict]:
     """Straight rational Gauss elimination; second, independent solve path."""
     pivots: dict = {}
@@ -246,40 +493,6 @@ def _plain_nullspace(rows: Iterable[dict], columns: Sequence) -> list[dict]:
                 vec[pc] = -s
         basis.append(vec)
     return basis
-
-
-def slice_space(
-    context: GroupContext,
-    degree: int,
-    kind: str,
-    limit: int = DEFAULT_MONOMIAL_LIMIT,
-) -> DegreeSlice:
-    """Exact basis of the degree-d members of the requested class."""
-    if degree < 0:
-        raise DimensionError("degree must be nonnegative")
-    sgroup = _sgroup_of(context)
-    nvars = sgroup.nvars
-    if kind in FUNCTION_KINDS:
-        _monomial_budget(nvars, degree, 1, limit)
-        params = _function_parameters(sgroup, nvars, degree)
-        basis = _solve(
-            params,
-            lambda p: _function_constraints(context, kind, p),
-            lambda sol: _combine_polys(params, sol),
-        )
-    elif kind in MAP_KINDS:
-        _monomial_budget(nvars, degree, sgroup.nblocks + 2, limit)
-        params = _map_parameters(sgroup, sgroup.nblocks, degree)
-        basis = _solve(
-            params,
-            lambda g: _map_constraints(context, kind, g),
-            lambda sol: _combine_maps(params, sol),
-        )
-    else:
-        raise DimensionError(f"unknown membership kind {kind!r}")
-    basis = [b for b in basis if b]
-    basis.sort(key=lambda b: b.sort_key())
-    return DegreeSlice(degree, kind, tuple(basis))
 
 
 def slice_space_naive(
@@ -330,25 +543,23 @@ def slice_space_naive(
 
     if kind in FUNCTION_KINDS:
         _monomial_budget(nvars, degree, 1, limit)
-        params = _function_parameters(sgroup, nvars, degree, filtered=False)
-        basis = _solve(
-            params,
-            lambda p: _function_constraints(context, kind, p) + torus_rows_function(p),
-            lambda sol: _combine_polys(params, sol),
-            use_fraction_free=False,
-        )
+        params = _function_parameters(nvars, degree)
+        images = lambda p: _function_constraints(context, kind, p) + torus_rows_function(p)
+        combine = _combine_polys
     elif kind in MAP_KINDS:
         _monomial_budget(nvars, degree, sgroup.nblocks + 2, limit)
-        params = _map_parameters(sgroup, sgroup.nblocks, degree, filtered=False)
-        basis = _solve(
-            params,
-            lambda g: _map_constraints(context, kind, g) + torus_rows_map(g),
-            lambda sol: _combine_maps(params, sol),
-            use_fraction_free=False,
-        )
+        params = _map_parameters(sgroup.nblocks, degree)
+        images = lambda g: _map_constraints(context, kind, g) + torus_rows_map(g)
+        combine = _combine_maps
     else:
         raise DimensionError(f"unknown membership kind {kind!r}")
-    basis = [b for b in basis if b]
+    rows: dict = {}
+    for k, param in enumerate(params):
+        for tag, vec in images(param):
+            for colkey, value in vec.items():
+                rows.setdefault((tag, colkey), {})[k] = value
+    solutions = _plain_nullspace([rows[key] for key in sorted(rows)], range(len(params)))
+    basis = [b for b in (combine(params, sol) for sol in solutions) if b]
     basis.sort(key=lambda b: b.sort_key())
     return DegreeSlice(degree, kind, tuple(basis))
 

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -254,23 +258,25 @@ def test_repo_job_fixtures(capsys):
     assert "\\begin{align*}" in out
 
 
-def test_python_dash_m_entry_point():
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
+def child_env() -> dict:
+    """Environment for a `python -m birevnf` child that imports this package."""
     import birevnf
 
     # the child imports the same package as this process, installed or not
     src = str(pathlib.Path(birevnf.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+
+
+def test_python_dash_m_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "birevnf", "classify", "--case", "non_resonant",
          "--params", "1", "--signs", "1,1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == EXIT_OK
     assert "involution pairs: 2" in result.stdout
@@ -292,25 +298,50 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_unwritable_output_is_config_error(tmp_path):
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import birevnf
-
     # a separate process, so that an uncaught error would print its traceback
-    src = str(pathlib.Path(birevnf.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     target = tmp_path / "missing" / "x.txt"
     result = subprocess.run(
         [sys.executable, "-m", "birevnf", "classify", "--case", "non_resonant",
          "--params", "1", "--signs", "1,1", "--out", str(target)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == EXIT_CONFIG
     assert f"config error: cannot write output {target}" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader is gone before the child writes, as after `... | head -1`
+    child = subprocess.Popen(
+        [sys.executable, "-m", "birevnf", "generators", "--case", "non_resonant",
+         "--params", "1", "--signs", "1,1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_report_commands_reject_latex(capsys, tmp_path, command):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(
+        {"case": "non_resonant", "params": [1], "signs": [1, 1], "format": "latex"}
+    ))
+    for argv in (
+        (command, "--case", "non_resonant", "--params", "1", "--signs", "1,1",
+         "--format", "latex"),
+        (command, "--config", str(config)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: {command} reports in text or json, not latex" in err

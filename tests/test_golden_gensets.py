@@ -7,6 +7,13 @@ generator set in its three formats (`genset_to_json`, `genset_to_text` and
 `emit(assemble(gs, ctx.linear_part, 4), fmt)` in its three formats, so any
 change to the pipeline or to a renderer that moves an artifact by one byte
 fails here.  The genset-v1 JSON keeps the bare regime name as its id.
+
+The oracle artifact pins the text of every basis element of
+`slice_space(ctx.full_context(), d, kind)` for each kind and degrees 0-5,
+on the first and last sign class of each regime (keyed "signs kind d").
+`verify` prints only dimensions, so this is what catches a change to the
+oracle's column order or its canonical basis that keeps the same span.
+
 Regenerate (only when an artifact is meant to change) with
 
     PYTHONPATH=src python tests/test_golden_gensets.py
@@ -22,6 +29,7 @@ import pytest
 
 from birevnf.continuous import SymmetryContext
 from birevnf.normalform import assemble, emit
+from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, slice_space
 from birevnf.symmetry_ops import genset_to_json, genset_to_latex, genset_to_text, pipeline
 
 GOLDEN = Path(__file__).parent / "golden" / "gensets.json"
@@ -49,6 +57,10 @@ ARTIFACTS = {
 }
 
 
+ORACLE = "oracle-slices"
+SLICE_DEGREES = range(6)
+
+
 def _id(case, params, artifact) -> str:
     name = f"{case} {','.join(map(str, params))}"
     return name if artifact == "genset-json" else f"{name} {artifact}"
@@ -64,7 +76,21 @@ def gensets(case, params, n) -> tuple:
     return tuple(out)
 
 
+def oracle_digests(case, params, n) -> dict:
+    out = {}
+    for signs in ((1,) * (n + 1), (-1,) * (n + 1)):
+        full = SymmetryContext.from_case(case, params, signs).full_context()
+        for kind in FUNCTION_KINDS + MAP_KINDS:
+            for d in SLICE_DEGREES:
+                text = "\n".join(str(b) for b in slice_space(full, d, kind).basis)
+                key = f"{','.join(map(str, signs))} {kind} {d}"
+                out[key] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def digests(case, params, n, artifact) -> dict:
+    if artifact == ORACLE:
+        return oracle_digests(case, params, n)
     render = ARTIFACTS[artifact]
     return {
         ",".join(map(str, signs)): hashlib.sha256(render(ctx, gs).encode()).hexdigest()
@@ -72,7 +98,7 @@ def digests(case, params, n, artifact) -> dict:
     }
 
 
-CASES = [(*regime, artifact) for regime in REGIMES for artifact in ARTIFACTS]
+CASES = [(*regime, artifact) for regime in REGIMES for artifact in (*ARTIFACTS, ORACLE)]
 
 
 @pytest.mark.parametrize(

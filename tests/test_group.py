@@ -67,6 +67,20 @@ def test_closure_of_the_two_involutions_is_klein_four():
         assert el.is_involution()
 
 
+def test_involution_is_decided_once(monkeypatch):
+    import birevnf.group as group
+
+    phi = phi_element(2)
+    rotation = SignedElement(scaling_on_block(2, 1, I), 1)
+    products = []
+    real_mul = group.mat_mul
+    monkeypatch.setattr(group, "mat_mul", lambda a, b: products.append(1) or real_mul(a, b))
+    for _ in range(3):
+        assert phi.is_involution()
+        assert not rotation.is_involution()
+    assert len(products) == 2
+
+
 def test_closure_is_closed_and_sign_is_homomorphism():
     phi = phi_element(2)
     psi = psi_element((-1, 1, -1))

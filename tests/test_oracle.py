@@ -1,13 +1,30 @@
 """Brute-force degree slices, module slices, and span comparisons."""
 
+from fractions import Fraction
+
 import pytest
 
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import DimensionError, ResourceLimit
-from birevnf.group import membership
-from birevnf.linalg import Echelon, polynomial_from_vector, vectorize_polynomial
+from birevnf.group import GroupContext, SignedElement, membership
+from birevnf.linalg import (
+    Echelon,
+    matrix_from_rows,
+    polynomial_from_vector,
+    vectorize_polynomial,
+)
 from birevnf.oracle import (
+    DEFAULT_MONOMIAL_LIMIT,
+    FUNCTION_KINDS,
+    MAP_KINDS,
     DegreeSlice,
+    _defect_images,
+    _from_records,
+    _function_constraints,
+    _function_parameters,
+    _map_constraints,
+    _map_parameters,
+    _parameters,
     dimension_table,
     dimension_table_json,
     module_slice,
@@ -16,7 +33,7 @@ from birevnf.oracle import (
     slice_space_naive,
     spans_equal,
 )
-from birevnf.poly import Polynomial
+from birevnf.poly import GaussianRational, Polynomial
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
 
@@ -69,6 +86,103 @@ def test_naive_cross_check_resonant_maps():
         assert a.dimension == b.dimension
         if a.dimension:
             assert spans_equal(a, b).equal
+
+
+def _torus_admissible(sgroup, obj) -> bool:
+    """Every monomial of every component has its component's torus weight."""
+    if isinstance(obj, Polynomial):
+        comps = ((None, obj),)
+    else:
+        comps = enumerate((*obj.x_components, *obj.z_components))
+    return all(
+        sgroup.monomial_weight_defect(mono, w)
+        == (0 if c is None else sgroup.component_weight(c, w))
+        for c, poly in comps
+        for mono in poly.monomials()
+        for w in sgroup.torus_weights
+    )
+
+
+@pytest.mark.parametrize(
+    "case,params,signs",
+    [
+        ("non_resonant", (2,), (1, -1, 1)),
+        ("res_n1n2_C3", (1, 2), (1, 1, -1, 1)),
+        ("res_double_C4", (1, 2, 1, 3), (1, 1, -1, 1, 1)),
+    ],
+)
+def test_compiled_rows_match_the_polymap_path(case, params, signs):
+    # the compiled parameters are the torus-admissible naive parameters in
+    # the same order, and each one's defect rows are the PolyMap path's rows
+    ctx = SymmetryContext.from_case(case, params, signs)
+    full = ctx.full_context()
+    sgroup = ctx.sgroup
+    for degree in (2, 3, 4):
+        for kind in FUNCTION_KINDS + MAP_KINDS:
+            functions = kind in FUNCTION_KINDS
+            if functions:
+                naive = _function_parameters(sgroup.nvars, degree)
+                constraints = _function_constraints
+            else:
+                naive = _map_parameters(sgroup.nblocks, degree)
+                constraints = _map_constraints
+            naive = [p for p in naive if _torus_admissible(sgroup, p)]
+            records = _parameters(sgroup, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+            compiled = [
+                _from_records(records, {k: 1}, sgroup.nvars, functions)
+                for k in range(len(records))
+            ]
+            assert compiled == naive, (degree, kind)
+            images = _defect_images(full, kind, degree, records)
+            for param, rows in zip(naive, images):
+                assert rows == constraints(full, kind, param), (degree, kind, param)
+
+
+def _mixing_element(rows, sign) -> SignedElement:
+    return SignedElement(matrix_from_rows(rows), sign)
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        # a real mix of x1 and x2, z and zb swapped; reversing
+        _mixing_element(
+            [[Fraction(1, 2), Fraction(3, 2), 0, 0], [Fraction(3, 2), Fraction(1, 2), 0, 0],
+             [0, 0, 0, 1], [0, 0, 1, 0]],
+            -1,
+        ),
+        # x2 -> x2 + x1/2 and z -> z + (i/2) zb; a symmetry
+        _mixing_element(
+            [[1, 0, 0, 0], [Fraction(1, 2), 1, 0, 0],
+             [0, 0, 1, GaussianRational(0, Fraction(1, 2))],
+             [0, 0, GaussianRational(0, Fraction(-1, 2)), 1]],
+            1,
+        ),
+    ],
+)
+def test_compiled_slices_match_naive_for_non_monomial_actions(nonres1, element):
+    assert not element.action.monomial
+    context = GroupContext((element,), nonres1.sgroup)
+    dims = []
+    for kind in FUNCTION_KINDS + MAP_KINDS:
+        for degree in (1, 2, 3):
+            a = slice_space(context, degree, kind)
+            b = slice_space_naive(context, degree, kind)
+            assert a.dimension == b.dimension, (kind, degree)
+            assert spans_equal(a, b).equal, (kind, degree)
+            dims.append(a.dimension)
+    assert sum(dims) > 0
+
+
+def test_budget_counts_admissible_monomials():
+    # 251,940 raw (component, monomial) pairs at degree 12, far fewer of them
+    # torus-admissible: the compiled slice fits the default bound, the naive
+    # one, which keeps the raw count, does not
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (3, 5), (1, 1, -1, 1))
+    full = ctx.full_context()
+    assert slice_space(full, 12, "reversible_equivariant").dimension == 252
+    with pytest.raises(ResourceLimit):
+        slice_space_naive(full, 12, "reversible_equivariant")
 
 
 def test_slice_basis_elements_pass_membership(nonres1):

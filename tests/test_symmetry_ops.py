@@ -147,8 +147,13 @@ def test_operators_demand_involutions():
     from birevnf.linalg import matrix_from_rows
 
     shear = SignedElement(matrix_from_rows(rows), -1)
-    with pytest.raises(ConditionViolated):
-        reynolds_R(Polynomial.variable(nvars, 0), shear)
+    f = Polynomial.variable(nvars, 0)
+    g = PolyMap((f, Polynomial.zero(nvars)), (Polynomial.zero(nvars),))
+    # the verdict is kept per element, so a second call must still refuse
+    for _ in range(2):
+        for operator, arg in ((reynolds_R, f), (reynolds_S, f), (transfer_T, g)):
+            with pytest.raises(ConditionViolated):
+                operator(arg, shear)
 
 
 def test_extend_basis_non_resonant_unchanged():
