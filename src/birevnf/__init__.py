@@ -14,10 +14,9 @@ from .continuous import (
     SymmetryContext,
     catalog,
     classify_type,
+    closure_data,
     enumerate_involution_pairs,
-    infinitesimal_check,
     linear_part_for_case,
-    structure_of_S,
 )
 from .errors import (
     CertificationFailure,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .continuous import (
     SymmetryContext,
+    case_blocks,
     classify_type,
     enumerate_involution_pairs,
     fix_dimension,
@@ -36,13 +37,6 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_CERTIFICATION = 4
 
-CASES_WITH_PARAM_COUNT = {
-    "non_resonant": 1,
-    "res_n1n2_C3": 2,
-    "res_n1n2_Cn": 3,
-    "res_double_C4": 4,
-}
-
 
 @dataclass
 class JobConfig:
@@ -55,19 +49,10 @@ class JobConfig:
     limit_monomials: int = DEFAULT_MONOMIAL_LIMIT
 
     def validate(self) -> "JobConfig":
-        if self.case not in CASES_WITH_PARAM_COUNT:
-            raise ConfigError(
-                f"unknown case {self.case!r}; choose from "
-                + ", ".join(sorted(CASES_WITH_PARAM_COUNT))
-            )
-        if len(self.params) != CASES_WITH_PARAM_COUNT[self.case]:
-            raise ConfigError(
-                f"case {self.case} takes {CASES_WITH_PARAM_COUNT[self.case]} "
-                f"integer parameters, got {len(self.params)}"
-            )
-        if any(p < 1 for p in self.params):
-            raise ConfigError("case parameters must be >= 1")
-        n = self.nblocks
+        try:
+            n = case_blocks(self.case, self.params)
+        except UnsupportedCase as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.signs:
             raise ConfigError("signs a0,a1,...,an are required")
         if len(self.signs) != n + 1:
@@ -86,16 +71,6 @@ class JobConfig:
             raise ConfigError("monomial limit must be positive")
         return self
 
-    @property
-    def nblocks(self) -> int:
-        if self.case == "non_resonant":
-            return self.params[0]
-        if self.case == "res_n1n2_C3":
-            return 3
-        if self.case == "res_n1n2_Cn":
-            return self.params[2]
-        return 4
-
     def context(self) -> SymmetryContext:
         return SymmetryContext.from_case(self.case, self.params, self.signs)
 
@@ -107,6 +82,12 @@ def _int(value, what: str) -> int:
         except ValueError:
             pass
     raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _str(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{what} must be a string, got {value!r}")
 
 
 def _int_list(values, what: str) -> tuple[int, ...]:
@@ -151,7 +132,7 @@ def load_config(args: argparse.Namespace) -> JobConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
         if "case" in data:
-            cfg.case = data["case"]
+            cfg.case = _str(data["case"], "case")
         if "params" in data:
             cfg.params = _int_list(data["params"], "params")
         if "signs" in data:
@@ -161,7 +142,7 @@ def load_config(args: argparse.Namespace) -> JobConfig:
         if "verify_degrees" in data:
             cfg.verify_degrees = _int_list(data["verify_degrees"], "verify_degrees")
         if "format" in data:
-            cfg.fmt = data["format"]
+            cfg.fmt = _str(data["format"], "format")
         if "limit_monomials" in data:
             cfg.limit_monomials = _int(data["limit_monomials"], "limit_monomials")
     if args.case:

@@ -9,10 +9,12 @@ frequency values, so no accidental resonances can sneak in.
 
 Invariance and equivariance under the continuous group reduce to exact
 integer conditions on exponents (torus) plus polynomial identities for the
-shear, implemented here.  The module also enumerates the inequivalent pairs
-of commuting reversing involutions, classifies the sign regimes into the
-four normal-form types, and ships the built-in catalogs of Hilbert bases
-and equivariant generators for the supported resonance cases.
+shear, implemented here.  The catalog of the closure group, its Hilbert
+basis and equivariant generators, is derived from that weight lattice by
+Contejean-Devie completion (`closure_data`), for any linear part; the named
+cases only fix the linear part.  The module also enumerates the
+inequivalent pairs of commuting reversing involutions and classifies the
+sign regimes into the four normal-form types.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from math import gcd
+from operator import add, ge
 from typing import Sequence
 
 from .errors import DimensionError, UnsupportedCase
@@ -236,19 +239,6 @@ class SGroupData:
         raise ValueError(f"unknown infinitesimal kind {kind!r}")
 
 
-def structure_of_S(linear_part: LinearPart) -> SGroupData:
-    """Shear/torus skeleton of the closure group (no catalog attached)."""
-    return SGroupData(
-        nblocks=linear_part.n,
-        torus_weights=linear_part.torus_weight_rows(),
-        has_shear=True,
-    )
-
-
-def infinitesimal_check(obj, data: SGroupData, kind: str) -> bool:
-    return data.infinitesimal_ok(obj, kind)
-
-
 # -- involutions -------------------------------------------------------------
 
 
@@ -353,22 +343,7 @@ def classify_type(signs: Sequence[int], exponents: Sequence[int]) -> str:
     return "C" if twist == 1 else "D"
 
 
-# -- catalog construction ----------------------------------------------------
-
-
-def _norm_sq(nvars: int, j: int) -> Polynomial:
-    mono = [0] * nvars
-    mono[z_index(j)] = 1
-    mono[zbar_index(j)] = 1
-    return Polynomial.monomial(nvars, tuple(mono))
-
-
-def _cross_monomial(nvars: int, j1: int, e1: int, j2: int, e2: int) -> Polynomial:
-    """z_{j1}^{e1} * conj(z_{j2})^{e2} as a polynomial."""
-    mono = [0] * nvars
-    mono[z_index(j1)] = e1
-    mono[zbar_index(j2)] = e2
-    return Polynomial.monomial(nvars, tuple(mono))
+# -- the derived catalog -----------------------------------------------------
 
 
 def _unit_map(n: int, comp: int, poly: Polynomial) -> PolyMap:
@@ -392,99 +367,154 @@ def _x_pair_map(n: int) -> PolyMap:
     )
 
 
-def _rotation_pair(n: int, j: int) -> tuple[PolyMap, PolyMap]:
-    """The z_j and i*z_j generators in component z_j."""
-    nvars = 2 * n + 2
-    zj = Polynomial.variable(nvars, z_index(j))
-    return (
-        _unit_map(n, 2 + (j - 1), zj),
-        _unit_map(n, 2 + (j - 1), zj.scale(I)),
-    )
+def _minimal_solutions(columns, target, known=()) -> list[tuple[int, ...]]:
+    """Componentwise-minimal x >= 0, x != 0, with sum_i x_i columns[i] = target.
 
-
-def _resonant_block_maps(
-    n: int, j1: int, j2: int, e1: int, e2: int
-) -> tuple[PolyMap, PolyMap, PolyMap, PolyMap]:
-    """Cross-term generators for a resonant pair of blocks.
-
-    Returns (w, i*w, w', i*w') with w = conj(z_{j1})^{e1-1} z_{j2}^{e2} in
-    component z_{j1} and w' = z_{j1}^{e1} conj(z_{j2})^{e2-1} in component
-    z_{j2}; these carry the torus weights of z_{j1} and z_{j2}.
+    Contejean-Devie completion, one degree at a time: x grows by e_i only
+    while <A x - target, A e_i> < 0, and stops once it lies above a solution
+    already found or above one of `known`.  The homogeneous search starts
+    from the unit vectors, the inhomogeneous one from 0; the latter must be
+    given the homogeneous solutions as `known` (x above a homogeneous h is
+    the solution x - h plus h, so not minimal, and z2 conj(z2)^k would
+    otherwise grow forever).  It ends by itself, with no degree bound.
     """
-    nvars = 2 * n + 2
-    mono1 = [0] * nvars
-    mono1[zbar_index(j1)] = e1 - 1
-    mono1[z_index(j2)] = e2
-    w1 = Polynomial.monomial(nvars, tuple(mono1))
-    mono2 = [0] * nvars
-    mono2[z_index(j1)] = e1
-    mono2[zbar_index(j2)] = e2 - 1
-    w2 = Polynomial.monomial(nvars, tuple(mono2))
-    c1 = 2 + (j1 - 1)
-    c2 = 2 + (j2 - 1)
-    return (
-        _unit_map(n, c1, w1),
-        _unit_map(n, c1, w1.scale(I)),
-        _unit_map(n, c2, w2),
-        _unit_map(n, c2, w2.scale(I)),
+    size = len(columns)
+    zero = (0,) * size
+    if any(target):
+        frontier = {zero: tuple(-t for t in target)}
+    else:
+        frontier = {}
+        for i, col in enumerate(columns):
+            frontier[zero[:i] + (1,) + zero[i + 1 :]] = col
+    found: list[tuple[int, ...]] = []
+    stops = list(known)
+    while frontier:
+        grow = []
+        for x, defect in frontier.items():
+            if any(defect):
+                grow.append((x, defect))
+            else:
+                found.append(x)
+                stops.append(x)
+        frontier = {}
+        for x, defect in grow:
+            for i, col in enumerate(columns):
+                if sum(d * c for d, c in zip(defect, col)) >= 0:
+                    continue
+                y = x[:i] + (x[i] + 1,) + x[i + 1 :]
+                if y in frontier or any(all(map(ge, y, s)) for s in stops):
+                    continue
+                frontier[y] = tuple(map(add, defect, col))
+    return found
+
+
+def closure_data(linear: LinearPart) -> SGroupData:
+    """Hilbert basis and equivariant generators of the shear x torus closure.
+
+    Computed from the weight lattice W = linear.torus_weight_rows(): the z_j
+    exponent has weight W e_j and the conj(z_j) exponent -W e_j.  The
+    torus-invariant monomials in z, conj(z) are generated by the minimal
+    solutions of W(a - b) = 0; the equivariants in component z_j by the
+    minimal solutions of W(a - b) = W e_j over them.  The ring basis is x1,
+    then the invariant solutions by (highest block touched, degree,
+    exponents descending), |z_k|^2 as is and any other as its real and
+    imaginary part, oriented so that its first nonzero z - conj(z) exponent
+    difference is positive.  The generators are (x1, x2) and (0, 1), then
+    per block j its solutions m by (degree, exponents descending), each as
+    m and i*m in component z_j.  The SGroupData audit checks every element.
+    """
+    n = linear.n
+    nvars = linear.nvars
+    weights = linear.torus_weight_rows()
+    columns = []
+    for j in range(n):
+        column = tuple(row[j] for row in weights)
+        columns += [column, tuple(-w for w in column)]
+
+    def monomial(x) -> Polynomial:
+        return Polynomial.monomial(nvars, (0, 0) + x)
+
+    def degree_key(x):
+        return (sum(x), tuple(-e for e in x))
+
+    def oriented(x) -> bool:
+        diffs = [a - b for a, b in zip(x[::2], x[1::2])]
+        return next((d > 0 for d in diffs if d), True)
+
+    invariant = _minimal_solutions(columns, (0,) * len(weights))
+    basis = [Polynomial.variable(nvars, x_index(1))]
+    for x in sorted(
+        filter(oriented, invariant),
+        key=lambda x: (max(i for i, e in enumerate(x) if e) // 2, *degree_key(x)),
+    ):
+        p = monomial(x)
+        basis += [p] if x[::2] == x[1::2] else [re_part(p), im_part(p)]
+    gens = [_x_pair_map(n), _unit_map(n, 1, Polynomial.constant(nvars, 1))]
+    for j in range(n):
+        for x in sorted(
+            _minimal_solutions(columns, columns[2 * j], invariant), key=degree_key
+        ):
+            p = monomial(x)
+            gens += [_unit_map(n, 2 + j, p), _unit_map(n, 2 + j, p.scale(I))]
+    return SGroupData(
+        nblocks=n,
+        torus_weights=weights,
+        has_shear=True,
+        hilbert_basis=tuple(basis),
+        equivariant_generators=tuple(gens),
     )
+
+
+# parameter names of each catalog case
+CASE_PARAMETERS = {
+    "non_resonant": ("n",),
+    "res_n1n2_C3": ("n1", "n2"),
+    "res_n1n2_Cn": ("n1", "n2", "n"),
+    "res_double_C4": ("n1", "n2", "m1", "m2"),
+}
+
+
+def case_blocks(case: str, params: Sequence[int]) -> int:
+    """Rotation-block count of a named case, once its parameters pass.
+
+    The one check of case parameters, run by `linear_part_for_case` and by
+    the CLI's config validation, so every command rejects the same inputs:
+    a wrong count, a parameter below 1, a resonance pair with a common
+    factor or equal to 1:1, and res_n1n2_Cn with n < 3.
+    """
+    if case not in CASE_PARAMETERS:
+        raise UnsupportedCase(
+            f"unknown case {case!r}; choose from " + ", ".join(sorted(CASE_PARAMETERS))
+        )
+    names = CASE_PARAMETERS[case]
+    if len(params) != len(names):
+        raise UnsupportedCase(f"{case} expects ({', '.join(names)})")
+    if any(p < 1 for p in params):
+        raise UnsupportedCase("case parameters must be >= 1")
+    if case == "non_resonant":
+        return params[0]
+    if case == "res_double_C4":
+        _require_coprime(*params[:2])
+        _require_coprime(*params[2:])
+        return 4
+    n = params[2] if case == "res_n1n2_Cn" else 3
+    if n < 3:
+        raise UnsupportedCase("res_n1n2_Cn requires n >= 3")
+    _require_coprime(*params[:2])
+    return n
 
 
 def linear_part_for_case(case: str, params: Sequence[int]) -> LinearPart:
-    """The linearization whose closure group the named catalog describes."""
+    """The linearization of a named case, its parameters checked."""
+    params = tuple(int(p) for p in params)
+    n = case_blocks(case, params)
     if case == "non_resonant":
-        (n,) = params
         return LinearPart(n)
-    if case == "res_n1n2_C3":
-        n1, n2 = params
-        return LinearPart(3, ((-n2, n1, 0),))
-    if case == "res_n1n2_Cn":
-        n1, n2, n = params
-        return LinearPart(n, ((-n2, n1) + (0,) * (n - 2),))
     if case == "res_double_C4":
         n1, n2, m1, m2 = params
         return LinearPart(4, ((-n2, n1, 0, 0), (0, 0, -m2, m1)))
-    raise UnsupportedCase(f"unknown catalog case {case!r}")
-
-
-def catalog(case: str, params: Sequence[int]) -> SGroupData:
-    """Built-in Hilbert bases and equivariant generators for the closure group.
-
-    Supported cases: non_resonant(n), res_n1n2_C3(n1, n2),
-    res_n1n2_Cn(n1, n2, n), res_double_C4(n1, n2, m1, m2).  Resonance
-    exponent pairs must be coprime (a common factor names the same subtorus
-    as the reduced pair, but the catalog formulas assume the reduced form).
-    """
-    params = tuple(int(p) for p in params)
-    if any(p < 1 for p in params):
-        raise UnsupportedCase("catalog parameters must be >= 1")
-    if case == "non_resonant":
-        if len(params) != 1:
-            raise UnsupportedCase("non_resonant expects (n,)")
-        (n,) = params
-        return _catalog_non_resonant(n)
-    if case == "res_n1n2_C3":
-        if len(params) != 2:
-            raise UnsupportedCase("res_n1n2_C3 expects (n1, n2)")
-        n1, n2 = params
-        _require_coprime(n1, n2)
-        return _catalog_single_resonance(n1, n2, 3)
-    if case == "res_n1n2_Cn":
-        if len(params) != 3:
-            raise UnsupportedCase("res_n1n2_Cn expects (n1, n2, n)")
-        n1, n2, n = params
-        if n < 3:
-            raise UnsupportedCase("res_n1n2_Cn requires n >= 3")
-        _require_coprime(n1, n2)
-        return _catalog_single_resonance(n1, n2, n)
-    if case == "res_double_C4":
-        if len(params) != 4:
-            raise UnsupportedCase("res_double_C4 expects (n1, n2, m1, m2)")
-        n1, n2, m1, m2 = params
-        _require_coprime(n1, n2)
-        _require_coprime(m1, m2)
-        return _catalog_double_resonance(n1, n2, m1, m2)
-    raise UnsupportedCase(f"unknown catalog case {case!r}")
+    n1, n2 = params[:2]
+    return LinearPart(n, ((-n2, n1) + (0,) * (n - 2),))
 
 
 def _require_coprime(a: int, b: int):
@@ -499,96 +529,13 @@ def _require_coprime(a: int, b: int):
         )
 
 
-def _catalog_non_resonant(n: int) -> SGroupData:
-    linear = LinearPart(n)
-    nvars = 2 * n + 2
-    basis = [Polynomial.variable(nvars, x_index(1))]
-    basis += [_norm_sq(nvars, j) for j in range(1, n + 1)]
-    gens: list[PolyMap] = [
-        _x_pair_map(n),
-        _unit_map(n, 1, Polynomial.constant(nvars, 1)),
-    ]
-    for j in range(1, n + 1):
-        gens.extend(_rotation_pair(n, j))
-    return SGroupData(
-        nblocks=n,
-        torus_weights=linear.torus_weight_rows(),
-        has_shear=True,
-        hilbert_basis=tuple(basis),
-        equivariant_generators=tuple(gens),
-    )
+def catalog(case: str, params: Sequence[int]) -> SGroupData:
+    """The closure-group data of a named case: `closure_data` of its linear part.
 
-
-def _catalog_single_resonance(n1: int, n2: int, n: int) -> SGroupData:
-    linear = linear_part_for_case("res_n1n2_Cn", (n1, n2, n))
-    nvars = 2 * n + 2
-    cross = _cross_monomial(nvars, 1, n2, 2, n1)
-    basis = [
-        Polynomial.variable(nvars, x_index(1)),
-        _norm_sq(nvars, 1),
-        _norm_sq(nvars, 2),
-        re_part(cross),
-        im_part(cross),
-    ]
-    basis += [_norm_sq(nvars, j) for j in range(3, n + 1)]
-    gens: list[PolyMap] = [
-        _x_pair_map(n),
-        _unit_map(n, 1, Polynomial.constant(nvars, 1)),
-    ]
-    z1_pair = _rotation_pair(n, 1)
-    res1, ires1, res2, ires2 = _resonant_block_maps(n, 1, 2, n2, n1)
-    z2_pair = _rotation_pair(n, 2)
-    gens.extend([z1_pair[0], z1_pair[1], res1, ires1])
-    gens.extend([z2_pair[0], z2_pair[1], res2, ires2])
-    for j in range(3, n + 1):
-        gens.extend(_rotation_pair(n, j))
-    return SGroupData(
-        nblocks=n,
-        torus_weights=linear.torus_weight_rows(),
-        has_shear=True,
-        hilbert_basis=tuple(basis),
-        equivariant_generators=tuple(gens),
-    )
-
-
-def _catalog_double_resonance(n1: int, n2: int, m1: int, m2: int) -> SGroupData:
-    n = 4
-    linear = linear_part_for_case("res_double_C4", (n1, n2, m1, m2))
-    nvars = 2 * n + 2
-    cross12 = _cross_monomial(nvars, 1, n2, 2, n1)
-    cross34 = _cross_monomial(nvars, 3, m2, 4, m1)
-    basis = [
-        Polynomial.variable(nvars, x_index(1)),
-        _norm_sq(nvars, 1),
-        _norm_sq(nvars, 2),
-        re_part(cross12),
-        im_part(cross12),
-        _norm_sq(nvars, 3),
-        _norm_sq(nvars, 4),
-        re_part(cross34),
-        im_part(cross34),
-    ]
-    gens: list[PolyMap] = [
-        _x_pair_map(n),
-        _unit_map(n, 1, Polynomial.constant(nvars, 1)),
-    ]
-    z1_pair = _rotation_pair(n, 1)
-    r1, ir1, r2, ir2 = _resonant_block_maps(n, 1, 2, n2, n1)
-    z2_pair = _rotation_pair(n, 2)
-    gens.extend([z1_pair[0], z1_pair[1], r1, ir1])
-    gens.extend([z2_pair[0], z2_pair[1], r2, ir2])
-    z3_pair = _rotation_pair(n, 3)
-    r3, ir3, r4, ir4 = _resonant_block_maps(n, 3, 4, m2, m1)
-    z4_pair = _rotation_pair(n, 4)
-    gens.extend([z3_pair[0], z3_pair[1], r3, ir3])
-    gens.extend([z4_pair[0], z4_pair[1], r4, ir4])
-    return SGroupData(
-        nblocks=n,
-        torus_weights=linear.torus_weight_rows(),
-        has_shear=True,
-        hilbert_basis=tuple(basis),
-        equivariant_generators=tuple(gens),
-    )
+    Cases: non_resonant(n), res_n1n2_C3(n1, n2), res_n1n2_Cn(n1, n2, n),
+    res_double_C4(n1, n2, m1, m2).
+    """
+    return closure_data(linear_part_for_case(case, params))
 
 
 # -- the full problem datum --------------------------------------------------
@@ -639,9 +586,8 @@ class SymmetryContext:
     def from_case(
         cls, case: str, params: Sequence[int], signs: Sequence[int]
     ) -> "SymmetryContext":
-        return cls.build(
-            linear_part_for_case(case, params), catalog(case, params), signs
-        )
+        linear = linear_part_for_case(case, params)
+        return cls.build(linear, closure_data(linear), signs)
 
     @property
     def nblocks(self) -> int:

@@ -7,8 +7,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from birevnf.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
+from birevnf.cli import (
+    EXIT_CERTIFICATION,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    JobConfig,
+    build_parser,
+    load_config,
+    main,
+)
+from birevnf.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +165,22 @@ def test_unknown_case_is_config_error(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["classify", "generators"])
+def test_resonance_pair_with_common_factor_is_config_error(capsys, command):
+    # (2, 4) names the subtorus of (1, 2), whose type differs; every command
+    # rejects it instead of classifying the unreduced pair
+    code, out, err = run_cli(
+        capsys,
+        command,
+        "--case", "res_n1n2_C3",
+        "--params", "2,4",
+        "--signs=1,1,-1,1",
+    )
+    assert code == EXIT_CONFIG
+    assert "share a factor" in err
+    assert "Type" not in out
+
+
 def test_bad_signs_are_config_errors(capsys):
     code, _, _ = run_cli(
         capsys,
@@ -220,6 +248,56 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, field, valu
     assert "config error" in err
     assert "Traceback" not in err
     assert "certified" not in out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+# values of the right shape, so that some drawn configs are valid
+PLAUSIBLE = {
+    "case": st.sampled_from(["non_resonant", "res_n1n2_C3", "res_n1n2_Cn", "res_double_C4"]),
+    "params": st.lists(st.integers(-1, 5), max_size=5),
+    "signs": st.lists(st.sampled_from([1, -1]), max_size=6),
+    "degree_max": st.integers(-1, 6),
+    "verify_degrees": st.lists(st.integers(-1, 6), max_size=3),
+    "format": st.sampled_from(["text", "json", "latex", "html"]),
+    "limit_monomials": st.integers(-1, 10),
+}
+CONFIGS = st.fixed_dictionaries(
+    {}, optional={key: strategy | JSON_VALUES for key, strategy in PLAUSIBLE.items()}
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "job.json"
+
+
+@settings(max_examples=300)
+@given(CONFIGS)
+def test_load_config_validates_or_raises_config_error(config_path, data):
+    config_path.write_text(json.dumps(data))
+    args = build_parser().parse_args(["generators", "--config", str(config_path)])
+    try:
+        cfg = load_config(args)
+    except ConfigError:
+        return
+    assert isinstance(cfg, JobConfig)
+    assert isinstance(cfg.case, str) and isinstance(cfg.fmt, str)
+    assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("field", ["case", "format"])
+def test_non_string_case_or_format_is_config_error(tmp_path, capsys, field):
+    job = {"case": "non_resonant", "params": [1], "signs": [1, 1], field: ["x"]}
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    code, _, err = run_cli(capsys, "generators", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert f"{field} must be a string" in err
+    assert "Traceback" not in err
 
 
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Closure-group structure, infinitesimal checks, involutions, catalogs."""
 
+from collections import Counter
+
 import pytest
 
 from birevnf.continuous import (
@@ -8,21 +10,22 @@ from birevnf.continuous import (
     SymmetryContext,
     catalog,
     classify_type,
+    closure_data,
     enumerate_involution_pairs,
     fix_dimension,
-    infinitesimal_check,
     linear_part_for_case,
-    structure_of_S,
 )
 from birevnf.errors import DimensionError, UnsupportedCase
-from birevnf.group import anticommute_check
-from birevnf.linalg import mat_equal, mat_mul
+from birevnf.group import GroupContext, anticommute_check
+from birevnf.linalg import Echelon, mat_equal, mat_mul, vectorize
+from birevnf.oracle import module_slice, slice_space
 from birevnf.poly import Polynomial, z_index, zbar_index
+from birevnf.symmetry_ops import ProductTable, pipeline
 
 
 def test_structure_single_resonance_on_three_blocks():
     linear = LinearPart(3, ((-2, 1, 0),))  # n1 w2 - n2 w1 = 0 with (n1,n2)=(1,2)
-    data = structure_of_S(linear)
+    data = closure_data(linear)
     assert linear.torus_rank == 2
     assert data.torus_weights == ((1, 2, 0), (0, 0, 1))
     assert data.has_shear
@@ -30,7 +33,7 @@ def test_structure_single_resonance_on_three_blocks():
 
 def test_structure_double_resonance_on_four_blocks():
     linear = linear_part_for_case("res_double_C4", (1, 2, 3, 4))
-    data = structure_of_S(linear)
+    data = closure_data(linear)
     assert linear.torus_rank == 2
     assert data.torus_weights == ((1, 2, 0, 0), (0, 0, 3, 4))
 
@@ -39,14 +42,14 @@ def test_structure_chained_relations():
     # w2 = 2 w1 and 2 w3 = 3 w2 leave the single direction (1, 2, 3) plus
     # the free fourth frequency
     linear = LinearPart(4, ((-2, 1, 0, 0), (0, -3, 2, 0)))
-    data = structure_of_S(linear)
+    data = closure_data(linear)
     assert linear.torus_rank == 2
     assert data.torus_weights == ((1, 2, 3, 0), (0, 0, 0, 1))
 
 
 def test_structure_without_relations_is_full_torus():
     linear = LinearPart(3)
-    data = structure_of_S(linear)
+    data = closure_data(linear)
     assert linear.torus_rank == 3
     assert data.torus_weights == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -73,22 +76,22 @@ def test_infinitesimal_examples():
     data = catalog("non_resonant", (2,))
     nvars = 6
     v1 = Polynomial.variable(nvars, 0)
-    assert infinitesimal_check(v1, data, "invariant")
+    assert data.infinitesimal_ok(v1, "invariant")
     h0 = data.equivariant_generators[0]  # (x1, x2, 0, 0)
-    assert infinitesimal_check(h0, data, "equivariant")
+    assert data.infinitesimal_ok(h0, "equivariant")
     x2 = Polynomial.variable(nvars, 1)
-    assert not infinitesimal_check(x2, data, "invariant")
+    assert not data.infinitesimal_ok(x2, "invariant")
 
 
 def test_weight_defect_filters_cross_terms():
     linear = LinearPart(2, ((-2, 1),))  # weights (1, 2)
-    data = structure_of_S(linear)
+    data = closure_data(linear)
     nvars = 6
     mono = [0] * nvars
     mono[z_index(1)] = 1
     mono[zbar_index(2)] = 1
     cross = Polynomial.monomial(nvars, tuple(mono))  # z1 conj(z2): defect 1 - 2
-    assert not infinitesimal_check(cross, data, "invariant")
+    assert not data.infinitesimal_ok(cross, "invariant")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -166,9 +169,9 @@ def test_catalog_single_resonance_contents():
     # every element passes the infinitesimal audit (the constructor enforces
     # it; re-run explicitly so a regression cannot slip through __post_init__)
     for p in data.hilbert_basis:
-        assert infinitesimal_check(p, data, "invariant")
+        assert data.infinitesimal_ok(p, "invariant")
     for g in data.equivariant_generators:
-        assert infinitesimal_check(g, data, "equivariant")
+        assert data.infinitesimal_ok(g, "equivariant")
 
 
 def test_catalog_double_resonance_contents():
@@ -176,9 +179,9 @@ def test_catalog_double_resonance_contents():
     assert len(data.hilbert_basis) == 9
     assert len(data.equivariant_generators) == 18
     for p in data.hilbert_basis:
-        assert infinitesimal_check(p, data, "invariant")
+        assert data.infinitesimal_ok(p, "invariant")
     for g in data.equivariant_generators:
-        assert infinitesimal_check(g, data, "equivariant")
+        assert data.infinitesimal_ok(g, "equivariant")
 
 
 def test_catalog_cn_matches_c3_at_three_blocks():
@@ -210,9 +213,9 @@ def test_catalog_elements_are_members_for_the_full_group():
     # closure-group data is invariant/equivariant for the continuous part
     sdata = ctx.sgroup
     for p in sdata.hilbert_basis:
-        assert infinitesimal_check(p, sdata, "invariant")
+        assert sdata.infinitesimal_ok(p, "invariant")
     for g in sdata.equivariant_generators:
-        assert infinitesimal_check(g, sdata, "equivariant")
+        assert sdata.infinitesimal_ok(g, "equivariant")
 
 
 def test_symmetry_context_builders():
@@ -237,3 +240,64 @@ def test_sgroup_data_rejects_non_invariant_basis():
             has_shear=True,
             hilbert_basis=(Polynomial.variable(nvars, 1),),  # x2 is not invariant
         )
+
+
+# -- the derived catalog against the oracle ----------------------------------
+
+# (linear part, top degree): every shipped regime through degree 5, and two
+# linear parts no named case covers through degree 7
+COMPLETENESS = [
+    (linear_part_for_case("non_resonant", (3,)), 5),
+    (linear_part_for_case("res_n1n2_C3", (1, 2)), 5),
+    (linear_part_for_case("res_n1n2_C3", (2, 3)), 5),
+    (linear_part_for_case("res_n1n2_Cn", (1, 2, 4)), 5),
+    (linear_part_for_case("res_double_C4", (1, 2, 1, 3)), 5),
+    (LinearPart(4, ((-2, 1, 0, 0), (0, -3, 2, 0))), 7),
+    (LinearPart(4, ((1, 2, 3, 0),)), 7),
+]
+
+
+@pytest.mark.parametrize(
+    "linear,top", COMPLETENESS, ids=[str(lin.resonance_relations) for lin, _ in COMPLETENESS]
+)
+def test_derived_catalog_spans_the_oracle_slices(linear, top):
+    # the audit makes every product invariant and every multiple equivariant,
+    # so equal ranks mean the catalog generates each slice
+    data = closure_data(linear)
+    continuous_only = GroupContext((), data)
+    products = ProductTable(data.hilbert_basis, data.nvars)
+    for d in range(top + 1):
+        ring = Echelon(vectorize(p) for p in products[d])
+        module = Echelon(
+            vectorize(g.mul_invariant(p))
+            for g in data.equivariant_generators
+            for p in products[d - g.degree()]
+        )
+        assert ring.rank == slice_space(continuous_only, d, "invariant").dimension
+        assert module.rank == slice_space(continuous_only, d, "equivariant").dimension
+
+
+def test_chained_relations_have_five_cross_invariants():
+    data = closure_data(LinearPart(4, ((-2, 1, 0, 0), (0, -3, 2, 0))))
+    # x1, four |z_k|^2, and the real and imaginary part of five cross terms
+    assert len(data.hilbert_basis) == 1 + 4 + 2 * 5
+
+
+def _generator_profile(ctx):
+    gs = pipeline(ctx)
+    return (
+        Counter(p.degree() for p in gs.ring_basis),
+        Counter(g.degree() for g in gs.module_generators),
+        [module_slice(gs, d).dimension for d in range(2, 6)],
+    )
+
+
+@pytest.mark.parametrize("signs", [(1, 1, -1, 1, -1), (-1, -1, 1, 1, 1)])
+def test_moving_the_resonant_pair_to_other_blocks_changes_no_count(signs):
+    # res_n1n2_Cn (1, 2, 4) resonates blocks 1 and 2; the same relation on
+    # blocks 3 and 4, with the signs permuted to match, is the same problem
+    a0, a1, a2, a3, a4 = signs
+    moved = LinearPart(4, ((0, 0, -2, 1),))
+    here = SymmetryContext.from_case("res_n1n2_Cn", (1, 2, 4), signs)
+    there = SymmetryContext.build(moved, closure_data(moved), (a0, a3, a4, a1, a2))
+    assert _generator_profile(here) == _generator_profile(there)

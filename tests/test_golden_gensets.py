@@ -14,6 +14,11 @@ on the first and last sign class of each regime (keyed "signs kind d").
 `verify` prints only dimensions, so this is what catches a change to the
 oracle's column order or its canonical basis that keeps the same span.
 
+The catalog artifact pins the text of each Hilbert-basis element and each
+equivariant generator of `catalog(case, params)`, in order (keyed "basis i"
+and "generator i"), on fourteen parameter sets; `references.py` indexes the
+catalog by position, so the order is part of the artifact.
+
 Regenerate (only when an artifact is meant to change) with
 
     PYTHONPATH=src python tests/test_golden_gensets.py
@@ -27,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from birevnf.continuous import SymmetryContext
+from birevnf.continuous import SymmetryContext, catalog
 from birevnf.normalform import assemble, emit
 from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, slice_space
 from birevnf.symmetry_ops import genset_to_json, genset_to_latex, genset_to_text, pipeline
@@ -60,6 +65,25 @@ ARTIFACTS = {
 ORACLE = "oracle-slices"
 SLICE_DEGREES = range(6)
 
+CATALOG = "catalog"
+# (case, params) of every pinned catalog; the block count is not needed
+CATALOG_SETS = (
+    ("non_resonant", (1,)),
+    ("non_resonant", (2,)),
+    ("non_resonant", (3,)),
+    ("res_n1n2_C3", (1, 2)),
+    ("res_n1n2_C3", (1, 3)),
+    ("res_n1n2_C3", (2, 3)),
+    ("res_n1n2_C3", (3, 5)),
+    ("res_n1n2_C3", (5, 7)),
+    ("res_n1n2_Cn", (1, 2, 3)),
+    ("res_n1n2_Cn", (2, 3, 4)),
+    ("res_n1n2_Cn", (3, 4, 5)),
+    ("res_double_C4", (1, 2, 1, 3)),
+    ("res_double_C4", (1, 2, 1, 2)),
+    ("res_double_C4", (2, 3, 3, 5)),
+)
+
 
 def _id(case, params, artifact) -> str:
     name = f"{case} {','.join(map(str, params))}"
@@ -88,7 +112,21 @@ def oracle_digests(case, params, n) -> dict:
     return out
 
 
+def catalog_digests(case, params) -> dict:
+    data = catalog(case, params)
+    out = {}
+    for what, elems in (
+        ("basis", data.hilbert_basis),
+        ("generator", data.equivariant_generators),
+    ):
+        for i, elem in enumerate(elems):
+            out[f"{what} {i}"] = hashlib.sha256(str(elem).encode()).hexdigest()
+    return out
+
+
 def digests(case, params, n, artifact) -> dict:
+    if artifact == CATALOG:
+        return catalog_digests(case, params)
     if artifact == ORACLE:
         return oracle_digests(case, params, n)
     render = ARTIFACTS[artifact]
@@ -99,6 +137,7 @@ def digests(case, params, n, artifact) -> dict:
 
 
 CASES = [(*regime, artifact) for regime in REGIMES for artifact in (*ARTIFACTS, ORACLE)]
+CASES += [(case, params, None, CATALOG) for case, params in CATALOG_SETS]
 
 
 @pytest.mark.parametrize(

@@ -167,15 +167,6 @@ def test_semidirect_condition_on_infinitesimal_generators():
     assert report.ok
 
 
-def test_semidirect_condition_finite_part_with_explicit_automorphism():
-    phi = phi_element(1)
-    psi = psi_element((-1, -1))
-    report = check_semidirect_condition(
-        [psi], [phi], mu=lambda eta, rho: psi  # commuting pair: trivial twist
-    )
-    assert report.finite_pairs_checked == 1
-
-
 def x_z_swap(n=1):
     """Conjugation-compatible map exchanging the x-plane with the z1-plane."""
     from fractions import Fraction

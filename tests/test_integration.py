@@ -44,7 +44,7 @@ def test_non_resonant_output_depends_only_on_first_sign():
 def test_user_supplied_group_data_equal_frequencies():
     # the equal-frequency case ships no catalog; hand-built closure data
     # goes through the same pipeline and certifies against the oracle
-    from birevnf.continuous import LinearPart, SGroupData
+    from birevnf.continuous import LinearPart, SGroupData, closure_data
     from birevnf.poly import I, PolyMap, Polynomial, im_part, re_part
 
     n = 2
@@ -100,6 +100,10 @@ def test_user_supplied_group_data_equal_frequencies():
         hilbert_basis=basis,
         equivariant_generators=gens,
     )
+    # the derived catalog has the same elements, in its own order
+    derived = closure_data(linear)
+    assert set(derived.hilbert_basis) == set(basis)
+    assert set(derived.equivariant_generators) == set(gens)
     for signs in ((1, 1, 1), (1, 1, -1), (-1, 1, -1)):
         ctx = SymmetryContext.build(linear, data, signs)
         certify_against_oracle(ctx, (2, 3))

@@ -329,10 +329,10 @@ def test_pipeline_outputs_certified_and_sound(c3_gensets, c3_contexts):
 
 
 def test_pipeline_requires_catalog_data():
-    from birevnf.continuous import LinearPart, structure_of_S
+    from birevnf.continuous import LinearPart, SGroupData
 
     linear = LinearPart(1)
-    skeleton = structure_of_S(linear)
+    skeleton = SGroupData(1, linear.torus_weight_rows(), has_shear=True)
     ctx = SymmetryContext.build(linear, skeleton, (1, 1))
     with pytest.raises(CertificationFailure):
         pipeline(ctx)
