@@ -541,15 +541,24 @@ def catalog(case: str, params: Sequence[int]) -> SGroupData:
 # -- the full problem datum --------------------------------------------------
 
 
+def _same_row_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """Whether two sets of integer rows span the same subspace of Q^n."""
+    a = [{j: c for j, c in enumerate(row) if c} for row in a]
+    b = [{j: c for j, c in enumerate(row) if c} for row in b]
+    span_a, span_b = Echelon(a), Echelon(b)
+    return all(map(span_a.contains, b)) and all(map(span_b.contains, a))
+
+
 @dataclass(frozen=True)
 class SymmetryContext:
     """Linearization, closure-group data, and the reversing involution pair.
 
-    Construction verifies the whole tower: both involutions anti-commute
-    with the linearization, each extension satisfies the semidirect
-    compatibility condition (conjugation preserves the infinitesimal
-    generator lattice and the finite factor), and the product sign map is
-    well defined.
+    Construction verifies the whole tower: the closure-group data belongs
+    to the linearization (same block count, same rational span of torus
+    weights), both involutions anti-commute with the linearization, each
+    extension satisfies the semidirect compatibility condition (conjugation
+    preserves the infinitesimal generator lattice and the finite factor),
+    and the product sign map is well defined.
     """
 
     linear_part: LinearPart
@@ -566,6 +575,14 @@ class SymmetryContext:
         sgroup: SGroupData,
         signs: Sequence[int],
     ) -> "SymmetryContext":
+        if sgroup.nblocks != linear_part.n:
+            raise DimensionError(
+                f"closure data has {sgroup.nblocks} blocks, the linear part {linear_part.n}"
+            )
+        if not _same_row_span(sgroup.torus_weights, linear_part.torus_weight_rows()):
+            raise DimensionError(
+                "closure data torus weights span another space than the linear part's"
+            )
         signs = tuple(int(s) for s in signs)
         if len(signs) != linear_part.n + 1:
             raise DimensionError(

@@ -57,7 +57,9 @@ class SignedElement:
     """An exact linear map on V together with its sign under the epimorphism.
 
     `action` is the matrix compiled once into a checked LinearAction; pass it,
-    not `matrix`, to the substitution methods so they skip the check.
+    not `matrix`, to the substitution methods so they skip the check.  An
+    element built from a matrix is checked (invertible, conjugation
+    compatible); products and inverses of elements are not checked again.
     """
 
     matrix: Matrix
@@ -85,11 +87,27 @@ class SignedElement:
             object.__setattr__(self, "_involution", known)
         return known
 
+    @classmethod
+    def _from_checked(cls, matrix: Matrix, sign: int, name: str) -> "SignedElement":
+        """A product or inverse of checked elements, built without the checks.
+
+        Invertibility and conjugation compatibility are closed under both,
+        and the sign is a product of checked signs.
+        """
+        element = cls.__new__(cls)
+        object.__setattr__(element, "matrix", matrix)
+        object.__setattr__(element, "sign", sign)
+        object.__setattr__(element, "name", name)
+        object.__setattr__(element, "action", LinearAction.trusted(matrix, len(matrix)))
+        return element
+
     def inverse(self) -> "SignedElement":
-        return SignedElement(mat_inverse(self.matrix), self.sign, self.name + "^-1")
+        return SignedElement._from_checked(
+            mat_inverse(self.matrix), self.sign, self.name + "^-1"
+        )
 
     def __mul__(self, other: "SignedElement") -> "SignedElement":
-        return SignedElement(
+        return SignedElement._from_checked(
             mat_mul(self.matrix, other.matrix),
             self.sign * other.sign,
             f"{self.name}*{other.name}" if self.name and other.name else "",
@@ -343,11 +361,9 @@ def _matrix_vector(m: Matrix) -> dict:
 
 
 def _is_integer_scalar(c) -> bool:
-    if isinstance(c, int):
-        return True
     if isinstance(c, GaussianRational):
-        return c.im == 0 and c.re.denominator == 1
-    return getattr(c, "denominator", None) == 1
+        return c.im == 0 and type(c.re) is int
+    return isinstance(c, int)
 
 
 # -- membership --------------------------------------------------------------

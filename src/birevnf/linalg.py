@@ -12,6 +12,13 @@ column's entry of each reduced row at that row's pivot.  Determinism:
 pivot columns are the unique rank-increase columns of the system,
 independent of row order, and both returned bases are unique for their
 space.
+
+Entries are exact and never floats.  Rational entries follow the
+GaussianRational convention: an int when integral, a Fraction only when
+the denominator is above 1.  `Echelon` takes an all-int row as it is,
+keeps every stored and reduced row in integers, and builds a Fraction only
+where the final division by a pivot entry leaves one.  The dense helpers
+run on GaussianRationals, whose parts are int-backed the same way.
 """
 
 from __future__ import annotations
@@ -167,18 +174,28 @@ def solve_combination(vectors: Sequence[SparseRow], target: SparseRow):
 
 
 def _to_integer_row(row: SparseRow) -> dict:
-    """Clear denominators and divide by the gcd; canonical sign on the lead."""
-    entries = {k: Fraction(v) for k, v in row.items() if v}
-    if not entries:
+    """Clear denominators and divide by the gcd; canonical sign on the lead.
+
+    An all-int row is taken as it is; Fractions and lcm are only for rows
+    that carry a denominator.
+    """
+    row = {k: v for k, v in row.items() if v}
+    if not row:
         return {}
-    denom = lcm(*(v.denominator for v in entries.values()))
-    ints = {k: int(v * denom) for k, v in entries.items()}
-    g = gcd(*(abs(v) for v in ints.values()))
-    if g > 1:
+    if any(type(v) is not int for v in row.values()):
+        rationals = [Fraction(v) for v in row.values()]
+        denom = lcm(*(q.denominator for q in rationals))
+        row = {k: q.numerator * (denom // q.denominator) for k, q in zip(row, rationals)}
+    return _primitive(row)
+
+
+def _primitive(ints: dict) -> dict:
+    """A nonzero integer row divided by its gcd, its lead entry made positive."""
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    if g != 1:
         ints = {k: v // g for k, v in ints.items()}
-    lead = min(ints)
-    if ints[lead] < 0:
-        ints = {k: -v for k, v in ints.items()}
     return ints
 
 
@@ -216,12 +233,7 @@ class Echelon:
             g = gcd(a, b)
             r = _combine(b // g, r, -(a // g), pivot)
             if r:
-                lead = min(r)
-                rg = gcd(*(abs(v) for v in r.values()))
-                if rg > 1:
-                    r = {k: v // rg for k, v in r.items()}
-                if r[lead] < 0:
-                    r = {k: -v for k, v in r.items()}
+                r = _primitive(r)
         return r
 
     def insert(self, row: SparseRow) -> bool:
@@ -240,18 +252,26 @@ class Echelon:
 
         Each row has entry 1 at its pivot column and 0 at every other pivot
         column.  That basis is unique for the span, so it does not depend on
-        the order in which rows were inserted.
+        the order in which rows were inserted.  Entries are ints, and
+        Fractions only where the division by the pivot entry leaves one.
         """
         reduced: dict = {}
         # a stored row holds only pivot columns to the right of its own, and
-        # reduced rows are zero on other pivots: one pass right to left clears them
+        # reduced rows are zero on other pivots: one pass right to left clears
+        # them, fraction-free, with each row kept primitive and its pivot > 0
         for pc in sorted(self.pivots, reverse=True):
             row = self.pivots[pc]
-            vec = {k: Fraction(v, row[pc]) for k, v in row.items()}
             for col in [c for c in row if c != pc and c in reduced]:
-                vec = _combine(1, vec, -vec[col], reduced[col])
-            reduced[pc] = vec
-        return [reduced[c] for c in sorted(reduced)]
+                a, b = row[col], reduced[col][col]
+                g = gcd(a, b)
+                row = _primitive(_combine(b // g, row, -(a // g), reduced[col]))
+            reduced[pc] = row
+        out = []
+        for pc in sorted(reduced):
+            row = reduced[pc]
+            p = row[pc]
+            out.append({k: v // p if v % p == 0 else Fraction(v, p) for k, v in row.items()})
+        return out
 
     def nullspace(self, columns: Sequence[ColKey]) -> list[dict]:
         """Canonical reduced-echelon basis of the solution space.
@@ -261,7 +281,7 @@ class Echelon:
         `reduced_rows()`: a reduced row R with pivot pc holds only free
         columns besides pc, so the vector of free column f takes -R[f] at pc.
         """
-        basis = {c: {c: Fraction(1)} for c in columns if c not in self.pivots}
+        basis = {c: {c: 1} for c in columns if c not in self.pivots}
         for row in self.reduced_rows():
             pc = min(row)
             for col, value in row.items():
@@ -317,11 +337,8 @@ def polynomial_from_vector(vec: SparseRow, nvars: int) -> Polynomial:
     for (comp, (_deg, mono), part), value in vec.items():
         if comp != -1:
             raise ValueError("vector does not encode a bare polynomial")
-        re, im = terms.get(mono, (Fraction(0), Fraction(0)))
-        if part == 0:
-            terms[mono] = (Fraction(value), im)
-        else:
-            terms[mono] = (re, Fraction(value))
+        re, im = terms.get(mono, (0, 0))
+        terms[mono] = (value, im) if part == 0 else (re, value)
     return Polynomial(
         nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()}
     )
@@ -333,11 +350,8 @@ def polymap_from_vector(vec: SparseRow, nblocks: int) -> PolyMap:
     for (comp, (_deg, mono), part), value in vec.items():
         if not 0 <= comp < nblocks + 2:
             raise ValueError("vector does not encode a polynomial mapping")
-        re, im = comps[comp].get(mono, (Fraction(0), Fraction(0)))
-        if part == 0:
-            comps[comp][mono] = (Fraction(value), im)
-        else:
-            comps[comp][mono] = (re, Fraction(value))
+        re, im = comps[comp].get(mono, (0, 0))
+        comps[comp][mono] = (value, im) if part == 0 else (re, value)
     polys = [
         Polynomial(nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
         for terms in comps

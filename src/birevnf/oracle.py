@@ -141,9 +141,10 @@ def _torus_monomials(
 #
 # A parameter is a tuple of records (component, monomial, (re, im)): the
 # component is the stored one (-1 for a bare polynomial; 0, 1 for x1, x2;
-# 1 + j for z_j) and the coefficient parts are ints, or Fractions where an
-# entry of a group element has a denominator.  Defect images are dicts
-# (component, monomial) -> (re, im), emitted with vectorize's column keys.
+# 1 + j for z_j) and the coefficient parts are the canonical GaussianRational
+# parts: ints, or Fractions where an entry of a group element has a
+# denominator.  Defect images are dicts (component, monomial) -> (re, im),
+# emitted with vectorize's column keys.
 
 
 def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
@@ -180,10 +181,6 @@ def _parameters(sgroup, degree: int, kind: str, limit: int) -> list[tuple]:
     return params
 
 
-def _exact(q: Fraction):
-    return q.numerator if q.denominator == 1 else q
-
-
 def _add(acc: dict, key, re, im):
     if key in acc:
         r0, i0 = acc[key]
@@ -215,7 +212,7 @@ class _Substitution:
         self.one = (0,) * nvars
         units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
         self.forms = [
-            {units[j]: (_exact(c.re), _exact(c.im)) for j, c in row} for row in action.rows
+            {units[j]: (c.re, c.im) for j, c in row} for row in action.rows
         ]
         self.powers: dict = {}
         self.images: dict = {}
@@ -247,7 +244,7 @@ def _output_columns(action) -> list[list]:
             continue  # zb rows are implied by the z rows
         comp = r if r < 2 else r // 2 + 1
         for j, c in row:
-            columns[j].append((comp, (_exact(c.re), _exact(c.im))))
+            columns[j].append((comp, (c.re, c.im)))
     return columns
 
 

@@ -14,11 +14,15 @@ real-valued functions of (x, z).
 All values are immutable after construction and safe to share between
 threads.  The term order is graded lexicographic (degree first, then the
 exponent tuple), fixed once so rendering and iteration are deterministic.
-No floating point is used anywhere.
+No floating point is used anywhere: a GaussianRational rejects float parts
+and keeps each part canonical, an int when it is integral and a Fraction
+only when its denominator is above 1, so the common small-integer
+coefficients are computed on ints.
 
 Linear changes of coordinates must respect the z/zb pairing.  That is
-checked once when a LinearAction is built (a SignedElement builds its own),
-and on every substitution call that is handed a raw matrix instead.
+checked once when a LinearAction is built from a matrix (a SignedElement
+builds its own; products and inverses of elements skip it), and on every
+substitution call that is handed a raw matrix instead.
 
 One family of functions renders coefficients, monomials, polynomials and
 maps, as text (the form the parser reads back) or as LaTeX.  The two differ
@@ -40,16 +44,32 @@ from .errors import DimensionError, IncompatibleMatrix
 Monomial = tuple[int, ...]
 
 
+def _canonical_part(q):
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    if type(q) is not Fraction:
+        if isinstance(q, float):
+            raise TypeError("GaussianRational parts must be exact, not float")
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 class GaussianRational:
-    """A Gaussian rational a + b*i with exact Fraction parts."""
+    """A Gaussian rational a + b*i with exact canonical parts.
+
+    Each part is a Python int when it is integral and a Fraction only when
+    its denominator is above 1, so the common small-integer coefficients
+    stay on machine-integer arithmetic.  Equality and hashing do not see
+    the difference (hash(Fraction(n)) == hash(n)).  Float parts are
+    rejected with TypeError.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if not isinstance(re, Fraction):
-            re = Fraction(re)
-        if not isinstance(im, Fraction):
-            im = Fraction(im)
+        if type(re) is not int:
+            re = _canonical_part(re)
+        if type(im) is not int:
+            im = _canonical_part(im)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -80,10 +100,12 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = _coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        re, im = other.re, other.im
+        norm = re * re + im * im
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / norm, -other.im / norm)
+        # Fraction(a, norm), never a / norm, which is a float on two ints
+        return self * GaussianRational(Fraction(re, norm), Fraction(-im, norm))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -115,7 +137,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -599,6 +621,20 @@ class LinearAction:
 
     def __init__(self, matrix, nvars: int):
         check_conjugation_compatible(matrix, nvars)
+        self._compile(matrix, nvars)
+
+    @classmethod
+    def trusted(cls, matrix, nvars: int) -> "LinearAction":
+        """Compile a product or inverse of checked matrices without a check.
+
+        Compatibility says A commutes with the conjugation-and-pairing map,
+        and that property is closed under products and inverses.
+        """
+        action = cls.__new__(cls)
+        action._compile(matrix, nvars)
+        return action
+
+    def _compile(self, matrix, nvars: int):
         rows = tuple(
             tuple((j, entry) for j, entry in enumerate(row) if entry) for row in matrix
         )

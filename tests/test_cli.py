@@ -20,7 +20,7 @@ from birevnf.cli import (
     load_config,
     main,
 )
-from birevnf.errors import ConfigError
+from birevnf.errors import ConfigError, UnsupportedCase
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +286,52 @@ def test_load_config_validates_or_raises_config_error(config_path, data):
         return
     assert isinstance(cfg, JobConfig)
     assert isinstance(cfg.case, str) and isinstance(cfg.fmt, str)
+    assert cfg.validate() is cfg
+
+
+# text of the right shape for each flag, so that some drawn argvs are valid
+SMALL = st.integers(-2, 7).map(str)
+INT_LISTS = st.lists(SMALL, min_size=1, max_size=5).map(",".join)
+FLAG_TEXT = {
+    "--case": st.sampled_from(["non_resonant", "res_n1n2_C3", "res_n1n2_Cn", "res_double_C4"]),
+    "--params": st.sampled_from(["2", "3", "1,2", "2,3", "2,3,4", "1,2,1,3"]) | INT_LISTS,
+    "--signs": st.sampled_from(["1,-1,1", "1,1,-1,1", "-1,1,1,1,-1"])
+    | st.lists(st.sampled_from(["1", "-1", "+1", "0"]), min_size=1, max_size=6).map(",".join),
+    "--verify-degrees": INT_LISTS | st.tuples(SMALL, SMALL).map("..".join),
+    "--degree": SMALL,
+    "--limit-monomials": SMALL,
+    "--format": st.sampled_from(["text", "json", "latex", "html"]),
+}
+# a valid case, parameters and signs, which the drawn flags may override
+VALID_CORE = st.sampled_from(
+    [("non_resonant", "2", "1,-1,1"), ("res_n1n2_C3", "1,2", "1,1,-1,1")]
+).map(lambda core: {flag: (text, True) for flag, text in zip(FLAG_TEXT, core)})
+FLAGS = st.tuples(
+    VALID_CORE | st.just({}),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            flag: st.tuples(strategy | strategy | st.text(max_size=12), st.booleans())
+            for flag, strategy in FLAG_TEXT.items()
+        },
+    ),
+).map(lambda drawn: {**drawn[0], **drawn[1]})
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["classify", "generators", "normal-form", "verify"]), FLAGS)
+def test_load_config_over_command_line_flags(command, flags):
+    argv = [command]
+    for flag, (text, joined) in flags.items():
+        argv += [f"{flag}={text}"] if joined else [flag, text]
+    try:
+        cfg = load_config(build_parser().parse_args(argv))
+    except (ConfigError, UnsupportedCase):
+        return
+    except SystemExit as exc:
+        assert exc.code == 2  # argparse rejected the argv
+        return
+    assert isinstance(cfg, JobConfig)
     assert cfg.validate() is cfg
 
 

@@ -301,3 +301,27 @@ def test_moving_the_resonant_pair_to_other_blocks_changes_no_count(signs):
     here = SymmetryContext.from_case("res_n1n2_Cn", (1, 2, 4), signs)
     there = SymmetryContext.build(moved, closure_data(moved), (a0, a3, a4, a1, a2))
     assert _generator_profile(here) == _generator_profile(there)
+
+
+def test_context_rejects_closure_data_of_another_linear_part():
+    # the resonant data on the non-resonant linearization used to build and
+    # certify, because the oracle read the same wrong data
+    with pytest.raises(DimensionError, match="torus weights"):
+        SymmetryContext.build(LinearPart(3), catalog("res_n1n2_C3", (1, 2)), (1, 1, -1, 1))
+    with pytest.raises(DimensionError, match="blocks"):
+        SymmetryContext.build(LinearPart(2), catalog("non_resonant", (3,)), (1, 1, -1))
+
+
+def test_context_accepts_another_basis_of_the_weight_span():
+    linear = linear_part_for_case("res_n1n2_C3", (1, 2))
+    data = closure_data(linear)
+    (a, b) = data.torus_weights
+    rebased = SGroupData(
+        data.nblocks,
+        ((a[0] + b[0], a[1] + b[1], a[2] + b[2]), tuple(-w for w in b)),
+        data.has_shear,
+        data.hilbert_basis,
+        data.equivariant_generators,
+    )
+    ctx = SymmetryContext.build(linear, rebased, (1, 1, -1, 1))
+    assert ctx.sgroup is rebased

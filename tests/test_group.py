@@ -310,3 +310,38 @@ def test_signed_element_json_round_trip():
     back = element_from_json(text)
     assert back == psi
     assert back.sign == -1
+
+
+def test_products_and_inverses_of_checked_elements_skip_the_checks(monkeypatch):
+    import birevnf.group as group_module
+    import birevnf.poly as poly_module
+    from birevnf.poly import LinearAction
+
+    phi, psi = phi_element(2), psi_element((1, -1, 1))
+    shear = SignedElement(
+        matrix_from_rows(
+            [[1 if i == j or (i, j) == (1, 0) else 0 for j in range(6)] for i in range(6)]
+        ),
+        1,
+        "shear",
+    )
+    checked = []
+
+    def counting(name, module):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: checked.append(name) or real(*a))
+
+    counting("check_conjugation_compatible", poly_module)
+    counting("mat_rank", group_module)
+    derived = [phi * psi, psi * shear, shear.inverse(), (phi * shear).inverse()]
+    assert checked == []
+    # only the identity that close_group starts from is built from a matrix
+    assert close_group([phi, psi]).order == 4
+    assert sorted(checked) == ["check_conjugation_compatible", "mat_rank"]
+    monkeypatch.undo()
+    for el in derived:
+        fresh = LinearAction(el.matrix, el.size)
+        assert el.action.rows == fresh.rows
+        assert el.action.monomial == fresh.monomial
+        assert el == SignedElement(el.matrix, el.sign)
+

@@ -148,3 +148,16 @@ def test_reduced_rows_are_the_dense_rref_in_any_order(system, rnd):
     expected = [{c: x for c, x in enumerate(row) if x} for row in rref[:rank]]
     assert Echelon(sparse).reduced_rows() == expected
     assert Echelon(shuffled).reduced_rows() == expected
+
+
+@given(rational_systems(), st.booleans())
+def test_echelon_entries_are_int_exactly_when_integral(system, scaled_to_ints):
+    ncols, dense = system
+    if scaled_to_ints:
+        # all-int rows, which Echelon takes as they are
+        dense = [[int(v * 6) for v in row] for row in dense]
+    ech = Echelon({c: v for c, v in enumerate(row) if v} for row in dense)
+    assert all(type(v) is int for row in ech.pivots.values() for v in row.values())
+    for vec in ech.reduced_rows() + ech.nullspace(range(ncols)):
+        for v in vec.values():
+            assert type(v) is (int if v.denominator == 1 else Fraction)

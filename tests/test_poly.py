@@ -1,14 +1,15 @@
 """Exact arithmetic, substitution, and rendering of the polynomial layer."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birevnf.continuous import phi_element, phi_matrix, psi_element, psi_matrix
 from birevnf.errors import DimensionError, IncompatibleMatrix
-from birevnf.group import SignedElement
+from birevnf.group import SignedElement, element_from_json
 from birevnf.linalg import identity_matrix, mat_mul, matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
@@ -224,6 +225,65 @@ def test_gaussian_rational_field_ops():
     assert b ** 3 == -b
 
 
+RATIONALS = st.integers(-50, 50) | st.fractions(max_denominator=12).filter(
+    lambda q: abs(q) <= 50
+)
+GAUSSIAN_PARTS = st.tuples(RATIONALS, RATIONALS)
+
+
+def assert_canonical(c: GaussianRational, re: Fraction, im: Fraction):
+    """c equals re + im*i, each part an int exactly when it is integral."""
+    for part, expected in ((c.re, re), (c.im, im)):
+        assert part == expected
+        assert not isinstance(part, float)
+        if expected.denominator == 1:
+            assert type(part) is int
+        else:
+            assert type(part) is Fraction
+
+
+@settings(max_examples=200)
+@given(GAUSSIAN_PARTS, GAUSSIAN_PARTS, st.integers(-3, 3))
+@example((1, 0), (0, 3), -1)  # ONE / GaussianRational(0, 3) divides two ints
+@example((Fraction(3), 0), (4, 2), 2)
+def test_gaussian_rational_parts_are_canonical(a, b, exponent):
+    x, y = GaussianRational(*a), GaussianRational(*b)
+    ar, ai = map(Fraction, a)
+    br, bi = map(Fraction, b)
+    assert_canonical(x, ar, ai)
+    assert_canonical(x + y, ar + br, ai + bi)
+    assert_canonical(x - y, ar - br, ai - bi)
+    assert_canonical(x * y, ar * br - ai * bi, ar * bi + ai * br)
+    assert_canonical(-x, -ar, -ai)
+    assert_canonical(x.conjugate(), ar, -ai)
+    norm = br * br + bi * bi
+    if norm:
+        assert_canonical(
+            x / y, (ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm
+        )
+    if x or exponent >= 0:
+        # the plain-Fraction reference power, by repeated multiplication
+        pr, pi = Fraction(1), Fraction(0)
+        for _ in range(abs(exponent)):
+            pr, pi = pr * ar - pi * ai, pr * ai + pi * ar
+        if exponent < 0:
+            n = pr * pr + pi * pi
+            pr, pi = pr / n, -pi / n
+        assert_canonical(x ** exponent, pr, pi)
+    # a part given as an integral Fraction is the int it equals
+    same = GaussianRational(Fraction(ar), Fraction(ai))
+    assert same == x and hash(same) == hash(x)
+    if ar.denominator == ai.denominator == 1:
+        as_ints = GaussianRational(int(ar), int(ai))
+        assert as_ints == same and hash(as_ints) == hash(same)
+
+
+@pytest.mark.parametrize("parts", [(0.5,), (1, 0.5), (1.0, 0)])
+def test_gaussian_rational_rejects_floats(parts):
+    with pytest.raises(TypeError):
+        GaussianRational(*parts)
+
+
 # -- compiled linear actions -------------------------------------------------
 
 
@@ -312,6 +372,9 @@ def test_incompatible_matrix_rejected_by_every_entry_point():
         SignedElement(bad, 1)
     with pytest.raises(IncompatibleMatrix):
         LinearAction(bad, 4)
+    data = {"size": 4, "matrix": [str(c) for row in bad for c in row], "sign": 1}
+    with pytest.raises(IncompatibleMatrix):
+        element_from_json(json.dumps(data))
 
 
 def test_action_on_the_wrong_number_of_coordinates_rejected():
