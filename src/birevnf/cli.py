@@ -37,6 +37,10 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_CERTIFICATION = 4
 
+# the most integers a lo..hi range may name; a wider one is a config error,
+# checked before anything the size of the range is built
+MAX_RANGE = 1000
+
 
 @dataclass
 class JobConfig:
@@ -105,6 +109,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         if len(bounds) != 2:
             raise ConfigError(f"{what} range must be lo..hi, got {text!r}")
         lo, hi = (_int(b, what) for b in bounds)
+        if hi - lo >= MAX_RANGE:
+            raise ConfigError(f"{what} range {text!r} names more than {MAX_RANGE} integers")
         return tuple(range(lo, hi + 1))
     return tuple(_int(chunk, what) for chunk in text.split(","))
 

@@ -11,7 +11,8 @@ basis: one vector per free column, with entry 1 there and minus the
 column's entry of each reduced row at that row's pivot.  Determinism:
 pivot columns are the unique rank-increase columns of the system,
 independent of row order, and both returned bases are unique for their
-space.
+space.  Polynomials, maps and exponent-tuple terms become rows through
+one emitter of column keys, `vectorize_terms`.
 
 Entries are exact and never floats.  Rational entries follow the
 GaussianRational convention: an int when integral, a Fraction only when
@@ -25,17 +26,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError
 from .poly import (
     GaussianRational,
-    Monomial,
     PolyMap,
     Polynomial,
     ZERO,
     ONE,
     grlex_key,
+    polymap_from_terms,
+    polymap_terms,
+    polynomial_from_terms,
+    terms_of,
 )
 
 Matrix = tuple[tuple[GaussianRational, ...], ...]
@@ -298,30 +302,30 @@ def nullspace(rows: Iterable[SparseRow], columns: Sequence[ColKey]) -> list[dict
 #
 # Column keys are (component, grlex key, part) with part 0 for the real and
 # 1 for the imaginary piece of a coefficient; component -1 is used for bare
-# polynomials.  Any two encodings of objects over the same coordinate space
-# are directly comparable.
+# polynomials.  `vectorize_terms` is the one place that spells them, so any
+# two encodings of objects over the same coordinate space, from Polynomials
+# or from exponent-tuple terms, are directly comparable.
 
 
-def _push(vec: dict, comp: int, mono: Monomial, coeff: GaussianRational):
-    if coeff.re:
-        vec[(comp, grlex_key(mono), 0)] = coeff.re
-    if coeff.im:
-        vec[(comp, grlex_key(mono), 1)] = coeff.im
+def vectorize_terms(components: Iterable[tuple[int, Mapping]]) -> dict:
+    """The column vector of (component, terms) pairs, terms as in `poly.mul_terms`."""
+    vec: dict = {}
+    for comp, terms in components:
+        for mono, (re, im) in terms.items():
+            key = grlex_key(mono)
+            if re:
+                vec[(comp, key, 0)] = re
+            if im:
+                vec[(comp, key, 1)] = im
+    return vec
 
 
 def vectorize_polynomial(p: Polynomial, comp: int = -1) -> dict:
-    vec: dict = {}
-    for mono, coeff in p.sorted_terms():
-        _push(vec, comp, mono, coeff)
-    return vec
+    return vectorize_terms(((comp, terms_of(p)),))
 
 
 def vectorize_polymap(g: PolyMap) -> dict:
-    vec: dict = {}
-    for comp, poly in enumerate((*g.x_components, *g.z_components)):
-        for mono, coeff in poly.sorted_terms():
-            _push(vec, comp, mono, coeff)
-    return vec
+    return vectorize_terms(enumerate(polymap_terms(g)))
 
 
 def vectorize(obj) -> dict:
@@ -339,21 +343,14 @@ def polynomial_from_vector(vec: SparseRow, nvars: int) -> Polynomial:
             raise ValueError("vector does not encode a bare polynomial")
         re, im = terms.get(mono, (0, 0))
         terms[mono] = (value, im) if part == 0 else (re, value)
-    return Polynomial(
-        nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()}
-    )
+    return polynomial_from_terms(nvars, terms)
 
 
 def polymap_from_vector(vec: SparseRow, nblocks: int) -> PolyMap:
-    nvars = 2 * nblocks + 2
     comps: list[dict] = [dict() for _ in range(nblocks + 2)]
     for (comp, (_deg, mono), part), value in vec.items():
         if not 0 <= comp < nblocks + 2:
             raise ValueError("vector does not encode a polynomial mapping")
         re, im = comps[comp].get(mono, (0, 0))
         comps[comp][mono] = (value, im) if part == 0 else (re, value)
-    polys = [
-        Polynomial(nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
-        for terms in comps
-    ]
-    return PolyMap(tuple(polys[:2]), tuple(polys[2:]))
+    return polymap_from_terms(2 * nblocks + 2, comps)

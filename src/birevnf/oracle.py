@@ -10,12 +10,14 @@ over the rotation blocks enumerates only the torus-admissible monomials,
 and the resource bound counts those (component, monomial) pairs: the
 unknowns actually solved for.  Each parameter is one or two records
 (component, monomial, coefficient).  Its image under g.A - sigma A.g is
-expanded from the rows of the element's LinearAction (a single term per
-monomial for a signed permutation), and its shear image is an exponent
-shift.  Entries are ints, and Fractions only where an element has a
-denominator; no Polynomial or PolyMap is built until the nullspace basis
-vectors, read off `linalg.Echelon`, become the slice's elements.  Nothing
-outlives the call.
+expanded with the term kernel of `poly` (`Substitution` for g.A,
+`output_columns` for A.g; a single term per monomial for a signed
+permutation), and its shear image is an exponent shift.  Entries are ints,
+and Fractions only where an element has a denominator; no Polynomial or
+PolyMap is built until the nullspace basis vectors, read off
+`linalg.Echelon`, become the slice's elements.  Nothing outlives the call.
+`module_slice` builds each row from a generator's terms times a ring
+product's terms, over one `symmetry_ops.ProductTable`.
 
 `slice_space_naive` is the independent reference.  It skips the torus
 prefilter and imposes the torus conditions as explicit rows, builds every
@@ -35,7 +37,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ResourceLimit
@@ -46,17 +47,24 @@ from .linalg import (
     vectorize,
     vectorize_polymap,
     vectorize_polynomial,
+    vectorize_terms,
 )
 from .poly import (
     I,
-    GaussianRational,
     Monomial,
     PolyMap,
     Polynomial,
+    Substitution,
+    add_output_image,
+    add_term,
     conj_monomial,
     grlex_key,
     monomials_of_degree,
     nblocks_of,
+    output_columns,
+    polymap_from_terms,
+    polymap_terms,
+    polynomial_from_terms,
     x_index,
 )
 
@@ -143,8 +151,8 @@ def _torus_monomials(
 # component is the stored one (-1 for a bare polynomial; 0, 1 for x1, x2;
 # 1 + j for z_j) and the coefficient parts are the canonical GaussianRational
 # parts: ints, or Fractions where an entry of a group element has a
-# denominator.  Defect images are dicts (component, monomial) -> (re, im),
-# emitted with vectorize's column keys.
+# denominator.  A defect image holds the terms of each component, emitted
+# through `linalg.vectorize_terms`, the column keys of `vectorize`.
 
 
 def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
@@ -181,84 +189,7 @@ def _parameters(sgroup, degree: int, kind: str, limit: int) -> list[tuple]:
     return params
 
 
-def _add(acc: dict, key, re, im):
-    if key in acc:
-        r0, i0 = acc[key]
-        re, im = re + r0, im + i0
-    if re or im:
-        acc[key] = (re, im)
-    else:
-        acc.pop(key, None)
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for m1, (r1, i1) in a.items():
-        for m2, (r2, i2) in b.items():
-            _add(out, tuple(map(add, m1, m2)), r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
-    return out
-
-
-class _Substitution:
-    """Monomial images m(Av) under one LinearAction, expanded on exponent tuples.
-
-    The image of a monomial is the product of the rows' linear forms, one
-    factor per exponent; for a signed permutation it is a single term.
-    Images and powers are kept for the life of one slice_space call.
-    """
-
-    def __init__(self, action):
-        nvars = action.nvars
-        self.one = (0,) * nvars
-        units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
-        self.forms = [
-            {units[j]: (c.re, c.im) for j, c in row} for row in action.rows
-        ]
-        self.powers: dict = {}
-        self.images: dict = {}
-
-    def power(self, i: int, e: int) -> dict:
-        key = (i, e)
-        if key not in self.powers:
-            self.powers[key] = (
-                self.forms[i] if e == 1 else _mul_terms(self.power(i, e - 1), self.forms[i])
-            )
-        return self.powers[key]
-
-    def __call__(self, mono: Monomial) -> dict:
-        image = self.images.get(mono)
-        if image is None:
-            image = {self.one: (1, 0)}
-            for i, e in enumerate(mono):
-                if e:
-                    image = _mul_terms(image, self.power(i, e))
-            self.images[mono] = image
-        return image
-
-
-def _output_columns(action) -> list[list]:
-    """For each coordinate j, the (stored component, A[r][j]) of the stored rows r."""
-    columns: list[list] = [[] for _ in range(action.nvars)]
-    for r, row in enumerate(action.rows):
-        if r >= 2 and r % 2:
-            continue  # zb rows are implied by the z rows
-        comp = r if r < 2 else r // 2 + 1
-        for j, c in row:
-            columns[j].append((comp, (c.re, c.im)))
-    return columns
-
-
-def _vector(acc: dict, degree: int) -> dict:
-    vec = {}
-    for (comp, mono), (re, im) in acc.items():
-        if re:
-            vec[(comp, (degree, mono), 0)] = re
-        if im:
-            vec[(comp, (degree, mono), 1)] = im
-    return vec
-
-
-def _defect_images(context: GroupContext, kind: str, degree: int, params) -> list[list]:
+def _defect_images(context: GroupContext, kind: str, params) -> list[list]:
     """Per parameter, its (tag, vector) image under every defect operator.
 
     Element idx gives tag f"el{idx}": p(Av) - s p on functions and
@@ -269,63 +200,45 @@ def _defect_images(context: GroupContext, kind: str, degree: int, params) -> lis
     """
     sgroup = _sgroup_of(context)
     functions = kind in FUNCTION_KINDS
+    comps = (-1,) if functions else range(sgroup.nblocks + 2)
     images: list[list] = [[] for _ in params]
     for idx, el in enumerate(context.elements):
         tag = f"el{idx}"
         sign = el.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
-        substitute = _Substitution(el.action)
-        columns = None if functions else _output_columns(el.action)
+        substitute = Substitution(el.action)
+        columns = None if functions else output_columns(el.action)
         for records, out in zip(params, images):
-            acc: dict = {}
+            acc = {comp: {} for comp in comps}
             for comp, mono, (cr, ci) in records:
-                for m, (tr, ti) in substitute(mono).items():
-                    _add(acc, (comp, m), cr * tr - ci * ti, cr * ti + ci * tr)
+                substitute.add_image(acc[comp], mono, cr, ci)
                 if functions:
-                    _add(acc, (comp, mono), -sign * cr, -sign * ci)
-                    continue
-                # A g: the record sits in full component j and, for z, its
-                # conjugate in j + 1; row r of A reads full component j
-                j = comp if comp < 2 else 2 * comp - 2
-                placed = [(j, mono, cr, ci)]
-                if comp >= 2:
-                    placed.append((j + 1, conj_monomial(mono), cr, -ci))
-                for jj, m, pr, pi in placed:
-                    for out_comp, (ar, ai) in columns[jj]:
-                        _add(
-                            acc,
-                            (out_comp, m),
-                            -sign * (ar * pr - ai * pi),
-                            -sign * (ar * pi + ai * pr),
-                        )
-            out.append((tag, _vector(acc, degree)))
+                    add_term(acc[comp], mono, -sign * cr, -sign * ci)
+                else:
+                    add_output_image(acc, columns, comp, {mono: (cr, ci)}, -sign)
+            out.append((tag, vectorize_terms(acc.items())))
     if sgroup.has_shear:
         for records, out in zip(params, images):
-            acc = {}
+            acc = {comp: {} for comp in comps}
             for comp, mono, (cr, ci) in records:
                 e = mono[1]
                 if e:
-                    _add(acc, (comp, (mono[0] + 1, e - 1) + mono[2:]), e * cr, e * ci)
+                    add_term(acc[comp], (mono[0] + 1, e - 1) + mono[2:], e * cr, e * ci)
                 if comp == 0:
-                    _add(acc, (1, mono), -cr, -ci)
-            out.append(("shear", _vector(acc, degree)))
+                    add_term(acc[1], mono, -cr, -ci)
+            out.append(("shear", vectorize_terms(acc.items())))
     return images
 
 
 def _from_records(params, sol: dict, nvars: int, functions: bool):
     """The Polynomial or PolyMap sum of coeff * parameter over a solution."""
-    comps: dict = {}
+    # a function's records carry component -1, the last (and only) entry
+    comps = [{} for _ in range(1 if functions else nblocks_of(nvars) + 2)]
     for k, q in sol.items():
         for comp, mono, (cr, ci) in params[k]:
-            _add(comps.setdefault(comp, {}), mono, q * cr, q * ci)
-    polys = {
-        comp: Polynomial(nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
-        for comp, terms in comps.items()
-    }
-    zero = Polynomial.zero(nvars)
+            add_term(comps[comp], mono, q * cr, q * ci)
     if functions:
-        return polys.get(-1, zero)
-    full = [polys.get(comp, zero) for comp in range(nblocks_of(nvars) + 2)]
-    return PolyMap(full[:2], full[2:])
+        return polynomial_from_terms(nvars, comps[0])
+    return polymap_from_terms(nvars, comps)
 
 
 def slice_space(
@@ -346,7 +259,7 @@ def slice_space(
     sgroup = _sgroup_of(context)
     params = _parameters(sgroup, degree, kind, limit)
     rows: dict = {}
-    for k, images in enumerate(_defect_images(context, kind, degree, params)):
+    for k, images in enumerate(_defect_images(context, kind, params)):
         for tag, vec in images:
             for key, value in vec.items():
                 rows.setdefault((tag, key), {})[k] = value
@@ -583,9 +496,10 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
 
     Spans {m * G} over all module generators G and all monomials m in the
     ring basis with matching total degree, reduced to an exact basis.  The
-    monomials come from one `ProductTable` built for this call.
+    monomials come from one `ProductTable` built for this call, and each
+    row is built from the generator's terms times the product's terms.
     """
-    from .symmetry_ops import ProductTable  # local import avoids a cycle
+    from .symmetry_ops import ProductTable, module_row  # local import avoids a cycle
 
     gens = genset.module_generators
     nblocks = gens[0].nblocks if gens else genset.context.nblocks
@@ -596,13 +510,14 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
         gap = degree - gen.degree()
         if gap < 0:
             continue
+        gen_terms = polymap_terms(gen)
         for coeff in products[gap]:
             count += 1
             if count > limit:
                 raise ResourceLimit(
                     f"module slice at degree {degree} exceeded {limit} products"
                 )
-            span.insert(vectorize_polymap(gen.mul_invariant(coeff)))
+            span.insert(module_row(gen_terms, coeff))
     basis = [polymap_from_vector(row, nblocks) for row in span.reduced_rows()]
     basis.sort(key=lambda b: b.sort_key())
     return DegreeSlice(degree, "reversible_equivariant", tuple(basis))

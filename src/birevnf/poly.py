@@ -24,6 +24,13 @@ checked once when a LinearAction is built from a matrix (a SignedElement
 builds its own; products and inverses of elements skip it), and on every
 substitution call that is handed a raw matrix instead.
 
+The span building of the pipeline and of the oracle uses one term kernel,
+kept here: exponent-tuple terms with (re, im) parts (`add_term`,
+`mul_terms`), the monomial images of a LinearAction (`Substitution`), its
+action on a map's output (`output_columns`, `add_output_image`), and the
+conversions between terms and Polynomial/PolyMap.  The Polynomial and PolyMap methods stay the
+independent reference that the tests compare the kernel against.
+
 One family of functions renders coefficients, monomials, polynomials and
 maps, as text (the form the parser reads back) or as LaTeX.  The two differ
 only through a small immutable `Notation` table with two instances, TEXT
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, IncompatibleMatrix
@@ -655,6 +663,129 @@ def _linear_action(matrix, nvars: int) -> LinearAction:
             )
         return matrix
     return LinearAction(matrix, nvars)
+
+
+# -- exponent-tuple terms ----------------------------------------------------
+#
+# The span building of the pipeline and of the oracle runs on terms: a dict
+# from exponent tuple to the (re, im) parts of a coefficient, ints or
+# Fractions, multiplied and substituted without building a GaussianRational.
+# A part may be a Fraction with denominator 1; converting back to a
+# Polynomial makes it canonical.  A map's terms are one dict per stored
+# component (x1, x2, z1, ..., zn).
+
+
+def add_term(acc: dict, key, re, im):
+    """acc[key] += re + im*i, dropping the entry when it cancels."""
+    if key in acc:
+        r0, i0 = acc[key]
+        re, im = re + r0, im + i0
+    if re or im:
+        acc[key] = (re, im)
+    else:
+        acc.pop(key, None)
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, (r1, i1) in a.items():
+        for m2, (r2, i2) in b.items():
+            add_term(out, tuple(map(add, m1, m2)), r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+    return out
+
+
+def terms_of(p: Polynomial) -> dict:
+    return {m: (c.re, c.im) for m, c in p._terms.items()}
+
+
+def polymap_terms(g: "PolyMap") -> tuple[dict, ...]:
+    """The terms of each stored component of g."""
+    return tuple(terms_of(c) for c in (*g.x_components, *g.z_components))
+
+
+def polynomial_from_terms(nvars: int, terms: Mapping) -> Polynomial:
+    return Polynomial(nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
+
+
+def polymap_from_terms(nvars: int, components: Sequence[Mapping]) -> "PolyMap":
+    """The PolyMap whose stored components have the given terms."""
+    polys = [polynomial_from_terms(nvars, terms) for terms in components]
+    return PolyMap(polys[:2], polys[2:])
+
+
+class Substitution:
+    """Monomial images m(Av) under one LinearAction, expanded on exponent tuples.
+
+    The image of a monomial is the product of the rows' linear forms, one
+    factor per exponent; for a signed permutation it is a single term.
+    Images and powers are kept for the life of the object, which callers
+    hold for one call.
+    """
+
+    def __init__(self, action: LinearAction):
+        nvars = action.nvars
+        self.one = (0,) * nvars
+        self.forms = [
+            {_unit(nvars, j): (c.re, c.im) for j, c in row} for row in action.rows
+        ]
+        self.powers: dict = {}
+        self.images: dict = {}
+
+    def power(self, i: int, e: int) -> dict:
+        key = (i, e)
+        if key not in self.powers:
+            self.powers[key] = (
+                self.forms[i] if e == 1 else mul_terms(self.power(i, e - 1), self.forms[i])
+            )
+        return self.powers[key]
+
+    def __call__(self, mono: Monomial) -> dict:
+        image = self.images.get(mono)
+        if image is None:
+            image = {self.one: (1, 0)}
+            for i, e in enumerate(mono):
+                if e:
+                    image = mul_terms(image, self.power(i, e))
+            self.images[mono] = image
+        return image
+
+    def add_image(self, acc: dict, mono: Monomial, re, im):
+        """acc += (re + im*i) * mono(Av)."""
+        for m, (tr, ti) in self(mono).items():
+            add_term(acc, m, re * tr - im * ti, re * ti + im * tr)
+
+
+def output_columns(action: LinearAction) -> list[list]:
+    """For each coordinate j, the (stored component, A[r][j]) of the stored rows r.
+
+    zb rows are left out: they are implied by the z rows.
+    """
+    columns: list[list] = [[] for _ in range(action.nvars)]
+    for r, row in enumerate(action.rows):
+        if r >= 2 and r % 2:
+            continue
+        comp = r if r < 2 else r // 2 + 1
+        for j, c in row:
+            columns[j].append((comp, (c.re, c.im)))
+    return columns
+
+
+def add_output_image(acc, columns: list[list], comp: int, terms: dict, sign: int):
+    """acc += sign * A g, g the map with `terms` in stored component comp only.
+
+    `acc` holds terms per stored component and `columns` is
+    `output_columns(A)`.  The stored component is full component j, and a
+    z component's conjugate is full component j + 1.
+    """
+    j = comp if comp < 2 else 2 * comp - 2
+    placed = [(j, terms)]
+    if comp >= 2:
+        placed.append((j + 1, {conj_monomial(m): (re, -im) for m, (re, im) in terms.items()}))
+    for jj, part in placed:
+        for out_comp, (ar, ai) in columns[jj]:
+            target = acc[out_comp]
+            for m, (pr, pi) in part.items():
+                add_term(target, m, sign * (ar * pr - ai * pi), sign * (ar * pi + ai * pr))
 
 
 def re_part(p: Polynomial) -> Polynomial:

@@ -25,6 +25,14 @@ prefactors; only `normalize_leading`, applied to the candidates that the
 extension and projection steps hand to the prunes, rescales leading
 coefficients, so idempotence identities hold on the nose while presented
 tables match the cleaned-up convention.
+
+The transfer projection, the ring-product table and the rows of both
+prunes run on the exponent-tuple terms of `poly` (the kernel the oracle
+uses too) and emit rows through `linalg.vectorize_terms`; a Polynomial or
+PolyMap is built only for a result that leaves this module.  The
+Polynomial arithmetic they replace (`Polynomial.__mul__`,
+`PolyMap.mul_invariant`, `compose_linear`, `apply_linear`) stays as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -35,18 +43,33 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
-from .errors import CertificationFailure, ConditionViolated, ConfigError, DimensionError
+from .errors import (
+    CertificationFailure,
+    ConditionViolated,
+    ConfigError,
+    DimensionError,
+    IncompatibleMatrix,
+)
 from .group import SignedElement, membership
-from .linalg import Echelon, vectorize_polymap, vectorize_polynomial
+from .linalg import Echelon, vectorize_polymap, vectorize_polynomial, vectorize_terms
 from .poly import (
     HALF,
     LATEX,
+    LinearAction,
     TEXT,
     Notation,
     PolyMap,
     Polynomial,
+    Substitution,
+    add_output_image,
+    mul_terms,
+    output_columns,
+    polymap_from_terms,
+    polymap_terms,
+    polynomial_from_terms,
     render_polymap,
     render_polynomial,
+    terms_of,
 )
 from .continuous import SymmetryContext
 
@@ -71,8 +94,29 @@ def reynolds_S(f: Polynomial, kappa: SignedElement) -> Polynomial:
 def transfer_T(g: PolyMap, kappa: SignedElement) -> PolyMap:
     """(g - kappa . g . kappa)/2: projection onto kappa-reversible mappings."""
     _require_involution(kappa)
-    conjugated = g.compose_linear(kappa.action).apply_linear(kappa.action)
-    return (g - conjugated).scale(HALF)
+    return _transfer(g, kappa.action)
+
+
+def _transfer(g: PolyMap, action: LinearAction) -> PolyMap:
+    """(g - A . g . A)/2 for any LinearAction A, on exponent-tuple terms.
+
+    h = g . A comes from the monomial images of one `Substitution`, then
+    A . h from its `output_columns`.  Only the image is built as a PolyMap.
+    """
+    substitute = Substitution(action)
+    columns = output_columns(action)
+    stored = polymap_terms(g)
+    out = [dict(terms) for terms in stored]  # g, less A . g . A below
+    for comp, terms in enumerate(stored):
+        composed: dict = {}
+        for mono, (re, im) in terms.items():
+            substitute.add_image(composed, mono, re, im)
+        add_output_image(out, columns, comp, composed, -1)
+    half = Fraction(1, 2)
+    return polymap_from_terms(
+        g.nvars,
+        [{m: (re * half, im * half) for m, (re, im) in terms.items()} for terms in out],
+    )
 
 
 # -- normalization and pruning -----------------------------------------------
@@ -107,19 +151,22 @@ def _dedupe(elems):
 
 
 class ProductTable:
-    """Products of ring-basis elements, one level per total degree.
+    """Products of ring-basis elements, one level per total degree, on terms.
 
     Level d holds every product u_{i_1} ... u_{i_k} with i_1 <= ... <= i_k
-    and total degree d, each once, in no particular order.  It is built on
-    demand from level d - deg(u_i) times u_i, over the entries whose last
-    factor index is at most i, so each product costs one multiplication.
-    A table lives only as long as the call that builds it.
+    and total degree d, each once, in no particular order, as exponent-tuple
+    terms (`poly.mul_terms`).  It is built on demand from level d - deg(u_i)
+    times u_i, over the entries whose last factor index is at most i, so
+    each product costs one multiplication.  `add` checks each basis element
+    once: it must have positive degree and be real-valued, and a product of
+    real-valued elements is real-valued, so no product needs the check.  A
+    table lives only as long as the call that builds it.
     """
 
     def __init__(self, basis: Iterable[Polynomial], nvars: int):
-        self.basis: list[tuple[Polynomial, int]] = []
+        self.basis: list[tuple[dict, int]] = []
         # level d: (product, index of its last factor); the empty product is 1
-        self.levels = [[(Polynomial.constant(nvars, 1), 0)]]
+        self.levels = [[({(0,) * nvars: (1, 0)}, 0)]]
         for u in basis:
             self.add(u)
 
@@ -128,10 +175,12 @@ class ProductTable:
         degree = u.degree()
         if degree < 1:
             raise DimensionError("ring products need basis elements of positive degree")
-        self.basis.append((u, degree))
+        if not u.is_real_valued():
+            raise IncompatibleMatrix("module coefficients must be real-valued")
+        self.basis.append((terms_of(u), degree))
         del self.levels[degree:]
 
-    def __getitem__(self, degree: int) -> list[Polynomial]:
+    def __getitem__(self, degree: int) -> list[dict]:
         if degree < 0:
             return []
         levels = self.levels
@@ -140,7 +189,9 @@ class ProductTable:
             level = []
             for i, (u, du) in enumerate(self.basis):
                 if du <= top:
-                    level.extend((p * u, i) for p, last in levels[top - du] if last <= i)
+                    level.extend(
+                        (mul_terms(p, u), i) for p, last in levels[top - du] if last <= i
+                    )
             levels.append(level)
         return [p for p, _ in levels[degree]]
 
@@ -148,12 +199,21 @@ class ProductTable:
 def ring_products(basis: Sequence[Polynomial], degree: int) -> list[Polynomial]:
     """All monomials in the basis elements of the given total degree.
 
-    One `ProductTable` level, in no particular order; empty for an empty
-    basis.  A basis element of degree 0 raises `DimensionError`.
+    One `ProductTable` level converted to Polynomials, in no particular
+    order; empty for an empty basis.  A basis element of degree 0 raises
+    `DimensionError`, one that is not real-valued `IncompatibleMatrix`.
     """
     if not basis:
         return []
-    return ProductTable(basis, basis[0].nvars)[degree]
+    nvars = basis[0].nvars
+    return [polynomial_from_terms(nvars, p) for p in ProductTable(basis, nvars)[degree]]
+
+
+def module_row(gen_terms: Sequence[dict], product: dict) -> dict:
+    """The column vector of a generator, given by `polymap_terms`, times a product."""
+    return vectorize_terms(
+        (comp, mul_terms(terms, product)) for comp, terms in enumerate(gen_terms) if terms
+    )
 
 
 def _require_homogeneous(elems):
@@ -166,15 +226,17 @@ def prune_ring(candidates: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
 
     One pass in canonical order, which is degree order.  At each degree d
     the span of the degree-d products of the kept lower-degree elements is
-    built once; a degree-d candidate is kept, and inserted, only if that
-    span does not already contain it.  This keeps the same set as deleting
-    redundant elements from the last one backwards: a homogeneous element
-    is generated only in its own degree, and dropping a redundant
-    lower-degree element leaves the lower-degree part of the ring as it
-    was, so either way element i goes iff it lies in the span of the
-    earlier ones modulo that part, and ties keep the earlier element.
-    Nonzero constants are dropped (the empty product is 1).  The input must
-    be homogeneous; anything else raises `DimensionError`.
+    built once, from the products' terms; a degree-d candidate is kept,
+    and inserted, only if that span does not already contain it.  This
+    keeps the same set as deleting redundant elements from the last one
+    backwards: a homogeneous element is generated only in its own degree,
+    and dropping a redundant lower-degree element leaves the lower-degree
+    part of the ring as it was, so either way element i goes iff it lies in
+    the span of the earlier ones modulo that part, and ties keep the
+    earlier element.  Nonzero constants are dropped (the empty product is
+    1).  The input must be homogeneous; anything else raises
+    `DimensionError`.  A kept element that is not real-valued raises
+    `IncompatibleMatrix`.
     """
     elems = [e for e in _dedupe(_canonical(candidates)) if e]
     _require_homogeneous(elems)
@@ -183,7 +245,7 @@ def prune_ring(candidates: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     products = ProductTable((), elems[0].nvars)
     kept: list[Polynomial] = []
     for degree, group in groupby(elems, key=lambda e: e.degree()):
-        span = Echelon(vectorize_polynomial(p) for p in products[degree])
+        span = Echelon(vectorize_terms(((-1, p),)) for p in products[degree])
         for e in group:
             if span.insert(vectorize_polynomial(e)):
                 kept.append(e)
@@ -199,24 +261,28 @@ def prune_module(
     The same degree-order pass as `prune_ring`, over one `ProductTable` of
     the ring basis: at each degree d the span of every kept lower-degree
     generator times the ring products of the missing degree is built once,
-    then the degree-d candidates are kept, and inserted, only if not in it.
-    It keeps the same set as reverse deletion, by the same argument.  The
-    input must be homogeneous; anything else raises `DimensionError`.
+    each row from the generator's terms times the product's terms, then
+    the degree-d candidates are kept, and inserted, only if not in it.  It
+    keeps the same set as reverse deletion, by the same argument.  The
+    input must be homogeneous; anything else raises `DimensionError`.  A
+    ring-basis element that is not real-valued raises `IncompatibleMatrix`.
     """
     elems = [g for g in _dedupe(_canonical(gens)) if g]
     _require_homogeneous(elems)
     if not elems:
         return ()
     products = ProductTable(ring_basis, elems[0].nvars)
-    kept: list[PolyMap] = []
+    kept: list[tuple[PolyMap, int, tuple]] = []
     for degree, group in groupby(elems, key=lambda g: g.degree()):
         span = Echelon(
-            vectorize_polymap(g.mul_invariant(p))
-            for g in kept
-            for p in products[degree - g.degree()]
+            module_row(terms, p)
+            for _, d, terms in kept
+            for p in products[degree - d]
         )
-        kept.extend([g for g in group if span.insert(vectorize_polymap(g))])
-    return tuple(kept)
+        kept.extend(
+            (g, degree, polymap_terms(g)) for g in group if span.insert(vectorize_polymap(g))
+        )
+    return tuple(g for g, _, _ in kept)
 
 
 # -- generator transport -----------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 from birevnf.continuous import SymmetryContext
+from birevnf.group import SignedElement
+from birevnf.linalg import matrix_from_rows
 from birevnf.poly import GaussianRational, PolyMap, Polynomial
 from birevnf.symmetry_ops import pipeline
 
@@ -54,6 +56,28 @@ def random_polymap(
     xs = tuple(random_real_polynomial(rng, nblocks, max_degree, terms) for _ in range(2))
     zs = tuple(random_polynomial(rng, nblocks, max_degree, terms) for _ in range(nblocks))
     return PolyMap(xs, zs)
+
+
+# signed elements on one rotation block whose actions are not monomial
+MIXING_ELEMENTS = [
+    # a real mix of x1 and x2, z and zb swapped; reversing
+    SignedElement(
+        matrix_from_rows(
+            [[Fraction(1, 2), Fraction(3, 2), 0, 0], [Fraction(3, 2), Fraction(1, 2), 0, 0],
+             [0, 0, 0, 1], [0, 0, 1, 0]]
+        ),
+        -1,
+    ),
+    # x2 -> x2 + x1/2 and z -> z + (i/2) zb; a symmetry
+    SignedElement(
+        matrix_from_rows(
+            [[1, 0, 0, 0], [Fraction(1, 2), 1, 0, 0],
+             [0, 0, 1, GaussianRational(0, Fraction(1, 2))],
+             [0, 0, GaussianRational(0, Fraction(-1, 2)), 1]]
+        ),
+        1,
+    ),
+]
 
 
 @pytest.fixture(scope="session")

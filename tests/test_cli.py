@@ -209,6 +209,7 @@ def test_bad_signs_are_config_errors(capsys):
         ("1,2", "1,1,1,1", "5..2"),
         ("1,2", "1,1,1,1", "2..3..4"),
         ("1,2", "1,1,1,1", "2,,3"),
+        ("1,2", "1,1,1,1", "0..1000000000000"),
     ],
 )
 def test_malformed_integer_flags_are_config_errors(capsys, params, signs, degrees):
@@ -292,12 +293,15 @@ def test_load_config_validates_or_raises_config_error(config_path, data):
 # text of the right shape for each flag, so that some drawn argvs are valid
 SMALL = st.integers(-2, 7).map(str)
 INT_LISTS = st.lists(SMALL, min_size=1, max_size=5).map(",".join)
+# lo..hi ranges up to far wider than any list that could be built
+BOUND = SMALL | st.integers(-(10**15), 10**15).map(str)
+RANGES = st.tuples(BOUND, BOUND).map("..".join)
 FLAG_TEXT = {
     "--case": st.sampled_from(["non_resonant", "res_n1n2_C3", "res_n1n2_Cn", "res_double_C4"]),
-    "--params": st.sampled_from(["2", "3", "1,2", "2,3", "2,3,4", "1,2,1,3"]) | INT_LISTS,
+    "--params": st.sampled_from(["2", "3", "1,2", "2,3", "2,3,4", "1,2,1,3"]) | INT_LISTS | RANGES,
     "--signs": st.sampled_from(["1,-1,1", "1,1,-1,1", "-1,1,1,1,-1"])
     | st.lists(st.sampled_from(["1", "-1", "+1", "0"]), min_size=1, max_size=6).map(",".join),
-    "--verify-degrees": INT_LISTS | st.tuples(SMALL, SMALL).map("..".join),
+    "--verify-degrees": INT_LISTS | RANGES,
     "--degree": SMALL,
     "--limit-monomials": SMALL,
     "--format": st.sampled_from(["text", "json", "latex", "html"]),

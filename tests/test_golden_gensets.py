@@ -39,8 +39,7 @@ from birevnf.symmetry_ops import genset_to_json, genset_to_latex, genset_to_text
 
 GOLDEN = Path(__file__).parent / "golden" / "gensets.json"
 
-# (case, params, number of rotation blocks); res_double_C4 is left out for
-# time, its heaviest class is pinned by the benchmark's job goldens
+# (case, params, number of rotation blocks)
 REGIMES = (
     ("non_resonant", (1,), 1),
     ("non_resonant", (2,), 2),
@@ -49,6 +48,7 @@ REGIMES = (
     ("res_n1n2_C3", (1, 3), 3),
     ("res_n1n2_C3", (2, 3), 3),
     ("res_n1n2_Cn", (1, 2, 3), 3),
+    ("res_double_C4", (1, 2, 1, 3), 4),
 )
 
 # artifact name -> renderer of (context, certified generator set)

@@ -22,8 +22,9 @@ from birevnf.linalg import (
     solve_combination,
     vectorize_polymap,
     vectorize_polynomial,
+    vectorize_terms,
 )
-from birevnf.poly import GaussianRational
+from birevnf.poly import GaussianRational, parse_polymap, parse_polynomial
 
 from conftest import make_rng, random_polymap, random_polynomial
 
@@ -110,6 +111,26 @@ def test_vectorize_round_trip_polynomial():
 def test_vectorize_round_trip_polymap():
     g = random_polymap(make_rng(4), 2, max_degree=3)
     assert polymap_from_vector(vectorize_polymap(g), 2) == g
+
+
+def test_column_keys_are_component_grlex_key_and_part():
+    # the key layout is pinned literally: every encoding shares it, so a
+    # wrong degree or part would agree with itself in any comparison
+    p = parse_polynomial("x1^2*z1 - 1/2*x1 + 2*i*zb1", 1)
+    assert vectorize_polynomial(p) == {
+        (-1, (3, (2, 0, 1, 0)), 0): 1,
+        (-1, (1, (1, 0, 0, 0)), 0): Fraction(-1, 2),
+        (-1, (1, (0, 0, 0, 1)), 1): 2,
+    }
+    g = parse_polymap("(0, x1*x2, (3 - i)*z1)", 1)
+    assert vectorize_polymap(g) == {
+        (1, (2, (1, 1, 0, 0)), 0): 1,
+        (2, (1, (0, 0, 1, 0)), 0): 3,
+        (2, (1, (0, 0, 1, 0)), 1): -1,
+    }
+    assert vectorize_terms([(2, {(0, 0, 1, 0): (3, -1)}), (1, {(1, 1, 0, 0): (1, 0)})]) == (
+        vectorize_polymap(g)
+    )
 
 
 def test_echelon_rank_is_row_order_independent():

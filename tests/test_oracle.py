@@ -1,15 +1,12 @@
 """Brute-force degree slices, module slices, and span comparisons."""
 
-from fractions import Fraction
-
 import pytest
 
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import DimensionError, ResourceLimit
-from birevnf.group import GroupContext, SignedElement, membership
+from birevnf.group import GroupContext, membership
 from birevnf.linalg import (
     Echelon,
-    matrix_from_rows,
     polynomial_from_vector,
     vectorize_polynomial,
 )
@@ -33,8 +30,10 @@ from birevnf.oracle import (
     slice_space_naive,
     spans_equal,
 )
-from birevnf.poly import GaussianRational, Polynomial
+from birevnf.poly import Polynomial
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
+
+from conftest import MIXING_ELEMENTS
 
 
 @pytest.fixture(scope="module")
@@ -133,33 +132,12 @@ def test_compiled_rows_match_the_polymap_path(case, params, signs):
                 for k in range(len(records))
             ]
             assert compiled == naive, (degree, kind)
-            images = _defect_images(full, kind, degree, records)
+            images = _defect_images(full, kind, records)
             for param, rows in zip(naive, images):
                 assert rows == constraints(full, kind, param), (degree, kind, param)
 
 
-def _mixing_element(rows, sign) -> SignedElement:
-    return SignedElement(matrix_from_rows(rows), sign)
-
-
-@pytest.mark.parametrize(
-    "element",
-    [
-        # a real mix of x1 and x2, z and zb swapped; reversing
-        _mixing_element(
-            [[Fraction(1, 2), Fraction(3, 2), 0, 0], [Fraction(3, 2), Fraction(1, 2), 0, 0],
-             [0, 0, 0, 1], [0, 0, 1, 0]],
-            -1,
-        ),
-        # x2 -> x2 + x1/2 and z -> z + (i/2) zb; a symmetry
-        _mixing_element(
-            [[1, 0, 0, 0], [Fraction(1, 2), 1, 0, 0],
-             [0, 0, 1, GaussianRational(0, Fraction(1, 2))],
-             [0, 0, GaussianRational(0, Fraction(-1, 2)), 1]],
-            1,
-        ),
-    ],
-)
+@pytest.mark.parametrize("element", MIXING_ELEMENTS)
 def test_compiled_slices_match_naive_for_non_monomial_actions(nonres1, element):
     assert not element.action.monomial
     context = GroupContext((element,), nonres1.sgroup)

@@ -9,17 +9,38 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from birevnf.continuous import SymmetryContext, catalog, phi_element, psi_element
-from birevnf.errors import CertificationFailure, ConditionViolated, DimensionError
+from birevnf.errors import (
+    CertificationFailure,
+    ConditionViolated,
+    DimensionError,
+    IncompatibleMatrix,
+)
 from birevnf.group import GroupContext, membership
-from birevnf.linalg import Echelon, vectorize_polymap, vectorize_polynomial
+from birevnf.linalg import (
+    Echelon,
+    matrix_from_rows,
+    vectorize_polymap,
+    vectorize_polynomial,
+    vectorize_terms,
+)
 from birevnf.oracle import module_slice, spans_equal
-from birevnf.poly import GaussianRational, PolyMap, Polynomial
+from birevnf.poly import (
+    HALF,
+    GaussianRational,
+    PolyMap,
+    Polynomial,
+    polymap_from_terms,
+    polynomial_from_terms,
+    z_index,
+)
 from birevnf.symmetry_ops import (
     GeneratorSet,
     _canonical,
     _dedupe,
+    _transfer,
     extend_hilbert_basis,
     generators_over_extension,
+    module_row,
     normalize_leading,
     pipeline,
     prune_module,
@@ -31,7 +52,13 @@ from birevnf.symmetry_ops import (
 )
 from birevnf.group import SignedElement
 
-from conftest import make_rng, random_polymap, random_polynomial, random_real_polynomial
+from conftest import (
+    MIXING_ELEMENTS,
+    make_rng,
+    random_polymap,
+    random_polynomial,
+    random_real_polynomial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +125,49 @@ def test_transfer_fixes_its_image():
         g = random_polymap(rng, 2, max_degree=4)
         image = transfer_T(g, phi)
         assert transfer_T(image, phi) == image
+
+
+def _transfer_reference(g, action):
+    return (g - g.compose_linear(action).apply_linear(action)).scale(HALF)
+
+
+# a reflection of (x1, x2) and z -> (3i/4) z + (5/4) zb: an involution whose
+# action is not monomial
+_MIXING_INVOLUTION = SignedElement(
+    matrix_from_rows(
+        [[Fraction(3, 5), Fraction(4, 5), 0, 0], [Fraction(4, 5), Fraction(-3, 5), 0, 0],
+         [0, 0, GaussianRational(0, Fraction(3, 4)), Fraction(5, 4)],
+         [0, 0, Fraction(5, 4), GaussianRational(0, Fraction(-3, 4))]]
+    ),
+    -1,
+)
+
+
+def test_transfer_matches_the_polymap_path():
+    # catalog generators under both involutions of every sign class
+    for case, params, n in (("res_n1n2_C3", (1, 2), 3), ("res_double_C4", (1, 2, 1, 3), 4)):
+        gens = catalog(case, params).equivariant_generators
+        for signs in itertools.product((1, -1), repeat=n + 1):
+            ctx = SymmetryContext.from_case(case, params, signs)
+            for kappa in (ctx.phi, ctx.psi):
+                for g in gens:
+                    assert transfer_T(g, kappa) == _transfer_reference(g, kappa.action)
+    # random maps under the involutions of one context
+    rng = make_rng(11)
+    ctx = SymmetryContext.from_case("non_resonant", (2,), (1, -1, 1))
+    for _ in range(20):
+        g = random_polymap(rng, 2, max_degree=4)
+        for kappa in (ctx.phi, ctx.psi):
+            assert transfer_T(g, kappa) == _transfer_reference(g, kappa.action)
+    # actions that are not monomial: the formula holds for any linear map
+    gens = catalog("non_resonant", (1,)).equivariant_generators
+    samples = [*gens, *(random_polymap(rng, 1, max_degree=3) for _ in range(10))]
+    assert _MIXING_INVOLUTION.is_involution()
+    for g in samples:
+        expected = _transfer_reference(g, _MIXING_INVOLUTION.action)
+        assert transfer_T(g, _MIXING_INVOLUTION) == expected
+        for element in MIXING_ELEMENTS:
+            assert _transfer(g, element.action) == _transfer_reference(g, element.action)
 
 
 def test_operator_laws_on_random_samples():
@@ -467,23 +537,67 @@ def test_prune_matches_reverse_deletion_on_pipeline_candidates(monkeypatch, case
     import birevnf.symmetry_ops as ops
 
     calls = []
+    rows = []  # ((generator terms or None, product terms), row) per row built
 
     def recording(fn):
         def wrapper(*args):
             args = tuple(tuple(a) for a in args)
-            calls.append((fn, args, fn(*args)))
-            return calls[-1][2]
+            start = len(rows)
+            kept = fn(*args)
+            calls.append((fn, args, kept, rows[start:]))
+            return kept
         return wrapper
+
+    def recording_row(gen_terms, product):
+        row = module_row(gen_terms, product)
+        rows.append(((gen_terms, product), row))
+        return row
+
+    def recording_vector(components):
+        components = list(components)
+        vec = vectorize_terms(components)
+        if components and components[0][0] == -1:  # a ring product's row
+            rows.append(((None, components[0][1]), vec))
+        return vec
 
     monkeypatch.setattr(ops, "prune_ring", recording(prune_ring))
     monkeypatch.setattr(ops, "prune_module", recording(prune_module))
+    monkeypatch.setattr(ops, "module_row", recording_row)
+    monkeypatch.setattr(ops, "vectorize_terms", recording_vector)
     for signs in itertools.product((1, -1), repeat=n + 1):
         pipeline(SymmetryContext.from_case(case, params, signs))
     reference = {prune_ring: _reference_prune_ring, prune_module: _reference_prune_module}
     # one ring and one module prune per involution step
     assert len(calls) == 4 * 2 ** (n + 1)
-    for fn, args, kept in calls:
+    nvars = 2 * n + 2
+    products: dict = {}
+
+    def is_product(p, basis):
+        degree = p.degree()
+        key = (tuple(basis), degree)
+        if key not in products:
+            products[key] = set(_reference_ring_products(basis, degree))
+            if degree == 0:
+                products[key].add(Polynomial.constant(nvars, 1))
+        return p in products[key]
+
+    checked = 0
+    for fn, args, kept, built in calls:
         assert kept == reference[fn](*args)
+        # each row built from terms is the Polynomial path's row of a
+        # product of the right factors
+        for (gen_terms, product), row in built:
+            p = polynomial_from_terms(nvars, product)
+            if gen_terms is None:
+                assert is_product(p, [e for e in kept if e.degree() < p.degree()])
+                assert row == vectorize_polynomial(p)
+            else:
+                g = polymap_from_terms(nvars, gen_terms)
+                assert g in kept
+                assert is_product(p, args[1])
+                assert row == vectorize_polymap(g.mul_invariant(p))
+            checked += 1
+    assert checked
 
 
 _REDUNDANCY_CATALOGS = (
@@ -550,10 +664,22 @@ def test_prune_module_matches_reverse_deletion_with_redundancies(which, ops, ord
 )
 def test_ring_products_match_exponent_enumeration(case, params):
     basis = catalog(case, params).hilbert_basis
+    # the table's recursion with Polynomial.__mul__: level d holds p * u_i
+    # for p in level d - deg(u_i) whose last factor index is at most i
+    levels = [[(Polynomial.constant(basis[0].nvars, 1), 0)]]
     for degree in range(9):
+        if degree:
+            levels.append([
+                (p * u, i)
+                for i, u in enumerate(basis)
+                if u.degree() <= degree
+                for p, last in levels[degree - u.degree()]
+                if last <= i
+            ])
         assert Counter(ring_products(basis, degree)) == Counter(
             _reference_ring_products(basis, degree)
         ), degree
+        assert ring_products(basis, degree) == [p for p, _ in levels[degree]], degree
 
 
 def test_ring_products_reject_degree_zero_elements():
@@ -561,6 +687,22 @@ def test_ring_products_reject_degree_zero_elements():
     with pytest.raises(DimensionError):
         ring_products([one, Polynomial.variable(4, 0)], 2)
     assert ring_products([Polynomial.variable(4, 0)], -1) == []
+
+
+def test_ring_elements_that_are_not_real_valued_are_rejected(c3_data):
+    # z1 has degree 1 but is not real-valued; ProductTable checks each
+    # ring-basis element once, before any product is built
+    z1 = Polynomial.variable(c3_data.nvars, z_index(1))
+    g = c3_data.equivariant_generators[0]
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, 1, 1))
+    with pytest.raises(IncompatibleMatrix):
+        ring_products([z1], 2)
+    with pytest.raises(IncompatibleMatrix):
+        prune_module([g], [z1])
+    with pytest.raises(IncompatibleMatrix):
+        module_slice(GeneratorSet((z1,), (g,), ctx), g.degree() + 1)
+    with pytest.raises(IncompatibleMatrix):
+        prune_ring([z1])
 
 
 def test_prune_rejects_inhomogeneous_input(c3_data):
