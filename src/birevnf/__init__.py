@@ -13,6 +13,7 @@ from .continuous import (
     SGroupData,
     SymmetryContext,
     catalog,
+    check_involution_pair,
     classify_type,
     closure_data,
     enumerate_involution_pairs,
@@ -25,7 +26,6 @@ from .errors import (
     DimensionError,
     EngineError,
     IncompatibleMatrix,
-    NotAHomomorphism,
     OrderExceeded,
     ResourceLimit,
     SignInconsistency,
@@ -35,13 +35,10 @@ from .errors import (
 from .group import (
     FiniteSignedGroup,
     GroupContext,
-    SemidirectSpec,
     SignedElement,
     anticommute_check,
-    check_semidirect_condition,
     close_group,
     membership,
-    product_sigma,
 )
 from .normalform import NormalForm, assemble, emit, parse_normal_form
 from .oracle import (

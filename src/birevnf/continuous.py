@@ -14,7 +14,10 @@ basis and equivariant generators, is derived from that weight lattice by
 Contejean-Devie completion (`closure_data`), for any linear part; the named
 cases only fix the linear part.  The module also enumerates the
 inequivalent pairs of commuting reversing involutions and classifies the
-sign regimes into the four normal-form types.
+sign regimes into the four normal-form types.  One check of the involution
+pair, `check_involution_pair`, decides the reversing tower
+(S x| Z2(phi)) x| Z2(psi) for both the pair enumeration and
+`SymmetryContext.build`.
 """
 
 from __future__ import annotations
@@ -25,23 +28,13 @@ from math import gcd
 from operator import add, ge
 from typing import Sequence
 
-from .errors import DimensionError, UnsupportedCase
-from .group import (
-    GroupContext,
-    SemidirectSpec,
-    SignedElement,
-    anticommute_check,
-    product_sigma,
-)
+from .errors import ConditionViolated, DimensionError, UnsupportedCase
+from .group import GroupContext, SignedElement, anticommute_check, close_group
 from .linalg import (
     Echelon,
     Matrix,
-    identity_matrix,
-    mat_add,
-    mat_equal,
-    mat_mul,
-    mat_neg,
-    mat_nullity,
+    _to_integer_row,
+    complex_rank,
     matrix_from_rows,
 )
 from .poly import (
@@ -107,18 +100,14 @@ class LinearPart:
         # the primitive integer basis of the frequency solution lattice
         rows = []
         for vec in ech.nullspace(range(self.n)):
-            denom = 1
-            for value in vec.values():
-                denom = denom * value.denominator // gcd(denom, value.denominator)
-            ints = [int(vec.get(j, 0) * denom) for j in range(self.n)]
-            g = gcd(*(abs(v) for v in ints if v))
-            if g > 1:
-                ints = [v // g for v in ints]
-            lead = next(v for v in ints if v)
-            if lead < 0:
-                ints = [-v for v in ints]
-            rows.append(tuple(ints))
+            ints = _to_integer_row(vec)
+            rows.append(tuple(ints.get(j, 0) for j in range(self.n)))
         object.__setattr__(self, "_weight_rows", tuple(sorted(rows, reverse=True)))
+        object.__setattr__(
+            self,
+            "_generators",
+            (self.shear_generator(), *map(self.torus_generator, self._weight_rows)),
+        )
 
     @property
     def nvars(self) -> int:
@@ -145,10 +134,8 @@ class LinearPart:
         return matrix_from_rows(rows)
 
     def infinitesimal_generators(self) -> tuple[Matrix, ...]:
-        gens = [self.shear_generator()]
-        for row in self.torus_weight_rows():
-            gens.append(self.torus_generator(row))
-        return tuple(gens)
+        """The shear, then one torus generator per weight row; built once."""
+        return self._generators
 
 
 # -- the closure group data --------------------------------------------------
@@ -281,9 +268,47 @@ def psi_element(signs: Sequence[int]) -> SignedElement:
 
 
 def fix_dimension(element: SignedElement) -> int:
-    """Real dimension of the fixed-point space of a linear involution."""
-    diff = mat_add(element.matrix, mat_neg(identity_matrix(element.size)))
-    return mat_nullity(diff)
+    """Real dimension of the fixed-point space of a linear involution A.
+
+    It is the nullity of A - I, whose rank `complex_rank` takes.
+    """
+    shifted = (
+        [c - ONE if i == j else c for j, c in enumerate(row)]
+        for i, row in enumerate(element.matrix)
+    )
+    return element.size - complex_rank(shifted)
+
+
+def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: SignedElement):
+    """Check that (phi, psi) builds the reversing tower (S x| Z2(phi)) x| Z2(psi).
+
+    Four facts are checked: each element anti-commutes with every
+    infinitesimal generator M of S (`LinearPart.infinitesimal_generators`:
+    the shear and one torus generator per weight row); each is an
+    involution; the two commute; and `close_group([phi, psi])` reaches no
+    matrix with two signs, so it fixes the sign map on {e, phi, psi,
+    phi*psi} as a homomorphism.
+
+    These decide every condition of the tower.  Conjugation by gamma, either
+    element, preserves S and its generator lattice: gamma is its own
+    inverse, so gamma M gamma^-1 = gamma M gamma = -M gamma gamma = -M, an
+    integer combination of the generators.  Conjugation by psi preserves the
+    first factor and the signs on it: psi phi psi^-1 = psi phi psi = phi psi
+    psi = phi, the same element with the same sign.  What is left, that the
+    product sign map is well defined, is the closure's check.
+
+    Raises DimensionError when an element does not anti-commute with L,
+    ConditionViolated when one is not an involution or the two do not
+    commute, and SignInconsistency from the closure.
+    """
+    for gamma in (phi, psi):
+        if not anticommute_check(gamma, linear_part):
+            raise DimensionError(f"{gamma.name or 'involution'} does not anti-commute with L")
+        if not gamma.is_involution():
+            raise ConditionViolated(f"{gamma.name or 'element'} must be an involution")
+    if phi * psi != psi * phi:
+        raise ConditionViolated("the two involutions must commute")
+    close_group([phi, psi])
 
 
 @dataclass(frozen=True)
@@ -294,36 +319,23 @@ class InvolutionPair:
     phi: SignedElement
     psi: SignedElement
 
-    def __post_init__(self):
-        if not self.phi.is_involution() or not self.psi.is_involution():
-            raise DimensionError("both elements must be involutions")
-        if not mat_equal(
-            mat_mul(self.phi.matrix, self.psi.matrix),
-            mat_mul(self.psi.matrix, self.phi.matrix),
-        ):
-            raise DimensionError("the two involutions must commute")
-
 
 def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[InvolutionPair, ...]:
     """The 2^n inequivalent reversing pairs, one per sign class.
 
     The first involution is fixed; the second runs over the block sign
     tuples (a0, ..., an) normalized to a0 = +1, picking one representative
-    from each global sign-flip class.  Every returned element anti-commutes
-    with the linearization and has an (n+1)-dimensional fixed-point space.
+    from each global sign-flip class.  Every returned pair passes
+    `check_involution_pair`, and each element has an (n+1)-dimensional
+    fixed-point space.
     """
-    n = linear_part.n
-    phi = phi_element(n)
-    if not anticommute_check(phi, linear_part):
-        raise DimensionError("constructed involution fails to anti-commute")
+    phi = phi_element(linear_part.n)
     pairs = []
-    for tail in iter_product((1, -1), repeat=n):
+    for tail in iter_product((1, -1), repeat=linear_part.n):
         signs = (1, *tail)
         psi = psi_element(signs)
-        pair = InvolutionPair(signs, phi, psi)
-        if not anticommute_check(psi, linear_part):
-            raise DimensionError("constructed involution fails to anti-commute")
-        pairs.append(pair)
+        check_involution_pair(linear_part, phi, psi)
+        pairs.append(InvolutionPair(signs, phi, psi))
     return tuple(pairs)
 
 
@@ -555,10 +567,7 @@ class SymmetryContext:
 
     Construction verifies the whole tower: the closure-group data belongs
     to the linearization (same block count, same rational span of torus
-    weights), both involutions anti-commute with the linearization, each
-    extension satisfies the semidirect compatibility condition (conjugation
-    preserves the infinitesimal generator lattice and the finite factor),
-    and the product sign map is well defined.
+    weights), and the involution pair passes `check_involution_pair`.
     """
 
     linear_part: LinearPart
@@ -566,7 +575,6 @@ class SymmetryContext:
     signs: tuple[int, ...]
     phi: SignedElement
     psi: SignedElement
-    semidirect: tuple[SemidirectSpec, SemidirectSpec]
 
     @classmethod
     def build(
@@ -590,14 +598,8 @@ class SymmetryContext:
             )
         phi = phi_element(linear_part.n)
         psi = psi_element(signs)
-        for el in (phi, psi):
-            if not anticommute_check(el, linear_part):
-                raise DimensionError("involution does not anti-commute with L")
-        infinitesimals = linear_part.infinitesimal_generators()
-        first = SemidirectSpec.build((), phi, infinitesimals)
-        second = SemidirectSpec.build((phi,), psi, infinitesimals)
-        product_sigma([phi], [psi])
-        return cls(linear_part, sgroup, signs, phi, psi, (first, second))
+        check_involution_pair(linear_part, phi, psi)
+        return cls(linear_part, sgroup, signs, phi, psi)
 
     @classmethod
     def from_case(

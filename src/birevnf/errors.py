@@ -29,10 +29,6 @@ class ConditionViolated(EngineError):
     """The semidirect-product compatibility condition fails for a generator pair."""
 
 
-class NotAHomomorphism(EngineError):
-    """A candidate sign map is not constant on the orbits it must respect."""
-
-
 class UnsupportedCase(EngineError):
     """Requested catalog case is not shipped; supply the group data manually."""
 

@@ -4,7 +4,11 @@ A SignedElement couples an exact linear map on V with a value of the sign
 epimorphism: +1 for symmetries, -1 for reversing symmetries.  Finite groups
 are stored as explicit closed element lists (the orders needed here never
 exceed four); the continuous factor never appears as elements, only through
-the infinitesimal data carried by a group context.
+the infinitesimal data carried by a group context.  An element built from a
+matrix is checked once: invertible (`linalg.complex_rank`) and conjugation
+compatible.  `close_group` and `anticommute_check` are the pieces from which
+`continuous.check_involution_pair` decides the reversing tower; no
+semidirect or product-sign object is built.
 
 Membership of a polynomial or mapping in the invariant / anti-invariant /
 equivariant / reversible-equivariant classes is decided by checking the
@@ -18,28 +22,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Literal, Protocol, Sequence
 
-from .errors import (
-    ConditionViolated,
-    DimensionError,
-    NotAHomomorphism,
-    OrderExceeded,
-    SignInconsistency,
-)
+from .errors import DimensionError, OrderExceeded, SignInconsistency
 from .linalg import (
     Matrix,
+    complex_rank,
     identity_matrix,
-    mat_add,
     mat_equal,
-    mat_inverse,
-    mat_is_zero,
     mat_mul,
-    mat_rank,
     matrix_from_rows,
     matrix_key,
-    solve_combination,
 )
 from .poly import (
-    GaussianRational,
     LinearAction,
     PolyMap,
     Polynomial,
@@ -59,7 +52,7 @@ class SignedElement:
     `action` is the matrix compiled once into a checked LinearAction; pass it,
     not `matrix`, to the substitution methods so they skip the check.  An
     element built from a matrix is checked (invertible, conjugation
-    compatible); products and inverses of elements are not checked again.
+    compatible); products of elements are not checked again.
     """
 
     matrix: Matrix
@@ -72,7 +65,7 @@ class SignedElement:
             raise SignInconsistency(f"sign must be +1 or -1, got {self.sign}")
         size = len(self.matrix)
         object.__setattr__(self, "action", LinearAction(self.matrix, size))
-        if mat_rank(self.matrix) != size:
+        if complex_rank(self.matrix) != size:
             raise DimensionError("group element matrix must be invertible")
 
     @property
@@ -88,33 +81,28 @@ class SignedElement:
         return known
 
     @classmethod
-    def _from_checked(cls, matrix: Matrix, sign: int, name: str) -> "SignedElement":
-        """A product or inverse of checked elements, built without the checks.
+    def _from_checked(cls, action: LinearAction, sign: int, name: str) -> "SignedElement":
+        """An element whose action is a product of checked ones, not checked again.
 
-        Invertibility and conjugation compatibility are closed under both,
+        Invertibility and conjugation compatibility are closed under products,
         and the sign is a product of checked signs.
         """
         element = cls.__new__(cls)
-        object.__setattr__(element, "matrix", matrix)
+        object.__setattr__(element, "matrix", action.matrix())
         object.__setattr__(element, "sign", sign)
         object.__setattr__(element, "name", name)
-        object.__setattr__(element, "action", LinearAction.trusted(matrix, len(matrix)))
+        object.__setattr__(element, "action", action)
         return element
-
-    def inverse(self) -> "SignedElement":
-        return SignedElement._from_checked(
-            mat_inverse(self.matrix), self.sign, self.name + "^-1"
-        )
 
     def __mul__(self, other: "SignedElement") -> "SignedElement":
         return SignedElement._from_checked(
-            mat_mul(self.matrix, other.matrix),
+            self.action * other.action,
             self.sign * other.sign,
             f"{self.name}*{other.name}" if self.name and other.name else "",
         )
 
     def key(self):
-        return matrix_key(self.matrix)
+        return self.action.key()
 
     def to_json(self) -> dict:
         return {
@@ -173,29 +161,28 @@ def close_group(
     for g in generators:
         if g.size != size:
             raise DimensionError("generators act on different spaces")
-    seen: dict = {}
-    ident = SignedElement(identity_matrix(size), 1, "e")
+    seen: dict = {}  # matrix key -> (sign, position)
     ordered: list[SignedElement] = []
 
     def add(el: SignedElement) -> bool:
         key = el.key()
         if key in seen:
-            if seen[key] != el.sign:
+            if seen[key][0] != el.sign:
                 raise SignInconsistency(
                     "element reached with both signs; sign map is not well defined"
                 )
             return False
         if len(ordered) + 1 > max_order:
             raise OrderExceeded(f"group closure exceeded {max_order} elements")
-        seen[key] = el.sign
+        seen[key] = (el.sign, len(ordered))
         ordered.append(el)
         return True
 
-    add(ident)
-    gen_indices = []
-    for g in generators:
-        add(g)
-    frontier = list(ordered)
+    # the identity is invertible and conjugation compatible as it stands
+    identity = LinearAction.trusted(identity_matrix(size), size)
+    add(SignedElement._from_checked(identity, 1, "e"))
+    # products with the identity add nothing, so the walk starts past it
+    frontier = [g for g in generators if add(g)]
     while frontier:
         new: list[SignedElement] = []
         for a in frontier:
@@ -205,165 +192,8 @@ def close_group(
                     new.append(prod)
         frontier = new
     # generators may coincide with earlier elements; record their positions
-    for g in generators:
-        key = g.key()
-        for i, el in enumerate(ordered):
-            if el.key() == key:
-                gen_indices.append(i)
-                break
+    gen_indices = [seen[g.key()][1] for g in generators]
     return FiniteSignedGroup(tuple(ordered), tuple(gen_indices))
-
-
-# -- product epimorphism -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductSign:
-    """Sign data for a semidirect product built from two signed factors.
-
-    sigma multiplies the factor signs; sigma_tilde forgets the first factor,
-    turning every element of it into a symmetry.
-    """
-
-    factor1: FiniteSignedGroup
-    factor2: FiniteSignedGroup
-
-    def sigma(self, gamma1: SignedElement, gamma2: SignedElement) -> int:
-        return self.factor1.sign_of(gamma1.matrix) * self.factor2.sign_of(gamma2.matrix)
-
-    def sigma_tilde(self, gamma1: SignedElement, gamma2: SignedElement) -> int:
-        self.factor1.sign_of(gamma1.matrix)  # membership check
-        return self.factor2.sign_of(gamma2.matrix)
-
-
-def product_sigma(
-    gamma1_generators: Sequence[SignedElement],
-    gamma2_generators: Sequence[SignedElement],
-    max_order: int = 64,
-) -> ProductSign:
-    """Combine the factor sign maps, checking well-definedness.
-
-    The product sign map is a homomorphism iff conjugation by the second
-    factor preserves the signs of the first; that condition is verified on
-    generators and NotAHomomorphism is raised when it fails.
-    """
-    g1 = close_group(gamma1_generators, max_order)
-    g2 = close_group(gamma2_generators, max_order)
-    for kappa in gamma2_generators:
-        kappa_inv = mat_inverse(kappa.matrix)
-        for gen in gamma1_generators:
-            conj = mat_mul(mat_mul(kappa.matrix, gen.matrix), kappa_inv)
-            try:
-                conj_sign = g1.sign_of(conj)
-            except KeyError:
-                raise NotAHomomorphism(
-                    "conjugation by the second factor leaves the first factor"
-                ) from None
-            if conj_sign != gen.sign:
-                raise NotAHomomorphism(
-                    "conjugation does not preserve the factor sign map"
-                )
-    return ProductSign(g1, g2)
-
-
-# -- semidirect compatibility ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SemidirectReport:
-    """Verification record for the semidirect-product action condition."""
-
-    finite_pairs_checked: int
-    infinitesimal_checked: int
-    ok: bool = True
-
-
-def check_semidirect_condition(
-    rho_generators: Sequence[SignedElement],
-    eta_generators: Sequence[SignedElement],
-    infinitesimal_generators: Sequence[Matrix] = (),
-    max_order: int = 64,
-) -> SemidirectReport:
-    """Confirm that conjugation by the second factor realizes an automorphism.
-
-    Finite part: eta * rho * eta^-1 must land inside the closure of the
-    first factor.  Continuous part: conjugation must send every infinitesimal
-    generator to an integer combination of infinitesimal generators.
-    """
-    finite_checked = 0
-    closure = close_group(rho_generators, max_order) if rho_generators else None
-    for eta in eta_generators:
-        eta_inv = mat_inverse(eta.matrix)
-        for rho in rho_generators:
-            key = matrix_key(mat_mul(mat_mul(eta.matrix, rho.matrix), eta_inv))
-            if not any(el.key() == key for el in closure.elements):
-                raise ConditionViolated(
-                    f"conjugate of {rho.name or 'generator'} by "
-                    f"{eta.name or 'generator'} leaves the first factor"
-                )
-            finite_checked += 1
-    inf_checked = 0
-    if infinitesimal_generators:
-        gen_vectors = [_matrix_vector(m) for m in infinitesimal_generators]
-        for eta in eta_generators:
-            eta_inv = mat_inverse(eta.matrix)
-            for mat in infinitesimal_generators:
-                conj = mat_mul(mat_mul(eta.matrix, mat), eta_inv)
-                coeffs = solve_combination(gen_vectors, _matrix_vector(conj))
-                if coeffs is None or any(
-                    not _is_integer_scalar(c) for c in coeffs
-                ):
-                    raise ConditionViolated(
-                        f"conjugation by {eta.name or 'generator'} does not "
-                        "preserve the infinitesimal generator lattice"
-                    )
-                inf_checked += 1
-    return SemidirectReport(finite_checked, inf_checked)
-
-
-@dataclass(frozen=True)
-class SemidirectSpec:
-    """A verified order-two extension of a first factor.
-
-    Carries the finite generators of the first factor (the continuous part
-    enters through its infinitesimal generators during verification), the
-    extending involution (sign -1 when it acts as a reversing symmetry),
-    and the record of the compatibility check.
-    """
-
-    gamma1_finite: tuple[SignedElement, ...]
-    kappa: SignedElement
-    mu_check_report: SemidirectReport
-
-    @classmethod
-    def build(
-        cls,
-        gamma1_finite: Sequence[SignedElement],
-        kappa: SignedElement,
-        infinitesimal_generators: Sequence[Matrix] = (),
-        max_order: int = 64,
-    ) -> "SemidirectSpec":
-        if not kappa.is_involution():
-            raise ConditionViolated("the extension generator must be an involution")
-        report = check_semidirect_condition(
-            gamma1_finite,
-            [kappa],
-            infinitesimal_generators=infinitesimal_generators,
-            max_order=max_order,
-        )
-        return cls(tuple(gamma1_finite), kappa, report)
-
-
-def _matrix_vector(m: Matrix) -> dict:
-    return {
-        (i, j): entry for i, row in enumerate(m) for j, entry in enumerate(row) if entry
-    }
-
-
-def _is_integer_scalar(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return c.im == 0 and type(c.re) is int
-    return isinstance(c, int)
 
 
 # -- membership --------------------------------------------------------------
@@ -432,8 +262,9 @@ def anticommute_check(gamma: SignedElement, linear_part) -> bool:
             f"{linear_part.nvars}"
         )
     for mat in linear_part.infinitesimal_generators():
-        anti = mat_add(mat_mul(mat, gamma.matrix), mat_mul(gamma.matrix, mat))
-        if not mat_is_zero(anti):
+        m = LinearAction.trusted(mat, gamma.size)
+        negated = tuple(tuple((j, -c) for j, c in row) for row in (gamma.action * m).rows)
+        if (m * gamma.action).rows != negated:
             return False
     return True
 

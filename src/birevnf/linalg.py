@@ -1,25 +1,26 @@
-"""Exact linear algebra: one sparse elimination kernel and one dense helper.
+"""Exact linear algebra: one sparse elimination kernel and small dense matrices.
 
 Small dense matrices over the Gaussian rationals represent group elements
-and infinitesimal generators; a single Gauss-Jordan loop over the field
-(`_gauss_jordan`) serves their rank, inverse and combination solves.  Every
-larger system goes through one sparse kernel, `Echelon`: rows are dicts
-keyed by arbitrary sortable column keys over Q, eliminated fraction-free
-(integer rows, gcd-reduced).  It answers rank and membership, returns the
-span's reduced row-echelon basis, and reads nullspaces straight off that
-basis: one vector per free column, with entry 1 there and minus the
-column's entry of each reduced row at that row's pivot.  Determinism:
-pivot columns are the unique rank-increase columns of the system,
-independent of row order, and both returned bases are unique for their
-space.  Polynomials, maps and exponent-tuple terms become rows through
-one emitter of column keys, `vectorize_terms`.
+and infinitesimal generators; their products run on their nonzero entries
+(`poly.LinearAction`), and nothing here inverts them.  Every elimination
+goes through one sparse kernel, `Echelon`: rows are dicts keyed by
+arbitrary sortable column keys over Q, eliminated fraction-free (integer
+rows, gcd-reduced).  It answers rank and membership, returns the span's
+reduced row-echelon basis, and reads nullspaces straight off that basis:
+one vector per free column, with entry 1 there and minus the column's
+entry of each reduced row at that row's pivot.  The rank of a dense
+Gaussian-rational matrix is `Echelon`'s on its realified rows
+(`complex_rank`).  Determinism: pivot columns are the unique rank-increase
+columns of the system, independent of row order, and both returned bases
+are unique for their space.  Polynomials, maps and exponent-tuple terms
+become rows through one emitter of column keys, `vectorize_terms`.
 
 Entries are exact and never floats.  Rational entries follow the
 GaussianRational convention: an int when integral, a Fraction only when
 the denominator is above 1.  `Echelon` takes an all-int row as it is,
 keeps every stored and reduced row in integers, and builds a Fraction only
-where the final division by a pivot entry leaves one.  The dense helpers
-run on GaussianRationals, whose parts are int-backed the same way.
+where the final division by a pivot entry leaves one.  The dense matrices
+hold GaussianRationals, whose parts are int-backed the same way.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .errors import DimensionError
 from .poly import (
     GaussianRational,
+    LinearAction,
     PolyMap,
     Polynomial,
     ZERO,
@@ -66,112 +68,25 @@ def identity_matrix(size: int) -> Matrix:
     )
 
 
-def zero_matrix(size: int) -> Matrix:
-    return tuple((ZERO,) * size for _ in range(size))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a*b, from the nonzero entries alone (`LinearAction.__mul__`)."""
     if len(a[0]) != len(b):
         raise DimensionError("matrix size mismatch in product")
-    width = len(b[0])
-    out = [[ZERO] * width for _ in range(len(a))]
-    for i, row in enumerate(a):
-        target = out[i]
-        for k, x in enumerate(row):
-            if not x:
-                continue
-            for j, y in enumerate(b[k]):
-                if y:
-                    target[j] = target[j] + x * y
-    return tuple(tuple(r) for r in out)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(c: GaussianRational, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    product = LinearAction.trusted(a, len(b)) * LinearAction.trusted(b, len(b[0]))
+    return product.matrix()
 
 
 def mat_equal(a: Matrix, b: Matrix) -> bool:
     return a == b
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def matrix_key(a: Matrix):
-    """Deterministic sort/lookup key for a Gaussian-rational matrix."""
-    return tuple(tuple(x.sort_key() for x in row) for row in a)
+    """Deterministic sort/lookup key for a Gaussian-rational matrix.
 
-
-def _gauss_jordan(rows: list[list], ncols: int) -> list[int]:
-    """Bring `rows` to reduced row-echelon form on its first `ncols` columns.
-
-    Works in place over the field; row operations act on whole rows, so
-    columns past `ncols` (an augmented block) are carried along.  Returns
-    the pivot columns: row r has entry 1 at the r-th of them.
+    It is the key of the matrix's `LinearAction`, read off its nonzero
+    entries, so a group element's key needs no pass over its zeros.
     """
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [inv * x if x else x for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [
-                    x - factor * y if y else x for x, y in zip(rows[r], rows[rank])
-                ]
-        pivots.append(col)
-    return pivots
-
-
-def mat_rank(a: Matrix) -> int:
-    return len(_gauss_jordan([list(r) for r in a], len(a[0]) if a else 0))
-
-
-def mat_nullity(a: Matrix) -> int:
-    return len(a[0]) - mat_rank(a) if a else 0
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    size = len(a)
-    rows = [list(r) + [ONE if i == j else ZERO for j in range(size)] for i, r in enumerate(a)]
-    if len(_gauss_jordan(rows, size)) < size:
-        raise DimensionError("matrix is singular")
-    return tuple(tuple(row[size:]) for row in rows)
-
-
-def solve_combination(vectors: Sequence[SparseRow], target: SparseRow):
-    """Coefficients expressing target as a combination of the given vectors.
-
-    Entries may be integers, Fractions or GaussianRationals; nonzero
-    coefficients come back as GaussianRationals.  Returns None when the
-    target lies outside the span.
-    """
-    keys = sorted({k for v in vectors for k in v} | set(target))
-    nvec = len(vectors)
-    rows = [[v.get(key, 0) for v in vectors] + [target.get(key, 0)] for key in keys]
-    pivots = _gauss_jordan(rows, nvec)
-    # rows below the rank are zero on every vector column; a nonzero tail
-    # there means the target is outside the span
-    if any(row[nvec] for row in rows[len(pivots):]):
-        return None
-    solution = [0] * nvec
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][nvec]
-    return solution
+    return LinearAction.trusted(a, len(a)).key()
 
 
 # -- sparse fraction-free elimination over Q ---------------------------------
@@ -296,6 +211,25 @@ class Echelon:
 
 def nullspace(rows: Iterable[SparseRow], columns: Sequence[ColKey]) -> list[dict]:
     return Echelon(rows).nullspace(columns)
+
+
+def complex_rank(rows: Iterable[Iterable[GaussianRational]]) -> int:
+    """Rank over the Gaussian rationals, taken by `Echelon` on realified rows.
+
+    A row r becomes the rational rows of r and i*r, an entry a+bi in column
+    j giving keys (j, 0) and (j, 1); the rational rank of those rows is
+    twice the complex rank.
+    """
+    ech = Echelon()
+    for row in rows:
+        real, turned = {}, {}
+        for j, c in enumerate(row):
+            if c:
+                real[(j, 0)], real[(j, 1)] = c.re, c.im
+                turned[(j, 0)], turned[(j, 1)] = -c.im, c.re
+        ech.insert(real)
+        ech.insert(turned)
+    return ech.rank // 2
 
 
 # -- vector encodings of polynomials and maps --------------------------------

@@ -105,7 +105,11 @@ def _torus_monomials(
     z_j, zb_j block by block, drops a branch once the blocks left cannot
     reach the target weight, and spreads the remaining degree over x1 and
     x2 in every way.  Raises ResourceLimit once `used` plus the monomials
-    found passes `limit`.
+    found would pass `limit`, checked before each leaf is stored.  At weight
+    zero it first counts the monomials x1^p x2^q |z1|^(2k), always
+    admissible: sum over k <= d/2 of (d - 2k + 1), which is
+    (m + 1)(d + 1 - m) for m = d // 2; if those alone pass the limit, the
+    walk would only reach the same verdict later, so it is not started.
     """
     rows = sgroup.torus_weights
     nblocks = sgroup.nblocks
@@ -113,6 +117,17 @@ def _torus_monomials(
         0 if component is None else sgroup.component_weight(component, weights)
         for weights in rows
     )
+
+    def over_limit(count: int):
+        if used + count > limit:
+            raise ResourceLimit(
+                f"more than {limit} admissible (component, monomial) pairs "
+                f"in the degree-{degree} oracle slice"
+            )
+
+    if nblocks and not any(targets):
+        half = degree // 2
+        over_limit((half + 1) * (degree + 1 - half))
     # reach[j][t]: the most one unit of degree in blocks j.. moves weight t
     reach = [
         [max((abs(w) for w in weights[j:]), default=0) for weights in rows]
@@ -125,12 +140,8 @@ def _torus_monomials(
             return
         if j == nblocks:
             # reach is 0 past the last block, so need is 0 here
+            over_limit(len(out) + left + 1)
             out.extend((a, left - a) + zpart for a in range(left, -1, -1))
-            if used + len(out) > limit:
-                raise ResourceLimit(
-                    f"more than {limit} admissible (component, monomial) pairs "
-                    f"in the degree-{degree} oracle slice"
-                )
             return
         for a in range(left, -1, -1):
             for b in range(left - a, -1, -1):

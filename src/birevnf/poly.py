@@ -21,8 +21,10 @@ coefficients are computed on ints.
 
 Linear changes of coordinates must respect the z/zb pairing.  That is
 checked once when a LinearAction is built from a matrix (a SignedElement
-builds its own; products and inverses of elements skip it), and on every
-substitution call that is handed a raw matrix instead.
+builds its own; products of elements skip it), and on every substitution
+call that is handed a raw matrix instead.  The product of two actions is
+computed on their nonzero entries; it is also the product of dense
+matrices (`linalg.mat_mul`).
 
 The span building of the pipeline and of the oracle uses one term kernel,
 kept here: exponent-tuple terms with (re, im) parts (`add_term`,
@@ -633,7 +635,7 @@ class LinearAction:
 
     @classmethod
     def trusted(cls, matrix, nvars: int) -> "LinearAction":
-        """Compile a product or inverse of checked matrices without a check.
+        """Compile a matrix known to be compatible without a check.
 
         Compatibility says A commutes with the conjugation-and-pairing map,
         and that property is closed under products and inverses.
@@ -643,12 +645,46 @@ class LinearAction:
         return action
 
     def _compile(self, matrix, nvars: int):
-        rows = tuple(
-            tuple((j, entry) for j, entry in enumerate(row) if entry) for row in matrix
+        self._set_rows(
+            tuple(tuple((j, entry) for j, entry in enumerate(row) if entry) for row in matrix),
+            nvars,
         )
+
+    def _set_rows(self, rows: tuple, nvars: int):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "monomial", all(len(row) <= 1 for row in rows))
+
+    def __mul__(self, other: "LinearAction") -> "LinearAction":
+        """The action of the matrix product, from the nonzero entries alone.
+
+        Trusted like `trusted`: a product of compatible maps is compatible.
+        Rows come out as `_compile` would give them for the product matrix.
+        """
+        rows = []
+        for row in self.rows:
+            acc: dict = {}
+            for k, x in row:
+                for j, y in other.rows[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            rows.append(tuple((j, c) for j, c in sorted(acc.items()) if c))
+        product = LinearAction.__new__(LinearAction)
+        product._set_rows(tuple(rows), other.nvars)
+        return product
+
+    def matrix(self) -> tuple:
+        """The dense matrix of the action."""
+        out = []
+        for row in self.rows:
+            dense = [ZERO] * self.nvars
+            for j, c in row:
+                dense[j] = c
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def key(self) -> tuple:
+        """Deterministic sort/lookup key: the nonzero entries with their parts."""
+        return tuple(tuple((j, c.sort_key()) for j, c in row) for row in self.rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearAction is immutable")

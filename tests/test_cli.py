@@ -441,6 +441,22 @@ def test_unwritable_output_is_config_error(tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("degree", ["1000", "1000000000000"])
+def test_huge_verify_degree_is_a_resource_limit(degree):
+    # the admissible count is bounded before the oracle walks the monomials
+    result = subprocess.run(
+        [sys.executable, "-m", "birevnf", "verify", "--case", "non_resonant",
+         "--params", "1", "--signs", "1,1", "--verify-degrees", degree],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=10,
+    )
+    assert result.returncode == EXIT_RESOURCE
+    assert f"in the degree-{degree} oracle slice" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_closed_stdout_exits_without_traceback():
     # the reader is gone before the child writes, as after `... | head -1`
     child = subprocess.Popen(

@@ -1,6 +1,7 @@
 """Closure-group structure, infinitesimal checks, involutions, catalogs."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -9,18 +10,23 @@ from birevnf.continuous import (
     SGroupData,
     SymmetryContext,
     catalog,
+    check_involution_pair,
     classify_type,
     closure_data,
     enumerate_involution_pairs,
     fix_dimension,
     linear_part_for_case,
+    phi_element,
+    psi_element,
 )
 from birevnf.errors import DimensionError, UnsupportedCase
 from birevnf.group import GroupContext, anticommute_check
 from birevnf.linalg import Echelon, mat_equal, mat_mul, vectorize
-from birevnf.oracle import module_slice, slice_space
+from birevnf.oracle import dimension_table, module_slice, slice_space
 from birevnf.poly import Polynomial, z_index, zbar_index
 from birevnf.symmetry_ops import pipeline, ring_products
+
+from test_golden_gensets import REGIMES
 
 
 def test_structure_single_resonance_on_three_blocks():
@@ -113,6 +119,23 @@ def test_enumerate_involution_pairs_counts_and_properties(n):
         )
         assert fix_dimension(pair.phi) == n + 1
         assert fix_dimension(pair.psi) == n + 1
+
+
+@pytest.mark.parametrize(
+    "case,params,nblocks", REGIMES, ids=[f"{c} {p}" for c, p, _ in REGIMES]
+)
+def test_both_involutions_negate_every_infinitesimal_generator(case, params, nblocks):
+    # gamma M gamma = -M: conjugation keeps the generator lattice of S
+    linear = linear_part_for_case(case, params)
+    generators = linear.infinitesimal_generators()
+    negated = [tuple(tuple(-x for x in row) for row in m) for m in generators]
+    phi = phi_element(nblocks)
+    for signs in product((1, -1), repeat=nblocks + 1):
+        psi = psi_element(signs)
+        check_involution_pair(linear, phi, psi)
+        for gamma in (phi, psi):
+            for m, minus_m in zip(generators, negated):
+                assert mat_mul(mat_mul(gamma.matrix, m), gamma.matrix) == minus_m
 
 
 TABLE2_ROWS = [
@@ -301,6 +324,9 @@ def test_moving_the_resonant_pair_to_other_blocks_changes_no_count(signs):
     here = SymmetryContext.from_case("res_n1n2_Cn", (1, 2, 4), signs)
     there = SymmetryContext.build(moved, closure_data(moved), (a0, a3, a4, a1, a2))
     assert _generator_profile(here) == _generator_profile(there)
+    assert dimension_table(here.full_context(), range(5)) == dimension_table(
+        there.full_context(), range(5)
+    )
 
 
 def test_context_rejects_closure_data_of_another_linear_part():

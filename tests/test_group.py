@@ -1,12 +1,18 @@
-"""Signed groups: closure, sign maps, semidirect condition, membership."""
+"""Signed groups: closure, sign maps, the involution-pair check, membership."""
 
 import pytest
 
-from birevnf.continuous import LinearPart, phi_element, psi_element
+from birevnf.continuous import (
+    LinearPart,
+    SymmetryContext,
+    catalog,
+    check_involution_pair,
+    phi_element,
+    psi_element,
+)
 from birevnf.errors import (
     ConditionViolated,
     DimensionError,
-    NotAHomomorphism,
     OrderExceeded,
     SignInconsistency,
 )
@@ -14,14 +20,12 @@ from birevnf.group import (
     GroupContext,
     SignedElement,
     anticommute_check,
-    check_semidirect_condition,
     close_group,
     element_from_json,
     element_to_json,
     membership,
-    product_sigma,
 )
-from birevnf.linalg import identity_matrix, matrix_from_rows
+from birevnf.linalg import identity_matrix, mat_mul, matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
     I,
@@ -129,42 +133,81 @@ def test_closure_sign_inconsistency():
         close_group([phi, wrong])
 
 
+def rejected_in_either_slot(linear, element):
+    """The pair check refuses `element` in the place of phi and of psi."""
+    n = linear.n
+    phi, psi = phi_element(n), psi_element((1,) * (n + 1))
+    for pair in ((element, psi), (phi, element)):
+        with pytest.raises(DimensionError, match="anti-commute"):
+            check_involution_pair(linear, *pair)
+
+
 def test_product_sigma_values():
-    phi = phi_element(2)
-    psi = psi_element((-1, -1, -1))
-    ps = product_sigma([phi], [psi])
-    assert ps.sigma(phi, psi) == 1
-    ident1 = SignedElement(identity_matrix(6), 1)
-    assert ps.sigma(ident1, ident1) == 1
-    assert ps.sigma_tilde(phi, ident1) == 1  # first factor acts as symmetries
-    assert ps.sigma_tilde(phi, psi) == -1
+    # sigma multiplies the factor signs; sigma_tilde makes phi a symmetry
+    ctx = SymmetryContext.build(LinearPart(2), catalog("non_resonant", (2,)), (-1, -1, -1))
+    phi_psi = mat_mul(ctx.phi.matrix, ctx.psi.matrix)
+    sigma = close_group(ctx.full_context().elements)
+    assert sigma.sign_of(phi_psi) == 1
+    assert sigma.sign_of(identity_matrix(6)) == 1
+    sigma_tilde = close_group(ctx.sigma_tilde_psi_context().elements)
+    assert sigma_tilde.sign_of(ctx.phi.matrix) == 1
+    assert sigma_tilde.sign_of(phi_psi) == -1
 
 
 def test_product_sigma_conjugation_must_stay_in_factor():
+    # the block swap conjugates the order-4 rotation of block 1 to that of
+    # block 2, outside the first factor; neither passes the pair check
     n = 2
     rot = SignedElement(scaling_on_block(n, 1, I), -1)
     kappa = SignedElement(swap_blocks(n), -1)
-    with pytest.raises(NotAHomomorphism):
-        product_sigma([rot], [kappa])
+    conj = mat_mul(mat_mul(kappa.matrix, rot.matrix), kappa.matrix)
+    with pytest.raises(KeyError):
+        close_group([rot]).sign_of(conj)
+    for element in (rot, kappa):
+        rejected_in_either_slot(LinearPart(n), element)
 
 
 def test_product_sigma_conjugation_must_preserve_signs():
     n = 2
     minus1 = SignedElement(scaling_on_block(n, 1, GaussianRational(-1)), -1, "u")
     minus2 = SignedElement(scaling_on_block(n, 2, GaussianRational(-1)), 1, "v")
-    kappa = SignedElement(swap_blocks(n), -1)
-    with pytest.raises(NotAHomomorphism):
-        product_sigma([minus1, minus2], [kappa])
+    for element in (minus1, minus2):
+        rejected_in_either_slot(LinearPart(n), element)
 
 
 def test_semidirect_condition_on_infinitesimal_generators():
     linear = LinearPart(2)
-    phi = phi_element(2)
-    report = check_semidirect_condition(
-        [], [phi], infinitesimal_generators=linear.infinitesimal_generators()
-    )
-    assert report.infinitesimal_checked == 3
-    assert report.ok
+    phi, psi = phi_element(2), psi_element((-1, 1, -1))
+    check_involution_pair(linear, phi, psi)
+    generators = linear.infinitesimal_generators()
+    assert len(generators) == 3
+    for gamma in (phi, psi):
+        for m in generators:
+            negated = tuple(tuple(-x for x in row) for row in m)
+            assert mat_mul(mat_mul(gamma.matrix, m), gamma.matrix) == negated
+
+
+def test_pair_check_rejects_each_failed_condition():
+    n = 2
+    linear = LinearPart(n)
+    phi = phi_element(n)
+    x_doubled = [[2 if i == j and i < 2 else int(i == j) for j in range(6)] for i in range(6)]
+    # anti-commutes with L, but squares to x -> 4x
+    not_involution = SignedElement(mat_mul(phi.matrix, matrix_from_rows(x_doubled)), -1)
+    # an anti-commuting involution whose product with phi is the order-4 rotation
+    not_commuting = SignedElement(mat_mul(phi.matrix, scaling_on_block(n, 1, I)), -1)
+    assert not_commuting.is_involution()
+    with pytest.raises(ConditionViolated, match="involution"):
+        check_involution_pair(linear, phi, not_involution)
+    with pytest.raises(ConditionViolated, match="involution"):
+        check_involution_pair(linear, not_involution, phi)
+    with pytest.raises(ConditionViolated, match="commute"):
+        check_involution_pair(linear, phi, not_commuting)
+    # phi again, as a symmetry: the closure reaches it with both signs
+    with pytest.raises(SignInconsistency):
+        check_involution_pair(linear, phi, SignedElement(phi.matrix, 1))
+    with pytest.raises(DimensionError):
+        check_involution_pair(LinearPart(3), phi, phi)
 
 
 def x_z_swap(n=1):
@@ -190,12 +233,7 @@ def x_z_swap(n=1):
 
 
 def test_semidirect_condition_violated_by_x_z_swap():
-    linear = LinearPart(1)
-    kappa = SignedElement(x_z_swap(1), -1)
-    with pytest.raises(ConditionViolated):
-        check_semidirect_condition(
-            [], [kappa], infinitesimal_generators=linear.infinitesimal_generators()
-        )
+    rejected_in_either_slot(LinearPart(1), SignedElement(x_z_swap(1), -1))
 
 
 def test_semidirect_condition_violated_by_resonant_block_swap():
@@ -211,21 +249,18 @@ def test_semidirect_condition_violated_by_resonant_block_swap():
     rows[zbar_index(2)][zbar_index(1)] = GaussianRational(1)
     rows[z_index(3)][z_index(3)] = GaussianRational(1)
     rows[zbar_index(3)][zbar_index(3)] = GaussianRational(1)
-    kappa = SignedElement(matrix_from_rows(rows), -1)
-    with pytest.raises(ConditionViolated):
-        check_semidirect_condition(
-            [], [kappa], infinitesimal_generators=linear.infinitesimal_generators()
-        )
+    rejected_in_either_slot(linear, SignedElement(matrix_from_rows(rows), -1))
 
 
 def test_block_swap_normalizes_nonresonant_torus():
-    # without a resonance the swap is a legitimate normalizer
+    # without a resonance the swap permutes the infinitesimal generators, so
+    # it normalizes S; it commutes with L, so it is no reversing involution
     linear = LinearPart(2)
     kappa = SignedElement(swap_blocks(2), -1)
-    report = check_semidirect_condition(
-        [], [kappa], infinitesimal_generators=linear.infinitesimal_generators()
-    )
-    assert report.ok
+    generators = linear.infinitesimal_generators()
+    conjugates = {mat_mul(mat_mul(kappa.matrix, m), kappa.matrix) for m in generators}
+    assert conjugates == set(generators)
+    rejected_in_either_slot(linear, kappa)
 
 
 def test_membership_examples():
@@ -285,25 +320,6 @@ def test_anticommute_examples():
         anticommute_check(phi_element(3), linear)
 
 
-def test_semidirect_spec_builds_verified_extension():
-    from birevnf.group import SemidirectSpec
-
-    linear = LinearPart(2)
-    phi = phi_element(2)
-    psi = psi_element((-1, 1, -1))
-    spec = SemidirectSpec.build((phi,), psi, linear.infinitesimal_generators())
-    assert spec.kappa == psi
-    assert spec.mu_check_report.finite_pairs_checked == 1
-    assert spec.mu_check_report.infinitesimal_checked == 3
-    from birevnf.continuous import SymmetryContext, catalog
-
-    ctx = SymmetryContext.build(linear, catalog("non_resonant", (2,)), (-1, 1, -1))
-    first, second = ctx.semidirect
-    assert first.kappa == ctx.phi
-    assert second.kappa == ctx.psi
-    assert second.gamma1_finite == (ctx.phi,)
-
-
 def test_signed_element_json_round_trip():
     psi = psi_element((-1, 1, -1))
     text = element_to_json(psi)
@@ -312,7 +328,7 @@ def test_signed_element_json_round_trip():
     assert back.sign == -1
 
 
-def test_products_and_inverses_of_checked_elements_skip_the_checks(monkeypatch):
+def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     import birevnf.group as group_module
     import birevnf.poly as poly_module
     from birevnf.poly import LinearAction
@@ -332,12 +348,13 @@ def test_products_and_inverses_of_checked_elements_skip_the_checks(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a: checked.append(name) or real(*a))
 
     counting("check_conjugation_compatible", poly_module)
-    counting("mat_rank", group_module)
-    derived = [phi * psi, psi * shear, shear.inverse(), (phi * shear).inverse()]
-    assert checked == []
-    # only the identity that close_group starts from is built from a matrix
+    counting("complex_rank", group_module)
+    derived = [phi * psi, psi * shear, shear * shear, phi * shear * psi]
+    # close_group builds its identity without the checks too
     assert close_group([phi, psi]).order == 4
-    assert sorted(checked) == ["check_conjugation_compatible", "mat_rank"]
+    assert checked == []
+    SignedElement(shear.matrix, 1)
+    assert sorted(checked) == ["check_conjugation_compatible", "complex_rank"]
     monkeypatch.undo()
     for el in derived:
         fresh = LinearAction(el.matrix, el.size)

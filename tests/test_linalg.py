@@ -1,4 +1,4 @@
-"""Exact elimination: nullspaces, span bases, and dense field operations."""
+"""Exact elimination: nullspaces, span bases, and ranks of dense matrices."""
 
 from fractions import Fraction
 from random import Random
@@ -8,23 +8,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from birevnf.errors import DimensionError
+from birevnf.group import SignedElement
 from birevnf.linalg import (
     Echelon,
-    _gauss_jordan,
-    identity_matrix,
-    mat_inverse,
-    mat_mul,
-    mat_rank,
+    complex_rank,
     matrix_from_rows,
     nullspace,
     polymap_from_vector,
     polynomial_from_vector,
-    solve_combination,
     vectorize_polymap,
     vectorize_polynomial,
     vectorize_terms,
 )
-from birevnf.poly import GaussianRational, parse_polymap, parse_polynomial
+from birevnf.poly import ONE, GaussianRational, I, parse_polymap, parse_polynomial
 
 from conftest import make_rng, random_polymap, random_polynomial
 
@@ -76,31 +72,15 @@ def test_span_basis_membership_and_dimension():
     assert span.insert({2: Fraction(5)})
 
 
-def test_solve_combination_finds_exact_coefficients():
-    vectors = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    target = {0: 2, 1: 5, 2: 3}
-    coeffs = solve_combination(vectors, target)
-    assert coeffs == [2, 3]
-    assert solve_combination(vectors, {0: 1, 2: 1}) is None
-
-
-def test_solve_combination_over_gaussian_entries():
-    i = GaussianRational(0, 1)
-    one = GaussianRational(1)
-    vectors = [{0: i}, {1: one}]
-    target = {0: GaussianRational(0, 3), 1: GaussianRational(-2)}
-    coeffs = solve_combination(vectors, target)
-    assert coeffs == [GaussianRational(3), GaussianRational(-2)]
-
-
 def test_matrix_inverse_and_rank():
+    # an element is invertible exactly when its matrix has full rank
     m = matrix_from_rows([[1, 1], [0, 2]])
-    assert mat_rank(m) == 2
-    assert mat_mul(m, mat_inverse(m)) == identity_matrix(2)
+    assert complex_rank(m) == 2
+    assert SignedElement(m, 1).matrix == m
     singular = matrix_from_rows([[1, 2], [2, 4]])
-    assert mat_rank(singular) == 1
+    assert complex_rank(singular) == 1
     with pytest.raises(DimensionError):
-        mat_inverse(singular)
+        SignedElement(singular, 1)
 
 
 def test_vectorize_round_trip_polynomial():
@@ -144,6 +124,28 @@ def test_echelon_rank_is_row_order_independent():
     assert sorted(e1.pivots) == sorted(e2.pivots)
 
 
+def _dense_rref(rows: list[list], ncols: int) -> int:
+    """Reference Gauss-Jordan over any field, in place; returns the rank.
+
+    Row r of the result has entry 1 at the r-th pivot column and 0 at every
+    other pivot column.
+    """
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 _entries = st.one_of(
     st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 )
@@ -165,10 +167,33 @@ def test_reduced_rows_are_the_dense_rref_in_any_order(system, rnd):
     shuffled = list(sparse)
     rnd.shuffle(shuffled)
     rref = [list(row) for row in dense]
-    rank = len(_gauss_jordan(rref, ncols))
+    rank = _dense_rref(rref, ncols)
     expected = [{c: x for c, x in enumerate(row) if x} for row in rref[:rank]]
     assert Echelon(sparse).reduced_rows() == expected
     assert Echelon(shuffled).reduced_rows() == expected
+
+
+_gaussian = st.builds(GaussianRational, _entries, _entries)
+
+
+@st.composite
+def gaussian_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(_gaussian, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        # a combination of two drawn rows, so that singular matrices are common
+        c = draw(_gaussian)
+        rows.append([c * x + y for x, y in zip(rows[0], rows[1])])
+    return ncols, rows
+
+
+@given(gaussian_matrices())
+# rank 1 over the Gaussian rationals, though the rows are independent over Q
+@example((2, [[ONE, I], [I, -ONE]]))
+def test_complex_rank_is_the_dense_gaussian_rank(system):
+    ncols, rows = system
+    assert complex_rank(rows) == _dense_rref([list(row) for row in rows], ncols)
 
 
 @given(rational_systems(), st.booleans())
