@@ -40,7 +40,7 @@ from .group import (
     close_group,
     membership,
 )
-from .normalform import NormalForm, assemble, emit, parse_normal_form
+from .normalform import NormalForm, assemble, emit
 from .oracle import (
     DegreeSlice,
     module_slice,

@@ -8,6 +8,7 @@ Identical configs produce byte-identical artifacts.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -121,7 +122,7 @@ def load_config(args: argparse.Namespace) -> JobConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
@@ -300,6 +301,7 @@ def cmd_verify(cfg: JobConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="birevnf",

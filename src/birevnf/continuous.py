@@ -40,6 +40,7 @@ from .linalg import (
 from .poly import (
     GaussianRational,
     I,
+    LinearAction,
     ONE,
     PolyMap,
     Polynomial,
@@ -103,19 +104,14 @@ class LinearPart:
             ints = _to_integer_row(vec)
             rows.append(tuple(ints.get(j, 0) for j in range(self.n)))
         object.__setattr__(self, "_weight_rows", tuple(sorted(rows, reverse=True)))
+        generators = (self.shear_generator(), *map(self.torus_generator, self._weight_rows))
         object.__setattr__(
-            self,
-            "_generators",
-            (self.shear_generator(), *map(self.torus_generator, self._weight_rows)),
+            self, "_generators", tuple(LinearAction(m, self.nvars) for m in generators)
         )
 
     @property
     def nvars(self) -> int:
         return 2 * self.n + 2
-
-    @property
-    def torus_rank(self) -> int:
-        return len(self._weight_rows)
 
     def torus_weight_rows(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer basis of the frequency solution lattice."""
@@ -133,8 +129,11 @@ class LinearPart:
             rows[zbar_index(j)][zbar_index(j)] = GaussianRational(0, -w)
         return matrix_from_rows(rows)
 
-    def infinitesimal_generators(self) -> tuple[Matrix, ...]:
-        """The shear, then one torus generator per weight row; built once."""
+    def infinitesimal_generators(self) -> tuple[LinearAction, ...]:
+        """The shear, then one torus generator per weight row, as checked actions.
+
+        Built and checked once; `LinearAction.matrix()` gives a dense matrix.
+        """
         return self._generators
 
 

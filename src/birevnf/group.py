@@ -18,27 +18,12 @@ continuous conditions to the context (weight-lattice and shear checks).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Literal, Protocol, Sequence
 
 from .errors import DimensionError, OrderExceeded, SignInconsistency
-from .linalg import (
-    Matrix,
-    complex_rank,
-    identity_matrix,
-    mat_equal,
-    mat_mul,
-    matrix_from_rows,
-    matrix_key,
-)
-from .poly import (
-    LinearAction,
-    PolyMap,
-    Polynomial,
-    parse_polynomial,
-    render_coefficient,
-)
+from .linalg import Matrix, complex_rank, identity_matrix, mat_mul
+from .poly import LinearAction, PolyMap, Polynomial
 
 MembershipKind = Literal[
     "invariant", "anti_invariant", "equivariant", "reversible_equivariant"
@@ -76,7 +61,7 @@ class SignedElement:
         """A * A = I, decided on the first call and kept (the element is frozen)."""
         known = self.__dict__.get("_involution")
         if known is None:
-            known = mat_equal(mat_mul(self.matrix, self.matrix), identity_matrix(self.size))
+            known = mat_mul(self.matrix, self.matrix) == identity_matrix(self.size)
             object.__setattr__(self, "_involution", known)
         return known
 
@@ -104,46 +89,12 @@ class SignedElement:
     def key(self):
         return self.action.key()
 
-    def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "matrix": [render_coefficient(c) for row in self.matrix for c in row],
-            "sign": self.sign,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SignedElement":
-        size = data["size"]
-        flat = data["matrix"]
-        if len(flat) != size * size:
-            raise DimensionError("matrix entry count does not match size")
-        nblocks = (size - 2) // 2
-        entries = []
-        for text in flat:
-            p = parse_polynomial(text, nblocks)
-            entries.append(p.coefficient((0,) * size))
-        rows = [entries[i * size : (i + 1) * size] for i in range(size)]
-        return cls(matrix_from_rows(rows), data["sign"], data.get("name", ""))
-
 
 @dataclass(frozen=True)
 class FiniteSignedGroup:
     """Explicit element list closed under product, with a sign homomorphism."""
 
     elements: tuple[SignedElement, ...]
-    generator_indices: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def sign_of(self, matrix: Matrix) -> int:
-        key = matrix_key(matrix)
-        for el in self.elements:
-            if el.key() == key:
-                return el.sign
-        raise KeyError("matrix is not an element of this group")
 
 
 def close_group(
@@ -161,20 +112,20 @@ def close_group(
     for g in generators:
         if g.size != size:
             raise DimensionError("generators act on different spaces")
-    seen: dict = {}  # matrix key -> (sign, position)
+    seen: dict = {}  # matrix key -> sign
     ordered: list[SignedElement] = []
 
     def add(el: SignedElement) -> bool:
         key = el.key()
         if key in seen:
-            if seen[key][0] != el.sign:
+            if seen[key] != el.sign:
                 raise SignInconsistency(
                     "element reached with both signs; sign map is not well defined"
                 )
             return False
         if len(ordered) + 1 > max_order:
             raise OrderExceeded(f"group closure exceeded {max_order} elements")
-        seen[key] = (el.sign, len(ordered))
+        seen[key] = el.sign
         ordered.append(el)
         return True
 
@@ -191,9 +142,7 @@ def close_group(
                 if add(prod):
                     new.append(prod)
         frontier = new
-    # generators may coincide with earlier elements; record their positions
-    gen_indices = [seen[g.key()][1] for g in generators]
-    return FiniteSignedGroup(tuple(ordered), tuple(gen_indices))
+    return FiniteSignedGroup(tuple(ordered))
 
 
 # -- membership --------------------------------------------------------------
@@ -261,17 +210,8 @@ def anticommute_check(gamma: SignedElement, linear_part) -> bool:
             f"element acts on {gamma.size} coordinates, linearization on "
             f"{linear_part.nvars}"
         )
-    for mat in linear_part.infinitesimal_generators():
-        m = LinearAction.trusted(mat, gamma.size)
+    for m in linear_part.infinitesimal_generators():
         negated = tuple(tuple((j, -c) for j, c in row) for row in (gamma.action * m).rows)
         if (m * gamma.action).rows != negated:
             return False
     return True
-
-
-def element_to_json(element: SignedElement) -> str:
-    return json.dumps(element.to_json(), sort_keys=True)
-
-
-def element_from_json(text: str) -> SignedElement:
-    return SignedElement.from_json(json.loads(text))

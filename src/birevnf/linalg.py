@@ -40,7 +40,6 @@ from .poly import (
     grlex_key,
     polymap_from_terms,
     polymap_terms,
-    polynomial_from_terms,
     terms_of,
 )
 
@@ -74,19 +73,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError("matrix size mismatch in product")
     product = LinearAction.trusted(a, len(b)) * LinearAction.trusted(b, len(b[0]))
     return product.matrix()
-
-
-def mat_equal(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def matrix_key(a: Matrix):
-    """Deterministic sort/lookup key for a Gaussian-rational matrix.
-
-    It is the key of the matrix's `LinearAction`, read off its nonzero
-    entries, so a group element's key needs no pass over its zeros.
-    """
-    return LinearAction.trusted(a, len(a)).key()
 
 
 # -- sparse fraction-free elimination over Q ---------------------------------
@@ -209,10 +195,6 @@ class Echelon:
         return list(basis.values())
 
 
-def nullspace(rows: Iterable[SparseRow], columns: Sequence[ColKey]) -> list[dict]:
-    return Echelon(rows).nullspace(columns)
-
-
 def complex_rank(rows: Iterable[Iterable[GaussianRational]]) -> int:
     """Rank over the Gaussian rationals, taken by `Echelon` on realified rows.
 
@@ -254,8 +236,8 @@ def vectorize_terms(components: Iterable[tuple[int, Mapping]]) -> dict:
     return vec
 
 
-def vectorize_polynomial(p: Polynomial, comp: int = -1) -> dict:
-    return vectorize_terms(((comp, terms_of(p)),))
+def vectorize_polynomial(p: Polynomial) -> dict:
+    return vectorize_terms(((-1, terms_of(p)),))
 
 
 def vectorize_polymap(g: PolyMap) -> dict:
@@ -268,16 +250,6 @@ def vectorize(obj) -> dict:
     if isinstance(obj, PolyMap):
         return vectorize_polymap(obj)
     raise TypeError(f"cannot vectorize {type(obj).__name__}")
-
-
-def polynomial_from_vector(vec: SparseRow, nvars: int) -> Polynomial:
-    terms: dict = {}
-    for (comp, (_deg, mono), part), value in vec.items():
-        if comp != -1:
-            raise ValueError("vector does not encode a bare polynomial")
-        re, im = terms.get(mono, (0, 0))
-        terms[mono] = (value, im) if part == 0 else (re, value)
-    return polynomial_from_terms(nvars, terms)
 
 
 def polymap_from_vector(vec: SparseRow, nblocks: int) -> PolyMap:

@@ -27,13 +27,11 @@ from .poly import (
     Notation,
     PolyMap,
     Polynomial,
-    parse_polymap,
-    parse_polynomial,
     render_polymap,
     render_polynomial,
     render_tuple,
 )
-from .symmetry_ops import GeneratorSet, ring_products
+from .symmetry_ops import GeneratorSet
 
 
 @dataclass(frozen=True)
@@ -82,26 +80,6 @@ def _leading_component(g: PolyMap) -> int:
         if comp:
             return i
     return g.nblocks + 2
-
-
-def instantiate_term(nf: NormalForm, term: NormalFormTerm, min_total_degree: int = 2) -> PolyMap:
-    """Replace the formal f by the lowest admissible invariant monomial.
-
-    Picks the canonically smallest product of Hilbert-basis elements whose
-    degree lifts the term to at least min_total_degree; the constant 1 when
-    the generator alone already qualifies.
-    """
-    gen_degree = term.generator.degree()
-    need = max(0, min_total_degree - gen_degree)
-    degree = need
-    while True:
-        products = [p for p in ring_products(nf.argument_list, degree) if p]
-        if products:
-            coeff = min(products, key=lambda p: p.sort_key())
-            return term.generator.mul_invariant(coeff)
-        degree += 1
-        if degree > need + sum(p.degree() for p in nf.argument_list) + 1:
-            raise ConfigError("no invariant coefficient reaches the required degree")
 
 
 # -- rendering ----------------------------------------------------------------
@@ -180,23 +158,6 @@ def emit_json(nf: NormalForm) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def parse_normal_form(text: str) -> NormalForm:
-    data = json.loads(text)
-    if data.get("schema") != "nf-v1":
-        raise ConfigError("unsupported normal-form schema")
-    n = data["nblocks"]
-    linear = LinearPart(
-        n,
-        tuple(tuple(r) for r in data["resonance_relations"]),
-        tuple(data["omegas"]),
-    )
-    args = tuple(parse_polynomial(s, n) for s in data["arguments"])
-    terms = tuple(
-        NormalFormTerm(t["f"], parse_polymap(t["generator"], n)) for t in data["terms"]
-    )
-    return NormalForm(linear, data["degree_max"], args, terms)
 
 
 _EMITTERS = {"text": emit_text, "latex": emit_latex, "json": emit_json}

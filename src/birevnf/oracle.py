@@ -33,7 +33,6 @@ PolyMap rows, and both against the membership predicates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -555,37 +554,3 @@ def spans_equal(a: DegreeSlice, b: DegreeSlice) -> SpanComparison:
             return SpanComparison(False, elem, "b")
     return SpanComparison(True)
 
-
-# -- reports ------------------------------------------------------------------
-
-
-def dimension_table(
-    context: GroupContext,
-    degrees: Sequence[int],
-    kinds: Sequence[str] = FUNCTION_KINDS + MAP_KINDS,
-    limit: int = DEFAULT_MONOMIAL_LIMIT,
-) -> dict:
-    table = {
-        kind: {d: slice_space(context, d, kind, limit).dimension for d in degrees}
-        for kind in kinds
-    }
-    return table
-
-
-def dimension_table_json(table: dict) -> str:
-    payload = {
-        kind: {str(d): dim for d, dim in row.items()} for kind, row in table.items()
-    }
-    return json.dumps({"schema": "dimtable-v1", "dimensions": payload}, sort_keys=True, indent=2)
-
-
-def render_dimension_table(table: dict) -> str:
-    kinds = list(table)
-    degrees = sorted({d for row in table.values() for d in row})
-    width = max(len(k) for k in kinds)
-    header = "degree".ljust(width) + "".join(f"{d:>6}" for d in degrees)
-    lines = [header]
-    for kind in kinds:
-        row = table[kind]
-        lines.append(kind.ljust(width) + "".join(f"{row.get(d, '-'):>6}" for d in degrees))
-    return "\n".join(lines)

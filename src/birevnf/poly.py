@@ -279,10 +279,6 @@ def conj_monomial(mono: Monomial) -> Monomial:
     return tuple(out)
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -385,9 +381,6 @@ class Polynomial:
         return cls(nvars, {tuple(mono): _coerce(coeff)})
 
     # inspection
-
-    def coefficient(self, mono: Monomial) -> GaussianRational:
-        return self._terms.get(tuple(mono), ZERO)
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -502,16 +495,6 @@ class Polynomial:
             else:
                 terms.pop(key, None)
         return Polynomial(self.nvars, terms)
-
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return Polynomial(
-            self.nvars, {m: c for m, c in self._terms.items() if sum(m) == degree}
-        )
-
-    def homogeneous_degrees(self) -> list[int]:
-        return sorted({sum(m) for m in self._terms})
 
     def substitute_linear(
         self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
@@ -892,13 +875,6 @@ class PolyMap:
             out.append(comp.conj())
         return tuple(out)
 
-    def component(self, index: int) -> Polynomial:
-        if index < 2:
-            return self.x_components[index]
-        j, rem = divmod(index - 2, 2)
-        comp = self.z_components[j]
-        return comp if rem == 0 else comp.conj()
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.x_components) and all(
             c.is_zero() for c in self.z_components
@@ -916,18 +892,6 @@ class PolyMap:
         for c in (*self.x_components, *self.z_components):
             degs.update({sum(m) for m in c.monomials()})
         return len(degs) <= 1
-
-    def homogeneous_component(self, degree: int) -> "PolyMap":
-        return PolyMap(
-            tuple(c.homogeneous_component(degree) for c in self.x_components),
-            tuple(c.homogeneous_component(degree) for c in self.z_components),
-        )
-
-    def homogeneous_degrees(self) -> list[int]:
-        degs = set()
-        for c in (*self.x_components, *self.z_components):
-            degs.update(c.homogeneous_degrees())
-        return sorted(degs)
 
     def __add__(self, other: "PolyMap") -> "PolyMap":
         return PolyMap(

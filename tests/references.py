@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .continuous import SymmetryContext, catalog, psi_element
-from .errors import UnsupportedCase
-from .poly import PolyMap, Polynomial
-from .symmetry_ops import normalize_leading, reynolds_S, transfer_T
+from birevnf.continuous import catalog, psi_element
+from birevnf.errors import UnsupportedCase
+from birevnf.poly import PolyMap, Polynomial
+from birevnf.symmetry_ops import normalize_leading, reynolds_S, transfer_T
 
 
 def projected_generator_list(n1: int, n2: int, n: int) -> tuple[PolyMap, ...]:
@@ -293,8 +293,3 @@ def compare_double_resonance_table(
             )
     return notes
 
-
-def double_resonance_context(
-    signs: Sequence[int], n1: int, n2: int, m1: int, m2: int
-) -> SymmetryContext:
-    return SymmetryContext.from_case("res_double_C4", (n1, n2, m1, m2), signs)

@@ -350,9 +350,10 @@ def test_non_string_case_or_format_is_config_error(tmp_path, capsys, field):
     assert "Traceback" not in err
 
 
-def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe{}"], ids=["array", "not-utf-8"])
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, content):
     cfg = tmp_path / "job.json"
-    cfg.write_text("[1, 2]")
+    cfg.write_bytes(content)
     code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == EXIT_CONFIG
     assert "config error" in err

@@ -16,8 +16,8 @@ oracle's column order or its canonical basis that keeps the same span.
 
 The catalog artifact pins the text of each Hilbert-basis element and each
 equivariant generator of `catalog(case, params)`, in order (keyed "basis i"
-and "generator i"), on fourteen parameter sets; `references.py` indexes the
-catalog by position, so the order is part of the artifact.
+and "generator i"), on fourteen parameter sets; `tests/references.py`
+indexes the catalog by position, so the order is part of the artifact.
 
 Regenerate (only when an artifact is meant to change) with
 

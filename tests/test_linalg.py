@@ -13,28 +13,34 @@ from birevnf.linalg import (
     Echelon,
     complex_rank,
     matrix_from_rows,
-    nullspace,
     polymap_from_vector,
-    polynomial_from_vector,
     vectorize_polymap,
     vectorize_polynomial,
     vectorize_terms,
 )
-from birevnf.poly import ONE, GaussianRational, I, parse_polymap, parse_polynomial
+from birevnf.poly import (
+    ONE,
+    GaussianRational,
+    I,
+    PolyMap,
+    Polynomial,
+    parse_polymap,
+    parse_polynomial,
+)
 
 from conftest import make_rng, random_polymap, random_polynomial
 
 
 def test_nullspace_of_simple_relation():
     # x + 2y = 0 over columns (0, 1, 2)
-    basis = nullspace([{0: 1, 1: 2}], [0, 1, 2])
+    basis = Echelon([{0: 1, 1: 2}]).nullspace([0, 1, 2])
     assert len(basis) == 2
     assert basis[0] == {1: Fraction(1), 0: Fraction(-2)}
     assert basis[1] == {2: Fraction(1)}
 
 
 def test_nullspace_full_rank_is_empty():
-    basis = nullspace([{0: 1}, {1: 3}], [0, 1])
+    basis = Echelon([{0: 1}, {1: 3}]).nullspace([0, 1])
     assert basis == []
 
 
@@ -55,7 +61,7 @@ def test_fraction_free_matches_plain_on_random_systems():
             if row:
                 rows.append(row)
         cols = list(range(ncols))
-        a = nullspace([dict(r) for r in rows], cols)
+        a = Echelon([dict(r) for r in rows]).nullspace(cols)
         b = _plain_nullspace([dict(r) for r in rows], cols)
         assert len(a) == len(b)
         span = Echelon(a)
@@ -84,8 +90,16 @@ def test_matrix_inverse_and_rank():
 
 
 def test_vectorize_round_trip_polynomial():
+    # a polynomial's vector is the map vector of that polynomial as the z1
+    # component, relabelled to component -1, and the map vector reads back
     p = random_polynomial(make_rng(3), 2, max_degree=4)
-    assert polynomial_from_vector(vectorize_polynomial(p), p.nvars) == p
+    zero = Polynomial.zero(p.nvars)
+    g = PolyMap((zero, zero), (p, zero))
+    vec = vectorize_polymap(g)
+    assert polymap_from_vector(vec, 2) == g
+    assert {(-1, key, part): v for (_comp, key, part), v in vec.items()} == (
+        vectorize_polynomial(p)
+    )
 
 
 def test_vectorize_round_trip_polymap():

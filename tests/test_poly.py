@@ -1,6 +1,5 @@
 """Exact arithmetic, substitution, and rendering of the polynomial layer."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from birevnf.continuous import phi_element, phi_matrix, psi_element, psi_matrix
 from birevnf.errors import DimensionError, IncompatibleMatrix
-from birevnf.group import SignedElement, element_from_json
+from birevnf.group import SignedElement
 from birevnf.linalg import identity_matrix, mat_mul, matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
@@ -94,14 +93,6 @@ def test_norm_square_invariant_under_second_involution(a1):
     assert norm.substitute_linear(psi_matrix((-1, a1))) == norm
 
 
-def test_homogeneous_component_examples():
-    nvars = 4
-    x1 = var(nvars, 0)
-    p = x1 + x1 * x1
-    assert p.homogeneous_component(1) == x1
-    assert p.homogeneous_component(3).is_zero()
-
-
 def test_resonant_invariant_is_homogeneous():
     n1, n2 = 2, 3
     nvars = 8
@@ -110,7 +101,6 @@ def test_resonant_invariant_is_homogeneous():
     mono[zbar_index(2)] = n1
     v4 = re_part(Polynomial.monomial(nvars, tuple(mono)))
     assert v4.is_homogeneous()
-    assert v4.homogeneous_component(n1 + n2) == v4
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
@@ -372,9 +362,6 @@ def test_incompatible_matrix_rejected_by_every_entry_point():
         SignedElement(bad, 1)
     with pytest.raises(IncompatibleMatrix):
         LinearAction(bad, 4)
-    data = {"size": 4, "matrix": [str(c) for row in bad for c in row], "sign": 1}
-    with pytest.raises(IncompatibleMatrix):
-        element_from_json(json.dumps(data))
 
 
 def test_action_on_the_wrong_number_of_coordinates_rejected():

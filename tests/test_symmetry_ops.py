@@ -345,7 +345,7 @@ def test_prune_ring_keeps_independent_elements(c3_data):
 
 
 def test_pipeline_type_a_matches_reference_table(c3_gensets, c3_contexts):
-    from birevnf.references import table1_generators
+    from references import table1_generators
 
     for typ in "ABCD":
         gs = c3_gensets[typ]
@@ -410,7 +410,7 @@ def test_pipeline_requires_catalog_data():
 
 def test_intermediate_generators_span_reference_list(c3_contexts):
     # after the first extension the module spans the full projected list
-    from birevnf.references import projected_generator_list
+    from references import projected_generator_list
     from birevnf.symmetry_ops import intermediate_generators
 
     ctx = c3_contexts["A"]
