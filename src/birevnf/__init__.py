@@ -33,7 +33,6 @@ from .errors import (
     UnsupportedCase,
 )
 from .group import (
-    FiniteSignedGroup,
     GroupContext,
     SignedElement,
     anticommute_check,

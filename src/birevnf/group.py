@@ -5,8 +5,10 @@ epimorphism: +1 for symmetries, -1 for reversing symmetries.  Finite groups
 are stored as explicit closed element lists (the orders needed here never
 exceed four); the continuous factor never appears as elements, only through
 the infinitesimal data carried by a group context.  An element built from a
-matrix is checked once: invertible (`linalg.complex_rank`) and conjugation
-compatible.  `close_group` and `anticommute_check` are the pieces from which
+matrix is checked once: invertible (`linalg.complex_rank`, skipped for a
+monomial matrix, one nonzero entry in each row and each column, which is
+invertible as it stands) and conjugation compatible.  `close_group` and
+`anticommute_check` are the pieces from which
 `continuous.check_involution_pair` decides the reversing tower; no
 semidirect or product-sign object is built.
 
@@ -49,8 +51,11 @@ class SignedElement:
         if self.sign not in (1, -1):
             raise SignInconsistency(f"sign must be +1 or -1, got {self.sign}")
         size = len(self.matrix)
-        object.__setattr__(self, "action", LinearAction(self.matrix, size))
-        if complex_rank(self.matrix) != size:
+        action = LinearAction(self.matrix, size)
+        object.__setattr__(self, "action", action)
+        # one nonzero entry in each row, in distinct columns: invertible as it is
+        columns = {row[0][0] for row in action.rows if row}
+        if not (action.monomial and len(columns) == size) and complex_rank(self.matrix) != size:
             raise DimensionError("group element matrix must be invertible")
 
     @property
@@ -90,21 +95,15 @@ class SignedElement:
         return self.action.key()
 
 
-@dataclass(frozen=True)
-class FiniteSignedGroup:
-    """Explicit element list closed under product, with a sign homomorphism."""
-
-    elements: tuple[SignedElement, ...]
-
-
 def close_group(
     generators: Sequence[SignedElement], max_order: int = 64
-) -> FiniteSignedGroup:
+) -> tuple[SignedElement, ...]:
     """Multiplicative closure of the generators, tracking signs.
 
-    Raises OrderExceeded past max_order elements and SignInconsistency when
-    the same matrix is reached with two different signs (the sign map would
-    not be a homomorphism).
+    Returns the elements, the identity first, each matrix once with its
+    sign.  Raises OrderExceeded past max_order elements and
+    SignInconsistency when the same matrix is reached with two different
+    signs (the sign map would not be a homomorphism).
     """
     if not generators:
         raise DimensionError("at least one generator required")
@@ -142,7 +141,7 @@ def close_group(
                 if add(prod):
                     new.append(prod)
         frontier = new
-    return FiniteSignedGroup(tuple(ordered))
+    return tuple(ordered)
 
 
 # -- membership --------------------------------------------------------------

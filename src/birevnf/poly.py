@@ -137,10 +137,10 @@ class GaussianRational:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -357,6 +357,16 @@ class Polynomial:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
+        """A polynomial owning `terms`, unchecked: each coefficient must be a
+        nonzero GaussianRational and each monomial have nvars slots."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -429,13 +439,13 @@ class Polynomial:
                 terms[mono] = acc
             else:
                 terms.pop(mono, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted(self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -449,7 +459,7 @@ class Polynomial:
                         terms[mono] = acc
                     else:
                         terms.pop(mono, None)
-            return Polynomial(self.nvars, terms)
+            return Polynomial._trusted(self.nvars, terms)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -458,7 +468,8 @@ class Polynomial:
         c = _coerce(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: c * v for m, v in self._terms.items()})
+        # a product of nonzero Gaussian rationals is nonzero
+        return Polynomial._trusted(self.nvars, {m: c * v for m, v in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -475,7 +486,7 @@ class Polynomial:
 
     def conj(self) -> "Polynomial":
         """Formal conjugate: conjugate coefficients, swap each z_j/zb_j pair."""
-        return Polynomial(
+        return Polynomial._trusted(
             self.nvars,
             {conj_monomial(m): c.conjugate() for m, c in self._terms.items()},
         )
@@ -494,7 +505,7 @@ class Polynomial:
                 terms[key] = acc
             else:
                 terms.pop(key, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def substitute_linear(
         self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
@@ -533,7 +544,7 @@ class Polynomial:
                     terms[key] = acc
                 else:
                     terms.pop(key, None)
-            return Polynomial(self.nvars, terms)
+            return Polynomial._trusted(self.nvars, terms)
         forms = [
             Polynomial(self.nvars, {_unit(self.nvars, j): entry for j, entry in entries})
             for entries in rows
@@ -557,12 +568,6 @@ class Polynomial:
             for m, c in self.sorted_terms()
         )
         return (self.degree(), terms)
-
-    def leading_coefficient(self) -> GaussianRational:
-        if not self._terms:
-            return ZERO
-        mono = max(self._terms, key=grlex_key)
-        return self._terms[mono]
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -590,15 +595,25 @@ def _unit(nvars: int, index: int) -> Monomial:
 
 
 def check_conjugation_compatible(matrix, nvars: int):
+    """Require A[conj i][conj j] == conj(A[i][j]) for every entry.
+
+    Each entry but a GaussianRational zero is checked with its partner, in
+    row-major order: (i, j) -> (conj i, conj j) is an involution, so a pair
+    of such zeros cannot fail, and the first failure is the walk's over every
+    entry (TypeError for a float, even 0.0, or IncompatibleMatrix).
+    """
     if len(matrix) != nvars or any(len(row) != nvars for row in matrix):
         raise DimensionError(f"matrix must be {nvars}x{nvars}")
-    for i in range(nvars):
-        ci = conj_index(i)
-        for j in range(nvars):
-            if matrix[ci][conj_index(j)] != _coerce(matrix[i][j]).conjugate():
-                raise IncompatibleMatrix(
-                    f"entry ({i},{j}) breaks the conjugation pairing"
-                )
+    flagged = [(i, j) for i, row in enumerate(matrix) for j, x in enumerate(row)
+               if type(x) is not GaussianRational or x.re or x.im]
+    conj = [conj_index(k) for k in range(nvars)]
+    partners = [(conj[i], conj[j]) for i, j in flagged]
+    # with nvars odd the last index has no partner in range, so the walk
+    # over every entry stops at (0, that index) with IndexError
+    lone = [(0, k) for k in range(nvars) if conj[k] >= nvars]
+    for i, j in sorted({*flagged, *partners, *lone}):
+        if matrix[conj[i]][conj[j]] != _coerce(matrix[i][j]).conjugate():
+            raise IncompatibleMatrix(f"entry ({i},{j}) breaks the conjugation pairing")
 
 
 class LinearAction:
@@ -723,7 +738,10 @@ def polymap_terms(g: "PolyMap") -> tuple[dict, ...]:
 
 
 def polynomial_from_terms(nvars: int, terms: Mapping) -> Polynomial:
-    return Polynomial(nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
+    """The Polynomial of kernel terms, whose monomials are trusted to have nvars slots."""
+    return Polynomial._trusted(
+        nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items() if re or im}
+    )
 
 
 def polymap_from_terms(nvars: int, components: Sequence[Mapping]) -> "PolyMap":
@@ -961,12 +979,6 @@ class PolyMap:
         )
         comps = tuple(c.sort_key() for c in (*self.x_components, *self.z_components))
         return (self.degree(), leading, comps)
-
-    def leading_coefficient(self) -> GaussianRational:
-        for comp in (*self.x_components, *self.z_components):
-            if comp:
-                return comp.leading_coefficient()
-        return ZERO
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):

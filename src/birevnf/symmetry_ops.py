@@ -13,24 +13,26 @@ invariants of the extended group, which is what makes the generator
 transport work:
 
   1. extend a Hilbert basis {u_i} along kappa via {R(u_i)} + {S(u_i)S(u_j)};
-  2. multiply module generators by {1} + {S(u_i)} to re-express them over
+  2. the products {S(u_i) L_j}, with S(u_0) = 1, generate the module over
      the smaller coefficient ring;
-  3. project the products by T.
+  3. project them by T.  S(u) is kappa-odd, so T(S(u) L) = S(u) E(L) with
+     E(L) = L - T(L) = (L + kappa . L . kappa)/2: one T(L_j) per generator
+     gives every projection, and no product is projected.
 
 The pipeline runs this twice, once per reversing involution, starting from
 the closure-group catalog: it yields a Hilbert basis for the full invariant
 ring and module generators for the reversible-equivariant mappings under
 the whole semidirect product.  Operator outputs keep their exact one-half
-prefactors; only `normalize_leading`, applied to the candidates that the
-extension and projection steps hand to the prunes, rescales leading
-coefficients, so idempotence identities hold on the nose while presented
-tables match the cleaned-up convention.
+prefactors; only the candidates handed to the prunes are rescaled to
+leading coefficient 1 (or i), so idempotence identities hold on the nose
+while presented tables match the cleaned-up convention.
 
-The transfer projection, the ring-product table and the rows of both
-prunes run on the exponent-tuple terms of `poly` (the kernel the oracle
-uses too) and emit rows through `linalg.vectorize_terms`; a Polynomial or
-PolyMap is built only for a result that leaves this module.  The
-Polynomial arithmetic they replace (`Polynomial.__mul__`,
+The operators, the candidates of both steps with their rescaling and
+deduplication, the ring-product table and the rows of both prunes run on
+the exponent-tuple terms of `poly` (the kernel the oracle uses too) and
+emit rows through `linalg.vectorize_terms`; a Polynomial or PolyMap is
+built only for a candidate handed to a prune or a result that leaves this
+module.  The Polynomial arithmetic they replace (`Polynomial.__mul__`,
 `PolyMap.mul_invariant`, `compose_linear`, `apply_linear`) stays as the
 reference the tests compare against.
 """
@@ -53,7 +55,6 @@ from .errors import (
 from .group import SignedElement, membership
 from .linalg import Echelon, vectorize_polymap, vectorize_polynomial, vectorize_terms
 from .poly import (
-    HALF,
     LATEX,
     LinearAction,
     TEXT,
@@ -62,6 +63,8 @@ from .poly import (
     Polynomial,
     Substitution,
     add_output_image,
+    add_term,
+    grlex_key,
     mul_terms,
     output_columns,
     polymap_from_terms,
@@ -82,19 +85,34 @@ def _require_involution(kappa: SignedElement):
 def reynolds_R(f: Polynomial, kappa: SignedElement) -> Polynomial:
     """(f + f . kappa)/2: projection onto kappa-invariant functions."""
     _require_involution(kappa)
-    return (f + f.substitute_linear(kappa.action)).scale(HALF)
+    doubled = _doubled(terms_of(f), Substitution(kappa.action), 1)
+    return polynomial_from_terms(f.nvars, _halve(doubled))
 
 
 def reynolds_S(f: Polynomial, kappa: SignedElement) -> Polynomial:
     """(f - f . kappa)/2: projection onto the kappa-odd functions."""
     _require_involution(kappa)
-    return (f - f.substitute_linear(kappa.action)).scale(HALF)
+    doubled = _doubled(terms_of(f), Substitution(kappa.action), -1)
+    return polynomial_from_terms(f.nvars, _halve(doubled))
 
 
 def transfer_T(g: PolyMap, kappa: SignedElement) -> PolyMap:
     """(g - kappa . g . kappa)/2: projection onto kappa-reversible mappings."""
     _require_involution(kappa)
     return _transfer(g, kappa.action)
+
+
+def _doubled(terms: dict, substitute: Substitution, sign: int) -> dict:
+    """f + sign * (f . A) on the terms of f: twice R(f) for sign 1, twice S(f) for -1."""
+    out = dict(terms)
+    for mono, (re, im) in terms.items():
+        substitute.add_image(out, mono, sign * re, sign * im)
+    return out
+
+
+def _halve(terms: dict) -> dict:
+    half = Fraction(1, 2)
+    return {m: (re * half, im * half) for m, (re, im) in terms.items()}
 
 
 def _transfer(g: PolyMap, action: LinearAction) -> PolyMap:
@@ -112,28 +130,37 @@ def _transfer(g: PolyMap, action: LinearAction) -> PolyMap:
         for mono, (re, im) in terms.items():
             substitute.add_image(composed, mono, re, im)
         add_output_image(out, columns, comp, composed, -1)
-    half = Fraction(1, 2)
-    return polymap_from_terms(
-        g.nvars,
-        [{m: (re * half, im * half) for m, (re, im) in terms.items()} for terms in out],
-    )
+    return polymap_from_terms(g.nvars, [_halve(terms) for terms in out])
 
 
 # -- normalization and pruning -----------------------------------------------
 
 
-def normalize_leading(elem):
-    """Rescale by the inverse of the leading rational coefficient.
+def _normalized_once(candidates: Iterable[Sequence[dict]]) -> list[tuple[dict, ...]]:
+    """The nonzero candidates rescaled by their leading rational coefficient, each once.
 
-    Only real rational scalings are allowed (they preserve reality and the
-    module structure), so a purely imaginary leading coefficient keeps its
-    factor i and is scaled to unit imaginary part.
+    A candidate is the terms of each stored component (one for a
+    polynomial); its leading coefficient is that of the grlex-largest
+    monomial of its first nonzero component.  The scaling is real rational,
+    which keeps reality and a factor i, so a real rational multiple of a
+    candidate comes out the same.
     """
-    c = elem.leading_coefficient()
-    if not c:
-        return elem
-    factor = c.re if c.re else c.im
-    return elem.scale(Fraction(1) / factor)
+    seen = set()
+    out = []
+    for comps in candidates:
+        lead = next((terms for terms in comps if terms), None)
+        if lead is None:
+            continue
+        re, im = lead[max(lead, key=grlex_key)]
+        factor = re if re else im
+        if factor != 1:
+            inverse = Fraction(1) / factor
+            comps = [{m: (r * inverse, i * inverse) for m, (r, i) in t.items()} for t in comps]
+        key = tuple(frozenset(terms.items()) for terms in comps)
+        if key not in seen:
+            seen.add(key)
+            out.append(tuple(comps))
+    return out
 
 
 def _canonical(elems):
@@ -288,6 +315,12 @@ def prune_module(
 # -- generator transport -----------------------------------------------------
 
 
+def _odd_parts(basis: Sequence[Polynomial], substitute: Substitution) -> list[dict]:
+    """The nonzero 2 S(u_i), on terms, in basis order."""
+    odd = (_doubled(terms_of(u), substitute, -1) for u in basis)
+    return [terms for terms in odd if terms]
+
+
 def extend_hilbert_basis(
     basis: Sequence[Polynomial], kappa: SignedElement
 ) -> tuple[Polynomial, ...]:
@@ -296,50 +329,47 @@ def extend_hilbert_basis(
     Takes {R(u_i)} together with the pairwise products {S(u_i)S(u_j)},
     removes zeros, rescales, and prunes ring-redundant elements (this is
     where algebraic relations between the products are rewritten away).
+    Both are built on terms from 2R and 2S, as the rescaling drops the 2.
     """
     _require_involution(kappa)
-    r_images = [reynolds_R(u, kappa) for u in basis]
-    s_images = [reynolds_S(u, kappa) for u in basis]
-    candidates = [normalize_leading(p) for p in r_images if p]
-    for i, si in enumerate(s_images):
-        if not si:
-            continue
-        for sj in s_images[i:]:
-            if sj:
-                candidates.append(normalize_leading(si * sj))
-    return prune_ring(candidates)
+    substitute = Substitution(kappa.action)
+    candidates = [(_doubled(terms_of(u), substitute, 1),) for u in basis]
+    odd = _odd_parts(basis, substitute)
+    candidates += [(mul_terms(si, sj),) for i, si in enumerate(odd) for sj in odd[i:]]
+    return prune_ring(polynomial_from_terms(kappa.size, p) for p, in _normalized_once(candidates))
 
 
 def generators_over_extension(
     basis: Sequence[Polynomial],
     gens: Sequence[PolyMap],
+    images: Sequence[PolyMap],
     kappa: SignedElement,
 ) -> tuple[PolyMap, ...]:
-    """Products {S(u_i) L_j} (with S(u_0) = 1) generating over the subring."""
+    """The projections {T(S(u_i) L_j)} = {S(u_i) E(L_j)}, given images[j] = T(L_j).
+
+    E(L) = L - T(L) = (L + kappa . L . kappa)/2.  T is a module map and S(u)
+    is kappa-odd, so T(S(u) L) = S(u) E(L): the products need no projection
+    of their own.  Zeros are dropped, the rest rescaled to lead 1, each
+    once; the products are built on terms from 2 S(u_i).
+    """
     _require_involution(kappa)
-    coefficients = [None] + [reynolds_S(u, kappa) for u in basis]
-    out = []
-    for coeff in coefficients:
-        if coeff is not None and not coeff:
-            continue
-        for g in gens:
-            product = g if coeff is None else g.mul_invariant(coeff)
-            if product:
-                out.append(product)
-    return tuple(out)
+    odd = _odd_parts(basis, Substitution(kappa.action))
+    even = []
+    for g, image in zip(gens, images):
+        parts = [dict(terms) for terms in polymap_terms(g)]
+        for part, projected in zip(parts, polymap_terms(image)):
+            for mono, (re, im) in projected.items():
+                add_term(part, mono, -re, -im)
+        if any(parts):
+            even.append(parts)
+    products = ([mul_terms(terms, s) for terms in parts] for s in odd for parts in even)
+    return tuple(polymap_from_terms(kappa.size, c) for c in _normalized_once(products))
 
 
-def project_generators(
-    gens: Sequence[PolyMap], kappa: SignedElement
-) -> tuple[PolyMap, ...]:
-    """Transfer projections {T(G_i)}, zeros removed, rescaled to lead 1."""
-    _require_involution(kappa)
-    out = []
-    for g in gens:
-        image = transfer_T(g, kappa)
-        if image:
-            out.append(normalize_leading(image))
-    return tuple(_dedupe(out))
+def project_generators(images: Sequence[PolyMap]) -> tuple[PolyMap, ...]:
+    """The transfer projections {T(L_j)}, zeros removed, rescaled to lead 1, each once."""
+    normalized = _normalized_once(map(polymap_terms, images))
+    return tuple(polymap_from_terms(images[0].nvars, comps) for comps in normalized)
 
 
 # -- generator sets and the pipeline -----------------------------------------
@@ -376,10 +406,16 @@ def certify(genset: GeneratorSet) -> GeneratorSet:
 
 
 def _transport(basis, gens, kappa: SignedElement):
-    """One involution step: extend the ring, transport, project and prune."""
+    """One involution step: extend the ring, project each generator once, prune.
+
+    The candidates are {T(L_j)} and {S(u_i) E(L_j)}, the projections of
+    {S(u_i) L_j} (`generators_over_extension`), so each generator is
+    projected once and no product is.
+    """
     extended = extend_hilbert_basis(basis, kappa)
-    projected = project_generators(generators_over_extension(basis, gens, kappa), kappa)
-    return extended, prune_module(projected, extended)
+    images = [transfer_T(g, kappa) for g in gens]
+    products = generators_over_extension(basis, gens, images, kappa)
+    return extended, prune_module(project_generators(images) + products, extended)
 
 
 def pipeline(context: SymmetryContext) -> GeneratorSet:

@@ -50,6 +50,22 @@ def random_real_polynomial(
     return doubled
 
 
+def normalize_leading(elem):
+    """Rescale a Polynomial or PolyMap by the inverse of its leading rational coefficient.
+
+    The leading coefficient is that of the grlex-largest monomial of the
+    first nonzero stored component.  A purely imaginary one keeps its factor
+    i and is scaled to unit imaginary part.  This is the rescaling the
+    pipeline applies on terms to the candidates it hands to the prunes.
+    """
+    comps = (elem,) if isinstance(elem, Polynomial) else (*elem.x_components, *elem.z_components)
+    lead = next((c for c in comps if c), None)
+    if lead is None:
+        return elem
+    c = lead.sorted_terms()[0][1]
+    return elem.scale(Fraction(1) / (c.re if c.re else c.im))
+
+
 def random_polymap(
     rng: random.Random, nblocks: int, max_degree: int = 6, terms: int = 3
 ) -> PolyMap:

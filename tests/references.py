@@ -23,7 +23,9 @@ from typing import Callable, Sequence
 from birevnf.continuous import catalog, psi_element
 from birevnf.errors import UnsupportedCase
 from birevnf.poly import PolyMap, Polynomial
-from birevnf.symmetry_ops import normalize_leading, reynolds_S, transfer_T
+from birevnf.symmetry_ops import reynolds_S, transfer_T
+
+from conftest import normalize_leading
 
 
 def projected_generator_list(n1: int, n2: int, n: int) -> tuple[PolyMap, ...]:

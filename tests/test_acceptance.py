@@ -25,14 +25,19 @@ from birevnf.oracle import module_slice, slice_space, spans_equal
 from birevnf.poly import I, PolyMap, Polynomial
 from birevnf.symmetry_ops import (
     GeneratorSet,
-    normalize_leading,
     pipeline,
     reynolds_R,
     reynolds_S,
     transfer_T,
 )
 
-from conftest import make_rng, random_polymap, random_polynomial, random_real_polynomial
+from conftest import (
+    make_rng,
+    normalize_leading,
+    random_polymap,
+    random_polynomial,
+    random_real_polynomial,
+)
 from references import (
     compare_double_resonance_table,
     recompute_double_resonance,

@@ -35,7 +35,7 @@ from birevnf.poly import (
 
 def signs_by_matrix(group):
     """The sign of each element of a closed group, keyed by its matrix."""
-    return {el.matrix: el.sign for el in group.elements}
+    return {el.matrix: el.sign for el in group}
 
 
 def scaling_on_block(n, j, factor):
@@ -67,10 +67,10 @@ def test_closure_of_the_two_involutions_is_klein_four():
     phi = phi_element(2)
     psi = psi_element((-1, -1, -1))
     group = close_group([phi, psi])
-    assert len(group.elements) == 4
-    assert sorted(el.sign for el in group.elements) == [-1, -1, 1, 1]
+    assert len(group) == 4
+    assert sorted(el.sign for el in group) == [-1, -1, 1, 1]
     # every element is its own inverse: the Klein four-group
-    for el in group.elements:
+    for el in group:
         assert el.is_involution()
 
 
@@ -93,8 +93,8 @@ def test_closure_is_closed_and_sign_is_homomorphism():
     psi = psi_element((-1, 1, -1))
     group = close_group([phi, psi])
     signs = signs_by_matrix(group)
-    for a in group.elements:
-        for b in group.elements:
+    for a in group:
+        for b in group:
             product = mat_mul(a.matrix, b.matrix)
             assert product in signs
             assert signs[product] == a.sign * b.sign
@@ -102,7 +102,7 @@ def test_closure_is_closed_and_sign_is_homomorphism():
 
 def test_closure_of_identity_alone():
     ident = SignedElement(identity_matrix(4), 1)
-    assert len(close_group([ident]).elements) == 1
+    assert len(close_group([ident])) == 1
 
 
 def test_closure_of_single_involution():
@@ -318,6 +318,25 @@ def test_anticommute_examples():
         anticommute_check(phi_element(3), linear)
 
 
+def test_monomial_elements_skip_the_rank_but_singular_ones_still_fail(monkeypatch):
+    import birevnf.group as group_module
+
+    ranks = []
+    real = group_module.complex_rank
+    monkeypatch.setattr(group_module, "complex_rank", lambda m: ranks.append(1) or real(m))
+    # one nonzero entry in each row and each column: invertible as it stands
+    phi_element(2)
+    psi_element((-1, 1, -1))
+    SignedElement(scaling_on_block(2, 1, I), 1)
+    assert ranks == []
+    repeated_column = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    empty_row = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for rows in (repeated_column, empty_row):
+        with pytest.raises(DimensionError, match="invertible"):
+            SignedElement(matrix_from_rows(rows), 1)
+    assert len(ranks) == 2
+
+
 def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     import birevnf.group as group_module
     import birevnf.poly as poly_module
@@ -341,7 +360,7 @@ def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     counting("complex_rank", group_module)
     derived = [phi * psi, psi * shear, shear * shear, phi * shear * psi]
     # close_group builds its identity without the checks too
-    assert len(close_group([phi, psi]).elements) == 4
+    assert len(close_group([phi, psi])) == 4
     assert checked == []
     SignedElement(shear.matrix, 1)
     assert sorted(checked) == ["check_conjugation_compatible", "complex_rank"]

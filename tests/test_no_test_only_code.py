@@ -21,6 +21,7 @@ ALLOWED = {
     "intermediate_generators": "the paper's first-extension module, checked against its table",
     "phi_context": "the paper's sign map sigma_1 on S x| Z2(phi), checked against its table",
     "sigma_tilde_psi_context": "the paper's sign map sigma-tilde, checked against its table",
+    "mul_invariant": "the module action on PolyMap, the reference for the products on terms",
 }
 
 

@@ -16,12 +16,17 @@ from birevnf.poly import (
     LinearAction,
     PolyMap,
     Polynomial,
+    _coerce,
+    check_conjugation_compatible,
+    conj_index,
     im_part,
     parse_polymap,
     parse_polynomial,
     re_part,
     render_polymap,
     render_polynomial,
+    polynomial_from_terms,
+    terms_of,
     z_index,
     zbar_index,
 )
@@ -370,3 +375,118 @@ def test_action_on_the_wrong_number_of_coordinates_rejected():
         var(6, 0).substitute_linear(action)
     with pytest.raises(DimensionError):
         random_polymap(make_rng(4), 2, max_degree=2).apply_linear(action)
+
+
+# -- the conjugation check against the walk over every entry ---------------
+
+
+def _dense_conjugation_check(matrix, nvars):
+    """Every entry coerced and compared with its partner, in row-major order."""
+    if len(matrix) != nvars or any(len(row) != nvars for row in matrix):
+        raise DimensionError(f"matrix must be {nvars}x{nvars}")
+    for i in range(nvars):
+        for j in range(nvars):
+            partner = matrix[conj_index(i)][conj_index(j)]
+            if partner != _coerce(matrix[i][j]).conjugate():
+                raise IncompatibleMatrix(f"entry ({i},{j}) breaks the conjugation pairing")
+
+
+def _outcome(check, matrix):
+    try:
+        check(matrix, len(matrix))
+    except Exception as exc:  # the class and the message must both match
+        return type(exc), str(exc)
+    return None
+
+
+_EXACT = [0, 0, 0, 1, -1, Fraction(1, 2), Fraction(0), False, True,
+          GaussianRational(0), I, GaussianRational(1, -2)]
+_FLOATS = [0.0, 1.0, -0.5]
+
+
+def _conjugate(x):
+    return x.conjugate() if isinstance(x, GaussianRational) else x
+
+
+@st.composite
+def _paired_matrices(draw):
+    """A matrix that respects the pairing, then up to three entries overwritten."""
+    nvars = draw(st.sampled_from((3, 4, 6)))
+    rows = [[0] * nvars for _ in range(nvars)]
+    for i in range(nvars):
+        for j in range(nvars):
+            ci, cj = conj_index(i), conj_index(j)
+            if max(ci, cj) < nvars and (ci, cj) < (i, j):
+                rows[i][j] = _conjugate(rows[ci][cj])
+                continue
+            value = draw(st.sampled_from(_EXACT))
+            if (ci, cj) == (i, j) and isinstance(value, GaussianRational):
+                value = GaussianRational(value.re)
+            rows[i][j] = value
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, nvars - 1)), draw(st.integers(0, nvars - 1))
+        rows[i][j] = draw(st.sampled_from(_EXACT + _FLOATS))
+    return rows
+
+
+def _identity_with(nvars, *entries):
+    rows = [[int(i == j) for j in range(nvars)] for i in range(nvars)]
+    for i, j, value in entries:
+        rows[i][j] = value
+    return rows
+
+
+@settings(max_examples=300)
+@given(_paired_matrices())
+@example(_identity_with(4))
+@example(_identity_with(4, (2, 3, 1)))  # the zero (3,2) pairs with a nonzero entry
+@example(_identity_with(4, (3, 2, 1)))  # the same break, found at the zero (2,3)
+@example(_identity_with(4, (0, 2, I)))  # a zero entry in a z column of row x1
+@example(_identity_with(4, (3, 2, 0.0)))  # a float zero whose partner is an exact zero
+@example(_identity_with(4, (1, 1, 1.0)))
+@example(_identity_with(3))  # odd: the last index has no partner
+def test_conjugation_check_matches_the_walk_over_every_entry(matrix):
+    expected = _outcome(_dense_conjugation_check, matrix)
+    assert _outcome(check_conjugation_compatible, matrix) == expected
+
+
+# -- the trusted constructor -------------------------------------------------
+
+
+@given(st.integers(0, 10_000))
+def test_trusted_results_equal_validated_polynomials(seed):
+    rng = make_rng(seed)
+    p = random_polynomial(rng, 2, max_degree=4)
+    q = random_polynomial(rng, 2, max_degree=4)
+    results = [
+        p + q, p - q, -p, p * q, p * p.conj(), p.scale(GaussianRational(Fraction(1, 3), 2)),
+        p.conj(), p.partial(2), p.substitute_linear(phi_element(2).action),
+        polynomial_from_terms(6, terms_of(p)),
+    ]
+    for r in results:
+        validated = Polynomial(r.nvars, dict(r.sorted_terms()))
+        assert r == validated and hash(r) == hash(validated)
+        assert all(type(c) is GaussianRational and c for _, c in r.sorted_terms())
+
+
+def test_polynomial_from_terms_is_canonical():
+    # Fraction parts with denominator 1 become ints, all-zero parts are dropped
+    terms = {
+        (1, 0, 0, 0): (Fraction(2), Fraction(0)),
+        (0, 1, 0, 0): (0, Fraction(0)),
+        (0, 0, 1, 0): (Fraction(1, 2), 3),
+    }
+    p = polynomial_from_terms(4, terms)
+    validated = Polynomial(4, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
+    assert p == validated and hash(p) == hash(validated)
+    assert len(p) == 2
+    assert type(dict(p.sorted_terms())[(1, 0, 0, 0)].re) is int
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(DimensionError):
+        Polynomial(4, {(1, 0, 0): 1})
+    with pytest.raises(TypeError):
+        Polynomial(4, {(1, 0, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        Polynomial(4, {(1, 0, 0, 0): 0.0})

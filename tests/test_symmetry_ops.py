@@ -41,7 +41,6 @@ from birevnf.symmetry_ops import (
     extend_hilbert_basis,
     generators_over_extension,
     module_row,
-    normalize_leading,
     pipeline,
     prune_module,
     prune_ring,
@@ -51,14 +50,18 @@ from birevnf.symmetry_ops import (
     transfer_T,
 )
 from birevnf.group import SignedElement
+from birevnf import symmetry_ops
+from birevnf.symmetry_ops import _transport, project_generators
 
 from conftest import (
     MIXING_ELEMENTS,
     make_rng,
+    normalize_leading,
     random_polymap,
     random_polynomial,
     random_real_polynomial,
 )
+from test_golden_gensets import REGIMES as GOLDEN_REGIMES
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +186,17 @@ def test_operator_laws_on_random_samples():
         assert reynolds_R(s, phi).is_zero()
 
 
+def test_reynolds_match_the_polynomial_path():
+    # the term kernel against (f +- f . kappa)/2 by Polynomial.substitute_linear
+    rng = make_rng(12)
+    for n, kappa in ((2, phi_element(2)), (2, psi_element((-1, 1, -1))), (1, _MIXING_INVOLUTION)):
+        for _ in range(10):
+            f = random_polynomial(rng, n, max_degree=4)
+            pulled = f.substitute_linear(kappa.action)
+            assert reynolds_R(f, kappa) == (f + pulled).scale(HALF)
+            assert reynolds_S(f, kappa) == (f - pulled).scale(HALF)
+
+
 def test_transfer_is_module_homomorphism():
     # T(h g) = h T(g) for h invariant under the extended group
     rng = make_rng(7)
@@ -270,20 +284,25 @@ def test_extend_basis_type_d_products(c3_data):
 
 def test_generators_over_extension_products(c3_data):
     phi = phi_element(3)
-    prods = generators_over_extension(
-        c3_data.hilbert_basis, c3_data.equivariant_generators, phi
-    )
-    # S(v5) = v5 survives, everything else dies: 12 plain + 12 products
-    assert len(prods) == 24
+    gens = c3_data.equivariant_generators
+    images = [transfer_T(g, phi) for g in gens]
+    prods = generators_over_extension(c3_data.hilbert_basis, gens, images, phi)
+    # only S(v5) = v5 survives, and E(L) = L - T(L) is L for the 6 symmetric
+    # generators (T(L) = 0) and 0 for the 6 reversing ones (T(L) = L)
+    v5 = c3_data.hilbert_basis[4]
+    assert reynolds_S(v5, phi) == v5
+    symmetric = [g for g, image in zip(gens, images) if not image]
+    assert len(symmetric) == 6
+    assert len(prods) == 6
+    assert set(prods) == {normalize_leading(g.mul_invariant(v5)) for g in symmetric}
 
 
 def test_generators_over_extension_trivial_when_all_S_vanish():
     data = catalog("non_resonant", (2,))
     phi = phi_element(2)
-    prods = generators_over_extension(
-        data.hilbert_basis, data.equivariant_generators, phi
-    )
-    assert prods == tuple(data.equivariant_generators)
+    gens = data.equivariant_generators
+    images = [transfer_T(g, phi) for g in gens]
+    assert generators_over_extension(data.hilbert_basis, gens, images, phi) == ()
 
 
 @pytest.mark.parametrize(
@@ -713,3 +732,83 @@ def test_prune_rejects_inhomogeneous_input(c3_data):
     g = c3_data.equivariant_generators[0]
     with pytest.raises(DimensionError):
         prune_module([g, g + g.mul_invariant(u2)], c3_data.hilbert_basis)
+
+
+# -- one involution step: each generator is projected once -------------------
+
+
+def _regime_id(case, params):
+    return f"{case} {','.join(map(str, params))}"
+
+
+# block count of every golden regime, by id
+_GOLDEN_BLOCKS = {_regime_id(case, params): n for case, params, n in GOLDEN_REGIMES}
+
+
+@pytest.mark.parametrize("regime", [*_GOLDEN_BLOCKS, "mixing"])
+@given(data=st.data())
+def test_transfer_of_an_odd_multiple_is_the_multiple_of_the_even_part(regime, data):
+    # T(s g) = s (g - T(g)) for every kappa-odd s, kappa phi or psi of any
+    # sign class of the regime, or the non-monomial mixing involution
+    if regime == "mixing":
+        n, kappa = 1, _MIXING_INVOLUTION
+    else:
+        n = _GOLDEN_BLOCKS[regime]
+        signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * (n + 1)))
+        kappa = data.draw(st.sampled_from((phi_element(n), psi_element(signs))))
+    rng = data.draw(st.randoms(use_true_random=False))
+    g = random_polymap(rng, n, max_degree=3)
+    s = reynolds_S(random_real_polynomial(rng, n, max_degree=3), kappa)
+    assert transfer_T(g.mul_invariant(s), kappa) == (g - transfer_T(g, kappa)).mul_invariant(s)
+
+
+def _product_then_project(basis, gens, kappa):
+    """The candidates of one step as projecting every product S(u_i) L_j gives them.
+
+    The nonzero T(c L_j) for c in {1} and the nonzero S(u_i), rescaled to
+    lead 1, on the Polynomial path (`mul_invariant`, then `transfer_T`).
+    """
+    coefficients = [None] + [s for s in (reynolds_S(u, kappa) for u in basis) if s]
+    out = set()
+    for c in coefficients:
+        for g in gens:
+            image = transfer_T(g if c is None else g.mul_invariant(c), kappa)
+            if image:
+                out.add(normalize_leading(image))
+    return out
+
+
+@pytest.mark.parametrize(
+    "case,params",
+    [("non_resonant", (2,)), ("non_resonant", (3,)),
+     ("res_n1n2_C3", (1, 2)), ("res_n1n2_C3", (1, 3))],
+)
+def test_step_candidates_are_the_projected_products(case, params, monkeypatch):
+    # both steps of every sign class offer prune_module exactly the set that
+    # projecting every product S(u_i) L_j gives
+    offered = []
+    prune = symmetry_ops.prune_module
+    monkeypatch.setattr(
+        symmetry_ops, "prune_module",
+        lambda gens, ring: offered.append(set(gens)) or prune(gens, ring),
+    )
+    data = catalog(case, params)
+    n = (data.nvars - 2) // 2
+    for signs in itertools.product((1, -1), repeat=n + 1):
+        ctx = SymmetryContext.from_case(case, params, signs)
+        basis, gens = data.hilbert_basis, data.equivariant_generators
+        for kappa in (ctx.phi, ctx.psi):
+            expected = _product_then_project(basis, gens, kappa)
+            offered.clear()
+            basis, gens = _transport(basis, gens, kappa)
+            assert offered == [expected], (signs, kappa.name)
+
+
+def test_project_generators_rescales_and_drops_repeats(c3_data):
+    phi = phi_element(3)
+    images = [transfer_T(g, phi) for g in c3_data.equivariant_generators]
+    nonzero = [image for image in images if image]
+    doubled = [*images, *(image.scale(-2) for image in nonzero)]
+    expected = tuple(_dedupe(normalize_leading(image) for image in nonzero))
+    assert project_generators(doubled) == expected
+    assert project_generators([]) == ()

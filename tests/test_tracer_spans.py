@@ -7,7 +7,13 @@ metric without failing anything.  This test only reads `perfbench/`.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from birevnf import symmetry_ops
+from birevnf.continuous import SymmetryContext
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -28,3 +34,40 @@ def test_every_traced_callable_resolves():
         if not callable(owner) and span not in STALE:
             missing.append(span)
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "case,params,signs",
+    [("non_resonant", (2,), (1, -1, 1)), ("res_n1n2_C3", (1, 2), (-1, 1, -1, 1))],
+)
+def test_each_step_projects_each_generator_once(monkeypatch, case, params, signs):
+    # the spans `symmetry_ops.transfer_T`, `transport` and `project` time
+    # these names, so the involution step must call them and call
+    # transfer_T once per generator it is offered, not once per product
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(symmetry_ops, name)
+        monkeypatch.setattr(
+            symmetry_ops, name, lambda *args: calls.update((name,)) or real(*args)
+        )
+
+    for name in ("transfer_T", "generators_over_extension", "project_generators"):
+        counting(name)
+    steps = []
+    transport = symmetry_ops._transport
+
+    def step(basis, gens, kappa):
+        before = Counter(calls)
+        out = transport(basis, gens, kappa)
+        steps.append((len(gens), calls - before))
+        return out
+
+    monkeypatch.setattr(symmetry_ops, "_transport", step)
+    symmetry_ops.pipeline(SymmetryContext.from_case(case, params, signs))
+    assert len(steps) == 2
+    for offered, made in steps:
+        assert offered > 0
+        assert made == {
+            "transfer_T": offered, "generators_over_extension": 1, "project_generators": 1
+        }
