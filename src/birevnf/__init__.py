@@ -26,7 +26,6 @@ from .errors import (
     DimensionError,
     EngineError,
     IncompatibleMatrix,
-    OrderExceeded,
     ResourceLimit,
     SignInconsistency,
     UncertifiedInput,
@@ -36,7 +35,6 @@ from .group import (
     GroupContext,
     SignedElement,
     anticommute_check,
-    close_group,
     membership,
 )
 from .normalform import NormalForm, assemble, emit

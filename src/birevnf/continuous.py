@@ -16,8 +16,11 @@ cases only fix the linear part.  The module also enumerates the
 inequivalent pairs of commuting reversing involutions and classifies the
 sign regimes into the four normal-form types.  One check of the involution
 pair, `check_involution_pair`, decides the reversing tower
-(S x| Z2(phi)) x| Z2(psi) for both the pair enumeration and
-`SymmetryContext.build`.
+(S x| Z2(phi)) x| Z2(psi) for `SymmetryContext.build`; the pair
+enumeration runs the same two steps, each element's facts once and then
+the pair's.  The finite part of the tower is the Klein four-group
+{e, phi, psi, phi*psi}, so the sign map is checked on those four elements,
+read off their sparse rows; no group is closed.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from math import gcd
 from operator import add, ge
 from typing import Sequence
 
-from .errors import ConditionViolated, DimensionError, UnsupportedCase
-from .group import GroupContext, SignedElement, anticommute_check, close_group
+from .errors import ConditionViolated, DimensionError, SignInconsistency, UnsupportedCase
+from .group import GroupContext, SignedElement, anticommute_check, identity_rows
 from .linalg import (
     Echelon,
     Matrix,
@@ -142,15 +145,16 @@ class LinearPart:
 
 @dataclass(frozen=True)
 class SGroupData:
-    """Torus weights, shear flag, and the catalog of invariants/equivariants.
+    """Torus weights and the catalog of invariants/equivariants.
 
-    Every stored Hilbert-basis element and equivariant generator is checked
-    against the infinitesimal conditions at construction.
+    Every linearization has the nilpotent block, so the closure group
+    always holds the shear.  Every stored Hilbert-basis element and
+    equivariant generator is checked against the torus and shear
+    conditions at construction.
     """
 
     nblocks: int
     torus_weights: tuple[tuple[int, ...], ...]
-    has_shear: bool
     hilbert_basis: tuple[Polynomial, ...] = ()
     equivariant_generators: tuple[PolyMap, ...] = ()
 
@@ -195,11 +199,8 @@ class SGroupData:
                 for mono in obj.monomials():
                     if self.monomial_weight_defect(mono, weights) != 0:
                         return False
-            if self.has_shear:
-                x1 = Polynomial.variable(obj.nvars, x_index(1))
-                if x1 * obj.partial(x_index(2)):
-                    return False
-            return True
+            x1 = Polynomial.variable(obj.nvars, x_index(1))
+            return not x1 * obj.partial(x_index(2))
         if kind == "equivariant":
             if not isinstance(obj, PolyMap):
                 raise TypeError("equivariance applies to PolyMap")
@@ -210,18 +211,11 @@ class SGroupData:
                     for mono in poly.monomials():
                         if self.monomial_weight_defect(mono, weights) != target:
                             return False
-            if self.has_shear:
-                nvars = obj.nvars
-                x1 = Polynomial.variable(nvars, x_index(1))
-                gx1, gx2 = obj.x_components
-                if x1 * gx1.partial(x_index(2)):
-                    return False
-                if x1 * gx2.partial(x_index(2)) != gx1:
-                    return False
-                for poly in obj.z_components:
-                    if x1 * poly.partial(x_index(2)):
-                        return False
-            return True
+            x1 = Polynomial.variable(obj.nvars, x_index(1))
+            gx1, gx2 = obj.x_components
+            if x1 * gx2.partial(x_index(2)) != gx1:
+                return False
+            return not any(x1 * poly.partial(x_index(2)) for poly in (gx1, *obj.z_components))
         raise ValueError(f"unknown infinitesimal kind {kind!r}")
 
 
@@ -229,15 +223,8 @@ class SGroupData:
 
 
 def phi_matrix(n: int) -> Matrix:
-    """(x1, x2, z) -> (x1, -x2, conj z)."""
-    nvars = 2 * n + 2
-    rows = [[GaussianRational(0)] * nvars for _ in range(nvars)]
-    rows[0][0] = ONE
-    rows[1][1] = -ONE
-    for j in range(1, n + 1):
-        rows[z_index(j)][zbar_index(j)] = ONE
-        rows[zbar_index(j)][z_index(j)] = ONE
-    return matrix_from_rows(rows)
+    """(x1, x2, z) -> (x1, -x2, conj z): the all-ones `psi_matrix`."""
+    return psi_matrix((1,) * (n + 1))
 
 
 def psi_matrix(signs: Sequence[int]) -> Matrix:
@@ -269,24 +256,59 @@ def psi_element(signs: Sequence[int]) -> SignedElement:
 def fix_dimension(element: SignedElement) -> int:
     """Real dimension of the fixed-point space of a linear involution A.
 
-    It is the nullity of A - I, whose rank `complex_rank` takes.
+    It is the nullity of A - I, whose rank `complex_rank` takes on the
+    sparse rows of the element's action.
     """
-    shifted = (
-        [c - ONE if i == j else c for j, c in enumerate(row)]
-        for i, row in enumerate(element.matrix)
-    )
+    shifted = []
+    for i, row in enumerate(element.action.rows):
+        entries = dict(row)
+        entries[i] = entries.get(i, 0) - ONE
+        shifted.append(entries.items())
     return element.size - complex_rank(shifted)
+
+
+def _check_involution(linear_part: LinearPart, gamma: SignedElement):
+    """The facts of one element: it anti-commutes with L and is an involution."""
+    if not anticommute_check(gamma, linear_part):
+        raise DimensionError(f"{gamma.name or 'involution'} does not anti-commute with L")
+    if not gamma.is_involution():
+        raise ConditionViolated(f"{gamma.name or 'element'} must be an involution")
+
+
+def _check_commuting_pair(phi: SignedElement, psi: SignedElement):
+    """The facts of a pair of involutions: they commute, and the sign table.
+
+    The table holds e (+1), phi, psi and phi*psi, keyed by their rows; a
+    matrix met with two signs raises SignInconsistency.
+    """
+    product = phi.action * psi.action
+    if product.rows != (psi.action * phi.action).rows:
+        raise ConditionViolated("the two involutions must commute")
+    signs: dict = {}
+    for rows, sign in (
+        (identity_rows(phi.size), 1),
+        (phi.action.rows, phi.sign),
+        (psi.action.rows, psi.sign),
+        (product.rows, phi.sign * psi.sign),
+    ):
+        if signs.setdefault(rows, sign) != sign:
+            raise SignInconsistency(
+                "element reached with both signs; sign map is not well defined"
+            )
 
 
 def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: SignedElement):
     """Check that (phi, psi) builds the reversing tower (S x| Z2(phi)) x| Z2(psi).
 
-    Four facts are checked: each element anti-commutes with every
-    infinitesimal generator M of S (`LinearPart.infinitesimal_generators`:
-    the shear and one torus generator per weight row); each is an
-    involution; the two commute; and `close_group([phi, psi])` reaches no
-    matrix with two signs, so it fixes the sign map on {e, phi, psi,
-    phi*psi} as a homomorphism.
+    Four facts are checked, on the sparse rows of each element's action:
+    each element anti-commutes with every infinitesimal generator M of S
+    (`LinearPart.infinitesimal_generators`: the shear and one torus
+    generator per weight row); each is an involution; the two commute; and
+    the sign table over e (+1), phi, psi and phi*psi, keyed by rows, gives
+    no matrix two signs.  Two commuting involutions generate exactly those
+    four elements, the Klein four-group or a quotient of it where two
+    coincide, and every product of them carries the product of their signs,
+    so the table fixes the sign map as a homomorphism.
 
     These decide every condition of the tower.  Conjugation by gamma, either
     element, preserves S and its generator lattice: gamma is its own
@@ -294,20 +316,15 @@ def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: Sign
     integer combination of the generators.  Conjugation by psi preserves the
     first factor and the signs on it: psi phi psi^-1 = psi phi psi = phi psi
     psi = phi, the same element with the same sign.  What is left, that the
-    product sign map is well defined, is the closure's check.
+    product sign map is well defined, is the sign table's check.
 
     Raises DimensionError when an element does not anti-commute with L,
     ConditionViolated when one is not an involution or the two do not
-    commute, and SignInconsistency from the closure.
+    commute, and SignInconsistency from the sign table.
     """
     for gamma in (phi, psi):
-        if not anticommute_check(gamma, linear_part):
-            raise DimensionError(f"{gamma.name or 'involution'} does not anti-commute with L")
-        if not gamma.is_involution():
-            raise ConditionViolated(f"{gamma.name or 'element'} must be an involution")
-    if phi * psi != psi * phi:
-        raise ConditionViolated("the two involutions must commute")
-    close_group([phi, psi])
+        _check_involution(linear_part, gamma)
+    _check_commuting_pair(phi, psi)
 
 
 @dataclass(frozen=True)
@@ -325,15 +342,18 @@ def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[InvolutionPair,
     The first involution is fixed; the second runs over the block sign
     tuples (a0, ..., an) normalized to a0 = +1, picking one representative
     from each global sign-flip class.  Every returned pair passes
-    `check_involution_pair`, and each element has an (n+1)-dimensional
-    fixed-point space.
+    `check_involution_pair`, whose steps run here with phi's own facts
+    checked once, and each element has an (n+1)-dimensional fixed-point
+    space.
     """
     phi = phi_element(linear_part.n)
+    _check_involution(linear_part, phi)
     pairs = []
     for tail in iter_product((1, -1), repeat=linear_part.n):
         signs = (1, *tail)
         psi = psi_element(signs)
-        check_involution_pair(linear_part, phi, psi)
+        _check_involution(linear_part, psi)
+        _check_commuting_pair(phi, psi)
         pairs.append(InvolutionPair(signs, phi, psi))
     return tuple(pairs)
 
@@ -470,7 +490,6 @@ def closure_data(linear: LinearPart) -> SGroupData:
     return SGroupData(
         nblocks=n,
         torus_weights=weights,
-        has_shear=True,
         hilbert_basis=tuple(basis),
         equivariant_generators=tuple(gens),
     )

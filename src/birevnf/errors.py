@@ -17,12 +17,8 @@ class DimensionError(EngineError):
     """Operands act on coordinate spaces of different sizes."""
 
 
-class OrderExceeded(EngineError):
-    """Group closure did not terminate within the configured element bound."""
-
-
 class SignInconsistency(EngineError):
-    """The same matrix was reached with two different signs during closure."""
+    """One matrix of the reversing group carries two different signs."""
 
 
 class ConditionViolated(EngineError):

@@ -1,16 +1,18 @@
-"""Finite signed symmetry groups and the four membership predicates.
+"""Signed linear elements and the four membership predicates.
 
 A SignedElement couples an exact linear map on V with a value of the sign
-epimorphism: +1 for symmetries, -1 for reversing symmetries.  Finite groups
-are stored as explicit closed element lists (the orders needed here never
-exceed four); the continuous factor never appears as elements, only through
-the infinitesimal data carried by a group context.  An element built from a
-matrix is checked once: invertible (`linalg.complex_rank`, skipped for a
-monomial matrix, one nonzero entry in each row and each column, which is
-invertible as it stands) and conjugation compatible.  `close_group` and
-`anticommute_check` are the pieces from which
-`continuous.check_involution_pair` decides the reversing tower; no
-semidirect or product-sign object is built.
+epimorphism: +1 for symmetries, -1 for reversing symmetries.  The finite
+part of the reversing group is generated by two commuting involutions, so
+it is the Klein four-group {e, phi, psi, phi*psi}; nothing here closes a
+general group.  The continuous factor never appears as elements, only
+through the infinitesimal data carried by a group context.  An element
+built from a matrix is checked once: invertible (`linalg.complex_rank` on
+its sparse rows, skipped for a monomial matrix, one nonzero entry in each
+row and each column, which is invertible as it stands) and conjugation
+compatible.  Every further fact about an element is read off the rows of
+its `LinearAction`: `is_involution` and `anticommute_check` are the pieces
+from which `continuous.check_involution_pair` decides the reversing tower;
+no semidirect or product-sign object is built.
 
 Membership of a polynomial or mapping in the invariant / anti-invariant /
 equivariant / reversible-equivariant classes is decided by checking the
@@ -21,11 +23,11 @@ continuous conditions to the context (weight-lattice and shear checks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Protocol, Sequence
+from typing import Literal, Protocol
 
-from .errors import DimensionError, OrderExceeded, SignInconsistency
-from .linalg import Matrix, complex_rank, identity_matrix, mat_mul
-from .poly import LinearAction, PolyMap, Polynomial
+from .errors import DimensionError, SignInconsistency
+from .linalg import Matrix, complex_rank
+from .poly import ONE, LinearAction, PolyMap, Polynomial
 
 MembershipKind = Literal[
     "invariant", "anti_invariant", "equivariant", "reversible_equivariant"
@@ -55,7 +57,7 @@ class SignedElement:
         object.__setattr__(self, "action", action)
         # one nonzero entry in each row, in distinct columns: invertible as it is
         columns = {row[0][0] for row in action.rows if row}
-        if not (action.monomial and len(columns) == size) and complex_rank(self.matrix) != size:
+        if not (action.monomial and len(columns) == size) and complex_rank(action.rows) != size:
             raise DimensionError("group element matrix must be invertible")
 
     @property
@@ -66,7 +68,7 @@ class SignedElement:
         """A * A = I, decided on the first call and kept (the element is frozen)."""
         known = self.__dict__.get("_involution")
         if known is None:
-            known = mat_mul(self.matrix, self.matrix) == identity_matrix(self.size)
+            known = (self.action * self.action).rows == identity_rows(self.size)
             object.__setattr__(self, "_involution", known)
         return known
 
@@ -91,57 +93,10 @@ class SignedElement:
             f"{self.name}*{other.name}" if self.name and other.name else "",
         )
 
-    def key(self):
-        return self.action.key()
 
-
-def close_group(
-    generators: Sequence[SignedElement], max_order: int = 64
-) -> tuple[SignedElement, ...]:
-    """Multiplicative closure of the generators, tracking signs.
-
-    Returns the elements, the identity first, each matrix once with its
-    sign.  Raises OrderExceeded past max_order elements and
-    SignInconsistency when the same matrix is reached with two different
-    signs (the sign map would not be a homomorphism).
-    """
-    if not generators:
-        raise DimensionError("at least one generator required")
-    size = generators[0].size
-    for g in generators:
-        if g.size != size:
-            raise DimensionError("generators act on different spaces")
-    seen: dict = {}  # matrix key -> sign
-    ordered: list[SignedElement] = []
-
-    def add(el: SignedElement) -> bool:
-        key = el.key()
-        if key in seen:
-            if seen[key] != el.sign:
-                raise SignInconsistency(
-                    "element reached with both signs; sign map is not well defined"
-                )
-            return False
-        if len(ordered) + 1 > max_order:
-            raise OrderExceeded(f"group closure exceeded {max_order} elements")
-        seen[key] = el.sign
-        ordered.append(el)
-        return True
-
-    # the identity is invertible and conjugation compatible as it stands
-    identity = LinearAction.trusted(identity_matrix(size), size)
-    add(SignedElement._from_checked(identity, 1, "e"))
-    # products with the identity add nothing, so the walk starts past it
-    frontier = [g for g in generators if add(g)]
-    while frontier:
-        new: list[SignedElement] = []
-        for a in frontier:
-            for g in generators:
-                prod = a * g
-                if add(prod):
-                    new.append(prod)
-        frontier = new
-    return tuple(ordered)
+def identity_rows(size: int) -> tuple:
+    """The `LinearAction.rows` of the identity on size coordinates."""
+    return tuple(((i, ONE),) for i in range(size))
 
 
 # -- membership --------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Exact linear algebra: one sparse elimination kernel and small dense matrices.
+"""Exact linear algebra: one sparse elimination kernel.
 
-Small dense matrices over the Gaussian rationals represent group elements
-and infinitesimal generators; their products run on their nonzero entries
-(`poly.LinearAction`), and nothing here inverts them.  Every elimination
-goes through one sparse kernel, `Echelon`: rows are dicts keyed by
-arbitrary sortable column keys over Q, eliminated fraction-free (integer
-rows, gcd-reduced).  It answers rank and membership, returns the span's
-reduced row-echelon basis, and reads nullspaces straight off that basis:
-one vector per free column, with entry 1 there and minus the column's
-entry of each reduced row at that row's pivot.  The rank of a dense
-Gaussian-rational matrix is `Echelon`'s on its realified rows
+Group elements and infinitesimal generators are written as small dense
+matrices over the Gaussian rationals (`matrix_from_rows`), but every
+product and every check runs on their nonzero entries
+(`poly.LinearAction.rows`); nothing here multiplies or inverts them.
+Every elimination goes through one sparse kernel, `Echelon`: rows are
+dicts keyed by arbitrary sortable column keys over Q, eliminated
+fraction-free (integer rows, gcd-reduced).  It answers rank and
+membership, returns the span's reduced row-echelon basis, and reads
+nullspaces straight off that basis: one vector per free column, with
+entry 1 there and minus the column's entry of each reduced row at that
+row's pivot.  The rank of a Gaussian-rational matrix, given as sparse
+rows of (column, entry) pairs, is `Echelon`'s on its realified rows
 (`complex_rank`).  Determinism: pivot columns are the unique rank-increase
 columns of the system, independent of row order, and both returned bases
 are unique for their space.  Polynomials, maps and exponent-tuple terms
@@ -32,11 +34,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .errors import DimensionError
 from .poly import (
     GaussianRational,
-    LinearAction,
     PolyMap,
     Polynomial,
-    ZERO,
-    ONE,
     grlex_key,
     polymap_from_terms,
     polymap_terms,
@@ -59,20 +58,6 @@ def matrix_from_rows(rows: Iterable[Iterable]) -> Matrix:
     if any(len(r) != width for r in out):
         raise DimensionError("ragged matrix rows")
     return tuple(out)
-
-
-def identity_matrix(size: int) -> Matrix:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a*b, from the nonzero entries alone (`LinearAction.__mul__`)."""
-    if len(a[0]) != len(b):
-        raise DimensionError("matrix size mismatch in product")
-    product = LinearAction.trusted(a, len(b)) * LinearAction.trusted(b, len(b[0]))
-    return product.matrix()
 
 
 # -- sparse fraction-free elimination over Q ---------------------------------
@@ -195,17 +180,18 @@ class Echelon:
         return list(basis.values())
 
 
-def complex_rank(rows: Iterable[Iterable[GaussianRational]]) -> int:
+def complex_rank(rows: Iterable[Iterable[tuple[int, GaussianRational]]]) -> int:
     """Rank over the Gaussian rationals, taken by `Echelon` on realified rows.
 
-    A row r becomes the rational rows of r and i*r, an entry a+bi in column
-    j giving keys (j, 0) and (j, 1); the rational rank of those rows is
-    twice the complex rank.
+    Each row lists its (column, entry) pairs, the `LinearAction.rows` form;
+    a zero entry may be listed.  A row r becomes the rational rows of r and
+    i*r, an entry a+bi in column j giving keys (j, 0) and (j, 1); the
+    rational rank of those rows is twice the complex rank.
     """
     ech = Echelon()
     for row in rows:
         real, turned = {}, {}
-        for j, c in enumerate(row):
+        for j, c in row:
             if c:
                 real[(j, 0)], real[(j, 1)] = c.re, c.im
                 turned[(j, 0)], turned[(j, 1)] = -c.im, c.re

@@ -226,16 +226,15 @@ def _defect_images(context: GroupContext, kind: str, params) -> list[list]:
                 else:
                     add_output_image(acc, columns, comp, {mono: (cr, ci)}, -sign)
             out.append((tag, vectorize_terms(acc.items())))
-    if sgroup.has_shear:
-        for records, out in zip(params, images):
-            acc = {comp: {} for comp in comps}
-            for comp, mono, (cr, ci) in records:
-                e = mono[1]
-                if e:
-                    add_term(acc[comp], (mono[0] + 1, e - 1) + mono[2:], e * cr, e * ci)
-                if comp == 0:
-                    add_term(acc[1], mono, -cr, -ci)
-            out.append(("shear", vectorize_terms(acc.items())))
+    for records, out in zip(params, images):
+        acc = {comp: {} for comp in comps}
+        for comp, mono, (cr, ci) in records:
+            e = mono[1]
+            if e:
+                add_term(acc[comp], (mono[0] + 1, e - 1) + mono[2:], e * cr, e * ci)
+            if comp == 0:
+                add_term(acc[1], mono, -cr, -ci)
+        out.append(("shear", vectorize_terms(acc.items())))
     return images
 
 
@@ -355,19 +354,16 @@ def _shear_defect_map(g: PolyMap) -> PolyMap:
 
 def _function_constraints(context: GroupContext, kind: str, param: Polynomial):
     """Images of one parameter under every defect operator, as tagged vectors."""
-    sgroup = _sgroup_of(context)
     images = []
     for idx, el in enumerate(context.elements):
         sign = 1 if kind == "invariant" else el.sign
         defect = param.substitute_linear(el.action) - param.scale(sign)
         images.append((f"el{idx}", vectorize_polynomial(defect)))
-    if sgroup.has_shear:
-        images.append(("shear", vectorize_polynomial(_shear_defect_function(param))))
+    images.append(("shear", vectorize_polynomial(_shear_defect_function(param))))
     return images
 
 
 def _map_constraints(context: GroupContext, kind: str, param: PolyMap):
-    sgroup = _sgroup_of(context)
     images = []
     for idx, el in enumerate(context.elements):
         rhs = param.apply_linear(el.action)
@@ -375,8 +371,7 @@ def _map_constraints(context: GroupContext, kind: str, param: PolyMap):
             rhs = rhs.scale(el.sign)
         defect = param.compose_linear(el.action) - rhs
         images.append((f"el{idx}", vectorize_polymap(defect)))
-    if sgroup.has_shear:
-        images.append(("shear", vectorize_polymap(_shear_defect_map(param))))
+    images.append(("shear", vectorize_polymap(_shear_defect_map(param))))
     return images
 
 

@@ -23,8 +23,8 @@ Linear changes of coordinates must respect the z/zb pairing.  That is
 checked once when a LinearAction is built from a matrix (a SignedElement
 builds its own; products of elements skip it), and on every substitution
 call that is handed a raw matrix instead.  The product of two actions is
-computed on their nonzero entries; it is also the product of dense
-matrices (`linalg.mat_mul`).
+computed on their nonzero entries, and the engine multiplies and compares
+linear maps only in that sparse row form.
 
 The span building of the pipeline and of the oracle uses one term kernel,
 kept here: exponent-tuple terms with (re, im) parts (`add_term`,
@@ -629,20 +629,6 @@ class LinearAction:
 
     def __init__(self, matrix, nvars: int):
         check_conjugation_compatible(matrix, nvars)
-        self._compile(matrix, nvars)
-
-    @classmethod
-    def trusted(cls, matrix, nvars: int) -> "LinearAction":
-        """Compile a matrix known to be compatible without a check.
-
-        Compatibility says A commutes with the conjugation-and-pairing map,
-        and that property is closed under products and inverses.
-        """
-        action = cls.__new__(cls)
-        action._compile(matrix, nvars)
-        return action
-
-    def _compile(self, matrix, nvars: int):
         self._set_rows(
             tuple(tuple((j, entry) for j, entry in enumerate(row) if entry) for row in matrix),
             nvars,
@@ -656,8 +642,10 @@ class LinearAction:
     def __mul__(self, other: "LinearAction") -> "LinearAction":
         """The action of the matrix product, from the nonzero entries alone.
 
-        Trusted like `trusted`: a product of compatible maps is compatible.
-        Rows come out as `_compile` would give them for the product matrix.
+        Not checked again: compatibility says A commutes with the
+        conjugation-and-pairing map, and that property is closed under
+        products.  Rows come out as the constructor would give them for
+        the product matrix.
         """
         rows = []
         for row in self.rows:
@@ -679,10 +667,6 @@ class LinearAction:
                 dense[j] = c
             out.append(tuple(dense))
         return tuple(out)
-
-    def key(self) -> tuple:
-        """Deterministic sort/lookup key: the nonzero entries with their parts."""
-        return tuple(tuple((j, c.sort_key()) for j, c in row) for row in self.rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearAction is immutable")

@@ -167,16 +167,6 @@ def _canonical(elems):
     return tuple(sorted(elems, key=lambda e: e.sort_key()))
 
 
-def _dedupe(elems):
-    seen = set()
-    out = []
-    for e in elems:
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-    return out
-
-
 class ProductTable:
     """Products of ring-basis elements, one level per total degree, on terms.
 
@@ -261,11 +251,13 @@ def prune_ring(candidates: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     part of the ring as it was, so either way element i goes iff it lies in
     the span of the earlier ones modulo that part, and ties keep the
     earlier element.  Nonzero constants are dropped (the empty product is
-    1).  The input must be homogeneous; anything else raises
+    1), and so are zeros and repeats, which the eliminator never takes:
+    the first copy in canonical order is kept.  The result is in canonical
+    order.  The input must be homogeneous; anything else raises
     `DimensionError`.  A kept element that is not real-valued raises
     `IncompatibleMatrix`.
     """
-    elems = [e for e in _dedupe(_canonical(candidates)) if e]
+    elems = _canonical(candidates)
     _require_homogeneous(elems)
     if not elems:
         return ()
@@ -290,11 +282,12 @@ def prune_module(
     generator times the ring products of the missing degree is built once,
     each row from the generator's terms times the product's terms, then
     the degree-d candidates are kept, and inserted, only if not in it.  It
-    keeps the same set as reverse deletion, by the same argument.  The
+    keeps the same set as reverse deletion, by the same argument, drops
+    zeros and repeats the same way and returns canonical order.  The
     input must be homogeneous; anything else raises `DimensionError`.  A
     ring-basis element that is not real-valued raises `IncompatibleMatrix`.
     """
-    elems = [g for g in _dedupe(_canonical(gens)) if g]
+    elems = _canonical(gens)
     _require_homogeneous(elems)
     if not elems:
         return ()
@@ -434,14 +427,14 @@ def pipeline(context: SymmetryContext) -> GeneratorSet:
     basis, gens = sdata.hilbert_basis, sdata.equivariant_generators
     for kappa in (context.phi, context.psi):
         basis, gens = _transport(basis, gens, kappa)
-    return certify(GeneratorSet(_canonical(basis), _canonical(gens), context))
+    return certify(GeneratorSet(basis, gens, context))
 
 
 def intermediate_generators(context: SymmetryContext) -> GeneratorSet:
     """Generators after the first extension only (sign map sigma_1)."""
     sdata = context.sgroup
     basis, gens = _transport(sdata.hilbert_basis, sdata.equivariant_generators, context.phi)
-    return GeneratorSet(_canonical(basis), _canonical(gens), context)
+    return GeneratorSet(basis, gens, context)
 
 
 # -- serialization -----------------------------------------------------------

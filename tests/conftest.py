@@ -5,9 +5,10 @@ import pytest
 from hypothesis import settings
 
 from birevnf.continuous import SymmetryContext
+from birevnf.errors import SignInconsistency
 from birevnf.group import SignedElement
 from birevnf.linalg import matrix_from_rows
-from birevnf.poly import GaussianRational, PolyMap, Polynomial
+from birevnf.poly import ONE, ZERO, GaussianRational, PolyMap, Polynomial
 from birevnf.symmetry_ops import pipeline
 
 settings.register_profile("exact", deadline=None, max_examples=25, derandomize=True)
@@ -19,6 +20,48 @@ SEED = 20260809
 
 def make_rng(salt: int = 0) -> random.Random:
     return random.Random(SEED + salt)
+
+
+def identity_matrix(size: int):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size))
+
+
+def mat_mul(a, b):
+    """The dense product a*b by the textbook triple loop, the reference for
+    `poly.LinearAction`'s product on nonzero entries."""
+    inner = range(len(b))
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in inner), ZERO) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def close_group(generators, max_order: int = 64) -> dict:
+    """Reference closure: each dense matrix of the generated group with its sign.
+
+    A breadth-first walk over `mat_mul` products from the identity, which
+    comes first.  A matrix reached with two signs raises SignInconsistency
+    with the engine's message, so the engine's four-element sign table can
+    be compared with it verdict for verdict.
+    """
+    identity = identity_matrix(generators[0].size)
+    signs = {identity: 1}
+    frontier = [(identity, 1)]
+    while frontier:
+        new = []
+        for matrix, sign in frontier:
+            for g in generators:
+                product = (mat_mul(matrix, g.matrix), sign * g.sign)
+                if product[0] not in signs:
+                    signs[product[0]] = product[1]
+                    new.append(product)
+                elif signs[product[0]] != product[1]:
+                    raise SignInconsistency(
+                        "element reached with both signs; sign map is not well defined"
+                    )
+        assert len(signs) <= max_order, "reference closure is not finite"
+        frontier = new
+    return signs
 
 
 def random_coefficient(rng: random.Random) -> GaussianRational:

@@ -19,7 +19,6 @@ from birevnf.continuous import (
     psi_element,
 )
 from birevnf.group import GroupContext, anticommute_check, membership
-from birevnf.linalg import mat_mul
 from birevnf.normalform import assemble
 from birevnf.oracle import module_slice, slice_space, spans_equal
 from birevnf.poly import I, PolyMap, Polynomial
@@ -33,6 +32,7 @@ from birevnf.symmetry_ops import (
 
 from conftest import (
     make_rng,
+    mat_mul,
     normalize_leading,
     random_polymap,
     random_polynomial,

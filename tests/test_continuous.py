@@ -21,11 +21,12 @@ from birevnf.continuous import (
 )
 from birevnf.errors import DimensionError, UnsupportedCase
 from birevnf.group import GroupContext, anticommute_check
-from birevnf.linalg import Echelon, mat_mul, vectorize
+from birevnf.linalg import Echelon, vectorize
 from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, module_slice, slice_space
-from birevnf.poly import Polynomial, z_index, zbar_index
+from birevnf.poly import PolyMap, Polynomial, z_index, zbar_index
 from birevnf.symmetry_ops import pipeline, ring_products
 
+from conftest import mat_mul
 from test_golden_gensets import REGIMES
 
 
@@ -34,7 +35,6 @@ def test_structure_single_resonance_on_three_blocks():
     data = closure_data(linear)
     assert len(linear.torus_weight_rows()) == 2
     assert data.torus_weights == ((1, 2, 0), (0, 0, 1))
-    assert data.has_shear
 
 
 def test_structure_double_resonance_on_four_blocks():
@@ -259,9 +259,39 @@ def test_sgroup_data_rejects_non_invariant_basis():
         SGroupData(
             nblocks=1,
             torus_weights=linear.torus_weight_rows(),
-            has_shear=True,
             hilbert_basis=(Polynomial.variable(nvars, 1),),  # x2 is not invariant
         )
+
+
+def test_sgroup_data_always_checks_the_shear():
+    # x2 and the map (0, x2) have torus weight 0 but are not shear-invariant;
+    # a catalog holding x2 would let the pipeline certify x2^2 as a ring element
+    linear = LinearPart(1)
+    data = closure_data(linear)
+    x2 = Polynomial.variable(linear.nvars, 1)
+    zero = Polynomial.zero(linear.nvars)
+    with pytest.raises(DimensionError, match="invariance"):
+        SGroupData(1, data.torus_weights, data.hilbert_basis + (x2,), data.equivariant_generators)
+    with pytest.raises(DimensionError, match="equivariance"):
+        SGroupData(1, data.torus_weights, (), (PolyMap((zero, x2), (zero,)),))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_checks_each_involution_once(n, monkeypatch):
+    import birevnf.continuous as continuous
+
+    linear = LinearPart(n)
+    checked = []
+    real = continuous.anticommute_check
+    monkeypatch.setattr(
+        continuous, "anticommute_check", lambda g, l: checked.append(g.name) or real(g, l)
+    )
+    pairs = enumerate_involution_pairs(linear)
+    assert len(checked) == 1 + 2 ** n
+    assert checked.count("phi") == 1
+    monkeypatch.undo()
+    for pair in pairs:
+        check_involution_pair(linear, pair.phi, pair.psi)
 
 
 # -- the derived catalog against the oracle ----------------------------------
@@ -347,7 +377,6 @@ def test_context_accepts_another_basis_of_the_weight_span():
     rebased = SGroupData(
         data.nblocks,
         ((a[0] + b[0], a[1] + b[1], a[2] + b[2]), tuple(-w for w in b)),
-        data.has_shear,
         data.hilbert_basis,
         data.equivariant_generators,
     )

@@ -1,6 +1,15 @@
-"""Signed groups: closure, sign maps, the involution-pair check, membership."""
+"""Signed elements: sign maps, the involution-pair check, membership.
+
+The closures here are the reference `conftest.close_group`, which the
+engine's four-element sign table is checked against.
+"""
+
+from functools import cache
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from birevnf.continuous import (
     LinearPart,
@@ -8,34 +17,33 @@ from birevnf.continuous import (
     catalog,
     check_involution_pair,
     phi_element,
+    phi_matrix,
     psi_element,
+    psi_matrix,
 )
 from birevnf.errors import (
     ConditionViolated,
     DimensionError,
-    OrderExceeded,
+    EngineError,
     SignInconsistency,
 )
 from birevnf.group import (
     GroupContext,
     SignedElement,
     anticommute_check,
-    close_group,
     membership,
 )
-from birevnf.linalg import identity_matrix, mat_mul, matrix_from_rows
+from birevnf.linalg import matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
     I,
+    LinearAction,
     Polynomial,
     z_index,
     zbar_index,
 )
 
-
-def signs_by_matrix(group):
-    """The sign of each element of a closed group, keyed by its matrix."""
-    return {el.matrix: el.sign for el in group}
+from conftest import close_group, identity_matrix, mat_mul
 
 
 def scaling_on_block(n, j, factor):
@@ -68,20 +76,21 @@ def test_closure_of_the_two_involutions_is_klein_four():
     psi = psi_element((-1, -1, -1))
     group = close_group([phi, psi])
     assert len(group) == 4
-    assert sorted(el.sign for el in group) == [-1, -1, 1, 1]
+    assert sorted(group.values()) == [-1, -1, 1, 1]
     # every element is its own inverse: the Klein four-group
-    for el in group:
-        assert el.is_involution()
+    for matrix in group:
+        assert mat_mul(matrix, matrix) == identity_matrix(6)
+    check_involution_pair(LinearPart(2), phi, psi)
 
 
 def test_involution_is_decided_once(monkeypatch):
-    import birevnf.group as group
-
     phi = phi_element(2)
     rotation = SignedElement(scaling_on_block(2, 1, I), 1)
     products = []
-    real_mul = group.mat_mul
-    monkeypatch.setattr(group, "mat_mul", lambda a, b: products.append(1) or real_mul(a, b))
+    real_mul = LinearAction.__mul__
+    monkeypatch.setattr(
+        LinearAction, "__mul__", lambda a, b: products.append(1) or real_mul(a, b)
+    )
     for _ in range(3):
         assert phi.is_involution()
         assert not rotation.is_involution()
@@ -91,13 +100,12 @@ def test_involution_is_decided_once(monkeypatch):
 def test_closure_is_closed_and_sign_is_homomorphism():
     phi = phi_element(2)
     psi = psi_element((-1, 1, -1))
-    group = close_group([phi, psi])
-    signs = signs_by_matrix(group)
-    for a in group:
-        for b in group:
-            product = mat_mul(a.matrix, b.matrix)
+    signs = close_group([phi, psi])
+    for a, sign_a in signs.items():
+        for b, sign_b in signs.items():
+            product = mat_mul(a, b)
             assert product in signs
-            assert signs[product] == a.sign * b.sign
+            assert signs[product] == sign_a * sign_b
 
 
 def test_closure_of_identity_alone():
@@ -107,21 +115,7 @@ def test_closure_of_identity_alone():
 
 def test_closure_of_single_involution():
     phi = phi_element(1)
-    signs = signs_by_matrix(close_group([phi]))
-    assert signs == {phi.matrix: -1, identity_matrix(4): 1}
-
-
-def test_closure_order_bound():
-    nvars = 4
-    rows = [[0] * nvars for _ in range(nvars)]
-    rows[0][0] = 1
-    rows[1][0] = 1
-    rows[1][1] = 1
-    rows[2][2] = 1
-    rows[3][3] = 1
-    shear = SignedElement(matrix_from_rows(rows), 1)
-    with pytest.raises(OrderExceeded):
-        close_group([shear], max_order=16)
+    assert close_group([phi]) == {phi.matrix: -1, identity_matrix(4): 1}
 
 
 def test_closure_sign_inconsistency():
@@ -129,6 +123,8 @@ def test_closure_sign_inconsistency():
     wrong = SignedElement(phi.matrix, 1)
     with pytest.raises(SignInconsistency):
         close_group([phi, wrong])
+    with pytest.raises(SignInconsistency):
+        check_involution_pair(LinearPart(1), phi, wrong)
 
 
 def rejected_in_either_slot(linear, element):
@@ -144,10 +140,10 @@ def test_product_sigma_values():
     # sigma multiplies the factor signs; sigma_tilde makes phi a symmetry
     ctx = SymmetryContext.build(LinearPart(2), catalog("non_resonant", (2,)), (-1, -1, -1))
     phi_psi = mat_mul(ctx.phi.matrix, ctx.psi.matrix)
-    sigma = signs_by_matrix(close_group(ctx.full_context().elements))
+    sigma = close_group(ctx.full_context().elements)
     assert sigma[phi_psi] == 1
     assert sigma[identity_matrix(6)] == 1
-    sigma_tilde = signs_by_matrix(close_group(ctx.sigma_tilde_psi_context().elements))
+    sigma_tilde = close_group(ctx.sigma_tilde_psi_context().elements)
     assert sigma_tilde[ctx.phi.matrix] == 1
     assert sigma_tilde[phi_psi] == -1
 
@@ -159,7 +155,7 @@ def test_product_sigma_conjugation_must_stay_in_factor():
     rot = SignedElement(scaling_on_block(n, 1, I), -1)
     kappa = SignedElement(swap_blocks(n), -1)
     conj = mat_mul(mat_mul(kappa.matrix, rot.matrix), kappa.matrix)
-    assert conj not in signs_by_matrix(close_group([rot]))
+    assert conj not in close_group([rot])
     for element in (rot, kappa):
         rejected_in_either_slot(LinearPart(n), element)
 
@@ -205,6 +201,74 @@ def test_pair_check_rejects_each_failed_condition():
         check_involution_pair(linear, phi, SignedElement(phi.matrix, 1))
     with pytest.raises(DimensionError):
         check_involution_pair(LinearPart(3), phi, phi)
+
+
+def reference_pair_verdict(linear, phi, psi):
+    """The old tower check on dense matrices: None, or (error class, message).
+
+    Each element anti-commutes with every infinitesimal generator and is an
+    involution, the two commute, and the reference closure of the pair
+    gives no matrix two signs.
+    """
+    generators = [m.matrix() for m in linear.infinitesimal_generators()]
+    try:
+        for gamma in (phi, psi):
+            for m in generators:
+                negated = tuple(tuple(-x for x in row) for row in mat_mul(m, gamma.matrix))
+                if mat_mul(gamma.matrix, m) != negated:
+                    raise DimensionError(f"{gamma.name} does not anti-commute with L")
+            if mat_mul(gamma.matrix, gamma.matrix) != identity_matrix(gamma.size):
+                raise ConditionViolated(f"{gamma.name} must be an involution")
+        if mat_mul(phi.matrix, psi.matrix) != mat_mul(psi.matrix, phi.matrix):
+            raise ConditionViolated("the two involutions must commute")
+        close_group([phi, psi])
+    except EngineError as err:
+        return type(err), str(err)
+    return None
+
+
+@cache
+def tower_candidates(n):
+    """psi_matrix of every sign tuple on n blocks, then three matrices that
+    fail a fact of one element or of the pair: the identity (commutes with
+    L), phi doubled on the x-plane (no involution) and phi times the
+    order-4 rotation of block 1 (an involution that does not commute with
+    phi)."""
+    nvars = 2 * n + 2
+    x_doubled = [[2 if i == j and i < 2 else int(i == j) for j in range(nvars)] for i in range(nvars)]
+    return (
+        *(psi_matrix(signs) for signs in product((1, -1), repeat=n + 1)),
+        identity_matrix(nvars),
+        mat_mul(phi_matrix(n), matrix_from_rows(x_doubled)),
+        mat_mul(phi_matrix(n), scaling_on_block(n, 1, I)),
+    )
+
+
+@st.composite
+def candidate_pairs(draw):
+    n = draw(st.integers(1, 3))
+
+    def element(name):
+        matrix = draw(st.sampled_from(tower_candidates(n)))
+        return SignedElement(matrix, draw(st.sampled_from((1, -1))), name)
+
+    return LinearPart(n), element("phi"), element("psi")
+
+
+@settings(max_examples=150)
+@given(candidate_pairs())
+# psi is phi with the opposite sign: the sign table meets phi's rows twice
+@example((LinearPart(1), phi_element(1), SignedElement(phi_matrix(1), 1, "psi")))
+@example((LinearPart(2), phi_element(2), SignedElement(phi_matrix(2), -1, "psi")))
+def test_pair_check_agrees_with_the_reference_closure(pair):
+    linear, phi, psi = pair
+    expected = reference_pair_verdict(linear, phi, psi)
+    try:
+        check_involution_pair(linear, phi, psi)
+        verdict = None
+    except EngineError as err:
+        verdict = type(err), str(err)
+    assert verdict == expected
 
 
 def x_z_swap(n=1):
@@ -342,6 +406,7 @@ def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     import birevnf.poly as poly_module
     from birevnf.poly import LinearAction
 
+    linear = LinearPart(2)
     phi, psi = phi_element(2), psi_element((1, -1, 1))
     shear = SignedElement(
         matrix_from_rows(
@@ -359,8 +424,8 @@ def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     counting("check_conjugation_compatible", poly_module)
     counting("complex_rank", group_module)
     derived = [phi * psi, psi * shear, shear * shear, phi * shear * psi]
-    # close_group builds its identity without the checks too
-    assert len(close_group([phi, psi])) == 4
+    # the pair check builds its product and identity rows without the checks too
+    check_involution_pair(linear, phi, psi)
     assert checked == []
     SignedElement(shear.matrix, 1)
     assert sorted(checked) == ["check_conjugation_compatible", "complex_rank"]

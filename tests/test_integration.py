@@ -96,7 +96,6 @@ def test_user_supplied_group_data_equal_frequencies():
     data = SGroupData(
         nblocks=n,
         torus_weights=linear.torus_weight_rows(),
-        has_shear=True,
         hilbert_basis=basis,
         equivariant_generators=gens,
     )

@@ -22,6 +22,7 @@ from birevnf.poly import (
     ONE,
     GaussianRational,
     I,
+    LinearAction,
     PolyMap,
     Polynomial,
     parse_polymap,
@@ -81,10 +82,10 @@ def test_span_basis_membership_and_dimension():
 def test_matrix_inverse_and_rank():
     # an element is invertible exactly when its matrix has full rank
     m = matrix_from_rows([[1, 1], [0, 2]])
-    assert complex_rank(m) == 2
+    assert complex_rank(LinearAction(m, 2).rows) == 2
     assert SignedElement(m, 1).matrix == m
     singular = matrix_from_rows([[1, 2], [2, 4]])
-    assert complex_rank(singular) == 1
+    assert complex_rank(LinearAction(singular, 2).rows) == 1
     with pytest.raises(DimensionError):
         SignedElement(singular, 1)
 
@@ -207,7 +208,10 @@ def gaussian_matrices(draw):
 @example((2, [[ONE, I], [I, -ONE]]))
 def test_complex_rank_is_the_dense_gaussian_rank(system):
     ncols, rows = system
-    assert complex_rank(rows) == _dense_rref([list(row) for row in rows], ncols)
+    # (column, entry) pairs, zero entries listed too
+    assert complex_rank([list(enumerate(row)) for row in rows]) == _dense_rref(
+        [list(row) for row in rows], ncols
+    )
 
 
 @given(rational_systems(), st.booleans())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from birevnf.continuous import phi_element, phi_matrix, psi_element, psi_matrix
 from birevnf.errors import DimensionError, IncompatibleMatrix
 from birevnf.group import SignedElement
-from birevnf.linalg import identity_matrix, mat_mul, matrix_from_rows
+from birevnf.linalg import matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
     I,
@@ -31,7 +31,7 @@ from birevnf.poly import (
     zbar_index,
 )
 
-from conftest import make_rng, random_polymap, random_polynomial
+from conftest import identity_matrix, make_rng, mat_mul, random_polymap, random_polynomial
 
 
 def var(nvars, index):

@@ -36,7 +36,6 @@ from birevnf.poly import (
 from birevnf.symmetry_ops import (
     GeneratorSet,
     _canonical,
-    _dedupe,
     _transfer,
     extend_hilbert_basis,
     generators_over_extension,
@@ -421,7 +420,7 @@ def test_pipeline_requires_catalog_data():
     from birevnf.continuous import LinearPart, SGroupData
 
     linear = LinearPart(1)
-    skeleton = SGroupData(1, linear.torus_weight_rows(), has_shear=True)
+    skeleton = SGroupData(1, linear.torus_weight_rows())
     ctx = SymmetryContext.build(linear, skeleton, (1, 1))
     with pytest.raises(CertificationFailure):
         pipeline(ctx)
@@ -502,6 +501,11 @@ def _reference_ring_products(basis, degree):
                 prod = prod * u ** e
         out.append(prod)
     return out
+
+
+def _dedupe(elems):
+    """The first copy of each element, in order."""
+    return list(dict.fromkeys(elems))
 
 
 def _reference_prune_ring(candidates):
