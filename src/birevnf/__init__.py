@@ -42,7 +42,6 @@ from .oracle import (
     DegreeSlice,
     module_slice,
     slice_space,
-    slice_space_naive,
     spans_equal,
 )
 from .poly import (

@@ -19,20 +19,21 @@ pair, `check_involution_pair`, decides the reversing tower
 (S x| Z2(phi)) x| Z2(psi) for `SymmetryContext.build`; the pair
 enumeration runs the same two steps, each element's facts once and then
 the pair's.  The finite part of the tower is the Klein four-group
-{e, phi, psi, phi*psi}, so the sign map is checked on those four elements,
-read off their sparse rows; no group is closed.
+{e, phi, psi, phi*psi}; as phi and psi anti-commute with L, the sign map
+on it comes down to one comparison, read off their sparse rows; no group
+is closed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as iter_product
 from math import gcd
 from operator import add, ge
 from typing import Sequence
 
 from .errors import ConditionViolated, DimensionError, SignInconsistency, UnsupportedCase
-from .group import GroupContext, SignedElement, anticommute_check, identity_rows
+from .group import GroupContext, SignedElement, anticommute_check
 from .linalg import (
     Echelon,
     Matrix,
@@ -135,7 +136,7 @@ class LinearPart:
     def infinitesimal_generators(self) -> tuple[LinearAction, ...]:
         """The shear, then one torus generator per weight row, as checked actions.
 
-        Built and checked once; `LinearAction.matrix()` gives a dense matrix.
+        Built and checked once, from `shear_generator` and `torus_generator`.
         """
         return self._generators
 
@@ -276,25 +277,18 @@ def _check_involution(linear_part: LinearPart, gamma: SignedElement):
 
 
 def _check_commuting_pair(phi: SignedElement, psi: SignedElement):
-    """The facts of a pair of involutions: they commute, and the sign table.
+    """The facts of a pair of involutions: they commute, and the sign map.
 
-    The table holds e (+1), phi, psi and phi*psi, keyed by their rows; a
-    matrix met with two signs raises SignInconsistency.
+    Both must have passed `_check_involution`.  The sign map's one possible
+    clash is then psi = phi with the other sign (see
+    `check_involution_pair`), which raises SignInconsistency.
     """
-    product = phi.action * psi.action
-    if product.rows != (psi.action * phi.action).rows:
+    if (phi.action * psi.action).rows != (psi.action * phi.action).rows:
         raise ConditionViolated("the two involutions must commute")
-    signs: dict = {}
-    for rows, sign in (
-        (identity_rows(phi.size), 1),
-        (phi.action.rows, phi.sign),
-        (psi.action.rows, psi.sign),
-        (product.rows, phi.sign * psi.sign),
-    ):
-        if signs.setdefault(rows, sign) != sign:
-            raise SignInconsistency(
-                "element reached with both signs; sign map is not well defined"
-            )
+    if phi.action.rows == psi.action.rows and phi.sign != psi.sign:
+        raise SignInconsistency(
+            "element reached with both signs; sign map is not well defined"
+        )
 
 
 def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: SignedElement):
@@ -304,11 +298,14 @@ def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: Sign
     each element anti-commutes with every infinitesimal generator M of S
     (`LinearPart.infinitesimal_generators`: the shear and one torus
     generator per weight row); each is an involution; the two commute; and
-    the sign table over e (+1), phi, psi and phi*psi, keyed by rows, gives
-    no matrix two signs.  Two commuting involutions generate exactly those
-    four elements, the Klein four-group or a quotient of it where two
-    coincide, and every product of them carries the product of their signs,
-    so the table fixes the sign map as a homomorphism.
+    the sign map gives no matrix two signs.  Two commuting involutions
+    generate exactly e (+1), phi, psi and phi*psi, the Klein four-group or
+    a quotient of it where two coincide, and every product carries the
+    product of its factors' signs.  An element that anti-commutes with the
+    shear is not e, so phi and psi differ from e, and phi*psi equals phi or
+    psi only if the other is e.  The one coincidence left is psi = phi,
+    with phi*psi = e: the sign map is well defined iff then the two signs
+    agree, and that comparison fixes it as a homomorphism.
 
     These decide every condition of the tower.  Conjugation by gamma, either
     element, preserves S and its generator lattice: gamma is its own
@@ -316,11 +313,11 @@ def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: Sign
     integer combination of the generators.  Conjugation by psi preserves the
     first factor and the signs on it: psi phi psi^-1 = psi phi psi = phi psi
     psi = phi, the same element with the same sign.  What is left, that the
-    product sign map is well defined, is the sign table's check.
+    product sign map is well defined, is the sign comparison.
 
     Raises DimensionError when an element does not anti-commute with L,
     ConditionViolated when one is not an involution or the two do not
-    commute, and SignInconsistency from the sign table.
+    commute, and SignInconsistency when psi = phi with the other sign.
     """
     for gamma in (phi, psi):
         _check_involution(linear_part, gamma)
@@ -633,11 +630,3 @@ class SymmetryContext:
     def full_context(self) -> GroupContext:
         """Both involutions reversing: the product sign map sigma."""
         return GroupContext((self.phi, self.psi), self.sgroup)
-
-    def phi_context(self) -> GroupContext:
-        """The first extension only: sign map sigma_1 on S x| Z2(phi)."""
-        return GroupContext((self.phi,), self.sgroup)
-
-    def sigma_tilde_psi_context(self) -> GroupContext:
-        """phi acting as a symmetry, psi reversing: the forgetful sign map."""
-        return GroupContext((replace(self.phi, sign=1), self.psi), self.sgroup)

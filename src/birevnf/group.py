@@ -6,11 +6,12 @@ part of the reversing group is generated by two commuting involutions, so
 it is the Klein four-group {e, phi, psi, phi*psi}; nothing here closes a
 general group.  The continuous factor never appears as elements, only
 through the infinitesimal data carried by a group context.  An element
-built from a matrix is checked once: invertible (`linalg.complex_rank` on
-its sparse rows, skipped for a monomial matrix, one nonzero entry in each
-row and each column, which is invertible as it stands) and conjugation
-compatible.  Every further fact about an element is read off the rows of
-its `LinearAction`: `is_involution` and `anticommute_check` are the pieces
+is checked once, when it is built from its matrix: invertible
+(`linalg.complex_rank` on its sparse rows, skipped for a monomial matrix,
+one nonzero entry in each row and each column, which is invertible as it
+stands) and conjugation compatible.  Elements are not multiplied; every
+further fact about one is read off the rows of its `LinearAction` and of
+their products: `is_involution` and `anticommute_check` are the pieces
 from which `continuous.check_involution_pair` decides the reversing tower;
 no semidirect or product-sign object is built.
 
@@ -38,10 +39,10 @@ MembershipKind = Literal[
 class SignedElement:
     """An exact linear map on V together with its sign under the epimorphism.
 
-    `action` is the matrix compiled once into a checked LinearAction; pass it,
-    not `matrix`, to the substitution methods so they skip the check.  An
-    element built from a matrix is checked (invertible, conjugation
-    compatible); products of elements are not checked again.
+    `action` is the matrix compiled once into a checked LinearAction, the
+    form the substitution methods take.  Every element is checked
+    (invertible, conjugation compatible); products are formed on actions
+    only (`LinearAction.__mul__`), never as elements.
     """
 
     matrix: Matrix
@@ -71,27 +72,6 @@ class SignedElement:
             known = (self.action * self.action).rows == identity_rows(self.size)
             object.__setattr__(self, "_involution", known)
         return known
-
-    @classmethod
-    def _from_checked(cls, action: LinearAction, sign: int, name: str) -> "SignedElement":
-        """An element whose action is a product of checked ones, not checked again.
-
-        Invertibility and conjugation compatibility are closed under products,
-        and the sign is a product of checked signs.
-        """
-        element = cls.__new__(cls)
-        object.__setattr__(element, "matrix", action.matrix())
-        object.__setattr__(element, "sign", sign)
-        object.__setattr__(element, "name", name)
-        object.__setattr__(element, "action", action)
-        return element
-
-    def __mul__(self, other: "SignedElement") -> "SignedElement":
-        return SignedElement._from_checked(
-            self.action * other.action,
-            self.sign * other.sign,
-            f"{self.name}*{other.name}" if self.name and other.name else "",
-        )
 
 
 def identity_rows(size: int) -> tuple:

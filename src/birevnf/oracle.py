@@ -19,24 +19,16 @@ PolyMap is built until the nullspace basis vectors, read off
 `module_slice` builds each row from a generator's terms times a ring
 product's terms, over one `symmetry_ops.ProductTable`.
 
-`slice_space_naive` is the independent reference.  It skips the torus
-prefilter and imposes the torus conditions as explicit rows, builds every
-parameter and defect image as a Polynomial or PolyMap through
-`substitute_linear`, `compose_linear` and `apply_linear`, and has its own
-row assembly and elimination, `_plain_nullspace`: the one sparse solver
-outside `linalg.Echelon` (Fraction rows, no gcd reduction, no integer
-combination).  It shares neither the assembly nor the elimination with
-`slice_space`, so a fault in either cannot hide by agreeing with itself.
-The test suite cross-checks the two paths, the compiled rows against the
-PolyMap rows, and both against the membership predicates.
+The tests hold the independent reference, a naive oracle that shares
+neither this row assembly nor `linalg.Echelon`, and cross-check the two
+paths, the compiled rows against PolyMap rows, and both against the
+membership predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, ResourceLimit
 from .group import GroupContext
@@ -44,27 +36,20 @@ from .linalg import (
     Echelon,
     polymap_from_vector,
     vectorize,
-    vectorize_polymap,
-    vectorize_polynomial,
     vectorize_terms,
 )
 from .poly import (
-    I,
     Monomial,
-    PolyMap,
-    Polynomial,
     Substitution,
     add_output_image,
     add_term,
     conj_monomial,
     grlex_key,
-    monomials_of_degree,
     nblocks_of,
     output_columns,
     polymap_from_terms,
     polymap_terms,
     polynomial_from_terms,
-    x_index,
 )
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
@@ -166,7 +151,7 @@ def _torus_monomials(
 
 
 def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
-    """Real-valued basis on a conjugation-closed set, as `_real_parameter_polys`."""
+    """Real-valued basis on a conjugation-closed set, as the naive oracle's."""
     out = []
     for mono in sorted(monos, key=grlex_key, reverse=True):
         conj = conj_monomial(mono)
@@ -277,220 +262,6 @@ def slice_space(
     basis = [_from_records(params, sol, sgroup.nvars, functions) for sol in solutions]
     basis.sort(key=lambda b: b.sort_key())
     return DegreeSlice(degree, kind, tuple(basis))
-
-
-# -- the naive reference path -------------------------------------------------
-
-
-def _monomial_budget(nvars: int, degree: int, components: int, limit: int):
-    raw = comb(nvars - 1 + degree, degree) * components
-    if raw > limit:
-        raise ResourceLimit(
-            f"{raw} degree-{degree} monomials exceed the configured bound {limit}"
-        )
-
-
-def _real_parameter_polys(nvars: int, monos: Sequence[Monomial]) -> list[Polynomial]:
-    """Basis of the real-valued polynomials supported on a conj-closed set."""
-    mono_set = set(monos)
-    out = []
-    for mono in sorted(mono_set, key=grlex_key, reverse=True):
-        conj = conj_monomial(mono)
-        if conj == mono:
-            out.append(Polynomial.monomial(nvars, mono))
-        elif grlex_key(mono) > grlex_key(conj):
-            if conj not in mono_set:
-                # a full degree slice is conj-closed; a missing partner can
-                # only mean the caller passed a bad set
-                raise DimensionError("monomial set is not conjugation-closed")
-            base = Polynomial.monomial(nvars, mono)
-            out.append(base + base.conj())
-            imag = Polynomial.monomial(nvars, mono, I)
-            out.append(imag + imag.conj())
-    return out
-
-
-def _function_parameters(nvars: int, degree: int) -> list[Polynomial]:
-    return _real_parameter_polys(nvars, list(monomials_of_degree(nvars, degree)))
-
-
-def _map_parameters(nblocks: int, degree: int) -> list[PolyMap]:
-    nvars = 2 * nblocks + 2
-    zero = Polynomial.zero(nvars)
-    monos = list(monomials_of_degree(nvars, degree))
-    params: list[PolyMap] = []
-    for comp in range(nblocks + 2):
-        if comp < 2:
-            comp_polys = _real_parameter_polys(nvars, monos)
-        else:
-            comp_polys = []
-            for mono in sorted(monos, key=grlex_key, reverse=True):
-                comp_polys.append(Polynomial.monomial(nvars, mono))
-                comp_polys.append(Polynomial.monomial(nvars, mono, I))
-        for poly in comp_polys:
-            xs = [zero, zero]
-            zs = [zero] * nblocks
-            if comp < 2:
-                xs[comp] = poly
-            else:
-                zs[comp - 2] = poly
-            params.append(PolyMap(tuple(xs), tuple(zs)))
-    return params
-
-
-def _shear_defect_function(p: Polynomial) -> Polynomial:
-    x1 = Polynomial.variable(p.nvars, x_index(1))
-    return x1 * p.partial(x_index(2))
-
-
-def _shear_defect_map(g: PolyMap) -> PolyMap:
-    x1 = Polynomial.variable(g.nvars, x_index(1))
-    gx1, gx2 = g.x_components
-    return PolyMap(
-        (x1 * gx1.partial(x_index(2)), x1 * gx2.partial(x_index(2)) - gx1),
-        tuple(x1 * comp.partial(x_index(2)) for comp in g.z_components),
-    )
-
-
-def _function_constraints(context: GroupContext, kind: str, param: Polynomial):
-    """Images of one parameter under every defect operator, as tagged vectors."""
-    images = []
-    for idx, el in enumerate(context.elements):
-        sign = 1 if kind == "invariant" else el.sign
-        defect = param.substitute_linear(el.action) - param.scale(sign)
-        images.append((f"el{idx}", vectorize_polynomial(defect)))
-    images.append(("shear", vectorize_polynomial(_shear_defect_function(param))))
-    return images
-
-
-def _map_constraints(context: GroupContext, kind: str, param: PolyMap):
-    images = []
-    for idx, el in enumerate(context.elements):
-        rhs = param.apply_linear(el.action)
-        if kind == "reversible_equivariant":
-            rhs = rhs.scale(el.sign)
-        defect = param.compose_linear(el.action) - rhs
-        images.append((f"el{idx}", vectorize_polymap(defect)))
-    images.append(("shear", vectorize_polymap(_shear_defect_map(param))))
-    return images
-
-
-def _plain_nullspace(rows: Iterable[dict], columns: Sequence) -> list[dict]:
-    """Straight rational Gauss elimination; second, independent solve path."""
-    pivots: dict = {}
-    for row in rows:
-        r = {k: Fraction(v) for k, v in row.items() if v}
-        while r:
-            col = min(r)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = 1 / r[col]
-                pivots[col] = {k: v * inv for k, v in r.items()}
-                break
-            factor = r[col]
-            for k, v in pivot.items():
-                acc = r.get(k, Fraction(0)) - factor * v
-                if acc:
-                    r[k] = acc
-                else:
-                    r.pop(k, None)
-    pivot_cols = sorted(pivots, reverse=True)
-    basis = []
-    for free in (c for c in columns if c not in pivots):
-        vec = {free: Fraction(1)}
-        for pc in pivot_cols:
-            row = pivots[pc]
-            s = sum(
-                (v * vec[c] for c, v in row.items() if c != pc and c in vec),
-                Fraction(0),
-            )
-            if s:
-                vec[pc] = -s
-        basis.append(vec)
-    return basis
-
-
-def slice_space_naive(
-    context: GroupContext,
-    degree: int,
-    kind: str,
-    limit: int = DEFAULT_MONOMIAL_LIMIT,
-) -> DegreeSlice:
-    """Second implementation: no torus prefilter, plain rational elimination.
-
-    The torus conditions are imposed as explicit constraint rows on the
-    full monomial space.  Used to cross-check slice_space.
-    """
-    sgroup = _sgroup_of(context)
-    nvars = sgroup.nvars
-
-    def torus_rows_function(param: Polynomial):
-        out = []
-        for t, weights in enumerate(sgroup.torus_weights):
-            vec = {}
-            for mono, coeff in param.sorted_terms():
-                defect = sgroup.monomial_weight_defect(mono, weights)
-                if defect:
-                    key = (-1, grlex_key(mono), 0)
-                    if coeff.re:
-                        vec[key] = coeff.re * defect
-                    if coeff.im:
-                        vec[(-1, grlex_key(mono), 1)] = coeff.im * defect
-            out.append((f"torus{t}", vec))
-        return out
-
-    def torus_rows_map(param: PolyMap):
-        out = []
-        comps = (*param.x_components, *param.z_components)
-        for t, weights in enumerate(sgroup.torus_weights):
-            vec = {}
-            for comp, poly in enumerate(comps):
-                target = sgroup.component_weight(comp, weights)
-                for mono, coeff in poly.sorted_terms():
-                    defect = sgroup.monomial_weight_defect(mono, weights) - target
-                    if defect:
-                        if coeff.re:
-                            vec[(comp, grlex_key(mono), 0)] = coeff.re * defect
-                        if coeff.im:
-                            vec[(comp, grlex_key(mono), 1)] = coeff.im * defect
-            out.append((f"torus{t}", vec))
-        return out
-
-    if kind in FUNCTION_KINDS:
-        _monomial_budget(nvars, degree, 1, limit)
-        params = _function_parameters(nvars, degree)
-        images = lambda p: _function_constraints(context, kind, p) + torus_rows_function(p)
-        combine = _combine_polys
-    elif kind in MAP_KINDS:
-        _monomial_budget(nvars, degree, sgroup.nblocks + 2, limit)
-        params = _map_parameters(sgroup.nblocks, degree)
-        images = lambda g: _map_constraints(context, kind, g) + torus_rows_map(g)
-        combine = _combine_maps
-    else:
-        raise DimensionError(f"unknown membership kind {kind!r}")
-    rows: dict = {}
-    for k, param in enumerate(params):
-        for tag, vec in images(param):
-            for colkey, value in vec.items():
-                rows.setdefault((tag, colkey), {})[k] = value
-    solutions = _plain_nullspace([rows[key] for key in sorted(rows)], range(len(params)))
-    basis = [b for b in (combine(params, sol) for sol in solutions) if b]
-    basis.sort(key=lambda b: b.sort_key())
-    return DegreeSlice(degree, kind, tuple(basis))
-
-
-def _combine_polys(params: Sequence[Polynomial], sol: dict) -> Polynomial:
-    acc = Polynomial.zero(params[0].nvars) if params else None
-    for k, coeff in sol.items():
-        acc = acc + params[k].scale(Fraction(coeff))
-    return acc
-
-
-def _combine_maps(params: Sequence[PolyMap], sol: dict) -> PolyMap:
-    acc = PolyMap.zero(params[0].nblocks) if params else None
-    for k, coeff in sol.items():
-        acc = acc + params[k].scale(Fraction(coeff))
-    return acc
 
 
 # -- module slices and span comparison ----------------------------------------

@@ -20,18 +20,20 @@ only when its denominator is above 1, so the common small-integer
 coefficients are computed on ints.
 
 Linear changes of coordinates must respect the z/zb pairing.  That is
-checked once when a LinearAction is built from a matrix (a SignedElement
-builds its own; products of elements skip it), and on every substitution
-call that is handed a raw matrix instead.  The product of two actions is
-computed on their nonzero entries, and the engine multiplies and compares
-linear maps only in that sparse row form.
+checked once, when a LinearAction is built from a matrix (a SignedElement
+builds its own), and the substitution methods take only a LinearAction.
+The product of two actions is computed on their nonzero entries, without
+a second check, and the engine multiplies and compares linear maps only in
+that sparse row form.
 
 The span building of the pipeline and of the oracle uses one term kernel,
 kept here: exponent-tuple terms with (re, im) parts (`add_term`,
 `mul_terms`), the monomial images of a LinearAction (`Substitution`), its
 action on a map's output (`output_columns`, `add_output_image`), and the
-conversions between terms and Polynomial/PolyMap.  The Polynomial and PolyMap methods stay the
-independent reference that the tests compare the kernel against.
+conversions between terms and Polynomial/PolyMap.  The Polynomial and
+PolyMap methods stay the independent reference that the tests compare the
+kernel against; the module product of a PolyMap by a Polynomial is kept
+with the tests, the only place it is used.
 
 One family of functions renders coefficients, monomials, polynomials and
 maps, as text (the form the parser reads back) or as LaTeX.  The two differ
@@ -47,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionError, IncompatibleMatrix
 
@@ -322,19 +324,6 @@ def render_monomial(mono: Monomial, notation: Notation = TEXT) -> str:
     return notation.times.join(parts)
 
 
-def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of the given total degree, in descending grlex order."""
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining, -1, -1):
-            yield from gen(prefix + (e,), remaining - e, slots - 1)
-
-    yield from gen((), degree, nvars)
-
-
 # -- polynomials -------------------------------------------------------------
 
 
@@ -507,17 +496,14 @@ class Polynomial:
                 terms.pop(key, None)
         return Polynomial._trusted(self.nvars, terms)
 
-    def substitute_linear(
-        self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
-    ) -> "Polynomial":
+    def substitute_linear(self, action: LinearAction) -> "Polynomial":
         """Compose with a linear change of coordinates: returns p(A v).
 
         The matrix acts on the coordinate column vector, (A v)_i = sum_j
-        A[i][j] v_j, and must respect the conjugation pairing so that the
-        real locus maps to itself.  A raw matrix is checked on this call; a
-        LinearAction was checked when it was built.
+        A[i][j] v_j; its LinearAction was checked for the conjugation
+        pairing when it was built, so the real locus maps to itself.
         """
-        action = _linear_action(matrix, self.nvars)
+        _require_coordinates(action, self.nvars)
         if self.is_zero():
             return self
         rows = action.rows
@@ -658,29 +644,14 @@ class LinearAction:
         product._set_rows(tuple(rows), other.nvars)
         return product
 
-    def matrix(self) -> tuple:
-        """The dense matrix of the action."""
-        out = []
-        for row in self.rows:
-            dense = [ZERO] * self.nvars
-            for j, c in row:
-                dense[j] = c
-            out.append(tuple(dense))
-        return tuple(out)
-
     def __setattr__(self, name, value):
         raise AttributeError("LinearAction is immutable")
 
 
-def _linear_action(matrix, nvars: int) -> LinearAction:
-    """`matrix` as an action on nvars coordinates, checking it if it is raw."""
-    if isinstance(matrix, LinearAction):
-        if matrix.nvars != nvars:
-            raise DimensionError(
-                f"action is on {matrix.nvars} coordinates, expected {nvars}"
-            )
-        return matrix
-    return LinearAction(matrix, nvars)
+def _require_coordinates(action: LinearAction, nvars: int):
+    """Require an action on nvars coordinates."""
+    if action.nvars != nvars:
+        raise DimensionError(f"action is on {action.nvars} coordinates, expected {nvars}")
 
 
 # -- exponent-tuple terms ----------------------------------------------------
@@ -919,30 +890,17 @@ class PolyMap:
             tuple(comp.scale(c) for comp in self.z_components),
         )
 
-    def mul_invariant(self, u: Polynomial) -> "PolyMap":
-        """Module action: multiply every component by a real-valued polynomial."""
-        if not u.is_real_valued():
-            raise IncompatibleMatrix("module coefficients must be real-valued")
-        return PolyMap(
-            tuple(comp * u for comp in self.x_components),
-            tuple(comp * u for comp in self.z_components),
-        )
-
-    def compose_linear(
-        self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
-    ) -> "PolyMap":
+    def compose_linear(self, action: LinearAction) -> "PolyMap":
         """g . A : substitute the linear map into every component."""
-        action = _linear_action(matrix, self.nvars)
         return PolyMap(
             tuple(c.substitute_linear(action) for c in self.x_components),
             tuple(c.substitute_linear(action) for c in self.z_components),
         )
 
-    def apply_linear(
-        self, matrix: Sequence[Sequence[GaussianRational]] | LinearAction
-    ) -> "PolyMap":
+    def apply_linear(self, action: LinearAction) -> "PolyMap":
         """A . g : act on the output vector by the matrix."""
-        rows = _linear_action(matrix, self.nvars).rows
+        _require_coordinates(action, self.nvars)
+        rows = action.rows
         full = self.components()
         nvars = self.nvars
 

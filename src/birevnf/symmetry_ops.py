@@ -33,8 +33,9 @@ the exponent-tuple terms of `poly` (the kernel the oracle uses too) and
 emit rows through `linalg.vectorize_terms`; a Polynomial or PolyMap is
 built only for a candidate handed to a prune or a result that leaves this
 module.  The Polynomial arithmetic they replace (`Polynomial.__mul__`,
-`PolyMap.mul_invariant`, `compose_linear`, `apply_linear`) stays as the
-reference the tests compare against.
+`substitute_linear`, `compose_linear`, `apply_linear`, and the module
+product on PolyMap that the tests keep) is the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -428,13 +429,6 @@ def pipeline(context: SymmetryContext) -> GeneratorSet:
     for kappa in (context.phi, context.psi):
         basis, gens = _transport(basis, gens, kappa)
     return certify(GeneratorSet(basis, gens, context))
-
-
-def intermediate_generators(context: SymmetryContext) -> GeneratorSet:
-    """Generators after the first extension only (sign map sigma_1)."""
-    sdata = context.sgroup
-    basis, gens = _transport(sdata.hilbert_basis, sdata.equivariant_generators, context.phi)
-    return GeneratorSet(basis, gens, context)
 
 
 # -- serialization -----------------------------------------------------------

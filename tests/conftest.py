@@ -36,13 +36,34 @@ def mat_mul(a, b):
     )
 
 
+def dense(action):
+    """The dense matrix of a `poly.LinearAction`, from its nonzero entries."""
+    out = [[ZERO] * action.nvars for _ in action.rows]
+    for i, row in enumerate(action.rows):
+        for j, c in row:
+            out[i][j] = c
+    return tuple(map(tuple, out))
+
+
+def element_product(*factors) -> SignedElement:
+    """The product of signed elements by `mat_mul`, with the product sign.
+
+    The engine multiplies only actions; this builds, and so checks, the
+    product element afresh from its dense matrix.
+    """
+    matrix, sign = factors[0].matrix, factors[0].sign
+    for f in factors[1:]:
+        matrix, sign = mat_mul(matrix, f.matrix), sign * f.sign
+    return SignedElement(matrix, sign)
+
+
 def close_group(generators, max_order: int = 64) -> dict:
     """Reference closure: each dense matrix of the generated group with its sign.
 
     A breadth-first walk over `mat_mul` products from the identity, which
     comes first.  A matrix reached with two signs raises SignInconsistency
-    with the engine's message, so the engine's four-element sign table can
-    be compared with it verdict for verdict.
+    with the engine's message, so the engine's sign comparison can be
+    compared with it verdict for verdict.
     """
     identity = identity_matrix(generators[0].size)
     signs = {identity: 1}

@@ -13,19 +13,42 @@ compare_double_resonance_table reports each disagreement between the
 stored prefactor and the recomputed one.  The same applies to the
 single-resonance table's row C, which circulates in two conflicting
 notations; both readings are exposed.
+
+The intermediate sign maps of the tower, sigma_1 on S x| Z2(phi) and the
+forgetful sigma-tilde, and the module after the first extension alone are
+built here too: only the checks against the tables use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from birevnf.continuous import catalog, psi_element
+from birevnf.continuous import SymmetryContext, catalog, psi_element
 from birevnf.errors import UnsupportedCase
+from birevnf.group import GroupContext
 from birevnf.poly import PolyMap, Polynomial
-from birevnf.symmetry_ops import reynolds_S, transfer_T
+from birevnf.symmetry_ops import GeneratorSet, _transport, reynolds_S, transfer_T
 
 from conftest import normalize_leading
+from reference_oracle import mul_invariant
+
+
+def phi_context(ctx: SymmetryContext) -> GroupContext:
+    """The first extension only: sign map sigma_1 on S x| Z2(phi)."""
+    return GroupContext((ctx.phi,), ctx.sgroup)
+
+
+def sigma_tilde_psi_context(ctx: SymmetryContext) -> GroupContext:
+    """phi acting as a symmetry, psi reversing: the forgetful sign map."""
+    return GroupContext((replace(ctx.phi, sign=1), ctx.psi), ctx.sgroup)
+
+
+def intermediate_generators(ctx: SymmetryContext) -> GeneratorSet:
+    """Generators after the first extension only (sign map sigma_1)."""
+    sdata = ctx.sgroup
+    basis, gens = _transport(sdata.hilbert_basis, sdata.equivariant_generators, ctx.phi)
+    return GeneratorSet(basis, gens, ctx)
 
 
 def projected_generator_list(n1: int, n2: int, n: int) -> tuple[PolyMap, ...]:
@@ -40,20 +63,20 @@ def projected_generator_list(n1: int, n2: int, n: int) -> tuple[PolyMap, ...]:
     u5 = data.hilbert_basis[4]
     new = [
         old[1],
-        old[0].mul_invariant(u5),
+        mul_invariant(old[0], u5),
         old[3],
         old[5],
-        old[2].mul_invariant(u5),
-        old[4].mul_invariant(u5),
+        mul_invariant(old[2], u5),
+        mul_invariant(old[4], u5),
         old[7],
         old[9],
-        old[6].mul_invariant(u5),
-        old[8].mul_invariant(u5),
+        mul_invariant(old[6], u5),
+        mul_invariant(old[8], u5),
     ]
     for j in range(3, n + 1):
         base = 10 + 2 * (j - 3)
         new.append(old[base + 1])
-        new.append(old[base].mul_invariant(u5))
+        new.append(mul_invariant(old[base], u5))
     return tuple(new)
 
 
@@ -85,8 +108,8 @@ def single_resonance_table(n1: int, n2: int, n: int, typ: str) -> tuple[PolyMap,
     H = projected_generator_list(n1, n2, n)
     plain, by_u1, by_u4 = _type_index_sets(n, typ)
     gens = [H[k] for k in plain]
-    gens += [H[k].mul_invariant(u1) for k in by_u1]
-    gens += [H[k].mul_invariant(u4) for k in by_u4]
+    gens += [mul_invariant(H[k], u1) for k in by_u1]
+    gens += [mul_invariant(H[k], u4) for k in by_u4]
     return tuple(gens)
 
 
@@ -104,7 +127,7 @@ def table1_type_c_h_reading(n1: int, n2: int) -> tuple[PolyMap, ...]:
     data = catalog("res_n1n2_C3", (n1, n2))
     H = data.equivariant_generators
     u1 = data.hilbert_basis[0]
-    return (H[0].mul_invariant(u1),) + tuple(H[1:])
+    return (mul_invariant(H[0], u1),) + tuple(H[1:])
 
 
 # -- double resonance on R^2 x C^4 -------------------------------------------
@@ -134,9 +157,9 @@ def double_resonance_step_generators(
     for i in (1, 3, 5, 7, 9, 11, 13, 15, 17):
         named.append((f"H{i}", H[i]))
     for j in (0, 2, 4, 6, 8, 10, 12, 14, 16):
-        named.append((f"u5H{j}", H[j].mul_invariant(u5)))
+        named.append((f"u5H{j}", mul_invariant(H[j], u5)))
     for j in (0, 2, 4, 6, 8, 10, 12, 14, 16):
-        named.append((f"u9H{j}", H[j].mul_invariant(u9)))
+        named.append((f"u9H{j}", mul_invariant(H[j], u9)))
     return tuple(named)
 
 
@@ -175,7 +198,7 @@ def recompute_double_resonance(
             elif not scaled:
                 product = None
             else:
-                product = gen.mul_invariant(scaled)
+                product = mul_invariant(gen, scaled)
             if product is None:
                 image = PolyMap.zero(4)
             else:

@@ -1,10 +1,11 @@
 """Signed elements: sign maps, the involution-pair check, membership.
 
 The closures here are the reference `conftest.close_group`, which the
-engine's four-element sign table is checked against.
+engine's sign comparison is checked against.
 """
 
-from functools import cache
+from functools import cache, reduce
+from operator import mul
 from itertools import product
 
 import pytest
@@ -43,7 +44,8 @@ from birevnf.poly import (
     zbar_index,
 )
 
-from conftest import close_group, identity_matrix, mat_mul
+from conftest import close_group, dense, element_product, identity_matrix, mat_mul
+from references import sigma_tilde_psi_context
 
 
 def scaling_on_block(n, j, factor):
@@ -143,7 +145,7 @@ def test_product_sigma_values():
     sigma = close_group(ctx.full_context().elements)
     assert sigma[phi_psi] == 1
     assert sigma[identity_matrix(6)] == 1
-    sigma_tilde = close_group(ctx.sigma_tilde_psi_context().elements)
+    sigma_tilde = close_group(sigma_tilde_psi_context(ctx).elements)
     assert sigma_tilde[ctx.phi.matrix] == 1
     assert sigma_tilde[phi_psi] == -1
 
@@ -176,8 +178,8 @@ def test_semidirect_condition_on_infinitesimal_generators():
     assert len(generators) == 3
     for gamma in (phi, psi):
         for m in generators:
-            negated = tuple(tuple(-x for x in row) for row in m.matrix())
-            assert mat_mul(mat_mul(gamma.matrix, m.matrix()), gamma.matrix) == negated
+            negated = tuple(tuple(-x for x in row) for row in dense(m))
+            assert mat_mul(mat_mul(gamma.matrix, dense(m)), gamma.matrix) == negated
 
 
 def test_pair_check_rejects_each_failed_condition():
@@ -210,7 +212,7 @@ def reference_pair_verdict(linear, phi, psi):
     involution, the two commute, and the reference closure of the pair
     gives no matrix two signs.
     """
-    generators = [m.matrix() for m in linear.infinitesimal_generators()]
+    generators = [dense(m) for m in linear.infinitesimal_generators()]
     try:
         for gamma in (phi, psi):
             for m in generators:
@@ -257,7 +259,7 @@ def candidate_pairs(draw):
 
 @settings(max_examples=150)
 @given(candidate_pairs())
-# psi is phi with the opposite sign: the sign table meets phi's rows twice
+# psi is phi with the opposite sign, the one clash the sign comparison meets
 @example((LinearPart(1), phi_element(1), SignedElement(phi_matrix(1), 1, "psi")))
 @example((LinearPart(2), phi_element(2), SignedElement(phi_matrix(2), -1, "psi")))
 def test_pair_check_agrees_with_the_reference_closure(pair):
@@ -319,9 +321,9 @@ def test_block_swap_normalizes_nonresonant_torus():
     linear = LinearPart(2)
     kappa = SignedElement(swap_blocks(2), -1)
     generators = linear.infinitesimal_generators()
-    dense = {m.matrix() for m in generators}
-    conjugates = {mat_mul(mat_mul(kappa.matrix, m), kappa.matrix) for m in dense}
-    assert conjugates == dense
+    dense_generators = {dense(m) for m in generators}
+    conjugates = {mat_mul(mat_mul(kappa.matrix, m), kappa.matrix) for m in dense_generators}
+    assert conjugates == dense_generators
     rejected_in_either_slot(linear, kappa)
 
 
@@ -365,7 +367,7 @@ def test_reversible_membership_is_conjugation_invariant():
             g = transfer_T(transfer_T(g, phi), psi)  # often a genuine member
         for el in (phi, psi):
             twisted = (
-                g.compose_linear(el.matrix).apply_linear(el.matrix).scale(el.sign)
+                g.compose_linear(el.action).apply_linear(el.action).scale(el.sign)
             )
             assert membership(g, ctx, "reversible_equivariant") == membership(
                 twisted, ctx, "reversible_equivariant"
@@ -404,7 +406,6 @@ def test_monomial_elements_skip_the_rank_but_singular_ones_still_fail(monkeypatc
 def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     import birevnf.group as group_module
     import birevnf.poly as poly_module
-    from birevnf.poly import LinearAction
 
     linear = LinearPart(2)
     phi, psi = phi_element(2), psi_element((1, -1, 1))
@@ -423,16 +424,16 @@ def test_products_of_checked_elements_skip_the_checks(monkeypatch):
 
     counting("check_conjugation_compatible", poly_module)
     counting("complex_rank", group_module)
-    derived = [phi * psi, psi * shear, shear * shear, phi * shear * psi]
+    derived = [(phi, psi), (psi, shear), (shear, shear), (phi, shear, psi)]
+    products = [reduce(mul, (f.action for f in factors)) for factors in derived]
     # the pair check builds its product and identity rows without the checks too
     check_involution_pair(linear, phi, psi)
     assert checked == []
     SignedElement(shear.matrix, 1)
     assert sorted(checked) == ["check_conjugation_compatible", "complex_rank"]
     monkeypatch.undo()
-    for el in derived:
-        fresh = LinearAction(el.matrix, el.size)
-        assert el.action.rows == fresh.rows
-        assert el.action.monomial == fresh.monomial
-        assert el == SignedElement(el.matrix, el.sign)
+    for factors, action in zip(derived, products):
+        fresh = element_product(*factors).action
+        assert action.rows == fresh.rows
+        assert action.monomial == fresh.monomial
 

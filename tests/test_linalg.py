@@ -46,7 +46,7 @@ def test_nullspace_full_rank_is_empty():
 
 
 def test_fraction_free_matches_plain_on_random_systems():
-    from birevnf.oracle import _plain_nullspace
+    from reference_oracle import _plain_nullspace
 
     rng = make_rng(42)
     for _ in range(20):

@@ -12,20 +12,22 @@ from birevnf.oracle import (
     DegreeSlice,
     _defect_images,
     _from_records,
-    _function_constraints,
-    _function_parameters,
-    _map_constraints,
-    _map_parameters,
     _parameters,
     module_slice,
     slice_space,
-    slice_space_naive,
     spans_equal,
 )
 from birevnf.poly import Polynomial
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
 from conftest import MIXING_ELEMENTS
+from reference_oracle import (
+    _function_constraints,
+    _function_parameters,
+    _map_constraints,
+    _map_parameters,
+    slice_space_naive,
+)
 
 
 @pytest.fixture(scope="module")
