@@ -10,7 +10,6 @@ forms.
 from .continuous import (
     InvolutionPair,
     LinearPart,
-    SGroupData,
     SymmetryContext,
     catalog,
     check_involution_pair,

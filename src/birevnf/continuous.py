@@ -7,21 +7,24 @@ independent frequencies; the torus is described purely by an integer weight
 lattice derived from the declared resonance relations, never by numeric
 frequency values, so no accidental resonances can sneak in.
 
-Invariance and equivariance under the continuous group reduce to exact
-integer conditions on exponents (torus) plus polynomial identities for the
-shear, implemented here.  The catalog of the closure group, its Hilbert
-basis and equivariant generators, is derived from that weight lattice by
-Contejean-Devie completion (`closure_data`), for any linear part; the named
-cases only fix the linear part.  The module also enumerates the
-inequivalent pairs of commuting reversing involutions and classifies the
-sign regimes into the four normal-form types.  One check of the involution
-pair, `check_involution_pair`, decides the reversing tower
+The `LinearPart` is the one problem datum of the closure group.
+Invariance and equivariance under it reduce to exact integer conditions on
+exponents (torus) plus polynomial identities for the shear
+(`LinearPart.infinitesimal_ok`).  Its catalog, the Hilbert basis and
+equivariant generators, is derived from the weight lattice by
+Contejean-Devie completion (`closure_data`), for any linear part, on the
+first read of `LinearPart.closure_catalog`; the named cases only fix the
+linear part.  The module also enumerates the inequivalent pairs of
+commuting reversing involutions and classifies the sign regimes into the
+four normal-form types.  One check of the involution pair,
+`check_involution_pair`, decides the reversing tower
 (S x| Z2(phi)) x| Z2(psi) for `SymmetryContext.build`; the pair
 enumeration runs the same two steps, each element's facts once and then
 the pair's.  The finite part of the tower is the Klein four-group
 {e, phi, psi, phi*psi}; as phi and psi anti-commute with L, the sign map
 on it comes down to one comparison, read off their sparse rows; no group
-is closed.
+is closed.  API input is checked once, here: a count, coefficient, case
+parameter or sign that is not an int is rejected, not truncated.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from math import gcd
 from operator import add, ge
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConditionViolated, DimensionError, SignInconsistency, UnsupportedCase
 from .group import GroupContext, SignedElement, anticommute_check
@@ -68,7 +71,9 @@ class LinearPart:
     resonance_relations rows (c_1, ..., c_n) assert sum_j c_j omega_j = 0;
     the frequencies are otherwise algebraically independent.  Rows that
     would force some omega_j = 0 are rejected, matching the requirement
-    that every frequency is nonzero.
+    that every frequency is nonzero.  The linear part is the one source of
+    the closure group's data: its weight lattice, the infinitesimal
+    conditions (`infinitesimal_ok`) and the catalog (`closure_catalog`).
     """
 
     n: int
@@ -76,6 +81,7 @@ class LinearPart:
     omegas: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _integers((self.n,))
         if self.n < 1:
             raise DimensionError("at least one rotation block is required")
         if not self.omegas:
@@ -85,8 +91,7 @@ class LinearPart:
         if len(self.omegas) != self.n:
             raise DimensionError("one frequency label per rotation block")
         rels = []
-        for row in self.resonance_relations:
-            row = tuple(int(c) for c in row)
+        for row in map(_integers, self.resonance_relations):
             if len(row) != self.n:
                 raise DimensionError("resonance relation of wrong length")
             if not any(row):
@@ -112,6 +117,10 @@ class LinearPart:
         object.__setattr__(
             self, "_generators", tuple(LinearAction(m, self.nvars) for m in generators)
         )
+
+    @property
+    def nblocks(self) -> int:
+        return self.n
 
     @property
     def nvars(self) -> int:
@@ -140,84 +149,60 @@ class LinearPart:
         """
         return self._generators
 
-
-# -- the closure group data --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SGroupData:
-    """Torus weights and the catalog of invariants/equivariants.
-
-    Every linearization has the nilpotent block, so the closure group
-    always holds the shear.  Every stored Hilbert-basis element and
-    equivariant generator is checked against the torus and shear
-    conditions at construction.
-    """
-
-    nblocks: int
-    torus_weights: tuple[tuple[int, ...], ...]
-    hilbert_basis: tuple[Polynomial, ...] = ()
-    equivariant_generators: tuple[PolyMap, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "hilbert_basis", tuple(self.hilbert_basis))
-        object.__setattr__(
-            self, "equivariant_generators", tuple(self.equivariant_generators)
-        )
-        for row in self.torus_weights:
-            if len(row) != self.nblocks:
-                raise DimensionError("weight row length must match block count")
-        for p in self.hilbert_basis:
-            if not p.is_real_valued():
-                raise DimensionError("Hilbert basis elements must be real-valued")
-            if p.degree() < 1:
-                raise DimensionError("Hilbert basis elements must be non-constant")
-            if not self.infinitesimal_ok(p, "invariant"):
-                raise DimensionError(f"basis element fails invariance: {p}")
-        for g in self.equivariant_generators:
-            if not self.infinitesimal_ok(g, "equivariant"):
-                raise DimensionError(f"generator fails equivariance: {g}")
-
     @property
-    def nvars(self) -> int:
-        return 2 * self.nblocks + 2
-
-    def monomial_weight_defect(self, mono, weights: Sequence[int]) -> int:
-        return sum(
-            w * (mono[z_index(j)] - mono[zbar_index(j)])
-            for j, w in enumerate(weights, start=1)
-        )
+    def closure_catalog(self) -> Catalog:
+        """`closure_data(self)`, derived on the first read and kept (the part is frozen)."""
+        known = self.__dict__.get("_catalog")
+        if known is None:
+            known = closure_data(self)
+            object.__setattr__(self, "_catalog", known)
+        return known
 
     def component_weight(self, comp: int, weights: Sequence[int]) -> int:
         """Torus weight of coordinate component comp (0,1 = x; 2+j = z_{j+1})."""
         return 0 if comp < 2 else weights[comp - 2]
 
     def infinitesimal_ok(self, obj, kind: str) -> bool:
+        """Whether obj meets the torus and shear conditions of the closure group.
+
+        An "invariant" Polynomial has torus weight 0 in every monomial and
+        x1 d/dx2 p = 0.  An "equivariant" PolyMap has the weight of each
+        component in each of its monomials, and commutes with the shear:
+        x1 d/dx2 g = (0, g_x1, 0, ..., 0).
+        """
         if kind == "invariant":
             if not isinstance(obj, Polynomial):
                 raise TypeError("invariance applies to Polynomial")
-            for weights in self.torus_weights:
-                for mono in obj.monomials():
-                    if self.monomial_weight_defect(mono, weights) != 0:
-                        return False
-            x1 = Polynomial.variable(obj.nvars, x_index(1))
-            return not x1 * obj.partial(x_index(2))
-        if kind == "equivariant":
+            comps = (obj,)
+        elif kind == "equivariant":
             if not isinstance(obj, PolyMap):
                 raise TypeError("equivariance applies to PolyMap")
             comps = (*obj.x_components, *obj.z_components)
-            for weights in self.torus_weights:
-                for c, poly in enumerate(comps):
-                    target = self.component_weight(c, weights)
-                    for mono in poly.monomials():
-                        if self.monomial_weight_defect(mono, weights) != target:
-                            return False
-            x1 = Polynomial.variable(obj.nvars, x_index(1))
-            gx1, gx2 = obj.x_components
-            if x1 * gx2.partial(x_index(2)) != gx1:
-                return False
-            return not any(x1 * poly.partial(x_index(2)) for poly in (gx1, *obj.z_components))
-        raise ValueError(f"unknown infinitesimal kind {kind!r}")
+        else:
+            raise ValueError(f"unknown infinitesimal kind {kind!r}")
+        for weights in self._weight_rows:
+            for c, poly in enumerate(comps):
+                target = self.component_weight(c, weights)
+                for mono in poly.monomials():
+                    if sum(
+                        w * (mono[z_index(j)] - mono[zbar_index(j)])
+                        for j, w in enumerate(weights, start=1)
+                    ) != target:
+                        return False
+        x1 = Polynomial.variable(obj.nvars, x_index(1))
+        sheared = [x1 * poly.partial(x_index(2)) for poly in comps]
+        if kind == "equivariant":
+            sheared[1] -= comps[0]
+        return not any(sheared)
+
+
+def _integers(values, error=DimensionError) -> tuple[int, ...]:
+    """values as a tuple of ints; error on any other entry, a bool or 2.0 included."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise error(f"expected an integer, got {v!r}")
+    return values
 
 
 # -- involutions -------------------------------------------------------------
@@ -230,7 +215,7 @@ def phi_matrix(n: int) -> Matrix:
 
 def psi_matrix(signs: Sequence[int]) -> Matrix:
     """(x1, x2, z) -> (a0 x1, -a0 x2, a_j conj z_j) for signs (a0, ..., an)."""
-    signs = tuple(int(s) for s in signs)
+    signs = _integers(signs)
     if any(s not in (1, -1) for s in signs):
         raise DimensionError("signs must be +1 or -1")
     n = len(signs) - 1
@@ -357,6 +342,7 @@ def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[InvolutionPair,
 
 def classify_type(signs: Sequence[int], exponents: Sequence[int]) -> str:
     """Normal-form type A/B/C/D from (a0, a1, a2) and the resonance pair."""
+    signs, exponents = _integers(signs), _integers(exponents)
     if len(signs) < 3:
         raise DimensionError("need at least signs (a0, a1, a2)")
     n1, n2 = exponents
@@ -436,7 +422,14 @@ def _minimal_solutions(columns, target, known=()) -> list[tuple[int, ...]]:
     return found
 
 
-def closure_data(linear: LinearPart) -> SGroupData:
+class Catalog(NamedTuple):
+    """The closure group's Hilbert basis and equivariant generators."""
+
+    hilbert_basis: tuple[Polynomial, ...]
+    equivariant_generators: tuple[PolyMap, ...]
+
+
+def closure_data(linear: LinearPart) -> Catalog:
     """Hilbert basis and equivariant generators of the shear x torus closure.
 
     Computed from the weight lattice W = linear.torus_weight_rows(): the z_j
@@ -449,7 +442,8 @@ def closure_data(linear: LinearPart) -> SGroupData:
     imaginary part, oriented so that its first nonzero z - conj(z) exponent
     difference is positive.  The generators are (x1, x2) and (0, 1), then
     per block j its solutions m by (degree, exponents descending), each as
-    m and i*m in component z_j.  The SGroupData audit checks every element.
+    m and i*m in component z_j.  Every element meets
+    `linear.infinitesimal_ok`, as the tests check for each derived catalog.
     """
     n = linear.n
     nvars = linear.nvars
@@ -484,12 +478,7 @@ def closure_data(linear: LinearPart) -> SGroupData:
         ):
             p = monomial(x)
             gens += [_unit_map(n, 2 + j, p), _unit_map(n, 2 + j, p.scale(I))]
-    return SGroupData(
-        nblocks=n,
-        torus_weights=weights,
-        hilbert_basis=tuple(basis),
-        equivariant_generators=tuple(gens),
-    )
+    return Catalog(tuple(basis), tuple(gens))
 
 
 # parameter names of each catalog case
@@ -506,13 +495,15 @@ def case_blocks(case: str, params: Sequence[int]) -> int:
 
     The one check of case parameters, run by `linear_part_for_case` and by
     the CLI's config validation, so every command rejects the same inputs:
-    a wrong count, a parameter below 1, a resonance pair with a common
-    factor or equal to 1:1, and res_n1n2_Cn with n < 3.
+    a wrong count, a parameter that is not an integer or is below 1, a
+    resonance pair with a common factor or equal to 1:1, and res_n1n2_Cn
+    with n < 3.
     """
     if case not in CASE_PARAMETERS:
         raise UnsupportedCase(
             f"unknown case {case!r}; choose from " + ", ".join(sorted(CASE_PARAMETERS))
         )
+    params = _integers(params, UnsupportedCase)
     names = CASE_PARAMETERS[case]
     if len(params) != len(names):
         raise UnsupportedCase(f"{case} expects ({', '.join(names)})")
@@ -533,7 +524,6 @@ def case_blocks(case: str, params: Sequence[int]) -> int:
 
 def linear_part_for_case(case: str, params: Sequence[int]) -> LinearPart:
     """The linearization of a named case, its parameters checked."""
-    params = tuple(int(p) for p in params)
     n = case_blocks(case, params)
     if case == "non_resonant":
         return LinearPart(n)
@@ -551,62 +541,39 @@ def _require_coprime(a: int, b: int):
         )
     if a == 1 and b == 1:
         raise UnsupportedCase(
-            "equal frequencies (the 1:1 case) are outside the shipped catalogs; "
-            "supply the closure-group data manually"
+            "equal frequencies (the 1:1 case) are outside the named cases; "
+            "use SymmetryContext.build(LinearPart(2, ((1, -1),)), signs)"
         )
 
 
-def catalog(case: str, params: Sequence[int]) -> SGroupData:
-    """The closure-group data of a named case: `closure_data` of its linear part.
+def catalog(case: str, params: Sequence[int]) -> Catalog:
+    """The closure-group catalog of a named case, that of its linear part.
 
     Cases: non_resonant(n), res_n1n2_C3(n1, n2), res_n1n2_Cn(n1, n2, n),
     res_double_C4(n1, n2, m1, m2).
     """
-    return closure_data(linear_part_for_case(case, params))
+    return linear_part_for_case(case, params).closure_catalog
 
 
 # -- the full problem datum --------------------------------------------------
 
 
-def _same_row_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Whether two sets of integer rows span the same subspace of Q^n."""
-    a = [{j: c for j, c in enumerate(row) if c} for row in a]
-    b = [{j: c for j, c in enumerate(row) if c} for row in b]
-    span_a, span_b = Echelon(a), Echelon(b)
-    return all(map(span_a.contains, b)) and all(map(span_b.contains, a))
-
-
 @dataclass(frozen=True)
 class SymmetryContext:
-    """Linearization, closure-group data, and the reversing involution pair.
+    """Linearization and the reversing involution pair.
 
-    Construction verifies the whole tower: the closure-group data belongs
-    to the linearization (same block count, same rational span of torus
-    weights), and the involution pair passes `check_involution_pair`.
+    The linear part carries the closure group's data; construction checks
+    the signs and that the involution pair passes `check_involution_pair`.
     """
 
     linear_part: LinearPart
-    sgroup: SGroupData
     signs: tuple[int, ...]
     phi: SignedElement
     psi: SignedElement
 
     @classmethod
-    def build(
-        cls,
-        linear_part: LinearPart,
-        sgroup: SGroupData,
-        signs: Sequence[int],
-    ) -> "SymmetryContext":
-        if sgroup.nblocks != linear_part.n:
-            raise DimensionError(
-                f"closure data has {sgroup.nblocks} blocks, the linear part {linear_part.n}"
-            )
-        if not _same_row_span(sgroup.torus_weights, linear_part.torus_weight_rows()):
-            raise DimensionError(
-                "closure data torus weights span another space than the linear part's"
-            )
-        signs = tuple(int(s) for s in signs)
+    def build(cls, linear_part: LinearPart, signs: Sequence[int]) -> "SymmetryContext":
+        signs = _integers(signs)
         if len(signs) != linear_part.n + 1:
             raise DimensionError(
                 f"expected {linear_part.n + 1} signs (a0..an), got {len(signs)}"
@@ -614,14 +581,13 @@ class SymmetryContext:
         phi = phi_element(linear_part.n)
         psi = psi_element(signs)
         check_involution_pair(linear_part, phi, psi)
-        return cls(linear_part, sgroup, signs, phi, psi)
+        return cls(linear_part, signs, phi, psi)
 
     @classmethod
     def from_case(
         cls, case: str, params: Sequence[int], signs: Sequence[int]
     ) -> "SymmetryContext":
-        linear = linear_part_for_case(case, params)
-        return cls.build(linear, closure_data(linear), signs)
+        return cls.build(linear_part_for_case(case, params), signs)
 
     @property
     def nblocks(self) -> int:
@@ -629,4 +595,4 @@ class SymmetryContext:
 
     def full_context(self) -> GroupContext:
         """Both involutions reversing: the product sign map sigma."""
-        return GroupContext((self.phi, self.psi), self.sgroup)
+        return GroupContext((self.phi, self.psi), self.linear_part)

@@ -22,11 +22,15 @@ class SignInconsistency(EngineError):
 
 
 class ConditionViolated(EngineError):
-    """The semidirect-product compatibility condition fails for a generator pair."""
+    """An element is not an involution, or the two involutions do not commute."""
 
 
 class UnsupportedCase(EngineError):
-    """Requested catalog case is not shipped; supply the group data manually."""
+    """No named case has these parameters.
+
+    A linear part that no named case covers, the 1:1 resonance among them,
+    goes through the API: SymmetryContext.build(LinearPart(2, ((1, -1),)), signs).
+    """
 
 
 class ResourceLimit(EngineError):

@@ -71,15 +71,15 @@ class DegreeSlice:
         return len(self.basis)
 
 
-def _sgroup_of(context: GroupContext):
-    data = context.continuous
-    if data is None:
+def _linear_part_of(context: GroupContext):
+    linear = context.continuous
+    if linear is None:
         raise DimensionError("oracle contexts must carry continuous group data")
-    return data
+    return linear
 
 
 def _torus_monomials(
-    sgroup, degree: int, component: int | None, used: int, limit: int
+    linear, degree: int, component: int | None, used: int, limit: int
 ) -> list:
     """Degree-d monomials with the torus character of the given component.
 
@@ -95,10 +95,10 @@ def _torus_monomials(
     (m + 1)(d + 1 - m) for m = d // 2; if those alone pass the limit, the
     walk would only reach the same verdict later, so it is not started.
     """
-    rows = sgroup.torus_weights
-    nblocks = sgroup.nblocks
+    rows = linear.torus_weight_rows()
+    nblocks = linear.nblocks
     targets = tuple(
-        0 if component is None else sgroup.component_weight(component, weights)
+        0 if component is None else linear.component_weight(component, weights)
         for weights in rows
     )
 
@@ -163,17 +163,17 @@ def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
     return out
 
 
-def _parameters(sgroup, degree: int, kind: str, limit: int) -> list[tuple]:
+def _parameters(linear, degree: int, kind: str, limit: int) -> list[tuple]:
     """Parameter records of a slice: the torus-admissible naive parameters, in order.
 
     The order fixes the columns, and with them the canonical nullspace.
     """
     if kind in FUNCTION_KINDS:
-        return _real_records(-1, _torus_monomials(sgroup, degree, None, 0, limit))
+        return _real_records(-1, _torus_monomials(linear, degree, None, 0, limit))
     params: list[tuple] = []
     used = 0
-    for comp in range(sgroup.nblocks + 2):
-        monos = _torus_monomials(sgroup, degree, comp, used, limit)
+    for comp in range(linear.nblocks + 2):
+        monos = _torus_monomials(linear, degree, comp, used, limit)
         used += len(monos)
         if comp < 2:
             params += _real_records(comp, monos)
@@ -193,9 +193,9 @@ def _defect_images(context: GroupContext, kind: str, params) -> list[list]:
     x1 d/dx2 applied to every component, less g_x1 in the x2 component.
     The vectors equal `vectorize` of the naive path's images.
     """
-    sgroup = _sgroup_of(context)
+    linear = _linear_part_of(context)
     functions = kind in FUNCTION_KINDS
-    comps = (-1,) if functions else range(sgroup.nblocks + 2)
+    comps = (-1,) if functions else range(linear.nblocks + 2)
     images: list[list] = [[] for _ in params]
     for idx, el in enumerate(context.elements):
         tag = f"el{idx}"
@@ -250,8 +250,8 @@ def slice_space(
         raise DimensionError("degree must be nonnegative")
     if kind not in FUNCTION_KINDS + MAP_KINDS:
         raise DimensionError(f"unknown membership kind {kind!r}")
-    sgroup = _sgroup_of(context)
-    params = _parameters(sgroup, degree, kind, limit)
+    linear = _linear_part_of(context)
+    params = _parameters(linear, degree, kind, limit)
     rows: dict = {}
     for k, images in enumerate(_defect_images(context, kind, params)):
         for tag, vec in images:
@@ -259,7 +259,7 @@ def slice_space(
                 rows.setdefault((tag, key), {})[k] = value
     solutions = Echelon(rows[key] for key in sorted(rows)).nullspace(range(len(params)))
     functions = kind in FUNCTION_KINDS
-    basis = [_from_records(params, sol, sgroup.nvars, functions) for sol in solutions]
+    basis = [_from_records(params, sol, linear.nvars, functions) for sol in solutions]
     basis.sort(key=lambda b: b.sort_key())
     return DegreeSlice(degree, kind, tuple(basis))
 

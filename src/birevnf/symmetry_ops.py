@@ -420,12 +420,7 @@ def pipeline(context: SymmetryContext) -> GeneratorSet:
     repeats along the second, and certifies every output against the full
     product sign map.
     """
-    sdata = context.sgroup
-    if not sdata.hilbert_basis or not sdata.equivariant_generators:
-        raise CertificationFailure(
-            "symmetry context carries no closure-group catalog data"
-        )
-    basis, gens = sdata.hilbert_basis, sdata.equivariant_generators
+    basis, gens = context.linear_part.closure_catalog
     for kappa in (context.phi, context.psi):
         basis, gens = _transport(basis, gens, kappa)
     return certify(GeneratorSet(basis, gens, context))

@@ -30,7 +30,7 @@ from birevnf.oracle import (
     FUNCTION_KINDS,
     MAP_KINDS,
     DegreeSlice,
-    _sgroup_of,
+    _linear_part_of,
 )
 from birevnf.poly import (
     I,
@@ -194,6 +194,11 @@ def _plain_nullspace(rows: Iterable[dict], columns: Sequence) -> list[dict]:
     return basis
 
 
+def weight_defect(mono: Monomial, weights: Sequence[int]) -> int:
+    """The torus weight of a monomial: sum_j w_j (exponent of z_j - of zb_j)."""
+    return sum(w * (mono[2 * j] - mono[2 * j + 1]) for j, w in enumerate(weights, start=1))
+
+
 def slice_space_naive(
     context: GroupContext,
     degree: int,
@@ -205,15 +210,15 @@ def slice_space_naive(
     The torus conditions are imposed as explicit constraint rows on the
     full monomial space.  Used to cross-check slice_space.
     """
-    sgroup = _sgroup_of(context)
-    nvars = sgroup.nvars
+    linear = _linear_part_of(context)
+    nvars = linear.nvars
 
     def torus_rows_function(param: Polynomial):
         out = []
-        for t, weights in enumerate(sgroup.torus_weights):
+        for t, weights in enumerate(linear.torus_weight_rows()):
             vec = {}
             for mono, coeff in param.sorted_terms():
-                defect = sgroup.monomial_weight_defect(mono, weights)
+                defect = weight_defect(mono, weights)
                 if defect:
                     key = (-1, grlex_key(mono), 0)
                     if coeff.re:
@@ -226,12 +231,12 @@ def slice_space_naive(
     def torus_rows_map(param: PolyMap):
         out = []
         comps = (*param.x_components, *param.z_components)
-        for t, weights in enumerate(sgroup.torus_weights):
+        for t, weights in enumerate(linear.torus_weight_rows()):
             vec = {}
             for comp, poly in enumerate(comps):
-                target = sgroup.component_weight(comp, weights)
+                target = linear.component_weight(comp, weights)
                 for mono, coeff in poly.sorted_terms():
-                    defect = sgroup.monomial_weight_defect(mono, weights) - target
+                    defect = weight_defect(mono, weights) - target
                     if defect:
                         if coeff.re:
                             vec[(comp, grlex_key(mono), 0)] = coeff.re * defect
@@ -246,8 +251,8 @@ def slice_space_naive(
         images = lambda p: _function_constraints(context, kind, p) + torus_rows_function(p)
         combine = _combine_polys
     elif kind in MAP_KINDS:
-        _monomial_budget(nvars, degree, sgroup.nblocks + 2, limit)
-        params = _map_parameters(sgroup.nblocks, degree)
+        _monomial_budget(nvars, degree, linear.nblocks + 2, limit)
+        params = _map_parameters(linear.nblocks, degree)
         images = lambda g: _map_constraints(context, kind, g) + torus_rows_map(g)
         combine = _combine_maps
     else:

@@ -36,18 +36,17 @@ from reference_oracle import mul_invariant
 
 def phi_context(ctx: SymmetryContext) -> GroupContext:
     """The first extension only: sign map sigma_1 on S x| Z2(phi)."""
-    return GroupContext((ctx.phi,), ctx.sgroup)
+    return GroupContext((ctx.phi,), ctx.linear_part)
 
 
 def sigma_tilde_psi_context(ctx: SymmetryContext) -> GroupContext:
     """phi acting as a symmetry, psi reversing: the forgetful sign map."""
-    return GroupContext((replace(ctx.phi, sign=1), ctx.psi), ctx.sgroup)
+    return GroupContext((replace(ctx.phi, sign=1), ctx.psi), ctx.linear_part)
 
 
 def intermediate_generators(ctx: SymmetryContext) -> GeneratorSet:
     """Generators after the first extension only (sign map sigma_1)."""
-    sdata = ctx.sgroup
-    basis, gens = _transport(sdata.hilbert_basis, sdata.equivariant_generators, ctx.phi)
+    basis, gens = _transport(*ctx.linear_part.closure_catalog, ctx.phi)
     return GeneratorSet(basis, gens, ctx)
 
 

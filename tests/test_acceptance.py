@@ -111,9 +111,9 @@ def test_criterion_2_decomposition_identities():
         # continuous conditions included
         for n in (1, 2, 3):
             kappa = kappas[n]
-            data = catalog("non_resonant", (n,))
-            full = GroupContext((kappa,), data)
-            basis = data.hilbert_basis
+            linear = LinearPart(n)
+            full = GroupContext((kappa,), linear)
+            basis = linear.closure_catalog.hilbert_basis
             for k in range(15):
                 f = basis[k % len(basis)] * basis[(k + 1) % len(basis)]
                 if k % 3 == 0:

@@ -5,10 +5,14 @@ from itertools import product
 
 import pytest
 
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+import birevnf.continuous as continuous
 from birevnf.continuous import (
     LinearPart,
-    SGroupData,
     SymmetryContext,
+    case_blocks,
     catalog,
     check_involution_pair,
     classify_type,
@@ -18,6 +22,7 @@ from birevnf.continuous import (
     linear_part_for_case,
     phi_element,
     psi_element,
+    psi_matrix,
 )
 from birevnf.errors import DimensionError, UnsupportedCase
 from birevnf.group import GroupContext, anticommute_check
@@ -29,37 +34,43 @@ from birevnf.symmetry_ops import pipeline, ring_products
 from conftest import dense, mat_mul
 from reference_oracle import mul_invariant
 from references import sigma_tilde_psi_context
-from test_golden_gensets import REGIMES
+from test_golden_gensets import CATALOG_SETS, REGIMES
+
+
+def catalog_faults(linear, basis, gens) -> list:
+    """The catalog elements that fail the audit of the closure group's data.
+
+    A Hilbert-basis element must be real-valued, of positive degree and
+    invariant; a generator equivariant (`LinearPart.infinitesimal_ok`).
+    """
+    faults = [
+        p
+        for p in basis
+        if not (p.is_real_valued() and p.degree() >= 1 and linear.infinitesimal_ok(p, "invariant"))
+    ]
+    return faults + [g for g in gens if not linear.infinitesimal_ok(g, "equivariant")]
 
 
 def test_structure_single_resonance_on_three_blocks():
     linear = LinearPart(3, ((-2, 1, 0),))  # n1 w2 - n2 w1 = 0 with (n1,n2)=(1,2)
-    data = closure_data(linear)
-    assert len(linear.torus_weight_rows()) == 2
-    assert data.torus_weights == ((1, 2, 0), (0, 0, 1))
+    assert linear.torus_weight_rows() == ((1, 2, 0), (0, 0, 1))
 
 
 def test_structure_double_resonance_on_four_blocks():
     linear = linear_part_for_case("res_double_C4", (1, 2, 3, 4))
-    data = closure_data(linear)
-    assert len(linear.torus_weight_rows()) == 2
-    assert data.torus_weights == ((1, 2, 0, 0), (0, 0, 3, 4))
+    assert linear.torus_weight_rows() == ((1, 2, 0, 0), (0, 0, 3, 4))
 
 
 def test_structure_chained_relations():
     # w2 = 2 w1 and 2 w3 = 3 w2 leave the single direction (1, 2, 3) plus
     # the free fourth frequency
     linear = LinearPart(4, ((-2, 1, 0, 0), (0, -3, 2, 0)))
-    data = closure_data(linear)
-    assert len(linear.torus_weight_rows()) == 2
-    assert data.torus_weights == ((1, 2, 3, 0), (0, 0, 0, 1))
+    assert linear.torus_weight_rows() == ((1, 2, 3, 0), (0, 0, 0, 1))
 
 
 def test_structure_without_relations_is_full_torus():
     linear = LinearPart(3)
-    data = closure_data(linear)
-    assert len(linear.torus_weight_rows()) == 3
-    assert data.torus_weights == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert linear.torus_weight_rows() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_torus_weight_rows_are_solved_once():
@@ -81,25 +92,24 @@ def test_linear_part_rejects_forced_zero_frequency():
 
 
 def test_infinitesimal_examples():
-    data = catalog("non_resonant", (2,))
+    linear = LinearPart(2)
     nvars = 6
     v1 = Polynomial.variable(nvars, 0)
-    assert data.infinitesimal_ok(v1, "invariant")
-    h0 = data.equivariant_generators[0]  # (x1, x2, 0, 0)
-    assert data.infinitesimal_ok(h0, "equivariant")
+    assert linear.infinitesimal_ok(v1, "invariant")
+    h0 = linear.closure_catalog.equivariant_generators[0]  # (x1, x2, 0, 0)
+    assert linear.infinitesimal_ok(h0, "equivariant")
     x2 = Polynomial.variable(nvars, 1)
-    assert not data.infinitesimal_ok(x2, "invariant")
+    assert not linear.infinitesimal_ok(x2, "invariant")
 
 
 def test_weight_defect_filters_cross_terms():
     linear = LinearPart(2, ((-2, 1),))  # weights (1, 2)
-    data = closure_data(linear)
     nvars = 6
     mono = [0] * nvars
     mono[z_index(1)] = 1
     mono[zbar_index(2)] = 1
     cross = Polynomial.monomial(nvars, tuple(mono))  # z1 conj(z2): defect 1 - 2
-    assert not data.infinitesimal_ok(cross, "invariant")
+    assert not linear.infinitesimal_ok(cross, "invariant")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -190,22 +200,12 @@ def test_catalog_single_resonance_contents():
     assert len(data.equivariant_generators) == 12
     degrees = [p.degree() for p in data.hilbert_basis]
     assert degrees == [1, 2, 2, 3, 3, 2]
-    # every element passes the infinitesimal audit (the constructor enforces
-    # it; re-run explicitly so a regression cannot slip through __post_init__)
-    for p in data.hilbert_basis:
-        assert data.infinitesimal_ok(p, "invariant")
-    for g in data.equivariant_generators:
-        assert data.infinitesimal_ok(g, "equivariant")
 
 
 def test_catalog_double_resonance_contents():
     data = catalog("res_double_C4", (1, 2, 1, 2))
     assert len(data.hilbert_basis) == 9
     assert len(data.equivariant_generators) == 18
-    for p in data.hilbert_basis:
-        assert data.infinitesimal_ok(p, "invariant")
-    for g in data.equivariant_generators:
-        assert data.infinitesimal_ok(g, "equivariant")
 
 
 def test_catalog_cn_matches_c3_at_three_blocks():
@@ -235,11 +235,11 @@ def test_catalog_rejections():
 def test_catalog_elements_are_members_for_the_full_group():
     ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, 1, 1))
     # closure-group data is invariant/equivariant for the continuous part
-    sdata = ctx.sgroup
-    for p in sdata.hilbert_basis:
-        assert sdata.infinitesimal_ok(p, "invariant")
-    for g in sdata.equivariant_generators:
-        assert sdata.infinitesimal_ok(g, "equivariant")
+    linear = ctx.linear_part
+    for p in linear.closure_catalog.hilbert_basis:
+        assert linear.infinitesimal_ok(p, "invariant")
+    for g in linear.closure_catalog.equivariant_generators:
+        assert linear.infinitesimal_ok(g, "equivariant")
 
 
 def test_symmetry_context_builders():
@@ -256,32 +256,102 @@ def test_symmetry_context_builders():
 
 def test_sgroup_data_rejects_non_invariant_basis():
     linear = LinearPart(1)
-    nvars = 4
-    with pytest.raises(DimensionError):
-        SGroupData(
-            nblocks=1,
-            torus_weights=linear.torus_weight_rows(),
-            hilbert_basis=(Polynomial.variable(nvars, 1),),  # x2 is not invariant
-        )
+    x2 = Polynomial.variable(linear.nvars, 1)  # x2 is not invariant
+    assert not linear.infinitesimal_ok(x2, "invariant")
+    assert catalog_faults(linear, (x2,), ()) == [x2]
 
 
 def test_sgroup_data_always_checks_the_shear():
     # x2 and the map (0, x2) have torus weight 0 but are not shear-invariant;
     # a catalog holding x2 would let the pipeline certify x2^2 as a ring element
     linear = LinearPart(1)
-    data = closure_data(linear)
+    basis, gens = linear.closure_catalog
     x2 = Polynomial.variable(linear.nvars, 1)
     zero = Polynomial.zero(linear.nvars)
-    with pytest.raises(DimensionError, match="invariance"):
-        SGroupData(1, data.torus_weights, data.hilbert_basis + (x2,), data.equivariant_generators)
-    with pytest.raises(DimensionError, match="equivariance"):
-        SGroupData(1, data.torus_weights, (), (PolyMap((zero, x2), (zero,)),))
+    sheared = PolyMap((zero, x2), (zero,))
+    assert not linear.infinitesimal_ok(sheared, "equivariant")
+    assert catalog_faults(linear, basis + (x2,), gens) == [x2]
+    assert catalog_faults(linear, basis, gens + (sheared,)) == [sheared]
+
+
+AUDITED = sorted({(case, params) for case, params, _ in REGIMES} | set(CATALOG_SETS))
+
+
+@pytest.mark.parametrize(
+    "case,params", AUDITED, ids=[f"{c} {','.join(map(str, p))}" for c, p in AUDITED]
+)
+def test_golden_catalogs_pass_the_audit(case, params):
+    linear = linear_part_for_case(case, params)
+    assert catalog_faults(linear, *linear.closure_catalog) == []
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=2),
+        )
+    )
+)
+def test_derived_catalogs_pass_the_audit(drawn):
+    n, relations = drawn
+    try:
+        linear = LinearPart(n, tuple(relations))
+    except DimensionError:
+        reject()
+    assert catalog_faults(linear, *linear.closure_catalog) == []
+
+
+def test_one_linear_part_derives_its_catalog_once(monkeypatch):
+    derived = []
+    real = continuous.closure_data
+    monkeypatch.setattr(
+        continuous, "closure_data", lambda linear: derived.append(linear) or real(linear)
+    )
+    linear = linear_part_for_case("res_n1n2_C3", (1, 2))
+    outputs = {
+        pair.signs: pipeline(SymmetryContext.build(linear, pair.signs))
+        for pair in enumerate_involution_pairs(linear)
+    }
+    assert len(outputs) == 2 ** 3
+    assert derived == [linear]
+    monkeypatch.undo()
+    for signs, gs in outputs.items():
+        assert gs == pipeline(SymmetryContext.from_case("res_n1n2_C3", (1, 2), signs))
+
+
+NOT_INTEGERS = [
+    (lambda: LinearPart(2, ((1.5, -1),)), DimensionError),
+    (lambda: LinearPart(True), DimensionError),
+    (lambda: LinearPart(2.0), DimensionError),
+    (lambda: linear_part_for_case("non_resonant", (2.7,)), UnsupportedCase),
+    (lambda: case_blocks("res_n1n2_C3", (1, True)), UnsupportedCase),
+    (lambda: SymmetryContext.from_case("non_resonant", (2.7,), (1, 1, 1)), UnsupportedCase),
+    (lambda: psi_matrix((1.9, -1.5)), DimensionError),
+    (lambda: SymmetryContext.build(LinearPart(1), (1.9, -1.5)), DimensionError),
+    (lambda: SymmetryContext.build(LinearPart(1), (True, -1)), DimensionError),
+    (lambda: classify_type((1.0, 1, 1), (1, 2)), DimensionError),
+    (lambda: classify_type((1, 1, -1), (1.5, 2)), DimensionError),
+]
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    NOT_INTEGERS,
+    ids=[
+        "relation 1.5", "n True", "n 2.0", "case parameter 2.7", "case parameter True",
+        "from_case 2.7", "psi signs", "build signs", "build sign True",
+        "classify sign 1.0", "classify exponent 1.5",
+    ],
+)
+def test_non_integer_input_is_rejected_not_truncated(build, error):
+    with pytest.raises(error, match="integer"):
+        build()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_checks_each_involution_once(n, monkeypatch):
-    import birevnf.continuous as continuous
-
     linear = LinearPart(n)
     checked = []
     real = continuous.anticommute_check
@@ -318,7 +388,8 @@ def test_derived_catalog_spans_the_oracle_slices(linear, top):
     # the audit makes every product invariant and every multiple equivariant,
     # so equal ranks mean the catalog generates each slice
     data = closure_data(linear)
-    continuous_only = GroupContext((), data)
+    assert catalog_faults(linear, *data) == []
+    continuous_only = GroupContext((), linear)
     products = {d: ring_products(data.hilbert_basis, d) for d in range(top + 1)}
     for d in range(top + 1):
         ring = Echelon(vectorize(p) for p in products[d])
@@ -353,7 +424,7 @@ def test_moving_the_resonant_pair_to_other_blocks_changes_no_count(signs):
     a0, a1, a2, a3, a4 = signs
     moved = LinearPart(4, ((0, 0, -2, 1),))
     here = SymmetryContext.from_case("res_n1n2_Cn", (1, 2, 4), signs)
-    there = SymmetryContext.build(moved, closure_data(moved), (a0, a3, a4, a1, a2))
+    there = SymmetryContext.build(moved, (a0, a3, a4, a1, a2))
     assert _generator_profile(here) == _generator_profile(there)
     for kind in FUNCTION_KINDS + MAP_KINDS:
         for d in range(5):
@@ -361,26 +432,3 @@ def test_moving_the_resonant_pair_to_other_blocks_changes_no_count(signs):
                 slice_space(here.full_context(), d, kind).dimension
                 == slice_space(there.full_context(), d, kind).dimension
             ), (kind, d)
-
-
-def test_context_rejects_closure_data_of_another_linear_part():
-    # the resonant data on the non-resonant linearization used to build and
-    # certify, because the oracle read the same wrong data
-    with pytest.raises(DimensionError, match="torus weights"):
-        SymmetryContext.build(LinearPart(3), catalog("res_n1n2_C3", (1, 2)), (1, 1, -1, 1))
-    with pytest.raises(DimensionError, match="blocks"):
-        SymmetryContext.build(LinearPart(2), catalog("non_resonant", (3,)), (1, 1, -1))
-
-
-def test_context_accepts_another_basis_of_the_weight_span():
-    linear = linear_part_for_case("res_n1n2_C3", (1, 2))
-    data = closure_data(linear)
-    (a, b) = data.torus_weights
-    rebased = SGroupData(
-        data.nblocks,
-        ((a[0] + b[0], a[1] + b[1], a[2] + b[2]), tuple(-w for w in b)),
-        data.hilbert_basis,
-        data.equivariant_generators,
-    )
-    ctx = SymmetryContext.build(linear, rebased, (1, 1, -1, 1))
-    assert ctx.sgroup is rebased

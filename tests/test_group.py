@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from birevnf.continuous import (
     LinearPart,
     SymmetryContext,
-    catalog,
     check_involution_pair,
     phi_element,
     phi_matrix,
@@ -140,7 +139,7 @@ def rejected_in_either_slot(linear, element):
 
 def test_product_sigma_values():
     # sigma multiplies the factor signs; sigma_tilde makes phi a symmetry
-    ctx = SymmetryContext.build(LinearPart(2), catalog("non_resonant", (2,)), (-1, -1, -1))
+    ctx = SymmetryContext.build(LinearPart(2), (-1, -1, -1))
     phi_psi = mat_mul(ctx.phi.matrix, ctx.psi.matrix)
     sigma = close_group(ctx.full_context().elements)
     assert sigma[phi_psi] == 1

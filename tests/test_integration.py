@@ -42,9 +42,10 @@ def test_non_resonant_output_depends_only_on_first_sign():
 
 
 def test_user_supplied_group_data_equal_frequencies():
-    # the equal-frequency case ships no catalog; hand-built closure data
-    # goes through the same pipeline and certifies against the oracle
-    from birevnf.continuous import LinearPart, SGroupData, closure_data
+    # no named case covers equal frequencies; the API builds the context
+    # from the linear part, whose derived catalog is the hand-written one
+    # and certifies against the oracle
+    from birevnf.continuous import LinearPart
     from birevnf.poly import I, PolyMap, Polynomial, im_part, re_part
 
     n = 2
@@ -93,21 +94,14 @@ def test_user_supplied_group_data_equal_frequencies():
         unit(3, z1),
         unit(3, z1.scale(I)),
     )
-    data = SGroupData(
-        nblocks=n,
-        torus_weights=linear.torus_weight_rows(),
-        hilbert_basis=basis,
-        equivariant_generators=gens,
-    )
     # the derived catalog has the same elements, in its own order
-    derived = closure_data(linear)
+    derived = linear.closure_catalog
     assert set(derived.hilbert_basis) == set(basis)
     assert set(derived.equivariant_generators) == set(gens)
     for signs in ((1, 1, 1), (1, 1, -1), (-1, 1, -1)):
-        ctx = SymmetryContext.build(linear, data, signs)
+        ctx = SymmetryContext.build(linear, signs)
         certify_against_oracle(ctx, (2, 3))
-    ctx = SymmetryContext.build(linear, data, (1, 1, -1))
-    gs = pipeline(ctx)
+    gs = pipeline(SymmetryContext.build(linear, (1, 1, -1)))
     assert [str(p) for p in gs.ring_basis] == [
         "x1",
         "z1*zb1",

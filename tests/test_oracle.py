@@ -27,6 +27,7 @@ from reference_oracle import (
     _map_constraints,
     _map_parameters,
     slice_space_naive,
+    weight_defect,
 )
 
 
@@ -81,18 +82,17 @@ def test_naive_cross_check_resonant_maps():
             assert spans_equal(a, b).equal
 
 
-def _torus_admissible(sgroup, obj) -> bool:
+def _torus_admissible(linear, obj) -> bool:
     """Every monomial of every component has its component's torus weight."""
     if isinstance(obj, Polynomial):
         comps = ((None, obj),)
     else:
         comps = enumerate((*obj.x_components, *obj.z_components))
     return all(
-        sgroup.monomial_weight_defect(mono, w)
-        == (0 if c is None else sgroup.component_weight(c, w))
+        weight_defect(mono, w) == (0 if c is None else linear.component_weight(c, w))
         for c, poly in comps
         for mono in poly.monomials()
-        for w in sgroup.torus_weights
+        for w in linear.torus_weight_rows()
     )
 
 
@@ -109,20 +109,20 @@ def test_compiled_rows_match_the_polymap_path(case, params, signs):
     # the same order, and each one's defect rows are the PolyMap path's rows
     ctx = SymmetryContext.from_case(case, params, signs)
     full = ctx.full_context()
-    sgroup = ctx.sgroup
+    linear = ctx.linear_part
     for degree in (2, 3, 4):
         for kind in FUNCTION_KINDS + MAP_KINDS:
             functions = kind in FUNCTION_KINDS
             if functions:
-                naive = _function_parameters(sgroup.nvars, degree)
+                naive = _function_parameters(linear.nvars, degree)
                 constraints = _function_constraints
             else:
-                naive = _map_parameters(sgroup.nblocks, degree)
+                naive = _map_parameters(linear.nblocks, degree)
                 constraints = _map_constraints
-            naive = [p for p in naive if _torus_admissible(sgroup, p)]
-            records = _parameters(sgroup, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+            naive = [p for p in naive if _torus_admissible(linear, p)]
+            records = _parameters(linear, degree, kind, DEFAULT_MONOMIAL_LIMIT)
             compiled = [
-                _from_records(records, {k: 1}, sgroup.nvars, functions)
+                _from_records(records, {k: 1}, linear.nvars, functions)
                 for k in range(len(records))
             ]
             assert compiled == naive, (degree, kind)
@@ -134,7 +134,7 @@ def test_compiled_rows_match_the_polymap_path(case, params, signs):
 @pytest.mark.parametrize("element", MIXING_ELEMENTS)
 def test_compiled_slices_match_naive_for_non_monomial_actions(nonres1, element):
     assert not element.action.monomial
-    context = GroupContext((element,), nonres1.sgroup)
+    context = GroupContext((element,), nonres1.linear_part)
     dims = []
     for kind in FUNCTION_KINDS + MAP_KINDS:
         for degree in (1, 2, 3):

@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from birevnf.continuous import SymmetryContext, catalog, phi_element, psi_element
+from birevnf.continuous import (
+    SymmetryContext,
+    catalog,
+    linear_part_for_case,
+    phi_element,
+    psi_element,
+)
 from birevnf.errors import (
-    CertificationFailure,
     ConditionViolated,
     DimensionError,
     IncompatibleMatrix,
@@ -417,16 +422,6 @@ def test_pipeline_outputs_certified_and_sound(c3_gensets, c3_contexts):
             assert membership(g, full, "reversible_equivariant")
 
 
-def test_pipeline_requires_catalog_data():
-    from birevnf.continuous import LinearPart, SGroupData
-
-    linear = LinearPart(1)
-    skeleton = SGroupData(1, linear.torus_weight_rows())
-    ctx = SymmetryContext.build(linear, skeleton, (1, 1))
-    with pytest.raises(CertificationFailure):
-        pipeline(ctx)
-
-
 def test_intermediate_generators_span_reference_list(c3_contexts):
     # after the first extension the module spans the full projected list
     from references import intermediate_generators, phi_context, projected_generator_list
@@ -715,7 +710,7 @@ def test_ring_products_reject_degree_zero_elements():
 def test_ring_elements_that_are_not_real_valued_are_rejected(c3_data):
     # z1 has degree 1 but is not real-valued; ProductTable checks each
     # ring-basis element once, before any product is built
-    z1 = Polynomial.variable(c3_data.nvars, z_index(1))
+    z1 = Polynomial.variable(8, z_index(1))
     g = c3_data.equivariant_generators[0]
     ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, 1, 1))
     with pytest.raises(IncompatibleMatrix):
@@ -796,8 +791,8 @@ def test_step_candidates_are_the_projected_products(case, params, monkeypatch):
         symmetry_ops, "prune_module",
         lambda gens, ring: offered.append(set(gens)) or prune(gens, ring),
     )
-    data = catalog(case, params)
-    n = (data.nvars - 2) // 2
+    linear = linear_part_for_case(case, params)
+    data, n = linear.closure_catalog, linear.n
     for signs in itertools.product((1, -1), repeat=n + 1):
         ctx = SymmetryContext.from_case(case, params, signs)
         basis, gens = data.hilbert_basis, data.equivariant_generators

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from birevnf import symmetry_ops
+from birevnf import oracle, symmetry_ops
 from birevnf.continuous import SymmetryContext
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -22,10 +22,15 @@ TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 STALE = {"linalg.spanbasis_insert", "linalg.spanbasis_contains"}
 
 
-def test_every_traced_callable_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_callable_resolves():
+    tracer = _load_tracer()
     missing = []
     for span, (module, path) in tracer.SPANS.items():
         owner = importlib.import_module("birevnf." + module)
@@ -71,3 +76,17 @@ def test_each_step_projects_each_generator_once(monkeypatch, case, params, signs
         assert made == {
             "transfer_T": offered, "generators_over_extension": 1, "project_generators": 1
         }
+
+
+def test_slice_space_hook_reads_the_continuous_data():
+    # the hook counts from `context.continuous.nblocks` and `.nvars`; a
+    # rename there would fail every traced oracle job, not a test
+    tracer = _load_tracer()
+    recorder = tracer.Tracer()
+    counted = tracer._counting_hooks(recorder)["oracle.slice_space"](oracle.slice_space)
+    full = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1)).full_context()
+    dimension = 0
+    for kind in ("invariant", "reversible_equivariant"):
+        dimension += counted(full, 3, kind).dimension
+    assert recorder.counters["oracle.slice_dim"] == dimension > 0
+    assert recorder.counters["oracle.raw_monomials"] > 0
