@@ -12,9 +12,8 @@ Invariance and equivariance under it reduce to exact integer conditions on
 exponents (torus) plus polynomial identities for the shear
 (`LinearPart.infinitesimal_ok`).  Its catalog, the Hilbert basis and
 equivariant generators, is derived from the weight lattice by
-Contejean-Devie completion (`closure_data`), for any linear part, on the
-first read of `LinearPart.closure_catalog`; the named cases only fix the
-linear part.  The module also enumerates the inequivalent pairs of
+Contejean-Devie completion (`closure_data`), for any linear part, when the
+pipeline reads it; the named cases only fix the linear part.  The module also enumerates the inequivalent pairs of
 commuting reversing involutions and classifies the sign regimes into the
 four normal-form types.  One check of the involution pair,
 `check_involution_pair`, decides the reversing tower
@@ -73,7 +72,7 @@ class LinearPart:
     would force some omega_j = 0 are rejected, matching the requirement
     that every frequency is nonzero.  The linear part is the one source of
     the closure group's data: its weight lattice, the infinitesimal
-    conditions (`infinitesimal_ok`) and the catalog (`closure_catalog`).
+    conditions (`infinitesimal_ok`) and the catalog (`closure_data`).
     """
 
     n: int
@@ -148,15 +147,6 @@ class LinearPart:
         Built and checked once, from `shear_generator` and `torus_generator`.
         """
         return self._generators
-
-    @property
-    def closure_catalog(self) -> Catalog:
-        """`closure_data(self)`, derived on the first read and kept (the part is frozen)."""
-        known = self.__dict__.get("_catalog")
-        if known is None:
-            known = closure_data(self)
-            object.__setattr__(self, "_catalog", known)
-        return known
 
     def component_weight(self, comp: int, weights: Sequence[int]) -> int:
         """Torus weight of coordinate component comp (0,1 = x; 2+j = z_{j+1})."""
@@ -552,7 +542,7 @@ def catalog(case: str, params: Sequence[int]) -> Catalog:
     Cases: non_resonant(n), res_n1n2_C3(n1, n2), res_n1n2_Cn(n1, n2, n),
     res_double_C4(n1, n2, m1, m2).
     """
-    return linear_part_for_case(case, params).closure_catalog
+    return closure_data(linear_part_for_case(case, params))
 
 
 # -- the full problem datum --------------------------------------------------

@@ -24,11 +24,14 @@ continuous conditions to the context (weight-lattice and shear checks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Protocol
+from typing import TYPE_CHECKING, Literal
 
 from .errors import DimensionError, SignInconsistency
 from .linalg import Matrix, complex_rank
 from .poly import ONE, LinearAction, PolyMap, Polynomial
+
+if TYPE_CHECKING:
+    from .continuous import LinearPart
 
 MembershipKind = Literal[
     "invariant", "anti_invariant", "equivariant", "reversible_equivariant"
@@ -82,10 +85,6 @@ def identity_rows(size: int) -> tuple:
 # -- membership --------------------------------------------------------------
 
 
-class ContinuousChecker(Protocol):
-    def infinitesimal_ok(self, obj, kind: str) -> bool: ...
-
-
 @dataclass(frozen=True)
 class GroupContext:
     """Finite signed generators plus the continuous data they extend.
@@ -96,7 +95,7 @@ class GroupContext:
     """
 
     elements: tuple[SignedElement, ...]
-    continuous: ContinuousChecker | None = None
+    continuous: LinearPart | None = None
 
 
 def membership(obj, context: GroupContext, kind: MembershipKind) -> bool:

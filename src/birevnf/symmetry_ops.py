@@ -75,7 +75,7 @@ from .poly import (
     render_polynomial,
     terms_of,
 )
-from .continuous import SymmetryContext
+from .continuous import SymmetryContext, closure_data
 
 
 def _require_involution(kappa: SignedElement):
@@ -420,7 +420,7 @@ def pipeline(context: SymmetryContext) -> GeneratorSet:
     repeats along the second, and certifies every output against the full
     product sign map.
     """
-    basis, gens = context.linear_part.closure_catalog
+    basis, gens = closure_data(context.linear_part)
     for kappa in (context.phi, context.psi):
         basis, gens = _transport(basis, gens, kappa)
     return certify(GeneratorSet(basis, gens, context))

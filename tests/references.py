@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from birevnf.continuous import SymmetryContext, catalog, psi_element
+from birevnf.continuous import SymmetryContext, catalog, closure_data, psi_element
 from birevnf.errors import UnsupportedCase
 from birevnf.group import GroupContext
 from birevnf.poly import PolyMap, Polynomial
@@ -46,7 +46,7 @@ def sigma_tilde_psi_context(ctx: SymmetryContext) -> GroupContext:
 
 def intermediate_generators(ctx: SymmetryContext) -> GeneratorSet:
     """Generators after the first extension only (sign map sigma_1)."""
-    basis, gens = _transport(*ctx.linear_part.closure_catalog, ctx.phi)
+    basis, gens = _transport(*closure_data(ctx.linear_part), ctx.phi)
     return GeneratorSet(basis, gens, ctx)
 
 

@@ -13,6 +13,7 @@ from birevnf.continuous import (
     SymmetryContext,
     catalog,
     classify_type,
+    closure_data,
     enumerate_involution_pairs,
     fix_dimension,
     phi_element,
@@ -113,7 +114,7 @@ def test_criterion_2_decomposition_identities():
             kappa = kappas[n]
             linear = LinearPart(n)
             full = GroupContext((kappa,), linear)
-            basis = linear.closure_catalog.hilbert_basis
+            basis = closure_data(linear).hilbert_basis
             for k in range(15):
                 f = basis[k % len(basis)] * basis[(k + 1) % len(basis)]
                 if k % 3 == 0:

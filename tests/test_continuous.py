@@ -96,7 +96,7 @@ def test_infinitesimal_examples():
     nvars = 6
     v1 = Polynomial.variable(nvars, 0)
     assert linear.infinitesimal_ok(v1, "invariant")
-    h0 = linear.closure_catalog.equivariant_generators[0]  # (x1, x2, 0, 0)
+    h0 = closure_data(linear).equivariant_generators[0]  # (x1, x2, 0, 0)
     assert linear.infinitesimal_ok(h0, "equivariant")
     x2 = Polynomial.variable(nvars, 1)
     assert not linear.infinitesimal_ok(x2, "invariant")
@@ -233,13 +233,8 @@ def test_catalog_rejections():
 
 
 def test_catalog_elements_are_members_for_the_full_group():
-    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, 1, 1))
-    # closure-group data is invariant/equivariant for the continuous part
-    linear = ctx.linear_part
-    for p in linear.closure_catalog.hilbert_basis:
-        assert linear.infinitesimal_ok(p, "invariant")
-    for g in linear.closure_catalog.equivariant_generators:
-        assert linear.infinitesimal_ok(g, "equivariant")
+    linear = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, 1, 1)).linear_part
+    assert catalog_faults(linear, *closure_data(linear)) == []
 
 
 def test_symmetry_context_builders():
@@ -265,7 +260,7 @@ def test_sgroup_data_always_checks_the_shear():
     # x2 and the map (0, x2) have torus weight 0 but are not shear-invariant;
     # a catalog holding x2 would let the pipeline certify x2^2 as a ring element
     linear = LinearPart(1)
-    basis, gens = linear.closure_catalog
+    basis, gens = closure_data(linear)
     x2 = Polynomial.variable(linear.nvars, 1)
     zero = Polynomial.zero(linear.nvars)
     sheared = PolyMap((zero, x2), (zero,))
@@ -282,7 +277,7 @@ AUDITED = sorted({(case, params) for case, params, _ in REGIMES} | set(CATALOG_S
 )
 def test_golden_catalogs_pass_the_audit(case, params):
     linear = linear_part_for_case(case, params)
-    assert catalog_faults(linear, *linear.closure_catalog) == []
+    assert catalog_faults(linear, *closure_data(linear)) == []
 
 
 @settings(max_examples=150)
@@ -300,25 +295,7 @@ def test_derived_catalogs_pass_the_audit(drawn):
         linear = LinearPart(n, tuple(relations))
     except DimensionError:
         reject()
-    assert catalog_faults(linear, *linear.closure_catalog) == []
-
-
-def test_one_linear_part_derives_its_catalog_once(monkeypatch):
-    derived = []
-    real = continuous.closure_data
-    monkeypatch.setattr(
-        continuous, "closure_data", lambda linear: derived.append(linear) or real(linear)
-    )
-    linear = linear_part_for_case("res_n1n2_C3", (1, 2))
-    outputs = {
-        pair.signs: pipeline(SymmetryContext.build(linear, pair.signs))
-        for pair in enumerate_involution_pairs(linear)
-    }
-    assert len(outputs) == 2 ** 3
-    assert derived == [linear]
-    monkeypatch.undo()
-    for signs, gs in outputs.items():
-        assert gs == pipeline(SymmetryContext.from_case("res_n1n2_C3", (1, 2), signs))
+    assert catalog_faults(linear, *closure_data(linear)) == []
 
 
 NOT_INTEGERS = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from birevnf.continuous import SymmetryContext
+from birevnf.continuous import SymmetryContext, closure_data
 from birevnf.oracle import module_slice, slice_space, spans_equal
 from birevnf.symmetry_ops import pipeline
 
@@ -95,7 +95,7 @@ def test_user_supplied_group_data_equal_frequencies():
         unit(3, z1.scale(I)),
     )
     # the derived catalog has the same elements, in its own order
-    derived = linear.closure_catalog
+    derived = closure_data(linear)
     assert set(derived.hilbert_basis) == set(basis)
     assert set(derived.equivariant_generators) == set(gens)
     for signs in ((1, 1, 1), (1, 1, -1), (-1, 1, -1)):

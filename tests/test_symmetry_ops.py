@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from birevnf.continuous import (
     SymmetryContext,
     catalog,
+    closure_data,
     linear_part_for_case,
     phi_element,
     psi_element,
@@ -792,7 +793,7 @@ def test_step_candidates_are_the_projected_products(case, params, monkeypatch):
         lambda gens, ring: offered.append(set(gens)) or prune(gens, ring),
     )
     linear = linear_part_for_case(case, params)
-    data, n = linear.closure_catalog, linear.n
+    data, n = closure_data(linear), linear.n
     for signs in itertools.product((1, -1), repeat=n + 1):
         ctx = SymmetryContext.from_case(case, params, signs)
         basis, gens = data.hilbert_basis, data.equivariant_generators
