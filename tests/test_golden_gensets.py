@@ -3,10 +3,12 @@
 `tests/golden/gensets.json` maps each test id to the digests of all 2^(n+1)
 sign vectors of one regime and one artifact.  The artifacts are the
 generator set in its three formats (`genset_to_json`, `genset_to_text` and
-`genset_to_latex` of `pipeline(ctx)`) and the normal form
-`emit(assemble(gs, ctx.linear_part, 4), fmt)` in its three formats, so any
-change to the pipeline or to a renderer that moves an artifact by one byte
-fails here.  The genset-v1 JSON keeps the bare regime name as its id.
+`genset_to_latex` of `pipeline(ctx)`), the normal form
+`emit(assemble(gs, ctx.linear_part, 4), fmt)` in its three formats and the
+stdout of `birevnf classify` in text and JSON, so any change to the
+pipeline, to the involution pairs or to a renderer that moves an artifact
+by one byte fails here.  The genset-v1 JSON keeps the bare regime name as
+its id.
 
 The oracle artifact pins the text of every basis element of
 `slice_space(ctx.full_context(), d, kind)` for each kind and degrees 0-5,
@@ -24,14 +26,17 @@ Regenerate (only when an artifact is meant to change) with
     PYTHONPATH=src python tests/test_golden_gensets.py
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from birevnf import cli
 from birevnf.continuous import SymmetryContext, catalog
 from birevnf.normalform import assemble, emit
 from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, slice_space
@@ -61,6 +66,9 @@ ARTIFACTS = {
     "nf-json": lambda ctx, gs: emit(assemble(gs, ctx.linear_part, 4), "json"),
 }
 
+# artifact name -> format of the `classify` command, which reads only the
+# case and the signs
+CLASSIFY = {"classify-text": "text", "classify-json": "json"}
 
 ORACLE = "oracle-slices"
 SLICE_DEGREES = range(6)
@@ -124,7 +132,24 @@ def catalog_digests(case, params) -> dict:
     return out
 
 
+def classify_output(case, params, signs, fmt) -> str:
+    """The stdout of `birevnf classify` on one sign vector of a regime."""
+    argv = ["classify", "--case", case, "--params", ",".join(map(str, params)),
+            f"--signs={','.join(map(str, signs))}", "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == cli.EXIT_OK
+    return out.getvalue()
+
+
 def digests(case, params, n, artifact) -> dict:
+    if artifact in CLASSIFY:
+        return {
+            ",".join(map(str, signs)): hashlib.sha256(
+                classify_output(case, params, signs, CLASSIFY[artifact]).encode()
+            ).hexdigest()
+            for signs in itertools.product((1, -1), repeat=n + 1)
+        }
     if artifact == CATALOG:
         return catalog_digests(case, params)
     if artifact == ORACLE:
@@ -136,7 +161,11 @@ def digests(case, params, n, artifact) -> dict:
     }
 
 
-CASES = [(*regime, artifact) for regime in REGIMES for artifact in (*ARTIFACTS, ORACLE)]
+CASES = [
+    (*regime, artifact)
+    for regime in REGIMES
+    for artifact in (*ARTIFACTS, *CLASSIFY, ORACLE)
+]
 CASES += [(case, params, None, CATALOG) for case, params in CATALOG_SETS]
 
 
