@@ -8,7 +8,6 @@ forms.
 """
 
 from .continuous import (
-    InvolutionPair,
     LinearPart,
     SymmetryContext,
     catalog,

@@ -13,10 +13,15 @@ exponents (torus) plus polynomial identities for the shear
 (`LinearPart.infinitesimal_ok`).  Its catalog, the Hilbert basis and
 equivariant generators, is derived from the weight lattice by
 Contejean-Devie completion (`closure_data`), for any linear part, when the
-pipeline reads it; the named cases only fix the linear part.  The module also enumerates the inequivalent pairs of
-commuting reversing involutions and classifies the sign regimes into the
-four normal-form types.  One check of the involution pair,
-`check_involution_pair`, decides the reversing tower
+pipeline reads it; the named cases only fix the linear part.  Every linear
+map here, the shear and torus generators and the two involutions (signed
+permutations, `psi_rows`), is written as sparse rows, each row's (column,
+entry) pairs, and checked once as a `LinearAction`.
+
+The module also enumerates the inequivalent pairs of commuting reversing
+involutions, as contexts and at most MAX_SIGN_CLASSES of them, and
+classifies the sign regimes into the four normal-form types.  One check of
+the involution pair, `check_involution_pair`, decides the reversing tower
 (S x| Z2(phi)) x| Z2(psi) for `SymmetryContext.build`; the pair
 enumeration runs the same two steps, each element's facts once and then
 the pair's.  The finite part of the tower is the Klein four-group
@@ -34,20 +39,20 @@ from math import gcd
 from operator import add, ge
 from typing import NamedTuple, Sequence
 
-from .errors import ConditionViolated, DimensionError, SignInconsistency, UnsupportedCase
-from .group import GroupContext, SignedElement, anticommute_check
-from .linalg import (
-    Echelon,
-    Matrix,
-    _to_integer_row,
-    complex_rank,
-    matrix_from_rows,
+from .errors import (
+    ConditionViolated,
+    DimensionError,
+    ResourceLimit,
+    SignInconsistency,
+    UnsupportedCase,
 )
+from .group import GroupContext, SignedElement, anticommute_check
+from .linalg import Echelon, _to_integer_row
 from .poly import (
-    GaussianRational,
     I,
     LinearAction,
     ONE,
+    ZERO,
     PolyMap,
     Polynomial,
     im_part,
@@ -57,7 +62,9 @@ from .poly import (
     zbar_index,
 )
 
-TYPE_NAMES = ("A", "B", "C", "D")
+# the most sign classes, 2^n on n rotation blocks, that
+# `enumerate_involution_pairs` builds a pair for
+MAX_SIGN_CLASSES = 4096
 
 
 # -- the linearization -------------------------------------------------------
@@ -77,18 +84,11 @@ class LinearPart:
 
     n: int
     resonance_relations: tuple[tuple[int, ...], ...] = ()
-    omegas: tuple[str, ...] = ()
 
     def __post_init__(self):
         _integers((self.n,))
         if self.n < 1:
             raise DimensionError("at least one rotation block is required")
-        if not self.omegas:
-            object.__setattr__(
-                self, "omegas", tuple(f"omega{j}" for j in range(1, self.n + 1))
-            )
-        if len(self.omegas) != self.n:
-            raise DimensionError("one frequency label per rotation block")
         rels = []
         for row in map(_integers, self.resonance_relations):
             if len(row) != self.n:
@@ -112,7 +112,16 @@ class LinearPart:
             ints = _to_integer_row(vec)
             rows.append(tuple(ints.get(j, 0) for j in range(self.n)))
         object.__setattr__(self, "_weight_rows", tuple(sorted(rows, reverse=True)))
-        generators = (self.shear_generator(), *map(self.torus_generator, self._weight_rows))
+        # the shear x1 d/dx2, then per weight row w the torus generator
+        # z_j -> i w_j z_j, as sparse rows
+        shear = [()] * self.nvars
+        shear[x_index(2)] = ((x_index(1), ONE),)
+        generators = [shear]
+        for weights in self._weight_rows:
+            torus = [(), ()]
+            for j, w in enumerate(weights, start=1):
+                torus += [((z_index(j), I * w),), ((zbar_index(j), I * -w),)]
+            generators.append(torus)
         object.__setattr__(
             self, "_generators", tuple(LinearAction(m, self.nvars) for m in generators)
         )
@@ -129,22 +138,10 @@ class LinearPart:
         """Primitive integer basis of the frequency solution lattice."""
         return self._weight_rows
 
-    def shear_generator(self) -> Matrix:
-        rows = [[0] * self.nvars for _ in range(self.nvars)]
-        rows[x_index(2)][x_index(1)] = 1
-        return matrix_from_rows(rows)
-
-    def torus_generator(self, weights: Sequence[int]) -> Matrix:
-        rows = [[GaussianRational(0)] * self.nvars for _ in range(self.nvars)]
-        for j, w in enumerate(weights, start=1):
-            rows[z_index(j)][z_index(j)] = GaussianRational(0, w)
-            rows[zbar_index(j)][zbar_index(j)] = GaussianRational(0, -w)
-        return matrix_from_rows(rows)
-
     def infinitesimal_generators(self) -> tuple[LinearAction, ...]:
         """The shear, then one torus generator per weight row, as checked actions.
 
-        Built and checked once, from `shear_generator` and `torus_generator`.
+        Built from their sparse rows and checked once, with the linear part.
         """
         return self._generators
 
@@ -198,49 +195,46 @@ def _integers(values, error=DimensionError) -> tuple[int, ...]:
 # -- involutions -------------------------------------------------------------
 
 
-def phi_matrix(n: int) -> Matrix:
-    """(x1, x2, z) -> (x1, -x2, conj z): the all-ones `psi_matrix`."""
-    return psi_matrix((1,) * (n + 1))
+def phi_rows(n: int) -> tuple:
+    """(x1, x2, z) -> (x1, -x2, conj z): the all-ones `psi_rows`."""
+    return psi_rows((1,) * (n + 1))
 
 
-def psi_matrix(signs: Sequence[int]) -> Matrix:
-    """(x1, x2, z) -> (a0 x1, -a0 x2, a_j conj z_j) for signs (a0, ..., an)."""
+def psi_rows(signs: Sequence[int]) -> tuple:
+    """(x1, x2, z) -> (a0 x1, -a0 x2, a_j conj z_j) for signs (a0, ..., an).
+
+    The signed permutation as `LinearAction.rows`, one int entry per row.
+    """
     signs = _integers(signs)
     if any(s not in (1, -1) for s in signs):
         raise DimensionError("signs must be +1 or -1")
-    n = len(signs) - 1
-    if n < 1:
+    if len(signs) < 2:
         raise DimensionError("need signs (a0, a1, ..., an) with n >= 1")
-    nvars = 2 * n + 2
-    rows = [[GaussianRational(0)] * nvars for _ in range(nvars)]
-    rows[0][0] = GaussianRational(signs[0])
-    rows[1][1] = GaussianRational(-signs[0])
-    for j in range(1, n + 1):
-        rows[z_index(j)][zbar_index(j)] = GaussianRational(signs[j])
-        rows[zbar_index(j)][z_index(j)] = GaussianRational(signs[j])
-    return matrix_from_rows(rows)
+    rows = [((x_index(1), signs[0]),), ((x_index(2), -signs[0]),)]
+    for j, a in enumerate(signs[1:], start=1):
+        rows += [((zbar_index(j), a),), ((z_index(j), a),)]
+    return tuple(rows)
 
 
 def phi_element(n: int) -> SignedElement:
-    return SignedElement(phi_matrix(n), -1, "phi")
+    return SignedElement(phi_rows(n), -1, "phi")
 
 
 def psi_element(signs: Sequence[int]) -> SignedElement:
-    return SignedElement(psi_matrix(signs), -1, "psi")
+    return SignedElement(psi_rows(signs), -1, "psi")
 
 
 def fix_dimension(element: SignedElement) -> int:
     """Real dimension of the fixed-point space of a linear involution A.
 
-    It is the nullity of A - I, whose rank `complex_rank` takes on the
-    sparse rows of the element's action.
+    A * A = I splits V into the eigenspaces of +1 and -1, so the first has
+    dimension (size + trace A) / 2, read off the diagonal of the element's
+    rows.  ConditionViolated for an element that is not an involution.
     """
-    shifted = []
-    for i, row in enumerate(element.action.rows):
-        entries = dict(row)
-        entries[i] = entries.get(i, 0) - ONE
-        shifted.append(entries.items())
-    return element.size - complex_rank(shifted)
+    if not element.is_involution():
+        raise ConditionViolated(f"{element.name or 'element'} must be an involution")
+    diagonal = (c for i, row in enumerate(element.rows) for j, c in row if j == i)
+    return (element.size + sum(diagonal, ZERO).re) // 2
 
 
 def _check_involution(linear_part: LinearPart, gamma: SignedElement):
@@ -299,34 +293,31 @@ def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: Sign
     _check_commuting_pair(phi, psi)
 
 
-@dataclass(frozen=True)
-class InvolutionPair:
-    """A reversing pair (phi, psi) determined by the block signs of psi."""
-
-    signs: tuple[int, ...]
-    phi: SignedElement
-    psi: SignedElement
-
-
-def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[InvolutionPair, ...]:
-    """The 2^n inequivalent reversing pairs, one per sign class.
+def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[SymmetryContext, ...]:
+    """The 2^n inequivalent reversing pairs, one per sign class, as contexts.
 
     The first involution is fixed; the second runs over the block sign
     tuples (a0, ..., an) normalized to a0 = +1, picking one representative
     from each global sign-flip class.  Every returned pair passes
     `check_involution_pair`, whose steps run here with phi's own facts
     checked once, and each element has an (n+1)-dimensional fixed-point
-    space.
+    space.  More than MAX_SIGN_CLASSES classes raise ResourceLimit before
+    any element is built.
     """
-    phi = phi_element(linear_part.n)
+    n = linear_part.n
+    if 1 << n > MAX_SIGN_CLASSES:
+        raise ResourceLimit(
+            f"{n} rotation blocks give 2^{n} sign classes, more than {MAX_SIGN_CLASSES}"
+        )
+    phi = phi_element(n)
     _check_involution(linear_part, phi)
     pairs = []
-    for tail in iter_product((1, -1), repeat=linear_part.n):
+    for tail in iter_product((1, -1), repeat=n):
         signs = (1, *tail)
         psi = psi_element(signs)
         _check_involution(linear_part, psi)
         _check_commuting_pair(phi, psi)
-        pairs.append(InvolutionPair(signs, phi, psi))
+        pairs.append(SymmetryContext(linear_part, signs, phi, psi))
     return tuple(pairs)
 
 

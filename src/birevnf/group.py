@@ -6,14 +6,15 @@ part of the reversing group is generated by two commuting involutions, so
 it is the Klein four-group {e, phi, psi, phi*psi}; nothing here closes a
 general group.  The continuous factor never appears as elements, only
 through the infinitesimal data carried by a group context.  An element
-is checked once, when it is built from its matrix: invertible
-(`linalg.complex_rank` on its sparse rows, skipped for a monomial matrix,
-one nonzero entry in each row and each column, which is invertible as it
-stands) and conjugation compatible.  Elements are not multiplied; every
-further fact about one is read off the rows of its `LinearAction` and of
-their products: `is_involution` and `anticommute_check` are the pieces
-from which `continuous.check_involution_pair` decides the reversing tower;
-no semidirect or product-sign object is built.
+is built from the sparse rows of its map, each row's (column, entry)
+pairs; no dense matrix is formed.  It is checked once: conjugation
+compatible and invertible (`linalg.complex_rank` on its rows, skipped for
+a monomial map, one nonzero entry in each row and each column, which is
+invertible as it stands).  Elements are not multiplied; every further
+fact about one is read off the rows of its `LinearAction` and of their
+products: `is_involution` and `anticommute_check` are the pieces from
+which `continuous.check_involution_pair` decides the reversing tower; no
+semidirect or product-sign object is built.
 
 Membership of a polynomial or mapping in the invariant / anti-invariant /
 equivariant / reversible-equivariant classes is decided by checking the
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
 from .errors import DimensionError, SignInconsistency
-from .linalg import Matrix, complex_rank
+from .linalg import complex_rank
 from .poly import ONE, LinearAction, PolyMap, Polynomial
 
 if TYPE_CHECKING:
@@ -42,13 +43,14 @@ MembershipKind = Literal[
 class SignedElement:
     """An exact linear map on V together with its sign under the epimorphism.
 
-    `action` is the matrix compiled once into a checked LinearAction, the
-    form the substitution methods take.  Every element is checked
-    (invertible, conjugation compatible); products are formed on actions
-    only (`LinearAction.__mul__`), never as elements.
+    `rows` lists each row's (column, entry) pairs; `action` is the checked
+    LinearAction built from them, the form the substitution methods take,
+    and construction replaces `rows` with its canonical rows.  Every
+    element is checked (conjugation compatible, invertible); products are
+    formed on actions only (`LinearAction.__mul__`), never as elements.
     """
 
-    matrix: Matrix
+    rows: tuple
     sign: int
     name: str = field(default="", compare=False)
     action: LinearAction = field(init=False, repr=False, compare=False)
@@ -56,9 +58,10 @@ class SignedElement:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise SignInconsistency(f"sign must be +1 or -1, got {self.sign}")
-        size = len(self.matrix)
-        action = LinearAction(self.matrix, size)
+        size = len(self.rows)
+        action = LinearAction(self.rows, size)
         object.__setattr__(self, "action", action)
+        object.__setattr__(self, "rows", action.rows)
         # one nonzero entry in each row, in distinct columns: invertible as it is
         columns = {row[0][0] for row in action.rows if row}
         if not (action.monomial and len(columns) == size) and complex_rank(action.rows) != size:
@@ -66,7 +69,7 @@ class SignedElement:
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     def is_involution(self) -> bool:
         """A * A = I, decided on the first call and kept (the element is frozen)."""
@@ -90,7 +93,7 @@ class GroupContext:
     """Finite signed generators plus the continuous data they extend.
 
     The element signs are the values of the relevant epimorphism; running
-    the same matrices with different signs realizes the different sign maps
+    the same maps with different signs realizes the different sign maps
     (sigma, sigma_1, sigma_tilde) on one underlying group.
     """
 

@@ -1,9 +1,8 @@
 """Exact linear algebra: one sparse elimination kernel.
 
-Group elements and infinitesimal generators are written as small dense
-matrices over the Gaussian rationals (`matrix_from_rows`), but every
-product and every check runs on their nonzero entries
-(`poly.LinearAction.rows`); nothing here multiplies or inverts them.
+Linear maps are never dense matrices here: group elements and
+infinitesimal generators are sparse rows of (column, entry) pairs
+(`poly.LinearAction.rows`), and nothing here multiplies or inverts them.
 Every elimination goes through one sparse kernel, `Echelon`: rows are
 dicts keyed by arbitrary sortable column keys over Q, eliminated
 fraction-free (integer rows, gcd-reduced).  It answers rank and
@@ -21,8 +20,8 @@ Entries are exact and never floats.  Rational entries follow the
 GaussianRational convention: an int when integral, a Fraction only when
 the denominator is above 1.  `Echelon` takes an all-int row as it is,
 keeps every stored and reduced row in integers, and builds a Fraction only
-where the final division by a pivot entry leaves one.  The dense matrices
-hold GaussianRationals, whose parts are int-backed the same way.
+where the final division by a pivot entry leaves one.  The entries of a
+linear map are GaussianRationals, whose parts are int-backed the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import DimensionError
 from .poly import (
     GaussianRational,
     PolyMap,
@@ -42,22 +40,8 @@ from .poly import (
     terms_of,
 )
 
-Matrix = tuple[tuple[GaussianRational, ...], ...]
 ColKey = Hashable
 SparseRow = dict
-
-
-# -- dense matrices over the Gaussian rationals ------------------------------
-
-
-def matrix_from_rows(rows: Iterable[Iterable]) -> Matrix:
-    out = []
-    for row in rows:
-        out.append(tuple(c if isinstance(c, GaussianRational) else GaussianRational(c) for c in row))
-    width = len(out[0]) if out else 0
-    if any(len(r) != width for r in out):
-        raise DimensionError("ragged matrix rows")
-    return tuple(out)
 
 
 # -- sparse fraction-free elimination over Q ---------------------------------

@@ -115,9 +115,9 @@ def _right_hand_sides(
 def emit_text(nf: NormalForm) -> str:
     if not nf.terms:
         return "xdot = L x"
-    omegas = enumerate(nf.linear_part.omegas, 1)
-    linear = ["x2", "", *(f"-i*{omega}*z{j}" for j, omega in omegas)]
-    names = ["x1", "x2", *(f"z{j}" for j in range(1, nf.nblocks + 1))]
+    blocks = range(1, nf.nblocks + 1)
+    linear = ["x2", "", *(f"-i*omega{j}*z{j}" for j in blocks)]
+    names = ["x1", "x2", *(f"z{j}" for j in blocks)]
     rhs = _right_hand_sides(nf, TEXT, linear, "*")
     lines = [f"{name}' = {row}" for name, row in zip(names, rhs)]
     lines.append(f"X = {render_tuple(nf.argument_list)}")
@@ -125,20 +125,12 @@ def emit_text(nf: NormalForm) -> str:
     return "\n".join(lines)
 
 
-def _latex_rotation(j: int, omega: str) -> str:
-    # the default labels omega_j render as \omega_j
-    if omega == f"omega{j}":
-        return f"-i\\omega_{{{j}}}z_{{{j}}}"
-    return f"-i\\,{omega}\\,z_{{{j}}}"
-
-
 def emit_latex(nf: NormalForm) -> str:
     if not nf.terms:
         return "\\begin{align*}\n\\dot{x} &= Lx\n\\end{align*}"
-    omegas = enumerate(nf.linear_part.omegas, 1)
-    linear = ["x_2", "", *(_latex_rotation(j, omega) for j, omega in omegas)]
-    names = ["\\dot{x}_1", "\\dot{x}_2"]
-    names += [f"\\dot{{z}}_{{{j}}}" for j in range(1, nf.nblocks + 1)]
+    blocks = range(1, nf.nblocks + 1)
+    linear = ["x_2", "", *(f"-i\\omega_{{{j}}}z_{{{j}}}" for j in blocks)]
+    names = ["\\dot{x}_1", "\\dot{x}_2", *(f"\\dot{{z}}_{{{j}}}" for j in blocks)]
     rhs = _right_hand_sides(nf, LATEX, linear, "\\, ")
     rows = " \\\\\n".join(f"{name} &= {row}" for name, row in zip(names, rhs))
     args = render_tuple(nf.argument_list, LATEX)
@@ -149,7 +141,7 @@ def emit_json(nf: NormalForm) -> str:
     payload = {
         "schema": "nf-v1",
         "nblocks": nf.nblocks,
-        "omegas": list(nf.linear_part.omegas),
+        "omegas": [f"omega{j}" for j in range(1, nf.nblocks + 1)],
         "resonance_relations": [list(r) for r in nf.linear_part.resonance_relations],
         "degree_max": nf.degree_max,
         "arguments": [render_polynomial(p) for p in nf.argument_list],

@@ -19,12 +19,12 @@ and keeps each part canonical, an int when it is integral and a Fraction
 only when its denominator is above 1, so the common small-integer
 coefficients are computed on ints.
 
-Linear changes of coordinates must respect the z/zb pairing.  That is
-checked once, when a LinearAction is built from a matrix (a SignedElement
-builds its own), and the substitution methods take only a LinearAction.
-The product of two actions is computed on their nonzero entries, without
-a second check, and the engine multiplies and compares linear maps only in
-that sparse row form.
+A linear map exists only as sparse rows: each row's (column, entry) pairs,
+its nonzero entries.  Linear changes of coordinates must respect the z/zb
+pairing.  That is checked once, in one pass over the nonzero entries, when
+a LinearAction is built from its rows (a SignedElement builds its own),
+and the substitution methods take only a LinearAction.  The product of two
+actions is computed on their rows, without a second check.
 
 The span building of the pipeline and of the oracle uses one term kernel,
 kept here: exponent-tuple terms with (re, im) parts (`add_term`,
@@ -499,7 +499,7 @@ class Polynomial:
     def substitute_linear(self, action: LinearAction) -> "Polynomial":
         """Compose with a linear change of coordinates: returns p(A v).
 
-        The matrix acts on the coordinate column vector, (A v)_i = sum_j
+        The map acts on the coordinate column vector, (A v)_i = sum_j
         A[i][j] v_j; its LinearAction was checked for the conjugation
         pairing when it was built, so the real locus maps to itself.
         """
@@ -580,45 +580,49 @@ def _unit(nvars: int, index: int) -> Monomial:
     return tuple(mono)
 
 
-def check_conjugation_compatible(matrix, nvars: int):
-    """Require A[conj i][conj j] == conj(A[i][j]) for every entry.
+def check_conjugation_compatible(rows, nvars: int) -> tuple:
+    """Require A[conj i][conj j] == conj(A[i][j]); return the canonical rows.
 
-    Each entry but a GaussianRational zero is checked with its partner, in
-    row-major order: (i, j) -> (conj i, conj j) is an involution, so a pair
-    of such zeros cannot fail, and the first failure is the walk's over every
-    entry (TypeError for a float, even 0.0, or IncompatibleMatrix).
+    rows[i] lists the (column, entry) pairs of row i of A, on nvars = 2n + 2
+    coordinates (DimensionError otherwise); an entry is exact (TypeError for
+    a float, even 0.0) and may be zero.  One pass over the nonzero entries
+    looks up each one's partner, and the first nonzero entry of a broken
+    pair is named by IncompatibleMatrix.  The canonical rows hold each row's
+    nonzero entries as GaussianRationals, by column.
     """
-    if len(matrix) != nvars or any(len(row) != nvars for row in matrix):
-        raise DimensionError(f"matrix must be {nvars}x{nvars}")
-    flagged = [(i, j) for i, row in enumerate(matrix) for j, x in enumerate(row)
-               if type(x) is not GaussianRational or x.re or x.im]
-    conj = [conj_index(k) for k in range(nvars)]
-    partners = [(conj[i], conj[j]) for i, j in flagged]
-    # with nvars odd the last index has no partner in range, so the walk
-    # over every entry stops at (0, that index) with IndexError
-    lone = [(0, k) for k in range(nvars) if conj[k] >= nvars]
-    for i, j in sorted({*flagged, *partners, *lone}):
-        if matrix[conj[i]][conj[j]] != _coerce(matrix[i][j]).conjugate():
+    nblocks_of(nvars)
+    if len(rows) != nvars:
+        raise DimensionError(f"expected {nvars} rows, got {len(rows)}")
+    entries = {}
+    for i, row in enumerate(rows):
+        for j, x in row:
+            if not (isinstance(j, int) and 0 <= j < nvars) or (i, j) in entries:
+                raise DimensionError(f"row {i}: column {j!r} repeated or out of range")
+            if x := _coerce(x):
+                entries[i, j] = x
+    for (i, j), x in entries.items():
+        if entries.get((conj_index(i), conj_index(j)), ZERO) != x.conjugate():
             raise IncompatibleMatrix(f"entry ({i},{j}) breaks the conjugation pairing")
+    canonical: list = [[] for _ in range(nvars)]
+    for (i, j), x in sorted(entries.items()):
+        canonical[i].append((j, x))
+    return tuple(map(tuple, canonical))
 
 
 class LinearAction:
     """A conjugation-compatible linear map on nvars coordinates, checked once.
 
-    Building one runs check_conjugation_compatible; the substitution methods
-    then trust it.  rows[i] holds the nonzero entries (j, A[i][j]) of row i,
-    and monomial says that no row has more than one, so every variable maps
-    to a scalar multiple of a single variable.
+    Building one from rows of (column, entry) pairs runs
+    check_conjugation_compatible; the substitution methods then trust it.
+    rows[i] holds the nonzero entries (j, A[i][j]) of row i, by column, and
+    monomial says that no row has more than one, so every variable maps to
+    a scalar multiple of a single variable.
     """
 
     __slots__ = ("nvars", "rows", "monomial")
 
-    def __init__(self, matrix, nvars: int):
-        check_conjugation_compatible(matrix, nvars)
-        self._set_rows(
-            tuple(tuple((j, entry) for j, entry in enumerate(row) if entry) for row in matrix),
-            nvars,
-        )
+    def __init__(self, rows, nvars: int):
+        self._set_rows(check_conjugation_compatible(rows, nvars), nvars)
 
     def _set_rows(self, rows: tuple, nvars: int):
         object.__setattr__(self, "nvars", nvars)
@@ -631,7 +635,7 @@ class LinearAction:
         Not checked again: compatibility says A commutes with the
         conjugation-and-pairing map, and that property is closed under
         products.  Rows come out as the constructor would give them for
-        the product matrix.
+        the product.
         """
         rows = []
         for row in self.rows:

@@ -7,7 +7,6 @@ from hypothesis import settings
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import SignInconsistency
 from birevnf.group import SignedElement
-from birevnf.linalg import matrix_from_rows
 from birevnf.poly import ONE, ZERO, GaussianRational, PolyMap, Polynomial
 from birevnf.symmetry_ops import pipeline
 
@@ -36,13 +35,26 @@ def mat_mul(a, b):
     )
 
 
-def dense(action):
-    """The dense matrix of a `poly.LinearAction`, from its nonzero entries."""
-    out = [[ZERO] * action.nvars for _ in action.rows]
-    for i, row in enumerate(action.rows):
+def dense(linear):
+    """The dense matrix of a `poly.LinearAction` or a `SignedElement`, from its rows.
+
+    The engine keeps linear maps only as sparse rows; the dense form is the
+    tests' independent reference, for `mat_mul` and `close_group`.
+    """
+    out = [[ZERO] * len(linear.rows) for _ in linear.rows]
+    for i, row in enumerate(linear.rows):
         for j, c in row:
             out[i][j] = c
     return tuple(map(tuple, out))
+
+
+def sparse(matrix):
+    """The rows of a dense matrix in the `poly.LinearAction.rows` form.
+
+    Every entry is listed, zeros included, as given; the engine's check
+    coerces the entries and drops the zeros.
+    """
+    return tuple(tuple(enumerate(row)) for row in matrix)
 
 
 def element_product(*factors) -> SignedElement:
@@ -51,10 +63,10 @@ def element_product(*factors) -> SignedElement:
     The engine multiplies only actions; this builds, and so checks, the
     product element afresh from its dense matrix.
     """
-    matrix, sign = factors[0].matrix, factors[0].sign
+    matrix, sign = dense(factors[0]), factors[0].sign
     for f in factors[1:]:
-        matrix, sign = mat_mul(matrix, f.matrix), sign * f.sign
-    return SignedElement(matrix, sign)
+        matrix, sign = mat_mul(matrix, dense(f)), sign * f.sign
+    return SignedElement(sparse(matrix), sign)
 
 
 def close_group(generators, max_order: int = 64) -> dict:
@@ -66,13 +78,14 @@ def close_group(generators, max_order: int = 64) -> dict:
     compared with it verdict for verdict.
     """
     identity = identity_matrix(generators[0].size)
+    matrices = [(dense(g), g.sign) for g in generators]
     signs = {identity: 1}
     frontier = [(identity, 1)]
     while frontier:
         new = []
         for matrix, sign in frontier:
-            for g in generators:
-                product = (mat_mul(matrix, g.matrix), sign * g.sign)
+            for g, g_sign in matrices:
+                product = (mat_mul(matrix, g), sign * g_sign)
                 if product[0] not in signs:
                     signs[product[0]] = product[1]
                     new.append(product)
@@ -142,7 +155,7 @@ def random_polymap(
 MIXING_ELEMENTS = [
     # a real mix of x1 and x2, z and zb swapped; reversing
     SignedElement(
-        matrix_from_rows(
+        sparse(
             [[Fraction(1, 2), Fraction(3, 2), 0, 0], [Fraction(3, 2), Fraction(1, 2), 0, 0],
              [0, 0, 0, 1], [0, 0, 1, 0]]
         ),
@@ -150,7 +163,7 @@ MIXING_ELEMENTS = [
     ),
     # x2 -> x2 + x1/2 and z -> z + (i/2) zb; a symmetry
     SignedElement(
-        matrix_from_rows(
+        sparse(
             [[1, 0, 0, 0], [Fraction(1, 2), 1, 0, 0],
              [0, 0, 1, GaussianRational(0, Fraction(1, 2))],
              [0, 0, GaussianRational(0, Fraction(-1, 2)), 1]]

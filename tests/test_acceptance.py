@@ -32,6 +32,7 @@ from birevnf.symmetry_ops import (
 )
 
 from conftest import (
+    dense,
     make_rng,
     mat_mul,
     normalize_leading,
@@ -274,8 +275,8 @@ def test_criterion_8_involution_characterization():
             for pair in pairs:
                 assert anticommute_check(pair.phi, linear)
                 assert anticommute_check(pair.psi, linear)
-                assert mat_mul(pair.phi.matrix, pair.psi.matrix) == mat_mul(
-                    pair.psi.matrix, pair.phi.matrix
+                assert mat_mul(dense(pair.phi), dense(pair.psi)) == mat_mul(
+                    dense(pair.psi), dense(pair.phi)
                 )
                 assert fix_dimension(pair.phi) == n + 1
                 assert fix_dimension(pair.psi) == n + 1

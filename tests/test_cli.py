@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -440,6 +441,27 @@ def test_unwritable_output_is_config_error(tmp_path):
     assert f"config error: cannot write output {target}" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_classify_past_the_sign_class_bound_exits_at_once():
+    # 2^40 sign classes: refused before any involution is built, not
+    # enumerated until the process is killed
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "birevnf", "classify", "--case", "non_resonant",
+         "--params", "40", "--signs=" + ",".join(["1"] * 41)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == EXIT_RESOURCE
+    assert "resource limit: 40 rotation blocks give 2^40 sign classes" in result.stderr
+    assert "4096" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize("degree", ["1000", "1000000000000"])

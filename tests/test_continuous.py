@@ -22,16 +22,16 @@ from birevnf.continuous import (
     linear_part_for_case,
     phi_element,
     psi_element,
-    psi_matrix,
+    psi_rows,
 )
-from birevnf.errors import DimensionError, UnsupportedCase
-from birevnf.group import GroupContext, anticommute_check
-from birevnf.linalg import Echelon, vectorize
+from birevnf.errors import ConditionViolated, DimensionError, ResourceLimit, UnsupportedCase
+from birevnf.group import GroupContext, SignedElement, anticommute_check
+from birevnf.linalg import Echelon, complex_rank, vectorize
 from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, module_slice, slice_space
-from birevnf.poly import PolyMap, Polynomial, z_index, zbar_index
+from birevnf.poly import I, ONE, PolyMap, Polynomial, z_index, zbar_index
 from birevnf.symmetry_ops import pipeline, ring_products
 
-from conftest import dense, mat_mul
+from conftest import MIXING_ELEMENTS, dense, identity_matrix, mat_mul, sparse
 from reference_oracle import mul_invariant
 from references import sigma_tilde_psi_context
 from test_golden_gensets import CATALOG_SETS, REGIMES
@@ -121,12 +121,12 @@ def test_enumerate_involution_pairs_counts_and_properties(n):
     all_ones = tuple([1] * (n + 1))
     by_signs = {p.signs: p for p in pairs}
     assert all_ones in by_signs
-    assert by_signs[all_ones].phi.matrix == by_signs[all_ones].psi.matrix
+    assert dense(by_signs[all_ones].phi) == dense(by_signs[all_ones].psi)
     for pair in pairs:
         assert anticommute_check(pair.phi, linear)
         assert anticommute_check(pair.psi, linear)
-        assert mat_mul(pair.phi.matrix, pair.psi.matrix) == mat_mul(
-            pair.psi.matrix, pair.phi.matrix
+        assert mat_mul(dense(pair.phi), dense(pair.psi)) == mat_mul(
+            dense(pair.psi), dense(pair.phi)
         )
         assert fix_dimension(pair.phi) == n + 1
         assert fix_dimension(pair.psi) == n + 1
@@ -146,7 +146,7 @@ def test_both_involutions_negate_every_infinitesimal_generator(case, params, nbl
         check_involution_pair(linear, phi, psi)
         for gamma in (phi, psi):
             for m, minus_m in zip(generators, negated):
-                assert mat_mul(mat_mul(gamma.matrix, m), gamma.matrix) == minus_m
+                assert mat_mul(mat_mul(dense(gamma), m), dense(gamma)) == minus_m
 
 
 TABLE2_ROWS = [
@@ -305,7 +305,7 @@ NOT_INTEGERS = [
     (lambda: linear_part_for_case("non_resonant", (2.7,)), UnsupportedCase),
     (lambda: case_blocks("res_n1n2_C3", (1, True)), UnsupportedCase),
     (lambda: SymmetryContext.from_case("non_resonant", (2.7,), (1, 1, 1)), UnsupportedCase),
-    (lambda: psi_matrix((1.9, -1.5)), DimensionError),
+    (lambda: psi_rows((1.9, -1.5)), DimensionError),
     (lambda: SymmetryContext.build(LinearPart(1), (1.9, -1.5)), DimensionError),
     (lambda: SymmetryContext.build(LinearPart(1), (True, -1)), DimensionError),
     (lambda: classify_type((1.0, 1, 1), (1, 2)), DimensionError),
@@ -409,3 +409,53 @@ def test_moving_the_resonant_pair_to_other_blocks_changes_no_count(signs):
                 slice_space(here.full_context(), d, kind).dimension
                 == slice_space(there.full_context(), d, kind).dimension
             ), (kind, d)
+
+
+def test_enumeration_returns_the_checked_contexts():
+    linear = linear_part_for_case("res_n1n2_C3", (1, 2))
+    pairs = enumerate_involution_pairs(linear)
+    assert pairs == tuple(SymmetryContext.build(linear, pair.signs) for pair in pairs)
+
+
+def test_enumeration_past_the_bound_builds_no_element(monkeypatch):
+    built = []
+    for name in ("phi_element", "psi_element"):
+        monkeypatch.setattr(continuous, name, lambda *args: built.append(args))
+    n = continuous.MAX_SIGN_CLASSES.bit_length()  # 2^n is twice the bound
+    with pytest.raises(ResourceLimit, match=rf"2\^{n} sign classes, more than 4096"):
+        enumerate_involution_pairs(LinearPart(n))
+    assert built == []
+    # every golden regime stays under it
+    assert all(2 ** blocks <= continuous.MAX_SIGN_CLASSES for _, _, blocks in REGIMES)
+
+
+def _nullity_of_shift(element) -> int:
+    """dim ker(A - I) over the Gaussian rationals, from the dense matrix."""
+    shifted = [
+        [(j, x - ONE if i == j else x) for j, x in enumerate(row)]
+        for i, row in enumerate(dense(element))
+    ]
+    return element.size - complex_rank(shifted)
+
+
+def test_fix_dimension_is_the_nullity_of_a_minus_the_identity():
+    # every psi on three blocks, the identity, and a reflection of the x-plane
+    # that swaps z1 with i conj(z1)
+    identity = SignedElement(sparse(identity_matrix(6)), 1)
+    reflection = SignedElement(
+        sparse([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, I], [0, 0, -I, 0]]), -1
+    )
+    psis = [ctx.psi for ctx in enumerate_involution_pairs(LinearPart(3))]
+    for gamma in (*psis, identity, reflection):
+        assert gamma.is_involution()
+        assert fix_dimension(gamma) == _nullity_of_shift(gamma)
+    assert fix_dimension(identity) == 6
+    # the order-4 rotation of z1, and a real mix of x1 and x2 that squares
+    # to no involution
+    rotation = SignedElement(
+        sparse([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, I, 0], [0, 0, 0, -I]]), 1, "rotation"
+    )
+    with pytest.raises(ConditionViolated, match="rotation must be an involution"):
+        fix_dimension(rotation)
+    with pytest.raises(ConditionViolated, match="must be an involution"):
+        fix_dimension(MIXING_ELEMENTS[0])

@@ -17,9 +17,8 @@ from birevnf.continuous import (
     SymmetryContext,
     check_involution_pair,
     phi_element,
-    phi_matrix,
+    phi_rows,
     psi_element,
-    psi_matrix,
 )
 from birevnf.errors import (
     ConditionViolated,
@@ -33,7 +32,6 @@ from birevnf.group import (
     anticommute_check,
     membership,
 )
-from birevnf.linalg import matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
     I,
@@ -43,7 +41,7 @@ from birevnf.poly import (
     zbar_index,
 )
 
-from conftest import close_group, dense, element_product, identity_matrix, mat_mul
+from conftest import close_group, dense, element_product, identity_matrix, mat_mul, sparse
 from references import sigma_tilde_psi_context
 
 
@@ -57,7 +55,7 @@ def scaling_on_block(n, j, factor):
         c = factor if k == j else GaussianRational(1)
         rows[z_index(k)][z_index(k)] = c
         rows[zbar_index(k)][zbar_index(k)] = c.conjugate()
-    return matrix_from_rows(rows)
+    return tuple(map(tuple, rows))
 
 
 def swap_blocks(n=2):
@@ -69,7 +67,7 @@ def swap_blocks(n=2):
     rows[zbar_index(1)][zbar_index(2)] = GaussianRational(1)
     rows[z_index(2)][z_index(1)] = GaussianRational(1)
     rows[zbar_index(2)][zbar_index(1)] = GaussianRational(1)
-    return matrix_from_rows(rows)
+    return tuple(map(tuple, rows))
 
 
 def test_closure_of_the_two_involutions_is_klein_four():
@@ -86,7 +84,7 @@ def test_closure_of_the_two_involutions_is_klein_four():
 
 def test_involution_is_decided_once(monkeypatch):
     phi = phi_element(2)
-    rotation = SignedElement(scaling_on_block(2, 1, I), 1)
+    rotation = SignedElement(sparse(scaling_on_block(2, 1, I)), 1)
     products = []
     real_mul = LinearAction.__mul__
     monkeypatch.setattr(
@@ -110,18 +108,18 @@ def test_closure_is_closed_and_sign_is_homomorphism():
 
 
 def test_closure_of_identity_alone():
-    ident = SignedElement(identity_matrix(4), 1)
+    ident = SignedElement(sparse(identity_matrix(4)), 1)
     assert len(close_group([ident])) == 1
 
 
 def test_closure_of_single_involution():
     phi = phi_element(1)
-    assert close_group([phi]) == {phi.matrix: -1, identity_matrix(4): 1}
+    assert close_group([phi]) == {dense(phi): -1, identity_matrix(4): 1}
 
 
 def test_closure_sign_inconsistency():
     phi = phi_element(1)
-    wrong = SignedElement(phi.matrix, 1)
+    wrong = SignedElement(phi.rows, 1)
     with pytest.raises(SignInconsistency):
         close_group([phi, wrong])
     with pytest.raises(SignInconsistency):
@@ -140,12 +138,12 @@ def rejected_in_either_slot(linear, element):
 def test_product_sigma_values():
     # sigma multiplies the factor signs; sigma_tilde makes phi a symmetry
     ctx = SymmetryContext.build(LinearPart(2), (-1, -1, -1))
-    phi_psi = mat_mul(ctx.phi.matrix, ctx.psi.matrix)
+    phi_psi = mat_mul(dense(ctx.phi), dense(ctx.psi))
     sigma = close_group(ctx.full_context().elements)
     assert sigma[phi_psi] == 1
     assert sigma[identity_matrix(6)] == 1
     sigma_tilde = close_group(sigma_tilde_psi_context(ctx).elements)
-    assert sigma_tilde[ctx.phi.matrix] == 1
+    assert sigma_tilde[dense(ctx.phi)] == 1
     assert sigma_tilde[phi_psi] == -1
 
 
@@ -153,9 +151,9 @@ def test_product_sigma_conjugation_must_stay_in_factor():
     # the block swap conjugates the order-4 rotation of block 1 to that of
     # block 2, outside the first factor; neither passes the pair check
     n = 2
-    rot = SignedElement(scaling_on_block(n, 1, I), -1)
-    kappa = SignedElement(swap_blocks(n), -1)
-    conj = mat_mul(mat_mul(kappa.matrix, rot.matrix), kappa.matrix)
+    rot = SignedElement(sparse(scaling_on_block(n, 1, I)), -1)
+    kappa = SignedElement(sparse(swap_blocks(n)), -1)
+    conj = mat_mul(mat_mul(dense(kappa), dense(rot)), dense(kappa))
     assert conj not in close_group([rot])
     for element in (rot, kappa):
         rejected_in_either_slot(LinearPart(n), element)
@@ -163,8 +161,8 @@ def test_product_sigma_conjugation_must_stay_in_factor():
 
 def test_product_sigma_conjugation_must_preserve_signs():
     n = 2
-    minus1 = SignedElement(scaling_on_block(n, 1, GaussianRational(-1)), -1, "u")
-    minus2 = SignedElement(scaling_on_block(n, 2, GaussianRational(-1)), 1, "v")
+    minus1 = SignedElement(sparse(scaling_on_block(n, 1, GaussianRational(-1))), -1, "u")
+    minus2 = SignedElement(sparse(scaling_on_block(n, 2, GaussianRational(-1))), 1, "v")
     for element in (minus1, minus2):
         rejected_in_either_slot(LinearPart(n), element)
 
@@ -178,7 +176,7 @@ def test_semidirect_condition_on_infinitesimal_generators():
     for gamma in (phi, psi):
         for m in generators:
             negated = tuple(tuple(-x for x in row) for row in dense(m))
-            assert mat_mul(mat_mul(gamma.matrix, dense(m)), gamma.matrix) == negated
+            assert mat_mul(mat_mul(dense(gamma), dense(m)), dense(gamma)) == negated
 
 
 def test_pair_check_rejects_each_failed_condition():
@@ -187,9 +185,9 @@ def test_pair_check_rejects_each_failed_condition():
     phi = phi_element(n)
     x_doubled = [[2 if i == j and i < 2 else int(i == j) for j in range(6)] for i in range(6)]
     # anti-commutes with L, but squares to x -> 4x
-    not_involution = SignedElement(mat_mul(phi.matrix, matrix_from_rows(x_doubled)), -1)
+    not_involution = SignedElement(sparse(mat_mul(dense(phi), x_doubled)), -1)
     # an anti-commuting involution whose product with phi is the order-4 rotation
-    not_commuting = SignedElement(mat_mul(phi.matrix, scaling_on_block(n, 1, I)), -1)
+    not_commuting = SignedElement(sparse(mat_mul(dense(phi), scaling_on_block(n, 1, I))), -1)
     assert not_commuting.is_involution()
     with pytest.raises(ConditionViolated, match="involution"):
         check_involution_pair(linear, phi, not_involution)
@@ -199,7 +197,7 @@ def test_pair_check_rejects_each_failed_condition():
         check_involution_pair(linear, phi, not_commuting)
     # phi again, as a symmetry: the closure reaches it with both signs
     with pytest.raises(SignInconsistency):
-        check_involution_pair(linear, phi, SignedElement(phi.matrix, 1))
+        check_involution_pair(linear, phi, SignedElement(phi.rows, 1))
     with pytest.raises(DimensionError):
         check_involution_pair(LinearPart(3), phi, phi)
 
@@ -215,12 +213,12 @@ def reference_pair_verdict(linear, phi, psi):
     try:
         for gamma in (phi, psi):
             for m in generators:
-                negated = tuple(tuple(-x for x in row) for row in mat_mul(m, gamma.matrix))
-                if mat_mul(gamma.matrix, m) != negated:
+                negated = tuple(tuple(-x for x in row) for row in mat_mul(m, dense(gamma)))
+                if mat_mul(dense(gamma), m) != negated:
                     raise DimensionError(f"{gamma.name} does not anti-commute with L")
-            if mat_mul(gamma.matrix, gamma.matrix) != identity_matrix(gamma.size):
+            if mat_mul(dense(gamma), dense(gamma)) != identity_matrix(gamma.size):
                 raise ConditionViolated(f"{gamma.name} must be an involution")
-        if mat_mul(phi.matrix, psi.matrix) != mat_mul(psi.matrix, phi.matrix):
+        if mat_mul(dense(phi), dense(psi)) != mat_mul(dense(psi), dense(phi)):
             raise ConditionViolated("the two involutions must commute")
         close_group([phi, psi])
     except EngineError as err:
@@ -230,18 +228,18 @@ def reference_pair_verdict(linear, phi, psi):
 
 @cache
 def tower_candidates(n):
-    """psi_matrix of every sign tuple on n blocks, then three matrices that
-    fail a fact of one element or of the pair: the identity (commutes with
-    L), phi doubled on the x-plane (no involution) and phi times the
-    order-4 rotation of block 1 (an involution that does not commute with
-    phi)."""
+    """The matrix of psi_element(signs) for every sign tuple on n blocks,
+    then three matrices that fail a fact of one element or of the pair: the
+    identity (commutes with L), phi doubled on the x-plane (no involution)
+    and phi times the order-4 rotation of block 1 (an involution that does
+    not commute with phi)."""
     nvars = 2 * n + 2
     x_doubled = [[2 if i == j and i < 2 else int(i == j) for j in range(nvars)] for i in range(nvars)]
     return (
-        *(psi_matrix(signs) for signs in product((1, -1), repeat=n + 1)),
+        *(dense(psi_element(signs)) for signs in product((1, -1), repeat=n + 1)),
         identity_matrix(nvars),
-        mat_mul(phi_matrix(n), matrix_from_rows(x_doubled)),
-        mat_mul(phi_matrix(n), scaling_on_block(n, 1, I)),
+        mat_mul(dense(phi_element(n)), x_doubled),
+        mat_mul(dense(phi_element(n)), scaling_on_block(n, 1, I)),
     )
 
 
@@ -251,7 +249,7 @@ def candidate_pairs(draw):
 
     def element(name):
         matrix = draw(st.sampled_from(tower_candidates(n)))
-        return SignedElement(matrix, draw(st.sampled_from((1, -1))), name)
+        return SignedElement(sparse(matrix), draw(st.sampled_from((1, -1))), name)
 
     return LinearPart(n), element("phi"), element("psi")
 
@@ -259,8 +257,8 @@ def candidate_pairs(draw):
 @settings(max_examples=150)
 @given(candidate_pairs())
 # psi is phi with the opposite sign, the one clash the sign comparison meets
-@example((LinearPart(1), phi_element(1), SignedElement(phi_matrix(1), 1, "psi")))
-@example((LinearPart(2), phi_element(2), SignedElement(phi_matrix(2), -1, "psi")))
+@example((LinearPart(1), phi_element(1), SignedElement(phi_rows(1), 1, "psi")))
+@example((LinearPart(2), phi_element(2), SignedElement(phi_rows(2), -1, "psi")))
 def test_pair_check_agrees_with_the_reference_closure(pair):
     linear, phi, psi = pair
     expected = reference_pair_verdict(linear, phi, psi)
@@ -291,11 +289,11 @@ def x_z_swap(n=1):
     for k in range(2, n + 1):
         rows[z_index(k)][z_index(k)] = GaussianRational(1)
         rows[zbar_index(k)][zbar_index(k)] = GaussianRational(1)
-    return matrix_from_rows(rows)
+    return tuple(map(tuple, rows))
 
 
 def test_semidirect_condition_violated_by_x_z_swap():
-    rejected_in_either_slot(LinearPart(1), SignedElement(x_z_swap(1), -1))
+    rejected_in_either_slot(LinearPart(1), SignedElement(sparse(x_z_swap(1)), -1))
 
 
 def test_semidirect_condition_violated_by_resonant_block_swap():
@@ -311,17 +309,17 @@ def test_semidirect_condition_violated_by_resonant_block_swap():
     rows[zbar_index(2)][zbar_index(1)] = GaussianRational(1)
     rows[z_index(3)][z_index(3)] = GaussianRational(1)
     rows[zbar_index(3)][zbar_index(3)] = GaussianRational(1)
-    rejected_in_either_slot(linear, SignedElement(matrix_from_rows(rows), -1))
+    rejected_in_either_slot(linear, SignedElement(sparse(rows), -1))
 
 
 def test_block_swap_normalizes_nonresonant_torus():
     # without a resonance the swap permutes the infinitesimal generators, so
     # it normalizes S; it commutes with L, so it is no reversing involution
     linear = LinearPart(2)
-    kappa = SignedElement(swap_blocks(2), -1)
+    kappa = SignedElement(sparse(swap_blocks(2)), -1)
     generators = linear.infinitesimal_generators()
     dense_generators = {dense(m) for m in generators}
-    conjugates = {mat_mul(mat_mul(kappa.matrix, m), kappa.matrix) for m in dense_generators}
+    conjugates = {mat_mul(mat_mul(dense(kappa), m), dense(kappa)) for m in dense_generators}
     assert conjugates == dense_generators
     rejected_in_either_slot(linear, kappa)
 
@@ -377,7 +375,7 @@ def test_anticommute_examples():
     linear = LinearPart(2)
     phi = phi_element(2)
     assert anticommute_check(phi, linear)
-    ident = SignedElement(identity_matrix(6), 1)
+    ident = SignedElement(sparse(identity_matrix(6)), 1)
     assert not anticommute_check(ident, linear)
     with pytest.raises(DimensionError):
         anticommute_check(phi_element(3), linear)
@@ -392,13 +390,13 @@ def test_monomial_elements_skip_the_rank_but_singular_ones_still_fail(monkeypatc
     # one nonzero entry in each row and each column: invertible as it stands
     phi_element(2)
     psi_element((-1, 1, -1))
-    SignedElement(scaling_on_block(2, 1, I), 1)
+    SignedElement(sparse(scaling_on_block(2, 1, I)), 1)
     assert ranks == []
     repeated_column = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     empty_row = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     for rows in (repeated_column, empty_row):
         with pytest.raises(DimensionError, match="invertible"):
-            SignedElement(matrix_from_rows(rows), 1)
+            SignedElement(sparse(rows), 1)
     assert len(ranks) == 2
 
 
@@ -409,7 +407,7 @@ def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     linear = LinearPart(2)
     phi, psi = phi_element(2), psi_element((1, -1, 1))
     shear = SignedElement(
-        matrix_from_rows(
+        sparse(
             [[1 if i == j or (i, j) == (1, 0) else 0 for j in range(6)] for i in range(6)]
         ),
         1,
@@ -428,7 +426,7 @@ def test_products_of_checked_elements_skip_the_checks(monkeypatch):
     # the pair check builds its product and identity rows without the checks too
     check_involution_pair(linear, phi, psi)
     assert checked == []
-    SignedElement(shear.matrix, 1)
+    SignedElement(shear.rows, 1)
     assert sorted(checked) == ["check_conjugation_compatible", "complex_rank"]
     monkeypatch.undo()
     for factors, action in zip(derived, products):

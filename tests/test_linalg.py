@@ -12,7 +12,6 @@ from birevnf.group import SignedElement
 from birevnf.linalg import (
     Echelon,
     complex_rank,
-    matrix_from_rows,
     polymap_from_vector,
     vectorize_polymap,
     vectorize_polynomial,
@@ -29,7 +28,7 @@ from birevnf.poly import (
     parse_polynomial,
 )
 
-from conftest import make_rng, random_polymap, random_polynomial
+from conftest import dense, make_rng, random_polymap, random_polynomial, sparse
 
 
 def test_nullspace_of_simple_relation():
@@ -81,13 +80,13 @@ def test_span_basis_membership_and_dimension():
 
 def test_matrix_inverse_and_rank():
     # an element is invertible exactly when its matrix has full rank
-    m = matrix_from_rows([[1, 1], [0, 2]])
-    assert complex_rank(LinearAction(m, 2).rows) == 2
-    assert SignedElement(m, 1).matrix == m
-    singular = matrix_from_rows([[1, 2], [2, 4]])
-    assert complex_rank(LinearAction(singular, 2).rows) == 1
+    m = ((1, 1), (0, 2))
+    assert complex_rank(LinearAction(sparse(m), 2).rows) == 2
+    assert dense(SignedElement(sparse(m), 1)) == m
+    singular = ((1, 2), (2, 4))
+    assert complex_rank(LinearAction(sparse(singular), 2).rows) == 1
     with pytest.raises(DimensionError):
-        SignedElement(singular, 1)
+        SignedElement(sparse(singular), 1)
 
 
 def test_vectorize_round_trip_polynomial():

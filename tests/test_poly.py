@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from birevnf.continuous import phi_element, phi_matrix, psi_element, psi_matrix
+from birevnf.continuous import phi_element, phi_rows, psi_element, psi_rows
 from birevnf.errors import DimensionError, IncompatibleMatrix
 from birevnf.group import SignedElement
-from birevnf.linalg import matrix_from_rows
 from birevnf.poly import (
     GaussianRational,
     I,
@@ -32,12 +31,14 @@ from birevnf.poly import (
 )
 
 from conftest import (
+    dense,
     element_product,
     identity_matrix,
     make_rng,
     mat_mul,
     random_polymap,
     random_polynomial,
+    sparse,
 )
 
 
@@ -85,13 +86,13 @@ def test_resonant_re_im_square_identity():
 def test_substitution_by_first_involution_negates_x2():
     nvars = 8
     x2 = var(nvars, 1)
-    assert x2.substitute_linear(LinearAction(phi_matrix(3), nvars)) == -x2
+    assert x2.substitute_linear(LinearAction(phi_rows(3), nvars)) == -x2
 
 
 def test_substitution_by_identity():
     rng = make_rng(1)
     p = random_polynomial(rng, 2)
-    assert p.substitute_linear(LinearAction(identity_matrix(6), 6)) == p
+    assert p.substitute_linear(LinearAction(sparse(identity_matrix(6)), 6)) == p
 
 
 @pytest.mark.parametrize("a1", [1, -1])
@@ -101,8 +102,8 @@ def test_norm_square_invariant_under_second_involution(a1):
     mono[z_index(1)] = 1
     mono[zbar_index(1)] = 1
     norm = Polynomial.monomial(nvars, tuple(mono))
-    assert norm.substitute_linear(LinearAction(psi_matrix((1, a1)), nvars)) == norm
-    assert norm.substitute_linear(LinearAction(psi_matrix((-1, a1)), nvars)) == norm
+    assert norm.substitute_linear(LinearAction(psi_rows((1, a1)), nvars)) == norm
+    assert norm.substitute_linear(LinearAction(psi_rows((-1, a1)), nvars)) == norm
 
 
 def test_resonant_invariant_is_homogeneous():
@@ -136,10 +137,9 @@ def test_conjugation_is_an_involution(seed):
 @given(st.integers(0, 10_000))
 def test_substitution_composes(seed):
     p = random_polynomial(make_rng(seed), 2, max_degree=3)
-    a = phi_matrix(2)
-    b = psi_matrix((-1, 1, -1))
-    ab = LinearAction(mat_mul(a, b), 6)
-    a, b = LinearAction(a, 6), LinearAction(b, 6)
+    a = LinearAction(phi_rows(2), 6)
+    b = LinearAction(psi_rows((-1, 1, -1)), 6)
+    ab = LinearAction(sparse(mat_mul(dense(a), dense(b))), 6)
     assert p.substitute_linear(a).substitute_linear(b) == p.substitute_linear(ab)
 
 
@@ -152,9 +152,7 @@ def test_substitution_general_matrix_matches_monomial_fast_path():
     rows[1][1] = 1
     rows[2][2] = 1
     rows[3][3] = 1
-    from birevnf.linalg import matrix_from_rows
-
-    shear = matrix_from_rows(rows)
+    shear = sparse(rows)
     p = var(nvars, 1) ** 2  # x2^2 -> (x1 + x2)^2
     x1, x2 = var(nvars, 0), var(nvars, 1)
     assert p.substitute_linear(LinearAction(shear, nvars)) == (x1 + x2) * (x1 + x2)
@@ -168,10 +166,8 @@ def test_incompatible_matrix_rejected():
     rows[1][1] = 1
     rows[z_index(1)][0] = 1
     rows[zbar_index(1)][zbar_index(1)] = 1
-    from birevnf.linalg import matrix_from_rows
-
     with pytest.raises(IncompatibleMatrix):
-        var(nvars, 0).substitute_linear(LinearAction(matrix_from_rows(rows), nvars))
+        var(nvars, 0).substitute_linear(LinearAction(sparse(rows), nvars))
 
 
 @given(st.integers(0, 10_000))
@@ -182,7 +178,7 @@ def test_reality_preserved_by_arithmetic_and_substitution(seed):
     assert real.is_real_valued()
     assert (real + real).is_real_valued()
     assert real.scale(Fraction(3, 7)).is_real_valued()
-    assert real.substitute_linear(LinearAction(phi_matrix(2), 6)).is_real_valued()
+    assert real.substitute_linear(LinearAction(phi_rows(2), 6)).is_real_valued()
 
 
 @given(st.integers(0, 10_000))
@@ -293,7 +289,7 @@ def shear_matrix(nvars):
     """x2 -> x1 + x2, the identity elsewhere: conjugation-compatible, not monomial."""
     rows = [[int(i == j) for j in range(nvars)] for i in range(nvars)]
     rows[1][0] = 1
-    return matrix_from_rows(rows)
+    return sparse(rows)
 
 
 def x_z_swap_matrix():
@@ -304,7 +300,7 @@ def x_z_swap_matrix():
     rows[1][1] = 1
     rows[z_index(1)][0] = 1
     rows[zbar_index(1)][zbar_index(1)] = 1
-    return matrix_from_rows(rows)
+    return sparse(rows)
 
 
 ACTION_ELEMENTS = {
@@ -349,18 +345,18 @@ def test_action_and_raw_matrix_agree(name, seed):
     rng = make_rng(seed)
     p = random_polynomial(rng, 2, max_degree=4)
     g = random_polymap(rng, 2, max_degree=3)
-    expected_p = naive_substitute(p, el.matrix)
+    expected_p = naive_substitute(p, dense(el))
     assert p.substitute_linear(el.action) == expected_p
-    assert p.substitute_linear(LinearAction(el.matrix, 6)) == expected_p
+    assert p.substitute_linear(LinearAction(sparse(dense(el)), 6)) == expected_p
     expected_compose = PolyMap(
-        [naive_substitute(c, el.matrix) for c in g.x_components],
-        [naive_substitute(c, el.matrix) for c in g.z_components],
+        [naive_substitute(c, dense(el)) for c in g.x_components],
+        [naive_substitute(c, dense(el)) for c in g.z_components],
     )
     assert g.compose_linear(el.action) == expected_compose
-    assert g.compose_linear(LinearAction(el.matrix, 6)) == expected_compose
-    expected_apply = naive_apply(g, el.matrix)
+    assert g.compose_linear(LinearAction(sparse(dense(el)), 6)) == expected_compose
+    expected_apply = naive_apply(g, dense(el))
     assert g.apply_linear(el.action) == expected_apply
-    assert g.apply_linear(LinearAction(el.matrix, 6)) == expected_apply
+    assert g.apply_linear(LinearAction(sparse(dense(el)), 6)) == expected_apply
 
 
 def test_incompatible_matrix_rejected_by_every_entry_point():
@@ -384,24 +380,38 @@ def test_action_on_the_wrong_number_of_coordinates_rejected():
         random_polymap(make_rng(4), 2, max_degree=2).apply_linear(action)
 
 
+def test_rows_that_are_not_a_map_on_2n_plus_2_coordinates_rejected():
+    identity = sparse(identity_matrix(4))
+    for rows, nvars in (
+        (sparse(identity_matrix(3)), 3),  # odd: no partner for the last index
+        (identity[:3], 4),  # a row missing
+        (identity[:3] + (((4, 1),),), 4),  # a column out of range
+        (identity[:3] + (((3, 1), (3, 1)),), 4),  # a column listed twice
+    ):
+        with pytest.raises(DimensionError):
+            LinearAction(rows, nvars)
+        with pytest.raises(DimensionError):
+            SignedElement(rows, 1)
+
+
 # -- the conjugation check against the walk over every entry ---------------
 
 
 def _dense_conjugation_check(matrix, nvars):
-    """Every entry coerced and compared with its partner, in row-major order."""
+    """Every entry coerced, then every entry compared with its partner."""
     if len(matrix) != nvars or any(len(row) != nvars for row in matrix):
         raise DimensionError(f"matrix must be {nvars}x{nvars}")
+    coerced = [[_coerce(x) for x in row] for row in matrix]
     for i in range(nvars):
         for j in range(nvars):
-            partner = matrix[conj_index(i)][conj_index(j)]
-            if partner != _coerce(matrix[i][j]).conjugate():
+            if coerced[conj_index(i)][conj_index(j)] != coerced[i][j].conjugate():
                 raise IncompatibleMatrix(f"entry ({i},{j}) breaks the conjugation pairing")
 
 
 def _outcome(check, matrix):
     try:
         check(matrix, len(matrix))
-    except Exception as exc:  # the class and the message must both match
+    except Exception as exc:  # the class, and the message naming an entry
         return type(exc), str(exc)
     return None
 
@@ -447,14 +457,28 @@ def _identity_with(nvars, *entries):
 @given(_paired_matrices())
 @example(_identity_with(4))
 @example(_identity_with(4, (2, 3, 1)))  # the zero (3,2) pairs with a nonzero entry
-@example(_identity_with(4, (3, 2, 1)))  # the same break, found at the zero (2,3)
+@example(_identity_with(4, (3, 2, 1)))  # the same break, named at its nonzero (3,2)
 @example(_identity_with(4, (0, 2, I)))  # a zero entry in a z column of row x1
 @example(_identity_with(4, (3, 2, 0.0)))  # a float zero whose partner is an exact zero
 @example(_identity_with(4, (1, 1, 1.0)))
-@example(_identity_with(3))  # odd: the last index has no partner
+@example(_identity_with(3))  # odd: not 2n + 2 coordinates
 def test_conjugation_check_matches_the_walk_over_every_entry(matrix):
+    nvars = len(matrix)
+    outcome = _outcome(lambda m, n: check_conjugation_compatible(sparse(m), n), matrix)
+    if nvars % 2:
+        # no 2n + 2 coordinates: refused before any entry is read
+        assert outcome[0] is DimensionError
+        return
     expected = _outcome(_dense_conjugation_check, matrix)
-    assert _outcome(check_conjugation_compatible, matrix) == expected
+    assert (outcome and outcome[0]) == (expected and expected[0])
+    if outcome is None:
+        exact = tuple(tuple(_coerce(x) for x in row) for row in matrix)
+        assert dense(LinearAction(sparse(matrix), nvars)) == exact
+    elif outcome[0] is IncompatibleMatrix:
+        # the named entry is nonzero and differs from its partner's conjugate
+        i, j = map(int, outcome[1].split("(")[1].split(")")[0].split(","))
+        x = _coerce(matrix[i][j])
+        assert x and matrix[conj_index(i)][conj_index(j)] != x.conjugate()
 
 
 # -- the trusted constructor -------------------------------------------------

@@ -24,7 +24,6 @@ from birevnf.errors import (
 from birevnf.group import GroupContext, membership
 from birevnf.linalg import (
     Echelon,
-    matrix_from_rows,
     vectorize_polymap,
     vectorize_polynomial,
     vectorize_terms,
@@ -65,6 +64,7 @@ from conftest import (
     random_polymap,
     random_polynomial,
     random_real_polynomial,
+    sparse,
 )
 from reference_oracle import mul_invariant
 from test_golden_gensets import REGIMES as GOLDEN_REGIMES
@@ -143,7 +143,7 @@ def _transfer_reference(g, action):
 # a reflection of (x1, x2) and z -> (3i/4) z + (5/4) zb: an involution whose
 # action is not monomial
 _MIXING_INVOLUTION = SignedElement(
-    matrix_from_rows(
+    sparse(
         [[Fraction(3, 5), Fraction(4, 5), 0, 0], [Fraction(4, 5), Fraction(-3, 5), 0, 0],
          [0, 0, GaussianRational(0, Fraction(3, 4)), Fraction(5, 4)],
          [0, 0, Fraction(5, 4), GaussianRational(0, Fraction(-3, 4))]]
@@ -234,9 +234,7 @@ def test_operators_demand_involutions():
     rows[1][1] = 1
     rows[2][2] = 1
     rows[3][3] = 1
-    from birevnf.linalg import matrix_from_rows
-
-    shear = SignedElement(matrix_from_rows(rows), -1)
+    shear = SignedElement(sparse(rows), -1)
     f = Polynomial.variable(nvars, 0)
     g = PolyMap((f, Polynomial.zero(nvars)), (Polynomial.zero(nvars),))
     # the verdict is kept per element, so a second call must still refuse

@@ -7,13 +7,14 @@ metric without failing anything.  This test only reads `perfbench/`.
 
 import importlib
 import importlib.util
+import itertools
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from birevnf import oracle, symmetry_ops
-from birevnf.continuous import SymmetryContext
+from birevnf import oracle, poly, symmetry_ops
+from birevnf.continuous import SymmetryContext, linear_part_for_case, phi_element, psi_element
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -90,3 +91,23 @@ def test_slice_space_hook_reads_the_continuous_data():
         dimension += counted(full, 3, kind).dimension
     assert recorder.counters["oracle.slice_dim"] == dimension > 0
     assert recorder.counters["oracle.raw_monomials"] > 0
+
+
+def test_conj_check_hook_hashes_the_sparse_rows(monkeypatch):
+    # the hook hashes its first argument row by row; the engine passes the
+    # rows that `LinearPart` and `psi_rows` build, and a row that cannot be
+    # hashed would fail every traced job, not a test
+    tracer = _load_tracer()
+    recorder = tracer.Tracer()
+    real = poly.check_conjugation_compatible
+    counted = tracer._counting_hooks(recorder)["poly.conj_check"](real)
+    monkeypatch.setattr(poly, "check_conjugation_compatible", counted)
+    recorder.start_job()
+    linear = linear_part_for_case("res_n1n2_C3", (1, 2))
+    elements = [phi_element(3)]
+    elements += [psi_element(signs) for signs in itertools.product((1, -1), repeat=4)]
+    generators = linear.infinitesimal_generators()
+    # phi is the all-ones psi: one matrix checked twice
+    distinct = {*(e.rows for e in elements), *(m.rows for m in generators)}
+    assert len(distinct) == 16 + 3
+    assert recorder.counters["conj_check.distinct"] == len(distinct)
