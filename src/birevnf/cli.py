@@ -21,6 +21,7 @@ from .continuous import (
     enumerate_involution_pairs,
     fix_dimension,
     linear_part_for_case,
+    require_sign_classes,
 )
 from .errors import (
     CertificationFailure,
@@ -122,7 +123,9 @@ def load_config(args: argparse.Namespace) -> JobConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer too long to
+        # convert; RecursionError a nesting too deep for the parser
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
@@ -200,8 +203,9 @@ def _require_report_format(cfg: JobConfig, command: str):
 
 def cmd_classify(cfg: JobConfig, args: argparse.Namespace) -> int:
     _require_report_format(cfg, "classify")
-    linear = linear_part_for_case(cfg.case, cfg.params)
-    pairs = enumerate_involution_pairs(linear)
+    # bounded before the linear part, whose size grows with n, is built
+    require_sign_classes(case_blocks(cfg.case, cfg.params))
+    pairs = enumerate_involution_pairs(linear_part_for_case(cfg.case, cfg.params))
     rows = []
     for pair in pairs:
         rows.append(

@@ -293,6 +293,15 @@ def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: Sign
     _check_commuting_pair(phi, psi)
 
 
+def require_sign_classes(n: int) -> int:
+    """n, once its 2^n sign classes are at most MAX_SIGN_CLASSES; else ResourceLimit."""
+    if 1 << n > MAX_SIGN_CLASSES:
+        raise ResourceLimit(
+            f"{n} rotation blocks give 2^{n} sign classes, more than {MAX_SIGN_CLASSES}"
+        )
+    return n
+
+
 def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[SymmetryContext, ...]:
     """The 2^n inequivalent reversing pairs, one per sign class, as contexts.
 
@@ -302,13 +311,9 @@ def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[SymmetryContext
     `check_involution_pair`, whose steps run here with phi's own facts
     checked once, and each element has an (n+1)-dimensional fixed-point
     space.  More than MAX_SIGN_CLASSES classes raise ResourceLimit before
-    any element is built.
+    any element is built (`require_sign_classes`).
     """
-    n = linear_part.n
-    if 1 << n > MAX_SIGN_CLASSES:
-        raise ResourceLimit(
-            f"{n} rotation blocks give 2^{n} sign classes, more than {MAX_SIGN_CLASSES}"
-        )
+    n = require_sign_classes(linear_part.n)
     phi = phi_element(n)
     _check_involution(linear_part, phi)
     pairs = []

@@ -10,7 +10,11 @@ class EngineError(Exception):
 
 
 class IncompatibleMatrix(EngineError):
-    """A linear map does not respect the z/conj(z) pairing of coordinates."""
+    """A linear map is not monomial or does not respect the z/conj(z) pairing.
+
+    Every linear map of the problem sends each coordinate to a multiple of
+    at most one coordinate, so a row with two nonzero entries is refused.
+    """
 
 
 class DimensionError(EngineError):

@@ -7,10 +7,10 @@ it is the Klein four-group {e, phi, psi, phi*psi}; nothing here closes a
 general group.  The continuous factor never appears as elements, only
 through the infinitesimal data carried by a group context.  An element
 is built from the sparse rows of its map, each row's (column, entry)
-pairs; no dense matrix is formed.  It is checked once: conjugation
-compatible and invertible (`linalg.complex_rank` on its rows, skipped for
-a monomial map, one nonzero entry in each row and each column, which is
-invertible as it stands).  Elements are not multiplied; every further
+pairs; no dense matrix is formed.  It is checked once: monomial and
+conjugation compatible (`poly.check_conjugation_compatible`), and
+invertible, which for a monomial map means that every row has its entry
+in a column of its own.  Elements are not multiplied; every further
 fact about one is read off the rows of its `LinearAction` and of their
 products: `is_involution` and `anticommute_check` are the pieces from
 which `continuous.check_involution_pair` decides the reversing tower; no
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
 from .errors import DimensionError, SignInconsistency
-from .linalg import complex_rank
 from .poly import ONE, LinearAction, PolyMap, Polynomial
 
 if TYPE_CHECKING:
@@ -46,8 +45,9 @@ class SignedElement:
     `rows` lists each row's (column, entry) pairs; `action` is the checked
     LinearAction built from them, the form the substitution methods take,
     and construction replaces `rows` with its canonical rows.  Every
-    element is checked (conjugation compatible, invertible); products are
-    formed on actions only (`LinearAction.__mul__`), never as elements.
+    element is checked (monomial, conjugation compatible, invertible);
+    products are formed on actions only (`LinearAction.__mul__`), never as
+    elements.
     """
 
     rows: tuple
@@ -62,9 +62,8 @@ class SignedElement:
         action = LinearAction(self.rows, size)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "rows", action.rows)
-        # one nonzero entry in each row, in distinct columns: invertible as it is
-        columns = {row[0][0] for row in action.rows if row}
-        if not (action.monomial and len(columns) == size) and complex_rank(action.rows) != size:
+        # a monomial map is invertible when its rows hit distinct columns
+        if len({j for row in action.rows for j, _ in row}) != size:
             raise DimensionError("group element matrix must be invertible")
 
     @property

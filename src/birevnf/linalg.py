@@ -1,17 +1,16 @@
 """Exact linear algebra: one sparse elimination kernel.
 
-Linear maps are never dense matrices here: group elements and
-infinitesimal generators are sparse rows of (column, entry) pairs
-(`poly.LinearAction.rows`), and nothing here multiplies or inverts them.
-Every elimination goes through one sparse kernel, `Echelon`: rows are
-dicts keyed by arbitrary sortable column keys over Q, eliminated
-fraction-free (integer rows, gcd-reduced).  It answers rank and
-membership, returns the span's reduced row-echelon basis, and reads
+Linear maps never come here: group elements and infinitesimal generators
+are monomial sparse rows (`poly.LinearAction.rows`), and nothing here
+eliminates, multiplies or inverts them; an element is invertible when its
+rows hit distinct columns.  Every elimination is of polynomial and map
+spaces and goes through one sparse kernel, `Echelon`: rows are dicts
+keyed by arbitrary sortable column keys over Q, eliminated fraction-free
+(integer rows, gcd-reduced).  It answers membership, keeps one row per
+pivot column, returns the span's reduced row-echelon basis, and reads
 nullspaces straight off that basis: one vector per free column, with
 entry 1 there and minus the column's entry of each reduced row at that
-row's pivot.  The rank of a Gaussian-rational matrix, given as sparse
-rows of (column, entry) pairs, is `Echelon`'s on its realified rows
-(`complex_rank`).  Determinism: pivot columns are the unique rank-increase
+row's pivot.  Determinism: pivot columns are the unique rank-increase
 columns of the system, independent of row order, and both returned bases
 are unique for their space.  Polynomials, maps and exponent-tuple terms
 become rows through one emitter of column keys, `vectorize_terms`.
@@ -20,8 +19,7 @@ Entries are exact and never floats.  Rational entries follow the
 GaussianRational convention: an int when integral, a Fraction only when
 the denominator is above 1.  `Echelon` takes an all-int row as it is,
 keeps every stored and reduced row in integers, and builds a Fraction only
-where the final division by a pivot entry leaves one.  The entries of a
-linear map are GaussianRationals, whose parts are int-backed the same way.
+where the final division by a pivot entry leaves one.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .poly import (
-    GaussianRational,
     PolyMap,
     Polynomial,
     grlex_key,
@@ -91,10 +88,6 @@ class Echelon:
         self.pivots: dict = {}
         for row in rows:
             self.insert(row)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
     def residual(self, row: SparseRow) -> dict:
         r = _to_integer_row(row)
@@ -162,26 +155,6 @@ class Echelon:
                 if col != pc:
                     basis[col][pc] = -value
         return list(basis.values())
-
-
-def complex_rank(rows: Iterable[Iterable[tuple[int, GaussianRational]]]) -> int:
-    """Rank over the Gaussian rationals, taken by `Echelon` on realified rows.
-
-    Each row lists its (column, entry) pairs, the `LinearAction.rows` form;
-    a zero entry may be listed.  A row r becomes the rational rows of r and
-    i*r, an entry a+bi in column j giving keys (j, 0) and (j, 1); the
-    rational rank of those rows is twice the complex rank.
-    """
-    ech = Echelon()
-    for row in rows:
-        real, turned = {}, {}
-        for j, c in row:
-            if c:
-                real[(j, 0)], real[(j, 1)] = c.re, c.im
-                turned[(j, 0)], turned[(j, 1)] = -c.im, c.re
-        ech.insert(real)
-        ech.insert(turned)
-    return ech.rank // 2
 
 
 # -- vector encodings of polynomials and maps --------------------------------

@@ -11,8 +11,8 @@ and the resource bound counts those (component, monomial) pairs: the
 unknowns actually solved for.  Each parameter is one or two records
 (component, monomial, coefficient).  Its image under g.A - sigma A.g is
 expanded with the term kernel of `poly` (`Substitution` for g.A,
-`output_columns` for A.g; a single term per monomial for a signed
-permutation), and its shear image is an exponent shift.  Entries are ints,
+`output_columns` for A.g; a single term per monomial, as every action is
+monomial), and its shear image is an exponent shift.  Entries are ints,
 and Fractions only where an element has a denominator; no Polynomial or
 PolyMap is built until the nullspace basis vectors, read off
 `linalg.Echelon`, become the slice's elements.  Nothing outlives the call.

@@ -19,18 +19,21 @@ and keeps each part canonical, an int when it is integral and a Fraction
 only when its denominator is above 1, so the common small-integer
 coefficients are computed on ints.
 
-A linear map exists only as sparse rows: each row's (column, entry) pairs,
-its nonzero entries.  Linear changes of coordinates must respect the z/zb
-pairing.  That is checked once, in one pass over the nonzero entries, when
-a LinearAction is built from its rows (a SignedElement builds its own),
-and the substitution methods take only a LinearAction.  The product of two
-actions is computed on their rows, without a second check.
+A linear map exists only as sparse rows, each row's (column, entry) pairs
+for its nonzero entries, and it is monomial: every linear map of the
+problem (the reversing involutions, their products, the shear and torus
+generators) sends each variable to a multiple of one variable or to 0.
+That and the z/zb pairing are checked once, when a LinearAction is built
+from its rows (a SignedElement builds its own); the substitution methods
+take only a LinearAction, and the product of two actions is computed on
+their rows, without a second check.
 
 The span building of the pipeline and of the oracle uses one term kernel,
 kept here: exponent-tuple terms with (re, im) parts (`add_term`,
-`mul_terms`), the monomial images of a LinearAction (`Substitution`), its
-action on a map's output (`output_columns`, `add_output_image`), and the
-conversions between terms and Polynomial/PolyMap.  The Polynomial and
+`mul_terms`), the one-term images of monomials under a LinearAction
+(`Substitution`), its action on a map's output (`output_columns`,
+`add_output_image`), and the conversions between terms and
+Polynomial/PolyMap.  The Polynomial and
 PolyMap methods stay the independent reference that the tests compare the
 kernel against; the module product of a PolyMap by a Polynomial is kept
 with the tests, the only place it is used.
@@ -501,48 +504,36 @@ class Polynomial:
 
         The map acts on the coordinate column vector, (A v)_i = sum_j
         A[i][j] v_j; its LinearAction was checked for the conjugation
-        pairing when it was built, so the real locus maps to itself.
+        pairing when it was built, so the real locus maps to itself.  It is
+        monomial, so each variable maps to a scalar multiple of one
+        variable (or to zero) and each term to one term (or to nothing).
         """
         _require_coordinates(action, self.nvars)
         if self.is_zero():
             return self
         rows = action.rows
-        if action.monomial:
-            # Monomial matrix: variables map to scalar multiples of variables.
-            terms: dict[Monomial, GaussianRational] = {}
-            for mono, coeff in self._terms.items():
-                out = [0] * self.nvars
-                c = coeff
-                for i, e in enumerate(mono):
-                    if e == 0:
-                        continue
-                    if not rows[i]:
-                        c = ZERO
-                        break
-                    j, entry = rows[i][0]
-                    out[j] += e
-                    c = c * entry ** e if e > 1 else c * entry
-                if not c:
-                    continue
-                key = tuple(out)
-                acc = terms.get(key, ZERO) + c
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-            return Polynomial._trusted(self.nvars, terms)
-        forms = [
-            Polynomial(self.nvars, {_unit(self.nvars, j): entry for j, entry in entries})
-            for entries in rows
-        ]
-        result = Polynomial.zero(self.nvars)
+        terms: dict[Monomial, GaussianRational] = {}
         for mono, coeff in self._terms.items():
-            term = Polynomial.constant(self.nvars, coeff)
+            out = [0] * self.nvars
+            c = coeff
             for i, e in enumerate(mono):
-                if e:
-                    term = term * forms[i] ** e
-            result = result + term
-        return result
+                if e == 0:
+                    continue
+                if not rows[i]:
+                    c = ZERO
+                    break
+                j, entry = rows[i][0]
+                out[j] += e
+                c = c * entry ** e if e > 1 else c * entry
+            if not c:
+                continue
+            key = tuple(out)
+            acc = terms.get(key, ZERO) + c
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+        return Polynomial._trusted(self.nvars, terms)
 
     # ordering, equality, rendering
 
@@ -574,52 +565,55 @@ class Polynomial:
         return f"Polynomial({render_polynomial(self)!r})"
 
 
-def _unit(nvars: int, index: int) -> Monomial:
-    mono = [0] * nvars
-    mono[index] = 1
-    return tuple(mono)
-
-
 def check_conjugation_compatible(rows, nvars: int) -> tuple:
-    """Require A[conj i][conj j] == conj(A[i][j]); return the canonical rows.
+    """Require A monomial and conjugation compatible; return the canonical rows.
 
     rows[i] lists the (column, entry) pairs of row i of A, on nvars = 2n + 2
     coordinates (DimensionError otherwise); an entry is exact (TypeError for
-    a float, even 0.0) and may be zero.  One pass over the nonzero entries
-    looks up each one's partner, and the first nonzero entry of a broken
-    pair is named by IncompatibleMatrix.  The canonical rows hold each row's
-    nonzero entries as GaussianRationals, by column.
+    a float, even 0.0) and may be zero.  Row by row, the entries are
+    coerced and a row with more than one nonzero entry is named by
+    IncompatibleMatrix: every linear map of the problem sends each
+    coordinate to a multiple of at most one coordinate.  Then each nonzero
+    entry is compared with its partner, A[conj i][conj j] == conj(A[i][j]),
+    and the first nonzero entry of a broken pair is named by
+    IncompatibleMatrix.  The canonical rows hold each row's nonzero entry,
+    if any, as a GaussianRational.
     """
     nblocks_of(nvars)
     if len(rows) != nvars:
         raise DimensionError(f"expected {nvars} rows, got {len(rows)}")
-    entries = {}
+    canonical = []
     for i, row in enumerate(rows):
+        columns, kept = set(), []
         for j, x in row:
-            if not (isinstance(j, int) and 0 <= j < nvars) or (i, j) in entries:
+            if not (isinstance(j, int) and 0 <= j < nvars) or j in columns:
                 raise DimensionError(f"row {i}: column {j!r} repeated or out of range")
+            columns.add(j)
             if x := _coerce(x):
-                entries[i, j] = x
-    for (i, j), x in entries.items():
-        if entries.get((conj_index(i), conj_index(j)), ZERO) != x.conjugate():
-            raise IncompatibleMatrix(f"entry ({i},{j}) breaks the conjugation pairing")
-    canonical: list = [[] for _ in range(nvars)]
-    for (i, j), x in sorted(entries.items()):
-        canonical[i].append((j, x))
-    return tuple(map(tuple, canonical))
+                kept.append((j, x))
+        if len(kept) > 1:
+            raise IncompatibleMatrix(
+                f"row {i} has {len(kept)} nonzero entries; a linear map must be monomial"
+            )
+        canonical.append(tuple(kept))
+    for i, row in enumerate(canonical):
+        for j, x in row:
+            if canonical[conj_index(i)] != ((conj_index(j), x.conjugate()),):
+                raise IncompatibleMatrix(f"entry ({i},{j}) breaks the conjugation pairing")
+    return tuple(canonical)
 
 
 class LinearAction:
-    """A conjugation-compatible linear map on nvars coordinates, checked once.
+    """A monomial, conjugation-compatible linear map on nvars coordinates.
 
     Building one from rows of (column, entry) pairs runs
-    check_conjugation_compatible; the substitution methods then trust it.
-    rows[i] holds the nonzero entries (j, A[i][j]) of row i, by column, and
-    monomial says that no row has more than one, so every variable maps to
-    a scalar multiple of a single variable.
+    check_conjugation_compatible once; the substitution methods then trust
+    it.
+    rows[i] holds the nonzero entry (j, A[i][j]) of row i, or nothing, so
+    every variable maps to a scalar multiple of a single variable or to 0.
     """
 
-    __slots__ = ("nvars", "rows", "monomial")
+    __slots__ = ("nvars", "rows")
 
     def __init__(self, rows, nvars: int):
         self._set_rows(check_conjugation_compatible(rows, nvars), nvars)
@@ -627,25 +621,21 @@ class LinearAction:
     def _set_rows(self, rows: tuple, nvars: int):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "monomial", all(len(row) <= 1 for row in rows))
 
     def __mul__(self, other: "LinearAction") -> "LinearAction":
         """The action of the matrix product, from the nonzero entries alone.
 
-        Not checked again: compatibility says A commutes with the
-        conjugation-and-pairing map, and that property is closed under
-        products.  Rows come out as the constructor would give them for
-        the product.
+        Not checked again: monomial maps compatible with the
+        conjugation-and-pairing map are closed under products.  Row i of
+        the product is x * y at column j when row i of self has x at column
+        k and row k of other has y at column j, a nonzero product, so rows
+        come out as the constructor would give them.
         """
-        rows = []
-        for row in self.rows:
-            acc: dict = {}
-            for k, x in row:
-                for j, y in other.rows[k]:
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-            rows.append(tuple((j, c) for j, c in sorted(acc.items()) if c))
+        rows = tuple(
+            tuple((j, x * y) for k, x in row for j, y in other.rows[k]) for row in self.rows
+        )
         product = LinearAction.__new__(LinearAction)
-        product._set_rows(tuple(rows), other.nvars)
+        product._set_rows(rows, other.nvars)
         return product
 
     def __setattr__(self, name, value):
@@ -710,45 +700,29 @@ def polymap_from_terms(nvars: int, components: Sequence[Mapping]) -> "PolyMap":
 
 
 class Substitution:
-    """Monomial images m(Av) under one LinearAction, expanded on exponent tuples.
+    """Monomial images m(Av) under one LinearAction, on exponent tuples.
 
-    The image of a monomial is the product of the rows' linear forms, one
-    factor per exponent; for a signed permutation it is a single term.
-    Images and powers are kept for the life of the object, which callers
-    hold for one call.
+    The action is monomial, so the image of a monomial is one term, each
+    exponent moved to its row's column and the coefficient the product of
+    the rows' entries, or nothing when a variable of m maps to 0.
     """
 
     def __init__(self, action: LinearAction):
-        nvars = action.nvars
-        self.one = (0,) * nvars
-        self.forms = [
-            {_unit(nvars, j): (c.re, c.im) for j, c in row} for row in action.rows
-        ]
-        self.powers: dict = {}
-        self.images: dict = {}
-
-    def power(self, i: int, e: int) -> dict:
-        key = (i, e)
-        if key not in self.powers:
-            self.powers[key] = (
-                self.forms[i] if e == 1 else mul_terms(self.power(i, e - 1), self.forms[i])
-            )
-        return self.powers[key]
-
-    def __call__(self, mono: Monomial) -> dict:
-        image = self.images.get(mono)
-        if image is None:
-            image = {self.one: (1, 0)}
-            for i, e in enumerate(mono):
-                if e:
-                    image = mul_terms(image, self.power(i, e))
-            self.images[mono] = image
-        return image
+        self.rows = [tuple((j, (c.re, c.im)) for j, c in row) for row in action.rows]
 
     def add_image(self, acc: dict, mono: Monomial, re, im):
         """acc += (re + im*i) * mono(Av)."""
-        for m, (tr, ti) in self(mono).items():
-            add_term(acc, m, re * tr - im * ti, re * ti + im * tr)
+        out = [0] * len(mono)
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            if not self.rows[i]:
+                return
+            j, (cr, ci) = self.rows[i][0]
+            out[j] += e
+            for _ in range(e):
+                re, im = re * cr - im * ci, re * ci + im * cr
+        add_term(acc, tuple(out), re, im)
 
 
 def output_columns(action: LinearAction) -> list[list]:

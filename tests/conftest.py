@@ -7,7 +7,7 @@ from hypothesis import settings
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import SignInconsistency
 from birevnf.group import SignedElement
-from birevnf.poly import ONE, ZERO, GaussianRational, PolyMap, Polynomial
+from birevnf.poly import I, ONE, ZERO, GaussianRational, PolyMap, Polynomial
 from birevnf.symmetry_ops import pipeline
 
 settings.register_profile("exact", deadline=None, max_examples=25, derandomize=True)
@@ -151,26 +151,42 @@ def random_polymap(
     return PolyMap(xs, zs)
 
 
-# signed elements on one rotation block whose actions are not monomial
-MIXING_ELEMENTS = [
-    # a real mix of x1 and x2, z and zb swapped; reversing
+# signed elements on one rotation block whose monomial actions are neither
+# phi nor psi nor a signed permutation
+MONOMIAL_ELEMENTS = [
+    # x1 and x2 swapped, z -> i zb; a reversing involution
+    SignedElement(sparse([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, I], [0, 0, -I, 0]]), -1),
+    # x2 -> x2 / 2 and z -> (1 + 2i) z; a symmetry of infinite order
     SignedElement(
         sparse(
-            [[Fraction(1, 2), Fraction(3, 2), 0, 0], [Fraction(3, 2), Fraction(1, 2), 0, 0],
-             [0, 0, 0, 1], [0, 0, 1, 0]]
-        ),
-        -1,
-    ),
-    # x2 -> x2 + x1/2 and z -> z + (i/2) zb; a symmetry
-    SignedElement(
-        sparse(
-            [[1, 0, 0, 0], [Fraction(1, 2), 1, 0, 0],
-             [0, 0, 1, GaussianRational(0, Fraction(1, 2))],
-             [0, 0, GaussianRational(0, Fraction(-1, 2)), 1]]
+            [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, GaussianRational(1, 2), 0],
+             [0, 0, 0, GaussianRational(1, -2)]]
         ),
         1,
     ),
 ]
+
+
+def dense_rref(rows: list[list], ncols: int) -> int:
+    """Reference Gauss-Jordan over any field, in place; returns the rank.
+
+    Row r of the result has entry 1 at the r-th pivot column and 0 at every
+    other pivot column.
+    """
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 @pytest.fixture(scope="session")

@@ -351,13 +351,20 @@ def test_non_string_case_or_format_is_config_error(tmp_path, capsys, field):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe{}"], ids=["array", "not-utf-8"])
+@pytest.mark.parametrize(
+    "content",
+    [b"[1, 2]", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b"1" * 5000],
+    ids=["array", "not-utf-8", "nested-too-deep", "integer-too-long"],
+)
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, content):
     cfg = tmp_path / "job.json"
     cfg.write_bytes(content)
     code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == EXIT_CONFIG
     assert "config error" in err
+    if content != b"[1, 2]":
+        # the parser gave up: RecursionError or ValueError, no traceback
+        assert f"config error: cannot read config {cfg}" in err
 
 
 def test_monomial_limit_yields_resource_exit(capsys):
@@ -443,13 +450,14 @@ def test_unwritable_output_is_config_error(tmp_path):
     assert result.stdout == ""
 
 
-def test_classify_past_the_sign_class_bound_exits_at_once():
-    # 2^40 sign classes: refused before any involution is built, not
-    # enumerated until the process is killed
+@pytest.mark.parametrize("n", [40, 1000])
+def test_classify_past_the_sign_class_bound_exits_at_once(n):
+    # 2^n sign classes: refused before the linear part or any involution is
+    # built, not enumerated until the process is killed
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "birevnf", "classify", "--case", "non_resonant",
-         "--params", "40", "--signs=" + ",".join(["1"] * 41)],
+         "--params", str(n), "--signs=" + ",".join(["1"] * (n + 1))],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -457,7 +465,7 @@ def test_classify_past_the_sign_class_bound_exits_at_once():
     )
     elapsed = time.perf_counter() - start
     assert result.returncode == EXIT_RESOURCE
-    assert "resource limit: 40 rotation blocks give 2^40 sign classes" in result.stderr
+    assert f"resource limit: {n} rotation blocks give 2^{n} sign classes" in result.stderr
     assert "4096" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""

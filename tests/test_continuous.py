@@ -26,12 +26,12 @@ from birevnf.continuous import (
 )
 from birevnf.errors import ConditionViolated, DimensionError, ResourceLimit, UnsupportedCase
 from birevnf.group import GroupContext, SignedElement, anticommute_check
-from birevnf.linalg import Echelon, complex_rank, vectorize
+from birevnf.linalg import Echelon, vectorize
 from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, module_slice, slice_space
-from birevnf.poly import I, ONE, PolyMap, Polynomial, z_index, zbar_index
+from birevnf.poly import I, ONE, LinearAction, PolyMap, Polynomial, z_index, zbar_index
 from birevnf.symmetry_ops import pipeline, ring_products
 
-from conftest import MIXING_ELEMENTS, dense, identity_matrix, mat_mul, sparse
+from conftest import dense, dense_rref, identity_matrix, mat_mul, sparse
 from reference_oracle import mul_invariant
 from references import sigma_tilde_psi_context
 from test_golden_gensets import CATALOG_SETS, REGIMES
@@ -343,6 +343,36 @@ def test_enumeration_checks_each_involution_once(n, monkeypatch):
         check_involution_pair(linear, pair.phi, pair.psi)
 
 
+@pytest.mark.parametrize(
+    "case,params", [(case, params) for case, params, _ in REGIMES],
+    ids=[f"{case} {','.join(map(str, params))}" for case, params, _ in REGIMES],
+)
+def test_every_action_the_engine_builds_is_monomial(case, params, monkeypatch):
+    # the shear and torus generators, phi and psi of every sign class, and
+    # every product the pair check forms (unchecked, so compared with the
+    # dense product): at most one nonzero entry in each row
+    products = []
+    multiply = LinearAction.__mul__
+
+    def recording(a, b):
+        products.append((a, b, multiply(a, b)))
+        return products[-1][2]
+
+    monkeypatch.setattr(LinearAction, "__mul__", recording)
+    linear = linear_part_for_case(case, params)
+    actions = list(linear.infinitesimal_generators())
+    for ctx in enumerate_involution_pairs(linear):
+        check_involution_pair(linear, ctx.phi, ctx.psi)
+        actions += [ctx.phi.action, ctx.psi.action]
+    monkeypatch.undo()
+    assert products
+    for a, b, product in products:
+        assert dense(product) == mat_mul(dense(a), dense(b))
+        actions.append(product)
+    for action in actions:
+        assert all(len(row) <= 1 and all(c for _, c in row) for row in action.rows)
+
+
 # -- the derived catalog against the oracle ----------------------------------
 
 # (linear part, top degree): every shipped regime through degree 5, and two
@@ -375,8 +405,8 @@ def test_derived_catalog_spans_the_oracle_slices(linear, top):
             for g in data.equivariant_generators
             for p in products.get(d - g.degree(), ())
         )
-        assert ring.rank == slice_space(continuous_only, d, "invariant").dimension
-        assert module.rank == slice_space(continuous_only, d, "equivariant").dimension
+        assert len(ring.pivots) == slice_space(continuous_only, d, "invariant").dimension
+        assert len(module.pivots) == slice_space(continuous_only, d, "equivariant").dimension
 
 
 def test_chained_relations_have_five_cross_invariants():
@@ -432,10 +462,10 @@ def test_enumeration_past_the_bound_builds_no_element(monkeypatch):
 def _nullity_of_shift(element) -> int:
     """dim ker(A - I) over the Gaussian rationals, from the dense matrix."""
     shifted = [
-        [(j, x - ONE if i == j else x) for j, x in enumerate(row)]
+        [x - ONE if i == j else x for j, x in enumerate(row)]
         for i, row in enumerate(dense(element))
     ]
-    return element.size - complex_rank(shifted)
+    return element.size - dense_rref(shifted, element.size)
 
 
 def test_fix_dimension_is_the_nullity_of_a_minus_the_identity():
@@ -450,12 +480,14 @@ def test_fix_dimension_is_the_nullity_of_a_minus_the_identity():
         assert gamma.is_involution()
         assert fix_dimension(gamma) == _nullity_of_shift(gamma)
     assert fix_dimension(identity) == 6
-    # the order-4 rotation of z1, and a real mix of x1 and x2 that squares
-    # to no involution
+    # the order-4 rotation of z1, and a swap of x1 and x2 that stretches
+    # one of them, which squares to no involution
     rotation = SignedElement(
         sparse([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, I, 0], [0, 0, 0, -I]]), 1, "rotation"
     )
     with pytest.raises(ConditionViolated, match="rotation must be an involution"):
         fix_dimension(rotation)
     with pytest.raises(ConditionViolated, match="must be an involution"):
-        fix_dimension(MIXING_ELEMENTS[0])
+        fix_dimension(
+            SignedElement(sparse([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), -1)
+        )

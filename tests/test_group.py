@@ -24,6 +24,7 @@ from birevnf.errors import (
     ConditionViolated,
     DimensionError,
     EngineError,
+    IncompatibleMatrix,
     SignInconsistency,
 )
 from birevnf.group import (
@@ -271,7 +272,10 @@ def test_pair_check_agrees_with_the_reference_closure(pair):
 
 
 def x_z_swap(n=1):
-    """Conjugation-compatible map exchanging the x-plane with the z1-plane."""
+    """Conjugation-compatible map exchanging the x-plane with the z1-plane.
+
+    Its rows x1, x2, z1 and zb1 have two nonzero entries each: it is not monomial.
+    """
     from fractions import Fraction
 
     nvars = 2 * n + 2
@@ -293,7 +297,9 @@ def x_z_swap(n=1):
 
 
 def test_semidirect_condition_violated_by_x_z_swap():
-    rejected_in_either_slot(LinearPart(1), SignedElement(sparse(x_z_swap(1)), -1))
+    # x1 -> (z1 + conj z1)/2 is no monomial map: refused before any pair check
+    with pytest.raises(IncompatibleMatrix, match="row 0 has 2 nonzero entries"):
+        SignedElement(sparse(x_z_swap(1)), -1)
 
 
 def test_semidirect_condition_violated_by_resonant_block_swap():
@@ -381,56 +387,39 @@ def test_anticommute_examples():
         anticommute_check(phi_element(3), linear)
 
 
-def test_monomial_elements_skip_the_rank_but_singular_ones_still_fail(monkeypatch):
-    import birevnf.group as group_module
-
-    ranks = []
-    real = group_module.complex_rank
-    monkeypatch.setattr(group_module, "complex_rank", lambda m: ranks.append(1) or real(m))
-    # one nonzero entry in each row and each column: invertible as it stands
+def test_monomial_elements_skip_the_rank_but_singular_ones_still_fail():
+    # invertibility is read off the rows, with no elimination: one nonzero
+    # entry in each row and each column
     phi_element(2)
     psi_element((-1, 1, -1))
     SignedElement(sparse(scaling_on_block(2, 1, I)), 1)
-    assert ranks == []
     repeated_column = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     empty_row = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     for rows in (repeated_column, empty_row):
         with pytest.raises(DimensionError, match="invertible"):
             SignedElement(sparse(rows), 1)
-    assert len(ranks) == 2
 
 
 def test_products_of_checked_elements_skip_the_checks(monkeypatch):
-    import birevnf.group as group_module
     import birevnf.poly as poly_module
 
     linear = LinearPart(2)
     phi, psi = phi_element(2), psi_element((1, -1, 1))
-    shear = SignedElement(
-        sparse(
-            [[1 if i == j or (i, j) == (1, 0) else 0 for j in range(6)] for i in range(6)]
-        ),
-        1,
-        "shear",
-    )
+    rotation = SignedElement(sparse(scaling_on_block(2, 1, I)), 1, "rotation")
     checked = []
-
-    def counting(name, module):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a: checked.append(name) or real(*a))
-
-    counting("check_conjugation_compatible", poly_module)
-    counting("complex_rank", group_module)
-    derived = [(phi, psi), (psi, shear), (shear, shear), (phi, shear, psi)]
+    real = poly_module.check_conjugation_compatible
+    monkeypatch.setattr(
+        poly_module, "check_conjugation_compatible",
+        lambda *a: checked.append(1) or real(*a),
+    )
+    derived = [(phi, psi), (psi, rotation), (rotation, rotation), (phi, rotation, psi)]
     products = [reduce(mul, (f.action for f in factors)) for factors in derived]
-    # the pair check builds its product and identity rows without the checks too
+    # the pair check builds its product and identity rows without the check too
     check_involution_pair(linear, phi, psi)
     assert checked == []
-    SignedElement(shear.rows, 1)
-    assert sorted(checked) == ["check_conjugation_compatible", "complex_rank"]
+    SignedElement(rotation.rows, 1)
+    assert checked == [1]
     monkeypatch.undo()
     for factors, action in zip(derived, products):
-        fresh = element_product(*factors).action
-        assert action.rows == fresh.rows
-        assert action.monomial == fresh.monomial
+        assert action.rows == element_product(*factors).action.rows
 

@@ -1,4 +1,4 @@
-"""Exact elimination: nullspaces, span bases, and ranks of dense matrices."""
+"""Exact elimination: nullspaces, span bases and ranks, against dense references."""
 
 from fractions import Fraction
 from random import Random
@@ -7,28 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from birevnf.errors import DimensionError
+from birevnf.errors import DimensionError, IncompatibleMatrix
 from birevnf.group import SignedElement
 from birevnf.linalg import (
     Echelon,
-    complex_rank,
     polymap_from_vector,
     vectorize_polymap,
     vectorize_polynomial,
     vectorize_terms,
 )
-from birevnf.poly import (
-    ONE,
-    GaussianRational,
-    I,
-    LinearAction,
-    PolyMap,
-    Polynomial,
-    parse_polymap,
-    parse_polynomial,
-)
+from birevnf.poly import PolyMap, Polynomial, parse_polymap, parse_polynomial
 
-from conftest import dense, make_rng, random_polymap, random_polynomial, sparse
+from conftest import dense, dense_rref, make_rng, random_polymap, random_polynomial, sparse
 
 
 def test_nullspace_of_simple_relation():
@@ -71,7 +61,7 @@ def test_fraction_free_matches_plain_on_random_systems():
 
 def test_span_basis_membership_and_dimension():
     span = Echelon([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(2)}])
-    assert span.rank == 2
+    assert len(span.pivots) == 2
     assert span.contains({0: Fraction(3)})
     assert not span.contains({2: Fraction(1)})
     assert not span.insert({0: Fraction(1), 1: Fraction(-7)})
@@ -79,14 +69,17 @@ def test_span_basis_membership_and_dimension():
 
 
 def test_matrix_inverse_and_rank():
-    # an element is invertible exactly when its matrix has full rank
-    m = ((1, 1), (0, 2))
-    assert complex_rank(LinearAction(sparse(m), 2).rows) == 2
+    # a monomial element has full rank exactly when its rows hit distinct
+    # columns; a map with a full row is no element at all
+    m = ((0, 2), (-1, 0))
     assert dense(SignedElement(sparse(m), 1)) == m
-    singular = ((1, 2), (2, 4))
-    assert complex_rank(LinearAction(sparse(singular), 2).rows) == 1
-    with pytest.raises(DimensionError):
+    assert dense_rref([list(row) for row in m], 2) == 2
+    singular = ((0, 2), (0, 4))
+    assert dense_rref([list(row) for row in singular], 2) == 1
+    with pytest.raises(DimensionError, match="invertible"):
         SignedElement(sparse(singular), 1)
+    with pytest.raises(IncompatibleMatrix, match="row 0"):
+        SignedElement(sparse(((1, 1), (0, 2))), 1)
 
 
 def test_vectorize_round_trip_polynomial():
@@ -134,30 +127,8 @@ def test_echelon_rank_is_row_order_independent():
         e1.insert(dict(r))
     for r in reversed(rows):
         e2.insert(dict(r))
-    assert e1.rank == e2.rank == 2
+    assert len(e1.pivots) == len(e2.pivots) == 2
     assert sorted(e1.pivots) == sorted(e2.pivots)
-
-
-def _dense_rref(rows: list[list], ncols: int) -> int:
-    """Reference Gauss-Jordan over any field, in place; returns the rank.
-
-    Row r of the result has entry 1 at the r-th pivot column and 0 at every
-    other pivot column.
-    """
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 _entries = st.one_of(
@@ -181,36 +152,10 @@ def test_reduced_rows_are_the_dense_rref_in_any_order(system, rnd):
     shuffled = list(sparse)
     rnd.shuffle(shuffled)
     rref = [list(row) for row in dense]
-    rank = _dense_rref(rref, ncols)
+    rank = dense_rref(rref, ncols)
     expected = [{c: x for c, x in enumerate(row) if x} for row in rref[:rank]]
     assert Echelon(sparse).reduced_rows() == expected
     assert Echelon(shuffled).reduced_rows() == expected
-
-
-_gaussian = st.builds(GaussianRational, _entries, _entries)
-
-
-@st.composite
-def gaussian_matrices(draw):
-    ncols = draw(st.integers(1, 5))
-    row = st.lists(_gaussian, min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, max_size=5))
-    if len(rows) >= 2 and draw(st.booleans()):
-        # a combination of two drawn rows, so that singular matrices are common
-        c = draw(_gaussian)
-        rows.append([c * x + y for x, y in zip(rows[0], rows[1])])
-    return ncols, rows
-
-
-@given(gaussian_matrices())
-# rank 1 over the Gaussian rationals, though the rows are independent over Q
-@example((2, [[ONE, I], [I, -ONE]]))
-def test_complex_rank_is_the_dense_gaussian_rank(system):
-    ncols, rows = system
-    # (column, entry) pairs, zero entries listed too
-    assert complex_rank([list(enumerate(row)) for row in rows]) == _dense_rref(
-        [list(row) for row in rows], ncols
-    )
 
 
 @given(rational_systems(), st.booleans())

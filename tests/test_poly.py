@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from birevnf.continuous import phi_element, phi_rows, psi_element, psi_rows
+from birevnf.continuous import LinearPart, phi_element, phi_rows, psi_element, psi_rows
 from birevnf.errors import DimensionError, IncompatibleMatrix
 from birevnf.group import SignedElement
 from birevnf.poly import (
@@ -143,21 +143,6 @@ def test_substitution_composes(seed):
     assert p.substitute_linear(a).substitute_linear(b) == p.substitute_linear(ab)
 
 
-def test_substitution_general_matrix_matches_monomial_fast_path():
-    # a non-monomial conjugation-compatible matrix: x1 -> x1 + x2 shear
-    nvars = 4
-    rows = [[0] * nvars for _ in range(nvars)]
-    rows[0][0] = 1
-    rows[1][0] = 1
-    rows[1][1] = 1
-    rows[2][2] = 1
-    rows[3][3] = 1
-    shear = sparse(rows)
-    p = var(nvars, 1) ** 2  # x2^2 -> (x1 + x2)^2
-    x1, x2 = var(nvars, 0), var(nvars, 1)
-    assert p.substitute_linear(LinearAction(shear, nvars)) == (x1 + x2) * (x1 + x2)
-
-
 def test_incompatible_matrix_rejected():
     # swapping x1 with z1 breaks the conjugation pairing
     nvars = 4
@@ -286,7 +271,11 @@ def test_gaussian_rational_rejects_floats(parts):
 
 
 def shear_matrix(nvars):
-    """x2 -> x1 + x2, the identity elsewhere: conjugation-compatible, not monomial."""
+    """x2 -> x1 + x2, the identity elsewhere: conjugation-compatible, not monomial.
+
+    A group element of the shear, which no map of the engine is: row 1 has
+    two nonzero entries.
+    """
     rows = [[int(i == j) for j in range(nvars)] for i in range(nvars)]
     rows[1][0] = 1
     return sparse(rows)
@@ -303,11 +292,12 @@ def x_z_swap_matrix():
     return sparse(rows)
 
 
-ACTION_ELEMENTS = {
-    "phi": phi_element(2),
-    "psi": psi_element((-1, 1, -1)),
-    "phi*psi": element_product(phi_element(2), psi_element((-1, 1, -1))),
-    "shear": SignedElement(shear_matrix(6), 1, "shear"),
+ACTIONS = {
+    "phi": phi_element(2).action,
+    "psi": psi_element((-1, 1, -1)).action,
+    "phi*psi": element_product(phi_element(2), psi_element((-1, 1, -1))).action,
+    # x1 d/dx2, the nilpotent infinitesimal shear: x2 -> x1, an empty x1 row
+    "shear": LinearPart(2).infinitesimal_generators()[0],
 }
 
 
@@ -338,25 +328,26 @@ def naive_apply(g, matrix):
     return PolyMap(rows[:2], [rows[z_index(j)] for j in range(1, g.nblocks + 1)])
 
 
-@pytest.mark.parametrize("name", sorted(ACTION_ELEMENTS))
+@pytest.mark.parametrize("name", sorted(ACTIONS))
 @given(st.integers(0, 10_000))
 def test_action_and_raw_matrix_agree(name, seed):
-    el = ACTION_ELEMENTS[name]
+    action = ACTIONS[name]
+    matrix = dense(action)
     rng = make_rng(seed)
     p = random_polynomial(rng, 2, max_degree=4)
     g = random_polymap(rng, 2, max_degree=3)
-    expected_p = naive_substitute(p, dense(el))
-    assert p.substitute_linear(el.action) == expected_p
-    assert p.substitute_linear(LinearAction(sparse(dense(el)), 6)) == expected_p
+    expected_p = naive_substitute(p, matrix)
+    assert p.substitute_linear(action) == expected_p
+    assert p.substitute_linear(LinearAction(sparse(matrix), 6)) == expected_p
     expected_compose = PolyMap(
-        [naive_substitute(c, dense(el)) for c in g.x_components],
-        [naive_substitute(c, dense(el)) for c in g.z_components],
+        [naive_substitute(c, matrix) for c in g.x_components],
+        [naive_substitute(c, matrix) for c in g.z_components],
     )
-    assert g.compose_linear(el.action) == expected_compose
-    assert g.compose_linear(LinearAction(sparse(dense(el)), 6)) == expected_compose
-    expected_apply = naive_apply(g, dense(el))
-    assert g.apply_linear(el.action) == expected_apply
-    assert g.apply_linear(LinearAction(sparse(dense(el)), 6)) == expected_apply
+    assert g.compose_linear(action) == expected_compose
+    assert g.compose_linear(LinearAction(sparse(matrix), 6)) == expected_compose
+    expected_apply = naive_apply(g, matrix)
+    assert g.apply_linear(action) == expected_apply
+    assert g.apply_linear(LinearAction(sparse(matrix), 6)) == expected_apply
 
 
 def test_incompatible_matrix_rejected_by_every_entry_point():
@@ -370,6 +361,21 @@ def test_incompatible_matrix_rejected_by_every_entry_point():
         SignedElement(bad, 1)
     with pytest.raises(IncompatibleMatrix):
         LinearAction(bad, 4)
+
+
+def test_a_row_with_two_nonzero_entries_is_refused_by_every_entry_point():
+    # the shear x2 -> x1 + x2, and z1 -> z1 + i conj(z1) with its partner;
+    # the first such row is named, whatever its other rows
+    z_mix = sparse(_identity_with(4, (2, 3, I), (3, 2, -I)))
+    both = sparse(_identity_with(4, (1, 0, 1), (2, 3, I), (3, 2, -I)))
+    for rows, named in ((shear_matrix(6), 1), (z_mix, 2), (both, 1)):
+        message = rf"row {named} has 2 nonzero entries; a linear map must be monomial"
+        with pytest.raises(IncompatibleMatrix, match=message):
+            check_conjugation_compatible(rows, len(rows))
+        with pytest.raises(IncompatibleMatrix, match=message):
+            LinearAction(rows, len(rows))
+        with pytest.raises(IncompatibleMatrix, match=message):
+            SignedElement(rows, 1)
 
 
 def test_action_on_the_wrong_number_of_coordinates_rejected():
@@ -398,10 +404,15 @@ def test_rows_that_are_not_a_map_on_2n_plus_2_coordinates_rejected():
 
 
 def _dense_conjugation_check(matrix, nvars):
-    """Every entry coerced, then every entry compared with its partner."""
+    """Row by row, every entry coerced and at most one nonzero; then every
+    entry compared with its partner."""
     if len(matrix) != nvars or any(len(row) != nvars for row in matrix):
         raise DimensionError(f"matrix must be {nvars}x{nvars}")
-    coerced = [[_coerce(x) for x in row] for row in matrix]
+    coerced = []
+    for i, row in enumerate(matrix):
+        coerced.append([_coerce(x) for x in row])
+        if sum(1 for x in coerced[i] if x) > 1:
+            raise IncompatibleMatrix(f"row {i} has more than one nonzero entry")
     for i in range(nvars):
         for j in range(nvars):
             if coerced[conj_index(i)][conj_index(j)] != coerced[i][j].conjugate():
@@ -427,16 +438,23 @@ def _conjugate(x):
 
 @st.composite
 def _paired_matrices(draw):
-    """A matrix that respects the pairing, then up to three entries overwritten."""
+    """A matrix that respects the pairing, then up to three entries overwritten.
+
+    Dense, or monomial: each row one entry at a drawn column (an x row at an
+    x column) and zeros of every exact type elsewhere.
+    """
     nvars = draw(st.sampled_from((3, 4, 6)))
+    monomial = draw(st.booleans())
+    zeros = [x for x in _EXACT if not x]
     rows = [[0] * nvars for _ in range(nvars)]
     for i in range(nvars):
+        column = draw(st.integers(0, 1 if i < 2 else nvars - 1)) if monomial else None
         for j in range(nvars):
             ci, cj = conj_index(i), conj_index(j)
             if max(ci, cj) < nvars and (ci, cj) < (i, j):
                 rows[i][j] = _conjugate(rows[ci][cj])
                 continue
-            value = draw(st.sampled_from(_EXACT))
+            value = draw(st.sampled_from(zeros if monomial and j != column else _EXACT))
             if (ci, cj) == (i, j) and isinstance(value, GaussianRational):
                 value = GaussianRational(value.re)
             rows[i][j] = value
@@ -458,7 +476,8 @@ def _identity_with(nvars, *entries):
 @example(_identity_with(4))
 @example(_identity_with(4, (2, 3, 1)))  # the zero (3,2) pairs with a nonzero entry
 @example(_identity_with(4, (3, 2, 1)))  # the same break, named at its nonzero (3,2)
-@example(_identity_with(4, (0, 2, I)))  # a zero entry in a z column of row x1
+@example(_identity_with(4, (0, 2, I)))  # row x1 has a z entry too: not monomial
+@example(_identity_with(4, (1, 0, 1), (2, 2, 1.0)))  # a wide row before a float
 @example(_identity_with(4, (3, 2, 0.0)))  # a float zero whose partner is an exact zero
 @example(_identity_with(4, (1, 1, 1.0)))
 @example(_identity_with(3))  # odd: not 2n + 2 coordinates
@@ -474,8 +493,13 @@ def test_conjugation_check_matches_the_walk_over_every_entry(matrix):
     if outcome is None:
         exact = tuple(tuple(_coerce(x) for x in row) for row in matrix)
         assert dense(LinearAction(sparse(matrix), nvars)) == exact
+    elif outcome[0] is IncompatibleMatrix and outcome[1].startswith("row"):
+        # both name the first row with two nonzero entries
+        assert outcome[1].split()[1] == expected[1].split()[1]
     elif outcome[0] is IncompatibleMatrix:
-        # the named entry is nonzero and differs from its partner's conjugate
+        # every row is monomial, and the named entry is nonzero and differs
+        # from its partner's conjugate
+        assert all(sum(1 for x in row if _coerce(x)) <= 1 for row in matrix)
         i, j = map(int, outcome[1].split("(")[1].split(")")[0].split(","))
         x = _coerce(matrix[i][j])
         assert x and matrix[conj_index(i)][conj_index(j)] != x.conjugate()

@@ -58,7 +58,7 @@ from birevnf import symmetry_ops
 from birevnf.symmetry_ops import _transport, project_generators
 
 from conftest import (
-    MIXING_ELEMENTS,
+    MONOMIAL_ELEMENTS,
     make_rng,
     normalize_leading,
     random_polymap,
@@ -140,16 +140,8 @@ def _transfer_reference(g, action):
     return (g - g.compose_linear(action).apply_linear(action)).scale(HALF)
 
 
-# a reflection of (x1, x2) and z -> (3i/4) z + (5/4) zb: an involution whose
-# action is not monomial
-_MIXING_INVOLUTION = SignedElement(
-    sparse(
-        [[Fraction(3, 5), Fraction(4, 5), 0, 0], [Fraction(4, 5), Fraction(-3, 5), 0, 0],
-         [0, 0, GaussianRational(0, Fraction(3, 4)), Fraction(5, 4)],
-         [0, 0, Fraction(5, 4), GaussianRational(0, Fraction(-3, 4))]]
-    ),
-    -1,
-)
+# an involution that is neither phi nor psi: x1 and x2 swapped, z -> i zb
+_MIXING_INVOLUTION = MONOMIAL_ELEMENTS[0]
 
 
 def test_transfer_matches_the_polymap_path():
@@ -168,14 +160,14 @@ def test_transfer_matches_the_polymap_path():
         g = random_polymap(rng, 2, max_degree=4)
         for kappa in (ctx.phi, ctx.psi):
             assert transfer_T(g, kappa) == _transfer_reference(g, kappa.action)
-    # actions that are not monomial: the formula holds for any linear map
+    # monomial actions other than phi and psi: the formula holds for any map
     gens = catalog("non_resonant", (1,)).equivariant_generators
     samples = [*gens, *(random_polymap(rng, 1, max_degree=3) for _ in range(10))]
     assert _MIXING_INVOLUTION.is_involution()
     for g in samples:
         expected = _transfer_reference(g, _MIXING_INVOLUTION.action)
         assert transfer_T(g, _MIXING_INVOLUTION) == expected
-        for element in MIXING_ELEMENTS:
+        for element in MONOMIAL_ELEMENTS:
             assert _transfer(g, element.action) == _transfer_reference(g, element.action)
 
 
@@ -228,20 +220,15 @@ def test_decomposition_memberships():
 
 def test_operators_demand_involutions():
     nvars = 4
-    rows = [[0] * nvars for _ in range(nvars)]
-    rows[0][0] = 1
-    rows[1][0] = 1
-    rows[1][1] = 1
-    rows[2][2] = 1
-    rows[3][3] = 1
-    shear = SignedElement(sparse(rows), -1)
+    # x2 -> 2 x2, which squares to x2 -> 4 x2
+    stretch = SignedElement(sparse([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), -1)
     f = Polynomial.variable(nvars, 0)
     g = PolyMap((f, Polynomial.zero(nvars)), (Polynomial.zero(nvars),))
     # the verdict is kept per element, so a second call must still refuse
     for _ in range(2):
         for operator, arg in ((reynolds_R, f), (reynolds_S, f), (transfer_T, g)):
             with pytest.raises(ConditionViolated):
-                operator(arg, shear)
+                operator(arg, stretch)
 
 
 def test_extend_basis_non_resonant_unchanged():
@@ -747,7 +734,7 @@ _GOLDEN_BLOCKS = {_regime_id(case, params): n for case, params, n in GOLDEN_REGI
 @given(data=st.data())
 def test_transfer_of_an_odd_multiple_is_the_multiple_of_the_even_part(regime, data):
     # T(s g) = s (g - T(g)) for every kappa-odd s, kappa phi or psi of any
-    # sign class of the regime, or the non-monomial mixing involution
+    # sign class of the regime, or the mixing involution, which swaps x1, x2
     if regime == "mixing":
         n, kappa = 1, _MIXING_INVOLUTION
     else:
