@@ -450,8 +450,7 @@ def test_unwritable_output_is_config_error(tmp_path):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("n", [40, 1000])
-def test_classify_past_the_sign_class_bound_exits_at_once(n):
+def assert_classify_refused_at_once(n):
     # 2^n sign classes: refused before the linear part or any involution is
     # built, not enumerated until the process is killed
     start = time.perf_counter()
@@ -470,6 +469,14 @@ def test_classify_past_the_sign_class_bound_exits_at_once(n):
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
     assert elapsed < 1
+
+
+def test_classify_past_the_sign_class_bound_exits_at_once():
+    assert_classify_refused_at_once(40)
+
+
+def test_classify_with_a_thousand_blocks_exits_before_the_linear_part():
+    assert_classify_refused_at_once(1000)
 
 
 @pytest.mark.parametrize("degree", ["1000", "1000000000000"])
