@@ -34,6 +34,7 @@ from .poly import (
     grlex_key,
     polymap_from_terms,
     polymap_terms,
+    polynomial_from_terms,
     terms_of,
 )
 
@@ -48,11 +49,11 @@ def _to_integer_row(row: SparseRow) -> dict:
     """Clear denominators and divide by the gcd; canonical sign on the lead.
 
     An all-int row is taken as it is; Fractions and lcm are only for rows
-    that carry a denominator.
+    that carry a denominator.  A row with one nonzero entry is a unit row.
     """
     row = {k: v for k, v in row.items() if v}
-    if not row:
-        return {}
+    if len(row) < 2:
+        return dict.fromkeys(row, 1)
     if any(type(v) is not int for v in row.values()):
         rationals = [Fraction(v) for v in row.values()]
         denom = lcm(*(q.denominator for q in rationals))
@@ -195,11 +196,21 @@ def vectorize(obj) -> dict:
     raise TypeError(f"cannot vectorize {type(obj).__name__}")
 
 
-def polymap_from_vector(vec: SparseRow, nblocks: int) -> PolyMap:
-    comps: list[dict] = [dict() for _ in range(nblocks + 2)]
+def _terms_from_vector(vec: SparseRow, components: range) -> list[dict]:
+    """The terms of each component of a vector; the inverse of `vectorize_terms`."""
+    comps: list[dict] = [dict() for _ in components]
     for (comp, (_deg, mono), part), value in vec.items():
-        if not 0 <= comp < nblocks + 2:
-            raise ValueError("vector does not encode a polynomial mapping")
-        re, im = comps[comp].get(mono, (0, 0))
-        comps[comp][mono] = (value, im) if part == 0 else (re, value)
-    return polymap_from_terms(2 * nblocks + 2, comps)
+        if comp not in components:
+            raise ValueError(f"vector has a component {comp} outside {components}")
+        terms = comps[comp - components.start]
+        re, im = terms.get(mono, (0, 0))
+        terms[mono] = (value, im) if part == 0 else (re, value)
+    return comps
+
+
+def polynomial_from_vector(vec: SparseRow, nvars: int) -> Polynomial:
+    return polynomial_from_terms(nvars, _terms_from_vector(vec, range(-1, 0))[0])
+
+
+def polymap_from_vector(vec: SparseRow, nblocks: int) -> PolyMap:
+    return polymap_from_terms(2 * nblocks + 2, _terms_from_vector(vec, range(nblocks + 2)))

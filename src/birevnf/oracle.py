@@ -4,20 +4,30 @@ Independent certification path: instead of transporting generators, each
 degree slice is computed from scratch as the exact rational nullspace of
 the defining linear identities.
 
+A slice is kept as rows: `DegreeSlice.rows` holds independent vectors in
+the column keys of `linalg.vectorize`, and its dimension is their count.
+The sorted Polynomial/PolyMap `basis` is derived from the rows only when
+something reads it (the golden artifacts, the tests, or a witness), so a
+`verify` run that certifies builds no Polynomial or PolyMap here.
+
 `slice_space` compiles its system once per call, on exponent tuples and
 exact integers.  A torus weight reads only the z/zb exponents, so a walk
 over the rotation blocks enumerates only the torus-admissible monomials,
 and the resource bound counts those (component, monomial) pairs: the
 unknowns actually solved for.  Each parameter is one or two records
-(component, monomial, coefficient).  Its image under g.A - sigma A.g is
-expanded with the term kernel of `poly` (`Substitution` for g.A,
-`output_columns` for A.g; a single term per monomial, as every action is
-monomial), and its shear image is an exponent shift.  Entries are ints,
-and Fractions only where an element has a denominator; no Polynomial or
-PolyMap is built until the nullspace basis vectors, read off
-`linalg.Echelon`, become the slice's elements.  Nothing outlives the call.
+(component, monomial, coefficient).  Every element of the group is a
+signed monomial map, so each record's image under g.A - sigma A.g (the
+one-term images of `poly.Substitution`, and `output_columns` for A.g) and
+under the shear (an exponent shift) is written straight into the rows of
+the system, `(tag, component, monomial, part) -> {parameter: value}`.
+Entries are ints, and Fractions only where an element has a denominator.
+The rows go to `linalg.Echelon` in the order they were made: its nullspace
+is the unique reduced-echelon basis whatever that order.  Each nullspace
+vector becomes a slice row through the fixed columns of the parameters.
 `module_slice` builds each row from a generator's terms times a ring
-product's terms, over one `symmetry_ops.ProductTable`.
+product's terms, over one `symmetry_ops.ProductTable`, and keeps the
+reduced rows of their span.  `spans_equal` decides on rows and builds the
+bases only to name a witness.
 
 The tests hold the independent reference, a naive oracle that shares
 neither this row assembly nor `linalg.Echelon`, and cross-check the two
@@ -28,6 +38,7 @@ membership predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, ResourceLimit
@@ -35,21 +46,17 @@ from .group import GroupContext
 from .linalg import (
     Echelon,
     polymap_from_vector,
+    polynomial_from_vector,
     vectorize,
-    vectorize_terms,
 )
 from .poly import (
     Monomial,
     Substitution,
-    add_output_image,
-    add_term,
     conj_monomial,
     grlex_key,
     nblocks_of,
     output_columns,
-    polymap_from_terms,
     polymap_terms,
-    polynomial_from_terms,
 )
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
@@ -60,15 +67,31 @@ MAP_KINDS = ("equivariant", "reversible_equivariant")
 
 @dataclass(frozen=True)
 class DegreeSlice:
-    """Exact basis of one homogeneous symmetry-constrained space."""
+    """One homogeneous symmetry-constrained space, kept as rows.
+
+    `rows` are `linalg.vectorize` vectors of elements on `nvars`
+    coordinates; the engine's slices hold independent rows, so the
+    dimension is their count.  `basis` is the elements of the rows, sorted
+    by `sort_key`, built the first time it is read.
+    """
 
     degree: int
     kind: str
-    basis: tuple
+    rows: tuple
+    nvars: int
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple:
+        if self.kind in FUNCTION_KINDS:
+            elements = [polynomial_from_vector(row, self.nvars) for row in self.rows]
+        else:
+            nblocks = nblocks_of(self.nvars)
+            elements = [polymap_from_vector(row, nblocks) for row in self.rows]
+        return tuple(sorted(elements, key=lambda e: e.sort_key()))
 
 
 def _linear_part_of(context: GroupContext):
@@ -78,6 +101,13 @@ def _linear_part_of(context: GroupContext):
     return linear
 
 
+def _slice_limit(limit: int, degree: int) -> ResourceLimit:
+    return ResourceLimit(
+        f"more than {limit} admissible (component, monomial) pairs "
+        f"in the degree-{degree} oracle slice"
+    )
+
+
 def _torus_monomials(
     linear, degree: int, component: int | None, used: int, limit: int
 ) -> list:
@@ -85,15 +115,20 @@ def _torus_monomials(
 
     component None means weight zero (polynomial functions); otherwise the
     stored component index (0, 1 for x; 2+j for z_{j+1}).  A torus weight
-    reads only the z/zb exponents, so the walk picks the exponent pair of
-    z_j, zb_j block by block, drops a branch once the blocks left cannot
-    reach the target weight, and spreads the remaining degree over x1 and
-    x2 in every way.  Raises ResourceLimit once `used` plus the monomials
-    found would pass `limit`, checked before each leaf is stored.  At weight
-    zero it first counts the monomials x1^p x2^q |z1|^(2k), always
-    admissible: sum over k <= d/2 of (d - 2k + 1), which is
-    (m + 1)(d + 1 - m) for m = d // 2; if those alone pass the limit, the
-    walk would only reach the same verdict later, so it is not started.
+    reads only the z/zb exponents, so the walk picks the exponents a, b of
+    z_j, zb_j block by block and spreads the remaining degree over x1 and
+    x2 in every way.  Block j moves weight row t by w_t (a - b), so the walk
+    loops over the sum s = a + b and the difference c = a - b, and takes
+    only the c (of the parity of s) that leave a weight the later blocks can
+    still reach with the degree left; where they carry no weight of a row,
+    that fixes c.  So every branch it takes is reachable, and its work is
+    bounded by the monomials it stores.  Raises ResourceLimit once `used`
+    plus the monomials found would pass `limit`, checked before each leaf
+    is stored.  At weight zero it first counts the monomials
+    x1^p x2^q |z1|^(2k), always admissible: sum over k <= d/2 of
+    (d - 2k + 1), which is (m + 1)(d + 1 - m) for m = d // 2; if those
+    alone pass the limit, the walk would only reach the same verdict later,
+    so it is not started.
     """
     rows = linear.torus_weight_rows()
     nblocks = linear.nblocks
@@ -104,10 +139,7 @@ def _torus_monomials(
 
     def over_limit(count: int):
         if used + count > limit:
-            raise ResourceLimit(
-                f"more than {limit} admissible (component, monomial) pairs "
-                f"in the degree-{degree} oracle slice"
-            )
+            raise _slice_limit(limit, degree)
 
     if nblocks and not any(targets):
         half = degree // 2
@@ -117,23 +149,37 @@ def _torus_monomials(
         [max((abs(w) for w in weights[j:]), default=0) for weights in rows]
         for j in range(nblocks + 1)
     ]
+    if any(abs(n) > degree * r for n, r in zip(targets, reach[0])):
+        return []
     out: list = []
 
     def walk(j: int, left: int, zpart: tuple, need: tuple):
-        if any(abs(n) > left * r for n, r in zip(need, reach[j])):
-            return
         if j == nblocks:
             # reach is 0 past the last block, so need is 0 here
             over_limit(len(out) + left + 1)
             out.extend((a, left - a) + zpart for a in range(left, -1, -1))
             return
-        for a in range(left, -1, -1):
-            for b in range(left - a, -1, -1):
+        moves = [weights[j] for weights in rows]
+        for s in range(left, -1, -1):
+            rest = left - s
+            lo, hi = -s, s
+            # |n - w c| <= rest * r for each row, an interval of c
+            for n, w, r in zip(need, moves, reach[j + 1]):
+                slack = rest * r
+                if w < 0:
+                    n, w = -n, -w
+                if w:
+                    lo = max(lo, -((slack - n) // w))
+                    hi = min(hi, (n + slack) // w)
+                elif abs(n) > slack:
+                    hi = lo - 1
+            hi -= (hi - s) % 2
+            for c in range(hi, lo - 1, -2):
                 walk(
                     j + 1,
-                    left - a - b,
-                    zpart + (a, b),
-                    tuple(n - w[j] * (a - b) for n, w in zip(need, rows)),
+                    rest,
+                    zpart + ((s + c) // 2, (s - c) // 2),
+                    tuple(n - w * c for n, w in zip(need, moves)),
                 )
 
     walk(0, degree, (), targets)
@@ -145,9 +191,10 @@ def _torus_monomials(
 # A parameter is a tuple of records (component, monomial, (re, im)): the
 # component is the stored one (-1 for a bare polynomial; 0, 1 for x1, x2;
 # 1 + j for z_j) and the coefficient parts are the canonical GaussianRational
-# parts: ints, or Fractions where an entry of a group element has a
-# denominator.  A defect image holds the terms of each component, emitted
-# through `linalg.vectorize_terms`, the column keys of `vectorize`.
+# parts, 0 or +-1.  A row of the system is keyed (tag, component, monomial,
+# part): the tag names the defect operator, and the rest is a column key of
+# `vectorize` less the degree of its grlex key, which every monomial of a
+# slice system shares.
 
 
 def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
@@ -166,73 +213,105 @@ def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
 def _parameters(linear, degree: int, kind: str, limit: int) -> list[tuple]:
     """Parameter records of a slice: the torus-admissible naive parameters, in order.
 
-    The order fixes the columns, and with them the canonical nullspace.
+    The order fixes the columns, and with them the canonical nullspace.  x1
+    and x2 both have weight zero, so they share one walk, whose monomials
+    count once for each.
     """
+    weight_zero = _torus_monomials(linear, degree, None, 0, limit)
     if kind in FUNCTION_KINDS:
-        return _real_records(-1, _torus_monomials(linear, degree, None, 0, limit))
-    params: list[tuple] = []
-    used = 0
-    for comp in range(linear.nblocks + 2):
+        return _real_records(-1, weight_zero)
+    used = 2 * len(weight_zero)
+    if used > limit:
+        raise _slice_limit(limit, degree)
+    params = _real_records(0, weight_zero) + _real_records(1, weight_zero)
+    for comp in range(2, linear.nblocks + 2):
         monos = _torus_monomials(linear, degree, comp, used, limit)
         used += len(monos)
-        if comp < 2:
-            params += _real_records(comp, monos)
-            continue
         for mono in sorted(monos, key=grlex_key, reverse=True):
             params.append(((comp, mono, (1, 0)),))
             params.append(((comp, mono, (0, 1)),))
     return params
 
 
-def _defect_images(context: GroupContext, kind: str, params) -> list[list]:
-    """Per parameter, its (tag, vector) image under every defect operator.
+def _defect_rows(context: GroupContext, kind: str, params) -> dict:
+    """The slice system, (tag, component, monomial, part) -> {parameter: value}.
 
     Element idx gives tag f"el{idx}": p(Av) - s p on functions and
     g(Av) - s A g(v) on maps, s the element's sign for the anti-invariant
     and reversible kinds and 1 otherwise.  The shear gives tag "shear":
     x1 d/dx2 applied to every component, less g_x1 in the x2 component.
-    The vectors equal `vectorize` of the naive path's images.
+    Transposed, parameter k's entries are `vectorize` of the naive path's
+    images of that parameter.  An entry that cancels is dropped, and a row
+    can be left empty.
     """
-    linear = _linear_part_of(context)
     functions = kind in FUNCTION_KINDS
-    comps = (-1,) if functions else range(linear.nblocks + 2)
-    images: list[list] = [[] for _ in params]
+    rows: dict = {}
+
+    def emit(tag, comp, mono, k, re, im):
+        for part, value in ((0, re), (1, im)):
+            if not value:
+                continue
+            key = (tag, comp, mono, part)
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {k: value}
+            elif value := value + row.get(k, 0):
+                row[k] = value
+            else:
+                del row[k]
+
     for idx, el in enumerate(context.elements):
         tag = f"el{idx}"
         sign = el.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
         substitute = Substitution(el.action)
-        columns = None if functions else output_columns(el.action)
-        for records, out in zip(params, images):
-            acc = {comp: {} for comp in comps}
+        images: dict = {}  # monomial -> its one-term image, or no term
+        # stored component -> the (output component, entry) pairs of A's
+        # column at the full component, and at its conjugate for z
+        columns = output_columns(el.action)
+        ncomps = len(columns) // 2 + 1
+        direct = {c: columns[c if c < 2 else 2 * c - 2] for c in range(ncomps)}
+        conjugate = {c: columns[2 * c - 1] for c in range(2, ncomps)}
+        for k, records in enumerate(params):
             for comp, mono, (cr, ci) in records:
-                substitute.add_image(acc[comp], mono, cr, ci)
+                image = images.get(mono)
+                if image is None:
+                    image = images[mono] = {}
+                    substitute.add_image(image, mono, 1, 0)
+                for m, (ar, ai) in image.items():
+                    emit(tag, comp, m, k, cr * ar - ci * ai, cr * ai + ci * ar)
                 if functions:
-                    add_term(acc[comp], mono, -sign * cr, -sign * ci)
-                else:
-                    add_output_image(acc, columns, comp, {mono: (cr, ci)}, -sign)
-            out.append((tag, vectorize_terms(acc.items())))
-    for records, out in zip(params, images):
-        acc = {comp: {} for comp in comps}
+                    emit(tag, comp, mono, k, -sign * cr, -sign * ci)
+                    continue
+                for out, (ar, ai) in direct[comp]:
+                    emit(tag, out, mono, k, -sign * (ar * cr - ai * ci),
+                         -sign * (ar * ci + ai * cr))
+                if comp >= 2:
+                    conj = conj_monomial(mono)
+                    for out, (ar, ai) in conjugate[comp]:
+                        emit(tag, out, conj, k, -sign * (ar * cr + ai * ci),
+                             -sign * (ai * cr - ar * ci))
+    for k, records in enumerate(params):
         for comp, mono, (cr, ci) in records:
             e = mono[1]
             if e:
-                add_term(acc[comp], (mono[0] + 1, e - 1) + mono[2:], e * cr, e * ci)
+                emit("shear", comp, (mono[0] + 1, e - 1) + mono[2:], k, e * cr, e * ci)
             if comp == 0:
-                add_term(acc[1], mono, -cr, -ci)
-        out.append(("shear", vectorize_terms(acc.items())))
-    return images
+                emit("shear", 1, mono, k, -cr, -ci)
+    return rows
 
 
-def _from_records(params, sol: dict, nvars: int, functions: bool):
-    """The Polynomial or PolyMap sum of coeff * parameter over a solution."""
-    # a function's records carry component -1, the last (and only) entry
-    comps = [{} for _ in range(1 if functions else nblocks_of(nvars) + 2)]
-    for k, q in sol.items():
-        for comp, mono, (cr, ci) in params[k]:
-            add_term(comps[comp], mono, q * cr, q * ci)
-    if functions:
-        return polynomial_from_terms(nvars, comps[0])
-    return polymap_from_terms(nvars, comps)
+def _solution_row(params, degree: int, solution: dict) -> dict:
+    """The `vectorize` row of the sum of q times parameter k over {k: q}.
+
+    No two parameters share a column key, so each entry is one product.
+    """
+    return {
+        (comp, (degree, mono), part): q * value
+        for k, q in solution.items()
+        for comp, mono, parts in params[k]
+        for part, value in enumerate(parts)
+        if value
+    }
 
 
 def slice_space(
@@ -252,16 +331,10 @@ def slice_space(
         raise DimensionError(f"unknown membership kind {kind!r}")
     linear = _linear_part_of(context)
     params = _parameters(linear, degree, kind, limit)
-    rows: dict = {}
-    for k, images in enumerate(_defect_images(context, kind, params)):
-        for tag, vec in images:
-            for key, value in vec.items():
-                rows.setdefault((tag, key), {})[k] = value
-    solutions = Echelon(rows[key] for key in sorted(rows)).nullspace(range(len(params)))
-    functions = kind in FUNCTION_KINDS
-    basis = [_from_records(params, sol, linear.nvars, functions) for sol in solutions]
-    basis.sort(key=lambda b: b.sort_key())
-    return DegreeSlice(degree, kind, tuple(basis))
+    system = _defect_rows(context, kind, params)
+    solutions = Echelon(row for row in system.values() if row).nullspace(range(len(params)))
+    rows = tuple(_solution_row(params, degree, sol) for sol in solutions)
+    return DegreeSlice(degree, kind, rows, linear.nvars)
 
 
 # -- module slices and span comparison ----------------------------------------
@@ -294,9 +367,9 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
                     f"module slice at degree {degree} exceeded {limit} products"
                 )
             span.insert(module_row(gen_terms, coeff))
-    basis = [polymap_from_vector(row, nblocks) for row in span.reduced_rows()]
-    basis.sort(key=lambda b: b.sort_key())
-    return DegreeSlice(degree, "reversible_equivariant", tuple(basis))
+    return DegreeSlice(
+        degree, "reversible_equivariant", tuple(span.reduced_rows()), 2 * nblocks + 2
+    )
 
 
 @dataclass(frozen=True)
@@ -307,16 +380,23 @@ class SpanComparison:
 
 
 def spans_equal(a: DegreeSlice, b: DegreeSlice) -> SpanComparison:
-    """Exact equality of the two spans; a witness element on failure."""
+    """Exact equality of the two spans; a witness element on failure.
+
+    Decided on the rows, which may be dependent: b lies in span(a), and
+    both spans have the same rank.  Only a failure reads the sorted bases,
+    to name the first element of b outside span(a), else of a outside
+    span(b).
+    """
     if a.degree != b.degree or a.kind != b.kind:
         raise DimensionError("slices of different degree or kind are not comparable")
-    span_a = Echelon(vectorize(e) for e in a.basis)
-    for elem in b.basis:
-        if not span_a.contains(vectorize(elem)):
-            return SpanComparison(False, elem, "a")
-    span_b = Echelon(vectorize(e) for e in b.basis)
-    for elem in a.basis:
-        if not span_b.contains(vectorize(elem)):
-            return SpanComparison(False, elem, "b")
-    return SpanComparison(True)
-
+    span_a = Echelon(a.rows)
+    if not all(map(span_a.contains, b.rows)):
+        return next(
+            SpanComparison(False, e, "a") for e in b.basis if not span_a.contains(vectorize(e))
+        )
+    span_b = Echelon(b.rows)
+    if len(span_b.pivots) == len(span_a.pivots):
+        return SpanComparison(True)
+    return next(
+        SpanComparison(False, e, "b") for e in a.basis if not span_b.contains(vectorize(e))
+    )

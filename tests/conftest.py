@@ -7,6 +7,8 @@ from hypothesis import settings
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import SignInconsistency
 from birevnf.group import SignedElement
+from birevnf.linalg import vectorize
+from birevnf.oracle import DegreeSlice
 from birevnf.poly import I, ONE, ZERO, GaussianRational, PolyMap, Polynomial
 from birevnf.symmetry_ops import pipeline
 
@@ -165,6 +167,11 @@ MONOMIAL_ELEMENTS = [
         1,
     ),
 ]
+
+
+def slice_of(degree: int, kind: str, nvars: int, elements) -> DegreeSlice:
+    """The DegreeSlice whose rows are the given elements, dependent or not."""
+    return DegreeSlice(degree, kind, tuple(vectorize(e) for e in elements), nvars)
 
 
 def dense_rref(rows: list[list], ncols: int) -> int:

@@ -264,8 +264,8 @@ def slice_space_naive(
                 rows.setdefault((tag, colkey), {})[k] = value
     solutions = _plain_nullspace([rows[key] for key in sorted(rows)], range(len(params)))
     basis = [b for b in (combine(params, sol) for sol in solutions) if b]
-    basis.sort(key=lambda b: b.sort_key())
-    return DegreeSlice(degree, kind, tuple(basis))
+    vectorize = vectorize_polynomial if kind in FUNCTION_KINDS else vectorize_polymap
+    return DegreeSlice(degree, kind, tuple(map(vectorize, basis)), nvars)
 
 
 def _combine_polys(params: Sequence[Polynomial], sol: dict) -> Polynomial:

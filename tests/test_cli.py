@@ -21,7 +21,12 @@ from birevnf.cli import (
     load_config,
     main,
 )
+from birevnf.continuous import SymmetryContext
 from birevnf.errors import ConfigError, UnsupportedCase
+from birevnf.oracle import module_slice, slice_space
+from birevnf.symmetry_ops import pipeline
+
+from conftest import slice_of
 
 
 def run_cli(capsys, *argv):
@@ -102,28 +107,46 @@ def test_verify_certifies_type_a(capsys):
     assert "certified" in out
 
 
-def test_verify_mismatch_shows_witness(monkeypatch, capsys):
+def _verify_with_a_short_side(monkeypatch, capsys, shortened, missing_from):
+    # either side may lack an element, the last of its sorted basis; the
+    # report names the side lacking the witness
     import birevnf.cli
-    from birevnf.oracle import DegreeSlice, module_slice
 
-    def short_slice(genset, degree, limit):
-        full = module_slice(genset, degree, limit)
-        return DegreeSlice(degree, full.kind, full.basis[:-1])
+    make = getattr(birevnf.cli, shortened)
 
-    monkeypatch.setattr(birevnf.cli, "module_slice", short_slice)
+    def short_slice(*args):
+        full = make(*args)
+        return slice_of(full.degree, full.kind, full.nvars, full.basis[:-1])
+
+    monkeypatch.setattr(birevnf.cli, shortened, short_slice)
     args = ("verify", "--case", "non_resonant", "--params", "1", "--signs", "1,1",
             "--verify-degrees", "2")
     code, out, _ = run_cli(capsys, *args)
     assert code == EXIT_CERTIFICATION
     lines = out.splitlines()
     assert lines[1].endswith("-> MISMATCH")
-    assert lines[2].startswith("  witness missing from module: (")
+    assert lines[2].startswith(f"  witness missing from {missing_from}: (")
     assert lines[3] == "certification FAILED"
     code, out, _ = run_cli(capsys, *args, "--format", "json")
     assert code == EXIT_CERTIFICATION
     (row,) = json.loads(out)["slices"]
-    assert row["missing_from"] == "module"
-    assert "  witness missing from module: " + row["witness"] in lines
+    assert row["missing_from"] == missing_from
+    assert f"  witness missing from {missing_from}: " + row["witness"] in lines
+    # the witness is an element of the side that is not short
+    ctx = SymmetryContext.from_case("non_resonant", (1,), (1, 1))
+    if shortened == "module_slice":
+        holder = slice_space(ctx.full_context(), 2, "reversible_equivariant")
+    else:
+        holder = module_slice(pipeline(ctx), 2)
+    assert row["witness"] in {str(e) for e in holder.basis}
+
+
+def test_verify_mismatch_shows_witness(monkeypatch, capsys):
+    _verify_with_a_short_side(monkeypatch, capsys, "module_slice", "module")
+
+
+def test_verify_mismatch_shows_witness_missing_from_oracle(monkeypatch, capsys):
+    _verify_with_a_short_side(monkeypatch, capsys, "slice_space", "oracle")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -493,6 +516,37 @@ def test_huge_verify_degree_is_a_resource_limit(degree):
     assert result.returncode == EXIT_RESOURCE
     assert f"in the degree-{degree} oracle slice" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "case,params,signs,degree",
+    [
+        # its weight-zero monomials alone stay just under the bound, so the
+        # walk itself has to stop
+        ("res_n1n2_C3", "3,5", "1,1,-1,1", "880"),
+        ("res_double_C4", "1,2,1,3", "1,1,1,1,1", "600"),
+    ],
+)
+def test_torus_walk_stops_at_the_bound(case, params, signs, degree):
+    # the walk's work is bounded by the monomials it stores, so a slice past
+    # the bound is refused in about a second, not after minutes
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "birevnf", "verify", "--case", case, "--params", params,
+         f"--signs={signs}", "--verify-degrees", degree],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == EXIT_RESOURCE
+    assert (
+        "resource limit: more than 200000 admissible (component, monomial) pairs "
+        f"in the degree-{degree} oracle slice"
+    ) in result.stderr
+    assert "Traceback" not in result.stderr
+    assert elapsed < 5
 
 
 def test_closed_stdout_exits_without_traceback():

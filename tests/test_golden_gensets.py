@@ -7,7 +7,9 @@ generator set in its three formats (`genset_to_json`, `genset_to_text` and
 `emit(assemble(gs, ctx.linear_part, 4), fmt)` in its three formats and the
 stdout of `birevnf classify` in text and JSON, so any change to the
 pipeline, to the involution pairs or to a renderer that moves an artifact
-by one byte fails here.  The genset-v1 JSON keeps the bare regime name as
+by one byte fails here.  The stdout of `birevnf verify --verify-degrees
+0..4`, in text and JSON, is pinned on the first and last sign class of
+each regime.  The genset-v1 JSON keeps the bare regime name as
 its id.
 
 The oracle artifact pins the text of every basis element of
@@ -70,6 +72,11 @@ ARTIFACTS = {
 # case and the signs
 CLASSIFY = {"classify-text": "text", "classify-json": "json"}
 
+# artifact name -> format of the `verify` command, run on the first and
+# last sign class at degrees 0-4
+VERIFY = {"verify-text": "text", "verify-json": "json"}
+VERIFY_DEGREES = "0..4"
+
 ORACLE = "oracle-slices"
 SLICE_DEGREES = range(6)
 
@@ -91,6 +98,10 @@ CATALOG_SETS = (
     ("res_double_C4", (1, 2, 1, 2)),
     ("res_double_C4", (2, 3, 3, 5)),
 )
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _id(case, params, artifact) -> str:
@@ -116,7 +127,7 @@ def oracle_digests(case, params, n) -> dict:
             for d in SLICE_DEGREES:
                 text = "\n".join(str(b) for b in slice_space(full, d, kind).basis)
                 key = f"{','.join(map(str, signs))} {kind} {d}"
-                out[key] = hashlib.sha256(text.encode()).hexdigest()
+                out[key] = _sha(text)
     return out
 
 
@@ -128,14 +139,14 @@ def catalog_digests(case, params) -> dict:
         ("generator", data.equivariant_generators),
     ):
         for i, elem in enumerate(elems):
-            out[f"{what} {i}"] = hashlib.sha256(str(elem).encode()).hexdigest()
+            out[f"{what} {i}"] = _sha(str(elem))
     return out
 
 
-def classify_output(case, params, signs, fmt) -> str:
-    """The stdout of `birevnf classify` on one sign vector of a regime."""
-    argv = ["classify", "--case", case, "--params", ",".join(map(str, params)),
-            f"--signs={','.join(map(str, signs))}", "--format", fmt]
+def command_output(command, case, params, signs, fmt, *extra) -> str:
+    """The stdout of a `birevnf` command on one sign vector of a regime."""
+    argv = [command, "--case", case, "--params", ",".join(map(str, params)),
+            f"--signs={','.join(map(str, signs))}", "--format", fmt, *extra]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == cli.EXIT_OK
@@ -145,10 +156,18 @@ def classify_output(case, params, signs, fmt) -> str:
 def digests(case, params, n, artifact) -> dict:
     if artifact in CLASSIFY:
         return {
-            ",".join(map(str, signs)): hashlib.sha256(
-                classify_output(case, params, signs, CLASSIFY[artifact]).encode()
-            ).hexdigest()
+            ",".join(map(str, signs)): _sha(
+                command_output("classify", case, params, signs, CLASSIFY[artifact])
+            )
             for signs in itertools.product((1, -1), repeat=n + 1)
+        }
+    if artifact in VERIFY:
+        return {
+            ",".join(map(str, signs)): _sha(
+                command_output("verify", case, params, signs, VERIFY[artifact],
+                               "--verify-degrees", VERIFY_DEGREES)
+            )
+            for signs in ((1,) * (n + 1), (-1,) * (n + 1))
         }
     if artifact == CATALOG:
         return catalog_digests(case, params)
@@ -156,7 +175,7 @@ def digests(case, params, n, artifact) -> dict:
         return oracle_digests(case, params, n)
     render = ARTIFACTS[artifact]
     return {
-        ",".join(map(str, signs)): hashlib.sha256(render(ctx, gs).encode()).hexdigest()
+        ",".join(map(str, signs)): _sha(render(ctx, gs))
         for signs, ctx, gs in gensets(case, params, n)
     }
 
@@ -164,7 +183,7 @@ def digests(case, params, n, artifact) -> dict:
 CASES = [
     (*regime, artifact)
     for regime in REGIMES
-    for artifact in (*ARTIFACTS, *CLASSIFY, ORACLE)
+    for artifact in (*ARTIFACTS, *CLASSIFY, *VERIFY, ORACLE)
 ]
 CASES += [(case, params, None, CATALOG) for case, params in CATALOG_SETS]
 

@@ -12,6 +12,7 @@ from birevnf.group import SignedElement
 from birevnf.linalg import (
     Echelon,
     polymap_from_vector,
+    polynomial_from_vector,
     vectorize_polymap,
     vectorize_polynomial,
     vectorize_terms,
@@ -84,7 +85,7 @@ def test_matrix_inverse_and_rank():
 
 def test_vectorize_round_trip_polynomial():
     # a polynomial's vector is the map vector of that polynomial as the z1
-    # component, relabelled to component -1, and the map vector reads back
+    # component, relabelled to component -1, and both vectors read back
     p = random_polynomial(make_rng(3), 2, max_degree=4)
     zero = Polynomial.zero(p.nvars)
     g = PolyMap((zero, zero), (p, zero))
@@ -93,6 +94,12 @@ def test_vectorize_round_trip_polynomial():
     assert {(-1, key, part): v for (_comp, key, part), v in vec.items()} == (
         vectorize_polynomial(p)
     )
+    assert polynomial_from_vector(vectorize_polynomial(p), p.nvars) == p
+    # a map's vector is not a polynomial's, nor the other way round
+    with pytest.raises(ValueError):
+        polynomial_from_vector(vec, p.nvars)
+    with pytest.raises(ValueError):
+        polymap_from_vector(vectorize_polynomial(p), 2)
 
 
 def test_vectorize_round_trip_polymap():

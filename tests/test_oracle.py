@@ -1,26 +1,30 @@
 """Brute-force degree slices, module slices, and span comparisons."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import DimensionError, ResourceLimit
 from birevnf.group import GroupContext, membership
+from birevnf.linalg import Echelon, polymap_from_vector, polynomial_from_vector, vectorize
 from birevnf.oracle import (
     DEFAULT_MONOMIAL_LIMIT,
     FUNCTION_KINDS,
     MAP_KINDS,
-    DegreeSlice,
-    _defect_images,
-    _from_records,
+    _defect_rows,
     _parameters,
+    _solution_row,
     module_slice,
     slice_space,
     spans_equal,
 )
-from birevnf.poly import Polynomial
+from birevnf.poly import PolyMap, Polynomial
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
-from conftest import MONOMIAL_ELEMENTS
+from conftest import MONOMIAL_ELEMENTS, slice_of
 from reference_oracle import (
     _function_constraints,
     _function_parameters,
@@ -96,39 +100,71 @@ def _torus_admissible(linear, obj) -> bool:
     )
 
 
+def _naive_admissible(linear, degree: int, functions: bool) -> list:
+    if functions:
+        naive = _function_parameters(linear.nvars, degree)
+    else:
+        naive = _map_parameters(linear.nblocks, degree)
+    return [p for p in naive if _torus_admissible(linear, p)]
+
+
+def _per_parameter(rows: dict, degree: int, count: int) -> list[dict]:
+    """The system transposed: per parameter, tag -> its `vectorize` vector."""
+    out: list[dict] = [{} for _ in range(count)]
+    for (tag, comp, mono, part), row in rows.items():
+        for k, value in row.items():
+            out[k].setdefault(tag, {})[(comp, (degree, mono), part)] = value
+    return out
+
+
+# the first three keep the test ids they had when only they were checked
+COMPILED_ROW_REGIMES = [
+    ("non_resonant", (2,), 2),
+    ("res_n1n2_C3", (1, 2), 3),
+    ("res_double_C4", (1, 2, 1, 3), 4),
+    ("non_resonant", (1,), 1),
+    ("non_resonant", (3,), 3),
+    ("res_n1n2_C3", (1, 3), 3),
+    ("res_n1n2_C3", (2, 3), 3),
+    ("res_n1n2_Cn", (1, 2, 3), 3),
+]
+
+
 @pytest.mark.parametrize(
     "case,params,signs",
     [
-        ("non_resonant", (2,), (1, -1, 1)),
-        ("res_n1n2_C3", (1, 2), (1, 1, -1, 1)),
-        ("res_double_C4", (1, 2, 1, 3), (1, 1, -1, 1, 1)),
+        (case, params, ((1,) * (n + 1), (-1,) * (n + 1)))
+        for case, params, n in COMPILED_ROW_REGIMES
     ],
 )
 def test_compiled_rows_match_the_polymap_path(case, params, signs):
-    # the compiled parameters are the torus-admissible naive parameters in
-    # the same order, and each one's defect rows are the PolyMap path's rows
-    ctx = SymmetryContext.from_case(case, params, signs)
-    full = ctx.full_context()
-    linear = ctx.linear_part
-    for degree in (2, 3, 4):
-        for kind in FUNCTION_KINDS + MAP_KINDS:
-            functions = kind in FUNCTION_KINDS
-            if functions:
-                naive = _function_parameters(linear.nvars, degree)
-                constraints = _function_constraints
-            else:
-                naive = _map_parameters(linear.nblocks, degree)
-                constraints = _map_constraints
-            naive = [p for p in naive if _torus_admissible(linear, p)]
-            records = _parameters(linear, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+    # on every golden regime, its first and last sign class: the compiled
+    # parameters are the torus-admissible naive parameters in the same
+    # order, and each one's defect rows, the system transposed, are the
+    # PolyMap path's rows
+    linear = SymmetryContext.from_case(case, params, signs[0]).linear_part
+    for degree in range(5):
+        for functions in (True, False):
+            naive = _naive_admissible(linear, degree, functions)
+            kinds = FUNCTION_KINDS if functions else MAP_KINDS
+            constraints = _function_constraints if functions else _map_constraints
+            records = _parameters(linear, degree, kinds[0], DEFAULT_MONOMIAL_LIMIT)
+            vectors = [_solution_row(records, degree, {k: 1}) for k in range(len(records))]
             compiled = [
-                _from_records(records, {k: 1}, linear.nvars, functions)
-                for k in range(len(records))
+                polynomial_from_vector(vec, linear.nvars)
+                if functions
+                else polymap_from_vector(vec, linear.nblocks)
+                for vec in vectors
             ]
-            assert compiled == naive, (degree, kind)
-            images = _defect_images(full, kind, records)
-            for param, rows in zip(naive, images):
-                assert rows == constraints(full, kind, param), (degree, kind, param)
+            assert compiled == naive, (degree, functions)
+            for sign_vector in signs:
+                full = SymmetryContext.from_case(case, params, sign_vector).full_context()
+                for kind in kinds:
+                    rows = _defect_rows(full, kind, records)
+                    images = _per_parameter(rows, degree, len(records))
+                    for param, image in zip(naive, images):
+                        expected = {t: v for t, v in constraints(full, kind, param) if v}
+                        assert image == expected, (sign_vector, degree, kind, param)
 
 
 @pytest.mark.parametrize("element", MONOMIAL_ELEMENTS)
@@ -238,16 +274,95 @@ def test_module_slice_basis_is_canonical():
 def test_spans_equal_examples(nonres1):
     x1 = Polynomial.variable(4, 0)
     x2 = Polynomial.variable(4, 1)
-    a = DegreeSlice(1, "invariant", (x1,))
+    a = slice_of(1, "invariant", 4, (x1,))
     assert spans_equal(a, a).equal
-    b = DegreeSlice(1, "invariant", (x1.scale(2),))
+    b = slice_of(1, "invariant", 4, (x1.scale(2),))
     assert spans_equal(a, b).equal
-    c = DegreeSlice(1, "invariant", (x2,))
+    c = slice_of(1, "invariant", 4, (x2,))
     cmp = spans_equal(a, c)
     assert not cmp.equal
     assert cmp.witness == x2
     with pytest.raises(DimensionError):
-        spans_equal(a, DegreeSlice(2, "invariant", ()))
+        spans_equal(a, slice_of(2, "invariant", 4, ()))
+
+
+def test_spans_equal_same_dimension_different_spans():
+    # equal row counts decide nothing: each side has an element the other lacks
+    x1, x2, z1, zb1 = (Polynomial.variable(4, i) for i in range(4))
+    a = slice_of(1, "invariant", 4, (x1, x2))
+    b = slice_of(1, "invariant", 4, (x1 + x2, z1 + zb1))
+    assert a.dimension == b.dimension == 2
+    cmp = spans_equal(a, b)
+    assert not cmp.equal
+    assert (cmp.witness, cmp.missing_from) == (z1 + zb1, "a")
+    cmp = spans_equal(b, a)
+    assert not cmp.equal
+    assert cmp.missing_from == "a"
+    assert cmp.witness in (x1, x2)
+
+
+def test_spans_equal_with_dependent_rows():
+    # a dependent row adds nothing: a padded side still equals the plain one,
+    # and a side whose count matches only through a dependent row is smaller
+    x1, x2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
+    plain = slice_of(1, "invariant", 4, (x1, x2))
+    padded = slice_of(1, "invariant", 4, (x1, x2, x1 + x2, x1.scale(3)))
+    assert spans_equal(plain, padded).equal
+    assert spans_equal(padded, plain).equal
+    doubled = slice_of(1, "invariant", 4, (x1, x1.scale(2)))
+    assert doubled.dimension == plain.dimension
+    cmp = spans_equal(plain, doubled)
+    assert (cmp.equal, cmp.witness, cmp.missing_from) == (False, x2, "b")
+    cmp = spans_equal(doubled, plain)
+    assert (cmp.equal, cmp.witness, cmp.missing_from) == (False, x2, "a")
+    zero = slice_of(1, "invariant", 4, (Polynomial.zero(4),))
+    assert spans_equal(zero, slice_of(1, "invariant", 4, ())).equal
+
+
+def _containment_reference(a, b):
+    """The comparison on bases: two-way containment, the first witness found."""
+    span_a = Echelon(vectorize(e) for e in a.basis)
+    for elem in b.basis:
+        if not span_a.contains(vectorize(elem)):
+            return False, elem, "a"
+    span_b = Echelon(vectorize(e) for e in b.basis)
+    for elem in a.basis:
+        if not span_b.contains(vectorize(elem)):
+            return False, elem, "b"
+    return True, None, ""
+
+
+# degree-2 maps on one block built from few monomials with small
+# coefficients, so that equal, nested and dependent spans are all common
+_MONOMIALS = ((2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1))
+
+
+def _map(coeffs) -> PolyMap:
+    x1 = Polynomial(4, {m: c for m, c in zip(_MONOMIALS, coeffs[:4]) if c})
+    z1 = Polynomial(4, {m: c for m, c in zip(_MONOMIALS, coeffs[4:]) if c})
+    return PolyMap((x1 + x1.conj(), Polynomial.zero(4)), (z1,))
+
+
+_MAPS = st.lists(
+    st.lists(st.integers(-1, 1), min_size=8, max_size=8).map(_map), max_size=4
+)
+
+
+@settings(max_examples=80)
+@given(_MAPS, _MAPS, st.sampled_from(["drawn", "superset", "subset", "recombined"]))
+def test_spans_equal_matches_containment_on_bases(left, right, mode):
+    # the rows decide as the bases did, on random slices with dependent rows,
+    # and a failure names the same witness; "recombined" spans what left spans
+    if mode == "superset":
+        right = right + left
+    elif mode == "subset":
+        right = left[1:]
+    elif mode == "recombined":
+        right = [u + v for u, v in zip(left, left[1:])] + left[-1:]
+    a = slice_of(2, "equivariant", 4, left)
+    b = slice_of(2, "equivariant", 4, right)
+    cmp = spans_equal(a, b)
+    assert (cmp.equal, cmp.witness, cmp.missing_from) == _containment_reference(a, b)
 
 
 def test_resource_limit(nonres1):
@@ -256,6 +371,32 @@ def test_resource_limit(nonres1):
     gs = pipeline(nonres1)
     with pytest.raises(ResourceLimit):
         module_slice(gs, 6, limit=2)
+
+
+def test_limit_counts_each_admissible_pair_once():
+    # the bound is met exactly by the (component, admissible monomial) pairs
+    # of a map slice, x1 and x2 counted apiece though they share one walk
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    full = ctx.full_context()
+    degree = 6
+    pairs = len({
+        (c, mono)
+        for g in _naive_admissible(ctx.linear_part, degree, False)
+        for c, poly in enumerate((*g.x_components, *g.z_components))
+        for mono in poly.monomials()
+    })
+    weight_zero = len({
+        mono for p in _naive_admissible(ctx.linear_part, degree, True) for mono in p.monomials()
+    })
+    slice_space(full, degree, "reversible_equivariant", limit=pairs)
+    message = f"more than {pairs - 1} admissible (component, monomial) pairs"
+    with pytest.raises(ResourceLimit, match=re.escape(message)):
+        slice_space(full, degree, "reversible_equivariant", limit=pairs - 1)
+    with pytest.raises(ResourceLimit):
+        slice_space(full, degree, "reversible_equivariant", limit=2 * weight_zero - 1)
+    slice_space(full, degree, "invariant", limit=weight_zero)
+    with pytest.raises(ResourceLimit):
+        slice_space(full, degree, "invariant", limit=weight_zero - 1)
 
 
 @pytest.mark.parametrize(
@@ -273,6 +414,6 @@ def test_ring_basis_products_span_the_invariant_slices(case, params, signs):
     gs = pipeline(ctx)
     for degree in range(max(u.degree() for u in gs.ring_basis) + 1):
         products = tuple(p for p in ring_products(gs.ring_basis, degree) if p)
-        ours = DegreeSlice(degree, "invariant", products)
+        ours = slice_of(degree, "invariant", ctx.linear_part.nvars, products)
         oracle = slice_space(ctx.full_context(), degree, "invariant")
         assert spans_equal(ours, oracle).equal, degree
