@@ -15,15 +15,24 @@ exact integers.  A torus weight reads only the z/zb exponents, so a walk
 over the rotation blocks enumerates only the torus-admissible monomials,
 and the resource bound counts those (component, monomial) pairs: the
 unknowns actually solved for.  Each parameter is one or two records
-(component, monomial, coefficient).  Every element of the group is a
-signed monomial map, so each record's image under g.A - sigma A.g (the
-one-term images of `poly.Substitution`, and `output_columns` for A.g) and
-under the shear (an exponent shift) is written straight into the rows of
-the system, `(tag, component, monomial, part) -> {parameter: value}`.
-Entries are ints, and Fractions only where an element has a denominator.
-The rows go to `linalg.Echelon` in the order they were made: its nullspace
-is the unique reduced-echelon basis whatever that order.  Each nullspace
-vector becomes a slice row through the fixed columns of the parameters.
+(component, monomial, coefficient).  The rows of the system are
+`(tag, component, monomial, part) -> {parameter: value}`, with ints, and
+Fractions only where an element has a denominator.  The shear's rows come
+first: each record's image under x1 d/dx2 is an exponent shift, with no
+substitution.  A parameter alone in a one-entry shear row is forced to
+zero, and is dropped.  Every element of the group is a signed monomial
+map, so each record of a parameter left has its image under
+g.A - sigma A.g (the one-term images of `poly.Substitution`, and
+`output_columns` for A.g) written straight into the rows.  Those rows and
+the multi-entry shear rows, less the forced parameters, go to
+`linalg.Echelon`.  A row left with one entry forces its parameter too,
+and each such parameter goes in once, as a unit row.  The nullspace is
+taken over the parameters left, in their order.  It is the nullspace of
+the whole system: each forced column is a pivot of it and vanishes on
+every solution, and every other column keeps its place in the order.  So
+the free columns are the same, and so is the unique reduced-echelon
+basis, whatever the order of the rows.  Each nullspace vector becomes a
+slice row through the fixed columns of the parameters.
 `module_slice` builds each row from a generator's terms times a ring
 product's terms, over one `symmetry_ops.ProductTable`, and keeps the
 reduced rows of their span.  `spans_equal` decides on rows and builds the
@@ -37,6 +46,7 @@ membership predicates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -233,33 +243,53 @@ def _parameters(linear, degree: int, kind: str, limit: int) -> list[tuple]:
     return params
 
 
-def _defect_rows(context: GroupContext, kind: str, params) -> dict:
-    """The slice system, (tag, component, monomial, part) -> {parameter: value}.
+def _emit(rows: dict, tag: str, comp: int, mono: Monomial, k: int, re, im):
+    """Add re to rows[(tag, comp, mono, 0)][k] and im to rows[(tag, comp, mono, 1)][k].
 
-    Element idx gives tag f"el{idx}": p(Av) - s p on functions and
-    g(Av) - s A g(v) on maps, s the element's sign for the anti-invariant
-    and reversible kinds and 1 otherwise.  The shear gives tag "shear":
-    x1 d/dx2 applied to every component, less g_x1 in the x2 component.
-    Transposed, parameter k's entries are `vectorize` of the naive path's
-    images of that parameter.  An entry that cancels is dropped, and a row
-    can be left empty.
+    An entry that cancels is dropped, and a row can be left empty.
+    """
+    for part, value in ((0, re), (1, im)):
+        if not value:
+            continue
+        key = (tag, comp, mono, part)
+        row = rows.get(key)
+        if row is None:
+            rows[key] = {k: value}
+        elif value := value + row.get(k, 0):
+            row[k] = value
+        else:
+            del row[k]
+
+
+def _shear_rows(params) -> dict:
+    """The shear's rows, ("shear", component, monomial, part) -> {parameter: value}.
+
+    x1 d/dx2 applied to every component, less g_x1 in the x2 component:
+    exponent shifts, with no substitution.
+    """
+    rows: dict = {}
+    for k, records in enumerate(params):
+        for comp, mono, (cr, ci) in records:
+            e = mono[1]
+            if e:
+                _emit(rows, "shear", comp, (mono[0] + 1, e - 1) + mono[2:], k, e * cr, e * ci)
+            if comp == 0:
+                _emit(rows, "shear", 1, mono, k, -cr, -ci)
+    return rows
+
+
+def _group_rows(context: GroupContext, kind: str, params, live) -> dict:
+    """The group elements' rows on the parameters in `live`.
+
+    Keyed (tag, component, monomial, part) -> {parameter: value}.  Element
+    idx gives tag f"el{idx}": p(Av) - s p on functions and g(Av) - s A g(v)
+    on maps, s the element's sign for the anti-invariant and reversible
+    kinds and 1 otherwise.  With every parameter live, these rows and the
+    shear's, transposed, give parameter k's entries as `vectorize` of the
+    naive path's images of that parameter.
     """
     functions = kind in FUNCTION_KINDS
     rows: dict = {}
-
-    def emit(tag, comp, mono, k, re, im):
-        for part, value in ((0, re), (1, im)):
-            if not value:
-                continue
-            key = (tag, comp, mono, part)
-            row = rows.get(key)
-            if row is None:
-                rows[key] = {k: value}
-            elif value := value + row.get(k, 0):
-                row[k] = value
-            else:
-                del row[k]
-
     for idx, el in enumerate(context.elements):
         tag = f"el{idx}"
         sign = el.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
@@ -271,33 +301,49 @@ def _defect_rows(context: GroupContext, kind: str, params) -> dict:
         ncomps = len(columns) // 2 + 1
         direct = {c: columns[c if c < 2 else 2 * c - 2] for c in range(ncomps)}
         conjugate = {c: columns[2 * c - 1] for c in range(2, ncomps)}
-        for k, records in enumerate(params):
-            for comp, mono, (cr, ci) in records:
+        for k in live:
+            for comp, mono, (cr, ci) in params[k]:
                 image = images.get(mono)
                 if image is None:
                     image = images[mono] = {}
                     substitute.add_image(image, mono, 1, 0)
                 for m, (ar, ai) in image.items():
-                    emit(tag, comp, m, k, cr * ar - ci * ai, cr * ai + ci * ar)
+                    _emit(rows, tag, comp, m, k, cr * ar - ci * ai, cr * ai + ci * ar)
                 if functions:
-                    emit(tag, comp, mono, k, -sign * cr, -sign * ci)
+                    _emit(rows, tag, comp, mono, k, -sign * cr, -sign * ci)
                     continue
                 for out, (ar, ai) in direct[comp]:
-                    emit(tag, out, mono, k, -sign * (ar * cr - ai * ci),
-                         -sign * (ar * ci + ai * cr))
+                    _emit(rows, tag, out, mono, k, -sign * (ar * cr - ai * ci),
+                          -sign * (ar * ci + ai * cr))
                 if comp >= 2:
                     conj = conj_monomial(mono)
                     for out, (ar, ai) in conjugate[comp]:
-                        emit(tag, out, conj, k, -sign * (ar * cr + ai * ci),
-                             -sign * (ai * cr - ar * ci))
-    for k, records in enumerate(params):
-        for comp, mono, (cr, ci) in records:
-            e = mono[1]
-            if e:
-                emit("shear", comp, (mono[0] + 1, e - 1) + mono[2:], k, e * cr, e * ci)
-            if comp == 0:
-                emit("shear", 1, mono, k, -cr, -ci)
+                        _emit(rows, tag, out, conj, k, -sign * (ar * cr + ai * ci),
+                              -sign * (ai * cr - ar * ci))
     return rows
+
+
+def _live_system(shear: dict, group: dict, forced: set) -> list[dict]:
+    """The rows left to eliminate once the forced parameters are dropped.
+
+    The group rows hold no forced parameter, and the multi-entry shear
+    rows lose theirs.  A row then left with one entry forces its
+    parameter, which goes to the system once, as a unit row ahead of the
+    rest.  Rows that end empty are not kept.
+    """
+    kept = (
+        {k: v for k, v in row.items() if k not in forced}
+        for row in shear.values()
+        if len(row) > 1
+    )
+    units: set = set()
+    rows = []
+    for row in itertools.chain(group.values(), kept):
+        if len(row) == 1:
+            units.update(row)
+        elif row:
+            rows.append(row)
+    return [{k: 1} for k in sorted(units)] + rows
 
 
 def _solution_row(params, degree: int, solution: dict) -> dict:
@@ -331,8 +377,11 @@ def slice_space(
         raise DimensionError(f"unknown membership kind {kind!r}")
     linear = _linear_part_of(context)
     params = _parameters(linear, degree, kind, limit)
-    system = _defect_rows(context, kind, params)
-    solutions = Echelon(row for row in system.values() if row).nullspace(range(len(params)))
+    shear = _shear_rows(params)
+    forced = {k for row in shear.values() if len(row) == 1 for k in row}
+    live = [k for k in range(len(params)) if k not in forced]
+    group = _group_rows(context, kind, params, live)
+    solutions = Echelon(_live_system(shear, group, forced)).nullspace(live)
     rows = tuple(_solution_row(params, degree, sol) for sol in solutions)
     return DegreeSlice(degree, kind, rows, linear.nvars)
 

@@ -704,11 +704,14 @@ class Substitution:
 
     The action is monomial, so the image of a monomial is one term, each
     exponent moved to its row's column and the coefficient the product of
-    the rows' entries, or nothing when a variable of m maps to 0.
+    the rows' entries, or nothing when a variable of m maps to 0.  Row i's
+    powers are tabled: `powers[i][e]` is its entry to the e, as (re, im),
+    and the table grows by one multiplication per power first asked for.
     """
 
     def __init__(self, action: LinearAction):
         self.rows = [tuple((j, (c.re, c.im)) for j, c in row) for row in action.rows]
+        self.powers = [[(1, 0)] for _ in self.rows]
 
     def add_image(self, acc: dict, mono: Monomial, re, im):
         """acc += (re + im*i) * mono(Av)."""
@@ -720,8 +723,12 @@ class Substitution:
                 return
             j, (cr, ci) = self.rows[i][0]
             out[j] += e
-            for _ in range(e):
-                re, im = re * cr - im * ci, re * ci + im * cr
+            powers = self.powers[i]
+            while len(powers) <= e:
+                pr, pi = powers[-1]
+                powers.append((pr * cr - pi * ci, pr * ci + pi * cr))
+            pr, pi = powers[e]
+            re, im = re * pr - im * pi, re * pi + im * pr
         add_term(acc, tuple(out), re, im)
 
 

@@ -14,14 +14,15 @@ from birevnf.oracle import (
     DEFAULT_MONOMIAL_LIMIT,
     FUNCTION_KINDS,
     MAP_KINDS,
-    _defect_rows,
+    _group_rows,
     _parameters,
+    _shear_rows,
     _solution_row,
     module_slice,
     slice_space,
     spans_equal,
 )
-from birevnf.poly import PolyMap, Polynomial
+from birevnf.poly import PolyMap, Polynomial, Substitution
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
 from conftest import MONOMIAL_ELEMENTS, slice_of
@@ -140,8 +141,8 @@ COMPILED_ROW_REGIMES = [
 def test_compiled_rows_match_the_polymap_path(case, params, signs):
     # on every golden regime, its first and last sign class: the compiled
     # parameters are the torus-admissible naive parameters in the same
-    # order, and each one's defect rows, the system transposed, are the
-    # PolyMap path's rows
+    # order, and each one's shear and group rows, with every parameter
+    # live, the system transposed, are the PolyMap path's rows
     linear = SymmetryContext.from_case(case, params, signs[0]).linear_part
     for degree in range(5):
         for functions in (True, False):
@@ -157,14 +158,64 @@ def test_compiled_rows_match_the_polymap_path(case, params, signs):
                 for vec in vectors
             ]
             assert compiled == naive, (degree, functions)
+            shear = _shear_rows(records)
             for sign_vector in signs:
                 full = SymmetryContext.from_case(case, params, sign_vector).full_context()
                 for kind in kinds:
-                    rows = _defect_rows(full, kind, records)
+                    rows = {**shear, **_group_rows(full, kind, records, range(len(records)))}
                     images = _per_parameter(rows, degree, len(records))
                     for param, image in zip(naive, images):
                         expected = {t: v for t, v in constraints(full, kind, param) if v}
                         assert image == expected, (sign_vector, degree, kind, param)
+
+
+@pytest.mark.parametrize(
+    "case,params,signs",
+    [
+        (case, params, sign_vector)
+        for case, params, n in COMPILED_ROW_REGIMES
+        for sign_vector in ((1,) * (n + 1), (-1,) * (n + 1))
+    ],
+)
+def test_forcing_keeps_the_nullspace_of_the_whole_system(case, params, signs):
+    # slice_space drops the parameters the shear forces to zero before it
+    # builds the group rows; its rows are still the canonical nullspace of
+    # every row over every parameter
+    full = SymmetryContext.from_case(case, params, signs).full_context()
+    linear = full.continuous
+    for degree in range(7):
+        for kind in FUNCTION_KINDS + MAP_KINDS:
+            records = _parameters(linear, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+            every = range(len(records))
+            system = {**_shear_rows(records), **_group_rows(full, kind, records, every)}
+            solutions = Echelon(row for row in system.values() if row).nullspace(every)
+            expected = tuple(_solution_row(records, degree, sol) for sol in solutions)
+            assert slice_space(full, degree, kind).rows == expected, (degree, kind)
+
+
+def test_group_rows_substitute_only_what_the_shear_leaves(monkeypatch):
+    # one image per element and distinct monomial of the parameters that no
+    # one-entry shear row forces to zero, fewer than over every parameter
+    full = SymmetryContext.from_case("res_n1n2_C3", (3, 5), (1, 1, -1, 1)).full_context()
+    degree, kind = 17, "reversible_equivariant"
+    records = _parameters(full.continuous, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+    forced = {k for row in _shear_rows(records).values() if len(row) == 1 for k in row}
+
+    def monomials(keep):
+        return len({mono for k, rec in enumerate(records) if keep(k) for _, mono, _ in rec})
+
+    calls = []
+    original = Substitution.add_image
+
+    def counted(self, *args):
+        calls.append(args[1])
+        return original(self, *args)
+
+    monkeypatch.setattr(Substitution, "add_image", counted)
+    slice_space(full, degree, kind)
+    elements = len(full.elements)
+    assert len(calls) == elements * monomials(lambda k: k not in forced)
+    assert len(calls) < elements * monomials(lambda k: True)
 
 
 @pytest.mark.parametrize("element", MONOMIAL_ELEMENTS)

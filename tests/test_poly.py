@@ -1,12 +1,20 @@
 """Exact arithmetic, substitution, and rendering of the polynomial layer."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from birevnf.continuous import LinearPart, phi_element, phi_rows, psi_element, psi_rows
+from birevnf.continuous import (
+    LinearPart,
+    SymmetryContext,
+    phi_element,
+    phi_rows,
+    psi_element,
+    psi_rows,
+)
 from birevnf.errors import DimensionError, IncompatibleMatrix
 from birevnf.group import SignedElement
 from birevnf.poly import (
@@ -24,6 +32,7 @@ from birevnf.poly import (
     re_part,
     render_polymap,
     render_polynomial,
+    Substitution,
     polynomial_from_terms,
     terms_of,
     z_index,
@@ -31,6 +40,7 @@ from birevnf.poly import (
 )
 
 from conftest import (
+    MONOMIAL_ELEMENTS,
     dense,
     element_product,
     identity_matrix,
@@ -326,6 +336,39 @@ def naive_apply(g, matrix):
         for i in range(n)
     ]
     return PolyMap(rows[:2], [rows[z_index(j)] for j in range(1, g.nblocks + 1)])
+
+
+def _golden_actions():
+    """The distinct actions of every element of every sign class of the
+    golden regimes, then those of MONOMIAL_ELEMENTS."""
+    from test_golden_gensets import REGIMES
+
+    elements = []
+    for case, params, n in REGIMES:
+        for signs in itertools.product((1, -1), repeat=n + 1):
+            elements += SymmetryContext.from_case(case, params, signs).full_context().elements
+    elements += MONOMIAL_ELEMENTS
+    return list({el.action.rows: el.action for el in elements}.values())
+
+
+def test_substitution_power_table_matches_substitute_linear():
+    # one Substitution per action serves every monomial, so its tabled
+    # powers are read back after they were grown, up to exponent 12
+    actions = _golden_actions()
+    entries = {c for action in actions for row in action.rows for _, c in row}
+    assert {I, -I} <= entries
+    assert any(c.re.denominator > 1 or c.im.denominator > 1 for c in entries)
+    coeff = GaussianRational(Fraction(2, 3), -1)
+    for action in actions:
+        substitute = Substitution(action)
+        n = action.nvars
+        monos = [tuple(e if v == i else 0 for v in range(n)) for e in range(13) for i in range(n)]
+        monos += [tuple((v + e) % 13 for v in range(n)) for e in range(13)]
+        for mono in monos + monos[::-1]:
+            image: dict = {}
+            substitute.add_image(image, mono, coeff.re, coeff.im)
+            expected = Polynomial(n, {mono: coeff}).substitute_linear(action)
+            assert image == terms_of(expected), (action.rows, mono)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))

@@ -4,9 +4,9 @@
 shared by both would pass unseen.  So the reference may not reach the
 compiled path's assembly or elimination: `linalg.Echelon`, the term
 kernel's `Substitution` and `output_columns`, `slice_space` itself, or
-the compiled system's `_parameters`, `_defect_rows`, `_solution_row`
-and `_torus_monomials`.  Any import of, or attribute access to, one of
-them fails this test.
+the compiled system's `_parameters`, `_shear_rows`, `_group_rows`,
+`_emit`, `_live_system`, `_solution_row` and `_torus_monomials`.  Any
+import of, or attribute access to, one of them fails this test.
 """
 
 import ast
@@ -20,7 +20,10 @@ COMPILED_PATH = {
     "output_columns",
     "slice_space",
     "_parameters",
-    "_defect_rows",
+    "_shear_rows",
+    "_group_rows",
+    "_emit",
+    "_live_system",
     "_solution_row",
     "_torus_monomials",
 }
@@ -45,6 +48,6 @@ def test_the_scan_sees_imports_and_attributes():
     source = (
         "from birevnf.linalg import Echelon as E\n"
         "import birevnf.oracle as oracle\n"
-        "oracle._defect_rows(None, 'invariant', [])\n"
+        "oracle._group_rows(None, 'invariant', [], [])\n"
     )
-    assert compiled_names_reached(source) == {"Echelon", "_defect_rows"}
+    assert compiled_names_reached(source) == {"Echelon", "_group_rows"}
