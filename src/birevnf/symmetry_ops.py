@@ -27,6 +27,14 @@ prefactors; only the candidates handed to the prunes are rescaled to
 leading coefficient 1 (or i), so idempotence identities hold on the nose
 while presented tables match the cleaned-up convention.
 
+The catalog and the step along phi depend only on the linear part and
+phi, not on the signs, so `phi_step` keeps them for the last
+PHI_STEP_CACHE (linear part, phi) pairs: the sign classes of one linear
+part share one catalog and one phi step, and each class runs only the
+step along psi and `certify`.  Sharing is exact: both keys are frozen and
+compare by value, the Polynomials and PolyMaps of the result are
+immutable, and every later step copies the terms it reads.
+
 The operators, the candidates of both steps with their rescaling and
 deduplication, the ring-product table and the rows of both prunes run on
 the exponent-tuple terms of `poly` (the kernel the oracle uses too) and
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
@@ -75,7 +84,7 @@ from .poly import (
     render_polynomial,
     terms_of,
 )
-from .continuous import SymmetryContext, closure_data
+from .continuous import LinearPart, SymmetryContext, closure_data
 
 
 def _require_involution(kappa: SignedElement):
@@ -412,17 +421,27 @@ def _transport(basis, gens, kappa: SignedElement):
     return extended, prune_module(project_generators(images) + products, extended)
 
 
+# the most (linear part, phi) pairs whose phi step is kept; a sweep over the
+# sign classes of one linear part needs one, and this bounds a long session
+PHI_STEP_CACHE = 16
+
+
+@lru_cache(maxsize=PHI_STEP_CACHE)
+def phi_step(linear_part: LinearPart, phi: SignedElement):
+    """The closure-group catalog of the linear part, transported along phi."""
+    return _transport(*closure_data(linear_part), phi)
+
+
 def pipeline(context: SymmetryContext) -> GeneratorSet:
     """Run the five-step transport for the semidirect product of both involutions.
 
-    Starting from the closure-group catalog, extends the invariant ring and
-    projects the equivariant generators along the first involution, then
-    repeats along the second, and certifies every output against the full
-    product sign map.
+    Takes the closure-group catalog with its ring extended and its
+    equivariant generators projected along the first involution from
+    `phi_step`, repeats the step along the second, and certifies every
+    output against the full product sign map on every call.
     """
-    basis, gens = closure_data(context.linear_part)
-    for kappa in (context.phi, context.psi):
-        basis, gens = _transport(basis, gens, kappa)
+    basis, gens = phi_step(context.linear_part, context.phi)
+    basis, gens = _transport(basis, gens, context.psi)
     return certify(GeneratorSet(basis, gens, context))
 
 

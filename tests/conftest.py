@@ -10,13 +10,20 @@ from birevnf.group import SignedElement
 from birevnf.linalg import vectorize
 from birevnf.oracle import DegreeSlice
 from birevnf.poly import I, ONE, ZERO, GaussianRational, PolyMap, Polynomial
-from birevnf.symmetry_ops import pipeline
+from birevnf.symmetry_ops import phi_step, pipeline
 
 settings.register_profile("exact", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("exact")
 
 
 SEED = 20260809
+
+
+@pytest.fixture(autouse=True)
+def _fresh_phi_steps():
+    """Each test starts with no kept phi step, so what it counts or records
+    does not depend on which tests ran before it."""
+    phi_step.cache_clear()
 
 
 def make_rng(salt: int = 0) -> random.Random:

@@ -1,6 +1,7 @@
 """Reynolds averages, transfer projection, extensions, and the pipeline."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from birevnf.continuous import (
+    LinearPart,
     SymmetryContext,
     catalog,
     closure_data,
+    enumerate_involution_pairs,
     linear_part_for_case,
     phi_element,
     psi_element,
@@ -39,12 +42,16 @@ from birevnf.poly import (
     z_index,
 )
 from birevnf.symmetry_ops import (
+    PHI_STEP_CACHE,
     GeneratorSet,
     _canonical,
     _transfer,
+    certify,
     extend_hilbert_basis,
     generators_over_extension,
+    genset_to_text,
     module_row,
+    phi_step,
     pipeline,
     prune_module,
     prune_ring,
@@ -571,8 +578,9 @@ def test_prune_matches_reverse_deletion_on_pipeline_candidates(monkeypatch, case
     for signs in itertools.product((1, -1), repeat=n + 1):
         pipeline(SymmetryContext.from_case(case, params, signs))
     reference = {prune_ring: _reference_prune_ring, prune_module: _reference_prune_module}
-    # one ring and one module prune per involution step
-    assert len(calls) == 4 * 2 ** (n + 1)
+    # one ring and one module prune for the phi step, which every sign class
+    # of the linear part shares, then one of each per class for its psi step
+    assert len(calls) == 2 + 2 * 2 ** (n + 1)
     nvars = 2 * n + 2
     products: dict = {}
 
@@ -797,3 +805,51 @@ def test_project_generators_rescales_and_drops_repeats(c3_data):
     expected = tuple(_dedupe(normalize_leading(image) for image in nonzero))
     assert project_generators(doubled) == expected
     assert project_generators([]) == ()
+
+
+def _unshared_pipeline(ctx):
+    """The pipeline composed step by step, with no kept phi step."""
+    basis, gens = closure_data(ctx.linear_part)
+    for kappa in (ctx.phi, ctx.psi):
+        basis, gens = _transport(basis, gens, kappa)
+    return certify(GeneratorSet(basis, gens, ctx))
+
+
+def test_shared_phi_step_gives_the_unshared_generator_sets():
+    linear_parts = [
+        linear_part_for_case(case, params)
+        for case, params in [
+            ("non_resonant", (2,)),
+            ("non_resonant", (3,)),
+            ("res_n1n2_C3", (1, 2)),
+            ("res_n1n2_C3", (2, 3)),
+        ]
+    ]
+    contexts = [ctx for linear in linear_parts for ctx in enumerate_involution_pairs(linear)]
+    expected = {ctx: _unshared_pipeline(ctx) for ctx in contexts}
+    for order in (contexts, contexts[::-1]):
+        phi_step.cache_clear()
+        for ctx in order:
+            genset = pipeline(ctx)
+            want = expected[ctx]
+            assert genset.certified and genset.context == ctx
+            assert genset.ring_basis == want.ring_basis
+            assert genset.module_generators == want.module_generators
+            assert genset_to_text(genset) == genset_to_text(want)
+        info = phi_step.cache_info()
+        assert (info.misses, info.hits) == (len(linear_parts), len(contexts) - len(linear_parts))
+
+
+def test_kept_phi_steps_stay_within_the_bound():
+    linear_parts = [LinearPart(n) for n in (1, 2, 3)] + [
+        LinearPart(2, ((a, b),))
+        for a in range(1, 5)
+        for b in (-3, -2, -1, 1, 2, 3)
+        if math.gcd(a, b) == 1
+    ]
+    assert len(linear_parts) > PHI_STEP_CACHE
+    for linear in linear_parts:
+        pipeline(enumerate_involution_pairs(linear)[0])
+        assert phi_step.cache_info().currsize <= PHI_STEP_CACHE
+    info = phi_step.cache_info()
+    assert (info.misses, info.currsize) == (len(linear_parts), PHI_STEP_CACHE)

@@ -72,6 +72,11 @@ def test_each_step_projects_each_generator_once(monkeypatch, case, params, signs
     monkeypatch.setattr(symmetry_ops, "_transport", step)
     symmetry_ops.pipeline(SymmetryContext.from_case(case, params, signs))
     assert len(steps) == 2
+    # another sign class of the same linear part shares the phi step, so
+    # only its psi step runs
+    other = (-signs[0], *signs[1:])
+    symmetry_ops.pipeline(SymmetryContext.from_case(case, params, other))
+    assert len(steps) == 3
     for offered, made in steps:
         assert offered > 0
         assert made == {
