@@ -155,7 +155,8 @@ class LinearPart:
         An "invariant" Polynomial has torus weight 0 in every monomial and
         x1 d/dx2 p = 0.  An "equivariant" PolyMap has the weight of each
         component in each of its monomials, and commutes with the shear:
-        x1 d/dx2 g = (0, g_x1, 0, ..., 0).
+        x1 d/dx2 g = (0, g_x1, 0, ..., 0).  Both are read off the terms;
+        no Polynomial is built.
         """
         if kind == "invariant":
             if not isinstance(obj, Polynomial):
@@ -176,11 +177,28 @@ class LinearPart:
                         for j, w in enumerate(weights, start=1)
                     ) != target:
                         return False
-        x1 = Polynomial.variable(obj.nvars, x_index(1))
-        sheared = [x1 * poly.partial(x_index(2)) for poly in comps]
-        if kind == "equivariant":
-            sheared[1] -= comps[0]
-        return not any(sheared)
+        # x1 d/dx2 kills every component but g_x2: none of them holds x2
+        x1, x2 = x_index(1), x_index(2)
+        if any(mono[x2] for c, poly in enumerate(comps) if c != 1 for mono in poly.monomials()):
+            return False
+        if kind == "invariant":
+            return True
+        # x1 d/dx2 g_x2 = g_x1: the term (m, c) of g_x2 goes to c * m[x2] at
+        # m with one x2 moved to x1, injectively, so both sides must have as
+        # many terms and each must be found
+        source, target = comps[1].terms, comps[0].terms
+        shifted = 0
+        for mono, c in source.items():
+            e = mono[x2]
+            if e:
+                image = list(mono)
+                image[x2] -= 1
+                image[x1] += 1
+                d = target.get(tuple(image))
+                if d is None or d.re != c.re * e or d.im != c.im * e:
+                    return False
+                shifted += 1
+        return shifted == len(target)
 
 
 def _integers(values, error=DimensionError) -> tuple[int, ...]:

@@ -20,15 +20,26 @@ Membership of a polynomial or mapping in the invariant / anti-invariant /
 equivariant / reversible-equivariant classes is decided by checking the
 defining identity on the finite generators exactly and delegating the
 continuous conditions to the context (weight-lattice and shear checks).
+The identity is checked term by term on the object's terms and the
+element's rows, returning at the first mismatch.  An element is monomial
+and invertible, so m -> m(Av) is injective on monomials: p(Av) = s q
+holds iff p and q have as many terms and each term (m, c) of p finds
+c chi(m) / s at the image of m in q, chi(m) the product of the row
+entries to the exponents of m.  For a map, (A g)_i = a_i g_j for row i's
+entry (j, a_i), a zb column reading the z component conjugated; the
+stored components are compared, as `PolyMap.__eq__` does.  No Polynomial
+or PolyMap is built, and the term kernel of `poly` that builds what
+`certify` checks is not used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Literal
 
 from .errors import DimensionError, SignInconsistency
-from .poly import ONE, LinearAction, PolyMap, Polynomial
+from .poly import ONE, LinearAction, PolyMap, Polynomial, conj_monomial
 
 if TYPE_CHECKING:
     from .continuous import LinearPart
@@ -105,14 +116,18 @@ def membership(obj, context: GroupContext, kind: MembershipKind) -> bool:
 
     Checks the identity on every finite generator and, when the context
     carries continuous data, the infinitesimal torus/shear conditions.
+    Each identity is decided on obj's terms and the element's rows and
+    fails at the first mismatch (`_pulls_back_to`); no Polynomial or
+    PolyMap is built.  DimensionError for an element on another number of
+    coordinates than obj.
     """
     if kind in ("invariant", "anti_invariant"):
         if not isinstance(obj, Polynomial):
             raise TypeError("function membership kinds apply to Polynomial")
         for el in context.elements:
-            pulled = obj.substitute_linear(el.action)
-            expected = obj if kind == "invariant" else obj.scale(el.sign)
-            if pulled != expected:
+            sources, scaled = _monomial_images(el, obj.nvars)
+            factor = (1 if kind == "invariant" else el.sign, 0)
+            if not _pulls_back_to(obj, itemgetter(*sources), scaled, obj, 1, factor):
                 return False
         if context.continuous is not None:
             return context.continuous.infinitesimal_ok(obj, "invariant")
@@ -120,17 +135,78 @@ def membership(obj, context: GroupContext, kind: MembershipKind) -> bool:
     if kind in ("equivariant", "reversible_equivariant"):
         if not isinstance(obj, PolyMap):
             raise TypeError("mapping membership kinds apply to PolyMap")
+        stored = (*obj.x_components, *obj.z_components)
         for el in context.elements:
-            lhs = obj.compose_linear(el.action)
-            rhs = obj.apply_linear(el.action)
-            if kind == "reversible_equivariant":
-                rhs = rhs.scale(el.sign)
-            if lhs != rhs:
-                return False
+            sources, scaled = _monomial_images(el, obj.nvars)
+            image = itemgetter(*sources)
+            conj_image = itemgetter(*conj_monomial(sources))
+            sign = el.sign if kind == "reversible_equivariant" else 1
+            # stored component k is coordinate i = k (x) or 2k - 2 (z), and
+            # (A g)_i = a g_j for row i's entry (j, a); g_j is the stored
+            # component of j, conjugated when j is a zb coordinate
+            for k, comp in enumerate(stored):
+                ((j, a),) = el.rows[k if k < 2 else 2 * k - 2]
+                conj = j >= 2 and j % 2 == 1
+                if not _pulls_back_to(
+                    comp,
+                    conj_image if conj else image,
+                    scaled,
+                    stored[j if j < 2 else j // 2 + 1],
+                    -1 if conj else 1,
+                    (sign * a.re, sign * a.im),
+                ):
+                    return False
         if context.continuous is not None:
             return context.continuous.infinitesimal_ok(obj, "equivariant")
         return True
     raise ValueError(f"unknown membership kind {kind!r}")
+
+
+def _monomial_images(el: SignedElement, nvars: int):
+    """How el's map A moves monomials: m -> m(Av).
+
+    A is monomial and invertible, so row i holds one entry (j_i, a_i) and
+    the columns j_i are distinct: m(Av) is the monomial with exponent m_i
+    at j_i, times the product of the a_i ** m_i.  Returns `sources`, the
+    row i read at each column j_i, so that m(Av) has exponents
+    `itemgetter(*sources)(m)`, and the (i, re, im) of the entries a_i
+    other than 1.
+    """
+    if el.size != nvars:
+        raise DimensionError(f"element acts on {el.size} coordinates, expected {nvars}")
+    sources = [0] * nvars
+    scaled = []
+    for i, ((j, a),) in enumerate(el.rows):
+        sources[j] = i
+        if a.im or a.re != 1:
+            scaled.append((i, a.re, a.im))
+    return sources, scaled
+
+
+def _pulls_back_to(source, image, scaled, target, im_sign, factor) -> bool:
+    """Whether source(Av) == factor * target, or factor * conj(target) when
+    im_sign is -1 and image reads target's conjugate monomials.
+
+    m -> m(Av) is injective on monomials, so the identity holds iff both
+    sides have as many terms and each term (m, c) of source finds target's
+    coefficient d at image(m) with c * prod(a_i ** m_i) == factor * d.
+    """
+    if len(source) != len(target):
+        return False
+    lookup = target.terms.get
+    fr, fi = factor
+    for mono, c in source.terms.items():
+        d = lookup(image(mono))
+        if d is None:
+            return False
+        re, im = c.re, c.im
+        for i, ar, ai in scaled:
+            for _ in range(mono[i]):
+                re, im = re * ar - im * ai, re * ai + im * ar
+        dr, di = d.re, im_sign * d.im
+        if re != fr * dr - fi * di or im != fr * di + fi * dr:
+            return False
+    return True
 
 
 def anticommute_check(gamma: SignedElement, linear_part) -> bool:

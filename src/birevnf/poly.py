@@ -33,10 +33,14 @@ kept here: exponent-tuple terms with (re, im) parts (`add_term`,
 `mul_terms`), the one-term images of monomials under a LinearAction
 (`Substitution`), its action on a map's output (`output_columns`,
 `add_output_image`), and the conversions between terms and
-Polynomial/PolyMap.  The Polynomial and
-PolyMap methods stay the independent reference that the tests compare the
-kernel against; the module product of a PolyMap by a Polynomial is kept
-with the tests, the only place it is used.
+Polynomial/PolyMap.  `group.membership` reads a Polynomial's terms
+(`Polynomial.terms`) and an element's rows directly, outside the kernel.
+`Polynomial.substitute_linear` and `PolyMap.apply_linear` are not called
+by the engine: they stay the independent reference that the tests compare
+the kernel and membership against.  The module product of a PolyMap by a
+Polynomial, the composition g . A of a PolyMap with a linear map and the
+partial derivative of a Polynomial are kept with the tests, the only
+place they are used.
 
 One family of functions renders coefficients, monomials, polynomials and
 maps, as text (the form the parser reads back) or as LaTeX.  The two differ
@@ -52,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, IncompatibleMatrix
@@ -390,6 +395,11 @@ class Polynomial:
     def monomials(self):
         return self._terms.keys()
 
+    @property
+    def terms(self) -> Mapping[Monomial, GaussianRational]:
+        """The nonzero terms, monomial to coefficient, as a read-only view."""
+        return MappingProxyType(self._terms)
+
     def __len__(self):
         return len(self._terms)
 
@@ -482,22 +492,6 @@ class Polynomial:
             self.nvars,
             {conj_monomial(m): c.conjugate() for m, c in self._terms.items()},
         )
-
-    def partial(self, index: int) -> "Polynomial":
-        terms: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in self._terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            lowered = list(mono)
-            lowered[index] = e - 1
-            key = tuple(lowered)
-            acc = terms.get(key, ZERO) + coeff * e
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return Polynomial._trusted(self.nvars, terms)
 
     def substitute_linear(self, action: LinearAction) -> "Polynomial":
         """Compose with a linear change of coordinates: returns p(A v).
@@ -873,13 +867,6 @@ class PolyMap:
         return PolyMap(
             tuple(comp.scale(c) for comp in self.x_components),
             tuple(comp.scale(c) for comp in self.z_components),
-        )
-
-    def compose_linear(self, action: LinearAction) -> "PolyMap":
-        """g . A : substitute the linear map into every component."""
-        return PolyMap(
-            tuple(c.substitute_linear(action) for c in self.x_components),
-            tuple(c.substitute_linear(action) for c in self.z_components),
         )
 
     def apply_linear(self, action: LinearAction) -> "PolyMap":

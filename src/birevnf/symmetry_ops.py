@@ -41,9 +41,10 @@ the exponent-tuple terms of `poly` (the kernel the oracle uses too) and
 emit rows through `linalg.vectorize_terms`; a Polynomial or PolyMap is
 built only for a candidate handed to a prune or a result that leaves this
 module.  The Polynomial arithmetic they replace (`Polynomial.__mul__`,
-`substitute_linear`, `compose_linear`, `apply_linear`, and the module
-product on PolyMap that the tests keep) is the reference the tests
-compare against.
+`substitute_linear`, `apply_linear`, and the module product and the
+composition with a linear map on PolyMap that the tests keep) is the
+reference the tests compare against.  `certify` checks the result with
+`group.membership`, which decides on terms and rows without this kernel.
 """
 
 from __future__ import annotations

@@ -14,6 +14,10 @@ against the PolyMap rows, and both against the membership predicates.
 
 `mul_invariant` is the module action on PolyMap by Polynomial products,
 the reference for the products the pipeline builds on terms.
+`compose_linear` and `partial` are the Polynomial operations the engine
+no longer has; with `substitute_linear` and `apply_linear` they make
+`reference_membership`, the membership test built from whole Polynomial
+and PolyMap images, against which `group.membership` is compared.
 """
 
 from __future__ import annotations
@@ -34,12 +38,15 @@ from birevnf.oracle import (
 )
 from birevnf.poly import (
     I,
+    LinearAction,
     Monomial,
     PolyMap,
     Polynomial,
     conj_monomial,
     grlex_key,
     x_index,
+    z_index,
+    zbar_index,
 )
 
 
@@ -51,6 +58,77 @@ def mul_invariant(g: PolyMap, u: Polynomial) -> PolyMap:
         tuple(comp * u for comp in g.x_components),
         tuple(comp * u for comp in g.z_components),
     )
+
+
+def partial(p: Polynomial, index: int) -> Polynomial:
+    """The derivative of p in coordinate index."""
+    acc = Polynomial.zero(p.nvars)
+    for mono, coeff in p.terms.items():
+        e = mono[index]
+        if e:
+            lowered = list(mono)
+            lowered[index] = e - 1
+            acc = acc + Polynomial.monomial(p.nvars, tuple(lowered), coeff * e)
+    return acc
+
+
+def compose_linear(g: PolyMap, action: LinearAction) -> PolyMap:
+    """g . A : substitute the linear map into every component."""
+    return PolyMap(
+        tuple(c.substitute_linear(action) for c in g.x_components),
+        tuple(c.substitute_linear(action) for c in g.z_components),
+    )
+
+
+def reference_infinitesimal_ok(linear_part, obj, kind: str) -> bool:
+    """The torus and shear conditions, the shear on whole Polynomials."""
+    if kind == "invariant":
+        comps = (obj,)
+    else:
+        comps = (*obj.x_components, *obj.z_components)
+    for weights in linear_part.torus_weight_rows():
+        for c, poly in enumerate(comps):
+            target = linear_part.component_weight(c, weights)
+            for mono in poly.monomials():
+                if sum(
+                    w * (mono[z_index(j)] - mono[zbar_index(j)])
+                    for j, w in enumerate(weights, start=1)
+                ) != target:
+                    return False
+    x1 = Polynomial.variable(obj.nvars, x_index(1))
+    sheared = [x1 * partial(poly, x_index(2)) for poly in comps]
+    if kind == "equivariant":
+        sheared[1] -= comps[0]
+    return not any(sheared)
+
+
+def reference_membership(obj, context: GroupContext, kind: str) -> bool:
+    """`group.membership` on whole images: p(Av) and g(Av), A g as PolyMaps."""
+    if kind in ("invariant", "anti_invariant"):
+        if not isinstance(obj, Polynomial):
+            raise TypeError("function membership kinds apply to Polynomial")
+        for el in context.elements:
+            pulled = obj.substitute_linear(el.action)
+            expected = obj if kind == "invariant" else obj.scale(el.sign)
+            if pulled != expected:
+                return False
+        if context.continuous is not None:
+            return reference_infinitesimal_ok(context.continuous, obj, "invariant")
+        return True
+    if kind in ("equivariant", "reversible_equivariant"):
+        if not isinstance(obj, PolyMap):
+            raise TypeError("mapping membership kinds apply to PolyMap")
+        for el in context.elements:
+            lhs = compose_linear(obj, el.action)
+            rhs = obj.apply_linear(el.action)
+            if kind == "reversible_equivariant":
+                rhs = rhs.scale(el.sign)
+            if lhs != rhs:
+                return False
+        if context.continuous is not None:
+            return reference_infinitesimal_ok(context.continuous, obj, "equivariant")
+        return True
+    raise ValueError(f"unknown membership kind {kind!r}")
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
@@ -124,15 +202,15 @@ def _map_parameters(nblocks: int, degree: int) -> list[PolyMap]:
 
 def _shear_defect_function(p: Polynomial) -> Polynomial:
     x1 = Polynomial.variable(p.nvars, x_index(1))
-    return x1 * p.partial(x_index(2))
+    return x1 * partial(p, x_index(2))
 
 
 def _shear_defect_map(g: PolyMap) -> PolyMap:
     x1 = Polynomial.variable(g.nvars, x_index(1))
     gx1, gx2 = g.x_components
     return PolyMap(
-        (x1 * gx1.partial(x_index(2)), x1 * gx2.partial(x_index(2)) - gx1),
-        tuple(x1 * comp.partial(x_index(2)) for comp in g.z_components),
+        (x1 * partial(gx1, x_index(2)), x1 * partial(gx2, x_index(2)) - gx1),
+        tuple(x1 * partial(comp, x_index(2)) for comp in g.z_components),
     )
 
 
@@ -153,7 +231,7 @@ def _map_constraints(context: GroupContext, kind: str, param: PolyMap):
         rhs = param.apply_linear(el.action)
         if kind == "reversible_equivariant":
             rhs = rhs.scale(el.sign)
-        defect = param.compose_linear(el.action) - rhs
+        defect = compose_linear(param, el.action) - rhs
         images.append((f"el{idx}", vectorize_polymap(defect)))
     images.append(("shear", vectorize_polymap(_shear_defect_map(param))))
     return images

@@ -5,7 +5,7 @@ engine's sign comparison is checked against.
 """
 
 from functools import cache, reduce
-from operator import mul
+from operator import itemgetter, mul
 from itertools import product
 
 import pytest
@@ -30,20 +30,39 @@ from birevnf.errors import (
 from birevnf.group import (
     GroupContext,
     SignedElement,
+    _monomial_images,
+    _pulls_back_to,
     anticommute_check,
     membership,
 )
+from birevnf.oracle import FUNCTION_KINDS
 from birevnf.poly import (
     GaussianRational,
     I,
     LinearAction,
+    PolyMap,
     Polynomial,
+    re_part,
     z_index,
     zbar_index,
 )
+from birevnf.symmetry_ops import transfer_T
 
-from conftest import close_group, dense, element_product, identity_matrix, mat_mul, sparse
+from conftest import (
+    MONOMIAL_ELEMENTS,
+    close_group,
+    dense,
+    element_product,
+    identity_matrix,
+    make_rng,
+    mat_mul,
+    random_polymap,
+    random_polynomial,
+    sparse,
+)
+from reference_oracle import compose_linear, mul_invariant, reference_membership
 from references import sigma_tilde_psi_context
+from test_golden_gensets import REGIMES as GOLDEN_REGIMES, gensets
 
 
 def scaling_on_block(n, j, factor):
@@ -343,8 +362,6 @@ def test_membership_examples():
     x2 = Polynomial.variable(nvars, 1)
     assert membership(x2, ctx, "anti_invariant")
     assert not membership(x2, ctx, "invariant")
-    from birevnf.poly import PolyMap
-
     zero = Polynomial.zero(nvars)
     h3 = PolyMap((zero, zero), (Polynomial.variable(nvars, z_index(1)).scale(I),))
     assert membership(h3, ctx, "reversible_equivariant")
@@ -357,9 +374,6 @@ def test_membership_examples():
 def test_reversible_membership_is_conjugation_invariant():
     # membership(g) agrees with membership(sign * kappa . g . kappa) for every
     # group element, member or not
-    from conftest import make_rng, random_polymap
-    from birevnf.symmetry_ops import transfer_T
-
     phi = phi_element(2)
     psi = psi_element((-1, 1, -1))
     ctx = GroupContext((phi, psi))
@@ -370,11 +384,152 @@ def test_reversible_membership_is_conjugation_invariant():
             g = transfer_T(transfer_T(g, phi), psi)  # often a genuine member
         for el in (phi, psi):
             twisted = (
-                g.compose_linear(el.action).apply_linear(el.action).scale(el.sign)
+                compose_linear(g, el.action).apply_linear(el.action).scale(el.sign)
             )
             assert membership(g, ctx, "reversible_equivariant") == membership(
                 twisted, ctx, "reversible_equivariant"
             )
+
+
+MEMBERSHIP_KINDS = ("invariant", "anti_invariant", "equivariant", "reversible_equivariant")
+
+
+def _perturbed_polynomial(p: Polynomial, rng) -> Polynomial:
+    """p with one term dropped, one coefficient scaled, or one monomial moved
+    (one exponent shifted to another variable, or raised when it is 0)."""
+    terms = dict(p.terms)
+    mono = rng.choice(sorted(terms))
+    how = rng.randrange(3)
+    if how == 0:
+        del terms[mono]
+    elif how == 1:
+        terms[mono] = terms[mono] * rng.choice((2, -1, I))
+    else:
+        coeff = terms.pop(mono)
+        moved = list(mono)
+        a, b = rng.sample(range(len(mono)), 2)
+        moved[b] += 1
+        if moved[a]:
+            moved[a] -= 1
+        moved = tuple(moved)
+        terms[moved] = terms.get(moved, GaussianRational(0)) + coeff
+    return Polynomial(p.nvars, terms)
+
+
+def _perturbed_map(g: PolyMap, rng) -> PolyMap:
+    """g with one nonzero stored component perturbed (its real part for an x one)."""
+    comps = [*g.x_components, *g.z_components]
+    k = rng.choice([k for k, c in enumerate(comps) if c])
+    changed = _perturbed_polynomial(comps[k], rng)
+    comps[k] = re_part(changed) if k < 2 else changed
+    return PolyMap(comps[:2], comps[2:])
+
+
+def _identity_map(nblocks: int) -> PolyMap:
+    nvars = 2 * nblocks + 2
+    xs = [Polynomial.variable(nvars, i) for i in (0, 1)]
+    return PolyMap(xs, [Polynomial.variable(nvars, z_index(j)) for j in range(1, nblocks + 1)])
+
+
+def test_membership_agrees_with_the_reference_on_the_golden_regimes():
+    # every sign class of every golden regime: a sample of its ring elements
+    # and of its generators, the x1-components of those generators
+    # (anti-invariant when a0 = 1), the identity map times a ring element
+    # (equivariant), a perturbed copy of each, and zero; against the full
+    # context, its finite part alone and each involution alone over the
+    # linear part
+    rng = make_rng(24)
+    verdicts = {kind: set() for kind in MEMBERSHIP_KINDS}
+    for case, params, n in GOLDEN_REGIMES:
+        for signs, ctx, genset in gensets(case, params, n):
+            ring = rng.sample(genset.ring_basis, min(3, len(genset.ring_basis)))
+            gens = rng.sample(genset.module_generators, min(3, len(genset.module_generators)))
+            polys = ring + [g.x_components[0] for g in gens if g.x_components[0]]
+            maps = gens + [mul_invariant(_identity_map(n), p) for p in ring[:1]]
+            polys += [_perturbed_polynomial(p, rng) for p in polys]
+            maps += [_perturbed_map(g, rng) for g in maps]
+            full = ctx.full_context()
+            contexts = (
+                full,
+                GroupContext(full.elements),
+                GroupContext((ctx.phi,), ctx.linear_part),
+                GroupContext((ctx.psi,), ctx.linear_part),
+            )
+            for context, kind in product(contexts, MEMBERSHIP_KINDS):
+                zero = (
+                    Polynomial.zero(2 * n + 2) if kind in FUNCTION_KINDS else PolyMap.zero(n)
+                )
+                assert membership(zero, context, kind)
+                assert reference_membership(zero, context, kind)
+                for obj in polys if kind in FUNCTION_KINDS else maps:
+                    got = membership(obj, context, kind)
+                    assert got == reference_membership(obj, context, kind), (
+                        case, params, signs, kind, str(obj)
+                    )
+                    verdicts[kind].add(got)
+    assert verdicts == {kind: {False, True} for kind in MEMBERSHIP_KINDS}
+
+
+@given(st.integers(0, 10_000))
+def test_membership_agrees_with_the_reference_on_complex_entries(seed):
+    # elements with entries i, 1/2 and 1 + 2i, so the image coefficients and
+    # the conjugated targets are not signs
+    rng = make_rng(seed)
+    swap, scaling = MONOMIAL_ELEMENTS
+    p = random_polynomial(rng, 1, max_degree=3)
+    g = random_polymap(rng, 1, max_degree=3)
+    polys = [p, p + p.substitute_linear(swap.action), Polynomial.zero(4)]
+    maps = [g, transfer_T(g, swap), _identity_map(1), PolyMap.zero(1)]
+    for elements, continuous in product(
+        ((swap,), (scaling,), (swap, scaling)), (None, LinearPart(1))
+    ):
+        context = GroupContext(elements, continuous)
+        for kind in MEMBERSHIP_KINDS:
+            for obj in polys if kind in FUNCTION_KINDS else maps:
+                assert membership(obj, context, kind) == reference_membership(
+                    obj, context, kind
+                ), (kind, str(obj))
+
+
+def test_pullback_check_counts_the_target_terms():
+    # membership checks every stored component, so there a target with an
+    # extra term always leaves another component's term without its image;
+    # the check of one pair must still see the extra term itself
+    swap = MONOMIAL_ELEMENTS[0]
+    sources, scaled = _monomial_images(swap, 4)
+    image = itemgetter(*sources)
+    x1, x2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
+    assert _pulls_back_to(x1, image, scaled, x2, 1, (1, 0))
+    assert not _pulls_back_to(x1, image, scaled, x2 + x1, 1, (1, 0))
+    assert not _pulls_back_to(x1, image, scaled, x2, 1, (-1, 0))
+
+
+def test_membership_errors():
+    # the classes the Polynomial reference raises, on zero and nonzero objects
+    phi1, phi2 = phi_element(1), phi_element(2)
+    p, g = Polynomial.variable(4, 0), _identity_map(1)
+    cases = [
+        ((p, GroupContext((phi2,)), "invariant"), DimensionError),
+        ((Polynomial.zero(4), GroupContext((phi2,)), "anti_invariant"), DimensionError),
+        ((g, GroupContext((phi2,)), "equivariant"), DimensionError),
+        ((PolyMap.zero(1), GroupContext((phi2,)), "reversible_equivariant"), DimensionError),
+        ((p, GroupContext((phi1, phi2)), "invariant"), DimensionError),
+        ((g, GroupContext((phi1,)), "invariant"), TypeError),
+        ((p, GroupContext((phi1,)), "reversible_equivariant"), TypeError),
+        ((p, GroupContext((phi1,)), "odd"), ValueError),
+        ((g, GroupContext((phi1,)), "odd"), ValueError),
+    ]
+    for args, error in cases:
+        for check in (membership, reference_membership):
+            with pytest.raises(error):
+                check(*args)
+    linear = LinearPart(1)
+    with pytest.raises(TypeError):
+        linear.infinitesimal_ok(g, "invariant")
+    with pytest.raises(TypeError):
+        linear.infinitesimal_ok(p, "equivariant")
+    with pytest.raises(ValueError):
+        linear.infinitesimal_ok(p, "odd")
 
 
 def test_anticommute_examples():

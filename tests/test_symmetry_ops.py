@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from birevnf.continuous import (
     psi_element,
 )
 from birevnf.errors import (
+    CertificationFailure,
     ConditionViolated,
     DimensionError,
     IncompatibleMatrix,
@@ -35,10 +37,13 @@ from birevnf.oracle import module_slice, spans_equal
 from birevnf.poly import (
     HALF,
     GaussianRational,
+    I,
     PolyMap,
     Polynomial,
+    conj_monomial,
     polymap_from_terms,
     polynomial_from_terms,
+    x_index,
     z_index,
 )
 from birevnf.symmetry_ops import (
@@ -73,8 +78,8 @@ from conftest import (
     random_real_polynomial,
     sparse,
 )
-from reference_oracle import mul_invariant
-from test_golden_gensets import REGIMES as GOLDEN_REGIMES
+from reference_oracle import compose_linear, mul_invariant, reference_membership
+from test_golden_gensets import REGIMES as GOLDEN_REGIMES, gensets
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +149,7 @@ def test_transfer_fixes_its_image():
 
 
 def _transfer_reference(g, action):
-    return (g - g.compose_linear(action).apply_linear(action)).scale(HALF)
+    return (g - compose_linear(g, action).apply_linear(action)).scale(HALF)
 
 
 # an involution that is neither phi nor psi: x1 and x2 swapped, z -> i zb
@@ -413,6 +418,61 @@ def test_pipeline_outputs_certified_and_sound(c3_gensets, c3_contexts):
             assert membership(p, full, "invariant")
         for g in gs.module_generators:
             assert membership(g, full, "reversible_equivariant")
+
+
+def _changed_copies(gens, change):
+    """(k, copy): generator k with one stored component replaced by each
+    polynomial that change(k, component) yields."""
+    for k, g in enumerate(gens):
+        comps = [*g.x_components, *g.z_components]
+        for c, comp in enumerate(comps):
+            for changed in change(c, comp):
+                copy = comps[:c] + [changed] + comps[c + 1:]
+                yield k, PolyMap(copy[:2], copy[2:])
+
+
+def _scaled_or_dropped(c: int, comp: Polynomial):
+    """comp times 2, then comp without each term (and its conjugate term in
+    an x component, which stays real)."""
+    yield comp.scale(2)
+    for mono in sorted(comp.monomials()):
+        dropped = {mono, conj_monomial(mono) if c < 2 else mono}
+        yield Polynomial(comp.nvars, {m: v for m, v in comp.terms.items() if m not in dropped})
+
+
+def _z_times_i(c: int, comp: Polynomial):
+    """a nonzero z component times i, which phi sends to the other side."""
+    if c >= 2 and comp:
+        yield comp.scale(I)
+
+
+@pytest.mark.parametrize("case, params, n", GOLDEN_REGIMES)
+def test_certify_names_the_element_that_fails(case, params, n):
+    # the first sign class of each golden regime: a ring element times x2
+    # (odd under phi, and the shear no longer kills it), then a generator
+    # with one component scaled or one term dropped, the first copy that the
+    # Polynomial reference rejects; in the non-resonant regimes every
+    # component of every generator is one term paired with itself, so there
+    # a z component is multiplied by i instead
+    _, ctx, genset = gensets(case, params, n)[0]
+    assert certify(genset).certified
+    ring = list(genset.ring_basis)
+    ring[-1] = ring[-1] * Polynomial.variable(2 * n + 2, x_index(2))
+    with pytest.raises(CertificationFailure) as caught:
+        certify(replace(genset, ring_basis=tuple(ring), certified=False))
+    assert str(caught.value) == f"ring element is not invariant: {ring[-1]}"
+    full = ctx.full_context()
+    k, bad = next(
+        (k, h)
+        for change in (_scaled_or_dropped, _z_times_i)
+        for k, h in _changed_copies(genset.module_generators, change)
+        if not reference_membership(h, full, "reversible_equivariant")
+    )
+    gens = list(genset.module_generators)
+    gens[k] = bad
+    with pytest.raises(CertificationFailure) as caught:
+        certify(replace(genset, module_generators=tuple(gens), certified=False))
+    assert str(caught.value) == f"generator is not reversible-equivariant: {bad}"
 
 
 def test_intermediate_generators_span_reference_list(c3_contexts):
