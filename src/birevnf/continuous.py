@@ -112,6 +112,19 @@ class LinearPart:
             ints = _to_integer_row(vec)
             rows.append(tuple(ints.get(j, 0) for j in range(self.n)))
         object.__setattr__(self, "_weight_rows", tuple(sorted(rows, reverse=True)))
+        # for `infinitesimal_ok`: the (z column, conj(z) column, w) of each
+        # row's nonzero entries, and the weight of each coordinate component
+        # under every row
+        weight_terms = tuple(
+            tuple((z_index(j), zbar_index(j), w) for j, w in enumerate(weights, start=1) if w)
+            for weights in self._weight_rows
+        )
+        component_weights = tuple(
+            tuple(self.component_weight(c, weights) for weights in self._weight_rows)
+            for c in range(self.n + 2)
+        )
+        object.__setattr__(self, "_weight_terms", weight_terms)
+        object.__setattr__(self, "_component_weights", component_weights)
         # the shear x1 d/dx2, then per weight row w the torus generator
         # z_j -> i w_j z_j, as sparse rows
         shear = [()] * self.nvars
@@ -168,19 +181,25 @@ class LinearPart:
             comps = (*obj.x_components, *obj.z_components)
         else:
             raise ValueError(f"unknown infinitesimal kind {kind!r}")
-        for weights in self._weight_rows:
-            for c, poly in enumerate(comps):
-                target = self.component_weight(c, weights)
-                for mono in poly.monomials():
-                    if sum(
-                        w * (mono[z_index(j)] - mono[zbar_index(j)])
-                        for j, w in enumerate(weights, start=1)
-                    ) != target:
-                        return False
-        # x1 d/dx2 kills every component but g_x2: none of them holds x2
+        if obj.nvars != self.nvars:
+            raise DimensionError(
+                f"object on {obj.nvars} coordinates, linearization on {self.nvars}"
+            )
+        # each monomial's torus weight under every row, from the row's
+        # nonzero entries, must be its component's; and x1 d/dx2 kills
+        # every component but g_x2: none of them holds x2
         x1, x2 = x_index(1), x_index(2)
-        if any(mono[x2] for c, poly in enumerate(comps) if c != 1 for mono in poly.monomials()):
-            return False
+        weight_terms = self._weight_terms
+        for c, (poly, targets) in enumerate(zip(comps, self._component_weights)):
+            for mono in poly.monomials():
+                if mono[x2] and c != 1:
+                    return False
+                for row, target in zip(weight_terms, targets):
+                    weight = 0
+                    for z, zb, w in row:
+                        weight += w * (mono[z] - mono[zb])
+                    if weight != target:
+                        return False
         if kind == "invariant":
             return True
         # x1 d/dx2 g_x2 = g_x1: the term (m, c) of g_x2 goes to c * m[x2] at

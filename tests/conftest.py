@@ -10,7 +10,7 @@ from birevnf.group import SignedElement
 from birevnf.linalg import vectorize
 from birevnf.oracle import DegreeSlice
 from birevnf.poly import I, ONE, ZERO, GaussianRational, PolyMap, Polynomial
-from birevnf.symmetry_ops import phi_step, pipeline
+from birevnf.symmetry_ops import pipeline, transported
 
 settings.register_profile("exact", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("exact")
@@ -20,10 +20,10 @@ SEED = 20260809
 
 
 @pytest.fixture(autouse=True)
-def _fresh_phi_steps():
-    """Each test starts with no kept phi step, so what it counts or records
-    does not depend on which tests ran before it."""
-    phi_step.cache_clear()
+def _fresh_transport_steps():
+    """Each test starts with no kept transport step, so what it counts or
+    records does not depend on which tests ran before it."""
+    transported.cache_clear()
 
 
 def make_rng(salt: int = 0) -> random.Random:

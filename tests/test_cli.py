@@ -24,9 +24,10 @@ from birevnf.cli import (
 from birevnf.continuous import SymmetryContext
 from birevnf.errors import ConfigError, UnsupportedCase
 from birevnf.oracle import module_slice, slice_space
-from birevnf.symmetry_ops import pipeline
+from birevnf.symmetry_ops import pipeline, transported
 
 from conftest import slice_of
+from test_golden_gensets import REGIMES, command_output
 
 
 def run_cli(capsys, *argv):
@@ -581,3 +582,37 @@ def test_report_commands_reject_latex(capsys, tmp_path, command):
         assert code == EXIT_CONFIG
         assert out == ""
         assert f"config error: {command} reports in text or json, not latex" in err
+
+
+def test_repeated_jobs_print_what_a_cleared_memo_prints():
+    # generators and normal-form in every format and verify, on the first
+    # and last sign class of each golden regime: each job runs twice, with
+    # the others in between, and prints what it prints on a cleared memo
+    renders = [
+        (command, fmt, ())
+        for command in ("generators", "normal-form")
+        for fmt in ("text", "latex", "json")
+    ]
+    jobs = [
+        (command, case, params, signs, fmt, *extra)
+        for case, params, n in REGIMES
+        for signs in ((1,) * (n + 1), (-1,) * (n + 1))
+        for command, fmt, extra in (*renders, ("verify", "text", ("--verify-degrees", "2..4")))
+    ]
+    fresh = {}
+    for job in jobs:
+        transported.cache_clear()
+        fresh[job] = command_output(*job)
+    transported.cache_clear()
+    for job in jobs + jobs:
+        assert command_output(*job) == fresh[job], job
+    # a catalog and a phi step per linear part and a psi step per sign
+    # class, whichever regime names them; every other lookup is a hit
+    steps = {
+        (ctx.linear_part, ctx.psi)
+        for ctx in (SymmetryContext.from_case(*job[1:4]) for job in jobs)
+    }
+    linear_parts = {linear for linear, _ in steps}
+    # res_n1n2_Cn (1,2,3) is the linear part of res_n1n2_C3 (1,2)
+    assert len(linear_parts) == len(REGIMES) - 1
+    assert transported.cache_info().misses == 2 * len(linear_parts) + len(steps)

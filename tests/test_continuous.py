@@ -32,7 +32,7 @@ from birevnf.poly import I, ONE, LinearAction, PolyMap, Polynomial, z_index, zba
 from birevnf.symmetry_ops import pipeline, ring_products
 
 from conftest import dense, dense_rref, identity_matrix, mat_mul, sparse
-from reference_oracle import mul_invariant
+from reference_oracle import mul_invariant, reference_infinitesimal_ok
 from references import sigma_tilde_psi_context
 from test_golden_gensets import CATALOG_SETS, REGIMES
 
@@ -267,6 +267,37 @@ def test_sgroup_data_always_checks_the_shear():
     assert not linear.infinitesimal_ok(sheared, "equivariant")
     assert catalog_faults(linear, basis + (x2,), gens) == [x2]
     assert catalog_faults(linear, basis, gens + (sheared,)) == [sheared]
+
+
+@pytest.mark.parametrize("case,params", [("res_n1n2_C3", (1, 2)), ("res_double_C4", (1, 2, 1, 3))])
+def test_weight_test_agrees_with_the_reference_on_another_lattice(case, params):
+    # a resonant catalog against the non-resonant linear part on as many
+    # blocks: every element meets the shear, and the resonant ones fail the
+    # weight test alone; in res_double_C4 those of the second relation
+    # fail only past the first weight row
+    resonant = linear_part_for_case(case, params)
+    plain = LinearPart(resonant.n)
+    basis, gens = closure_data(resonant)
+    checks = [(p, "invariant") for p in basis] + [(g, "equivariant") for g in gens]
+    verdicts = set()
+    for obj, kind in checks:
+        assert resonant.infinitesimal_ok(obj, kind)
+        got = plain.infinitesimal_ok(obj, kind)
+        assert got == reference_infinitesimal_ok(plain, obj, kind), (kind, str(obj))
+        verdicts.add(got)
+    assert verdicts == {False, True}
+
+
+def test_infinitesimal_check_refuses_another_coordinate_count():
+    linear = LinearPart(2)
+    for obj, kind in [
+        (Polynomial.variable(4, 2), "invariant"),
+        (Polynomial.variable(8, 2), "invariant"),
+        (PolyMap.zero(1), "equivariant"),
+        (PolyMap.zero(3), "equivariant"),
+    ]:
+        with pytest.raises(DimensionError):
+            linear.infinitesimal_ok(obj, kind)
 
 
 AUDITED = sorted({(case, params) for case, params, _ in REGIMES} | set(CATALOG_SETS))

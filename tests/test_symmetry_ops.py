@@ -47,7 +47,7 @@ from birevnf.poly import (
     z_index,
 )
 from birevnf.symmetry_ops import (
-    PHI_STEP_CACHE,
+    TRANSPORT_CACHE,
     GeneratorSet,
     _canonical,
     _transfer,
@@ -56,7 +56,6 @@ from birevnf.symmetry_ops import (
     generators_over_extension,
     genset_to_text,
     module_row,
-    phi_step,
     pipeline,
     prune_module,
     prune_ring,
@@ -64,6 +63,7 @@ from birevnf.symmetry_ops import (
     reynolds_S,
     ring_products,
     transfer_T,
+    transported,
 )
 from birevnf.group import SignedElement
 from birevnf import symmetry_ops
@@ -868,7 +868,7 @@ def test_project_generators_rescales_and_drops_repeats(c3_data):
 
 
 def _unshared_pipeline(ctx):
-    """The pipeline composed step by step, with no kept phi step."""
+    """The pipeline composed step by step, with no kept transport step."""
     basis, gens = closure_data(ctx.linear_part)
     for kappa in (ctx.phi, ctx.psi):
         basis, gens = _transport(basis, gens, kappa)
@@ -876,6 +876,9 @@ def _unshared_pipeline(ctx):
 
 
 def test_shared_phi_step_gives_the_unshared_generator_sets():
+    # each linear part misses its catalog and its phi step once, and each
+    # sign class its psi step once; a second pass over the same contexts
+    # only hits, and gives the same generator sets
     linear_parts = [
         linear_part_for_case(case, params)
         for case, params in [
@@ -886,30 +889,73 @@ def test_shared_phi_step_gives_the_unshared_generator_sets():
         ]
     ]
     contexts = [ctx for linear in linear_parts for ctx in enumerate_involution_pairs(linear)]
+    assert 2 * len(linear_parts) + len(contexts) <= TRANSPORT_CACHE
     expected = {ctx: _unshared_pipeline(ctx) for ctx in contexts}
     for order in (contexts, contexts[::-1]):
-        phi_step.cache_clear()
-        for ctx in order:
-            genset = pipeline(ctx)
-            want = expected[ctx]
-            assert genset.certified and genset.context == ctx
-            assert genset.ring_basis == want.ring_basis
-            assert genset.module_generators == want.module_generators
-            assert genset_to_text(genset) == genset_to_text(want)
-        info = phi_step.cache_info()
-        assert (info.misses, info.hits) == (len(linear_parts), len(contexts) - len(linear_parts))
+        transported.cache_clear()
+        for npass in range(2):
+            before = transported.cache_info()
+            for ctx in order:
+                genset = pipeline(ctx)
+                want = expected[ctx]
+                assert genset.certified and genset.context is ctx
+                assert genset.ring_basis == want.ring_basis
+                assert genset.module_generators == want.module_generators
+                assert genset_to_text(genset) == genset_to_text(want)
+            info = transported.cache_info()
+            misses, hits = info.misses - before.misses, info.hits - before.hits
+            if npass == 0:
+                assert misses == 2 * len(linear_parts) + len(contexts)
+                assert hits == len(contexts) - len(linear_parts)
+            else:
+                assert (misses, hits) == (0, len(contexts))
 
 
 def test_kept_phi_steps_stay_within_the_bound():
+    # every sign class of more linear parts than the bound has room for:
+    # the memo drops its least recently used entries and never recomputes
+    # a catalog or a phi step while their classes run
     linear_parts = [LinearPart(n) for n in (1, 2, 3)] + [
         LinearPart(2, ((a, b),))
         for a in range(1, 5)
         for b in (-3, -2, -1, 1, 2, 3)
         if math.gcd(a, b) == 1
     ]
-    assert len(linear_parts) > PHI_STEP_CACHE
+    entries = 0
     for linear in linear_parts:
-        pipeline(enumerate_involution_pairs(linear)[0])
-        assert phi_step.cache_info().currsize <= PHI_STEP_CACHE
-    info = phi_step.cache_info()
-    assert (info.misses, info.currsize) == (len(linear_parts), PHI_STEP_CACHE)
+        contexts = enumerate_involution_pairs(linear)
+        entries += 2 + len(contexts)
+        for ctx in contexts:
+            pipeline(ctx)
+            assert transported.cache_info().currsize <= TRANSPORT_CACHE
+    assert entries > TRANSPORT_CACHE
+    info = transported.cache_info()
+    assert (info.misses, info.currsize) == (entries, TRANSPORT_CACHE)
+
+
+def test_a_kept_result_is_still_certified(monkeypatch):
+    # the second call reads both transport steps from the memo, runs no
+    # step and certifies once more, against the caller's own context
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    first = pipeline(ctx)
+    steps, certified = [], []
+    transport, check = symmetry_ops._transport, symmetry_ops.certify
+    monkeypatch.setattr(
+        symmetry_ops, "_transport", lambda *args: steps.append(args) or transport(*args)
+    )
+    monkeypatch.setattr(
+        symmetry_ops, "certify", lambda genset: certified.append(genset) or check(genset)
+    )
+    again = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    assert again == ctx and again is not ctx
+    second = pipeline(again)
+    assert steps == [] and len(certified) == 1
+    assert second.certified and second.context is again
+    assert second.ring_basis == first.ring_basis
+    assert second.module_generators == first.module_generators
+    # `certify` reads `membership` from its own module; a check that
+    # rejects everything fails the kept result as it would a new one
+    monkeypatch.setattr(symmetry_ops, "membership", lambda obj, context, kind: False)
+    with pytest.raises(CertificationFailure):
+        pipeline(again)
+    assert steps == []

@@ -77,6 +77,9 @@ def test_each_step_projects_each_generator_once(monkeypatch, case, params, signs
     other = (-signs[0], *signs[1:])
     symmetry_ops.pipeline(SymmetryContext.from_case(case, params, other))
     assert len(steps) == 3
+    # a context seen before runs no step at all
+    symmetry_ops.pipeline(SymmetryContext.from_case(case, params, signs))
+    assert len(steps) == 3
     for offered, made in steps:
         assert offered > 0
         assert made == {
