@@ -29,11 +29,18 @@ the pair's.  The finite part of the tower is the Klein four-group
 on it comes down to one comparison, read off their sparse rows; no group
 is closed.  API input is checked once, here: a count, coefficient, case
 parameter or sign that is not an int is rejected, not truncated.
+
+A named case is checked once per process: `SymmetryContext.from_case`
+checks its inputs' types on every call, then keeps the context it builds
+for each (case, params, signs), the last CONTEXT_CACHE of them, and hands
+the same frozen, checked object to every later call.  `build`, the pair
+enumeration and the checks themselves keep nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd
 from operator import add, ge
@@ -65,6 +72,9 @@ from .poly import (
 # the most sign classes, 2^n on n rotation blocks, that
 # `enumerate_involution_pairs` builds a pair for
 MAX_SIGN_CLASSES = 4096
+
+# the most named-case contexts that `SymmetryContext.from_case` keeps
+CONTEXT_CACHE = 64
 
 
 # -- the linearization -------------------------------------------------------
@@ -610,7 +620,17 @@ class SymmetryContext:
     def from_case(
         cls, case: str, params: Sequence[int], signs: Sequence[int]
     ) -> "SymmetryContext":
-        return cls.build(linear_part_for_case(case, params), signs)
+        """The context of a named case, checked once per process.
+
+        The case, its parameters and the signs' types are checked first,
+        with the errors of `build(linear_part_for_case(case, params), signs)`
+        in its order; the memo is keyed only on their int tuples, so a bool
+        or a float never finds the context of an int, and lists are accepted.
+        A miss runs that `build` call; a hit returns the context it built.
+        Errors are raised again on every call, never kept.
+        """
+        case_blocks(case, params)
+        return _case_context(case, _integers(params, UnsupportedCase), _integers(signs))
 
     @property
     def nblocks(self) -> int:
@@ -619,3 +639,10 @@ class SymmetryContext:
     def full_context(self) -> GroupContext:
         """Both involutions reversing: the product sign map sigma."""
         return GroupContext((self.phi, self.psi), self.linear_part)
+
+
+@lru_cache(maxsize=CONTEXT_CACHE)
+def _case_context(case: str, params: tuple[int, ...], signs: tuple[int, ...]) -> SymmetryContext:
+    """`SymmetryContext.from_case` on its checked inputs, the last
+    CONTEXT_CACHE of them kept."""
+    return SymmetryContext.build(linear_part_for_case(case, params), signs)

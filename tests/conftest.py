@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from birevnf.continuous import SymmetryContext
+from birevnf.continuous import SymmetryContext, _case_context
 from birevnf.errors import SignInconsistency
 from birevnf.group import SignedElement
 from birevnf.linalg import vectorize
@@ -20,9 +20,11 @@ SEED = 20260809
 
 
 @pytest.fixture(autouse=True)
-def _fresh_transport_steps():
-    """Each test starts with no kept transport step, so what it counts or
-    records does not depend on which tests ran before it."""
+def _fresh_memos():
+    """Each test starts with no kept named-case context and no kept
+    transport step, so what it counts or records does not depend on which
+    tests ran before it."""
+    _case_context.cache_clear()
     transported.cache_clear()
 
 

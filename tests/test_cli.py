@@ -21,7 +21,7 @@ from birevnf.cli import (
     load_config,
     main,
 )
-from birevnf.continuous import SymmetryContext
+from birevnf.continuous import SymmetryContext, _case_context
 from birevnf.errors import ConfigError, UnsupportedCase
 from birevnf.oracle import module_slice, slice_space
 from birevnf.symmetry_ops import pipeline, transported
@@ -587,7 +587,7 @@ def test_report_commands_reject_latex(capsys, tmp_path, command):
 def test_repeated_jobs_print_what_a_cleared_memo_prints():
     # generators and normal-form in every format and verify, on the first
     # and last sign class of each golden regime: each job runs twice, with
-    # the others in between, and prints what it prints on a cleared memo
+    # the others in between, and prints what it prints on cleared memos
     renders = [
         (command, fmt, ())
         for command in ("generators", "normal-form")
@@ -601,8 +601,10 @@ def test_repeated_jobs_print_what_a_cleared_memo_prints():
     ]
     fresh = {}
     for job in jobs:
+        _case_context.cache_clear()
         transported.cache_clear()
         fresh[job] = command_output(*job)
+    _case_context.cache_clear()
     transported.cache_clear()
     for job in jobs + jobs:
         assert command_output(*job) == fresh[job], job

@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import birevnf.continuous as continuous
+import birevnf.poly as poly
 from birevnf.continuous import (
     LinearPart,
     SymmetryContext,
@@ -522,3 +523,89 @@ def test_fix_dimension_is_the_nullity_of_a_minus_the_identity():
         fix_dimension(
             SignedElement(sparse([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), -1)
         )
+
+
+def _outcome(call):
+    """The class and message that call raises, or None if it returns."""
+    try:
+        call()
+    except Exception as error:  # the class and message are compared
+        return type(error), str(error)
+    return None
+
+
+# (bad triple, a valid triple of the same case), the valid one kept between
+# the two calls on the bad one; True, 2.0 and 1.0 hash as the ints 1 and 2
+BAD_TRIPLES = {
+    "unknown case": (("no_such_case", (2,), (1, 1, 1)), ("non_resonant", (2,), (1, 1, 1))),
+    "param True": (("non_resonant", (True,), (1, 1)), ("non_resonant", (1,), (1, 1))),
+    "param 2.0": (("non_resonant", (2.0,), (1, 1, 1)), ("non_resonant", (2,), (1, 1, 1))),
+    "param '1'": (("non_resonant", ("1",), (1, 1)), ("non_resonant", (1,), (1, 1))),
+    "param count": (("res_n1n2_C3", (1,), (1, 1, 1, 1)), ("res_n1n2_C3", (1, 2), (1, 1, 1, 1))),
+    "params (2,4)": (("res_n1n2_C3", (2, 4), (1, 1, 1, 1)), ("res_n1n2_C3", (1, 2), (1, 1, 1, 1))),
+    "params (1,1)": (("res_n1n2_C3", (1, 1), (1, 1, 1, 1)), ("res_n1n2_C3", (1, 2), (1, 1, 1, 1))),
+    "sign 0": (("non_resonant", (2,), (1, 0, 1)), ("non_resonant", (2,), (1, 1, 1))),
+    "sign True": (("non_resonant", (2,), (True, 1, 1)), ("non_resonant", (2,), (1, 1, 1))),
+    "sign 1.0": (("non_resonant", (2,), (1.0, 1, 1)), ("non_resonant", (2,), (1, 1, 1))),
+    "sign count": (("non_resonant", (2,), (1, 1)), ("non_resonant", (2,), (1, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("bad,valid", BAD_TRIPLES.values(), ids=BAD_TRIPLES.keys())
+def test_a_kept_context_raises_what_the_unkept_build_raises(bad, valid):
+    case, params, signs = bad
+    want = _outcome(lambda: SymmetryContext.build(linear_part_for_case(case, params), signs))
+    assert want is not None
+    assert _outcome(lambda: SymmetryContext.from_case(*bad)) == want
+    kept = SymmetryContext.from_case(*valid)
+    assert _outcome(lambda: SymmetryContext.from_case(*bad)) == want
+    # the error is not kept, and the valid context still is
+    assert continuous._case_context.cache_info().currsize == 1
+    assert SymmetryContext.from_case(*valid) is kept
+
+
+def test_list_inputs_give_the_context_of_tuples():
+    ctx = SymmetryContext.from_case("res_n1n2_C3", [1, 2], [1, 1, -1, 1])
+    assert ctx.signs == (1, 1, -1, 1)
+    assert ctx == SymmetryContext.build(linear_part_for_case("res_n1n2_C3", (1, 2)), (1, 1, -1, 1))
+    assert SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1)) is ctx
+
+
+def test_a_kept_context_is_checked_once(monkeypatch):
+    checks = Counter()
+    anticommute, compatible = continuous.anticommute_check, poly.check_conjugation_compatible
+    monkeypatch.setattr(
+        continuous,
+        "anticommute_check",
+        lambda *args: checks.update(["anticommute"]) or anticommute(*args),
+    )
+    monkeypatch.setattr(
+        poly,
+        "check_conjugation_compatible",
+        lambda *args: checks.update(["compatible"]) or compatible(*args),
+    )
+    first = SymmetryContext.from_case("res_double_C4", (1, 2, 1, 3), (1, -1, 1, 1, -1))
+    assert checks["anticommute"] > 0 and checks["compatible"] > 0
+    checks.clear()
+    again = SymmetryContext.from_case("res_double_C4", [1, 2, 1, 3], [1, -1, 1, 1, -1])
+    assert again is first and not checks
+
+
+def test_kept_contexts_stay_within_the_bound():
+    # every sign vector of two four-block cases and of non_resonant 2:
+    # 32 + 32 + 8 = 72 distinct triples, more than the memo keeps
+    triples = [
+        (case, params, signs)
+        for case, params, n in [
+            ("res_double_C4", (1, 2, 1, 3), 4),
+            ("res_double_C4", (1, 2, 1, 2), 4),
+            ("non_resonant", (2,), 2),
+        ]
+        for signs in product((1, -1), repeat=n + 1)
+    ]
+    assert len(set(triples)) == 72 > continuous.CONTEXT_CACHE
+    for triple in triples:
+        SymmetryContext.from_case(*triple)
+        assert continuous._case_context.cache_info().currsize <= continuous.CONTEXT_CACHE
+    info = continuous._case_context.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (72, 0, continuous.CONTEXT_CACHE)

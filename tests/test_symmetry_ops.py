@@ -946,7 +946,8 @@ def test_a_kept_result_is_still_certified(monkeypatch):
     monkeypatch.setattr(
         symmetry_ops, "certify", lambda genset: certified.append(genset) or check(genset)
     )
-    again = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    # `from_case` would hand back ctx itself; build an equal, distinct context
+    again = SymmetryContext.build(linear_part_for_case("res_n1n2_C3", (1, 2)), (1, 1, -1, 1))
     assert again == ctx and again is not ctx
     second = pipeline(again)
     assert steps == [] and len(certified) == 1
