@@ -17,6 +17,9 @@ The oracle artifact pins the text of every basis element of
 on the first and last sign class of each regime (keyed "signs kind d").
 `verify` prints only dimensions, so this is what catches a change to the
 oracle's column order or its canonical basis that keeps the same span.
+The module artifact pins the text of every basis element of
+`module_slice(pipeline(ctx), d)` the same way (keyed "signs d"), for the
+canonical basis of the span of the generators over the ring.
 
 The catalog artifact pins the text of each Hilbert-basis element and each
 equivariant generator of `catalog(case, params)`, in order (keyed "basis i"
@@ -41,7 +44,7 @@ import pytest
 from birevnf import cli
 from birevnf.continuous import SymmetryContext, catalog
 from birevnf.normalform import assemble, emit
-from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, slice_space
+from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, module_slice, slice_space
 from birevnf.symmetry_ops import genset_to_json, genset_to_latex, genset_to_text, pipeline
 
 GOLDEN = Path(__file__).parent / "golden" / "gensets.json"
@@ -78,6 +81,7 @@ VERIFY = {"verify-text": "text", "verify-json": "json"}
 VERIFY_DEGREES = "0..4"
 
 ORACLE = "oracle-slices"
+MODULE = "module-slices"
 SLICE_DEGREES = range(6)
 
 CATALOG = "catalog"
@@ -131,6 +135,16 @@ def oracle_digests(case, params, n) -> dict:
     return out
 
 
+def module_digests(case, params, n) -> dict:
+    out = {}
+    classes = gensets(case, params, n)
+    for signs, _ctx, gs in (classes[0], classes[-1]):
+        for d in SLICE_DEGREES:
+            text = "\n".join(str(b) for b in module_slice(gs, d).basis)
+            out[f"{','.join(map(str, signs))} {d}"] = _sha(text)
+    return out
+
+
 def catalog_digests(case, params) -> dict:
     data = catalog(case, params)
     out = {}
@@ -173,6 +187,8 @@ def digests(case, params, n, artifact) -> dict:
         return catalog_digests(case, params)
     if artifact == ORACLE:
         return oracle_digests(case, params, n)
+    if artifact == MODULE:
+        return module_digests(case, params, n)
     render = ARTIFACTS[artifact]
     return {
         ",".join(map(str, signs)): _sha(render(ctx, gs))
@@ -183,7 +199,7 @@ def digests(case, params, n, artifact) -> dict:
 CASES = [
     (*regime, artifact)
     for regime in REGIMES
-    for artifact in (*ARTIFACTS, *CLASSIFY, *VERIFY, ORACLE)
+    for artifact in (*ARTIFACTS, *CLASSIFY, *VERIFY, ORACLE, MODULE)
 ]
 CASES += [(case, params, None, CATALOG) for case, params in CATALOG_SETS]
 
