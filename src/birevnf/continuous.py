@@ -89,11 +89,22 @@ class LinearPart:
     would force some omega_j = 0 are rejected, matching the requirement
     that every frequency is nonzero.  The linear part is the one source of
     the closure group's data: its weight lattice, the infinitesimal
-    conditions (`infinitesimal_ok`) and the catalog (`closure_data`).
+    conditions (`infinitesimal_ok`) and the catalog (`closure_data`).  So
+    equality and the hash read n and the weight lattice: relations that
+    span one rational space, such as (1, -2) and (2, -4), give equal linear
+    parts, and each keeps its own spelling in `resonance_relations`.
     """
 
     n: int
     resonance_relations: tuple[tuple[int, ...], ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearPart):
+            return NotImplemented
+        return (self.n, self.torus_weight_rows()) == (other.n, other.torus_weight_rows())
+
+    def __hash__(self):
+        return hash((self.n, self.torus_weight_rows()))
 
     def __post_init__(self):
         _integers((self.n,))

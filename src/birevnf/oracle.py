@@ -33,9 +33,9 @@ every solution, and every other column keeps its place in the order.  So
 the free columns are the same, and so is the unique reduced-echelon
 basis, whatever the order of the rows.  Each nullspace vector becomes a
 slice row through the fixed columns of the parameters.
-`module_slice` builds each row from a generator's terms times a ring
-product's terms, over one `symmetry_ops.ProductTable`, and keeps the
-reduced rows of their span.  `spans_equal` decides on rows and builds the
+`module_slice` keeps the reduced span of `symmetry_ops.module_rows` over
+the one `ProductTable` the generator set keeps, so a sweep over degrees
+builds each product once.  `spans_equal` decides on rows and builds the
 bases only to name a witness.
 
 The tests hold the independent reference, a naive oracle that shares
@@ -68,6 +68,7 @@ from .poly import (
     output_columns,
     polymap_terms,
 )
+from .symmetry_ops import module_rows
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
 
@@ -393,32 +394,17 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
     """Degree-d part of the module spanned by the generator set.
 
     Spans {m * G} over all module generators G and all monomials m in the
-    ring basis with matching total degree, reduced to an exact basis.  The
-    monomials come from one `ProductTable` built for this call, and each
-    row is built from the generator's terms times the product's terms.
+    ring basis with matching total degree, reduced to an exact basis: the
+    `symmetry_ops.module_rows` of the generators over the generator set's
+    one `ProductTable`.  More than `limit` products raise `ResourceLimit`.
     """
-    from .symmetry_ops import ProductTable, module_row  # local import avoids a cycle
-
-    gens = genset.module_generators
-    nblocks = gens[0].nblocks if gens else genset.context.nblocks
-    products = ProductTable(genset.ring_basis, 2 * nblocks + 2)
-    span = Echelon()
-    count = 0
-    for gen in gens:
-        gap = degree - gen.degree()
-        if gap < 0:
-            continue
-        gen_terms = polymap_terms(gen)
-        for coeff in products[gap]:
-            count += 1
-            if count > limit:
-                raise ResourceLimit(
-                    f"module slice at degree {degree} exceeded {limit} products"
-                )
-            span.insert(module_row(gen_terms, coeff))
-    return DegreeSlice(
-        degree, "reversible_equivariant", tuple(span.reduced_rows()), 2 * nblocks + 2
-    )
+    gens = [(polymap_terms(g), g.degree()) for g in genset.module_generators]
+    rows = module_rows(genset.products, gens, degree)
+    span = Echelon(itertools.islice(rows, limit))
+    if next(rows, None) is not None:
+        raise ResourceLimit(f"module slice at degree {degree} exceeded {limit} products")
+    nvars = genset.context.linear_part.nvars
+    return DegreeSlice(degree, "reversible_equivariant", tuple(span.reduced_rows()), nvars)
 
 
 @dataclass(frozen=True)

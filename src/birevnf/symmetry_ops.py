@@ -39,6 +39,10 @@ later step copies the terms it reads.  An entry holds tens of kilobytes:
 the 18 entries of all 16 sign classes of `res_double_C4` (1,2,1,3) hold
 0.5 MB of objects.
 
+Both prunes are one pass, `_prune`, over the rows of a `ProductTable`;
+`module_rows` serves `prune_module` and `oracle.module_slice`, which
+reads the one table that a `GeneratorSet` keeps.
+
 The operators, the candidates of both steps with their rescaling and
 deduplication, the ring-product table and the rows of both prunes run on
 the exponent-tuple terms of `poly` (the kernel the oracle uses too) and
@@ -55,9 +59,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import groupby
+from threading import Lock
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -68,7 +73,7 @@ from .errors import (
     IncompatibleMatrix,
 )
 from .group import SignedElement, membership
-from .linalg import Echelon, vectorize_polymap, vectorize_polynomial, vectorize_terms
+from .linalg import Echelon, vectorize, vectorize_terms
 from .poly import (
     LATEX,
     LinearAction,
@@ -191,14 +196,17 @@ class ProductTable:
     times u_i, over the entries whose last factor index is at most i, so
     each product costs one multiplication.  `add` checks each basis element
     once: it must have positive degree and be real-valued, and a product of
-    real-valued elements is real-valued, so no product needs the check.  A
-    table lives only as long as the call that builds it.
+    real-valued elements is real-valued, so no product needs the check.
+    Levels are built under a lock, so threads that share a table never
+    append a level twice, and a shared one (`GeneratorSet.products`) is
+    never added to.
     """
 
     def __init__(self, basis: Iterable[Polynomial], nvars: int):
         self.basis: list[tuple[dict, int]] = []
         # level d: (product, index of its last factor); the empty product is 1
         self.levels = [[({(0,) * nvars: (1, 0)}, 0)]]
+        self._lock = Lock()
         for u in basis:
             self.add(u)
 
@@ -216,15 +224,16 @@ class ProductTable:
         if degree < 0:
             return []
         levels = self.levels
-        while len(levels) <= degree:
-            top = len(levels)
-            level = []
-            for i, (u, du) in enumerate(self.basis):
-                if du <= top:
-                    level.extend(
-                        (mul_terms(p, u), i) for p, last in levels[top - du] if last <= i
-                    )
-            levels.append(level)
+        with self._lock:
+            while len(levels) <= degree:
+                top = len(levels)
+                level = []
+                for i, (u, du) in enumerate(self.basis):
+                    if du <= top:
+                        level.extend(
+                            (mul_terms(p, u), i) for p, last in levels[top - du] if last <= i
+                        )
+                levels.append(level)
         return [p for p, _ in levels[degree]]
 
 
@@ -248,43 +257,50 @@ def module_row(gen_terms: Sequence[dict], product: dict) -> dict:
     )
 
 
-def _require_homogeneous(elems):
+def module_rows(products: ProductTable, gens: Iterable[tuple], degree: int):
+    """Each (`polymap_terms`, degree) generator times each ring product of the missing degree."""
+    return (module_row(terms, p) for terms, d in gens for p in products[degree - d])
+
+
+def _prune(candidates: Iterable, rows, keep) -> tuple:
+    """The one pass of both prunes, in canonical order, which is degree order.
+
+    At each degree d the span of `rows(d)`, what the kept lower-degree
+    elements generate, is built once; a degree-d candidate is kept and
+    passed to `keep` only if that span does not already contain it.  This
+    keeps what deleting redundant elements from the last one backwards
+    keeps: a homogeneous element is generated only in its own degree, and
+    dropping a redundant lower-degree element leaves the lower-degree part
+    as it was, so either way element i goes iff it lies in the span of the
+    earlier ones modulo that part, and ties keep the earlier element.
+    Zeros and repeats are dropped, the first copy kept.  Input that is not
+    homogeneous raises `DimensionError` before `rows` is called.
+    """
+    elems = _canonical(candidates)
     if not all(e.is_homogeneous() for e in elems):
         raise DimensionError("pruning needs homogeneous elements")
+    kept = []
+    for degree, group in groupby(elems, key=lambda e: e.degree()):
+        span = Echelon(rows(degree))
+        for e in group:
+            if span.insert(vectorize(e)):
+                kept.append(e)
+                keep(e)
+    return tuple(kept)
 
 
 def prune_ring(candidates: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """Drop elements that are polynomials in the remaining ones.
 
-    One pass in canonical order, which is degree order.  At each degree d
-    the span of the degree-d products of the kept lower-degree elements is
-    built once, from the products' terms; a degree-d candidate is kept,
-    and inserted, only if that span does not already contain it.  This
-    keeps the same set as deleting redundant elements from the last one
-    backwards: a homogeneous element is generated only in its own degree,
-    and dropping a redundant lower-degree element leaves the lower-degree
-    part of the ring as it was, so either way element i goes iff it lies in
-    the span of the earlier ones modulo that part, and ties keep the
-    earlier element.  Nonzero constants are dropped (the empty product is
-    1), and so are zeros and repeats, which the eliminator never takes:
-    the first copy in canonical order is kept.  The result is in canonical
-    order.  The input must be homogeneous; anything else raises
-    `DimensionError`.  A kept element that is not real-valued raises
-    `IncompatibleMatrix`.
+    `_prune` over the products of a `ProductTable` that each kept element
+    is added to; nonzero constants are dropped (the empty product is 1).
+    A kept element that is not real-valued raises `IncompatibleMatrix`.
     """
-    elems = _canonical(candidates)
-    _require_homogeneous(elems)
-    if not elems:
-        return ()
-    products = ProductTable((), elems[0].nvars)
-    kept: list[Polynomial] = []
-    for degree, group in groupby(elems, key=lambda e: e.degree()):
-        span = Echelon(vectorize_terms(((-1, p),)) for p in products[degree])
-        for e in group:
-            if span.insert(vectorize_polynomial(e)):
-                kept.append(e)
-                products.add(e)
-    return tuple(kept)
+    candidates = tuple(candidates)
+    products = ProductTable((), candidates[0].nvars if candidates else 0)
+    return _prune(
+        candidates, lambda d: (vectorize_terms(((-1, p),)) for p in products[d]), products.add
+    )
 
 
 def prune_module(
@@ -292,32 +308,19 @@ def prune_module(
 ) -> tuple[PolyMap, ...]:
     """Drop generators lying in the module generated by the others.
 
-    The same degree-order pass as `prune_ring`, over one `ProductTable` of
-    the ring basis: at each degree d the span of every kept lower-degree
-    generator times the ring products of the missing degree is built once,
-    each row from the generator's terms times the product's terms, then
-    the degree-d candidates are kept, and inserted, only if not in it.  It
-    keeps the same set as reverse deletion, by the same argument, drops
-    zeros and repeats the same way and returns canonical order.  The
-    input must be homogeneous; anything else raises `DimensionError`.  A
-    ring-basis element that is not real-valued raises `IncompatibleMatrix`.
+    `_prune` over `module_rows` of the kept generators and one
+    `ProductTable` of the ring basis, built at the first degree: a
+    ring-basis element that is not real-valued raises `IncompatibleMatrix`
+    after the homogeneity check.
     """
-    elems = _canonical(gens)
-    _require_homogeneous(elems)
-    if not elems:
-        return ()
-    products = ProductTable(ring_basis, elems[0].nvars)
-    kept: list[tuple[PolyMap, int, tuple]] = []
-    for degree, group in groupby(elems, key=lambda g: g.degree()):
-        span = Echelon(
-            module_row(terms, p)
-            for _, d, terms in kept
-            for p in products[degree - d]
-        )
-        kept.extend(
-            (g, degree, polymap_terms(g)) for g in group if span.insert(vectorize_polymap(g))
-        )
-    return tuple(g for g, _, _ in kept)
+    gens = tuple(gens)
+    products = cache(lambda: ProductTable(ring_basis, gens[0].nvars))
+    kept: list[tuple[tuple, int]] = []
+    return _prune(
+        gens,
+        lambda degree: module_rows(products(), kept, degree),
+        lambda g: kept.append((polymap_terms(g), g.degree())),
+    )
 
 
 # -- generator transport -----------------------------------------------------
@@ -393,12 +396,20 @@ class GeneratorSet:
     certified: bool = False
 
     def __post_init__(self):
+        nvars = self.context.linear_part.nvars
+        if any(e.nvars != nvars for e in (*self.ring_basis, *self.module_generators)):
+            raise DimensionError(f"generator-set elements must act on {nvars} coordinates")
         for p in self.ring_basis:
             if not p.is_homogeneous():
                 raise CertificationFailure("ring basis elements must be homogeneous")
         for g in self.module_generators:
             if not g.is_homogeneous():
                 raise CertificationFailure("module generators must be homogeneous")
+
+    @cached_property
+    def products(self) -> ProductTable:
+        """The `ProductTable` of the ring basis, built the first time it is read."""
+        return ProductTable(self.ring_basis, self.context.linear_part.nvars)
 
 
 def certify(genset: GeneratorSet) -> GeneratorSet:

@@ -83,6 +83,19 @@ def test_torus_weight_rows_are_solved_once():
         assert sum(c * w for c, w in zip((1, 2, 3, 0), row)) == 0
 
 
+def test_linear_parts_with_one_weight_lattice_are_equal():
+    # relations that span one rational space give one key, and each linear
+    # part keeps its own spelling
+    spellings = [((1, -2),), ((-1, 2),), ((2, -4),)]
+    linear = [LinearPart(2, rels) for rels in spellings]
+    assert linear[0] == linear[1] == linear[2]
+    assert len({hash(lp) for lp in linear}) == 1
+    assert [lp.resonance_relations for lp in linear] == spellings
+    assert linear[0] != LinearPart(2, ((1, -3),))
+    assert linear[0] != LinearPart(2)
+    assert LinearPart(1) != LinearPart(2, ((1, -1),))
+
+
 def test_linear_part_rejects_forced_zero_frequency():
     with pytest.raises(DimensionError):
         LinearPart(2, ((1, 0),))

@@ -1,6 +1,8 @@
 """Brute-force degree slices, module slices, and span comparisons."""
 
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from birevnf.oracle import (
     spans_equal,
 )
 from birevnf.poly import PolyMap, Polynomial, Substitution
+from birevnf import symmetry_ops
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
 from conftest import MONOMIAL_ELEMENTS, slice_of
@@ -320,6 +323,90 @@ def test_module_slice_basis_is_canonical():
     b = module_slice(reordered, 5)
     assert a.dimension > 0
     assert a.basis == b.basis
+
+
+class _LevelLog(list):
+    """A table's levels that record the index of each level appended."""
+
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.appended = []
+
+    def append(self, level):
+        self.appended.append(len(self))
+        super().append(level)
+
+
+def _logged_tables(monkeypatch) -> list:
+    """Each `ProductTable` built from here on, with its levels logged."""
+    tables = []
+
+    class LoggedTable(symmetry_ops.ProductTable):
+        def __init__(self, basis, nvars):
+            super().__init__(basis, nvars)
+            self.levels = _LevelLog(self.levels)
+            tables.append(self)
+
+    monkeypatch.setattr(symmetry_ops, "ProductTable", LoggedTable)
+    return tables
+
+
+SWEEP = range(1, 13)
+
+
+def _sweep_context():
+    return SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+
+
+def test_a_module_slice_sweep_builds_one_table_and_each_level_once(monkeypatch):
+    ctx = _sweep_context()
+    gs = pipeline(ctx)
+    fresh = GeneratorSet(gs.ring_basis, gs.module_generators, ctx)
+    tables = _logged_tables(monkeypatch)
+    slices = [module_slice(fresh, d) for d in SWEEP]
+    [table] = tables
+    top = SWEEP[-1] - min(g.degree() for g in gs.module_generators)
+    assert table.levels.appended == list(range(1, top + 1))
+    assert fresh.products is table
+    # the kept table gives the slices that a table per call gives
+    for d, kept in zip(SWEEP, slices):
+        assert kept == module_slice(GeneratorSet(gs.ring_basis, gs.module_generators, ctx), d)
+
+
+def test_threads_sharing_a_generator_set_get_the_single_thread_slices(monkeypatch):
+    ctx = _sweep_context()
+    gs = pipeline(ctx)
+    alone = [module_slice(GeneratorSet(gs.ring_basis, gs.module_generators, ctx), d)
+             for d in SWEEP]
+    tables = _logged_tables(monkeypatch)
+    nthreads = 3
+    start = threading.Barrier(nthreads, timeout=30)
+
+    def sweep(shared, results):
+        start.wait()
+        results.append([module_slice(shared, d) for d in SWEEP])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to give a race its chance
+    try:
+        # a race is a matter of timing, so each round sweeps a fresh set
+        for _ in range(10):
+            shared = GeneratorSet(gs.ring_basis, gs.module_generators, ctx)
+            results = []
+            threads = [
+                threading.Thread(target=sweep, args=(shared, results)) for _ in range(nthreads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [alone] * nthreads
+    finally:
+        sys.setswitchinterval(interval)
+    for table in tables:
+        appended = table.levels.appended
+        assert appended == list(range(1, len(appended) + 1))
 
 
 def test_spans_equal_examples(nonres1):

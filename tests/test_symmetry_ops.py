@@ -1,6 +1,7 @@
 """Reynolds averages, transfer projection, extensions, and the pipeline."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -33,6 +34,7 @@ from birevnf.linalg import (
     vectorize_polynomial,
     vectorize_terms,
 )
+from birevnf.normalform import assemble, emit
 from birevnf.oracle import module_slice, spans_equal
 from birevnf.poly import (
     HALF,
@@ -785,6 +787,10 @@ def test_prune_rejects_inhomogeneous_input(c3_data):
     g = c3_data.equivariant_generators[0]
     with pytest.raises(DimensionError):
         prune_module([g, g + mul_invariant(g, u2)], c3_data.hilbert_basis)
+    # homogeneity is checked before the ring basis is found not real-valued
+    z1 = Polynomial.variable(8, z_index(1))
+    with pytest.raises(DimensionError):
+        prune_module([g, g + mul_invariant(g, u2)], [z1])
 
 
 # -- one involution step: each generator is projected once -------------------
@@ -931,6 +937,35 @@ def test_kept_phi_steps_stay_within_the_bound():
     assert entries > TRANSPORT_CACHE
     info = transported.cache_info()
     assert (info.misses, info.currsize) == (entries, TRANSPORT_CACHE)
+
+
+def test_spellings_of_one_lattice_share_the_kept_steps():
+    # equal linear parts are one key: the second and third spelling find
+    # the psi step of the first, and every artifact keeps its own spelling
+    spellings = [((1, -2),), ((-1, 2),), ((2, -4),)]
+    contexts = [SymmetryContext.build(LinearPart(2, rels), (1, 1, -1)) for rels in spellings]
+    gensets = [pipeline(ctx) for ctx in contexts]
+    info = transported.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+    for rels, ctx, genset in zip(spellings, contexts, gensets):
+        assert genset.context is ctx
+        assert genset_to_text(genset) == genset_to_text(gensets[0])
+        nf = json.loads(emit(assemble(genset, ctx.linear_part, 4), "json"))
+        assert nf["resonance_relations"] == [list(r) for r in rels]
+
+
+def test_a_generator_set_acts_on_its_contexts_coordinates():
+    # a non_resonant (2) generator set on the non_resonant (3) context is
+    # refused, whichever part of it is on the wrong coordinates
+    small = pipeline(SymmetryContext.from_case("non_resonant", (2,), (1, 1, 1)))
+    ctx = SymmetryContext.from_case("non_resonant", (3,), (1, 1, 1, 1))
+    for ring, gens in [
+        (small.ring_basis, small.module_generators),
+        (small.ring_basis, ()),
+        ((), small.module_generators),
+    ]:
+        with pytest.raises(DimensionError):
+            GeneratorSet(ring, gens, ctx)
 
 
 def test_a_kept_result_is_still_certified(monkeypatch):
