@@ -247,7 +247,7 @@ def _parameters(linear, degree: int, kind: str, limit: int) -> list[tuple]:
 def _emit(rows: dict, tag: str, comp: int, mono: Monomial, k: int, re, im):
     """Add re to rows[(tag, comp, mono, 0)][k] and im to rows[(tag, comp, mono, 1)][k].
 
-    An entry that cancels is dropped, and a row can be left empty.
+    An entry that cancels is dropped, and so is a row left empty.
     """
     for part, value in ((0, re), (1, im)):
         if not value:
@@ -258,8 +258,10 @@ def _emit(rows: dict, tag: str, comp: int, mono: Monomial, k: int, re, im):
             rows[key] = {k: value}
         elif value := value + row.get(k, 0):
             row[k] = value
-        else:
+        elif len(row) > 1:
             del row[k]
+        else:
+            del rows[key]
 
 
 def _shear_rows(params) -> dict:

@@ -30,14 +30,17 @@ while presented tables match the cleaned-up convention.
 The pipeline is a loop over the involution tower, and `transported`
 keeps each rung for the last TRANSPORT_CACHE keys: the catalog under the
 key (linear part), its step along phi under (linear part, phi) and the
-step along psi under (linear part, phi, psi).  The sign classes of one
-linear part share the catalog and the phi step, and a context seen before
-runs only `certify`, which checks every call against the caller's full
-context.  Keeping the steps is exact: the keys are frozen and compare by
-value, the Polynomials and PolyMaps of a result are immutable, and every
-later step copies the terms it reads.  An entry holds tens of kilobytes:
-the 18 entries of all 16 sign classes of `res_double_C4` (1,2,1,3) hold
-0.5 MB of objects.
+step along psi under (linear part, phi, psi).  Each rung is the generator
+set of its own group, and `certify` checks it against that group once,
+when it is made, before it is kept; a rung that fails raises on every
+call and is never kept.  The sign classes of one linear part share the
+catalog and the phi step, and a context seen before runs no check at
+all: the key of its psi step is all that `membership` reads of the
+caller's full context.  Keeping the steps is exact: the keys are frozen
+and compare by value, the Polynomials and PolyMaps of a result are
+immutable, and every later step copies the terms it reads.  An entry
+holds tens of kilobytes: the 18 entries of all 16 sign classes of
+`res_double_C4` (1,2,1,3) hold 0.5 MB of objects.
 
 Both prunes are one pass, `_prune`, over the rows of a `ProductTable`;
 `module_rows` serves `prune_module` and `oracle.module_slice`, which
@@ -51,14 +54,14 @@ built only for a candidate handed to a prune or a result that leaves this
 module.  The Polynomial arithmetic they replace (`Polynomial.__mul__`,
 `substitute_linear`, `apply_linear`, and the module product and the
 composition with a linear map on PolyMap that the tests keep) is the
-reference the tests compare against.  `certify` checks the result with
+reference the tests compare against.  `certify` checks each rung with
 `group.membership`, which decides on terms and rows without this kernel.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import groupby
@@ -72,7 +75,7 @@ from .errors import (
     DimensionError,
     IncompatibleMatrix,
 )
-from .group import SignedElement, membership
+from .group import GroupContext, SignedElement, membership
 from .linalg import Echelon, vectorize, vectorize_terms
 from .poly import (
     LATEX,
@@ -412,16 +415,20 @@ class GeneratorSet:
         return ProductTable(self.ring_basis, self.context.linear_part.nvars)
 
 
-def certify(genset: GeneratorSet) -> GeneratorSet:
-    """Check every element against its defining membership predicate."""
-    ctx = genset.context.full_context()
-    for p in genset.ring_basis:
-        if not membership(p, ctx, "invariant"):
+def certify(
+    ring_basis: Iterable[Polynomial], module_generators: Iterable[PolyMap], group: GroupContext
+):
+    """Check every element against its defining membership predicate in group.
+
+    `transported` runs it once on each rung of the involution tower, when
+    the rung is made, against the rung's own group.
+    """
+    for p in ring_basis:
+        if not membership(p, group, "invariant"):
             raise CertificationFailure(f"ring element is not invariant: {p}")
-    for g in genset.module_generators:
-        if not membership(g, ctx, "reversible_equivariant"):
+    for g in module_generators:
+        if not membership(g, group, "reversible_equivariant"):
             raise CertificationFailure(f"generator is not reversible-equivariant: {g}")
-    return replace(genset, certified=True)
 
 
 def _transport(basis, gens, kappa: SignedElement):
@@ -446,22 +453,36 @@ TRANSPORT_CACHE = 64
 @lru_cache(maxsize=TRANSPORT_CACHE)
 def transported(linear_part: LinearPart, *involutions: SignedElement):
     """The closure-group catalog of the linear part, transported along each
-    involution in turn: its Hilbert basis and module generators."""
-    if not involutions:
-        return closure_data(linear_part)
-    return _transport(*transported(linear_part, *involutions[:-1]), involutions[-1])
+    involution in turn: its Hilbert basis and module generators.
+
+    Each rung is certified once, when it is made, against its own group,
+    GroupContext(involutions, linear_part), before it is kept; a rung that
+    fails raises a `CertificationFailure` naming it (catalog, phi step or
+    psi step), chained from `certify`'s, and is never kept.
+    """
+    if involutions:
+        rung = _transport(*transported(linear_part, *involutions[:-1]), involutions[-1])
+    else:
+        rung = closure_data(linear_part)
+    try:
+        certify(*rung, GroupContext(involutions, linear_part))
+    except CertificationFailure as exc:
+        name = ("catalog", "phi step", "psi step")[len(involutions)]
+        raise CertificationFailure(f"{name} is not certified: {exc}") from exc
+    return rung
 
 
 def pipeline(context: SymmetryContext) -> GeneratorSet:
     """Run the five-step transport for the semidirect product of both involutions.
 
     Takes the closure-group catalog transported along the first and then
-    the second involution from `transported`, and certifies every output
-    against the full product sign map on every call, a kept result as
-    much as a new one.
+    the second involution from `transported`, which certified each rung
+    against its own group when it made it; the last rung's group is the
+    caller's full context, so a kept result is certified for it and runs
+    no check again.
     """
-    return certify(
-        GeneratorSet(*transported(context.linear_part, context.phi, context.psi), context)
+    return GeneratorSet(
+        *transported(context.linear_part, context.phi, context.psi), context, certified=True
     )
 
 

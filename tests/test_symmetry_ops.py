@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -457,13 +456,13 @@ def test_certify_names_the_element_that_fails(case, params, n):
     # component of every generator is one term paired with itself, so there
     # a z component is multiplied by i instead
     _, ctx, genset = gensets(case, params, n)[0]
-    assert certify(genset).certified
+    full = ctx.full_context()
+    certify(genset.ring_basis, genset.module_generators, full)
     ring = list(genset.ring_basis)
     ring[-1] = ring[-1] * Polynomial.variable(2 * n + 2, x_index(2))
     with pytest.raises(CertificationFailure) as caught:
-        certify(replace(genset, ring_basis=tuple(ring), certified=False))
+        certify(ring, genset.module_generators, full)
     assert str(caught.value) == f"ring element is not invariant: {ring[-1]}"
-    full = ctx.full_context()
     k, bad = next(
         (k, h)
         for change in (_scaled_or_dropped, _z_times_i)
@@ -473,7 +472,7 @@ def test_certify_names_the_element_that_fails(case, params, n):
     gens = list(genset.module_generators)
     gens[k] = bad
     with pytest.raises(CertificationFailure) as caught:
-        certify(replace(genset, module_generators=tuple(gens), certified=False))
+        certify(genset.ring_basis, gens, full)
     assert str(caught.value) == f"generator is not reversible-equivariant: {bad}"
 
 
@@ -878,7 +877,8 @@ def _unshared_pipeline(ctx):
     basis, gens = closure_data(ctx.linear_part)
     for kappa in (ctx.phi, ctx.psi):
         basis, gens = _transport(basis, gens, kappa)
-    return certify(GeneratorSet(basis, gens, ctx))
+    certify(basis, gens, ctx.full_context())
+    return GeneratorSet(basis, gens, ctx, certified=True)
 
 
 def test_shared_phi_step_gives_the_unshared_generator_sets():
@@ -939,16 +939,33 @@ def test_kept_phi_steps_stay_within_the_bound():
     assert (info.misses, info.currsize) == (entries, TRANSPORT_CACHE)
 
 
-def test_spellings_of_one_lattice_share_the_kept_steps():
+def _count_membership(monkeypatch) -> list:
+    """Each `membership` call that `certify` makes, as (obj, group, kind)."""
+    calls = []
+    check = symmetry_ops.membership
+    monkeypatch.setattr(
+        symmetry_ops, "membership", lambda *args: calls.append(args) or check(*args)
+    )
+    return calls
+
+
+def test_spellings_of_one_lattice_share_the_kept_steps(monkeypatch):
     # equal linear parts are one key: the second and third spelling find
-    # the psi step of the first, and every artifact keeps its own spelling
+    # the psi step of the first, certified once when the first made it,
+    # and every artifact keeps its own spelling
+    calls = _count_membership(monkeypatch)
     spellings = [((1, -2),), ((-1, 2),), ((2, -4),)]
     contexts = [SymmetryContext.build(LinearPart(2, rels), (1, 1, -1)) for rels in spellings]
-    gensets = [pipeline(ctx) for ctx in contexts]
+    gensets = []
+    for ctx in contexts:
+        before = len(calls)
+        gensets.append(pipeline(ctx))
+        assert (len(calls) > 0) == (ctx is contexts[0])
+        calls[before:] = []
     info = transported.cache_info()
     assert (info.misses, info.hits) == (3, 2)
     for rels, ctx, genset in zip(spellings, contexts, gensets):
-        assert genset.context is ctx
+        assert genset.certified and genset.context is ctx
         assert genset_to_text(genset) == genset_to_text(gensets[0])
         nf = json.loads(emit(assemble(genset, ctx.linear_part, 4), "json"))
         assert nf["resonance_relations"] == [list(r) for r in rels]
@@ -968,30 +985,86 @@ def test_a_generator_set_acts_on_its_contexts_coordinates():
             GeneratorSet(ring, gens, ctx)
 
 
-def test_a_kept_result_is_still_certified(monkeypatch):
-    # the second call reads both transport steps from the memo, runs no
-    # step and certifies once more, against the caller's own context
+@pytest.mark.parametrize("case, params, n", GOLDEN_REGIMES)
+def test_every_rung_passes_membership_against_its_own_group(case, params, n):
+    # the catalog, the phi step and the psi step of every sign class are
+    # the generator sets of the closure group, of it extended by phi and
+    # of it extended by phi and psi
+    classes = gensets(case, params, n)
+    linear = classes[0][1].linear_part
+    rungs = [((), closure_data(linear))]
+    rungs.append(((classes[0][1].phi,), transported(linear, classes[0][1].phi)))
+    rungs += [((ctx.phi, ctx.psi), (gs.ring_basis, gs.module_generators)) for _, ctx, gs in classes]
+    for involutions, (basis, gens) in rungs:
+        group = GroupContext(involutions, linear)
+        assert all(membership(p, group, "invariant") for p in basis)
+        assert all(membership(g, group, "reversible_equivariant") for g in gens)
+
+
+def test_a_kept_rung_runs_no_membership_check(monkeypatch):
+    # the first call checks each element of the three rungs once, against
+    # the rung's own group; the second, on an equal but distinct context,
+    # runs no transport step and no membership check at all
+    calls = _count_membership(monkeypatch)
     ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
     first = pipeline(ctx)
-    steps, certified = [], []
-    transport, check = symmetry_ops._transport, symmetry_ops.certify
+    linear = ctx.linear_part
+    expected = []
+    for involutions in ((), (ctx.phi,), (ctx.phi, ctx.psi)):
+        basis, gens = transported(linear, *involutions)
+        group = GroupContext(involutions, linear)
+        expected += [(p, group, "invariant") for p in basis]
+        expected += [(g, group, "reversible_equivariant") for g in gens]
+    assert calls == expected
+    steps = []
+    transport = symmetry_ops._transport
     monkeypatch.setattr(
         symmetry_ops, "_transport", lambda *args: steps.append(args) or transport(*args)
-    )
-    monkeypatch.setattr(
-        symmetry_ops, "certify", lambda genset: certified.append(genset) or check(genset)
     )
     # `from_case` would hand back ctx itself; build an equal, distinct context
     again = SymmetryContext.build(linear_part_for_case("res_n1n2_C3", (1, 2)), (1, 1, -1, 1))
     assert again == ctx and again is not ctx
+    calls.clear()
     second = pipeline(again)
-    assert steps == [] and len(certified) == 1
+    assert steps == [] and calls == []
     assert second.certified and second.context is again
     assert second.ring_basis == first.ring_basis
     assert second.module_generators == first.module_generators
-    # `certify` reads `membership` from its own module; a check that
-    # rejects everything fails the kept result as it would a new one
-    monkeypatch.setattr(symmetry_ops, "membership", lambda obj, context, kind: False)
-    with pytest.raises(CertificationFailure):
-        pipeline(again)
-    assert steps == []
+
+
+# a map whose x1 component holds x2: the shear condition fails, so no
+# group of the tower has it as a reversible-equivariant generator
+_NOT_EQUIVARIANT = PolyMap(
+    (Polynomial.variable(8, x_index(2)), Polynomial.zero(8)), (Polynomial.zero(8),) * 3
+)
+
+
+@pytest.mark.parametrize("rung, kept", [("catalog", 0), ("phi step", 1), ("psi step", 2)])
+def test_a_failing_rung_raises_on_every_call_and_is_never_kept(monkeypatch, rung, kept):
+    if rung == "catalog":
+        data = symmetry_ops.closure_data
+
+        def corrupted(linear):
+            basis, gens = data(linear)
+            return basis, (*gens, _NOT_EQUIVARIANT)
+
+        monkeypatch.setattr(symmetry_ops, "closure_data", corrupted)
+    else:
+        transport = symmetry_ops._transport
+
+        def corrupted(basis, gens, kappa):
+            basis, gens = transport(basis, gens, kappa)
+            if f"{kappa.name} step" == rung:
+                gens += (_NOT_EQUIVARIANT,)
+            return basis, gens
+
+        monkeypatch.setattr(symmetry_ops, "_transport", corrupted)
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    for _ in range(2):
+        with pytest.raises(CertificationFailure) as caught:
+            pipeline(ctx)
+        element = f"generator is not reversible-equivariant: {_NOT_EQUIVARIANT}"
+        assert str(caught.value) == f"{rung} is not certified: {element}"
+        assert isinstance(caught.value.__cause__, CertificationFailure)
+        assert str(caught.value.__cause__) == element
+        assert transported.cache_info().currsize == kept
