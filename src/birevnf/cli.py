@@ -1,5 +1,8 @@
 """Command-line front end: classify, generators, normal-form, verify.
 
+One parser reads ``birevnf COMMAND [options]``, options before or after the
+command.  Each job setting is declared once, as a `JobConfig` field, and each
+command once, in `COMMANDS`, with its handler and the formats it writes.
 Jobs are described by a JSON config file plus flag overrides (flags win).
 Identical configs produce byte-identical artifacts.  Exit codes: 0 success,
 2 configuration problem, 3 resource bound exceeded, 4 certification failure.
@@ -11,8 +14,9 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .continuous import (
     SymmetryContext,
@@ -43,42 +47,9 @@ EXIT_CERTIFICATION = 4
 # checked before anything the size of the range is built
 MAX_RANGE = 1000
 
-
-@dataclass
-class JobConfig:
-    case: str = "non_resonant"
-    params: tuple[int, ...] = ()
-    signs: tuple[int, ...] = ()
-    degree_max: int = 4
-    verify_degrees: tuple[int, ...] = (2, 3, 4)
-    fmt: str = "text"
-    limit_monomials: int = DEFAULT_MONOMIAL_LIMIT
-
-    def validate(self) -> "JobConfig":
-        try:
-            n = case_blocks(self.case, self.params)
-        except UnsupportedCase as exc:
-            raise ConfigError(str(exc)) from exc
-        if not self.signs:
-            raise ConfigError("signs a0,a1,...,an are required")
-        if len(self.signs) != n + 1:
-            raise ConfigError(f"expected {n + 1} signs for n = {n} blocks")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ConfigError("signs must be +1 or -1")
-        if self.degree_max < 2:
-            raise ConfigError("degree_max must be at least 2")
-        if not self.verify_degrees:
-            raise ConfigError("verify degrees must name at least one degree")
-        if any(d < 0 for d in self.verify_degrees):
-            raise ConfigError("verify degrees must be nonnegative")
-        if self.fmt not in ("text", "json", "latex"):
-            raise ConfigError("format must be text, json, or latex")
-        if self.limit_monomials < 1:
-            raise ConfigError("monomial limit must be positive")
-        return self
-
-    def context(self) -> SymmetryContext:
-        return SymmetryContext.from_case(self.case, self.params, self.signs)
+FORMATS = ("text", "json", "latex")
+# classify and verify write reports, which have no LaTeX form
+REPORT_FORMATS = FORMATS[:2]
 
 
 def _int(value, what: str) -> int:
@@ -117,6 +88,70 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     return tuple(_int(chunk, what) for chunk in text.split(","))
 
 
+def _setting(default, key: str, flag: str, read, parse=None, **option):
+    """A `JobConfig` field with its config key and flag; see `JobConfig`."""
+    return field(default=default, metadata=dict(
+        key=key, flag=flag, read=read, parse=parse, option=option))
+
+
+@dataclass
+class JobConfig:
+    # each field is one job setting: its default, config key and flag, the
+    # readers of a config value and of the flag's text (none: argparse reads
+    # it by itself), and the flag's argparse options
+    case: str = _setting("non_resonant", "case", "--case", _str, help="catalog case name")
+    params: tuple[int, ...] = _setting(
+        (), "params", "--params", _int_list, _parse_int_list,
+        help="comma-separated case parameters")
+    signs: tuple[int, ...] = _setting(
+        (), "signs", "--signs", _int_list, _parse_int_list,
+        help="comma-separated signs a0,a1,...,an")
+    degree_max: int = _setting(
+        4, "degree_max", "--degree", _int, type=int, metavar="DEGREE",
+        help="normal-form truncation degree")
+    verify_degrees: tuple[int, ...] = _setting(
+        (2, 3, 4), "verify_degrees", "--verify-degrees", _int_list, _parse_int_list,
+        help="degrees to certify, e.g. 2..6 or 2,3,4")
+    fmt: str = _setting("text", "format", "--format", _str, choices=FORMATS)
+    limit_monomials: int = _setting(
+        DEFAULT_MONOMIAL_LIMIT, "limit_monomials", "--limit-monomials", _int, type=int,
+        help="slice size bound")
+
+    def validate(self) -> "JobConfig":
+        try:
+            n = case_blocks(self.case, self.params)
+        except UnsupportedCase as exc:
+            raise ConfigError(str(exc)) from exc
+        if not self.signs:
+            raise ConfigError("signs a0,a1,...,an are required")
+        if len(self.signs) != n + 1:
+            raise ConfigError(f"expected {n + 1} signs for n = {n} blocks")
+        if any(s not in (1, -1) for s in self.signs):
+            raise ConfigError("signs must be +1 or -1")
+        if self.degree_max < 2:
+            raise ConfigError("degree_max must be at least 2")
+        if not self.verify_degrees:
+            raise ConfigError("verify degrees must name at least one degree")
+        if any(d < 0 for d in self.verify_degrees):
+            raise ConfigError("verify degrees must be nonnegative")
+        if self.fmt not in FORMATS:
+            raise ConfigError(f"format must be {', '.join(FORMATS[:-1])}, or {FORMATS[-1]}")
+        if self.limit_monomials < 1:
+            raise ConfigError("monomial limit must be positive")
+        return self
+
+    def context(self) -> SymmetryContext:
+        return SymmetryContext.from_case(self.case, self.params, self.signs)
+
+
+# config key -> the JobConfig field it sets, in field order
+SETTINGS = {setting.metadata["key"]: setting for setting in fields(JobConfig)}
+# the flags whose text this module reads: the integer lists
+INT_LIST_FLAGS = {s.metadata["flag"] for s in SETTINGS.values() if s.metadata["parse"]}
+# an integer list or lo..hi range that starts with a dash, such as -1,1,1
+DASHED_INTS = re.compile(r"-\d+(?:(?:,[+-]?\d+)+|\.\.[+-]?\d+)?")
+
+
 def load_config(args: argparse.Namespace) -> JobConfig:
     cfg = JobConfig()
     if args.config:
@@ -129,80 +164,44 @@ def load_config(args: argparse.Namespace) -> JobConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
-        known = {
-            "case",
-            "params",
-            "signs",
-            "degree_max",
-            "verify_degrees",
-            "format",
-            "limit_monomials",
-        }
         for key in data:
-            if key not in known:
+            if key not in SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
-        if "case" in data:
-            cfg.case = _str(data["case"], "case")
-        if "params" in data:
-            cfg.params = _int_list(data["params"], "params")
-        if "signs" in data:
-            cfg.signs = _int_list(data["signs"], "signs")
-        if "degree_max" in data:
-            cfg.degree_max = _int(data["degree_max"], "degree_max")
-        if "verify_degrees" in data:
-            cfg.verify_degrees = _int_list(data["verify_degrees"], "verify_degrees")
-        if "format" in data:
-            cfg.fmt = _str(data["format"], "format")
-        if "limit_monomials" in data:
-            cfg.limit_monomials = _int(data["limit_monomials"], "limit_monomials")
-    if args.case:
-        cfg.case = args.case
-    if args.params:
-        cfg.params = _parse_int_list(args.params, "params")
-    if args.signs:
-        cfg.signs = _parse_int_list(args.signs, "signs")
-    if args.degree is not None:
-        cfg.degree_max = args.degree
-    if args.verify_degrees:
-        cfg.verify_degrees = _parse_int_list(args.verify_degrees, "verify degrees")
-    if args.format:
-        cfg.fmt = args.format
-    if args.limit_monomials is not None:
-        cfg.limit_monomials = args.limit_monomials
+        for key, setting in SETTINGS.items():
+            if key in data:
+                setattr(cfg, setting.name, setting.metadata["read"](data[key], key))
+    for key, setting in SETTINGS.items():
+        text = getattr(args, setting.name)
+        # an empty flag sets nothing
+        if text not in (None, ""):
+            parse = setting.metadata["parse"]
+            setattr(cfg, setting.name, parse(text, key.replace("_", " ")) if parse else text)
     return cfg.validate()
 
 
 def _emit_output(text: str, args: argparse.Namespace):
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-                if not text.endswith("\n"):
-                    handle.write("\n")
         except OSError as exc:
             raise ConfigError(f"cannot write output {args.out}: {exc}") from exc
-    else:
-        try:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed the pipe (`... | head -1`); Python's documented
-            # recipe: point stdout at devnull so that the flush at exit cannot
-            # fail a second time, then exit 1
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            sys.exit(1)
-
-
-def _require_report_format(cfg: JobConfig, command: str):
-    if cfg.fmt not in ("text", "json"):
-        raise ConfigError(f"{command} reports in text or json, not {cfg.fmt}")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`... | head -1`); Python's documented
+        # recipe: point stdout at devnull so that the flush at exit cannot
+        # fail a second time, then exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
 
 
 def cmd_classify(cfg: JobConfig, args: argparse.Namespace) -> int:
-    _require_report_format(cfg, "classify")
     # bounded before the linear part, whose size grows with n, is built
     require_sign_classes(case_blocks(cfg.case, cfg.params))
     pairs = enumerate_involution_pairs(linear_part_for_case(cfg.case, cfg.params))
@@ -253,7 +252,6 @@ def cmd_normal_form(cfg: JobConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: JobConfig, args: argparse.Namespace) -> int:
-    _require_report_format(cfg, "verify")
     ctx = cfg.context()
     genset = pipeline(ctx)
     full = ctx.full_context()
@@ -305,44 +303,44 @@ def cmd_verify(cfg: JobConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# command -> (handler, the formats it writes)
+COMMANDS = {
+    "classify": (cmd_classify, REPORT_FORMATS),
+    "generators": (cmd_generators, FORMATS),
+    "normal-form": (cmd_normal_form, FORMATS),
+    "verify": (cmd_verify, REPORT_FORMATS),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="birevnf",
-        description=(
-            "Exact generator sets and formal normal forms for bireversible "
-            "vector fields"
-        ),
+        description="Exact generator sets and formal normal forms for bireversible vector fields",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (
-        ("classify", cmd_classify),
-        ("generators", cmd_generators),
-        ("normal-form", cmd_normal_form),
-        ("verify", cmd_verify),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON job file; flags override its fields")
-        p.add_argument("--case", help="catalog case name")
-        p.add_argument("--params", help="comma-separated case parameters")
-        p.add_argument("--signs", help="comma-separated signs a0,a1,...,an")
-        p.add_argument("--degree", type=int, help="normal-form truncation degree")
-        p.add_argument(
-            "--verify-degrees", help="degrees to certify, e.g. 2..6 or 2,3,4"
-        )
-        p.add_argument("--format", choices=("text", "json", "latex"))
-        p.add_argument("--limit-monomials", type=int, help="slice size bound")
-        p.add_argument("--out", help="write the artifact to this path")
-        p.set_defaults(handler=handler)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON job file; flags override its fields")
+    for setting in SETTINGS.values():
+        meta = setting.metadata
+        parser.add_argument(meta["flag"], dest=setting.name, **meta["option"])
+    parser.add_argument("--out", help="write the artifact to this path")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value such as -1,1,1 as an option; joined to
+    # its flag by `=`, it parses as `--signs=-1,1,1` does
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in INT_LIST_FLAGS and DASHED_INTS.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
+    handler, formats = COMMANDS[args.command]
     try:
         cfg = load_config(args)
-        return args.handler(cfg, args)
+        if cfg.fmt not in formats:
+            raise ConfigError(f"{args.command} reports in {' or '.join(formats)}, not {cfg.fmt}")
+        return handler(cfg, args)
     except (ConfigError, UnsupportedCase) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,25 @@ def test_verify_mismatch_shows_witness_missing_from_oracle(monkeypatch, capsys):
     _verify_with_a_short_side(monkeypatch, capsys, "slice_space", "oracle")
 
 
+# each job setting: its JobConfig field, config key and flag, and one value
+# other than its default, as a config value and as the flag's text
+SETTING_VALUES = [
+    ("case", "case", "--case", "res_n1n2_Cn", "res_n1n2_Cn"),
+    ("params", "params", "--params", [1, 2, 4], "1,2,4"),
+    ("signs", "signs", "--signs", [-1, 1, -1, 1, 1], "-1,1,-1,1,1"),
+    ("degree_max", "degree_max", "--degree", 6, "6"),
+    ("verify_degrees", "verify_degrees", "--verify-degrees", [2, 3, 4, 5], "2..5"),
+    ("fmt", "format", "--format", "json", "json"),
+    ("limit_monomials", "limit_monomials", "--limit-monomials", 500, "500"),
+]
+
+
+def _load_job(tmp_path, job, *flags):
+    path = tmp_path / "setting.json"
+    path.write_text(json.dumps(job))
+    return load_config(build_parser().parse_args(["generators", "--config", str(path), *flags]))
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "job.json"
     cfg.write_text(
@@ -168,6 +188,46 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["schema"] == "nf-v1"
+    # every setting gives one JobConfig whether its config key or its flag
+    # holds the value; the key spelled otherwise is unknown
+    assert [row[0] for row in SETTING_VALUES] == [f.name for f in fields(JobConfig)]
+    help_text = build_parser().format_help()
+    job = {key: value for _, key, _, value, _ in SETTING_VALUES[:3]}
+    for name, key, flag, value, text in SETTING_VALUES:
+        others = {k: v for k, v in job.items() if k != key}
+        by_key = _load_job(tmp_path, {**others, key: value})
+        assert _load_job(tmp_path, others, f"{flag}={text}") == by_key, key
+        expected = tuple(value) if isinstance(value, list) else value
+        assert getattr(by_key, name) == expected != getattr(JobConfig(), name), key
+        assert flag in help_text
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key.upper()}'$"):
+            _load_job(tmp_path, {**job, key.upper(): value})
+    assert "--config" in help_text and "--out" in help_text
+
+
+@pytest.mark.parametrize("command", ["classify", "generators", "normal-form", "verify"])
+def test_dashed_list_values_parse_as_their_equals_form(capsys, command):
+    # argparse takes a separate value such as -1,1,1 for an option; such a
+    # value of an integer-list flag reads as the `=` form does, with the
+    # options before or after the command
+    job = ("--case", "non_resonant", "--params", "2", "--signs", "1,1,1")
+    for flag, text, code in (
+        ("--signs", "-1,1,1", EXIT_OK),
+        ("--signs", "-1,+1,-1", EXIT_OK),
+        ("--params", "-1,2", EXIT_CONFIG),
+        ("--verify-degrees", "-1..3", EXIT_CONFIG),
+        ("--verify-degrees", "-2,3", EXIT_CONFIG),
+    ):
+        joined = run_cli(capsys, command, *job, f"{flag}={text}")
+        assert joined[0] == code
+        assert run_cli(capsys, command, *job, flag, text) == joined
+        assert run_cli(capsys, *job, flag, text, command) == joined
+    # any other dash token after such a flag is still an option
+    for token in ("-h", "-1,x"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *job, "--signs", token])
+        assert exc.value.code == 2  # argparse rejected the argv
+        assert "argument --signs: expected one argument" in capsys.readouterr().err
 
 
 def test_degree_below_two_is_config_error(capsys):
@@ -567,21 +627,36 @@ def test_closed_stdout_exits_without_traceback():
     assert "BrokenPipeError" not in err
 
 
-@pytest.mark.parametrize("command", ["classify", "verify"])
+# the formats each command writes
+COMMAND_FORMATS = {
+    "classify": ("text", "json"),
+    "generators": ("text", "json", "latex"),
+    "normal-form": ("text", "json", "latex"),
+    "verify": ("text", "json"),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FORMATS))
 def test_report_commands_reject_latex(capsys, tmp_path, command):
+    # each format, given by flag and by config: one the command does not
+    # write is a config error before anything runs
     config = tmp_path / "job.json"
-    config.write_text(json.dumps(
-        {"case": "non_resonant", "params": [1], "signs": [1, 1], "format": "latex"}
-    ))
-    for argv in (
-        (command, "--case", "non_resonant", "--params", "1", "--signs", "1,1",
-         "--format", "latex"),
-        (command, "--config", str(config)),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert f"config error: {command} reports in text or json, not latex" in err
+    for fmt in ("text", "json", "latex"):
+        config.write_text(json.dumps(
+            {"case": "non_resonant", "params": [1], "signs": [1, 1], "format": fmt}
+        ))
+        for argv in (
+            (command, "--case", "non_resonant", "--params", "1", "--signs", "1,1",
+             "--format", fmt),
+            (command, "--config", str(config)),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            if fmt in COMMAND_FORMATS[command]:
+                assert (code, err) == (EXIT_OK, "")
+                continue
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert f"config error: {command} reports in text or json, not {fmt}" in err
 
 
 def test_repeated_jobs_print_what_a_cleared_memo_prints():
