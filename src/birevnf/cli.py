@@ -146,6 +146,13 @@ class JobConfig:
 
 # config key -> the JobConfig field it sets, in field order
 SETTINGS = {setting.metadata["key"]: setting for setting in fields(JobConfig)}
+# the flags that set no job setting -> their help
+OTHER_FLAGS = {
+    "--config": "JSON job file; flags override its fields",
+    "--out": "write the artifact to this path",
+}
+# every flag the parser declares, argparse's own --help included
+FLAGS = (*(s.metadata["flag"] for s in SETTINGS.values()), *OTHER_FLAGS, "--help")
 # the flags whose text this module reads: the integer lists
 INT_LIST_FLAGS = {s.metadata["flag"] for s in SETTINGS.values() if s.metadata["parse"]}
 # an integer list or lo..hi range that starts with a dash, such as -1,1,1
@@ -319,20 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact generator sets and formal normal forms for bireversible vector fields",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="JSON job file; flags override its fields")
     for setting in SETTINGS.values():
         meta = setting.metadata
         parser.add_argument(meta["flag"], dest=setting.name, **meta["option"])
-    parser.add_argument("--out", help="write the artifact to this path")
+    for flag, text in OTHER_FLAGS.items():
+        parser.add_argument(flag, help=text)
     return parser
+
+
+def _flag_named(arg: str) -> str | None:
+    """The flag that arg names, in full or as a unique prefix, as argparse reads it."""
+    if arg in FLAGS or not arg.startswith("--"):
+        return arg
+    named = [flag for flag in FLAGS if flag.startswith(arg)]
+    return named[0] if len(named) == 1 else None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a separate value such as -1,1,1 as an option; joined to
-    # its flag by `=`, it parses as `--signs=-1,1,1` does
+    # its flag, or to a unique prefix of it, by `=`, it parses as
+    # `--signs=-1,1,1` does
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in INT_LIST_FLAGS and DASHED_INTS.fullmatch(argv[i]):
+        if _flag_named(argv[i - 1]) in INT_LIST_FLAGS and DASHED_INTS.fullmatch(argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     handler, formats = COMMANDS[args.command]

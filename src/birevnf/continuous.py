@@ -361,11 +361,14 @@ def require_sign_classes(n: int) -> int:
 
 
 def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[SymmetryContext, ...]:
-    """The 2^n inequivalent reversing pairs, one per sign class, as contexts.
+    """The 2^n reversing pairs with a0 = +1, one per sign vector, as contexts.
 
     The first involution is fixed; the second runs over the block sign
-    tuples (a0, ..., an) normalized to a0 = +1, picking one representative
-    from each global sign-flip class.  Every returned pair passes
+    tuples (a0, ..., an) with a0 = +1 only.  A vector with a0 = -1 is not
+    the same problem as its negation: psi(-a) = -psi(a) gives other
+    invariant and equivariant spaces (on `res_n1n2_C3` (1,2), signs
+    1,1,-1,1 and -1,-1,1,-1 differ in dim R_d and dim V_d), and those of
+    Types C and D are not listed here.  Every returned pair passes
     `check_involution_pair`, whose steps run here with phi's own facts
     checked once, and each element has an (n+1)-dimensional fixed-point
     space.  More than MAX_SIGN_CLASSES classes raise ResourceLimit before

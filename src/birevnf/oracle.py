@@ -10,8 +10,9 @@ The sorted Polynomial/PolyMap `basis` is derived from the rows only when
 something reads it (the golden artifacts, the tests, or a witness), so a
 `verify` run that certifies builds no Polynomial or PolyMap here.
 
-`slice_space` compiles its system once per call, on exponent tuples and
-exact integers.  A torus weight reads only the z/zb exponents, so a walk
+`slice_space` compiles its system on exponent tuples and exact integers,
+the part the last element adds on every call and the rest once per key
+(see below).  A torus weight reads only the z/zb exponents, so a walk
 over the rotation blocks enumerates only the torus-admissible monomials,
 and the resource bound counts those (component, monomial) pairs: the
 unknowns actually solved for.  Each parameter is one or two records
@@ -33,6 +34,25 @@ every solution, and every other column keeps its place in the order.  So
 the free columns are the same, and so is the unique reduced-echelon
 basis, whatever the order of the rows.  Each nullspace vector becomes a
 slice row through the fixed columns of the parameters.
+
+Only the last element's rows depend on the sign class.  So the rest of
+the system is kept: `KEPT_SYSTEMS`, a `SystemMemo`, holds under the key
+(linear part, every element of the context but the last, degree, kind)
+the parameter records, the live parameters and the `Echelon` of the
+shear rows and those elements' rows; for a full context that is phi's,
+and for a context with no elements the shear's alone.  A slice takes the
+last element's rows into a copy of the kept `Echelon` (`Echelon.extended`),
+which leaves the kept one as it was: less the parameters that the kept
+unit rows force, and with their own unit rows deduplicated.  It takes
+the nullspace as above; the basis is the same whatever the order of the
+rows, so a slice is byte-identical on a hit and on a miss.  The limit is
+not in the key: a hit raises the `ResourceLimit` a miss would, with the
+same message, when the kept system's (component, monomial) pairs pass
+the caller's limit.  The memo holds at most SYSTEM_BUDGET unknowns in
+all, some 300 bytes each: it drops the least recently used systems
+first, and it builds a system bigger than the budget for its slice and
+does not keep it.  Its bookkeeping runs under a lock; two threads that
+miss on one key at once both build the system, and one copy is kept.
 `module_slice` keeps the reduced span of `symmetry_ops.module_rows` over
 the one `ProductTable` the generator set keeps, so a sweep over degrees
 builds each product once.  `spans_equal` decides on rows and builds the
@@ -47,12 +67,14 @@ membership predicates.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from threading import Lock
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, ResourceLimit
-from .group import GroupContext
+from .group import GroupContext, SignedElement
 from .linalg import (
     Echelon,
     polymap_from_vector,
@@ -63,7 +85,6 @@ from .poly import (
     Monomial,
     Substitution,
     conj_monomial,
-    grlex_key,
     nblocks_of,
     output_columns,
     polymap_terms,
@@ -209,28 +230,33 @@ def _torus_monomials(
 
 
 def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
-    """Real-valued basis on a conjugation-closed set, as the naive oracle's."""
+    """Real-valued basis on a conjugation-closed set, as the naive oracle's.
+
+    The monomials share one degree, so their tuple order is grlex order.
+    """
     out = []
-    for mono in sorted(monos, key=grlex_key, reverse=True):
+    for mono in sorted(monos, reverse=True):
         conj = conj_monomial(mono)
         if conj == mono:
             out.append(((comp, mono, (1, 0)),))
-        elif grlex_key(mono) > grlex_key(conj):
+        elif mono > conj:
             out.append(((comp, mono, (1, 0)), (comp, conj, (1, 0))))
             out.append(((comp, mono, (0, 1)), (comp, conj, (0, -1))))
     return out
 
 
-def _parameters(linear, degree: int, kind: str, limit: int) -> list[tuple]:
-    """Parameter records of a slice: the torus-admissible naive parameters, in order.
+def _parameters(linear, degree: int, kind: str, limit: int) -> tuple[list[tuple], int]:
+    """Parameter records of a slice, the torus-admissible naive parameters in
+    order, and the count of (component, monomial) pairs that `limit` bounds.
 
-    The order fixes the columns, and with them the canonical nullspace.  x1
-    and x2 both have weight zero, so they share one walk, whose monomials
-    count once for each.
+    The order fixes the columns, and with them the canonical nullspace: the
+    naive oracle's descending grlex order, which on monomials of one degree
+    is descending tuple order.  x1 and x2 both have weight zero, so they
+    share one walk, whose monomials count once for each.
     """
     weight_zero = _torus_monomials(linear, degree, None, 0, limit)
     if kind in FUNCTION_KINDS:
-        return _real_records(-1, weight_zero)
+        return _real_records(-1, weight_zero), len(weight_zero)
     used = 2 * len(weight_zero)
     if used > limit:
         raise _slice_limit(limit, degree)
@@ -238,10 +264,10 @@ def _parameters(linear, degree: int, kind: str, limit: int) -> list[tuple]:
     for comp in range(2, linear.nblocks + 2):
         monos = _torus_monomials(linear, degree, comp, used, limit)
         used += len(monos)
-        for mono in sorted(monos, key=grlex_key, reverse=True):
+        for mono in sorted(monos, reverse=True):
             params.append(((comp, mono, (1, 0)),))
             params.append(((comp, mono, (0, 1)),))
-    return params
+    return params, used
 
 
 def _emit(rows: dict, tag: str, comp: int, mono: Monomial, k: int, re, im):
@@ -281,8 +307,8 @@ def _shear_rows(params) -> dict:
     return rows
 
 
-def _group_rows(context: GroupContext, kind: str, params, live) -> dict:
-    """The group elements' rows on the parameters in `live`.
+def _group_rows(elements: Sequence[SignedElement], kind: str, params, live) -> dict:
+    """The rows of the given group elements on the parameters in `live`.
 
     Keyed (tag, component, monomial, part) -> {parameter: value}.  Element
     idx gives tag f"el{idx}": p(Av) - s p on functions and g(Av) - s A g(v)
@@ -293,7 +319,7 @@ def _group_rows(context: GroupContext, kind: str, params, live) -> dict:
     """
     functions = kind in FUNCTION_KINDS
     rows: dict = {}
-    for idx, el in enumerate(context.elements):
+    for idx, el in enumerate(elements):
         tag = f"el{idx}"
         sign = el.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
         substitute = Substitution(el.action)
@@ -326,27 +352,25 @@ def _group_rows(context: GroupContext, kind: str, params, live) -> dict:
     return rows
 
 
-def _live_system(shear: dict, group: dict, forced: set) -> list[dict]:
-    """The rows left to eliminate once the forced parameters are dropped.
+def _live_system(rows: Iterable[dict], forced: frozenset = frozenset()) -> list[dict]:
+    """The rows to eliminate, less the parameters in `forced`.
 
-    The group rows hold no forced parameter, and the multi-entry shear
-    rows lose theirs.  A row then left with one entry forces its
-    parameter, which goes to the system once, as a unit row ahead of the
-    rest.  Rows that end empty are not kept.
+    `forced` holds parameters that unit rows already in the system force
+    to zero, and the rows lose them.  A row then left with one entry
+    forces its parameter, which goes to the system once, as a unit row
+    ahead of the rest, unless it is forced already.  Rows left empty are
+    not kept.
     """
-    kept = (
-        {k: v for k, v in row.items() if k not in forced}
-        for row in shear.values()
-        if len(row) > 1
-    )
     units: set = set()
-    rows = []
-    for row in itertools.chain(group.values(), kept):
+    kept = []
+    for row in rows:
+        if forced and not forced.isdisjoint(row):
+            row = {k: v for k, v in row.items() if k not in forced}
         if len(row) == 1:
             units.update(row)
         elif row:
-            rows.append(row)
-    return [{k: 1} for k in sorted(units)] + rows
+            kept.append(row)
+    return [{k: 1} for k in sorted(units)] + kept
 
 
 def _solution_row(params, degree: int, solution: dict) -> dict:
@@ -363,6 +387,98 @@ def _solution_row(params, degree: int, solution: dict) -> dict:
     }
 
 
+# -- the kept part of a slice system -------------------------------------------
+
+
+class KeptSystem(NamedTuple):
+    """What a slice system holds before the last element's rows.
+
+    `params` are the parameter records, one for each real unknown, and
+    `live` the parameters that no one-entry shear row forces; `units` are
+    the live parameters that the unit rows of `echelon` force; `pairs`
+    counts the (component, monomial) pairs, what `limit` bounds; `echelon`
+    holds the shear rows and the rows of every element but the last, and
+    is never changed: a slice extends a copy of it (`Echelon.extended`).
+    """
+
+    params: list
+    live: list
+    units: frozenset
+    pairs: int
+    echelon: Echelon
+
+
+def _kept_system(linear, prefix: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
+    """Build the kept part of the slice system of `prefix` and one more element."""
+    params, pairs = _parameters(linear, degree, kind, limit)
+    shear = _shear_rows(params)
+    forced = {k for row in shear.values() if len(row) == 1 for k in row}
+    live = [k for k in range(len(params)) if k not in forced]
+    # the multi-entry shear rows lose their forced parameters; the group
+    # rows are built on live parameters only and hold none
+    kept = (
+        {k: v for k, v in row.items() if k not in forced}
+        for row in shear.values()
+        if len(row) > 1
+    )
+    group = _group_rows(prefix, kind, params, live)
+    rows = _live_system(itertools.chain(group.values(), kept))
+    units = frozenset(k for row in rows if len(row) == 1 for k in row)
+    return KeptSystem(params, live, units, pairs, Echelon(rows))
+
+
+class SystemMemo:
+    """The kept systems of the last slices, bounded by the unknowns they hold.
+
+    Keyed (linear part, every element of the context but the last, degree,
+    kind).  Systems go in least recently used order, and the oldest go out
+    while the unknowns (parameters) of all of them pass `budget`; a system
+    bigger than the budget is built and used, and not kept.  `limit` is
+    not in the key: the system does not depend on it, and a hit raises
+    `ResourceLimit` where a miss would, when its pairs pass the caller's
+    limit.  A miss builds outside the lock, so threads that miss on one
+    key at once each build it and the first to finish keeps its copy.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._systems: OrderedDict = OrderedDict()
+        self._lock = Lock()
+        self.unknowns = self.hits = self.misses = 0
+
+    def get(self, linear, prefix: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
+        key = (linear, prefix, degree, kind)
+        with self._lock:
+            system = self._systems.get(key)
+            if system is None:
+                self.misses += 1
+            else:
+                self._systems.move_to_end(key)
+                self.hits += 1
+        if system is None:
+            system = _kept_system(linear, prefix, degree, kind, limit)
+            if len(system.params) <= self.budget:
+                with self._lock:
+                    if key not in self._systems:
+                        self._systems[key] = system
+                        self.unknowns += len(system.params)
+                        while self.unknowns > self.budget:
+                            _, old = self._systems.popitem(last=False)
+                            self.unknowns -= len(old.params)
+        elif system.pairs > limit:
+            raise _slice_limit(limit, degree)
+        return system
+
+
+# the most unknowns (parameters) that the kept systems of `slice_space`
+# hold in all: about 6 MB at some 300 bytes an unknown (tracemalloc: the
+# 3,088 unknowns that the 19 jobs of the certify_deep benchmark pool keep
+# hold 0.95 MB)
+SYSTEM_BUDGET = DEFAULT_MONOMIAL_LIMIT // 10
+
+KEPT_SYSTEMS = SystemMemo(SYSTEM_BUDGET)
+
+
 def slice_space(
     context: GroupContext,
     degree: int,
@@ -372,20 +488,23 @@ def slice_space(
     """Exact basis of the degree-d members of the requested class.
 
     `limit` bounds the (component, admissible monomial) pairs, which is the
-    number of unknowns solved for up to the real/imaginary split.
+    number of unknowns solved for up to the real/imaginary split.  The
+    system of every element but the last comes from `KEPT_SYSTEMS`; the
+    last element's rows extend a copy of it.
     """
     if degree < 0:
         raise DimensionError("degree must be nonnegative")
     if kind not in FUNCTION_KINDS + MAP_KINDS:
         raise DimensionError(f"unknown membership kind {kind!r}")
     linear = _linear_part_of(context)
-    params = _parameters(linear, degree, kind, limit)
-    shear = _shear_rows(params)
-    forced = {k for row in shear.values() if len(row) == 1 for k in row}
-    live = [k for k in range(len(params)) if k not in forced]
-    group = _group_rows(context, kind, params, live)
-    solutions = Echelon(_live_system(shear, group, forced)).nullspace(live)
-    rows = tuple(_solution_row(params, degree, sol) for sol in solutions)
+    elements = context.elements
+    system = KEPT_SYSTEMS.get(linear, tuple(elements[:-1]), degree, kind, limit)
+    echelon = system.echelon
+    if elements:
+        last = _group_rows(elements[-1:], kind, system.params, system.live)
+        echelon = echelon.extended(_live_system(last.values(), system.units))
+    solutions = echelon.nullspace(system.live)
+    rows = tuple(_solution_row(system.params, degree, sol) for sol in solutions)
     return DegreeSlice(degree, kind, rows, linear.nvars)
 
 

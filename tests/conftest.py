@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from birevnf import oracle
 from birevnf.continuous import SymmetryContext, _case_context
 from birevnf.errors import SignInconsistency
 from birevnf.group import SignedElement
@@ -20,12 +21,13 @@ SEED = 20260809
 
 
 @pytest.fixture(autouse=True)
-def _fresh_memos():
-    """Each test starts with no kept named-case context and no kept
-    transport step, so what it counts or records does not depend on which
-    tests ran before it."""
+def _fresh_memos(monkeypatch):
+    """Each test starts with no kept named-case context, no kept transport
+    step and no kept oracle system, so what it counts or records does not
+    depend on which tests ran before it."""
     _case_context.cache_clear()
     transported.cache_clear()
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", oracle.SystemMemo(oracle.SYSTEM_BUDGET))
 
 
 def make_rng(salt: int = 0) -> random.Random:

@@ -17,6 +17,7 @@ from birevnf.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RESOURCE,
+    INT_LIST_FLAGS,
     JobConfig,
     build_parser,
     load_config,
@@ -24,7 +25,8 @@ from birevnf.cli import (
 )
 from birevnf.continuous import SymmetryContext, _case_context
 from birevnf.errors import ConfigError, UnsupportedCase
-from birevnf.oracle import module_slice, slice_space
+from birevnf import oracle
+from birevnf.oracle import SYSTEM_BUDGET, SystemMemo, module_slice, slice_space
 from birevnf.symmetry_ops import pipeline, transported
 
 from conftest import slice_of
@@ -228,6 +230,31 @@ def test_dashed_list_values_parse_as_their_equals_form(capsys, command):
             main([command, *job, "--signs", token])
         assert exc.value.code == 2  # argparse rejected the argv
         assert "argument --signs: expected one argument" in capsys.readouterr().err
+
+
+# a dashed value of each integer-list flag
+DASHED_VALUES = {"--params": "-1,2", "--signs": "-1,1,1", "--verify-degrees": "-1..3"}
+
+
+@pytest.mark.parametrize("flag", sorted(DASHED_VALUES))
+def test_flag_prefixes_take_dashed_values(capsys, flag):
+    # a unique prefix of an integer-list flag with a separate dashed value
+    # prints what the full flag prints, with the value separate or joined
+    # by `=`
+    assert set(DASHED_VALUES) == INT_LIST_FLAGS
+    job = ("verify", "--case", "non_resonant", "--params", "2", "--signs", "1,1,1")
+    text = DASHED_VALUES[flag]
+    prefix = flag[:5]
+    full = run_cli(capsys, *job, flag, text)
+    assert full[0] in (EXIT_OK, EXIT_CONFIG)
+    for argv in ((prefix, text), (f"{prefix}={text}",), (f"{flag}={text}",)):
+        assert run_cli(capsys, *job, *argv) == full, argv
+    # a prefix of two flags is still ambiguous, whatever its value
+    for value in ("-1,1,1", "non_resonant"):
+        with pytest.raises(SystemExit) as exc:
+            main([*job, "--c", value])
+        assert exc.value.code == 2
+        assert "ambiguous option: --c could match --case, --config" in capsys.readouterr().err
 
 
 def test_degree_below_two_is_config_error(capsys):
@@ -659,7 +686,7 @@ def test_report_commands_reject_latex(capsys, tmp_path, command):
             assert f"config error: {command} reports in text or json, not {fmt}" in err
 
 
-def test_repeated_jobs_print_what_a_cleared_memo_prints():
+def test_repeated_jobs_print_what_a_cleared_memo_prints(monkeypatch):
     # generators and normal-form in every format and verify, on the first
     # and last sign class of each golden regime: each job runs twice, with
     # the others in between, and prints what it prints on cleared memos
@@ -678,9 +705,12 @@ def test_repeated_jobs_print_what_a_cleared_memo_prints():
     for job in jobs:
         _case_context.cache_clear()
         transported.cache_clear()
+        monkeypatch.setattr(oracle, "KEPT_SYSTEMS", SystemMemo(SYSTEM_BUDGET))
         fresh[job] = command_output(*job)
     _case_context.cache_clear()
     transported.cache_clear()
+    memo = SystemMemo(SYSTEM_BUDGET)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
     for job in jobs + jobs:
         assert command_output(*job) == fresh[job], job
     # a catalog and a phi step per linear part and a psi step per sign
@@ -693,3 +723,9 @@ def test_repeated_jobs_print_what_a_cleared_memo_prints():
     # res_n1n2_Cn (1,2,3) is the linear part of res_n1n2_C3 (1,2)
     assert len(linear_parts) == len(REGIMES) - 1
     assert transported.cache_info().misses == 2 * len(linear_parts) + len(steps)
+    # verify keeps one system, the shear's rows and phi's, per linear part
+    # and degree; each of its other slices, one at each of the degrees 2..4
+    # of every verify job, run twice, is a hit
+    verify_jobs = sum(job[0] == "verify" for job in jobs)
+    assert memo.misses == 3 * len(linear_parts)
+    assert memo.hits == 2 * 3 * verify_jobs - memo.misses > 0

@@ -1,5 +1,6 @@
 """Brute-force degree slices, module slices, and span comparisons."""
 
+import itertools
 import re
 import sys
 import threading
@@ -12,10 +13,13 @@ from birevnf.continuous import SymmetryContext
 from birevnf.errors import DimensionError, ResourceLimit
 from birevnf.group import GroupContext, membership
 from birevnf.linalg import Echelon, polymap_from_vector, polynomial_from_vector, vectorize
+from birevnf import oracle
 from birevnf.oracle import (
     DEFAULT_MONOMIAL_LIMIT,
     FUNCTION_KINDS,
     MAP_KINDS,
+    SYSTEM_BUDGET,
+    SystemMemo,
     _group_rows,
     _parameters,
     _shear_rows,
@@ -29,6 +33,7 @@ from birevnf import symmetry_ops
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
 from conftest import MONOMIAL_ELEMENTS, slice_of
+from test_golden_gensets import REGIMES
 from reference_oracle import (
     _function_constraints,
     _function_parameters,
@@ -144,15 +149,17 @@ COMPILED_ROW_REGIMES = [
 def test_compiled_rows_match_the_polymap_path(case, params, signs):
     # on every golden regime, its first and last sign class: the compiled
     # parameters are the torus-admissible naive parameters in the same
-    # order, and each one's shear and group rows, with every parameter
-    # live, the system transposed, are the PolyMap path's rows
+    # order, counted in (component, monomial) pairs, and each one's shear
+    # and group rows, with every parameter live, the system transposed,
+    # are the PolyMap path's rows
     linear = SymmetryContext.from_case(case, params, signs[0]).linear_part
     for degree in range(5):
         for functions in (True, False):
             naive = _naive_admissible(linear, degree, functions)
             kinds = FUNCTION_KINDS if functions else MAP_KINDS
             constraints = _function_constraints if functions else _map_constraints
-            records = _parameters(linear, degree, kinds[0], DEFAULT_MONOMIAL_LIMIT)
+            records, pairs = _parameters(linear, degree, kinds[0], DEFAULT_MONOMIAL_LIMIT)
+            assert pairs == len({(c, mono) for rec in records for c, mono, _ in rec})
             vectors = [_solution_row(records, degree, {k: 1}) for k in range(len(records))]
             compiled = [
                 polynomial_from_vector(vec, linear.nvars)
@@ -165,7 +172,8 @@ def test_compiled_rows_match_the_polymap_path(case, params, signs):
             for sign_vector in signs:
                 full = SymmetryContext.from_case(case, params, sign_vector).full_context()
                 for kind in kinds:
-                    rows = {**shear, **_group_rows(full, kind, records, range(len(records)))}
+                    group = _group_rows(full.elements, kind, records, range(len(records)))
+                    rows = {**shear, **group}
                     images = _per_parameter(rows, degree, len(records))
                     for param, image in zip(naive, images):
                         expected = {t: v for t, v in constraints(full, kind, param) if v}
@@ -188,9 +196,9 @@ def test_forcing_keeps_the_nullspace_of_the_whole_system(case, params, signs):
     linear = full.continuous
     for degree in range(7):
         for kind in FUNCTION_KINDS + MAP_KINDS:
-            records = _parameters(linear, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+            records, _ = _parameters(linear, degree, kind, DEFAULT_MONOMIAL_LIMIT)
             every = range(len(records))
-            system = {**_shear_rows(records), **_group_rows(full, kind, records, every)}
+            system = {**_shear_rows(records), **_group_rows(full.elements, kind, records, every)}
             solutions = Echelon(row for row in system.values() if row).nullspace(every)
             expected = tuple(_solution_row(records, degree, sol) for sol in solutions)
             assert slice_space(full, degree, kind).rows == expected, (degree, kind)
@@ -198,10 +206,15 @@ def test_forcing_keeps_the_nullspace_of_the_whole_system(case, params, signs):
 
 def test_group_rows_substitute_only_what_the_shear_leaves(monkeypatch):
     # one image per element and distinct monomial of the parameters that no
-    # one-entry shear row forces to zero, fewer than over every parameter
+    # one-entry shear row forces to zero, fewer than over every parameter;
+    # a miss of the kept systems substitutes for both elements, and a hit,
+    # on another sign class of the linear part, for psi alone
+    memo = SystemMemo(SYSTEM_BUDGET)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
     full = SymmetryContext.from_case("res_n1n2_C3", (3, 5), (1, 1, -1, 1)).full_context()
+    other = SymmetryContext.from_case("res_n1n2_C3", (3, 5), (1, -1, 1, 1)).full_context()
     degree, kind = 17, "reversible_equivariant"
-    records = _parameters(full.continuous, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+    records, _ = _parameters(full.continuous, degree, kind, DEFAULT_MONOMIAL_LIMIT)
     forced = {k for row in _shear_rows(records).values() if len(row) == 1 for k in row}
 
     def monomials(keep):
@@ -215,10 +228,14 @@ def test_group_rows_substitute_only_what_the_shear_leaves(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(Substitution, "add_image", counted)
+    live = monomials(lambda k: k not in forced)
     slice_space(full, degree, kind)
-    elements = len(full.elements)
-    assert len(calls) == elements * monomials(lambda k: k not in forced)
-    assert len(calls) < elements * monomials(lambda k: True)
+    assert (memo.misses, memo.hits) == (1, 0)
+    assert len(calls) == 2 * live < 2 * monomials(lambda k: True)
+    calls.clear()
+    slice_space(other, degree, kind)
+    assert (memo.misses, memo.hits) == (1, 1)
+    assert len(calls) == live
 
 
 @pytest.mark.parametrize("element", MONOMIAL_ELEMENTS)
@@ -234,6 +251,108 @@ def test_compiled_slices_match_naive_for_other_monomial_actions(nonres1, element
             assert spans_equal(a, b).equal, (kind, degree)
             dims.append(a.dimension)
     assert sum(dims) > 0
+
+
+# holds the kept systems of any one golden regime at degrees 0..5, 1,846
+# unknowns at most, and not those of three: res_n1n2_Cn (1,2,3), which
+# comes after (1,3) and (2,3), builds again what res_n1n2_C3 (1,2) built
+SWEEP_BUDGET = 2000
+
+
+def test_kept_systems_give_the_rows_of_a_cleared_memo(monkeypatch):
+    # every sign vector of each golden regime, a0 = +1 and -1, every kind
+    # at degrees 0..5, in order on one warm memo: each slice has the rows
+    # it has on a cleared memo, the memo never holds more unknowns than its
+    # budget, and no kept Echelon changes when a slice extends it
+    built = []
+    build = oracle._kept_system
+
+    def recorded(*args):
+        system = build(*args)
+        built.append((system, {col: dict(row) for col, row in system.echelon.pivots.items()}))
+        return system
+
+    monkeypatch.setattr(oracle, "_kept_system", recorded)
+    memo = SystemMemo(SWEEP_BUDGET)
+    keys = set()
+    for case, params, n in REGIMES:
+        for signs in itertools.product((1, -1), repeat=n + 1):
+            full = SymmetryContext.from_case(case, params, signs).full_context()
+            for kind in FUNCTION_KINDS + MAP_KINDS:
+                for degree in range(6):
+                    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", SystemMemo(SYSTEM_BUDGET))
+                    expected = slice_space(full, degree, kind).rows
+                    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
+                    assert slice_space(full, degree, kind).rows == expected, (signs, degree)
+                    assert memo.unknowns <= memo.budget
+                    keys.add((full.continuous, full.elements[:-1], degree, kind))
+    assert memo.hits > 0
+    assert memo.misses > len(keys)  # the budget dropped systems that came back
+    for system, pivots in built:
+        assert system.echelon.pivots == pivots
+
+
+def test_a_hit_raises_the_resource_limit_of_a_miss(monkeypatch):
+    full = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1)).full_context()
+    degree, kind = 5, "reversible_equivariant"
+    memo = SystemMemo(SYSTEM_BUDGET)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
+    system = memo.get(full.continuous, full.elements[:-1], degree, kind, DEFAULT_MONOMIAL_LIMIT)
+    count = system.pairs
+    assert slice_space(full, degree, kind, count).rows
+    with pytest.raises(ResourceLimit) as hit:
+        slice_space(full, degree, kind, count - 1)
+    assert (memo.misses, memo.hits) == (1, 2)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", SystemMemo(SYSTEM_BUDGET))
+    with pytest.raises(ResourceLimit) as miss:
+        slice_space(full, degree, kind, count - 1)
+    assert str(hit.value) == str(miss.value)
+    assert re.search(f"more than {count - 1} admissible", str(miss.value))
+    # a system over the budget is built for its slice and not kept
+    small = SystemMemo(len(system.params) - 1)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", small)
+    for _ in range(2):
+        assert slice_space(full, degree, kind).rows
+    assert (small.misses, small.hits, small.unknowns) == (2, 0, 0)
+
+
+def test_threads_share_the_kept_systems(monkeypatch):
+    # three threads slice every sign class of one linear part on one memo,
+    # whose budget holds 200 of the 496 unknowns of their systems, so it
+    # drops and builds them again while the threads run: each thread gets
+    # the slices it gets alone, and the memo stays within its budget
+    contexts = [
+        SymmetryContext.from_case("res_n1n2_C3", (1, 2), signs).full_context()
+        for signs in itertools.product((1, -1), repeat=4)
+    ]
+    jobs = [(full, d, kind) for full in contexts for kind in MAP_KINDS for d in range(5)]
+    alone = [slice_space(*job).rows for job in jobs]
+    nthreads = 3
+    start = threading.Barrier(nthreads, timeout=30)
+
+    def sweep(results):
+        start.wait()
+        results.append([slice_space(*job).rows for job in jobs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to give a race its chance
+    try:
+        for _ in range(3):
+            memo = SystemMemo(200)
+            monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
+            results = []
+            threads = [threading.Thread(target=sweep, args=(results,)) for _ in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [alone] * nthreads
+            assert memo.hits + memo.misses == nthreads * len(jobs)
+            kept = sum(len(system.params) for system in memo._systems.values())
+            assert 0 < memo.unknowns == kept <= memo.budget
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_budget_counts_admissible_monomials():

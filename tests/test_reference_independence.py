@@ -3,10 +3,11 @@
 `tests/reference_oracle.py` cross-checks `oracle.slice_space`; a fault
 shared by both would pass unseen.  So the reference may not reach the
 compiled path's assembly or elimination: `linalg.Echelon`, the term
-kernel's `Substitution` and `output_columns`, `slice_space` itself, or
-the compiled system's `_parameters`, `_shear_rows`, `_group_rows`,
-`_emit`, `_live_system`, `_solution_row` and `_torus_monomials`.  Any
-import of, or attribute access to, one of them fails this test.
+kernel's `Substitution` and `output_columns`, `slice_space` itself, the
+compiled system's `_parameters`, `_shear_rows`, `_group_rows`, `_emit`,
+`_live_system`, `_solution_row` and `_torus_monomials`, or the kept
+systems' `_kept_system`, `SystemMemo` and `KEPT_SYSTEMS`.  Any import of,
+or attribute access to, one of them fails this test.
 
 `group.membership` and `LinearPart.infinitesimal_ok` are what `certify`
 checks the pipeline's output with, so they may not reach the term kernel
@@ -33,6 +34,9 @@ COMPILED_PATH = {
     "_live_system",
     "_solution_row",
     "_torus_monomials",
+    "_kept_system",
+    "SystemMemo",
+    "KEPT_SYSTEMS",
 }
 
 
