@@ -22,13 +22,15 @@ The module also enumerates the inequivalent pairs of commuting reversing
 involutions, as contexts and at most MAX_SIGN_CLASSES of them, and
 classifies the sign regimes into the four normal-form types.  One check of
 the involution pair, `check_involution_pair`, decides the reversing tower
-(S x| Z2(phi)) x| Z2(psi) for `SymmetryContext.build`; the pair
-enumeration runs the same two steps, each element's facts once and then
-the pair's.  The finite part of the tower is the Klein four-group
-{e, phi, psi, phi*psi}; as phi and psi anti-commute with L, the sign map
-on it comes down to one comparison, read off their sparse rows; no group
-is closed.  API input is checked once, here: a count, coefficient, case
-parameter or sign that is not an int is rejected, not truncated.
+(S x| Z2(phi)) x| Z2(psi) for `SymmetryContext.build` and for the pair
+enumeration, which runs it on n + 1 pairs only: psi(a) = D(a) phi for a
+diagonal sign flip D(a), so the all-ones pair and the single flips decide
+every class (`enumerate_involution_pairs`).  The finite part of the tower
+is the Klein four-group {e, phi, psi, phi*psi}; as phi and psi
+anti-commute with L, the sign map on it comes down to one comparison,
+read off their sparse rows; no group is closed.  API input is checked
+once, here: a count, coefficient, case parameter or sign that is not an
+int is rejected, not truncated.
 
 A named case is checked once per process: `SymmetryContext.from_case`
 checks its inputs' types on every call, then keeps the context it builds
@@ -262,6 +264,9 @@ def psi_rows(signs: Sequence[int]) -> tuple:
     """(x1, x2, z) -> (a0 x1, -a0 x2, a_j conj z_j) for signs (a0, ..., an).
 
     The signed permutation as `LinearAction.rows`, one int entry per row.
+    Each is a sign flip of phi: psi(a) = D(a) phi, where D(a) =
+    diag(a0, a0, a1, a1, ..., an, an) is the product of the single flips
+    D_k of the signs a_k = -1 (`test_every_psi_is_a_sign_flip_of_phi`).
     """
     signs = _integers(signs)
     if any(s not in (1, -1) for s in signs):
@@ -295,29 +300,6 @@ def fix_dimension(element: SignedElement) -> int:
     return (element.size + sum(diagonal, ZERO).re) // 2
 
 
-def _check_involution(linear_part: LinearPart, gamma: SignedElement):
-    """The facts of one element: it anti-commutes with L and is an involution."""
-    if not anticommute_check(gamma, linear_part):
-        raise DimensionError(f"{gamma.name or 'involution'} does not anti-commute with L")
-    if not gamma.is_involution():
-        raise ConditionViolated(f"{gamma.name or 'element'} must be an involution")
-
-
-def _check_commuting_pair(phi: SignedElement, psi: SignedElement):
-    """The facts of a pair of involutions: they commute, and the sign map.
-
-    Both must have passed `_check_involution`.  The sign map's one possible
-    clash is then psi = phi with the other sign (see
-    `check_involution_pair`), which raises SignInconsistency.
-    """
-    if (phi.action * psi.action).rows != (psi.action * phi.action).rows:
-        raise ConditionViolated("the two involutions must commute")
-    if phi.action.rows == psi.action.rows and phi.sign != psi.sign:
-        raise SignInconsistency(
-            "element reached with both signs; sign map is not well defined"
-        )
-
-
 def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: SignedElement):
     """Check that (phi, psi) builds the reversing tower (S x| Z2(phi)) x| Z2(psi).
 
@@ -347,8 +329,16 @@ def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: Sign
     commute, and SignInconsistency when psi = phi with the other sign.
     """
     for gamma in (phi, psi):
-        _check_involution(linear_part, gamma)
-    _check_commuting_pair(phi, psi)
+        if not anticommute_check(gamma, linear_part):
+            raise DimensionError(f"{gamma.name or 'involution'} does not anti-commute with L")
+        if not gamma.is_involution():
+            raise ConditionViolated(f"{gamma.name or 'element'} must be an involution")
+    if (phi.action * psi.action).rows != (psi.action * phi.action).rows:
+        raise ConditionViolated("the two involutions must commute")
+    if phi.action.rows == psi.action.rows and phi.sign != psi.sign:
+        raise SignInconsistency(
+            "element reached with both signs; sign map is not well defined"
+        )
 
 
 def require_sign_classes(n: int) -> int:
@@ -368,23 +358,31 @@ def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[SymmetryContext
     the same problem as its negation: psi(-a) = -psi(a) gives other
     invariant and equivariant spaces (on `res_n1n2_C3` (1,2), signs
     1,1,-1,1 and -1,-1,1,-1 differ in dim R_d and dim V_d), and those of
-    Types C and D are not listed here.  Every returned pair passes
-    `check_involution_pair`, whose steps run here with phi's own facts
-    checked once, and each element has an (n+1)-dimensional fixed-point
-    space.  More than MAX_SIGN_CLASSES classes raise ResourceLimit before
-    any element is built (`require_sign_classes`).
+    Types C and D are not listed here.  Each element has an
+    (n+1)-dimensional fixed-point space.  More than MAX_SIGN_CLASSES
+    classes raise ResourceLimit before any element is built
+    (`require_sign_classes`).
+
+    Every returned pair passes `check_involution_pair`, run on n + 1 of
+    them: the all-ones vector, then each single flip a_k = -1 (k = 1..n).
+    As psi(a) = D(a) phi (`psi_rows`, `test_every_psi_is_a_sign_flip_of_phi`),
+    a pair passes exactly when D = psi phi commutes with phi and with each
+    generator M of S, and D^2 = e: then psi M = D phi M = -M psi,
+    psi^2 = D^2 = e, and every psi has phi's sign.  Those properties are
+    closed under products of the diagonal, so commuting, D_k, and D(a) is
+    the product of the D_k of its flipped signs.  A listing that also takes
+    a0 = -1 checks the flip k = 0 as well.
     """
     n = require_sign_classes(linear_part.n)
     phi = phi_element(n)
-    _check_involution(linear_part, phi)
-    pairs = []
-    for tail in iter_product((1, -1), repeat=n):
-        signs = (1, *tail)
-        psi = psi_element(signs)
-        _check_involution(linear_part, psi)
-        _check_commuting_pair(phi, psi)
-        pairs.append(SymmetryContext(linear_part, signs, phi, psi))
-    return tuple(pairs)
+    pairs = tuple(
+        SymmetryContext(linear_part, signs, phi, psi_element(signs))
+        for signs in iter_product((1,), *[(1, -1)] * n)
+    )
+    # the all-ones vector comes first, and the flip of a_k alone at 2^(n-k)
+    for index in (0, *(1 << (n - k) for k in range(1, n + 1))):
+        check_involution_pair(linear_part, phi, pairs[index].psi)
+    return pairs
 
 
 def classify_type(signs: Sequence[int], exponents: Sequence[int]) -> str:

@@ -325,21 +325,29 @@ def test_golden_catalogs_pass_the_audit(case, params):
     assert catalog_faults(linear, *closure_data(linear)) == []
 
 
-@settings(max_examples=150)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=2),
-        )
+# (n, resonance relations) on 1-4 blocks, at most two relations
+DRAWN_LINEAR_PARTS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=2),
     )
 )
-def test_derived_catalogs_pass_the_audit(drawn):
+
+
+def _drawn_linear_part(drawn) -> LinearPart:
+    """The linear part of a `DRAWN_LINEAR_PARTS` draw; rejected when the
+    relations force a frequency to zero."""
     n, relations = drawn
     try:
-        linear = LinearPart(n, tuple(relations))
+        return LinearPart(n, tuple(relations))
     except DimensionError:
         reject()
+
+
+@settings(max_examples=150)
+@given(DRAWN_LINEAR_PARTS)
+def test_derived_catalogs_pass_the_audit(drawn):
+    linear = _drawn_linear_part(drawn)
     assert catalog_faults(linear, *closure_data(linear)) == []
 
 
@@ -373,19 +381,60 @@ def test_non_integer_input_is_rejected_not_truncated(build, error):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_enumeration_checks_each_involution_once(n, monkeypatch):
+def test_enumeration_checks_the_all_ones_pair_then_each_single_flip(n, monkeypatch):
     linear = LinearPart(n)
     checked = []
-    real = continuous.anticommute_check
+    real = continuous.check_involution_pair
     monkeypatch.setattr(
-        continuous, "anticommute_check", lambda g, l: checked.append(g.name) or real(g, l)
+        continuous,
+        "check_involution_pair",
+        lambda l, phi, psi: checked.append((l, phi, psi)) or real(l, phi, psi),
     )
     pairs = enumerate_involution_pairs(linear)
-    assert len(checked) == 1 + 2 ** n
-    assert checked.count("phi") == 1
     monkeypatch.undo()
+    by_signs = {pair.signs: pair for pair in pairs}
+    ones = (1,) * (n + 1)
+    flips = [ones] + [ones[:k] + (-1,) + ones[k + 1 :] for k in range(1, n + 1)]
+    # n + 1 checks, in that order, on the listed elements themselves
+    assert len(checked) == n + 1
+    for (l, phi, psi), signs in zip(checked, flips):
+        assert l is linear and phi is by_signs[signs].phi and psi is by_signs[signs].psi
     for pair in pairs:
         check_involution_pair(linear, pair.phi, pair.psi)
+
+
+def _sign_flip(signs) -> LinearAction:
+    """D(a) = diag(a0, a0, a1, a1, ..., an, an), as a checked action."""
+    rows = tuple(((i, signs[i // 2]),) for i in range(2 * len(signs)))
+    return LinearAction(rows, len(rows))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_psi_is_a_sign_flip_of_phi(n):
+    # psi(a) = D(a) phi for every sign vector, a0 = -1 included: the
+    # identity the enumeration's n + 1 pair checks rest on
+    phi = phi_element(n).action
+    for signs in product((1, -1), repeat=n + 1):
+        assert psi_element(signs).action.rows == (_sign_flip(signs) * phi).rows
+
+
+def test_enumeration_refuses_a_single_flip_that_fails_the_pair_check(monkeypatch):
+    # patched, the flip of a2 alone sends x2 to +x2, so it commutes with the shear
+    n, bad = 3, (1, 1, -1, 1)
+    real = continuous.psi_rows
+
+    def broken(signs):
+        rows = real(signs)
+        if tuple(signs) == bad:
+            return (rows[0], ((1, 1),), *rows[2:])
+        return rows
+
+    monkeypatch.setattr(continuous, "psi_rows", broken)
+    with pytest.raises(DimensionError) as expected:
+        check_involution_pair(LinearPart(n), phi_element(n), psi_element(bad))
+    with pytest.raises(DimensionError) as raised:
+        enumerate_involution_pairs(LinearPart(n))
+    assert str(raised.value) == str(expected.value) == "psi does not anti-commute with L"
 
 
 @pytest.mark.parametrize(
@@ -486,10 +535,24 @@ def test_moving_the_resonant_pair_to_other_blocks_changes_no_count(signs):
             ), (kind, d)
 
 
+def _listing_is_built_contexts(linear) -> bool:
+    """Whether the listing equals `SymmetryContext.build` on each class with
+    a0 = +1, in product order."""
+    signs = product((1,), *[(1, -1)] * linear.n)
+    return enumerate_involution_pairs(linear) == tuple(
+        SymmetryContext.build(linear, s) for s in signs
+    )
+
+
 def test_enumeration_returns_the_checked_contexts():
-    linear = linear_part_for_case("res_n1n2_C3", (1, 2))
-    pairs = enumerate_involution_pairs(linear)
-    assert pairs == tuple(SymmetryContext.build(linear, pair.signs) for pair in pairs)
+    for case, params, _ in REGIMES:
+        assert _listing_is_built_contexts(linear_part_for_case(case, params)), (case, params)
+
+
+@settings(max_examples=100)
+@given(DRAWN_LINEAR_PARTS)
+def test_enumeration_returns_the_checked_contexts_of_drawn_linear_parts(drawn):
+    assert _listing_is_built_contexts(_drawn_linear_part(drawn))
 
 
 def test_enumeration_past_the_bound_builds_no_element(monkeypatch):
