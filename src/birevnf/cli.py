@@ -136,8 +136,9 @@ class JobConfig:
             raise ConfigError("verify degrees must be nonnegative")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be {', '.join(FORMATS[:-1])}, or {FORMATS[-1]}")
-        if self.limit_monomials < 1:
-            raise ConfigError("monomial limit must be positive")
+        # itertools.islice takes no bound above sys.maxsize
+        if not 1 <= self.limit_monomials <= sys.maxsize:
+            raise ConfigError(f"monomial limit must be between 1 and {sys.maxsize}")
         return self
 
     def context(self) -> SymmetryContext:

@@ -10,9 +10,7 @@ keyed by arbitrary sortable column keys over Q, eliminated fraction-free
 pivot column, returns the span's reduced row-echelon basis, and reads
 nullspaces straight off that basis: one vector per free column, with
 entry 1 there and minus the column's entry of each reduced row at that
-row's pivot.  `extended` gives a new `Echelon` with more rows and leaves
-the one it starts from as it was, so a kept system can be extended many
-times.  Determinism: pivot columns are the unique rank-increase
+row's pivot.  Determinism: pivot columns are the unique rank-increase
 columns of the system, independent of row order, and both returned bases
 are unique for their space.  Polynomials, maps and exponent-tuple terms
 become rows through one emitter of column keys, `vectorize_terms`.
@@ -113,19 +111,6 @@ class Echelon:
             return False
         self.pivots[min(r)] = r
         return True
-
-    def extended(self, rows: Iterable[SparseRow]) -> "Echelon":
-        """A new Echelon of this one's rows and `rows`; this one is unchanged.
-
-        The new one starts from a copy of the pivot table and shares the
-        stored rows, which no method mutates: `insert` stores a new row
-        under a new pivot and leaves the others as they are.
-        """
-        out = Echelon()
-        out.pivots = dict(self.pivots)
-        for row in rows:
-            out.insert(row)
-        return out
 
     def contains(self, row: SparseRow) -> bool:
         return not self.residual(row)

@@ -11,12 +11,11 @@ something reads it (the golden artifacts, the tests, or a witness), so a
 `verify` run that certifies builds no Polynomial or PolyMap here.
 
 `slice_space` compiles its system on exponent tuples and exact integers,
-the part the last element adds on every call and the rest once per key
-(see below).  A torus weight reads only the z/zb exponents, so a walk
-over the rotation blocks enumerates only the torus-admissible monomials,
-and the resource bound counts those (component, monomial) pairs: the
-unknowns actually solved for.  Each parameter is one or two records
-(component, monomial, coefficient).  The rows of the system are
+once per key (see below).  A torus weight reads only the z/zb exponents,
+so a walk over the rotation blocks enumerates only the torus-admissible
+monomials, and the resource bound counts those (component, monomial)
+pairs: the unknowns actually solved for.  Each parameter is one or two
+records (component, monomial, coefficient).  The rows of the system are
 `(tag, component, monomial, part) -> {parameter: value}`, with ints, and
 Fractions only where an element has a denominator.  The shear's rows come
 first: each record's image under x1 d/dx2 is an exponent shift, with no
@@ -35,24 +34,30 @@ the free columns are the same, and so is the unique reduced-echelon
 basis, whatever the order of the rows.  Each nullspace vector becomes a
 slice row through the fixed columns of the parameters.
 
-Only the last element's rows depend on the sign class.  So the rest of
-the system is kept: `KEPT_SYSTEMS`, a `SystemMemo`, holds under the key
-(linear part, every element of the context but the last, degree, kind)
-the parameter records, the live parameters and the `Echelon` of the
-shear rows and those elements' rows; for a full context that is phi's,
-and for a context with no elements the shear's alone.  A slice takes the
-last element's rows into a copy of the kept `Echelon` (`Echelon.extended`),
-which leaves the kept one as it was: less the parameters that the kept
-unit rows force, and with their own unit rows deduplicated.  It takes
-the nullspace as above; the basis is the same whatever the order of the
-rows, so a slice is byte-identical on a hit and on a miss.  The limit is
-not in the key: a hit raises the `ResourceLimit` a miss would, with the
-same message, when the kept system's (component, monomial) pairs pass
-the caller's limit.  The memo holds at most SYSTEM_BUDGET unknowns in
-all, some 300 bytes each: it drops the least recently used systems
-first, and it builds a system bigger than the budget for its slice and
-does not keep it.  Its bookkeeping runs under a lock; two threads that
-miss on one key at once both build the system, and one copy is kept.
+A solved system is kept: `KEPT_SYSTEMS`, a `SystemMemo`, holds its slice
+rows under the key (linear part, solved elements, degree, kind), and the
+slices share them: nothing changes a row once it is made.  Let A and B be
+the last two elements of a context.  When D = B A is a diagonal sign flip
+that scales x1 and x2 alike and commutes with every element but B (every
+full context: psi(a) = D(a) phi), only the elements before B are
+solved.  Each parameter, and so each row of their system, then has one
+D-character: chi_D(m) d_c for a record's monomial m and component c, the
+product of D's entries to the exponents of m times D's entry at c (1 for
+a function).  So the system splits by character, and each vector of its
+canonical nullspace has one.  A solution of character chi meets B's
+condition iff chi = s_A s_B, s an element's sign for the signed kinds
+and 1 otherwise.  So the slice is the kept rows of that character, in
+their order: the canonical nullspace of the whole system, whose free
+columns are the free columns of that character.  Another sign class of
+the linear part costs that filter, and no row of B.  Any other context
+solves all its elements and keeps every row.  The limit is not in the
+key: a hit raises the `ResourceLimit` a miss would, with the same
+message, when the kept system's (component, monomial) pairs pass the
+caller's limit.  The memo holds at most SYSTEM_BUDGET unknowns in all: it
+drops the least recently used systems first, and it solves a system
+bigger than the budget for its slice and does not keep it.  Its
+bookkeeping runs under a lock; two threads that miss on one key at once
+both solve the system, and one copy is kept.
 `module_slice` keeps the reduced span of `symmetry_ops.module_rows` over
 the one `ProductTable` the generator set keeps, so a sweep over degrees
 builds each product once.  `spans_equal` decides on rows and builds the
@@ -70,8 +75,9 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from threading import Lock
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, ResourceLimit
 from .group import GroupContext, SignedElement
@@ -102,9 +108,10 @@ class DegreeSlice:
     """One homogeneous symmetry-constrained space, kept as rows.
 
     `rows` are `linalg.vectorize` vectors of elements on `nvars`
-    coordinates; the engine's slices hold independent rows, so the
-    dimension is their count.  `basis` is the elements of the rows, sorted
-    by `sort_key`, built the first time it is read.
+    coordinates, which no reader changes (`slice_space` shares them
+    between slices); the engine's slices hold independent rows, so the
+    dimension is their count.  `basis` is the elements of the rows,
+    sorted by `sort_key`, built the first time it is read.
     """
 
     degree: int
@@ -307,6 +314,11 @@ def _shear_rows(params) -> dict:
     return rows
 
 
+def _sign(element: SignedElement, kind: str) -> int:
+    """s in the element's identity: its sign for the signed kinds, else 1."""
+    return element.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
+
+
 def _group_rows(elements: Sequence[SignedElement], kind: str, params, live) -> dict:
     """The rows of the given group elements on the parameters in `live`.
 
@@ -321,7 +333,7 @@ def _group_rows(elements: Sequence[SignedElement], kind: str, params, live) -> d
     rows: dict = {}
     for idx, el in enumerate(elements):
         tag = f"el{idx}"
-        sign = el.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
+        sign = _sign(el, kind)
         substitute = Substitution(el.action)
         images: dict = {}  # monomial -> its one-term image, or no term
         # stored component -> the (output component, entry) pairs of A's
@@ -352,27 +364,6 @@ def _group_rows(elements: Sequence[SignedElement], kind: str, params, live) -> d
     return rows
 
 
-def _live_system(rows: Iterable[dict], forced: frozenset = frozenset()) -> list[dict]:
-    """The rows to eliminate, less the parameters in `forced`.
-
-    `forced` holds parameters that unit rows already in the system force
-    to zero, and the rows lose them.  A row then left with one entry
-    forces its parameter, which goes to the system once, as a unit row
-    ahead of the rest, unless it is forced already.  Rows left empty are
-    not kept.
-    """
-    units: set = set()
-    kept = []
-    for row in rows:
-        if forced and not forced.isdisjoint(row):
-            row = {k: v for k, v in row.items() if k not in forced}
-        if len(row) == 1:
-            units.update(row)
-        elif row:
-            kept.append(row)
-    return [{k: 1} for k in sorted(units)] + kept
-
-
 def _solution_row(params, degree: int, solution: dict) -> dict:
     """The `vectorize` row of the sum of q times parameter k over {k: q}.
 
@@ -387,57 +378,54 @@ def _solution_row(params, degree: int, solution: dict) -> dict:
     }
 
 
-# -- the kept part of a slice system -------------------------------------------
+# -- the kept solutions of a slice system --------------------------------------
 
 
 class KeptSystem(NamedTuple):
-    """What a slice system holds before the last element's rows.
+    """The slice rows of the canonical nullspace of the shear's and some
+    elements' rows, which the slices share and nothing changes; the
+    parameters solved for, what the memo's budget bounds; and the
+    (component, monomial) pairs, what `limit` bounds."""
 
-    `params` are the parameter records, one for each real unknown, and
-    `live` the parameters that no one-entry shear row forces; `units` are
-    the live parameters that the unit rows of `echelon` force; `pairs`
-    counts the (component, monomial) pairs, what `limit` bounds; `echelon`
-    holds the shear rows and the rows of every element but the last, and
-    is never changed: a slice extends a copy of it (`Echelon.extended`).
-    """
-
-    params: list
-    live: list
-    units: frozenset
+    rows: tuple
+    unknowns: int
     pairs: int
-    echelon: Echelon
 
 
-def _kept_system(linear, prefix: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
-    """Build the kept part of the slice system of `prefix` and one more element."""
+def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
+    """Solve the slice system of the shear and `elements`."""
     params, pairs = _parameters(linear, degree, kind, limit)
     shear = _shear_rows(params)
     forced = {k for row in shear.values() if len(row) == 1 for k in row}
     live = [k for k in range(len(params)) if k not in forced]
     # the multi-entry shear rows lose their forced parameters; the group
-    # rows are built on live parameters only and hold none
-    kept = (
-        {k: v for k, v in row.items() if k not in forced}
-        for row in shear.values()
-        if len(row) > 1
-    )
-    group = _group_rows(prefix, kind, params, live)
-    rows = _live_system(itertools.chain(group.values(), kept))
-    units = frozenset(k for row in rows if len(row) == 1 for k in row)
-    return KeptSystem(params, live, units, pairs, Echelon(rows))
+    # rows are built on live parameters only and hold none.  A row left
+    # with one entry forces its parameter, which goes in once, as a unit
+    # row ahead of the rest
+    kept = ({k: v for k, v in row.items() if k not in forced} for row in shear.values())
+    units: set = set()
+    others = []
+    for row in itertools.chain(_group_rows(elements, kind, params, live).values(), kept):
+        if len(row) == 1:
+            units.update(row)
+        elif row:
+            others.append(row)
+    solutions = Echelon([{k: 1} for k in sorted(units)] + others).nullspace(live)
+    rows = tuple(_solution_row(params, degree, sol) for sol in solutions)
+    return KeptSystem(rows, len(params), pairs)
 
 
 class SystemMemo:
-    """The kept systems of the last slices, bounded by the unknowns they hold.
+    """The solved systems of the last slices, bounded by the unknowns they hold.
 
-    Keyed (linear part, every element of the context but the last, degree,
-    kind).  Systems go in least recently used order, and the oldest go out
-    while the unknowns (parameters) of all of them pass `budget`; a system
-    bigger than the budget is built and used, and not kept.  `limit` is
-    not in the key: the system does not depend on it, and a hit raises
-    `ResourceLimit` where a miss would, when its pairs pass the caller's
-    limit.  A miss builds outside the lock, so threads that miss on one
-    key at once each build it and the first to finish keeps its copy.
+    Keyed (linear part, solved elements, degree, kind).  Systems go in
+    least recently used order, and the oldest go out while the unknowns
+    (parameters) of all of them pass `budget`; a system bigger than the
+    budget is solved and used, and not kept.  `limit` is not in the key:
+    the system does not depend on it, and a hit raises `ResourceLimit`
+    where a miss would, when its pairs pass the caller's limit.  A miss
+    solves outside the lock, so threads that miss on one key at once each
+    solve it and the first to finish keeps its copy.
     """
 
     def __init__(self, budget: int):
@@ -446,8 +434,8 @@ class SystemMemo:
         self._lock = Lock()
         self.unknowns = self.hits = self.misses = 0
 
-    def get(self, linear, prefix: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
-        key = (linear, prefix, degree, kind)
+    def get(self, linear, elements: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
+        key = (linear, elements, degree, kind)
         with self._lock:
             system = self._systems.get(key)
             if system is None:
@@ -456,27 +444,49 @@ class SystemMemo:
                 self._systems.move_to_end(key)
                 self.hits += 1
         if system is None:
-            system = _kept_system(linear, prefix, degree, kind, limit)
-            if len(system.params) <= self.budget:
+            system = _kept_system(linear, elements, degree, kind, limit)
+            if system.unknowns <= self.budget:
                 with self._lock:
                     if key not in self._systems:
                         self._systems[key] = system
-                        self.unknowns += len(system.params)
+                        self.unknowns += system.unknowns
                         while self.unknowns > self.budget:
                             _, old = self._systems.popitem(last=False)
-                            self.unknowns -= len(old.params)
+                            self.unknowns -= old.unknowns
         elif system.pairs > limit:
             raise _slice_limit(limit, degree)
         return system
 
 
 # the most unknowns (parameters) that the kept systems of `slice_space`
-# hold in all: about 6 MB at some 300 bytes an unknown (tracemalloc: the
+# hold in all: about 2.2 MB at some 110 bytes an unknown (tracemalloc: the
 # 3,088 unknowns that the 19 jobs of the certify_deep benchmark pool keep
-# hold 0.95 MB)
+# hold 0.34 MB)
 SYSTEM_BUDGET = DEFAULT_MONOMIAL_LIMIT // 10
 
 KEPT_SYSTEMS = SystemMemo(SYSTEM_BUDGET)
+
+
+def _flip(elements: Sequence[SignedElement]) -> tuple | None:
+    """The diagonal of D = B A, for the last two elements A and B, when it
+    is a sign flip that scales x1 and x2 alike and commutes with every
+    element but B; else None, and for fewer than two elements."""
+    if len(elements) < 2:
+        return None
+    rows = (elements[-1].action * elements[-2].action).rows
+    flip = tuple(d.re if j == i and d in (1, -1) else 0 for i, ((j, d),) in enumerate(rows))
+    commutes = all(
+        flip[j] == flip[i] for el in elements[:-1] for i, ((j, _),) in enumerate(el.rows)
+    )
+    return flip if 0 not in flip and flip[0] == flip[1] and commutes else None
+
+
+def _character(flip: tuple, key) -> int:
+    """chi_D(m) d_c of the column key (c, (degree, m), part): the product of
+    D's entries to the exponents of m, times D's entry at c's coordinate."""
+    comp, (_, mono), _ = key
+    value = 1 if comp < 0 else flip[comp if comp < 2 else 2 * comp - 2]
+    return value * prod(d**e for d, e in zip(flip, mono))
 
 
 def slice_space(
@@ -489,8 +499,10 @@ def slice_space(
 
     `limit` bounds the (component, admissible monomial) pairs, which is the
     number of unknowns solved for up to the real/imaginary split.  The
-    system of every element but the last comes from `KEPT_SYSTEMS`; the
-    last element's rows extend a copy of it.
+    solved system comes from `KEPT_SYSTEMS`: of every element but the last
+    when the last two differ by a diagonal sign flip D (`_flip`), and the
+    slice is then the rows of D's character s_A s_B; of every element
+    otherwise, and the slice is all its rows.
     """
     if degree < 0:
         raise DimensionError("degree must be nonnegative")
@@ -498,13 +510,14 @@ def slice_space(
         raise DimensionError(f"unknown membership kind {kind!r}")
     linear = _linear_part_of(context)
     elements = context.elements
-    system = KEPT_SYSTEMS.get(linear, tuple(elements[:-1]), degree, kind, limit)
-    echelon = system.echelon
-    if elements:
-        last = _group_rows(elements[-1:], kind, system.params, system.live)
-        echelon = echelon.extended(_live_system(last.values(), system.units))
-    solutions = echelon.nullspace(system.live)
-    rows = tuple(_solution_row(system.params, degree, sol) for sol in solutions)
+    if any(el.size != linear.nvars for el in elements):
+        raise DimensionError(f"every element must act on {linear.nvars} coordinates")
+    flip = _flip(elements)
+    solved = elements if flip is None else elements[:-1]
+    rows = KEPT_SYSTEMS.get(linear, tuple(solved), degree, kind, limit).rows
+    if flip is not None:
+        want = _sign(elements[-2], kind) * _sign(elements[-1], kind)
+        rows = tuple(row for row in rows if _character(flip, next(iter(row))) == want)
     return DegreeSlice(degree, kind, rows, linear.nvars)
 
 

@@ -492,6 +492,25 @@ def test_monomial_limit_yields_resource_exit(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_monomial_limit_past_the_largest_index_is_config_error(tmp_path, capsys, source):
+    # a bound itertools.islice cannot take is refused before any slice
+    job = ["verify", "--case", "non_resonant", "--params", "1", "--signs", "1,1"]
+    limit = sys.maxsize + 1
+    if source == "flag":
+        extra = ["--limit-monomials", str(limit)]
+    else:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"limit_monomials": limit}))
+        extra = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *job, *extra)
+    assert code == EXIT_CONFIG
+    assert f"monomial limit must be between 1 and {sys.maxsize}" in err
+    assert "Traceback" not in err and out == ""
+    # the largest index itself is a limit
+    assert run_cli(capsys, *job, "--limit-monomials", str(sys.maxsize))[0] == EXIT_OK
+
+
 def test_repo_job_fixtures(capsys):
     import pathlib
 

@@ -1,17 +1,19 @@
 """Brute-force degree slices, module slices, and span comparisons."""
 
+import functools
 import itertools
 import re
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birevnf.continuous import SymmetryContext
+from birevnf.continuous import LinearPart, SymmetryContext, phi_element
 from birevnf.errors import DimensionError, ResourceLimit
-from birevnf.group import GroupContext, membership
+from birevnf.group import GroupContext, SignedElement, membership
 from birevnf.linalg import Echelon, polymap_from_vector, polynomial_from_vector, vectorize
 from birevnf import oracle
 from birevnf.oracle import (
@@ -33,6 +35,8 @@ from birevnf import symmetry_ops
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
 
 from conftest import MONOMIAL_ELEMENTS, slice_of
+from references import phi_context
+from test_continuous import DRAWN_LINEAR_PARTS, _drawn_linear_part
 from test_golden_gensets import REGIMES
 from reference_oracle import (
     _function_constraints,
@@ -180,6 +184,30 @@ def test_compiled_rows_match_the_polymap_path(case, params, signs):
                         assert image == expected, (sign_vector, degree, kind, param)
 
 
+@functools.lru_cache(maxsize=64)
+def _records_and_shear(linear, degree: int, kind: str) -> tuple:
+    records, _ = _parameters(linear, degree, kind, DEFAULT_MONOMIAL_LIMIT)
+    return records, _shear_rows(records)
+
+
+def _whole_system_rows(context: GroupContext, degree: int, kind: str) -> tuple:
+    """The slice rows of the canonical nullspace of the shear's rows and
+    every element's, over every parameter, with nothing forced or kept."""
+    records, shear = _records_and_shear(context.continuous, degree, kind)
+    every = range(len(records))
+    system = {**shear, **_group_rows(context.elements, kind, records, every)}
+    solutions = Echelon(row for row in system.values() if row).nullspace(every)
+    return tuple(_solution_row(records, degree, sol) for sol in solutions)
+
+
+def _sign_map_contexts(ctx: SymmetryContext) -> list:
+    """The contexts of phi alone and of (phi, psi) under each sign map."""
+    return [phi_context(ctx)] + [
+        GroupContext((replace(ctx.phi, sign=s), replace(ctx.psi, sign=t)), ctx.linear_part)
+        for s, t in ((-1, -1), (1, -1), (-1, 1), (1, 1))
+    ]
+
+
 @pytest.mark.parametrize(
     "case,params,signs",
     [
@@ -189,26 +217,48 @@ def test_compiled_rows_match_the_polymap_path(case, params, signs):
     ],
 )
 def test_forcing_keeps_the_nullspace_of_the_whole_system(case, params, signs):
-    # slice_space drops the parameters the shear forces to zero before it
-    # builds the group rows; its rows are still the canonical nullspace of
-    # every row over every parameter
-    full = SymmetryContext.from_case(case, params, signs).full_context()
-    linear = full.continuous
-    for degree in range(7):
+    # slice_space drops the parameters the shear forces to zero, and of a
+    # (phi, psi) context it solves phi's rows alone and keeps the solutions
+    # of the character psi's condition asks for; on every sign vector with
+    # this a0, phi alone and phi and psi under every sign map, its rows are
+    # still the canonical nullspace of every row over every parameter.
+    # phi is the same in every sign class, and a sign only enters the
+    # signed kinds, so equal systems are solved once; the given sign vector
+    # goes up to degree 6
+    solved = {}
+    for rest in itertools.product((1, -1), repeat=len(signs) - 1):
+        ctx = SymmetryContext.from_case(case, params, signs[:1] + rest)
+        for context in _sign_map_contexts(ctx):
+            for degree in range(7 if ctx.signs == signs else 6):
+                for kind in FUNCTION_KINDS + MAP_KINDS:
+                    signed = kind in ("anti_invariant", "reversible_equivariant")
+                    key = tuple((el.rows, signed and el.sign) for el in context.elements)
+                    if (key, degree, kind) not in solved:
+                        solved[key, degree, kind] = _whole_system_rows(context, degree, kind)
+                    assert slice_space(context, degree, kind).rows == solved[key, degree, kind], (
+                        rest, context.elements, degree, kind)
+
+
+@settings(max_examples=40)
+@given(DRAWN_LINEAR_PARTS, st.data())
+def test_drawn_linear_parts_slice_as_their_whole_systems(drawn, data):
+    # two sign classes of a drawn linear part, the second a hit on the
+    # kept systems of the first, each kind at a drawn degree
+    linear = _drawn_linear_part(drawn)
+    degree = data.draw(st.integers(0, 4))
+    for _ in range(2):
+        signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * (linear.n + 1)))
+        full = SymmetryContext.build(linear, signs).full_context()
         for kind in FUNCTION_KINDS + MAP_KINDS:
-            records, _ = _parameters(linear, degree, kind, DEFAULT_MONOMIAL_LIMIT)
-            every = range(len(records))
-            system = {**_shear_rows(records), **_group_rows(full.elements, kind, records, every)}
-            solutions = Echelon(row for row in system.values() if row).nullspace(every)
-            expected = tuple(_solution_row(records, degree, sol) for sol in solutions)
-            assert slice_space(full, degree, kind).rows == expected, (degree, kind)
+            assert slice_space(full, degree, kind).rows == _whole_system_rows(full, degree, kind)
 
 
 def test_group_rows_substitute_only_what_the_shear_leaves(monkeypatch):
-    # one image per element and distinct monomial of the parameters that no
-    # one-entry shear row forces to zero, fewer than over every parameter;
-    # a miss of the kept systems substitutes for both elements, and a hit,
-    # on another sign class of the linear part, for psi alone
+    # one image per distinct monomial of the parameters that no one-entry
+    # shear row forces to zero, fewer than over every parameter; a miss of
+    # the kept systems substitutes for phi alone, and a hit, on another
+    # sign class of the linear part, builds no group row and inserts no
+    # Echelon row: it filters the kept solutions
     memo = SystemMemo(SYSTEM_BUDGET)
     monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
     full = SymmetryContext.from_case("res_n1n2_C3", (3, 5), (1, 1, -1, 1)).full_context()
@@ -220,22 +270,74 @@ def test_group_rows_substitute_only_what_the_shear_leaves(monkeypatch):
     def monomials(keep):
         return len({mono for k, rec in enumerate(records) if keep(k) for _, mono, _ in rec})
 
-    calls = []
-    original = Substitution.add_image
+    calls = {"add_image": [], "_group_rows": [], "insert": []}
 
-    def counted(self, *args):
-        calls.append(args[1])
-        return original(self, *args)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(Substitution, "add_image", counted)
+        def call(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(Substitution, "add_image")
+    counted(oracle, "_group_rows")
+    counted(Echelon, "insert")
     live = monomials(lambda k: k not in forced)
     slice_space(full, degree, kind)
     assert (memo.misses, memo.hits) == (1, 0)
-    assert len(calls) == 2 * live < 2 * monomials(lambda k: True)
-    calls.clear()
-    slice_space(other, degree, kind)
+    assert len(calls["add_image"]) == live < monomials(lambda k: True)
+    assert len(calls["_group_rows"]) == 1 and calls["insert"]
+    for log in calls.values():
+        log.clear()
+    rows = slice_space(other, degree, kind).rows
     assert (memo.misses, memo.hits) == (1, 1)
-    assert len(calls) == live
+    assert calls == {"add_image": [], "_group_rows": [], "insert": []}
+    assert rows == _whole_system_rows(other, degree, kind)
+
+
+def _after_phi(last) -> GroupContext:
+    ctx = SymmetryContext.from_case("non_resonant", (1,), (1, 1))
+    return GroupContext((ctx.phi, last), ctx.linear_part)
+
+
+def _flip_that_moves_with_the_first_element() -> GroupContext:
+    """Three blocks of one frequency; A swaps z1 and z2, and B = D A for D
+    the flip of z1, which the torus does not hold.  A does not commute
+    with D, and a filter of A's solutions by D's character is wrong."""
+    x = ((0, 1),), ((1, 1),)
+    z3 = ((6, 1),), ((7, 1),)
+    elements = (
+        SignedElement((*x, ((4, 1),), ((5, 1),), ((2, 1),), ((3, 1),), *z3), 1),
+        SignedElement((*x, ((4, -1),), ((5, -1),), ((2, 1),), ((3, 1),), *z3), -1),
+    )
+    return GroupContext(elements, LinearPart(3, ((1, -1, 0), (0, 1, -1))))
+
+
+# (x1, x2, z) -> (x1, x2, conj z): phi times a flip of x2 alone, which
+# scales x1 and x2 apart
+X2_FLIP = SignedElement((((0, 1),), ((1, 1),), ((3, 1),), ((2, 1),)), -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(lambda e=e: _after_phi(e) for e in (*MONOMIAL_ELEMENTS, X2_FLIP)),
+     _flip_that_moves_with_the_first_element],
+    ids=["phi-swap", "phi-scaling", "phi-x2-flip", "flip-moved-by-a-swap"],
+)
+def test_two_elements_with_no_sign_flip_between_them_match_naive(build):
+    # the last element is not the one before times a diagonal sign flip
+    # that scales x1 and x2 alike and commutes with it: the slice solves
+    # both elements' rows
+    context = build()
+    assert oracle._flip(context.elements) is None
+    for kind in FUNCTION_KINDS + MAP_KINDS:
+        for degree in (1, 2, 3):
+            a = slice_space(context, degree, kind)
+            b = slice_space_naive(context, degree, kind)
+            assert a.dimension == b.dimension, (kind, degree)
+            assert spans_equal(a, b).equal, (kind, degree)
 
 
 @pytest.mark.parametrize("element", MONOMIAL_ELEMENTS)
@@ -262,17 +364,8 @@ SWEEP_BUDGET = 2000
 def test_kept_systems_give_the_rows_of_a_cleared_memo(monkeypatch):
     # every sign vector of each golden regime, a0 = +1 and -1, every kind
     # at degrees 0..5, in order on one warm memo: each slice has the rows
-    # it has on a cleared memo, the memo never holds more unknowns than its
-    # budget, and no kept Echelon changes when a slice extends it
-    built = []
-    build = oracle._kept_system
-
-    def recorded(*args):
-        system = build(*args)
-        built.append((system, {col: dict(row) for col, row in system.echelon.pivots.items()}))
-        return system
-
-    monkeypatch.setattr(oracle, "_kept_system", recorded)
+    # it has on a cleared memo, and the memo never holds more unknowns
+    # than its budget
     memo = SystemMemo(SWEEP_BUDGET)
     keys = set()
     for case, params, n in REGIMES:
@@ -288,8 +381,6 @@ def test_kept_systems_give_the_rows_of_a_cleared_memo(monkeypatch):
                     keys.add((full.continuous, full.elements[:-1], degree, kind))
     assert memo.hits > 0
     assert memo.misses > len(keys)  # the budget dropped systems that came back
-    for system, pivots in built:
-        assert system.echelon.pivots == pivots
 
 
 def test_a_hit_raises_the_resource_limit_of_a_miss(monkeypatch):
@@ -309,7 +400,7 @@ def test_a_hit_raises_the_resource_limit_of_a_miss(monkeypatch):
     assert str(hit.value) == str(miss.value)
     assert re.search(f"more than {count - 1} admissible", str(miss.value))
     # a system over the budget is built for its slice and not kept
-    small = SystemMemo(len(system.params) - 1)
+    small = SystemMemo(system.unknowns - 1)
     monkeypatch.setattr(oracle, "KEPT_SYSTEMS", small)
     for _ in range(2):
         assert slice_space(full, degree, kind).rows
@@ -349,7 +440,7 @@ def test_threads_share_the_kept_systems(monkeypatch):
                 assert not t.is_alive()
             assert results == [alone] * nthreads
             assert memo.hits + memo.misses == nthreads * len(jobs)
-            kept = sum(len(system.params) for system in memo._systems.values())
+            kept = sum(system.unknowns for system in memo._systems.values())
             assert 0 < memo.unknowns == kept <= memo.budget
     finally:
         sys.setswitchinterval(interval)
@@ -620,6 +711,15 @@ def test_spans_equal_matches_containment_on_bases(left, right, mode):
     b = slice_of(2, "equivariant", 4, right)
     cmp = spans_equal(a, b)
     assert (cmp.equal, cmp.witness, cmp.missing_from) == _containment_reference(a, b)
+
+
+def test_an_element_on_other_coordinates_is_refused(nonres1):
+    # phi of two blocks in a context of the linear part of one block
+    other = phi_element(2)
+    for elements in ((other,), (other, nonres1.phi), (nonres1.phi, other)):
+        context = GroupContext(elements, nonres1.linear_part)
+        with pytest.raises(DimensionError, match="every element must act on 4 coordinates"):
+            slice_space(context, 2, "invariant")
 
 
 def test_resource_limit(nonres1):

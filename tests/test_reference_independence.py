@@ -5,8 +5,9 @@ shared by both would pass unseen.  So the reference may not reach the
 compiled path's assembly or elimination: `linalg.Echelon`, the term
 kernel's `Substitution` and `output_columns`, `slice_space` itself, the
 compiled system's `_parameters`, `_shear_rows`, `_group_rows`, `_emit`,
-`_live_system`, `_solution_row` and `_torus_monomials`, or the kept
-systems' `_kept_system`, `SystemMemo` and `KEPT_SYSTEMS`.  Any import of,
+`_solution_row` and `_torus_monomials`, the kept systems' `_kept_system`,
+`SystemMemo` and `KEPT_SYSTEMS`, or the sign-flip filter's `_flip` and
+`_character`.  Any import of,
 or attribute access to, one of them fails this test.
 
 `group.membership` and `LinearPart.infinitesimal_ok` are what `certify`
@@ -31,12 +32,13 @@ COMPILED_PATH = {
     "_shear_rows",
     "_group_rows",
     "_emit",
-    "_live_system",
     "_solution_row",
     "_torus_monomials",
     "_kept_system",
     "SystemMemo",
     "KEPT_SYSTEMS",
+    "_flip",
+    "_character",
 }
 
 
