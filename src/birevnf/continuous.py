@@ -42,7 +42,7 @@ enumeration and the checks themselves keep nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import gcd
 from operator import add, ge
@@ -385,6 +385,34 @@ def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[SymmetryContext
     return pairs
 
 
+def orbit_representative(linear_part: LinearPart, signs: Sequence[int]) -> tuple[int, ...]:
+    """The first sign vector in listing order with the a0 and characters of signs.
+
+    The characters are prod_j a_j^{m_j} for m in the saturated relation
+    lattice Lambda, the m in Z^n orthogonal to every weight row.  The flip
+    D(k) of the blocks k lies in S iff m.k is even on Lambda, iff k is in
+    K = (the rational span of the weight rows, in Z^n) mod 2, and psi(a) D(k)
+    = psi(a'): an orbit a + K is one problem.  K is eliminated over the
+    rationals with odd denominators: each row is divided by its entries'
+    power of 2, so (2, -4) and (1, -2) give one K, and pivots on its first
+    odd entry, which later rows then lack.  So with a1 on the top bit and -1
+    a set bit, the rows mod 2 have distinct leading bits, and reducing the
+    mask from the top bit down gives the orbit's least, first listed, mask.
+    """
+    n, rows, flips = linear_part.n, [list(w) for w in linear_part.torus_weight_rows()], []
+    while rows:
+        row = rows.pop()
+        low = min(c & -c for c in row if c)
+        row = [c // low for c in row]
+        p = next(j for j, c in enumerate(row) if c % 2)
+        rows = [[row[p] * c - other[p] * r for c, r in zip(other, row)] for other in rows]
+        flips.append(sum(1 << (n - 1 - j) for j, c in enumerate(row) if c % 2))
+    mask = sum(1 << (n - j) for j, a in enumerate(signs[1:], start=1) if a == -1)
+    for flip in sorted(flips, reverse=True):
+        mask = min(mask, mask ^ flip)
+    return (signs[0], *(-1 if mask >> (n - j) & 1 else 1 for j in range(1, n + 1)))
+
+
 def classify_type(signs: Sequence[int], exponents: Sequence[int]) -> str:
     """Normal-form type A/B/C/D from (a0, a1, a2) and the resonance pair."""
     signs, exponents = _integers(signs), _integers(exponents)
@@ -647,6 +675,13 @@ class SymmetryContext:
     @property
     def nblocks(self) -> int:
         return self.linear_part.n
+
+    @cached_property
+    def orbit_psi(self) -> SignedElement:
+        """psi of the signs' `orbit_representative`, psi t for an order-2 t in S:
+        <S, phi, psi t> is this context's group with its sign map.  Built once."""
+        rep = orbit_representative(self.linear_part, self.signs)
+        return self.psi if rep == self.signs else psi_element(rep)
 
     def full_context(self) -> GroupContext:
         """Both involutions reversing: the product sign map sigma."""

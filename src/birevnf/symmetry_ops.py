@@ -30,17 +30,19 @@ while presented tables match the cleaned-up convention.
 The pipeline is a loop over the involution tower, and `transported`
 keeps each rung for the last TRANSPORT_CACHE keys: the catalog under the
 key (linear part), its step along phi under (linear part, phi) and the
-step along psi under (linear part, phi, psi).  Each rung is the generator
-set of its own group, and `certify` checks it against that group once,
-when it is made, before it is kept; a rung that fails raises on every
-call and is never kept.  The sign classes of one linear part share the
-catalog and the phi step, and a context seen before runs no check at
-all: the key of its psi step is all that `membership` reads of the
-caller's full context.  Keeping the steps is exact: the keys are frozen
-and compare by value, the Polynomials and PolyMaps of a result are
-immutable, and every later step copies the terms it reads.  An entry
-holds tens of kilobytes: the 18 entries of all 16 sign classes of
-`res_double_C4` (1,2,1,3) hold 0.5 MB of objects.
+step along psi under (linear part, phi, psi'), psi' the psi of the
+orbit's representative (`SymmetryContext.orbit_psi`): psi' = psi t for
+an order-2 t in the closure torus S, so <S, phi, psi'> is the caller's
+group with the caller's sign map.  Each rung is the generator set of its
+own group, and `certify` checks it against that group once, when it is
+made, before it is kept; a rung that fails raises on every call and is
+never kept.  The sign classes of one linear part share the catalog and
+the phi step, the members of an orbit share the psi step too, and a
+later member runs no step and no check.  Keeping the steps is exact: the
+keys are frozen and compare by value, the Polynomials and PolyMaps of a
+result are immutable, and every later step copies the terms it reads.
+An entry holds tens of kilobytes: the 6 entries of all 16 sign classes
+(4 orbits) of `res_double_C4` (1,2,1,3) hold 0.2 MB of objects.
 
 Both prunes are one pass, `_prune`, over the rows of a `ProductTable`;
 `module_rows` serves `prune_module` and `oracle.module_slice`, which
@@ -445,8 +447,8 @@ def _transport(basis, gens, kappa: SignedElement):
 
 
 # the most kept rungs of the involution tower (catalogs, phi steps and psi
-# steps together); a sweep over the 2^n sign classes of one linear part
-# needs 2 + 2^n, and this bounds a long-running process
+# steps together); a sweep over the sign classes of one linear part needs
+# 2 + one per orbit, and this bounds a long-running process
 TRANSPORT_CACHE = 64
 
 
@@ -458,7 +460,9 @@ def transported(linear_part: LinearPart, *involutions: SignedElement):
     Each rung is certified once, when it is made, against its own group,
     GroupContext(involutions, linear_part), before it is kept; a rung that
     fails raises a `CertificationFailure` naming it (catalog, phi step or
-    psi step), chained from `certify`'s, and is never kept.
+    psi step), chained from `certify`'s, and is never kept.  The rung is
+    keyed on exactly these involutions; `pipeline` passes its orbit's psi,
+    so one psi step serves the orbit.
     """
     if involutions:
         rung = _transport(*transported(linear_part, *involutions[:-1]), involutions[-1])
@@ -475,14 +479,15 @@ def transported(linear_part: LinearPart, *involutions: SignedElement):
 def pipeline(context: SymmetryContext) -> GeneratorSet:
     """Run the five-step transport for the semidirect product of both involutions.
 
-    Takes the closure-group catalog transported along the first and then
-    the second involution from `transported`, which certified each rung
-    against its own group when it made it; the last rung's group is the
-    caller's full context, so a kept result is certified for it and runs
-    no check again.
+    Takes the closure-group catalog transported along phi and then along
+    the orbit's psi (`SymmetryContext.orbit_psi`) from `transported`, which
+    certified each rung against its own group when it made it; the last
+    rung's group, <S, phi, orbit psi>, is the caller's group with the
+    caller's sign map, so a kept result is certified for it and runs no
+    check again.  The result carries the caller's context and signs.
     """
     return GeneratorSet(
-        *transported(context.linear_part, context.phi, context.psi), context, certified=True
+        *transported(context.linear_part, context.phi, context.orbit_psi), context, certified=True
     )
 
 

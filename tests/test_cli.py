@@ -153,6 +153,30 @@ def test_verify_mismatch_shows_witness_missing_from_oracle(monkeypatch, capsys):
     _verify_with_a_short_side(monkeypatch, capsys, "slice_space", "oracle")
 
 
+def test_verify_gives_the_oracle_the_callers_own_group(monkeypatch, capsys):
+    # the pipeline reads the psi step of the orbit's representative, but the
+    # oracle solves the caller's own group, so each job checks the theorem
+    import birevnf.cli
+
+    groups = []
+    solve = birevnf.cli.slice_space
+
+    def recording(group, *args):
+        groups.append(group)
+        return solve(group, *args)
+
+    monkeypatch.setattr(birevnf.cli, "slice_space", recording)
+    code, out, _ = run_cli(
+        capsys, "verify", "--case", "res_n1n2_C3", "--params", "1,2",
+        "--signs", "1,-1,-1,-1", "--verify-degrees", "2..3",
+    )
+    assert code == EXIT_OK and "certified" in out
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, -1, -1, -1))
+    assert ctx.orbit_psi != ctx.psi
+    assert groups == [ctx.full_context()] * 2
+    assert all(group.elements == (ctx.phi, ctx.psi) for group in groups)
+
+
 # each job setting: its JobConfig field, config key and flag, and one value
 # other than its default, as a config value and as the flag's text
 SETTING_VALUES = [

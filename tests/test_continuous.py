@@ -1,5 +1,6 @@
 """Closure-group structure, infinitesimal checks, involutions, catalogs."""
 
+import math
 from collections import Counter
 from itertools import product
 
@@ -21,6 +22,7 @@ from birevnf.continuous import (
     enumerate_involution_pairs,
     fix_dimension,
     linear_part_for_case,
+    orbit_representative,
     phi_element,
     psi_element,
     psi_rows,
@@ -685,3 +687,97 @@ def test_kept_contexts_stay_within_the_bound():
         assert continuous._case_context.cache_info().currsize <= continuous.CONTEXT_CACHE
     info = continuous._case_context.cache_info()
     assert (info.misses, info.hits, info.currsize) == (72, 0, continuous.CONTEXT_CACHE)
+
+
+# -- one problem per orbit ----------------------------------------------------
+
+
+def _relation_parities(linear) -> set:
+    """The block degrees mod 2 of the catalog's Hilbert-basis monomials.
+
+    A monomial z^a conj(z)^b of the catalog is torus-invariant, so a - b is
+    in the saturated relation lattice Lambda, and these a - b generate it;
+    a_j + b_j has the parity of a_j - b_j, so the set spans Lambda mod 2.
+    """
+    return {
+        tuple((mono[z_index(j)] + mono[zbar_index(j)]) % 2 for j in range(1, linear.n + 1))
+        for u in closure_data(linear).hilbert_basis
+        for mono in u.monomials()
+    }
+
+
+def _characters(signs, parities) -> tuple:
+    """a0, then prod_j a_j^{m_j} for each m of `_relation_parities`."""
+    return (signs[0], *(
+        math.prod(a for a, m in zip(signs[1:], parity) if m) for parity in sorted(parities)
+    ))
+
+
+@pytest.mark.parametrize("case,params,n", REGIMES)
+def test_a_representative_is_the_first_vector_with_its_characters(case, params, n):
+    # for both a0, in listing order: the representative keeps a0 and the
+    # characters, no earlier vector has them, and it is its own
+    # representative; for one resonance, the characters are the Type
+    linear = linear_part_for_case(case, params)
+    parities = _relation_parities(linear)
+    for a0 in (1, -1):
+        listing = list(product((a0,), *[(1, -1)] * n))
+        for signs in listing:
+            rep = orbit_representative(linear, signs)
+            chars = _characters(signs, parities)
+            assert rep == next(s for s in listing if _characters(s, parities) == chars)
+            assert orbit_representative(linear, rep) == rep
+            if case.startswith("res_n1n2"):
+                assert classify_type(rep, params[:2]) == classify_type(signs, params[:2])
+
+
+@settings(max_examples=100)
+@given(DRAWN_LINEAR_PARTS)
+def test_drawn_linear_parts_have_two_to_the_one_plus_r_orbits(drawn):
+    # r independent relations give 2^(1+r) orbits, and a flip of the blocks
+    # k leaves an orbit exactly when m.k is odd for some m in Lambda
+    linear = _drawn_linear_part(drawn)
+    n, r = linear.n, linear.n - len(linear.torus_weight_rows())
+    vectors = list(product((1, -1), repeat=n + 1))
+    reps = {signs: orbit_representative(linear, signs) for signs in vectors}
+    assert len(set(reps.values())) == 2 ** (1 + r)
+    parities = _relation_parities(linear)
+    for flip in product((0, 1), repeat=n):
+        odd = any(sum(m * k for m, k in zip(parity, flip)) % 2 for parity in parities)
+        for signs in vectors:
+            flipped = (signs[0], *(-a if k else a for a, k in zip(signs[1:], flip)))
+            assert (reps[flipped] != reps[signs]) == odd, (signs, flip)
+
+
+@settings(max_examples=50)
+@given(DRAWN_LINEAR_PARTS)
+def test_doubled_relations_give_the_same_representatives(drawn):
+    # (2, -4) is 0 mod 2 but spans the lattice of (1, -2): the orbits are
+    # read off the saturated lattice, not off the relations as written
+    linear = _drawn_linear_part(drawn)
+    doubled = LinearPart(linear.n, tuple(tuple(2 * c for c in rel) for rel in drawn[1]))
+    for signs in product((1, -1), repeat=linear.n + 1):
+        assert orbit_representative(doubled, signs) == orbit_representative(linear, signs)
+
+
+def test_the_relations_one_minus_two_and_two_minus_four_give_one_orbit_map():
+    # a1 is the one character: a2 is free, and a1 is kept
+    for rel in ((1, -2), (2, -4)):
+        linear = LinearPart(2, (rel,))
+        assert [orbit_representative(linear, s) for s in product((1, -1), repeat=3)] == [
+            (1, 1, 1), (1, 1, 1), (1, -1, 1), (1, -1, 1),
+            (-1, 1, 1), (-1, 1, 1), (-1, -1, 1), (-1, -1, 1),
+        ]
+
+
+def test_the_representative_of_many_blocks_is_found_without_listing_them():
+    # 2^40 sign vectors per a0: an enumeration of the orbit would not end
+    free = LinearPart(40)
+    ctx = SymmetryContext.build(free, (1,) + (-1, 1) * 20)
+    assert ctx.orbit_psi == psi_element((1,) * 41)
+    assert orbit_representative(free, (-1,) * 41) == (-1,) + (1,) * 40
+    # 20 relations z_{2i-1} = 2 z_{2i}: the odd blocks' signs are the characters
+    paired = LinearPart(
+        40, tuple(tuple({2 * i: 1, 2 * i + 1: -2}.get(j, 0) for j in range(40)) for i in range(20))
+    )
+    assert orbit_representative(paired, (1,) + (-1,) * 40) == (1,) + (-1, 1) * 20

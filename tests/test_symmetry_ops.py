@@ -1,5 +1,6 @@
 """Reynolds averages, transfer projection, extensions, and the pipeline."""
 
+import functools
 import itertools
 import json
 import math
@@ -55,6 +56,7 @@ from birevnf.symmetry_ops import (
     certify,
     extend_hilbert_basis,
     generators_over_extension,
+    genset_to_json,
     genset_to_text,
     module_row,
     pipeline,
@@ -636,12 +638,22 @@ def test_prune_matches_reverse_deletion_on_pipeline_candidates(monkeypatch, case
     monkeypatch.setattr(ops, "prune_module", recording(prune_module))
     monkeypatch.setattr(ops, "module_row", recording_row)
     monkeypatch.setattr(ops, "vectorize_terms", recording_vector)
-    for signs in itertools.product((1, -1), repeat=n + 1):
-        pipeline(SymmetryContext.from_case(case, params, signs))
-    reference = {prune_ring: _reference_prune_ring, prune_module: _reference_prune_module}
+    contexts = [
+        SymmetryContext.from_case(case, params, signs)
+        for signs in itertools.product((1, -1), repeat=n + 1)
+    ]
+    for ctx in contexts:
+        pipeline(ctx)
     # one ring and one module prune for the phi step, which every sign class
-    # of the linear part shares, then one of each per class for its psi step
+    # of the linear part shares, then one of each per orbit for the psi step
+    # of its representative
+    assert len(calls) == 2 + 2 * len({ctx.orbit_psi for ctx in contexts})
+    # and one of each for the psi step of every other sign class, asked for
+    # directly, so that every psi's candidates are checked
+    for ctx in contexts:
+        transported(ctx.linear_part, ctx.phi, ctx.psi)
     assert len(calls) == 2 + 2 * 2 ** (n + 1)
+    reference = {prune_ring: _reference_prune_ring, prune_module: _reference_prune_module}
     nvars = 2 * n + 2
     products: dict = {}
 
@@ -872,19 +884,25 @@ def test_project_generators_rescales_and_drops_repeats(c3_data):
     assert project_generators([]) == ()
 
 
+@functools.cache
+def _unshared_phi_step(linear):
+    """The catalog of linear transported along phi, with no kept transport
+    step: the same for every context of the linear part."""
+    return _transport(*closure_data(linear), phi_element(linear.n))
+
+
 def _unshared_pipeline(ctx):
-    """The pipeline composed step by step, with no kept transport step."""
-    basis, gens = closure_data(ctx.linear_part)
-    for kappa in (ctx.phi, ctx.psi):
-        basis, gens = _transport(basis, gens, kappa)
+    """The pipeline composed step by step, with no kept transport step: the
+    context's own psi step from `_unshared_phi_step`."""
+    basis, gens = _transport(*_unshared_phi_step(ctx.linear_part), ctx.psi)
     certify(basis, gens, ctx.full_context())
     return GeneratorSet(basis, gens, ctx, certified=True)
 
 
 def test_shared_phi_step_gives_the_unshared_generator_sets():
     # each linear part misses its catalog and its phi step once, and each
-    # sign class its psi step once; a second pass over the same contexts
-    # only hits, and gives the same generator sets
+    # orbit the psi step of its representative once; a second pass over the
+    # same contexts only hits, and gives the same generator sets
     linear_parts = [
         linear_part_for_case(case, params)
         for case, params in [
@@ -895,7 +913,9 @@ def test_shared_phi_step_gives_the_unshared_generator_sets():
         ]
     ]
     contexts = [ctx for linear in linear_parts for ctx in enumerate_involution_pairs(linear)]
-    assert 2 * len(linear_parts) + len(contexts) <= TRANSPORT_CACHE
+    orbits = len({(ctx.linear_part, ctx.orbit_psi) for ctx in contexts})
+    assert orbits < len(contexts)
+    assert 2 * len(linear_parts) + orbits <= TRANSPORT_CACHE
     expected = {ctx: _unshared_pipeline(ctx) for ctx in contexts}
     for order in (contexts, contexts[::-1]):
         transported.cache_clear()
@@ -911,7 +931,7 @@ def test_shared_phi_step_gives_the_unshared_generator_sets():
             info = transported.cache_info()
             misses, hits = info.misses - before.misses, info.hits - before.hits
             if npass == 0:
-                assert misses == 2 * len(linear_parts) + len(contexts)
+                assert misses == 2 * len(linear_parts) + orbits
                 assert hits == len(contexts) - len(linear_parts)
             else:
                 assert (misses, hits) == (0, len(contexts))
@@ -920,7 +940,7 @@ def test_shared_phi_step_gives_the_unshared_generator_sets():
 def test_kept_phi_steps_stay_within_the_bound():
     # every sign class of more linear parts than the bound has room for:
     # the memo drops its least recently used entries and never recomputes
-    # a catalog or a phi step while their classes run
+    # a catalog, a phi step or an orbit's psi step while their classes run
     linear_parts = [LinearPart(n) for n in (1, 2, 3)] + [
         LinearPart(2, ((a, b),))
         for a in range(1, 5)
@@ -930,7 +950,7 @@ def test_kept_phi_steps_stay_within_the_bound():
     entries = 0
     for linear in linear_parts:
         contexts = enumerate_involution_pairs(linear)
-        entries += 2 + len(contexts)
+        entries += 2 + len({ctx.orbit_psi for ctx in contexts})
         for ctx in contexts:
             pipeline(ctx)
             assert transported.cache_info().currsize <= TRANSPORT_CACHE
@@ -1030,6 +1050,80 @@ def test_a_kept_rung_runs_no_membership_check(monkeypatch):
     assert second.certified and second.context is again
     assert second.ring_basis == first.ring_basis
     assert second.module_generators == first.module_generators
+
+
+@pytest.mark.parametrize("case, params, n", GOLDEN_REGIMES)
+def test_the_pipeline_of_every_sign_vector_is_its_own_unshared_pipeline(case, params, n):
+    # every sign vector, both a0: the psi step of the orbit's representative
+    # gives what the vector's own psi step gives, with the caller's context
+    for signs in itertools.product((1, -1), repeat=n + 1):
+        ctx = SymmetryContext.from_case(case, params, signs)
+        genset, want = pipeline(ctx), _unshared_pipeline(ctx)
+        assert genset.certified and genset.context is ctx
+        assert genset.ring_basis == want.ring_basis
+        assert genset.module_generators == want.module_generators
+
+
+@pytest.mark.parametrize("case, params, n", GOLDEN_REGIMES)
+def test_membership_gives_one_verdict_under_psi_and_the_orbit_psi(case, params, n):
+    # <S, phi, psi> and <S, phi, orbit psi> are one group with one sign map:
+    # every element of every kept rung of the regime, in and out of the
+    # group, gets the same verdict from both
+    contexts = [
+        SymmetryContext.from_case(case, params, signs)
+        for signs in itertools.product((1, -1), repeat=n + 1)
+    ]
+    linear = contexts[0].linear_part
+    rungs = {(), (contexts[0].phi,)} | {(ctx.phi, ctx.orbit_psi) for ctx in contexts}
+    elements = set()
+    for involutions in rungs:
+        basis, gens = transported(linear, *involutions)
+        elements |= {(p, "invariant") for p in basis}
+        elements |= {(g, "reversible_equivariant") for g in gens}
+    verdicts = set()
+    for ctx in contexts:
+        shared = GroupContext((ctx.phi, ctx.orbit_psi), linear)
+        for obj, kind in elements:
+            verdict = membership(obj, ctx.full_context(), kind)
+            assert verdict == membership(obj, shared, kind), (ctx.signs, kind, str(obj))
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_a_second_member_of_an_orbit_runs_no_transport(monkeypatch):
+    # 1,-1,-1,-1 is in the Type B orbit of 1,1,-1,1: once the first has
+    # made the orbit's psi step, the second runs no step and no check, and
+    # its generator set carries its own context
+    steps = []
+    transport = symmetry_ops._transport
+    monkeypatch.setattr(
+        symmetry_ops, "_transport", lambda *args: steps.append(args) or transport(*args)
+    )
+    calls = _count_membership(monkeypatch)
+    first = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    second = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, -1, -1, -1))
+    assert first.orbit_psi is first.psi and second.orbit_psi == first.psi != second.psi
+    shared = pipeline(first)
+    assert len(steps) == 2 and calls
+    steps.clear()
+    calls.clear()
+    genset = pipeline(second)
+    assert steps == [] and calls == []
+    assert genset.certified and genset.context is second
+    assert (genset.ring_basis, genset.module_generators) == (
+        shared.ring_basis, shared.module_generators
+    )
+    other = json.loads(genset_to_json(genset))
+    assert other.pop("signs") == [1, -1, -1, -1]
+    assert other == {k: v for k, v in json.loads(genset_to_json(shared)).items() if k != "signs"}
+
+
+def test_the_pipeline_of_thirty_free_blocks_ends():
+    # 2^31 sign vectors: the orbit's psi comes from an elimination, not a listing
+    ctx = SymmetryContext.from_case("non_resonant", (30,), (1,) + (-1,) * 30)
+    genset = pipeline(ctx)
+    assert ctx.orbit_psi == psi_element((1,) * 31)
+    assert genset.certified and len(genset.ring_basis) == len(genset.module_generators) == 31
 
 
 # a map whose x1 component holds x2: the shear condition fails, so no
