@@ -53,6 +53,7 @@ from .poly import (
 )
 from .symmetry_ops import (
     GeneratorSet,
+    Rung,
     extend_hilbert_basis,
     generators_over_extension,
     pipeline,

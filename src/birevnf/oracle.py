@@ -48,9 +48,14 @@ canonical nullspace has one.  A solution of character chi meets B's
 condition iff chi = s_A s_B, s an element's sign for the signed kinds
 and 1 otherwise.  So the slice is the kept rows of that character, in
 their order: the canonical nullspace of the whole system, whose free
-columns are the free columns of that character.  Another sign class of
-the linear part costs that filter, and no row of B.  Any other context
-solves all its elements and keeps every row.  The limit is not in the
+columns are the free columns of that character.  D's entries are +-1,
+so the character is -1 to the number of D's negated coordinates among
+the odd ones of the row's key, a parity that a bitmask per kept row
+gives (`_parity`).  Another sign class of the linear part costs that
+filter, and no row of B.  Any other context solves all its elements and
+keeps every row.  The system also keeps the slice of each set of rows
+picked, and a member of a seen orbit picks the same rows, so it gets the
+same slice, with its canonical basis built.  The limit is not in the
 key: a hit raises the `ResourceLimit` a miss would, with the same
 message, when the kept system's (component, monomial) pairs pass the
 caller's limit.  The memo holds at most SYSTEM_BUDGET unknowns in all: it
@@ -58,10 +63,18 @@ drops the least recently used systems first, and it solves a system
 bigger than the budget for its slice and does not keep it.  Its
 bookkeeping runs under a lock; two threads that miss on one key at once
 both solve the system, and one copy is kept.
-`module_slice` keeps the reduced span of `symmetry_ops.module_rows` over
-the one `ProductTable` the generator set keeps, so a sweep over degrees
-builds each product once.  `spans_equal` decides on rows and builds the
-bases only to name a witness.
+
+`module_slice` reduces `symmetry_ops.module_rows` over the one
+`ProductTable` the generator set keeps to the span's canonical basis,
+and the set's `symmetry_ops.Rung` keeps it, with its count of products,
+for as long as the rung is kept and while the slices it keeps hold at
+most SYSTEM_BUDGET products: a sweep over degrees builds each product
+once, and a seen problem builds none.  `spans_equal` compares the
+canonical bases of the two sides (`DegreeSlice.canonical`), on every
+call: the reduced row-echelon basis of a span is unique.  It eliminates again only on a
+failure, to name a witness.  So a `verify` job on a seen linear part and
+orbit runs the character filter and the comparison at each degree, and
+eliminates nothing.
 
 The tests hold the independent reference, a naive oracle that shares
 neither this row assembly nor `linalg.Echelon`, and cross-check the two
@@ -73,9 +86,8 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
 from threading import Lock
 from typing import NamedTuple, Sequence
 
@@ -93,7 +105,6 @@ from .poly import (
     conj_monomial,
     nblocks_of,
     output_columns,
-    polymap_terms,
 )
 from .symmetry_ops import module_rows
 
@@ -110,18 +121,26 @@ class DegreeSlice:
     `rows` are `linalg.vectorize` vectors of elements on `nvars`
     coordinates, which no reader changes (`slice_space` shares them
     between slices); the engine's slices hold independent rows, so the
-    dimension is their count.  `basis` is the elements of the rows,
-    sorted by `sort_key`, built the first time it is read.
+    dimension is their count.  `canonical` is the reduced row-echelon
+    basis of their span, unique for it: the rows themselves when
+    `reduced` says they are that basis (a module slice), else built the
+    first time it is read.  `basis` is the elements of the rows, sorted by
+    `sort_key`, built the first time it is read.
     """
 
     degree: int
     kind: str
     rows: tuple
     nvars: int
+    reduced: bool = field(default=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def canonical(self) -> tuple:
+        return self.rows if self.reduced else tuple(Echelon(self.rows).reduced_rows())
 
     @cached_property
     def basis(self) -> tuple:
@@ -384,12 +403,25 @@ def _solution_row(params, degree: int, solution: dict) -> dict:
 class KeptSystem(NamedTuple):
     """The slice rows of the canonical nullspace of the shear's and some
     elements' rows, which the slices share and nothing changes; the
-    parameters solved for, what the memo's budget bounds; and the
-    (component, monomial) pairs, what `limit` bounds."""
+    parameters solved for, what the memo's budget bounds; the
+    (component, monomial) pairs, what `limit` bounds; the `_parity` of
+    each row; and `slices`, the slice of each set of picked rows, keyed by
+    their indices, made the first time it is asked for."""
 
     rows: tuple
     unknowns: int
     pairs: int
+    parities: tuple
+    slices: dict
+
+
+def _parity(key) -> int:
+    """The coordinates whose sign flip changes the sign of the element of
+    column key (c, (degree, m), part), as a bitmask: those of odd exponent
+    in m, and, for a map, c's own coordinate (2c - 2 for z_(c-1))."""
+    comp, (_, mono), _ = key
+    mask = sum(1 << i for i, e in enumerate(mono) if e & 1)
+    return mask if comp < 0 else mask ^ 1 << (comp if comp < 2 else 2 * comp - 2)
 
 
 def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
@@ -412,7 +444,8 @@ def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int) ->
             others.append(row)
     solutions = Echelon([{k: 1} for k in sorted(units)] + others).nullspace(live)
     rows = tuple(_solution_row(params, degree, sol) for sol in solutions)
-    return KeptSystem(rows, len(params), pairs)
+    parities = tuple(_parity(next(iter(row))) for row in rows)
+    return KeptSystem(rows, len(params), pairs, parities, {})
 
 
 class SystemMemo:
@@ -459,34 +492,41 @@ class SystemMemo:
 
 
 # the most unknowns (parameters) that the kept systems of `slice_space`
-# hold in all: about 2.2 MB at some 110 bytes an unknown (tracemalloc: the
-# 3,088 unknowns that the 19 jobs of the certify_deep benchmark pool keep
-# hold 0.34 MB)
+# hold in all: about 4 MB at some 200 bytes an unknown, with the slices and
+# canonical bases they keep (tracemalloc: the 3,088 unknowns that the 19
+# jobs of the certify_deep benchmark pool keep hold 0.61 MB)
 SYSTEM_BUDGET = DEFAULT_MONOMIAL_LIMIT // 10
 
 KEPT_SYSTEMS = SystemMemo(SYSTEM_BUDGET)
 
+# a rung's module slices are kept under this lock, while their products
+# stay within SYSTEM_BUDGET in all: some 9 MB a rung at the 460 bytes a
+# kept row that a `res_n1n2_C3` (5,7) sweep to degree 49 measures
+_RUNG_SLICES = Lock()
 
-def _flip(elements: Sequence[SignedElement]) -> tuple | None:
-    """The diagonal of D = B A, for the last two elements A and B, when it
-    is a sign flip that scales x1 and x2 alike and commutes with every
-    element but B; else None, and for fewer than two elements."""
+
+def _flip(elements: Sequence[SignedElement]) -> int | None:
+    """The coordinates that D = B A negates, as a bitmask, for the last two
+    elements A and B, when D is a diagonal sign flip that scales x1 and x2
+    alike and commutes with every element but B; else None, and for fewer
+    than two elements.  Read off the monomial rows: row i of D is B's entry
+    b at column j times A's entry a at column k of row j, at column k."""
     if len(elements) < 2:
         return None
-    rows = (elements[-1].action * elements[-2].action).rows
-    flip = tuple(d.re if j == i and d in (1, -1) else 0 for i, ((j, d),) in enumerate(rows))
+    before = elements[-2].rows
+    flip = 0
+    for i, ((j, b),) in enumerate(elements[-1].rows):
+        ((k, a),) = before[j]
+        d = b * a
+        if k != i or d.im or d.re not in (1, -1):
+            return None
+        flip |= (d.re < 0) << i
     commutes = all(
-        flip[j] == flip[i] for el in elements[:-1] for i, ((j, _),) in enumerate(el.rows)
+        (flip >> i ^ flip >> j) & 1 == 0
+        for el in elements[:-1]
+        for i, ((j, _),) in enumerate(el.rows)
     )
-    return flip if 0 not in flip and flip[0] == flip[1] and commutes else None
-
-
-def _character(flip: tuple, key) -> int:
-    """chi_D(m) d_c of the column key (c, (degree, m), part): the product of
-    D's entries to the exponents of m, times D's entry at c's coordinate."""
-    comp, (_, mono), _ = key
-    value = 1 if comp < 0 else flip[comp if comp < 2 else 2 * comp - 2]
-    return value * prod(d**e for d, e in zip(flip, mono))
+    return flip if (flip ^ flip >> 1) & 1 == 0 and commutes else None
 
 
 def slice_space(
@@ -501,8 +541,11 @@ def slice_space(
     number of unknowns solved for up to the real/imaginary split.  The
     solved system comes from `KEPT_SYSTEMS`: of every element but the last
     when the last two differ by a diagonal sign flip D (`_flip`), and the
-    slice is then the rows of D's character s_A s_B; of every element
-    otherwise, and the slice is all its rows.
+    slice is then the rows of D's character s_A s_B, those whose `_parity`
+    meets D's negated coordinates in a set of the parity that s_A s_B asks
+    for; of every element otherwise, and the slice is all its rows.  The
+    system keeps the slice of the rows picked, so a later call that picks
+    them gets the same slice, its canonical basis included.
     """
     if degree < 0:
         raise DimensionError("degree must be nonnegative")
@@ -514,11 +557,17 @@ def slice_space(
         raise DimensionError(f"every element must act on {linear.nvars} coordinates")
     flip = _flip(elements)
     solved = elements if flip is None else elements[:-1]
-    rows = KEPT_SYSTEMS.get(linear, tuple(solved), degree, kind, limit).rows
+    system = KEPT_SYSTEMS.get(linear, tuple(solved), degree, kind, limit)
+    picked = tuple(range(len(system.rows)))
     if flip is not None:
-        want = _sign(elements[-2], kind) * _sign(elements[-1], kind)
-        rows = tuple(row for row in rows if _character(flip, next(iter(row))) == want)
-    return DegreeSlice(degree, kind, rows, linear.nvars)
+        odd = _sign(elements[-2], kind) != _sign(elements[-1], kind)
+        parities = system.parities
+        picked = tuple(i for i in picked if (parities[i] & flip).bit_count() & 1 == odd)
+    span = system.slices.get(picked)
+    if span is None:
+        rows = tuple(system.rows[i] for i in picked)
+        span = system.slices.setdefault(picked, DegreeSlice(degree, kind, rows, linear.nvars))
+    return span
 
 
 # -- module slices and span comparison ----------------------------------------
@@ -528,17 +577,29 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
     """Degree-d part of the module spanned by the generator set.
 
     Spans {m * G} over all module generators G and all monomials m in the
-    ring basis with matching total degree, reduced to an exact basis: the
-    `symmetry_ops.module_rows` of the generators over the generator set's
-    one `ProductTable`.  More than `limit` products raise `ResourceLimit`.
+    ring basis with matching total degree, reduced to its canonical basis:
+    the `symmetry_ops.module_rows` over the generator set's one
+    `ProductTable`.  The set's `symmetry_ops.Rung` keeps the slice with its
+    count of products while the rung's kept products stay within
+    SYSTEM_BUDGET, so a rung that `transported` keeps makes each of those
+    slices once.  More than `limit` products raise `ResourceLimit`, kept or
+    not, and such a slice is not made.
     """
-    gens = [(polymap_terms(g), g.degree()) for g in genset.module_generators]
-    rows = module_rows(genset.products, gens, degree)
-    span = Echelon(itertools.islice(rows, limit))
-    if next(rows, None) is not None:
+    rung = genset.rung
+    kept = rung.slices.get(degree)
+    count = kept[1] if kept else sum(len(genset.products[degree - d]) for _, d in rung.gens)
+    if count > limit:
         raise ResourceLimit(f"module slice at degree {degree} exceeded {limit} products")
+    if kept:
+        return kept[0]
+    rows = tuple(Echelon(module_rows(genset.products, rung.gens, degree)).reduced_rows())
     nvars = genset.context.linear_part.nvars
-    return DegreeSlice(degree, "reversible_equivariant", tuple(span.reduced_rows()), nvars)
+    span = DegreeSlice(degree, "reversible_equivariant", rows, nvars, reduced=True)
+    with _RUNG_SLICES:
+        kept = rung.slices.get(degree)
+        if not kept and sum(c for _, c in rung.slices.values()) + count <= SYSTEM_BUDGET:
+            rung.slices[degree] = (span, count)
+    return kept[0] if kept else span
 
 
 @dataclass(frozen=True)
@@ -551,21 +612,21 @@ class SpanComparison:
 def spans_equal(a: DegreeSlice, b: DegreeSlice) -> SpanComparison:
     """Exact equality of the two spans; a witness element on failure.
 
-    Decided on the rows, which may be dependent: b lies in span(a), and
-    both spans have the same rank.  Only a failure reads the sorted bases,
-    to name the first element of b outside span(a), else of a outside
-    span(b).
+    Decided on the canonical bases, read on every call: the reduced
+    row-echelon basis of a span is unique, so the spans are equal exactly
+    when the two are.  Only a failure reads the sorted bases, to name the
+    first element of b outside span(a), else of a outside span(b).
     """
     if a.degree != b.degree or a.kind != b.kind:
         raise DimensionError("slices of different degree or kind are not comparable")
-    span_a = Echelon(a.rows)
-    if not all(map(span_a.contains, b.rows)):
-        return next(
-            SpanComparison(False, e, "a") for e in b.basis if not span_a.contains(vectorize(e))
-        )
-    span_b = Echelon(b.rows)
-    if len(span_b.pivots) == len(span_a.pivots):
+    if a.canonical == b.canonical:
         return SpanComparison(True)
+    span_a = Echelon(a.canonical)
+    for e in b.basis:
+        if not span_a.contains(vectorize(e)):
+            return SpanComparison(False, e, "a")
+    span_b = Echelon(b.canonical)
     return next(
-        SpanComparison(False, e, "b") for e in a.basis if not span_b.contains(vectorize(e))
+        (SpanComparison(False, e, "b") for e in a.basis if not span_b.contains(vectorize(e))),
+        SpanComparison(True),
     )

@@ -41,8 +41,14 @@ the phi step, the members of an orbit share the psi step too, and a
 later member runs no step and no check.  Keeping the steps is exact: the
 keys are frozen and compare by value, the Polynomials and PolyMaps of a
 result are immutable, and every later step copies the terms it reads.
-An entry holds tens of kilobytes: the 6 entries of all 16 sign classes
-(4 orbits) of `res_double_C4` (1,2,1,3) hold 0.2 MB of objects.
+A rung is a `Rung`, which also keeps the module slice of each degree
+that `oracle.module_slice` asks for, so a later job on the rung builds
+no product and eliminates no module row; the `ProductTable` that makes
+a slice belongs to one `GeneratorSet`, a job's, and goes with it.  An
+entry holds tens of kilobytes: the 6 entries of all 16 sign classes (4
+orbits) of `res_double_C4` (1,2,1,3) hold 0.20 MB of objects, and the
+module slices of their 4 psi steps at degrees 2..5 0.42 MB more
+(tracemalloc).
 
 Both prunes are one pass, `_prune`, over the rows of a `ProductTable`;
 `module_rows` serves `prune_module` and `oracle.module_slice`, which
@@ -63,7 +69,7 @@ reference the tests compare against.  `certify` checks each rung with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import groupby
@@ -392,11 +398,32 @@ def project_generators(images: Sequence[PolyMap]) -> tuple[PolyMap, ...]:
 
 
 @dataclass(frozen=True)
-class GeneratorSet:
-    """Hilbert basis plus module generators for one symmetry context."""
+class Rung:
+    """A ring basis and module generators, which unpack as that pair, and
+    `slices`, where `oracle.module_slice` keeps its slice of each degree of
+    their module, with its count of products; `gens` is the generators as
+    (`polymap_terms`, degree), built the first time it is read.  A rung of
+    `transported` keeps its slices for as long as it is kept."""
 
     ring_basis: tuple[Polynomial, ...]
     module_generators: tuple[PolyMap, ...]
+    slices: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __iter__(self):
+        return iter((self.ring_basis, self.module_generators))
+
+    @cached_property
+    def gens(self) -> tuple:
+        return tuple((polymap_terms(g), g.degree()) for g in self.module_generators)
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Hilbert basis plus module generators for one symmetry context: the
+    `Rung` of the two, which `pipeline` takes from `transported` and a
+    hand-built set makes, as `GeneratorSet(Rung(basis, gens), context)`."""
+
+    rung: Rung
     context: SymmetryContext
     certified: bool = False
 
@@ -410,6 +437,14 @@ class GeneratorSet:
         for g in self.module_generators:
             if not g.is_homogeneous():
                 raise CertificationFailure("module generators must be homogeneous")
+
+    @property
+    def ring_basis(self) -> tuple[Polynomial, ...]:
+        return self.rung.ring_basis
+
+    @property
+    def module_generators(self) -> tuple[PolyMap, ...]:
+        return self.rung.module_generators
 
     @cached_property
     def products(self) -> ProductTable:
@@ -448,14 +483,18 @@ def _transport(basis, gens, kappa: SignedElement):
 
 # the most kept rungs of the involution tower (catalogs, phi steps and psi
 # steps together); a sweep over the sign classes of one linear part needs
-# 2 + one per orbit, and this bounds a long-running process
+# 2 + one per orbit, and this bounds a long-running process.  A rung also
+# keeps module slices of at most `oracle.SYSTEM_BUDGET` products, some
+# 9 MB (tracemalloc, a res_n1n2_C3 (5,7) sweep to degree 49), so 64 rungs
+# keep at most some 600 MB of them
 TRANSPORT_CACHE = 64
 
 
 @lru_cache(maxsize=TRANSPORT_CACHE)
 def transported(linear_part: LinearPart, *involutions: SignedElement):
     """The closure-group catalog of the linear part, transported along each
-    involution in turn: its Hilbert basis and module generators.
+    involution in turn: its Hilbert basis and module generators, as a
+    `Rung`, which keeps their module side with them.
 
     Each rung is certified once, when it is made, against its own group,
     GroupContext(involutions, linear_part), before it is kept; a rung that
@@ -465,9 +504,10 @@ def transported(linear_part: LinearPart, *involutions: SignedElement):
     so one psi step serves the orbit.
     """
     if involutions:
-        rung = _transport(*transported(linear_part, *involutions[:-1]), involutions[-1])
+        basis, gens = _transport(*transported(linear_part, *involutions[:-1]), involutions[-1])
     else:
-        rung = closure_data(linear_part)
+        basis, gens = closure_data(linear_part)
+    rung = Rung(basis, gens)
     try:
         certify(*rung, GroupContext(involutions, linear_part))
     except CertificationFailure as exc:
@@ -484,11 +524,11 @@ def pipeline(context: SymmetryContext) -> GeneratorSet:
     certified each rung against its own group when it made it; the last
     rung's group, <S, phi, orbit psi>, is the caller's group with the
     caller's sign map, so a kept result is certified for it and runs no
-    check again.  The result carries the caller's context and signs.
+    check again.  The result carries the caller's context and signs, and
+    the kept `Rung`, so it reads the rung's kept module slices.
     """
-    return GeneratorSet(
-        *transported(context.linear_part, context.phi, context.orbit_psi), context, certified=True
-    )
+    rung = transported(context.linear_part, context.phi, context.orbit_psi)
+    return GeneratorSet(rung, context, certified=True)
 
 
 # -- serialization -----------------------------------------------------------

@@ -28,7 +28,7 @@ from birevnf.continuous import SymmetryContext, catalog, closure_data, psi_eleme
 from birevnf.errors import UnsupportedCase
 from birevnf.group import GroupContext
 from birevnf.poly import PolyMap, Polynomial
-from birevnf.symmetry_ops import GeneratorSet, _transport, reynolds_S, transfer_T
+from birevnf.symmetry_ops import GeneratorSet, Rung, _transport, reynolds_S, transfer_T
 
 from conftest import normalize_leading
 from reference_oracle import mul_invariant
@@ -47,7 +47,7 @@ def sigma_tilde_psi_context(ctx: SymmetryContext) -> GroupContext:
 def intermediate_generators(ctx: SymmetryContext) -> GeneratorSet:
     """Generators after the first extension only (sign map sigma_1)."""
     basis, gens = _transport(*closure_data(ctx.linear_part), ctx.phi)
-    return GeneratorSet(basis, gens, ctx)
+    return GeneratorSet(Rung(basis, gens), ctx)
 
 
 def projected_generator_list(n1: int, n2: int, n: int) -> tuple[PolyMap, ...]:

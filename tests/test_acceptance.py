@@ -25,6 +25,7 @@ from birevnf.oracle import module_slice, slice_space, spans_equal
 from birevnf.poly import I, PolyMap, Polynomial
 from birevnf.symmetry_ops import (
     GeneratorSet,
+    Rung,
     pipeline,
     reynolds_R,
     reynolds_S,
@@ -160,8 +161,10 @@ def test_criterion_4_table_one_reproduction(c3_contexts, c3_gensets):
         for typ, ctx in c3_contexts.items():
             gs = c3_gensets[typ]
             table = GeneratorSet(
-                gs.ring_basis,
-                tuple(normalize_leading(g) for g in table1_generators(1, 2, typ)),
+                Rung(
+                    gs.ring_basis,
+                    tuple(normalize_leading(g) for g in table1_generators(1, 2, typ)),
+                ),
                 ctx,
             )
             full = ctx.full_context()
@@ -228,7 +231,7 @@ def test_criterion_6_table_three_reproduction():
             full = ctx.full_context()
             for g in table:
                 assert membership(g, full, "reversible_equivariant"), typ
-            table_gs = GeneratorSet(gs.ring_basis, table, ctx)
+            table_gs = GeneratorSet(Rung(gs.ring_basis, table), ctx)
             for d in range(2, 6):
                 ours = module_slice(gs, d)
                 theirs = module_slice(table_gs, d)

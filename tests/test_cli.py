@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +24,28 @@ from birevnf.cli import (
     load_config,
     main,
 )
-from birevnf.continuous import SymmetryContext, _case_context
+import birevnf.cli
+from birevnf.continuous import (
+    SymmetryContext,
+    _case_context,
+    linear_part_for_case,
+    orbit_representative,
+)
 from birevnf.errors import ConfigError, UnsupportedCase
+from birevnf.linalg import Echelon
 from birevnf import oracle
-from birevnf.oracle import SYSTEM_BUDGET, SystemMemo, module_slice, slice_space
+from birevnf.oracle import (
+    DEFAULT_MONOMIAL_LIMIT,
+    SYSTEM_BUDGET,
+    SystemMemo,
+    module_slice,
+    slice_space,
+)
 from birevnf.symmetry_ops import pipeline, transported
 
 from conftest import slice_of
 from test_golden_gensets import REGIMES, command_output
+from test_oracle import _logged_tables
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +190,103 @@ def test_verify_gives_the_oracle_the_callers_own_group(monkeypatch, capsys):
     assert ctx.orbit_psi != ctx.psi
     assert groups == [ctx.full_context()] * 2
     assert all(group.elements == (ctx.phi, ctx.psi) for group in groups)
+
+
+# the linear parts of the certify_deep benchmark workload, each with the
+# top degree its verify jobs check
+CERTIFY_DEEP = [
+    ("non_resonant", (3,), 6),
+    ("res_n1n2_C3", (2, 3), 6),
+    ("res_n1n2_C3", (1, 2), 6),
+    ("res_double_C4", (1, 2, 1, 3), 5),
+]
+
+
+def _verify_job(case, params, signs, top) -> tuple:
+    return ("verify", "--case", case, "--params", ",".join(map(str, params)),
+            f"--signs={','.join(map(str, signs))}", "--verify-degrees", f"2..{top}")
+
+
+def _orbit_pair(case, params) -> list:
+    """The first two sign vectors, in listing order, of the first orbit
+    that has two."""
+    linear = linear_part_for_case(case, params)
+    orbits: dict = {}
+    for signs in itertools.product((1, -1), repeat=linear.n + 1):
+        orbits.setdefault(orbit_representative(linear, signs), []).append(signs)
+    return next(members[:2] for members in orbits.values() if len(members) > 1)
+
+
+@pytest.mark.parametrize("case, params, top", CERTIFY_DEEP)
+def test_a_seen_orbit_verifies_with_no_elimination(monkeypatch, capsys, case, params, top):
+    # after a job on one member of an orbit, a job on another builds no
+    # table level and inserts no Echelon row: it reads the kept rung's
+    # module slices and the kept system's oracle slices, and still
+    # compares the two at every degree, printing what cleared memos print
+    first, second = _orbit_pair(case, params)
+    code, fresh, _ = run_cli(capsys, *_verify_job(case, params, second, top))
+    assert code == EXIT_OK and fresh.endswith("certified\n")
+    _case_context.cache_clear()
+    transported.cache_clear()
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", SystemMemo(SYSTEM_BUDGET))
+    tables = _logged_tables(monkeypatch)
+    assert run_cli(capsys, *_verify_job(case, params, first, top))[0] == EXIT_OK
+    built = [list(table.levels.appended) for table in tables]
+    # the named case's context, whose LinearPart checks its relation rows
+    # by elimination when it is built, is the job's input check: build it
+    SymmetryContext.from_case(case, params, second)
+    calls = {"insert": 0, "spans_equal": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(Echelon, "insert")
+    counted(birevnf.cli, "spans_equal")
+    code, out, _ = run_cli(capsys, *_verify_job(case, params, second, top))
+    assert code == EXIT_OK and out == fresh
+    assert calls == {"insert": 0, "spans_equal": top - 1}
+    assert [table.levels.appended for table in tables] == built
+
+
+@pytest.mark.parametrize("side", ["module", "oracle"])
+def test_a_kept_slice_short_of_a_row_fails_verify(monkeypatch, capsys, side):
+    # the verdict is not kept: a kept slice that lost a row fails the next
+    # job on it, with a witness missing from the short side
+    case, params, signs = "res_n1n2_C3", (1, 2), (1, 1, -1, 1)
+    job = _verify_job(case, params, signs, 4)
+    assert run_cli(capsys, *job)[0] == EXIT_OK
+    ctx = SymmetryContext.from_case(case, params, signs)
+    degree = 3
+    if side == "module":
+        slices = pipeline(ctx).rung.slices
+        key = degree
+        span, count = slices[key]
+        short = (replace(span, rows=span.rows[:-1]), count)
+        holder = slice_space(ctx.full_context(), degree, "reversible_equivariant")
+    else:
+        full = ctx.full_context()
+        slices = oracle.KEPT_SYSTEMS.get(
+            full.continuous, full.elements[:-1], degree, "reversible_equivariant",
+            DEFAULT_MONOMIAL_LIMIT,
+        ).slices
+        [(key, span)] = slices.items()
+        short = replace(span, rows=span.rows[:-1])
+        holder = module_slice(pipeline(ctx), degree)
+    assert span.dimension > 1
+    monkeypatch.setitem(slices, key, short)
+    code, out, _ = run_cli(capsys, *job)
+    assert code == EXIT_CERTIFICATION
+    lines = out.splitlines()
+    assert lines[1].endswith("-> ok") and lines[2].endswith("-> MISMATCH")
+    prefix = f"  witness missing from {side}: "
+    assert lines[3].startswith(prefix) and lines[3][len(prefix):] in map(str, holder.basis)
+    assert lines[-1] == "certification FAILED"
 
 
 # each job setting: its JobConfig field, config key and flag, and one value

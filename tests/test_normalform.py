@@ -7,7 +7,7 @@ from birevnf.errors import ConfigError, UncertifiedInput
 from birevnf.group import membership
 from birevnf.normalform import assemble, emit
 from birevnf.poly import I, PolyMap, Polynomial, render_polynomial
-from birevnf.symmetry_ops import GeneratorSet, pipeline
+from birevnf.symmetry_ops import GeneratorSet, Rung, pipeline
 
 from reference_oracle import mul_invariant
 
@@ -48,7 +48,7 @@ def test_nonresonant_odd_case_gets_x1_factor():
 
 def test_empty_normal_form_text():
     ctx = SymmetryContext.from_case("non_resonant", (1,), (1, 1))
-    empty = GeneratorSet(pipeline(ctx).ring_basis, (), ctx, certified=True)
+    empty = GeneratorSet(Rung(pipeline(ctx).ring_basis, ()), ctx, certified=True)
     nf = assemble(empty, ctx.linear_part, 2)
     assert emit(nf, "text") == "xdot = L x"
 
@@ -82,7 +82,7 @@ def test_latex_renders_deterministically_and_balanced(nonres3_plus):
 
 def test_uncertified_input_rejected(nonres3_plus):
     ctx, gs = nonres3_plus
-    raw = GeneratorSet(gs.ring_basis, gs.module_generators, ctx)
+    raw = GeneratorSet(Rung(gs.ring_basis, gs.module_generators), ctx)
     with pytest.raises(UncertifiedInput):
         assemble(raw, ctx.linear_part, 4)
 

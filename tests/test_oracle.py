@@ -2,9 +2,11 @@
 
 import functools
 import itertools
+import math
 import re
 import sys
 import threading
+from fractions import Fraction
 from dataclasses import replace
 
 import pytest
@@ -19,8 +21,10 @@ from birevnf import oracle
 from birevnf.oracle import (
     DEFAULT_MONOMIAL_LIMIT,
     FUNCTION_KINDS,
+    DegreeSlice,
     MAP_KINDS,
     SYSTEM_BUDGET,
+    SpanComparison,
     SystemMemo,
     _group_rows,
     _parameters,
@@ -32,7 +36,7 @@ from birevnf.oracle import (
 )
 from birevnf.poly import PolyMap, Polynomial, Substitution
 from birevnf import symmetry_ops
-from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products
+from birevnf.symmetry_ops import GeneratorSet, Rung, pipeline, ring_products, transported
 
 from conftest import MONOMIAL_ELEMENTS, slice_of
 from references import phi_context
@@ -251,6 +255,62 @@ def test_drawn_linear_parts_slice_as_their_whole_systems(drawn, data):
         full = SymmetryContext.build(linear, signs).full_context()
         for kind in FUNCTION_KINDS + MAP_KINDS:
             assert slice_space(full, degree, kind).rows == _whole_system_rows(full, degree, kind)
+
+
+def _reference_flip(elements) -> tuple | None:
+    """The diagonal of D = B A, from the product of the last two actions,
+    when it is a sign flip that scales x1 and x2 alike and commutes with
+    every element but B; else None."""
+    if len(elements) < 2:
+        return None
+    rows = (elements[-1].action * elements[-2].action).rows
+    flip = tuple(d.re if j == i and d in (1, -1) else 0 for i, ((j, d),) in enumerate(rows))
+    commutes = all(
+        flip[j] == flip[i] for el in elements[:-1] for i, ((j, _),) in enumerate(el.rows)
+    )
+    return flip if 0 not in flip and flip[0] == flip[1] and commutes else None
+
+
+def _character(flip: tuple, key) -> int:
+    """chi_D(m) d_c of the column key (c, (degree, m), part): the product of
+    D's entries to the exponents of m, times D's entry at c's coordinate."""
+    comp, (_, mono), _ = key
+    value = 1 if comp < 0 else flip[comp if comp < 2 else 2 * comp - 2]
+    return value * math.prod(d**e for d, e in zip(flip, mono))
+
+
+@pytest.mark.parametrize("case, params, n", REGIMES)
+def test_the_parity_filter_picks_the_rows_of_the_character(case, params, n):
+    # every sign vector, phi alone and (phi, psi) under each sign map, each
+    # kind at degrees 0..4: `_flip` names the entries -1 of the diagonal of
+    # D = B A, every key of a kept row has one character, and the filter
+    # picks the kept rows whose character is s_A s_B, as `_character` reads
+    # it off the product of the actions
+    picked: dict = {}
+    for signs in itertools.product((1, -1), repeat=n + 1):
+        ctx = SymmetryContext.from_case(case, params, signs)
+        for context in _sign_map_contexts(ctx):
+            elements = context.elements
+            flip = _reference_flip(elements)
+            mask = None if flip is None else sum(1 << i for i, d in enumerate(flip) if d < 0)
+            assert oracle._flip(elements) == mask, (signs, elements)
+            if flip is None:
+                continue
+            for kind in FUNCTION_KINDS + MAP_KINDS:
+                want = oracle._sign(elements[-2], kind) * oracle._sign(elements[-1], kind)
+                for degree in range(5):
+                    key = (elements[:-1], flip, want, degree, kind)
+                    if key not in picked:
+                        system = oracle.KEPT_SYSTEMS.get(
+                            context.continuous, elements[:-1], degree, kind, DEFAULT_MONOMIAL_LIMIT
+                        )
+                        characters = [{_character(flip, k) for k in row} for row in system.rows]
+                        assert all(len(c) == 1 for c in characters)
+                        picked[key] = tuple(
+                            row for row, c in zip(system.rows, characters) if c == {want}
+                        )
+                    assert slice_space(context, degree, kind).rows == picked[key], key
+    assert {want for _, _, want, _, _ in picked} == {1, -1}
 
 
 def test_group_rows_substitute_only_what_the_shear_leaves(monkeypatch):
@@ -487,11 +547,11 @@ def test_module_slice_trivial_cases(nonres1):
     gs = pipeline(nonres1)
     # degree below every generator degree: the only generator degrees are 0,1
     high_only = GeneratorSet(
-        gs.ring_basis, tuple(g for g in gs.module_generators if g.degree() == 1), nonres1
+        Rung(gs.ring_basis, tuple(g for g in gs.module_generators if g.degree() == 1)), nonres1
     )
     assert module_slice(high_only, 0).dimension == 0
     # a single generator with no matching invariants contributes one element
-    single = GeneratorSet((), (gs.module_generators[0],), nonres1)
+    single = GeneratorSet(Rung((), (gs.module_generators[0],)), nonres1)
     d = gs.module_generators[0].degree()
     assert module_slice(single, d).dimension == 1
 
@@ -508,8 +568,10 @@ def test_module_slice_matches_oracle(nonres1):
 def test_module_slice_invariant_under_permutation_and_scaling(nonres1):
     gs = pipeline(nonres1)
     reordered = GeneratorSet(
-        tuple(reversed(gs.ring_basis)),
-        tuple(reversed([g.scale(3) for g in gs.module_generators])),
+        Rung(
+            tuple(reversed(gs.ring_basis)),
+            tuple(reversed([g.scale(3) for g in gs.module_generators])),
+        ),
         nonres1,
     )
     for d in (2, 3, 4):
@@ -525,8 +587,10 @@ def test_module_slice_basis_is_canonical():
     ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
     gs = pipeline(ctx)
     reordered = GeneratorSet(
-        tuple(reversed(gs.ring_basis)),
-        tuple(reversed([g.scale(3) for g in gs.module_generators])),
+        Rung(
+            tuple(reversed(gs.ring_basis)),
+            tuple(reversed([g.scale(3) for g in gs.module_generators])),
+        ),
         ctx,
     )
     a = module_slice(gs, 5)
@@ -568,40 +632,66 @@ def _sweep_context():
     return SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
 
 
+def _hand_built(gs, ctx):
+    return GeneratorSet(Rung(gs.ring_basis, gs.module_generators), ctx)
+
+
 def test_a_module_slice_sweep_builds_one_table_and_each_level_once(monkeypatch):
     ctx = _sweep_context()
     gs = pipeline(ctx)
-    fresh = GeneratorSet(gs.ring_basis, gs.module_generators, ctx)
+    alone = [module_slice(_hand_built(gs, ctx), d) for d in SWEEP]
     tables = _logged_tables(monkeypatch)
-    slices = [module_slice(fresh, d) for d in SWEEP]
-    [table] = tables
     top = SWEEP[-1] - min(g.degree() for g in gs.module_generators)
-    assert table.levels.appended == list(range(1, top + 1))
-    assert fresh.products is table
-    # the kept table gives the slices that a table per call gives
-    for d, kept in zip(SWEEP, slices):
-        assert kept == module_slice(GeneratorSet(gs.ring_basis, gs.module_generators, ctx), d)
+    # a hand-built set and a set that pipeline returns each build one table,
+    # and the kept table gives the slices that a table per call gives
+    for owner in (_hand_built(gs, ctx), gs):
+        assert [module_slice(owner, d) for d in SWEEP] == alone
+        table = tables[-1]
+        assert table.levels.appended == list(range(1, top + 1))
+        assert owner.products is table
+    assert len(tables) == 2
+    # another pipeline call reads the slices that the kept rung keeps: it
+    # builds no table
+    again = pipeline(ctx)
+    assert again is not gs and again.rung is gs.rung
+    assert all(module_slice(again, d) is gs.rung.slices[d][0] for d in SWEEP)
+    assert len(tables) == 2
 
 
-def test_threads_sharing_a_generator_set_get_the_single_thread_slices(monkeypatch):
+def _sweep_in_threads(monkeypatch, kept: bool):
+    """Three threads sweep SWEEP, ten times, on a hand-built set that they
+    share or, if `kept`, each on a pipeline call of its own that reads the
+    one rung `pipeline` keeps; each gets the single-thread slices, and
+    every table built in a sweep appends each level once."""
     ctx = _sweep_context()
     gs = pipeline(ctx)
-    alone = [module_slice(GeneratorSet(gs.ring_basis, gs.module_generators, ctx), d)
-             for d in SWEEP]
+    alone = [module_slice(_hand_built(gs, ctx), d) for d in SWEEP]
     tables = _logged_tables(monkeypatch)
     nthreads = 3
     start = threading.Barrier(nthreads, timeout=30)
 
     def sweep(shared, results):
         start.wait()
-        results.append([module_slice(shared, d) for d in SWEEP])
+        genset = pipeline(ctx) if kept else shared
+        if genset.rung is shared.rung:
+            results.append([module_slice(genset, d) for d in SWEEP])
+
+    def each_level_once(swept):
+        for table in swept:
+            appended = table.levels.appended
+            assert appended == list(range(1, len(appended) + 1))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, to give a race its chance
     try:
-        # a race is a matter of timing, so each round sweeps a fresh set
+        # a race is a matter of timing, so each round sweeps a fresh set,
+        # or a fresh rung, made before the threads start so they share it
         for _ in range(10):
-            shared = GeneratorSet(gs.ring_basis, gs.module_generators, ctx)
+            transported.cache_clear()
+            shared = pipeline(ctx) if kept else _hand_built(gs, ctx)
+            # the tables of a transport step's prunes gain elements and
+            # build levels again; a sweep's tables start here
+            made = len(tables)
             results = []
             threads = [
                 threading.Thread(target=sweep, args=(shared, results)) for _ in range(nthreads)
@@ -612,11 +702,76 @@ def test_threads_sharing_a_generator_set_get_the_single_thread_slices(monkeypatc
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert results == [alone] * nthreads
+            assert sorted(shared.rung.slices) == list(SWEEP)
+            each_level_once(tables[made:])
     finally:
         sys.setswitchinterval(interval)
-    for table in tables:
-        appended = table.levels.appended
-        assert appended == list(range(1, len(appended) + 1))
+    if not kept:
+        # a hand-built set runs no transport: every table is a sweep's
+        each_level_once(tables)
+
+
+def test_threads_sharing_a_generator_set_get_the_single_thread_slices(monkeypatch):
+    _sweep_in_threads(monkeypatch, kept=False)
+
+
+def test_threads_sharing_a_kept_rung_get_the_single_thread_slices(monkeypatch):
+    _sweep_in_threads(monkeypatch, kept=True)
+
+
+def test_a_kept_module_slice_raises_the_resource_limit_of_a_miss():
+    # a hit counts the products of the kept slice against the caller's
+    # limit, with the message of a miss; a slice past the limit is not kept
+    ctx = _sweep_context()
+    degree = 9
+    gs = pipeline(ctx)
+    module_slice(gs, degree)
+    _, count = gs.rung.slices[degree]
+    assert module_slice(gs, degree, count) is gs.rung.slices[degree][0]
+    with pytest.raises(ResourceLimit) as hit:
+        module_slice(gs, degree, count - 1)
+    fresh = _hand_built(gs, ctx)
+    with pytest.raises(ResourceLimit) as miss:
+        module_slice(fresh, degree, count - 1)
+    assert str(hit.value) == str(miss.value)
+    assert str(miss.value) == f"module slice at degree {degree} exceeded {count - 1} products"
+    assert degree not in fresh.rung.slices
+    assert module_slice(fresh, degree, count) == gs.rung.slices[degree][0]
+    assert fresh.rung.slices[degree][1] == count
+
+
+def test_a_rung_keeps_module_slices_within_the_system_budget(monkeypatch):
+    # a rung keeps a slice while the products of the slices it keeps stay
+    # within SYSTEM_BUDGET; past it, a slice is made on each call, equal
+    ctx = _sweep_context()
+    gs = pipeline(ctx)
+    alone = [module_slice(gs, d) for d in SWEEP]
+    counts = [gs.rung.slices[d][1] for d in SWEEP]
+    budget = sum(counts[:6])
+    monkeypatch.setattr(oracle, "SYSTEM_BUDGET", budget)
+    capped = _hand_built(gs, ctx)
+    assert [module_slice(capped, d) for d in SWEEP] == alone
+    assert sorted(capped.rung.slices) == list(SWEEP[:6])
+    assert sum(count for _, count in capped.rung.slices.values()) == budget
+    assert module_slice(capped, SWEEP[-1]) == alone[-1]
+    assert sorted(capped.rung.slices) == list(SWEEP[:6])
+
+
+def test_a_module_slice_holds_its_canonical_basis():
+    # a module slice's rows are the reduced row-echelon basis of its span,
+    # which `spans_equal` compares; were they some other basis of it, the
+    # containment path would still find the spans equal
+    gs = pipeline(_sweep_context())
+    for degree in SWEEP:
+        span = module_slice(gs, degree)
+        assert span.canonical == span.rows == tuple(Echelon(span.rows).reduced_rows())
+    span = module_slice(gs, 6)
+    assert span.dimension > 1
+    other = tuple({k: 2 * v for k, v in row.items()} for row in span.rows[::-1])
+    for pretended in (True, False):
+        unreduced = DegreeSlice(6, span.kind, other, span.nvars, reduced=pretended)
+        assert spans_equal(span, unreduced) == SpanComparison(True)
+        assert spans_equal(unreduced, span) == SpanComparison(True)
 
 
 def test_spans_equal_examples(nonres1):
@@ -681,36 +836,53 @@ def _containment_reference(a, b):
 
 
 # degree-2 maps on one block built from few monomials with small
-# coefficients, so that equal, nested and dependent spans are all common
+# coefficients, so that equal, nested and dependent spans are all common;
+# each is scaled by a drawn factor, so rows carry Fraction entries, and a
+# map whose coefficients all vanish is a zero row
 _MONOMIALS = ((2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1))
 
 
-def _map(coeffs) -> PolyMap:
+def _map(coeffs, scale) -> PolyMap:
     x1 = Polynomial(4, {m: c for m, c in zip(_MONOMIALS, coeffs[:4]) if c})
     z1 = Polynomial(4, {m: c for m, c in zip(_MONOMIALS, coeffs[4:]) if c})
-    return PolyMap((x1 + x1.conj(), Polynomial.zero(4)), (z1,))
+    return PolyMap((x1 + x1.conj(), Polynomial.zero(4)), (z1,)).scale(scale)
 
 
 _MAPS = st.lists(
-    st.lists(st.integers(-1, 1), min_size=8, max_size=8).map(_map), max_size=4
+    st.builds(
+        _map,
+        st.lists(st.integers(-1, 1), min_size=8, max_size=8),
+        st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3))),
+    ),
+    max_size=4,
 )
 
 
-@settings(max_examples=80)
-@given(_MAPS, _MAPS, st.sampled_from(["drawn", "superset", "subset", "recombined"]))
+@settings(max_examples=120)
+@given(
+    _MAPS,
+    _MAPS,
+    st.sampled_from(["drawn", "superset", "subset", "recombined", "padded"]),
+)
 def test_spans_equal_matches_containment_on_bases(left, right, mode):
-    # the rows decide as the bases did, on random slices with dependent rows,
-    # and a failure names the same witness; "recombined" spans what left spans
+    # the canonical bases decide as containment on the bases did, on random
+    # slices with dependent, zero and Fraction rows and empty ones, and a
+    # failure names the same witness; "recombined" spans what left spans,
+    # and "padded" adds to left a zero row and a combination of its rows
     if mode == "superset":
         right = right + left
     elif mode == "subset":
         right = left[1:]
     elif mode == "recombined":
         right = [u + v for u, v in zip(left, left[1:])] + left[-1:]
+    elif mode == "padded":
+        total = sum(left, PolyMap.zero(1))
+        right = [*left, PolyMap.zero(1), total.scale(Fraction(1, 3)), *right[:1]]
     a = slice_of(2, "equivariant", 4, left)
     b = slice_of(2, "equivariant", 4, right)
     cmp = spans_equal(a, b)
     assert (cmp.equal, cmp.witness, cmp.missing_from) == _containment_reference(a, b)
+    assert a.canonical == tuple(Echelon(vectorize(e) for e in a.basis).reduced_rows())
 
 
 def test_an_element_on_other_coordinates_is_refused(nonres1):

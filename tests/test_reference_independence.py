@@ -7,7 +7,7 @@ kernel's `Substitution` and `output_columns`, `slice_space` itself, the
 compiled system's `_parameters`, `_shear_rows`, `_group_rows`, `_emit`,
 `_solution_row` and `_torus_monomials`, the kept systems' `_kept_system`,
 `SystemMemo` and `KEPT_SYSTEMS`, or the sign-flip filter's `_flip` and
-`_character`.  Any import of,
+`_parity`.  Any import of,
 or attribute access to, one of them fails this test.
 
 `group.membership` and `LinearPart.infinitesimal_ok` are what `certify`
@@ -38,7 +38,7 @@ COMPILED_PATH = {
     "SystemMemo",
     "KEPT_SYSTEMS",
     "_flip",
-    "_character",
+    "_parity",
 }
 
 

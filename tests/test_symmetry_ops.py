@@ -51,6 +51,7 @@ from birevnf.poly import (
 from birevnf.symmetry_ops import (
     TRANSPORT_CACHE,
     GeneratorSet,
+    Rung,
     _canonical,
     _transfer,
     certify,
@@ -376,8 +377,7 @@ def test_pipeline_type_a_matches_reference_table(c3_gensets, c3_contexts):
         gs = c3_gensets[typ]
         ctx = c3_contexts[typ]
         table = GeneratorSet(
-            gs.ring_basis,
-            tuple(normalize_leading(g) for g in table1_generators(1, 2, typ)),
+            Rung(gs.ring_basis, tuple(normalize_leading(g) for g in table1_generators(1, 2, typ))),
             ctx,
         )
         for d in (2, 3):
@@ -485,8 +485,10 @@ def test_intermediate_generators_span_reference_list(c3_contexts):
     ctx = c3_contexts["A"]
     inter = intermediate_generators(ctx)
     reference = GeneratorSet(
-        inter.ring_basis,
-        tuple(normalize_leading(g) for g in projected_generator_list(1, 2, 3)),
+        Rung(
+            inter.ring_basis,
+            tuple(normalize_leading(g) for g in projected_generator_list(1, 2, 3)),
+        ),
         ctx,
     )
     for d in (2, 3, 4):
@@ -785,7 +787,7 @@ def test_ring_elements_that_are_not_real_valued_are_rejected(c3_data):
     with pytest.raises(IncompatibleMatrix):
         prune_module([g], [z1])
     with pytest.raises(IncompatibleMatrix):
-        module_slice(GeneratorSet((z1,), (g,), ctx), g.degree() + 1)
+        module_slice(GeneratorSet(Rung((z1,), (g,)), ctx), g.degree() + 1)
     with pytest.raises(IncompatibleMatrix):
         prune_ring([z1])
 
@@ -896,7 +898,7 @@ def _unshared_pipeline(ctx):
     context's own psi step from `_unshared_phi_step`."""
     basis, gens = _transport(*_unshared_phi_step(ctx.linear_part), ctx.psi)
     certify(basis, gens, ctx.full_context())
-    return GeneratorSet(basis, gens, ctx, certified=True)
+    return GeneratorSet(Rung(basis, gens), ctx, certified=True)
 
 
 def test_shared_phi_step_gives_the_unshared_generator_sets():
@@ -1002,7 +1004,7 @@ def test_a_generator_set_acts_on_its_contexts_coordinates():
         ((), small.module_generators),
     ]:
         with pytest.raises(DimensionError):
-            GeneratorSet(ring, gens, ctx)
+            GeneratorSet(Rung(ring, gens), ctx)
 
 
 @pytest.mark.parametrize("case, params, n", GOLDEN_REGIMES)
