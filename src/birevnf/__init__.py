@@ -53,7 +53,6 @@ from .poly import (
 )
 from .symmetry_ops import (
     GeneratorSet,
-    Rung,
     extend_hilbert_basis,
     generators_over_extension,
     pipeline,

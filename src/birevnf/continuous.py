@@ -418,6 +418,8 @@ def classify_type(signs: Sequence[int], exponents: Sequence[int]) -> str:
     signs, exponents = _integers(signs), _integers(exponents)
     if len(signs) < 3:
         raise DimensionError("need at least signs (a0, a1, a2)")
+    if len(exponents) != 2:
+        raise DimensionError(f"need a resonance pair (n1, n2), got {len(exponents)} exponents")
     n1, n2 = exponents
     if n1 < 1 or n2 < 1:
         raise DimensionError("resonance exponents must be >= 1")

@@ -58,18 +58,20 @@ picked, and a member of a seen orbit picks the same rows, so it gets the
 same slice, with its canonical basis built.  The limit is not in the
 key: a hit raises the `ResourceLimit` a miss would, with the same
 message, when the kept system's (component, monomial) pairs pass the
-caller's limit.  The memo holds at most SYSTEM_BUDGET unknowns in all: it
-drops the least recently used systems first, and it solves a system
-bigger than the budget for its slice and does not keep it.  Its
-bookkeeping runs under a lock; two threads that miss on one key at once
-both solve the system, and one copy is kept.
+caller's limit.
 
 `module_slice` reduces `symmetry_ops.module_rows` over the one
 `ProductTable` the generator set keeps to the span's canonical basis,
-and the set's `symmetry_ops.Rung` keeps it, with its count of products,
-for as long as the rung is kept and while the slices it keeps hold at
-most SYSTEM_BUDGET products: a sweep over degrees builds each product
-once, and a seen problem builds none.  `spans_equal` compares the
+and `KEPT_SYSTEMS` keeps it, with its count of products, under the set's
+ring basis and generators, by value, and the degree: a sweep over
+degrees builds each product once, and a seen problem builds none.  A
+hit raises a miss's `ResourceLimit` when the count passes the caller's
+limit.  The one memo is bounded by SYSTEM_BUDGET: a system counts its
+unknowns, a module slice its products.  It drops the least recently
+used entries first, of either kind, and makes an entry bigger than the
+budget for the call and does not keep it.  Its bookkeeping runs under a
+lock; two threads that miss on one key at once both make the entry, and
+one copy is kept.  `spans_equal` compares the
 canonical bases of the two sides (`DegreeSlice.canonical`), on every
 call: the reduced row-echelon basis of a span is unique.  It eliminates again only on a
 failure, to name a witness.  So a `verify` job on a seen linear part and
@@ -403,13 +405,11 @@ def _solution_row(params, degree: int, solution: dict) -> dict:
 class KeptSystem(NamedTuple):
     """The slice rows of the canonical nullspace of the shear's and some
     elements' rows, which the slices share and nothing changes; the
-    parameters solved for, what the memo's budget bounds; the
     (component, monomial) pairs, what `limit` bounds; the `_parity` of
     each row; and `slices`, the slice of each set of picked rows, keyed by
     their indices, made the first time it is asked for."""
 
     rows: tuple
-    unknowns: int
     pairs: int
     parities: tuple
     slices: dict
@@ -424,8 +424,9 @@ def _parity(key) -> int:
     return mask if comp < 0 else mask ^ 1 << (comp if comp < 2 else 2 * comp - 2)
 
 
-def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
-    """Solve the slice system of the shear and `elements`."""
+def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int):
+    """Solve the slice system of the shear and `elements`: the `KeptSystem`
+    and its count of parameters, its size in `KEPT_SYSTEMS`."""
     params, pairs = _parameters(linear, degree, kind, limit)
     shear = _shear_rows(params)
     forced = {k for row in shear.values() if len(row) == 1 for k in row}
@@ -445,64 +446,57 @@ def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int) ->
     solutions = Echelon([{k: 1} for k in sorted(units)] + others).nullspace(live)
     rows = tuple(_solution_row(params, degree, sol) for sol in solutions)
     parities = tuple(_parity(next(iter(row))) for row in rows)
-    return KeptSystem(rows, len(params), pairs, parities, {})
+    return KeptSystem(rows, pairs, parities, {}), len(params)
 
 
 class SystemMemo:
-    """The solved systems of the last slices, bounded by the unknowns they hold.
+    """What `verify` reuses between calls, bounded by the sizes of its entries.
 
-    Keyed (linear part, solved elements, degree, kind).  Systems go in
-    least recently used order, and the oldest go out while the unknowns
-    (parameters) of all of them pass `budget`; a system bigger than the
-    budget is solved and used, and not kept.  `limit` is not in the key:
-    the system does not depend on it, and a hit raises `ResourceLimit`
-    where a miss would, when its pairs pass the caller's limit.  A miss
-    solves outside the lock, so threads that miss on one key at once each
-    solve it and the first to finish keeps its copy.
+    `get(key, make)` returns the (entry, size) kept under `key`, else the
+    pair that `make()` returns.  Entries go in least recently used order,
+    and the oldest go out while the sizes of all of them pass `budget`; an
+    entry bigger than the budget is made and used, and not kept.  A miss
+    makes its entry outside the lock, so threads that miss on one key at
+    once each make it, and the first to finish keeps its copy, which the
+    others then use.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
-        self._systems: OrderedDict = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()  # key -> (entry, size)
         self._lock = Lock()
-        self.unknowns = self.hits = self.misses = 0
+        self.size = self.hits = self.misses = 0
 
-    def get(self, linear, elements: tuple, degree: int, kind: str, limit: int) -> KeptSystem:
-        key = (linear, elements, degree, kind)
+    def get(self, key, make) -> tuple:
         with self._lock:
-            system = self._systems.get(key)
-            if system is None:
-                self.misses += 1
-            else:
-                self._systems.move_to_end(key)
+            kept = self._entries.get(key)
+            if kept is not None:
+                self._entries.move_to_end(key)
                 self.hits += 1
-        if system is None:
-            system = _kept_system(linear, elements, degree, kind, limit)
-            if system.unknowns <= self.budget:
-                with self._lock:
-                    if key not in self._systems:
-                        self._systems[key] = system
-                        self.unknowns += system.unknowns
-                        while self.unknowns > self.budget:
-                            _, old = self._systems.popitem(last=False)
-                            self.unknowns -= old.unknowns
-        elif system.pairs > limit:
-            raise _slice_limit(limit, degree)
-        return system
+                return kept
+            self.misses += 1
+        made = make()
+        if made[1] > self.budget:
+            return made
+        with self._lock:
+            kept = self._entries.setdefault(key, made)
+            if kept is made:
+                self.size += made[1]
+                while self.size > self.budget:
+                    self.size -= self._entries.popitem(last=False)[1][1]
+        return kept
 
 
-# the most unknowns (parameters) that the kept systems of `slice_space`
-# hold in all: about 4 MB at some 200 bytes an unknown, with the slices and
-# canonical bases they keep (tracemalloc: the 3,088 unknowns that the 19
-# jobs of the certify_deep benchmark pool keep hold 0.61 MB)
+# the most that `KEPT_SYSTEMS` holds in all: a solved system counts its
+# unknowns (parameters), some 200 bytes each with the slices and canonical
+# bases it keeps, and a module slice its products, some 480 bytes a kept
+# row, so at most some 10 MB.  tracemalloc: the 19 jobs of the
+# certify_deep benchmark pool keep 3,088 unknowns and 998 products in
+# 1.6 MB; a res_n1n2_C3 (5,7) module sweep over degrees 1..49 leaves its
+# last slice, 15,564 products in 7.5 MB
 SYSTEM_BUDGET = DEFAULT_MONOMIAL_LIMIT // 10
 
 KEPT_SYSTEMS = SystemMemo(SYSTEM_BUDGET)
-
-# a rung's module slices are kept under this lock, while their products
-# stay within SYSTEM_BUDGET in all: some 9 MB a rung at the 460 bytes a
-# kept row that a `res_n1n2_C3` (5,7) sweep to degree 49 measures
-_RUNG_SLICES = Lock()
 
 
 def _flip(elements: Sequence[SignedElement]) -> int | None:
@@ -510,17 +504,18 @@ def _flip(elements: Sequence[SignedElement]) -> int | None:
     elements A and B, when D is a diagonal sign flip that scales x1 and x2
     alike and commutes with every element but B; else None, and for fewer
     than two elements.  Read off the monomial rows: row i of D is B's entry
-    b at column j times A's entry a at column k of row j, at column k."""
+    b at column j times A's entry a at column k of row j, at column k,
+    multiplied out on the parts of b and a."""
     if len(elements) < 2:
         return None
     before = elements[-2].rows
     flip = 0
     for i, ((j, b),) in enumerate(elements[-1].rows):
         ((k, a),) = before[j]
-        d = b * a
-        if k != i or d.im or d.re not in (1, -1):
+        re = b.re * a.re - b.im * a.im
+        if k != i or b.re * a.im + b.im * a.re or re not in (1, -1):
             return None
-        flip |= (d.re < 0) << i
+        flip |= (re < 0) << i
     commutes = all(
         (flip >> i ^ flip >> j) & 1 == 0
         for el in elements[:-1]
@@ -556,8 +551,10 @@ def slice_space(
     if any(el.size != linear.nvars for el in elements):
         raise DimensionError(f"every element must act on {linear.nvars} coordinates")
     flip = _flip(elements)
-    solved = elements if flip is None else elements[:-1]
-    system = KEPT_SYSTEMS.get(linear, tuple(solved), degree, kind, limit)
+    key = (linear, tuple(elements if flip is None else elements[:-1]), degree, kind)
+    system, _ = KEPT_SYSTEMS.get(key, lambda: _kept_system(*key, limit))
+    if system.pairs > limit:
+        raise _slice_limit(limit, degree)
     picked = tuple(range(len(system.rows)))
     if flip is not None:
         odd = _sign(elements[-2], kind) != _sign(elements[-1], kind)
@@ -573,33 +570,36 @@ def slice_space(
 # -- module slices and span comparison ----------------------------------------
 
 
+def _module_limit(limit: int, degree: int) -> ResourceLimit:
+    return ResourceLimit(f"module slice at degree {degree} exceeded {limit} products")
+
+
 def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> DegreeSlice:
     """Degree-d part of the module spanned by the generator set.
 
     Spans {m * G} over all module generators G and all monomials m in the
     ring basis with matching total degree, reduced to its canonical basis:
     the `symmetry_ops.module_rows` over the generator set's one
-    `ProductTable`.  The set's `symmetry_ops.Rung` keeps the slice with its
-    count of products while the rung's kept products stay within
-    SYSTEM_BUDGET, so a rung that `transported` keeps makes each of those
-    slices once.  More than `limit` products raise `ResourceLimit`, kept or
-    not, and such a slice is not made.
+    `ProductTable`.  `KEPT_SYSTEMS` keeps the slice, with its count of
+    products as its size, under the set's ring basis and generators (by
+    value) and the degree, so equal sets share it.  More than `limit`
+    products raise `ResourceLimit`, kept or not, and such a slice is not
+    made.
     """
-    rung = genset.rung
-    kept = rung.slices.get(degree)
-    count = kept[1] if kept else sum(len(genset.products[degree - d]) for _, d in rung.gens)
+
+    def make():
+        count = sum(len(genset.products[degree - d]) for _, d in genset.gens)
+        if count > limit:
+            raise _module_limit(limit, degree)
+        rows = tuple(Echelon(module_rows(genset.products, genset.gens, degree)).reduced_rows())
+        nvars = genset.context.linear_part.nvars
+        return DegreeSlice(degree, "reversible_equivariant", rows, nvars, reduced=True), count
+
+    key = ("module", genset.ring_basis, genset.module_generators, degree)
+    span, count = KEPT_SYSTEMS.get(key, make)
     if count > limit:
-        raise ResourceLimit(f"module slice at degree {degree} exceeded {limit} products")
-    if kept:
-        return kept[0]
-    rows = tuple(Echelon(module_rows(genset.products, rung.gens, degree)).reduced_rows())
-    nvars = genset.context.linear_part.nvars
-    span = DegreeSlice(degree, "reversible_equivariant", rows, nvars, reduced=True)
-    with _RUNG_SLICES:
-        kept = rung.slices.get(degree)
-        if not kept and sum(c for _, c in rung.slices.values()) + count <= SYSTEM_BUDGET:
-            rung.slices[degree] = (span, count)
-    return kept[0] if kept else span
+        raise _module_limit(limit, degree)
+    return span
 
 
 @dataclass(frozen=True)

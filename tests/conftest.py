@@ -1,11 +1,10 @@
 import random
-import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
-from birevnf import oracle, symmetry_ops
+from birevnf import oracle
 from birevnf.continuous import SymmetryContext, _case_context
 from birevnf.errors import SignInconsistency
 from birevnf.group import SignedElement
@@ -21,32 +20,14 @@ settings.load_profile("exact")
 SEED = 20260809
 
 
-# every `Rung` made while the tests run, so that each test can start with
-# none of their kept module slices: a test may hold a generator set, and
-# with it a rung, from a cache or fixture of its own
-_RUNGS = weakref.WeakSet()
-_make_rung = symmetry_ops.Rung.__init__
-
-
-def _registered_rung(rung, *args, **kwargs):
-    _make_rung(rung, *args, **kwargs)
-    _RUNGS.add(rung)
-
-
-symmetry_ops.Rung.__init__ = _registered_rung
-
-
 @pytest.fixture(autouse=True)
 def _fresh_memos(monkeypatch):
     """Each test starts with no kept named-case context, no kept transport
-    step, no kept oracle system, and so no kept oracle slice, and no module
-    slice kept by any rung, so what it counts or records does not depend
-    on which tests ran before it."""
+    step, and no kept oracle system or module slice, so what it counts or
+    records does not depend on which tests ran before it."""
     _case_context.cache_clear()
     transported.cache_clear()
     monkeypatch.setattr(oracle, "KEPT_SYSTEMS", oracle.SystemMemo(oracle.SYSTEM_BUDGET))
-    for rung in list(_RUNGS):
-        rung.slices.clear()
 
 
 def make_rng(salt: int = 0) -> random.Random:

@@ -35,8 +35,9 @@ from birevnf.errors import ConfigError, UnsupportedCase
 from birevnf.linalg import Echelon
 from birevnf import oracle
 from birevnf.oracle import (
-    DEFAULT_MONOMIAL_LIMIT,
     SYSTEM_BUDGET,
+    DegreeSlice,
+    KeptSystem,
     SystemMemo,
     module_slice,
     slice_space,
@@ -220,8 +221,8 @@ def _orbit_pair(case, params) -> list:
 @pytest.mark.parametrize("case, params, top", CERTIFY_DEEP)
 def test_a_seen_orbit_verifies_with_no_elimination(monkeypatch, capsys, case, params, top):
     # after a job on one member of an orbit, a job on another builds no
-    # table level and inserts no Echelon row: it reads the kept rung's
-    # module slices and the kept system's oracle slices, and still
+    # table level and inserts no Echelon row: it reads the module slices of
+    # the kept rung and the kept system's oracle slices from the memo, and still
     # compares the two at every degree, printing what cleared memos print
     first, second = _orbit_pair(case, params)
     code, fresh, _ = run_cli(capsys, *_verify_job(case, params, second, top))
@@ -263,18 +264,17 @@ def test_a_kept_slice_short_of_a_row_fails_verify(monkeypatch, capsys, side):
     assert run_cli(capsys, *job)[0] == EXIT_OK
     ctx = SymmetryContext.from_case(case, params, signs)
     degree = 3
+    kept = oracle.KEPT_SYSTEMS._entries
     if side == "module":
-        slices = pipeline(ctx).rung.slices
-        key = degree
+        gs = pipeline(ctx)
+        slices, key = kept, ("module", gs.ring_basis, gs.module_generators, degree)
         span, count = slices[key]
         short = (replace(span, rows=span.rows[:-1]), count)
         holder = slice_space(ctx.full_context(), degree, "reversible_equivariant")
     else:
         full = ctx.full_context()
-        slices = oracle.KEPT_SYSTEMS.get(
-            full.continuous, full.elements[:-1], degree, "reversible_equivariant",
-            DEFAULT_MONOMIAL_LIMIT,
-        ).slices
+        system, _ = kept[(full.continuous, full.elements[:-1], degree, "reversible_equivariant")]
+        slices = system.slices
         [(key, span)] = slices.items()
         short = replace(span, rows=span.rows[:-1])
         holder = module_slice(pipeline(ctx), degree)
@@ -287,6 +287,43 @@ def test_a_kept_slice_short_of_a_row_fails_verify(monkeypatch, capsys, side):
     prefix = f"  witness missing from {side}: "
     assert lines[3].startswith(prefix) and lines[3][len(prefix):] in map(str, holder.basis)
     assert lines[-1] == "certification FAILED"
+
+
+def test_one_budget_bounds_the_oracle_systems_and_module_slices(monkeypatch):
+    # verify jobs on every sign class of two linear parts, each job twice,
+    # on one memo whose budget is about a quarter of the 1,144 that the
+    # sweep keeps on an unbounded memo (its biggest entry, an oracle system,
+    # is 264): after every job the oracle systems and the module slices kept
+    # together stay within the budget, entries of both kinds are dropped
+    # and made again, no oracle key is a module key, and each job prints
+    # what cleared memos print
+    jobs = [
+        ("verify", case, params, signs, "text", "--verify-degrees", "2..5")
+        for case, params, n in (("res_n1n2_C3", (1, 2), 3), ("non_resonant", (2,), 2))
+        for signs in itertools.product((1, -1), repeat=n + 1)
+    ]
+    fresh = {}
+    for job in jobs:
+        _case_context.cache_clear()
+        transported.cache_clear()
+        monkeypatch.setattr(oracle, "KEPT_SYSTEMS", SystemMemo(SYSTEM_BUDGET))
+        fresh[job] = command_output(*job)
+    memo = SystemMemo(300)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
+    seen = {"module": set(), "oracle": set()}
+    dropped = {"module": set(), "oracle": set()}
+    for job in jobs + jobs:
+        assert command_output(*job) == fresh[job], job
+        assert memo.size == sum(size for _, size in memo._entries.values()) <= memo.budget
+        for key, (entry, _) in memo._entries.items():
+            kind = "module" if key[0] == "module" else "oracle"
+            assert isinstance(entry, DegreeSlice if kind == "module" else KeptSystem)
+            seen[kind].add(key)
+        for kind, keys in seen.items():
+            dropped[kind] |= keys - memo._entries.keys()
+    assert seen["module"].isdisjoint(seen["oracle"])
+    assert all(dropped.values())
+    assert memo.misses > len(seen["module"]) + len(seen["oracle"])
 
 
 # each job setting: its JobConfig field, config key and flag, and one value
@@ -879,8 +916,13 @@ def test_repeated_jobs_print_what_a_cleared_memo_prints(monkeypatch):
     assert len(linear_parts) == len(REGIMES) - 1
     assert transported.cache_info().misses == 2 * len(linear_parts) + len(steps)
     # verify keeps one system, the shear's rows and phi's, per linear part
-    # and degree; each of its other slices, one at each of the degrees 2..4
-    # of every verify job, run twice, is a hit
-    verify_jobs = sum(job[0] == "verify" for job in jobs)
-    assert memo.misses == 3 * len(linear_parts)
-    assert memo.hits == 2 * 3 * verify_jobs - memo.misses > 0
+    # and degree, and one module slice per psi step and degree; each of its
+    # other lookups, two at each of the degrees 2..4 of every verify job,
+    # run twice, is a hit
+    verify = [job for job in jobs if job[0] == "verify"]
+    psi_steps = {
+        transported(ctx.linear_part, ctx.phi, ctx.orbit_psi)
+        for ctx in (SymmetryContext.from_case(*job[1:4]) for job in verify)
+    }
+    assert memo.misses == 3 * len(linear_parts) + 3 * len(psi_steps)
+    assert memo.hits == 2 * 2 * 3 * len(verify) - memo.misses > 0

@@ -200,6 +200,12 @@ def test_classify_rejects_bad_input():
         classify_type((1, 1, 1), (0, 2))
 
 
+@pytest.mark.parametrize("exponents", [(), (1,), (1, 2, 3)])
+def test_classify_rejects_exponents_that_are_not_a_pair(exponents):
+    with pytest.raises(DimensionError, match=rf"resonance pair \(n1, n2\), got {len(exponents)}"):
+        classify_type((1, 1, 1), exponents)
+
+
 def test_catalog_non_resonant_contents():
     n = 3
     data = catalog("non_resonant", (n,))

@@ -36,7 +36,7 @@ from birevnf.oracle import (
 )
 from birevnf.poly import PolyMap, Polynomial, Substitution
 from birevnf import symmetry_ops
-from birevnf.symmetry_ops import GeneratorSet, Rung, pipeline, ring_products, transported
+from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products, transported
 
 from conftest import MONOMIAL_ELEMENTS, slice_of
 from references import phi_context
@@ -301,9 +301,7 @@ def test_the_parity_filter_picks_the_rows_of_the_character(case, params, n):
                 for degree in range(5):
                     key = (elements[:-1], flip, want, degree, kind)
                     if key not in picked:
-                        system = oracle.KEPT_SYSTEMS.get(
-                            context.continuous, elements[:-1], degree, kind, DEFAULT_MONOMIAL_LIMIT
-                        )
+                        system = _kept_system(context.continuous, elements[:-1], degree, kind)
                         characters = [{_character(flip, k) for k in row} for row in system.rows]
                         assert all(len(c) == 1 for c in characters)
                         picked[key] = tuple(
@@ -415,6 +413,20 @@ def test_compiled_slices_match_naive_for_other_monomial_actions(nonres1, element
     assert sum(dims) > 0
 
 
+def _kept_system(linear, solved: tuple, degree: int, kind: str):
+    """The `KeptSystem` of the shear's and the solved elements' rows, from
+    `KEPT_SYSTEMS` as `slice_space` reads it, and solved on a miss."""
+    return oracle.KEPT_SYSTEMS.get(
+        (linear, solved, degree, kind),
+        lambda: oracle._kept_system(linear, solved, degree, kind, DEFAULT_MONOMIAL_LIMIT),
+    )[0]
+
+
+def _kept_size(memo) -> int:
+    """The sizes of the entries the memo keeps, summed."""
+    return sum(size for _, size in memo._entries.values())
+
+
 # holds the kept systems of any one golden regime at degrees 0..5, 1,846
 # unknowns at most, and not those of three: res_n1n2_Cn (1,2,3), which
 # comes after (1,3) and (2,3), builds again what res_n1n2_C3 (1,2) built
@@ -437,7 +449,7 @@ def test_kept_systems_give_the_rows_of_a_cleared_memo(monkeypatch):
                     expected = slice_space(full, degree, kind).rows
                     monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
                     assert slice_space(full, degree, kind).rows == expected, (signs, degree)
-                    assert memo.unknowns <= memo.budget
+                    assert memo.size <= memo.budget
                     keys.add((full.continuous, full.elements[:-1], degree, kind))
     assert memo.hits > 0
     assert memo.misses > len(keys)  # the budget dropped systems that came back
@@ -448,8 +460,8 @@ def test_a_hit_raises_the_resource_limit_of_a_miss(monkeypatch):
     degree, kind = 5, "reversible_equivariant"
     memo = SystemMemo(SYSTEM_BUDGET)
     monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
-    system = memo.get(full.continuous, full.elements[:-1], degree, kind, DEFAULT_MONOMIAL_LIMIT)
-    count = system.pairs
+    count = _kept_system(full.continuous, full.elements[:-1], degree, kind).pairs
+    unknowns = memo.size
     assert slice_space(full, degree, kind, count).rows
     with pytest.raises(ResourceLimit) as hit:
         slice_space(full, degree, kind, count - 1)
@@ -460,11 +472,11 @@ def test_a_hit_raises_the_resource_limit_of_a_miss(monkeypatch):
     assert str(hit.value) == str(miss.value)
     assert re.search(f"more than {count - 1} admissible", str(miss.value))
     # a system over the budget is built for its slice and not kept
-    small = SystemMemo(system.unknowns - 1)
+    small = SystemMemo(unknowns - 1)
     monkeypatch.setattr(oracle, "KEPT_SYSTEMS", small)
     for _ in range(2):
         assert slice_space(full, degree, kind).rows
-    assert (small.misses, small.hits, small.unknowns) == (2, 0, 0)
+    assert (small.misses, small.hits, small.size) == (2, 0, 0)
 
 
 def test_threads_share_the_kept_systems(monkeypatch):
@@ -500,8 +512,7 @@ def test_threads_share_the_kept_systems(monkeypatch):
                 assert not t.is_alive()
             assert results == [alone] * nthreads
             assert memo.hits + memo.misses == nthreads * len(jobs)
-            kept = sum(system.unknowns for system in memo._systems.values())
-            assert 0 < memo.unknowns == kept <= memo.budget
+            assert 0 < memo.size == _kept_size(memo) <= memo.budget
     finally:
         sys.setswitchinterval(interval)
 
@@ -547,11 +558,11 @@ def test_module_slice_trivial_cases(nonres1):
     gs = pipeline(nonres1)
     # degree below every generator degree: the only generator degrees are 0,1
     high_only = GeneratorSet(
-        Rung(gs.ring_basis, tuple(g for g in gs.module_generators if g.degree() == 1)), nonres1
+        gs.ring_basis, tuple(g for g in gs.module_generators if g.degree() == 1), nonres1
     )
     assert module_slice(high_only, 0).dimension == 0
     # a single generator with no matching invariants contributes one element
-    single = GeneratorSet(Rung((), (gs.module_generators[0],)), nonres1)
+    single = GeneratorSet((), (gs.module_generators[0],), nonres1)
     d = gs.module_generators[0].degree()
     assert module_slice(single, d).dimension == 1
 
@@ -568,10 +579,8 @@ def test_module_slice_matches_oracle(nonres1):
 def test_module_slice_invariant_under_permutation_and_scaling(nonres1):
     gs = pipeline(nonres1)
     reordered = GeneratorSet(
-        Rung(
-            tuple(reversed(gs.ring_basis)),
-            tuple(reversed([g.scale(3) for g in gs.module_generators])),
-        ),
+        tuple(reversed(gs.ring_basis)),
+        tuple(reversed([g.scale(3) for g in gs.module_generators])),
         nonres1,
     )
     for d in (2, 3, 4):
@@ -587,10 +596,8 @@ def test_module_slice_basis_is_canonical():
     ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
     gs = pipeline(ctx)
     reordered = GeneratorSet(
-        Rung(
-            tuple(reversed(gs.ring_basis)),
-            tuple(reversed([g.scale(3) for g in gs.module_generators])),
-        ),
+        tuple(reversed(gs.ring_basis)),
+        tuple(reversed([g.scale(3) for g in gs.module_generators])),
         ctx,
     )
     a = module_slice(gs, 5)
@@ -633,7 +640,15 @@ def _sweep_context():
 
 
 def _hand_built(gs, ctx):
-    return GeneratorSet(Rung(gs.ring_basis, gs.module_generators), ctx)
+    return GeneratorSet(gs.ring_basis, gs.module_generators, ctx)
+
+
+def _kept_module_slice(gs, degree: int):
+    """The (slice, products) that `KEPT_SYSTEMS` keeps for the set's module
+    at the degree, or None."""
+    return oracle.KEPT_SYSTEMS._entries.get(
+        ("module", gs.ring_basis, gs.module_generators, degree)
+    )
 
 
 def test_a_module_slice_sweep_builds_one_table_and_each_level_once(monkeypatch):
@@ -642,27 +657,30 @@ def test_a_module_slice_sweep_builds_one_table_and_each_level_once(monkeypatch):
     alone = [module_slice(_hand_built(gs, ctx), d) for d in SWEEP]
     tables = _logged_tables(monkeypatch)
     top = SWEEP[-1] - min(g.degree() for g in gs.module_generators)
-    # a hand-built set and a set that pipeline returns each build one table,
-    # and the kept table gives the slices that a table per call gives
+    # on a cleared memo, a hand-built set and a set that pipeline returns
+    # each build one table, and the kept table gives the slices that a
+    # table per call gives
     for owner in (_hand_built(gs, ctx), gs):
+        monkeypatch.setattr(oracle, "KEPT_SYSTEMS", SystemMemo(SYSTEM_BUDGET))
         assert [module_slice(owner, d) for d in SWEEP] == alone
         table = tables[-1]
         assert table.levels.appended == list(range(1, top + 1))
         assert owner.products is table
     assert len(tables) == 2
-    # another pipeline call reads the slices that the kept rung keeps: it
-    # builds no table
-    again = pipeline(ctx)
-    assert again is not gs and again.rung is gs.rung
-    assert all(module_slice(again, d) is gs.rung.slices[d][0] for d in SWEEP)
+    # another pipeline call, and a set built by hand from equal generators,
+    # read the slices that the memo keeps: they build no table
+    for again in (pipeline(ctx), _hand_built(gs, ctx)):
+        assert again is not gs
+        assert all(module_slice(again, d) is module_slice(gs, d) for d in SWEEP)
     assert len(tables) == 2
 
 
 def _sweep_in_threads(monkeypatch, kept: bool):
     """Three threads sweep SWEEP, ten times, on a hand-built set that they
     share or, if `kept`, each on a pipeline call of its own that reads the
-    one rung `pipeline` keeps; each gets the single-thread slices, and
-    every table built in a sweep appends each level once."""
+    one rung `transported` keeps; each gets the single-thread slices, every
+    table built in a sweep appends each level once, and the memo keeps one
+    slice of each degree, whose products it counts once."""
     ctx = _sweep_context()
     gs = pipeline(ctx)
     alone = [module_slice(_hand_built(gs, ctx), d) for d in SWEEP]
@@ -673,7 +691,7 @@ def _sweep_in_threads(monkeypatch, kept: bool):
     def sweep(shared, results):
         start.wait()
         genset = pipeline(ctx) if kept else shared
-        if genset.rung is shared.rung:
+        if genset.ring_basis is shared.ring_basis:
             results.append([module_slice(genset, d) for d in SWEEP])
 
     def each_level_once(swept):
@@ -684,10 +702,13 @@ def _sweep_in_threads(monkeypatch, kept: bool):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, to give a race its chance
     try:
-        # a race is a matter of timing, so each round sweeps a fresh set,
-        # or a fresh rung, made before the threads start so they share it
+        # a race is a matter of timing, so each round sweeps on a cleared
+        # memo a fresh set, or a fresh rung, made before the threads start
+        # so they share it
         for _ in range(10):
             transported.cache_clear()
+            memo = SystemMemo(SYSTEM_BUDGET)
+            monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
             shared = pipeline(ctx) if kept else _hand_built(gs, ctx)
             # the tables of a transport step's prunes gain elements and
             # build levels again; a sweep's tables start here
@@ -702,7 +723,9 @@ def _sweep_in_threads(monkeypatch, kept: bool):
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert results == [alone] * nthreads
-            assert sorted(shared.rung.slices) == list(SWEEP)
+            assert all(_kept_module_slice(shared, d) for d in SWEEP)
+            assert len(memo._entries) == len(SWEEP)
+            assert memo.size == _kept_size(memo)
             each_level_once(tables[made:])
     finally:
         sys.setswitchinterval(interval)
@@ -719,42 +742,50 @@ def test_threads_sharing_a_kept_rung_get_the_single_thread_slices(monkeypatch):
     _sweep_in_threads(monkeypatch, kept=True)
 
 
-def test_a_kept_module_slice_raises_the_resource_limit_of_a_miss():
+def test_a_kept_module_slice_raises_the_resource_limit_of_a_miss(monkeypatch):
     # a hit counts the products of the kept slice against the caller's
     # limit, with the message of a miss; a slice past the limit is not kept
     ctx = _sweep_context()
     degree = 9
     gs = pipeline(ctx)
-    module_slice(gs, degree)
-    _, count = gs.rung.slices[degree]
-    assert module_slice(gs, degree, count) is gs.rung.slices[degree][0]
+    span = module_slice(gs, degree)
+    kept, count = _kept_module_slice(gs, degree)
+    assert kept is span
+    assert module_slice(gs, degree, count) is span
     with pytest.raises(ResourceLimit) as hit:
         module_slice(gs, degree, count - 1)
+    memo = SystemMemo(SYSTEM_BUDGET)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
     fresh = _hand_built(gs, ctx)
     with pytest.raises(ResourceLimit) as miss:
         module_slice(fresh, degree, count - 1)
     assert str(hit.value) == str(miss.value)
     assert str(miss.value) == f"module slice at degree {degree} exceeded {count - 1} products"
-    assert degree not in fresh.rung.slices
-    assert module_slice(fresh, degree, count) == gs.rung.slices[degree][0]
-    assert fresh.rung.slices[degree][1] == count
+    assert _kept_module_slice(fresh, degree) is None and memo.size == 0
+    assert module_slice(fresh, degree, count) == span
+    assert _kept_module_slice(fresh, degree)[1] == count
 
 
-def test_a_rung_keeps_module_slices_within_the_system_budget(monkeypatch):
-    # a rung keeps a slice while the products of the slices it keeps stay
-    # within SYSTEM_BUDGET; past it, a slice is made on each call, equal
+def test_the_memo_keeps_module_slices_within_its_budget(monkeypatch):
+    # the memo keeps the module slices of a sweep while their products stay
+    # within its budget, dropping the least recently used first; a slice
+    # it dropped is made again, equal, on the next call
     ctx = _sweep_context()
     gs = pipeline(ctx)
     alone = [module_slice(gs, d) for d in SWEEP]
-    counts = [gs.rung.slices[d][1] for d in SWEEP]
-    budget = sum(counts[:6])
-    monkeypatch.setattr(oracle, "SYSTEM_BUDGET", budget)
+    counts = [_kept_module_slice(gs, d)[1] for d in SWEEP]
+    assert all(counts)
+    budget = sum(counts[-6:])
+    memo = SystemMemo(budget)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
     capped = _hand_built(gs, ctx)
     assert [module_slice(capped, d) for d in SWEEP] == alone
-    assert sorted(capped.rung.slices) == list(SWEEP[:6])
-    assert sum(count for _, count in capped.rung.slices.values()) == budget
-    assert module_slice(capped, SWEEP[-1]) == alone[-1]
-    assert sorted(capped.rung.slices) == list(SWEEP[:6])
+    assert [key[-1] for key in memo._entries] == list(SWEEP[-6:])
+    assert memo.size == _kept_size(memo) == budget
+    assert module_slice(capped, SWEEP[0]) == alone[0]
+    assert (memo.misses, memo.hits) == (len(SWEEP) + 1, 0)
+    assert [key[-1] for key in memo._entries][-1] == SWEEP[0]
+    assert memo.size == _kept_size(memo) <= budget
 
 
 def test_a_module_slice_holds_its_canonical_basis():
