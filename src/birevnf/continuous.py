@@ -28,9 +28,12 @@ diagonal sign flip D(a), so the all-ones pair and the single flips decide
 every class (`enumerate_involution_pairs`).  The finite part of the tower
 is the Klein four-group {e, phi, psi, phi*psi}; as phi and psi
 anti-commute with L, the sign map on it comes down to one comparison,
-read off their sparse rows; no group is closed.  API input is checked
-once, here: a count, coefficient, case parameter or sign that is not an
-int is rejected, not truncated.
+read off their sparse rows; no group is closed.  The checks compare
+products of linear maps as rows of (column, re, im) triples on the
+entries' int or Fraction parts (`poly.compose`); no product is built as
+an action or an element.  API input is checked once, here: a count,
+coefficient, case parameter or sign that is not an int is rejected, not
+truncated.
 
 A named case is checked once per process: `SymmetryContext.from_case`
 checks its inputs' types on every call, then keeps the context it builds
@@ -61,9 +64,9 @@ from .poly import (
     I,
     LinearAction,
     ONE,
-    ZERO,
     PolyMap,
     Polynomial,
+    compose,
     im_part,
     re_part,
     x_index,
@@ -292,18 +295,21 @@ def fix_dimension(element: SignedElement) -> int:
 
     A * A = I splits V into the eigenspaces of +1 and -1, so the first has
     dimension (size + trace A) / 2, read off the diagonal of the element's
-    rows.  ConditionViolated for an element that is not an involution.
+    rows; the real parts of the diagonal are summed as ints (an involution's
+    diagonal entries are 1 or -1).  ConditionViolated for an element that
+    is not an involution.
     """
     if not element.is_involution():
         raise ConditionViolated(f"{element.name or 'element'} must be an involution")
-    diagonal = (c for i, row in enumerate(element.rows) for j, c in row if j == i)
-    return (element.size + sum(diagonal, ZERO).re) // 2
+    trace = sum(c.re for i, row in enumerate(element.rows) for j, c in row if j == i)
+    return (element.size + trace) // 2
 
 
 def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: SignedElement):
     """Check that (phi, psi) builds the reversing tower (S x| Z2(phi)) x| Z2(psi).
 
-    Four facts are checked, on the sparse rows of each element's action:
+    Four facts are checked, on the sparse rows of each element's action
+    and the (column, re, im) rows of their products (`poly.compose`):
     each element anti-commutes with every infinitesimal generator M of S
     (`LinearPart.infinitesimal_generators`: the shear and one torus
     generator per weight row); each is an involution; the two commute; and
@@ -333,7 +339,7 @@ def check_involution_pair(linear_part: LinearPart, phi: SignedElement, psi: Sign
             raise DimensionError(f"{gamma.name or 'involution'} does not anti-commute with L")
         if not gamma.is_involution():
             raise ConditionViolated(f"{gamma.name or 'element'} must be an involution")
-    if (phi.action * psi.action).rows != (psi.action * phi.action).rows:
+    if compose(phi.action, psi.action) != compose(psi.action, phi.action):
         raise ConditionViolated("the two involutions must commute")
     if phi.action.rows == psi.action.rows and phi.sign != psi.sign:
         raise SignInconsistency(

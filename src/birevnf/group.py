@@ -10,10 +10,12 @@ is built from the sparse rows of its map, each row's (column, entry)
 pairs; no dense matrix is formed.  It is checked once: monomial and
 conjugation compatible (`poly.check_conjugation_compatible`), and
 invertible, which for a monomial map means that every row has its entry
-in a column of its own.  Elements are not multiplied; every further
-fact about one is read off the rows of its `LinearAction` and of their
-products: `is_involution` and `anticommute_check` are the pieces from
-which `continuous.check_involution_pair` decides the reversing tower; no
+in a column of its own.  Neither elements nor actions are multiplied;
+every further fact about one is read off the rows of its `LinearAction`
+and the rows of their products, which `poly.compose` gives as (column,
+re, im) triples on the entries' parts: `is_involution` and
+`anticommute_check` are the pieces from which
+`continuous.check_involution_pair` decides the reversing tower; no
 semidirect or product-sign object is built.
 
 Membership of a polynomial or mapping in the invariant / anti-invariant /
@@ -39,7 +41,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Literal
 
 from .errors import DimensionError, SignInconsistency
-from .poly import ONE, LinearAction, PolyMap, Polynomial, conj_monomial
+from .poly import LinearAction, PolyMap, Polynomial, compose, conj_monomial
 
 if TYPE_CHECKING:
     from .continuous import LinearPart
@@ -57,8 +59,8 @@ class SignedElement:
     LinearAction built from them, the form the substitution methods take,
     and construction replaces `rows` with its canonical rows.  Every
     element is checked (monomial, conjugation compatible, invertible);
-    products are formed on actions only (`LinearAction.__mul__`), never as
-    elements.
+    no product is built as an element or an action: the checks compare
+    the (column, re, im) rows that `poly.compose` gives.
     """
 
     rows: tuple
@@ -85,14 +87,10 @@ class SignedElement:
         """A * A = I, decided on the first call and kept (the element is frozen)."""
         known = self.__dict__.get("_involution")
         if known is None:
-            known = (self.action * self.action).rows == identity_rows(self.size)
+            identity = tuple(((i, 1, 0),) for i in range(self.size))
+            known = compose(self.action, self.action) == identity
             object.__setattr__(self, "_involution", known)
         return known
-
-
-def identity_rows(size: int) -> tuple:
-    """The `LinearAction.rows` of the identity on size coordinates."""
-    return tuple(((i, ONE),) for i in range(size))
 
 
 # -- membership --------------------------------------------------------------
@@ -221,8 +219,9 @@ def anticommute_check(gamma: SignedElement, linear_part) -> bool:
             f"element acts on {gamma.size} coordinates, linearization on "
             f"{linear_part.nvars}"
         )
+    action = gamma.action
     for m in linear_part.infinitesimal_generators():
-        negated = tuple(tuple((j, -c) for j, c in row) for row in (gamma.action * m).rows)
-        if (m * gamma.action).rows != negated:
+        negated = tuple(tuple((j, -re, -im) for j, re, im in row) for row in compose(m, action))
+        if compose(action, m) != negated:
             return False
     return True

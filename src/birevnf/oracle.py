@@ -67,11 +67,12 @@ ring basis and generators, by value, and the degree: a sweep over
 degrees builds each product once, and a seen problem builds none.  A
 hit raises a miss's `ResourceLimit` when the count passes the caller's
 limit.  The one memo is bounded by SYSTEM_BUDGET: a system counts its
-unknowns, a module slice its products.  It drops the least recently
-used entries first, of either kind, and makes an entry bigger than the
-budget for the call and does not keep it.  Its bookkeeping runs under a
-lock; two threads that miss on one key at once both make the entry, and
-one copy is kept.  `spans_equal` compares the
+unknowns, a module slice its products, and every entry at least 1, a
+slice of no products too.  It drops the least recently used entries
+first, of either kind, and makes an entry bigger than the budget for the
+call and does not keep it.  Its bookkeeping runs under a lock; two
+threads that miss on one key at once both make the entry, and one copy
+is kept.  `spans_equal` compares the
 canonical bases of the two sides (`DegreeSlice.canonical`), on every
 call: the reduced row-echelon basis of a span is unique.  It eliminates again only on a
 failure, to name a witness.  So a `verify` job on a seen linear part and
@@ -455,10 +456,11 @@ class SystemMemo:
     `get(key, make)` returns the (entry, size) kept under `key`, else the
     pair that `make()` returns.  Entries go in least recently used order,
     and the oldest go out while the sizes of all of them pass `budget`; an
-    entry bigger than the budget is made and used, and not kept.  A miss
-    makes its entry outside the lock, so threads that miss on one key at
-    once each make it, and the first to finish keeps its copy, which the
-    others then use.
+    entry counts at least 1, so one of size 0 (a module slice of no
+    products) is bounded too, and one bigger than the budget is made and
+    used, and not kept.  A miss makes its entry outside the lock, so
+    threads that miss on one key at once each make it, and the first to
+    finish keeps its copy, which the others then use.
     """
 
     def __init__(self, budget: int):
@@ -476,14 +478,15 @@ class SystemMemo:
                 return kept
             self.misses += 1
         made = make()
-        if made[1] > self.budget:
+        weight = max(made[1], 1)
+        if weight > self.budget:
             return made
         with self._lock:
             kept = self._entries.setdefault(key, made)
             if kept is made:
-                self.size += made[1]
+                self.size += weight
                 while self.size > self.budget:
-                    self.size -= self._entries.popitem(last=False)[1][1]
+                    self.size -= max(self._entries.popitem(last=False)[1][1], 1)
         return kept
 
 

@@ -25,8 +25,9 @@ problem (the reversing involutions, their products, the shear and torus
 generators) sends each variable to a multiple of one variable or to 0.
 That and the z/zb pairing are checked once, when a LinearAction is built
 from its rows (a SignedElement builds its own); the substitution methods
-take only a LinearAction, and the product of two actions is computed on
-their rows, without a second check.
+take only a LinearAction.  No product of two actions is built as an
+action: `compose` gives its rows as (column, re, im) triples on the
+entries' int or Fraction parts, for the involution checks to compare.
 
 The span building of the pipeline and of the oracle uses one term kernel,
 kept here: exponent-tuple terms with (re, im) parts (`add_term`,
@@ -177,15 +178,25 @@ class GaussianRational:
 
 
 def _coerce(value) -> GaussianRational:
+    """value as a GaussianRational; 0, 1 and -1, the entries of the signed
+    permutations, as the shared ZERO, ONE and MINUS_ONE (the value is
+    immutable, so sharing it is safe)."""
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
+        if not value:
+            return ZERO
+        if value == 1:
+            return ONE
+        if value == -1:
+            return MINUS_ONE
         return GaussianRational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -592,7 +603,11 @@ def check_conjugation_compatible(rows, nvars: int) -> tuple:
         canonical.append(tuple(kept))
     for i, row in enumerate(canonical):
         for j, x in row:
-            if canonical[conj_index(i)] != ((conj_index(j), x.conjugate()),):
+            # the partner row holds conj(x) at the partner column, alone
+            paired = False
+            for k, y in canonical[conj_index(i)]:
+                paired = k == conj_index(j) and y.re == x.re and y.im == -x.im
+            if not paired:
                 raise IncompatibleMatrix(f"entry ({i},{j}) breaks the conjugation pairing")
     return tuple(canonical)
 
@@ -605,35 +620,42 @@ class LinearAction:
     it.
     rows[i] holds the nonzero entry (j, A[i][j]) of row i, or nothing, so
     every variable maps to a scalar multiple of a single variable or to 0.
+    Actions are not multiplied: `compose` gives the rows of a product as
+    (column, re, im) triples, which only the involution checks read.
     """
 
     __slots__ = ("nvars", "rows")
 
     def __init__(self, rows, nvars: int):
-        self._set_rows(check_conjugation_compatible(rows, nvars), nvars)
-
-    def _set_rows(self, rows: tuple, nvars: int):
+        rows = check_conjugation_compatible(rows, nvars)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rows", rows)
 
-    def __mul__(self, other: "LinearAction") -> "LinearAction":
-        """The action of the matrix product, from the nonzero entries alone.
-
-        Not checked again: monomial maps compatible with the
-        conjugation-and-pairing map are closed under products.  Row i of
-        the product is x * y at column j when row i of self has x at column
-        k and row k of other has y at column j, a nonzero product, so rows
-        come out as the constructor would give them.
-        """
-        rows = tuple(
-            tuple((j, x * y) for k, x in row for j, y in other.rows[k]) for row in self.rows
-        )
-        product = LinearAction.__new__(LinearAction)
-        product._set_rows(rows, other.nvars)
-        return product
-
     def __setattr__(self, name, value):
         raise AttributeError("LinearAction is immutable")
+
+
+def compose(a: LinearAction, b: LinearAction) -> tuple:
+    """The rows of the matrix product a b, as (column, re, im) triples.
+
+    Row i of the product holds x y at column j when row i of a has x at
+    column k and row k of b has y at column j; a product of nonzero entries
+    is nonzero, so each row has an entry exactly when the rows it reads
+    have.  The parts are multiplied as ints or Fractions and no entry
+    object is built.  Nothing is checked: the involution checks of `group`
+    and `continuous` compare these rows with each other and with the
+    identity's.
+    """
+    rows = b.rows
+    out = []
+    for row in a.rows:
+        product = []
+        for k, x in row:
+            xr, xi = x.re, x.im
+            for j, y in rows[k]:
+                product.append((j, xr * y.re - xi * y.im, xr * y.im + xi * y.re))
+        out.append(tuple(product))
+    return tuple(out)
 
 
 def _require_coordinates(action: LinearAction, nvars: int):

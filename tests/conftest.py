@@ -40,7 +40,7 @@ def identity_matrix(size: int):
 
 def mat_mul(a, b):
     """The dense product a*b by the textbook triple loop, the reference for
-    `poly.LinearAction`'s product on nonzero entries."""
+    `poly.compose`, the product on nonzero entries."""
     inner = range(len(b))
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in inner), ZERO) for j in range(len(b[0])))
@@ -61,6 +61,22 @@ def dense(linear):
     return tuple(map(tuple, out))
 
 
+def dense_of_triples(rows):
+    """The dense matrix of rows of (column, re, im) triples, the form
+    `poly.compose` gives a product in."""
+    out = [[ZERO] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, re, im in row:
+            out[i][j] = GaussianRational(re, im)
+    return tuple(map(tuple, out))
+
+
+def triple_rows(linear):
+    """The rows of a `poly.LinearAction` or a `SignedElement` as (column,
+    re, im) triples, to compare with what `poly.compose` gives."""
+    return tuple(tuple((j, c.re, c.im) for j, c in row) for row in linear.rows)
+
+
 def sparse(matrix):
     """The rows of a dense matrix in the `poly.LinearAction.rows` form.
 
@@ -73,7 +89,7 @@ def sparse(matrix):
 def element_product(*factors) -> SignedElement:
     """The product of signed elements by `mat_mul`, with the product sign.
 
-    The engine multiplies only actions; this builds, and so checks, the
+    The engine builds no product element; this builds, and so checks, the
     product element afresh from its dense matrix.
     """
     matrix, sign = dense(factors[0]), factors[0].sign

@@ -289,6 +289,16 @@ def test_a_kept_slice_short_of_a_row_fails_verify(monkeypatch, capsys, side):
     assert lines[-1] == "certification FAILED"
 
 
+def _two_part_sweep() -> list:
+    """verify jobs at degrees 2..5 on every sign class of res_n1n2_C3 (1,2)
+    and of non_resonant 2."""
+    return [
+        ("verify", case, params, signs, "text", "--verify-degrees", "2..5")
+        for case, params, n in (("res_n1n2_C3", (1, 2), 3), ("non_resonant", (2,), 2))
+        for signs in itertools.product((1, -1), repeat=n + 1)
+    ]
+
+
 def test_one_budget_bounds_the_oracle_systems_and_module_slices(monkeypatch):
     # verify jobs on every sign class of two linear parts, each job twice,
     # on one memo whose budget is about a quarter of the 1,144 that the
@@ -297,11 +307,7 @@ def test_one_budget_bounds_the_oracle_systems_and_module_slices(monkeypatch):
     # together stay within the budget, entries of both kinds are dropped
     # and made again, no oracle key is a module key, and each job prints
     # what cleared memos print
-    jobs = [
-        ("verify", case, params, signs, "text", "--verify-degrees", "2..5")
-        for case, params, n in (("res_n1n2_C3", (1, 2), 3), ("non_resonant", (2,), 2))
-        for signs in itertools.product((1, -1), repeat=n + 1)
-    ]
+    jobs = _two_part_sweep()
     fresh = {}
     for job in jobs:
         _case_context.cache_clear()
@@ -314,7 +320,8 @@ def test_one_budget_bounds_the_oracle_systems_and_module_slices(monkeypatch):
     dropped = {"module": set(), "oracle": set()}
     for job in jobs + jobs:
         assert command_output(*job) == fresh[job], job
-        assert memo.size == sum(size for _, size in memo._entries.values()) <= memo.budget
+        assert memo.size == sum(max(size, 1) for _, size in memo._entries.values())
+        assert memo.size <= memo.budget
         for key, (entry, _) in memo._entries.items():
             kind = "module" if key[0] == "module" else "oracle"
             assert isinstance(entry, DegreeSlice if kind == "module" else KeptSystem)
@@ -324,6 +331,29 @@ def test_one_budget_bounds_the_oracle_systems_and_module_slices(monkeypatch):
     assert seen["module"].isdisjoint(seen["oracle"])
     assert all(dropped.values())
     assert memo.misses > len(seen["module"]) + len(seen["oracle"])
+
+
+def test_an_entry_of_no_products_counts_against_the_budget(monkeypatch):
+    # the sweep keeps module slices of 0 products; each entry counts at
+    # least 1, so a memo with a budget of 2 never holds more than 2 entries
+    # (counted at 0, such slices piled up past the budget), and each job
+    # still prints what a memo with the default budget prints
+    jobs = _two_part_sweep()
+    fresh = {}
+    for job in jobs:
+        _case_context.cache_clear()
+        transported.cache_clear()
+        monkeypatch.setattr(oracle, "KEPT_SYSTEMS", SystemMemo(SYSTEM_BUDGET))
+        fresh[job] = command_output(*job)
+    assert any(
+        size == 0 for _, size in oracle.KEPT_SYSTEMS._entries.values()
+    ), "the sweep keeps no entry of size 0"
+    memo = SystemMemo(2)
+    monkeypatch.setattr(oracle, "KEPT_SYSTEMS", memo)
+    for job in jobs:
+        assert command_output(*job) == fresh[job], job
+        assert len(memo._entries) <= memo.budget
+        assert memo.size == sum(max(size, 1) for _, size in memo._entries.values())
 
 
 # each job setting: its JobConfig field, config key and flag, and one value

@@ -10,6 +10,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import birevnf.continuous as continuous
+import birevnf.group as group
 import birevnf.poly as poly
 from birevnf.continuous import (
     LinearPart,
@@ -31,10 +32,28 @@ from birevnf.errors import ConditionViolated, DimensionError, ResourceLimit, Uns
 from birevnf.group import GroupContext, SignedElement, anticommute_check
 from birevnf.linalg import Echelon, vectorize
 from birevnf.oracle import FUNCTION_KINDS, MAP_KINDS, module_slice, slice_space
-from birevnf.poly import I, ONE, LinearAction, PolyMap, Polynomial, z_index, zbar_index
+from birevnf.poly import (
+    I,
+    ONE,
+    GaussianRational,
+    LinearAction,
+    PolyMap,
+    Polynomial,
+    compose,
+    z_index,
+    zbar_index,
+)
 from birevnf.symmetry_ops import pipeline, ring_products
 
-from conftest import dense, dense_rref, identity_matrix, mat_mul, sparse
+from conftest import (
+    dense,
+    dense_of_triples,
+    dense_rref,
+    identity_matrix,
+    mat_mul,
+    sparse,
+    triple_rows,
+)
 from reference_oracle import mul_invariant, reference_infinitesimal_ok
 from references import sigma_tilde_psi_context
 from test_golden_gensets import CATALOG_SETS, REGIMES
@@ -423,7 +442,7 @@ def test_every_psi_is_a_sign_flip_of_phi(n):
     # identity the enumeration's n + 1 pair checks rest on
     phi = phi_element(n).action
     for signs in product((1, -1), repeat=n + 1):
-        assert psi_element(signs).action.rows == (_sign_flip(signs) * phi).rows
+        assert triple_rows(psi_element(signs)) == compose(_sign_flip(signs), phi)
 
 
 def test_enumeration_refuses_a_single_flip_that_fails_the_pair_check(monkeypatch):
@@ -451,28 +470,63 @@ def test_enumeration_refuses_a_single_flip_that_fails_the_pair_check(monkeypatch
 )
 def test_every_action_the_engine_builds_is_monomial(case, params, monkeypatch):
     # the shear and torus generators, phi and psi of every sign class, and
-    # every product the pair check forms (unchecked, so compared with the
-    # dense product): at most one nonzero entry in each row
+    # every product the pair check composes (unchecked, so compared with
+    # the dense product): at most one nonzero entry in each row
     products = []
-    multiply = LinearAction.__mul__
 
     def recording(a, b):
-        products.append((a, b, multiply(a, b)))
+        products.append((a, b, compose(a, b)))
         return products[-1][2]
 
-    monkeypatch.setattr(LinearAction, "__mul__", recording)
-    linear = linear_part_for_case(case, params)
-    actions = list(linear.infinitesimal_generators())
-    for ctx in enumerate_involution_pairs(linear):
-        check_involution_pair(linear, ctx.phi, ctx.psi)
-        actions += [ctx.phi.action, ctx.psi.action]
-    monkeypatch.undo()
+    with monkeypatch.context() as patched:
+        for module in (group, continuous):
+            patched.setattr(module, "compose", recording)
+        linear = linear_part_for_case(case, params)
+        actions = list(linear.infinitesimal_generators())
+        for ctx in enumerate_involution_pairs(linear):
+            check_involution_pair(linear, ctx.phi, ctx.psi)
+            actions += [ctx.phi.action, ctx.psi.action]
     assert products
-    for a, b, product in products:
-        assert dense(product) == mat_mul(dense(a), dense(b))
-        actions.append(product)
+    for a, b, rows in products:
+        assert dense_of_triples(rows) == mat_mul(dense(a), dense(b))
+        assert all(len(row) <= 1 and all(re or im for _, re, im in row) for row in rows)
     for action in actions:
         assert all(len(row) <= 1 and all(c for _, c in row) for row in action.rows)
+
+
+def test_the_listing_builds_no_entry_per_product(monkeypatch):
+    # the listing and the fixed-point dimension of every element it lists
+    # build no more GaussianRationals at n = 8 than at n = 6: an element's
+    # entries are the shared 1 and -1, and the checks compose rows on the
+    # entries' int parts; every check still runs, n + 1 pair checks and one
+    # conjugation check for phi and for each of the 2^n psi
+    built = {}
+    for n in (6, 8):
+        linear = LinearPart(n)
+        calls = Counter()
+        entry, pair, compatible = (
+            GaussianRational.__init__, continuous.check_involution_pair,
+            poly.check_conjugation_compatible,
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                GaussianRational, "__init__",
+                lambda *args: calls.update(["entry"]) or entry(*args),
+            )
+            patched.setattr(
+                continuous, "check_involution_pair",
+                lambda *args: calls.update(["pair"]) or pair(*args),
+            )
+            patched.setattr(
+                poly, "check_conjugation_compatible",
+                lambda *args: calls.update(["compatible"]) or compatible(*args),
+            )
+            pairs = enumerate_involution_pairs(linear)
+            dimensions = {(fix_dimension(ctx.phi), fix_dimension(ctx.psi)) for ctx in pairs}
+        assert dimensions == {(n + 1, n + 1)}
+        assert (calls["pair"], calls["compatible"]) == (n + 1, 1 + 2**n)
+        built[n] = calls["entry"]
+    assert built[8] <= built[6]
 
 
 # -- the derived catalog against the oracle ----------------------------------

@@ -4,14 +4,15 @@ The closures here are the reference `conftest.close_group`, which the
 engine's sign comparison is checked against.
 """
 
-from functools import cache, reduce
-from operator import itemgetter, mul
+from functools import cache
+from operator import itemgetter
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import birevnf.group as group_module
 from birevnf.continuous import (
     LinearPart,
     SymmetryContext,
@@ -39,9 +40,9 @@ from birevnf.oracle import FUNCTION_KINDS
 from birevnf.poly import (
     GaussianRational,
     I,
-    LinearAction,
     PolyMap,
     Polynomial,
+    compose,
     re_part,
     z_index,
     zbar_index,
@@ -59,6 +60,7 @@ from conftest import (
     random_polymap,
     random_polynomial,
     sparse,
+    triple_rows,
 )
 from reference_oracle import compose_linear, mul_invariant, reference_membership
 from references import sigma_tilde_psi_context
@@ -106,9 +108,8 @@ def test_involution_is_decided_once(monkeypatch):
     phi = phi_element(2)
     rotation = SignedElement(sparse(scaling_on_block(2, 1, I)), 1)
     products = []
-    real_mul = LinearAction.__mul__
     monkeypatch.setattr(
-        LinearAction, "__mul__", lambda a, b: products.append(1) or real_mul(a, b)
+        group_module, "compose", lambda a, b: products.append(1) or compose(a, b)
     )
     for _ in range(3):
         assert phi.is_involution()
@@ -567,14 +568,15 @@ def test_products_of_checked_elements_skip_the_checks(monkeypatch):
         poly_module, "check_conjugation_compatible",
         lambda *a: checked.append(1) or real(*a),
     )
-    derived = [(phi, psi), (psi, rotation), (rotation, rotation), (phi, rotation, psi)]
-    products = [reduce(mul, (f.action for f in factors)) for factors in derived]
-    # the pair check builds its product and identity rows without the check too
+    derived = [(phi, psi), (psi, rotation), (rotation, rotation), (rotation, phi)]
+    products = [compose(a.action, b.action) for a, b in derived]
+    # the pair check composes its products and the identity's rows without
+    # the check too
     check_involution_pair(linear, phi, psi)
     assert checked == []
     SignedElement(rotation.rows, 1)
     assert checked == [1]
     monkeypatch.undo()
-    for factors, action in zip(derived, products):
-        assert action.rows == element_product(*factors).action.rows
+    for factors, rows in zip(derived, products):
+        assert rows == triple_rows(element_product(*factors))
 

@@ -38,7 +38,7 @@ from birevnf.poly import PolyMap, Polynomial, Substitution
 from birevnf import symmetry_ops
 from birevnf.symmetry_ops import GeneratorSet, pipeline, ring_products, transported
 
-from conftest import MONOMIAL_ELEMENTS, slice_of
+from conftest import MONOMIAL_ELEMENTS, dense, mat_mul, slice_of
 from references import phi_context
 from test_continuous import DRAWN_LINEAR_PARTS, _drawn_linear_part
 from test_golden_gensets import REGIMES
@@ -258,13 +258,14 @@ def test_drawn_linear_parts_slice_as_their_whole_systems(drawn, data):
 
 
 def _reference_flip(elements) -> tuple | None:
-    """The diagonal of D = B A, from the product of the last two actions,
-    when it is a sign flip that scales x1 and x2 alike and commutes with
-    every element but B; else None."""
+    """The diagonal of D = B A, from the dense product of the last two
+    elements, when it is a sign flip that scales x1 and x2 alike and
+    commutes with every element but B; else None."""
     if len(elements) < 2:
         return None
-    rows = (elements[-1].action * elements[-2].action).rows
-    flip = tuple(d.re if j == i and d in (1, -1) else 0 for i, ((j, d),) in enumerate(rows))
+    product = mat_mul(dense(elements[-1]), dense(elements[-2]))
+    diagonal = (row[i] for i, row in enumerate(product))
+    flip = tuple(d.re if d in (1, -1) else 0 for d in diagonal)
     commutes = all(
         flip[j] == flip[i] for el in elements[:-1] for i, ((j, _),) in enumerate(el.rows)
     )
@@ -423,8 +424,8 @@ def _kept_system(linear, solved: tuple, degree: int, kind: str):
 
 
 def _kept_size(memo) -> int:
-    """The sizes of the entries the memo keeps, summed."""
-    return sum(size for _, size in memo._entries.values())
+    """The sizes of the entries the memo keeps, each counted at least 1, summed."""
+    return sum(max(size, 1) for _, size in memo._entries.values())
 
 
 # holds the kept systems of any one golden regime at degrees 0..5, 1,846

@@ -25,6 +25,7 @@ from birevnf.poly import (
     Polynomial,
     _coerce,
     check_conjugation_compatible,
+    compose,
     conj_index,
     im_part,
     parse_polymap,
@@ -42,6 +43,7 @@ from birevnf.poly import (
 from conftest import (
     MONOMIAL_ELEMENTS,
     dense,
+    dense_of_triples,
     element_product,
     identity_matrix,
     make_rng,
@@ -547,6 +549,54 @@ def test_conjugation_check_matches_the_walk_over_every_entry(matrix):
         i, j = map(int, outcome[1].split("(")[1].split(")")[0].split(","))
         x = _coerce(matrix[i][j])
         assert x and matrix[conj_index(i)][conj_index(j)] != x.conjugate()
+
+
+# -- the product of two actions against the dense product -------------------
+
+_PARTS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+
+
+@st.composite
+def _monomial_actions(draw, nvars):
+    """A monomial, conjugation-compatible action on nvars coordinates.
+
+    An x row has a real entry at an x column; a z row has any entry at any
+    column, and its partner row the conjugate at the partner column.  An
+    entry is an int, a Fraction or a GaussianRational, and may be 0; a row
+    may be empty.
+    """
+    rows = [()] * nvars
+    for i in (0, 1):
+        if draw(st.integers(0, 3)):
+            real = draw(st.one_of(_PARTS, st.builds(GaussianRational, _PARTS)))
+            rows[i] = ((draw(st.integers(0, 1)), real),)
+    for i in range(2, nvars, 2):
+        if draw(st.integers(0, 3)):
+            j = draw(st.integers(0, nvars - 1))
+            x = draw(st.one_of(_PARTS, st.builds(GaussianRational, _PARTS, _PARTS)))
+            rows[i], rows[i + 1] = ((j, x),), ((conj_index(j), _conjugate(x)),)
+    return LinearAction(rows, nvars)
+
+
+_EMPTY = LinearAction(((),) * 6, 6)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from((4, 6, 8)).flatmap(
+        lambda nvars: st.tuples(_monomial_actions(nvars), _monomial_actions(nvars))
+    )
+)
+@example((_EMPTY, phi_element(2).action))
+@example((phi_element(2).action, _EMPTY))
+@example((psi_element((1, -1, 1)).action, phi_element(2).action))
+def test_compose_is_the_dense_product(pair):
+    # the (column, re, im) rows of a b, and a nonzero entry in a row only
+    # where the dense product has one
+    a, b = pair
+    rows = compose(a, b)
+    assert dense_of_triples(rows) == mat_mul(dense(a), dense(b))
+    assert all(len(row) <= 1 and all(re or im for _, re, im in row) for row in rows)
 
 
 # -- the trusted constructor -------------------------------------------------
