@@ -1,7 +1,7 @@
 """Command-line front end: classify, generators, normal-form, verify.
 
 One parser reads ``birevnf COMMAND [options]``, options before or after the
-command.  Each job setting is declared once, as a `JobConfig` field, and each
+command.  Each job setting is declared once, in `JobConfig.settings`, and each
 command once, in `COMMANDS`, with its handler and the formats it writes.
 Jobs are described by a JSON config file plus flag overrides (flags win).
 Identical configs produce byte-identical artifacts.  Exit codes: 0 success,
@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from .continuous import (
     SymmetryContext,
@@ -88,34 +88,56 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     return tuple(_int(chunk, what) for chunk in text.split(","))
 
 
-def _setting(default, key: str, flag: str, read, parse=None, **option):
-    """A `JobConfig` field with its config key and flag; see `JobConfig`."""
-    return field(default=default, metadata=dict(
-        key=key, flag=flag, read=read, parse=parse, option=option))
+class Setting(NamedTuple):
+    """One job setting: the `JobConfig` attribute it sets, its default, config
+    key and flag, the readers of a config value and of the flag's text (none:
+    argparse reads it by itself), and the flag's argparse options."""
+
+    name: str
+    default: object
+    key: str
+    flag: str
+    read: Callable
+    parse: Callable | None
+    option: dict
 
 
-@dataclass
+def _setting(name: str, default, key: str, flag: str, read, parse=None, **option) -> Setting:
+    return Setting(name, default, key, flag, read, parse, option)
+
+
 class JobConfig:
-    # each field is one job setting: its default, config key and flag, the
-    # readers of a config value and of the flag's text (none: argparse reads
-    # it by itself), and the flag's argparse options
-    case: str = _setting("non_resonant", "case", "--case", _str, help="catalog case name")
-    params: tuple[int, ...] = _setting(
-        (), "params", "--params", _int_list, _parse_int_list,
-        help="comma-separated case parameters")
-    signs: tuple[int, ...] = _setting(
-        (), "signs", "--signs", _int_list, _parse_int_list,
-        help="comma-separated signs a0,a1,...,an")
-    degree_max: int = _setting(
-        4, "degree_max", "--degree", _int, type=int, metavar="DEGREE",
-        help="normal-form truncation degree")
-    verify_degrees: tuple[int, ...] = _setting(
-        (2, 3, 4), "verify_degrees", "--verify-degrees", _int_list, _parse_int_list,
-        help="degrees to certify, e.g. 2..6 or 2,3,4")
-    fmt: str = _setting("text", "format", "--format", _str, choices=FORMATS)
-    limit_monomials: int = _setting(
-        DEFAULT_MONOMIAL_LIMIT, "limit_monomials", "--limit-monomials", _int, type=int,
-        help="slice size bound")
+    """One job's settings, each an attribute named in `JobConfig.settings`:
+    its default until the config file or a flag sets it."""
+
+    settings = (
+        _setting("case", "non_resonant", "case", "--case", _str, help="catalog case name"),
+        _setting(
+            "params", (), "params", "--params", _int_list, _parse_int_list,
+            help="comma-separated case parameters"),
+        _setting(
+            "signs", (), "signs", "--signs", _int_list, _parse_int_list,
+            help="comma-separated signs a0,a1,...,an"),
+        _setting(
+            "degree_max", 4, "degree_max", "--degree", _int, type=int, metavar="DEGREE",
+            help="normal-form truncation degree"),
+        _setting(
+            "verify_degrees", (2, 3, 4), "verify_degrees", "--verify-degrees", _int_list,
+            _parse_int_list, help="degrees to certify, e.g. 2..6 or 2,3,4"),
+        _setting("fmt", "text", "format", "--format", _str, choices=FORMATS),
+        _setting(
+            "limit_monomials", DEFAULT_MONOMIAL_LIMIT, "limit_monomials", "--limit-monomials",
+            _int, type=int, help="slice size bound"),
+    )
+
+    def __init__(self):
+        for setting in self.settings:
+            setattr(self, setting.name, setting.default)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def validate(self) -> "JobConfig":
         try:
@@ -145,17 +167,17 @@ class JobConfig:
         return SymmetryContext.from_case(self.case, self.params, self.signs)
 
 
-# config key -> the JobConfig field it sets, in field order
-SETTINGS = {setting.metadata["key"]: setting for setting in fields(JobConfig)}
+# config key -> the setting it sets, in `JobConfig.settings` order
+SETTINGS = {setting.key: setting for setting in JobConfig.settings}
 # the flags that set no job setting -> their help
 OTHER_FLAGS = {
     "--config": "JSON job file; flags override its fields",
     "--out": "write the artifact to this path",
 }
 # every flag the parser declares, argparse's own --help included
-FLAGS = (*(s.metadata["flag"] for s in SETTINGS.values()), *OTHER_FLAGS, "--help")
+FLAGS = (*(s.flag for s in JobConfig.settings), *OTHER_FLAGS, "--help")
 # the flags whose text this module reads: the integer lists
-INT_LIST_FLAGS = {s.metadata["flag"] for s in SETTINGS.values() if s.metadata["parse"]}
+INT_LIST_FLAGS = {s.flag for s in JobConfig.settings if s.parse}
 # an integer list or lo..hi range that starts with a dash, such as -1,1,1
 DASHED_INTS = re.compile(r"-\d+(?:(?:,[+-]?\d+)+|\.\.[+-]?\d+)?")
 
@@ -177,12 +199,12 @@ def load_config(args: argparse.Namespace) -> JobConfig:
                 raise ConfigError(f"unknown config key {key!r}")
         for key, setting in SETTINGS.items():
             if key in data:
-                setattr(cfg, setting.name, setting.metadata["read"](data[key], key))
+                setattr(cfg, setting.name, setting.read(data[key], key))
     for key, setting in SETTINGS.items():
         text = getattr(args, setting.name)
         # an empty flag sets nothing
         if text not in (None, ""):
-            parse = setting.metadata["parse"]
+            parse = setting.parse
             setattr(cfg, setting.name, parse(text, key.replace("_", " ")) if parse else text)
     return cfg.validate()
 
@@ -327,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact generator sets and formal normal forms for bireversible vector fields",
     )
     parser.add_argument("command", choices=COMMANDS)
-    for setting in SETTINGS.values():
-        meta = setting.metadata
-        parser.add_argument(meta["flag"], dest=setting.name, **meta["option"])
+    for setting in JobConfig.settings:
+        parser.add_argument(setting.flag, dest=setting.name, **setting.option)
     for flag, text in OTHER_FLAGS.items():
         parser.add_argument(flag, help=text)
     return parser

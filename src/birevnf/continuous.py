@@ -44,7 +44,6 @@ enumeration and the checks themselves keep nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import gcd
@@ -61,6 +60,7 @@ from .errors import (
 from .group import GroupContext, SignedElement, anticommute_check
 from .linalg import Echelon, _to_integer_row
 from .poly import (
+    Frozen,
     I,
     LinearAction,
     ONE,
@@ -85,8 +85,7 @@ CONTEXT_CACHE = 64
 # -- the linearization -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearPart:
+class LinearPart(Frozen):
     """Nilpotent 2x2 block plus n rotation blocks with symbolic frequencies.
 
     resonance_relations rows (c_1, ..., c_n) assert sum_j c_j omega_j = 0;
@@ -97,11 +96,9 @@ class LinearPart:
     conditions (`infinitesimal_ok`) and the catalog (`closure_data`).  So
     equality and the hash read n and the weight lattice: relations that
     span one rational space, such as (1, -2) and (2, -4), give equal linear
-    parts, and each keeps its own spelling in `resonance_relations`.
+    parts, and each keeps its own spelling in `resonance_relations`.  The
+    hash is computed once; a linear part is frozen.
     """
-
-    n: int
-    resonance_relations: tuple[tuple[int, ...], ...] = ()
 
     def __eq__(self, other):
         if not isinstance(other, LinearPart):
@@ -109,14 +106,15 @@ class LinearPart:
         return (self.n, self.torus_weight_rows()) == (other.n, other.torus_weight_rows())
 
     def __hash__(self):
-        return hash((self.n, self.torus_weight_rows()))
+        return self._hash
 
-    def __post_init__(self):
+    def __init__(self, n: int, resonance_relations: tuple[tuple[int, ...], ...] = ()):
+        object.__setattr__(self, "n", n)
         _integers((self.n,))
         if self.n < 1:
             raise DimensionError("at least one rotation block is required")
         rels = []
-        for row in map(_integers, self.resonance_relations):
+        for row in map(_integers, resonance_relations):
             if len(row) != self.n:
                 raise DimensionError("resonance relation of wrong length")
             if not any(row):
@@ -138,6 +136,7 @@ class LinearPart:
             ints = _to_integer_row(vec)
             rows.append(tuple(ints.get(j, 0) for j in range(self.n)))
         object.__setattr__(self, "_weight_rows", tuple(sorted(rows, reverse=True)))
+        object.__setattr__(self, "_hash", hash((self.n, self._weight_rows)))
         # for `infinitesimal_ok`: the (z column, conj(z) column, w) of each
         # row's nonzero entries, and the weight of each coordinate component
         # under every row
@@ -639,18 +638,22 @@ def catalog(case: str, params: Sequence[int]) -> Catalog:
 # -- the full problem datum --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryContext:
+class SymmetryContext(Frozen):
     """Linearization and the reversing involution pair.
 
-    The linear part carries the closure group's data; construction checks
-    the signs and that the involution pair passes `check_involution_pair`.
+    The linear part carries the closure group's data; `build` checks the
+    signs and that the involution pair passes `check_involution_pair`.  A
+    context is frozen, and equality and the hash read all four fields.
     """
 
-    linear_part: LinearPart
-    signs: tuple[int, ...]
-    phi: SignedElement
-    psi: SignedElement
+    def __init__(
+        self, linear_part: LinearPart, signs: tuple[int, ...], phi: SignedElement,
+        psi: SignedElement,
+    ):
+        vars(self).update(linear_part=linear_part, signs=signs, phi=phi, psi=psi)
+
+    def _value(self) -> tuple:
+        return (self.linear_part, self.signs, self.phi, self.psi)
 
     @classmethod
     def build(cls, linear_part: LinearPart, signs: Sequence[int]) -> "SymmetryContext":

@@ -36,12 +36,11 @@ or PolyMap is built, and the term kernel of `poly` that builds what
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .errors import DimensionError, SignInconsistency
-from .poly import LinearAction, PolyMap, Polynomial, compose, conj_monomial
+from .poly import Frozen, LinearAction, PolyMap, Polynomial, compose, conj_monomial
 
 if TYPE_CHECKING:
     from .continuous import LinearPart
@@ -51,8 +50,7 @@ MembershipKind = Literal[
 ]
 
 
-@dataclass(frozen=True)
-class SignedElement:
+class SignedElement(Frozen):
     """An exact linear map on V together with its sign under the epimorphism.
 
     `rows` lists each row's (column, entry) pairs; `action` is the checked
@@ -60,24 +58,30 @@ class SignedElement:
     and construction replaces `rows` with its canonical rows.  Every
     element is checked (monomial, conjugation compatible, invertible);
     no product is built as an element or an action: the checks compare
-    the (column, re, im) rows that `poly.compose` gives.
+    the (column, re, im) rows that `poly.compose` gives.  An element is
+    frozen; equality and the hash, computed once, read `rows` and `sign`,
+    not `name`.
     """
 
-    rows: tuple
-    sign: int
-    name: str = field(default="", compare=False)
-    action: LinearAction = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise SignInconsistency(f"sign must be +1 or -1, got {self.sign}")
-        size = len(self.rows)
-        action = LinearAction(self.rows, size)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "rows", action.rows)
+    def __init__(self, rows: tuple, sign: int, name: str = ""):
+        if sign not in (1, -1):
+            raise SignInconsistency(f"sign must be +1 or -1, got {sign}")
+        size = len(rows)
+        action = LinearAction(rows, size)
         # a monomial map is invertible when its rows hit distinct columns
         if len({j for row in action.rows for j, _ in row}) != size:
             raise DimensionError("group element matrix must be invertible")
+        vars(self).update(rows=action.rows, sign=sign, name=name, action=action, _hash=None)
+
+    def _value(self) -> tuple:
+        return (self.rows, self.sign)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._value())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def size(self) -> int:
@@ -96,8 +100,7 @@ class SignedElement:
 # -- membership --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(NamedTuple):
     """Finite signed generators plus the continuous data they extend.
 
     The element signs are the values of the relevant epimorphism; running

@@ -18,7 +18,8 @@ lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .continuous import LinearPart
 from .errors import ConfigError, UncertifiedInput
 from .poly import (
@@ -34,14 +35,12 @@ from .poly import (
 from .symmetry_ops import GeneratorSet
 
 
-@dataclass(frozen=True)
-class NormalFormTerm:
+class NormalFormTerm(NamedTuple):
     f_index: int
     generator: PolyMap
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Linear part plus formal invariant-coefficient generator terms."""
 
     linear_part: LinearPart

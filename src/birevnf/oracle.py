@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import cached_property
 from threading import Lock
 from typing import NamedTuple, Sequence
@@ -103,6 +102,7 @@ from .linalg import (
     vectorize,
 )
 from .poly import (
+    Frozen,
     Monomial,
     Substitution,
     conj_monomial,
@@ -117,8 +117,7 @@ FUNCTION_KINDS = ("invariant", "anti_invariant")
 MAP_KINDS = ("equivariant", "reversible_equivariant")
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(Frozen):
     """One homogeneous symmetry-constrained space, kept as rows.
 
     `rows` are `linalg.vectorize` vectors of elements on `nvars`
@@ -128,14 +127,15 @@ class DegreeSlice:
     basis of their span, unique for it: the rows themselves when
     `reduced` says they are that basis (a module slice), else built the
     first time it is read.  `basis` is the elements of the rows, sorted by
-    `sort_key`, built the first time it is read.
+    `sort_key`, built the first time it is read.  A slice is frozen, and
+    equality and the hash read every field but `reduced`.
     """
 
-    degree: int
-    kind: str
-    rows: tuple
-    nvars: int
-    reduced: bool = field(default=False, compare=False)
+    def __init__(self, degree: int, kind: str, rows: tuple, nvars: int, reduced: bool = False):
+        vars(self).update(degree=degree, kind=kind, rows=rows, nvars=nvars, reduced=reduced)
+
+    def _value(self) -> tuple:
+        return (self.degree, self.kind, self.rows, self.nvars)
 
     @property
     def dimension(self) -> int:
@@ -605,8 +605,7 @@ def module_slice(genset, degree: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> De
     return span
 
 
-@dataclass(frozen=True)
-class SpanComparison:
+class SpanComparison(NamedTuple):
     equal: bool
     witness: object | None = None
     missing_from: str = ""

@@ -54,15 +54,35 @@ are written once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, IncompatibleMatrix
 
 Monomial = tuple[int, ...]
+
+
+class Frozen:
+    """A value whose fields `__init__` sets once, in the instance dict or by
+    `object.__setattr__`; assigning to one later raises AttributeError.
+    Equality, within one class, and the hash read the tuple `_value()`.
+    Not a frozen dataclass: importing `dataclasses` loads `inspect`, `ast`
+    and `dis`, which every console job, a fresh process, would pay for."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
 
 def _canonical_part(q):
@@ -201,8 +221,7 @@ I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class Notation:
+class Notation(NamedTuple):
     """What text and LaTeX write differently; TEXT and LATEX are the instances.
 
     Format strings take, in order: numerator and denominator (fraction), the

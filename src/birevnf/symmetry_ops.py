@@ -68,7 +68,6 @@ reference the tests compare against.  `certify` checks each rung with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import groupby
@@ -85,6 +84,7 @@ from .errors import (
 from .group import GroupContext, SignedElement, membership
 from .linalg import Echelon, vectorize, vectorize_terms
 from .poly import (
+    Frozen,
     LATEX,
     LinearAction,
     TEXT,
@@ -396,25 +396,37 @@ def project_generators(images: Sequence[PolyMap]) -> tuple[PolyMap, ...]:
 # -- generator sets and the pipeline -----------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Hilbert basis plus module generators for one symmetry context."""
+class GeneratorSet(Frozen):
+    """Hilbert basis plus module generators for one symmetry context.
 
-    ring_basis: tuple[Polynomial, ...]
-    module_generators: tuple[PolyMap, ...]
-    context: SymmetryContext
-    certified: bool = False
+    Construction checks that every element acts on the context's
+    coordinates and is homogeneous.  A set is frozen, and equality and the
+    hash read all four fields.
+    """
 
-    def __post_init__(self):
-        nvars = self.context.linear_part.nvars
-        if any(e.nvars != nvars for e in (*self.ring_basis, *self.module_generators)):
+    def __init__(
+        self,
+        ring_basis: tuple[Polynomial, ...],
+        module_generators: tuple[PolyMap, ...],
+        context: SymmetryContext,
+        certified: bool = False,
+    ):
+        nvars = context.linear_part.nvars
+        if any(e.nvars != nvars for e in (*ring_basis, *module_generators)):
             raise DimensionError(f"generator-set elements must act on {nvars} coordinates")
-        for p in self.ring_basis:
+        for p in ring_basis:
             if not p.is_homogeneous():
                 raise CertificationFailure("ring basis elements must be homogeneous")
-        for g in self.module_generators:
+        for g in module_generators:
             if not g.is_homogeneous():
                 raise CertificationFailure("module generators must be homogeneous")
+        vars(self).update(
+            ring_basis=ring_basis, module_generators=module_generators, context=context,
+            certified=certified,
+        )
+
+    def _value(self) -> tuple:
+        return (self.ring_basis, self.module_generators, self.context, self.certified)
 
     @cached_property
     def products(self) -> ProductTable:

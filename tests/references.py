@@ -21,12 +21,12 @@ built here too: only the checks against the tables use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from birevnf.continuous import SymmetryContext, catalog, closure_data, psi_element
 from birevnf.errors import UnsupportedCase
-from birevnf.group import GroupContext
+from birevnf.group import GroupContext, SignedElement
 from birevnf.poly import PolyMap, Polynomial
 from birevnf.symmetry_ops import GeneratorSet, _transport, reynolds_S, transfer_T
 
@@ -41,7 +41,8 @@ def phi_context(ctx: SymmetryContext) -> GroupContext:
 
 def sigma_tilde_psi_context(ctx: SymmetryContext) -> GroupContext:
     """phi acting as a symmetry, psi reversing: the forgetful sign map."""
-    return GroupContext((replace(ctx.phi, sign=1), ctx.psi), ctx.linear_part)
+    phi = SignedElement(ctx.phi.rows, 1, ctx.phi.name)
+    return GroupContext((phi, ctx.psi), ctx.linear_part)
 
 
 def intermediate_generators(ctx: SymmetryContext) -> GeneratorSet:

@@ -7,7 +7,6 @@ import pathlib
 import subprocess
 import sys
 import time
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -269,14 +268,17 @@ def test_a_kept_slice_short_of_a_row_fails_verify(monkeypatch, capsys, side):
         gs = pipeline(ctx)
         slices, key = kept, ("module", gs.ring_basis, gs.module_generators, degree)
         span, count = slices[key]
-        short = (replace(span, rows=span.rows[:-1]), count)
+        short = (
+            DegreeSlice(span.degree, span.kind, span.rows[:-1], span.nvars, span.reduced),
+            count,
+        )
         holder = slice_space(ctx.full_context(), degree, "reversible_equivariant")
     else:
         full = ctx.full_context()
         system, _ = kept[(full.continuous, full.elements[:-1], degree, "reversible_equivariant")]
         slices = system.slices
         [(key, span)] = slices.items()
-        short = replace(span, rows=span.rows[:-1])
+        short = DegreeSlice(span.degree, span.kind, span.rows[:-1], span.nvars, span.reduced)
         holder = module_slice(pipeline(ctx), degree)
     assert span.dimension > 1
     monkeypatch.setitem(slices, key, short)
@@ -395,7 +397,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out)["schema"] == "nf-v1"
     # every setting gives one JobConfig whether its config key or its flag
     # holds the value; the key spelled otherwise is unknown
-    assert [row[0] for row in SETTING_VALUES] == [f.name for f in fields(JobConfig)]
+    assert [row[0] for row in SETTING_VALUES] == [s.name for s in JobConfig.settings]
     help_text = build_parser().format_help()
     job = {key: value for _, key, _, value, _ in SETTING_VALUES[:3]}
     for name, key, flag, value, text in SETTING_VALUES:
@@ -750,6 +752,21 @@ def test_python_dash_m_entry_point():
     )
     assert result.returncode == EXIT_OK
     assert "involution pairs: 2" in result.stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # every console job is a fresh process that pays for each module the
+    # package imports; dataclasses would bring inspect, ast and dis with it
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, birevnf.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "birevnf.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
 
 
 def test_output_file(tmp_path, capsys):

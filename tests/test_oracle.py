@@ -7,7 +7,6 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -206,8 +205,12 @@ def _whole_system_rows(context: GroupContext, degree: int, kind: str) -> tuple:
 
 def _sign_map_contexts(ctx: SymmetryContext) -> list:
     """The contexts of phi alone and of (phi, psi) under each sign map."""
+    phi, psi = ctx.phi, ctx.psi
     return [phi_context(ctx)] + [
-        GroupContext((replace(ctx.phi, sign=s), replace(ctx.psi, sign=t)), ctx.linear_part)
+        GroupContext(
+            (SignedElement(phi.rows, s, phi.name), SignedElement(psi.rows, t, psi.name)),
+            ctx.linear_part,
+        )
         for s, t in ((-1, -1), (1, -1), (-1, 1), (1, 1))
     ]
 
