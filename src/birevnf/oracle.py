@@ -1,8 +1,7 @@
 """Degree-graded brute-force computation of symmetry-constrained spaces.
 
 Independent certification path: instead of transporting generators, each
-degree slice is computed from scratch as the exact rational nullspace of
-the defining linear identities.
+degree slice is built from scratch as a set of orbit sums of monomials.
 
 A slice is kept as rows: `DegreeSlice.rows` holds independent vectors in
 the column keys of `linalg.vectorize`, and its dimension is their count.
@@ -10,55 +9,66 @@ The sorted Polynomial/PolyMap `basis` is derived from the rows only when
 something reads it (the golden artifacts, the tests, or a witness), so a
 `verify` run that certifies builds no Polynomial or PolyMap here.
 
-`slice_space` compiles its system on exponent tuples and exact integers,
-once per key (see below).  A torus weight reads only the z/zb exponents,
-so a walk over the rotation blocks enumerates only the torus-admissible
-monomials, and the resource bound counts those (component, monomial)
-pairs: the unknowns actually solved for.  Each parameter is one or two
-records (component, monomial, coefficient).  The rows of the system are
-`(tag, component, monomial, part) -> {parameter: value}`, with ints, and
-Fractions only where an element has a denominator.  The shear's rows come
-first: each record's image under x1 d/dx2 is an exponent shift, with no
-substitution.  A parameter alone in a one-entry shear row is forced to
-zero, and is dropped.  Every element of the group is a signed monomial
-map, so each record of a parameter left has its image under
-g.A - sigma A.g (the one-term images of `poly.Substitution`, and
-`output_columns` for A.g) written straight into the rows.  Those rows and
-the multi-entry shear rows, less the forced parameters, go to
-`linalg.Echelon`.  A row left with one entry forces its parameter too,
-and each such parameter goes in once, as a unit row.  The nullspace is
-taken over the parameters left, in their order.  It is the nullspace of
-the whole system: each forced column is a pivot of it and vanishes on
-every solution, and every other column keeps its place in the order.  So
-the free columns are the same, and so is the unique reduced-echelon
-basis, whatever the order of the rows.  Each nullspace vector becomes a
-slice row through the fixed columns of the parameters.
+The slice as orbit sums.  Let E_d be the degree-d functions or maps that
+are equivariant under the torus and the shear.  A torus weight reads only
+the z/zb exponents, and x1 d/dx2 only the x2 exponent, so E_d has a
+monomial basis (`_equivariant_basis`), its real and imaginary parts taken
+as the naive oracle takes them: for functions, the x2-free weight-zero
+monomials a; for maps, the records (x1 b, x2 b, 0) and (0, a, 0) for
+weight-zero x2-free b and a of degree d - 1 and d, and w e_c for each z
+component c and x2-free w of c's weight.  One walk of the rotation blocks
+(`_torus_monomials`) gives the x records: x1 b is a weight-zero monomial
+with an x1 exponent >= 1.  The slice is the image of E_d under the
+Reynolds-type projector prod_i (1 + s_i A_i) / 2 of the elements
+(Sturmfels, *Algorithms in Invariant Theory*, 2.1; Gatermann, LNM 1728),
+with A p = p(A v) on functions, A g = A g(A v) on maps, and s an element's
+sign for the signed kinds and 1 otherwise.  The oracle slices the elements
+that are signed permutations with entries +-1 sending x1 to +-x1, x2 to
++-x2, and either every z_j to +-z_j or every z_j to +-zb_j
+(`_signed_permutation`); any other raises `DimensionError` on a miss.  The
+full context, phi's and each sign map's are of this kind.  Such elements
+are involutions that commute and keep the shear and the torus, so the
+product is a projector of E_d.  Each of them sends each record of the
+basis to +-itself: its substitution and its action on the output
+conjugate a z part together or not at all.  So each orbit is one record;
+no two records share a parameter, so the orbit sums have disjoint
+supports; and an orbit sum is 2^k times its record or zero.  It is the
+record when each element's character there, (-1) to the number of its
+negated coordinates among the record's odd ones (`_parity`), times -1
+for an imaginary part under a conjugating element, is its s.  The sums
+are independent, and nothing is eliminated.
 
-A solved system is kept: `KEPT_SYSTEMS`, a `SystemMemo`, holds its slice
-rows under the key (linear part, solved elements, degree, kind), and the
+The parameters of the defining identities are ordered by component, then
+by monomial in descending order, then real before imaginary, with an x or
+function monomial filed under the larger of itself and its conjugate.
+Scaled to 1 at its last parameter, which is the x2 component's for an x
+record, an orbit sum is the canonical nullspace vector of that free
+column, and the rows are kept in the order of their last parameters.
+They are the reduced-echelon basis that the naive oracle solves for, row
+for row (`test_orbit_rows_are_the_naive_rows`; for E_d itself,
+`test_the_equivariant_basis_is_the_naive_slice_of_no_element`), and byte
+for byte what an elimination gave past the goldens' degrees
+(`test_high_degree_rows_keep_their_bytes`).  The slice eliminates nothing
+and shares no term kernel with the pipeline
+(`test_the_oracle_slice_reaches_no_kernel`).
+
+A slice's rows are kept: `KEPT_SYSTEMS`, a `SystemMemo`, holds them as a
+`KeptSystem` under the key (linear part, elements, degree, kind), and the
 slices share them: nothing changes a row once it is made.  Let A and B be
 the last two elements of a context.  When D = B A is a diagonal sign flip
-that scales x1 and x2 alike and commutes with every element but B (every
-full context: psi(a) = D(a) phi), only the elements before B are
-solved.  Each parameter, and so each row of their system, then has one
-D-character: chi_D(m) d_c for a record's monomial m and component c, the
-product of D's entries to the exponents of m times D's entry at c (1 for
-a function).  So the system splits by character, and each vector of its
-canonical nullspace has one.  A solution of character chi meets B's
-condition iff chi = s_A s_B, s an element's sign for the signed kinds
-and 1 otherwise.  So the slice is the kept rows of that character, in
-their order: the canonical nullspace of the whole system, whose free
-columns are the free columns of that character.  D's entries are +-1,
-so the character is -1 to the number of D's negated coordinates among
-the odd ones of the row's key, a parity that a bitmask per kept row
-gives (`_parity`).  Another sign class of the linear part costs that
-filter, and no row of B.  Any other context solves all its elements and
-keeps every row.  The system also keeps the slice of each set of rows
-picked, and a member of a seen orbit picks the same rows, so it gets the
-same slice, with its canonical basis built.  The limit is not in the
-key: a hit raises the `ResourceLimit` a miss would, with the same
-message, when the kept system's (component, monomial) pairs pass the
-caller's limit.
+that scales x1 and x2 alike (every full context: psi(a) = D(a) phi), the
+key holds only the elements before B.  D conjugates nothing, so its
+character on a record is -1 to the number of D's negated coordinates
+among the record's odd ones, a parity that a bitmask per kept row gives
+(`_parity`), and B's character is D's times A's.  So the slice is the
+kept rows of D-character s_A s_B, in their order.  Another sign class of
+the linear part costs that filter, and no row of B.  Any other context
+keys all its elements and takes every row.  The system also keeps the
+slice of each set of rows picked, and a member of a seen orbit picks the
+same rows, so it gets the same slice, with its canonical basis built.
+The limit is not in the key: a hit raises the `ResourceLimit` a miss
+would, with the same message, when the kept system's (component,
+monomial) pairs pass the caller's limit.
 
 `module_slice` reduces `symmetry_ops.module_rows` over the one
 `ProductTable` the generator set keeps to the span's canonical basis,
@@ -67,27 +77,25 @@ ring basis and generators, by value, and the degree: a sweep over
 degrees builds each product once, and a seen problem builds none.  A
 hit raises a miss's `ResourceLimit` when the count passes the caller's
 limit.  The one memo is bounded by SYSTEM_BUDGET: a system counts its
-unknowns, a module slice its products, and every entry at least 1, a
-slice of no products too.  It drops the least recently used entries
-first, of either kind, and makes an entry bigger than the budget for the
-call and does not keep it.  Its bookkeeping runs under a lock; two
-threads that miss on one key at once both make the entry, and one copy
-is kept.  `spans_equal` compares the
-canonical bases of the two sides (`DegreeSlice.canonical`), on every
-call: the reduced row-echelon basis of a span is unique.  It eliminates again only on a
+(component, monomial) pairs, a module slice its products, and every
+entry at least 1, a slice of no products too.  It drops the least
+recently used entries first, of either kind, and makes an entry bigger
+than the budget for the call and does not keep it.  Its bookkeeping runs
+under a lock; two threads that miss on one key at once both make the
+entry, and one copy is kept.  `spans_equal` compares the canonical bases
+of the two sides (`DegreeSlice.canonical`), on every call: the reduced
+row-echelon basis of a span is unique.  It eliminates again only on a
 failure, to name a witness.  So a `verify` job on a seen linear part and
 orbit runs the character filter and the comparison at each degree, and
 eliminates nothing.
 
-The tests hold the independent reference, a naive oracle that shares
-neither this row assembly nor `linalg.Echelon`, and cross-check the two
-paths, the compiled rows against PolyMap rows, and both against the
-membership predicates.
+The tests hold the independent reference, a naive oracle that solves the
+defining identities with its own elimination, and check that its rows are
+the orbit rows, and both against the membership predicates.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from functools import cached_property
 from threading import Lock
@@ -101,14 +109,7 @@ from .linalg import (
     polynomial_from_vector,
     vectorize,
 )
-from .poly import (
-    Frozen,
-    Monomial,
-    Substitution,
-    conj_monomial,
-    nblocks_of,
-    output_columns,
-)
+from .poly import Frozen, Monomial, conj_monomial, nblocks_of
 from .symmetry_ops import module_rows
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
@@ -171,56 +172,74 @@ def _slice_limit(limit: int, degree: int) -> ResourceLimit:
 
 def _torus_monomials(
     linear, degree: int, component: int | None, used: int, limit: int
-) -> list:
-    """Degree-d monomials with the torus character of the given component.
+) -> tuple[list, int]:
+    """The x2-free degree-d monomials with the torus character of the given
+    component, in descending order, and the count that `limit` bounds.
 
     component None means weight zero (polynomial functions); otherwise the
     stored component index (0, 1 for x; 2+j for z_{j+1}).  A torus weight
     reads only the z/zb exponents, so the walk picks the exponents a, b of
-    z_j, zb_j block by block and spreads the remaining degree over x1 and
-    x2 in every way.  Block j moves weight row t by w_t (a - b), so the walk
-    loops over the sum s = a + b and the difference c = a - b, and takes
-    only the c (of the parity of s) that leave a weight the later blocks can
-    still reach with the degree left; where they carry no weight of a row,
-    that fixes c.  So every branch it takes is reachable, and its work is
-    bounded by the monomials it stores.  Raises ResourceLimit once `used`
-    plus the monomials found would pass `limit`, checked before each leaf
-    is stored.  At weight zero it first counts the monomials
-    x1^p x2^q |z1|^(2k), always admissible: sum over k <= d/2 of
-    (d - 2k + 1), which is (m + 1)(d + 1 - m) for m = d // 2; if those
-    alone pass the limit, the walk would only reach the same verdict later,
-    so it is not started.
+    z_j, zb_j block by block and gives the remaining degree to x1.  Block j
+    moves weight row t by w_t (a - b), so the walk loops over the sum
+    s = a + b and the difference c = a - b, and takes only the c (of the
+    parity of s) that leave a weight the later blocks can still reach with
+    the degree left; where they carry no weight of a row, that fixes c.  At
+    the last block no block follows, so c is fixed, and each s of c's
+    parity from |c| to the degree left is one monomial.  So every branch it
+    takes is reachable, and its work is bounded by the monomials it
+    stores.  A monomial whose x1 exponent is e stands for the e + 1
+    admissible monomials x1^p x2^(e - p) of its z part, so it counts e + 1,
+    and the walk raises ResourceLimit once `used` plus the count would pass
+    `limit`, checked before each monomial is stored.  At weight zero it
+    first counts the monomials x1^p x2^q |z1|^(2k), always admissible: sum
+    over k <= d/2 of (d - 2k + 1), which is (m + 1)(d + 1 - m) for
+    m = d // 2; if those alone pass the limit, the walk would only reach
+    the same verdict later, so it is not started.
     """
     rows = linear.torus_weight_rows()
     nblocks = linear.nblocks
+    last = nblocks - 1
     targets = tuple(
         0 if component is None else linear.component_weight(component, weights)
         for weights in rows
     )
-
-    def over_limit(count: int):
-        if used + count > limit:
-            raise _slice_limit(limit, degree)
-
-    if nblocks and not any(targets):
+    if not any(targets):
         half = degree // 2
-        over_limit((half + 1) * (degree + 1 - half))
+        if used + (half + 1) * (degree + 1 - half) > limit:
+            raise _slice_limit(limit, degree)
     # reach[j][t]: the most one unit of degree in blocks j.. moves weight t
     reach = [
         [max((abs(w) for w in weights[j:]), default=0) for weights in rows]
         for j in range(nblocks + 1)
     ]
     if any(abs(n) > degree * r for n, r in zip(targets, reach[0])):
-        return []
+        return [], 0
     out: list = []
+    count = 0
 
     def walk(j: int, left: int, zpart: tuple, need: tuple):
-        if j == nblocks:
-            # reach is 0 past the last block, so need is 0 here
-            over_limit(len(out) + left + 1)
-            out.extend((a, left - a) + zpart for a in range(left, -1, -1))
-            return
+        nonlocal count
         moves = [weights[j] for weights in rows]
+        if j == last:
+            # no block follows, so each row asks w c = n: c is fixed where
+            # the block carries weight, and s runs over the |c| <= s <= left
+            # of c's parity, each s a monomial
+            lo, hi = -left, left
+            for n, w in zip(need, moves):
+                if w < 0:
+                    n, w = -n, -w
+                if w:
+                    lo = max(lo, -(-n // w))
+                    hi = min(hi, n // w)
+                elif n:
+                    return
+            for c in range(lo, hi + 1):
+                for s in range(left - (left - c) % 2, abs(c) - 1, -2):
+                    count += left - s + 1
+                    if used + count > limit:
+                        raise _slice_limit(limit, degree)
+                    out.append((left - s, 0) + zpart + ((s + c) // 2, (s - c) // 2))
+            return
         for s in range(left, -1, -1):
             rest = left - s
             lo, hi = -s, s
@@ -244,96 +263,64 @@ def _torus_monomials(
                 )
 
     walk(0, degree, (), targets)
-    return out
+    out.sort(reverse=True)
+    return out, count
 
 
-# -- the compiled slice system ------------------------------------------------
+# -- the orbit sums of a slice ------------------------------------------------
 #
-# A parameter is a tuple of records (component, monomial, (re, im)): the
-# component is the stored one (-1 for a bare polynomial; 0, 1 for x1, x2;
-# 1 + j for z_j) and the coefficient parts are the canonical GaussianRational
-# parts, 0 or +-1.  A row of the system is keyed (tag, component, monomial,
-# part): the tag names the defect operator, and the rest is a column key of
-# `vectorize` less the degree of its grlex key, which every monomial of a
-# slice system shares.
+# A row is a `vectorize` vector, keyed (component, (degree, monomial),
+# part): the component is the stored one (-1 for a bare polynomial; 0, 1
+# for x1, x2; 1 + j for z_j).  A row's first key is one of its last
+# parameter, whose component and part it reads.
 
 
-def _real_records(comp: int, monos: Sequence[Monomial]) -> list[tuple]:
-    """Real-valued basis on a conjugation-closed set, as the naive oracle's.
+def _real_parts(comp: int, degree: int, mono: Monomial) -> tuple:
+    """The rows of mono + conj and i (mono - conj) in component comp, or of
+    mono alone when it is its own conjugate, as the naive oracle takes the
+    real-valued parameters; mono is the larger of the two."""
+    conj = conj_monomial(mono)
+    if conj == mono:
+        return ({(comp, (degree, mono), 0): 1},)
+    key, other = (degree, mono), (degree, conj)
+    return (
+        {(comp, key, 0): 1, (comp, other, 0): 1},
+        {(comp, key, 1): 1, (comp, other, 1): -1},
+    )
 
-    The monomials share one degree, so their tuple order is grlex order.
+
+def _equivariant_basis(linear, degree: int, kind: str, limit: int) -> tuple[list, int]:
+    """E_d's basis as rows, in the order of their last parameters, and the
+    count of (component, monomial) pairs that `limit` bounds.
+
+    One walk of the x2-free weight-zero monomials a gives the functions,
+    and both x records of the maps: (0, a, 0), and (x1 b, x2 b, 0) for
+    x1 b = a.  Each x record is filed under its x2 component's monomial, a
+    or x2 b, whose parameters come last, and x1 and x2 count apiece.
     """
-    out = []
-    for mono in sorted(monos, reverse=True):
-        conj = conj_monomial(mono)
-        if conj == mono:
-            out.append(((comp, mono, (1, 0)),))
-        elif mono > conj:
-            out.append(((comp, mono, (1, 0)), (comp, conj, (1, 0))))
-            out.append(((comp, mono, (0, 1)), (comp, conj, (0, -1))))
-    return out
-
-
-def _parameters(linear, degree: int, kind: str, limit: int) -> tuple[list[tuple], int]:
-    """Parameter records of a slice, the torus-admissible naive parameters in
-    order, and the count of (component, monomial) pairs that `limit` bounds.
-
-    The order fixes the columns, and with them the canonical nullspace: the
-    naive oracle's descending grlex order, which on monomials of one degree
-    is descending tuple order.  x1 and x2 both have weight zero, so they
-    share one walk, whose monomials count once for each.
-    """
-    weight_zero = _torus_monomials(linear, degree, None, 0, limit)
+    weight_zero, count = _torus_monomials(linear, degree, None, 0, limit)
+    larger = [m for m in weight_zero if m >= conj_monomial(m)]
     if kind in FUNCTION_KINDS:
-        return _real_records(-1, weight_zero), len(weight_zero)
-    used = 2 * len(weight_zero)
+        return [row for m in larger for row in _real_parts(-1, degree, m)], count
+    used = 2 * count
     if used > limit:
         raise _slice_limit(limit, degree)
-    params = _real_records(0, weight_zero) + _real_records(1, weight_zero)
+    x_records = sorted(
+        [(a, None) for a in larger] + [((a[0] - 1, 1) + a[2:], a) for a in larger if a[0]],
+        reverse=True,
+    )
+    rows = []
+    for last, x1_part in x_records:
+        parts = _real_parts(1, degree, last)
+        if x1_part is not None:
+            parts = [{**x2, **x1} for x2, x1 in zip(parts, _real_parts(0, degree, x1_part))]
+        rows += parts
     for comp in range(2, linear.nblocks + 2):
-        monos = _torus_monomials(linear, degree, comp, used, limit)
-        used += len(monos)
-        for mono in sorted(monos, reverse=True):
-            params.append(((comp, mono, (1, 0)),))
-            params.append(((comp, mono, (0, 1)),))
-    return params, used
-
-
-def _emit(rows: dict, tag: str, comp: int, mono: Monomial, k: int, re, im):
-    """Add re to rows[(tag, comp, mono, 0)][k] and im to rows[(tag, comp, mono, 1)][k].
-
-    An entry that cancels is dropped, and so is a row left empty.
-    """
-    for part, value in ((0, re), (1, im)):
-        if not value:
-            continue
-        key = (tag, comp, mono, part)
-        row = rows.get(key)
-        if row is None:
-            rows[key] = {k: value}
-        elif value := value + row.get(k, 0):
-            row[k] = value
-        elif len(row) > 1:
-            del row[k]
-        else:
-            del rows[key]
-
-
-def _shear_rows(params) -> dict:
-    """The shear's rows, ("shear", component, monomial, part) -> {parameter: value}.
-
-    x1 d/dx2 applied to every component, less g_x1 in the x2 component:
-    exponent shifts, with no substitution.
-    """
-    rows: dict = {}
-    for k, records in enumerate(params):
-        for comp, mono, (cr, ci) in records:
-            e = mono[1]
-            if e:
-                _emit(rows, "shear", comp, (mono[0] + 1, e - 1) + mono[2:], k, e * cr, e * ci)
-            if comp == 0:
-                _emit(rows, "shear", 1, mono, k, -cr, -ci)
-    return rows
+        monos, found = _torus_monomials(linear, degree, comp, used, limit)
+        used += found
+        for mono in monos:
+            rows += ({(comp, (degree, mono), 0): 1}, {(comp, (degree, mono), 1): 1})
+    return rows, used
 
 
 def _sign(element: SignedElement, kind: str) -> int:
@@ -341,74 +328,37 @@ def _sign(element: SignedElement, kind: str) -> int:
     return element.sign if kind in ("anti_invariant", "reversible_equivariant") else 1
 
 
-def _group_rows(elements: Sequence[SignedElement], kind: str, params, live) -> dict:
-    """The rows of the given group elements on the parameters in `live`.
+def _signed_permutation(index: int, element: SignedElement) -> tuple[int, int]:
+    """The coordinates that the element negates, as a bitmask, and 1 when it
+    sends each z_j to +-zb_j, 0 when to +-z_j.
 
-    Keyed (tag, component, monomial, part) -> {parameter: value}.  Element
-    idx gives tag f"el{idx}": p(Av) - s p on functions and g(Av) - s A g(v)
-    on maps, s the element's sign for the anti-invariant and reversible
-    kinds and 1 otherwise.  With every parameter live, these rows and the
-    shear's, transposed, give parameter k's entries as `vectorize` of the
-    naive path's images of that parameter.
+    Raises DimensionError, naming the element, unless its entries are +-1
+    and it sends x1 to +-x1, x2 to +-x2, and either every z_j to +-z_j or
+    every z_j to +-zb_j.
     """
-    functions = kind in FUNCTION_KINDS
-    rows: dict = {}
-    for idx, el in enumerate(elements):
-        tag = f"el{idx}"
-        sign = _sign(el, kind)
-        substitute = Substitution(el.action)
-        images: dict = {}  # monomial -> its one-term image, or no term
-        # stored component -> the (output component, entry) pairs of A's
-        # column at the full component, and at its conjugate for z
-        columns = output_columns(el.action)
-        ncomps = len(columns) // 2 + 1
-        direct = {c: columns[c if c < 2 else 2 * c - 2] for c in range(ncomps)}
-        conjugate = {c: columns[2 * c - 1] for c in range(2, ncomps)}
-        for k in live:
-            for comp, mono, (cr, ci) in params[k]:
-                image = images.get(mono)
-                if image is None:
-                    image = images[mono] = {}
-                    substitute.add_image(image, mono, 1, 0)
-                for m, (ar, ai) in image.items():
-                    _emit(rows, tag, comp, m, k, cr * ar - ci * ai, cr * ai + ci * ar)
-                if functions:
-                    _emit(rows, tag, comp, mono, k, -sign * cr, -sign * ci)
-                    continue
-                for out, (ar, ai) in direct[comp]:
-                    _emit(rows, tag, out, mono, k, -sign * (ar * cr - ai * ci),
-                          -sign * (ar * ci + ai * cr))
-                if comp >= 2:
-                    conj = conj_monomial(mono)
-                    for out, (ar, ai) in conjugate[comp]:
-                        _emit(rows, tag, out, conj, k, -sign * (ar * cr + ai * ci),
-                              -sign * (ai * cr - ar * ci))
-    return rows
+    rows = element.rows
+    conj = int(rows[2][0][0] != 2)  # the image of z_1
+    negated = 0
+    for i, ((j, a),) in enumerate(rows):
+        if j != (i ^ conj if i > 1 else i) or a.im or a.re not in (1, -1):
+            raise DimensionError(
+                f"element {index} {element.name or element.rows} is not a signed "
+                "permutation keeping x1, x2 and every z_j, or conjugating every z_j; "
+                "the oracle slices no other"
+            )
+        negated |= (a.re < 0) << i
+    return negated, conj
 
 
-def _solution_row(params, degree: int, solution: dict) -> dict:
-    """The `vectorize` row of the sum of q times parameter k over {k: q}.
-
-    No two parameters share a column key, so each entry is one product.
-    """
-    return {
-        (comp, (degree, mono), part): q * value
-        for k, q in solution.items()
-        for comp, mono, parts in params[k]
-        for part, value in enumerate(parts)
-        if value
-    }
-
-
-# -- the kept solutions of a slice system --------------------------------------
+# -- the kept orbit rows of a slice -------------------------------------------
 
 
 class KeptSystem(NamedTuple):
-    """The slice rows of the canonical nullspace of the shear's and some
-    elements' rows, which the slices share and nothing changes; the
-    (component, monomial) pairs, what `limit` bounds; the `_parity` of
-    each row; and `slices`, the slice of each set of picked rows, keyed by
-    their indices, made the first time it is asked for."""
+    """The orbit rows of the shear's and some elements' slice, which the
+    slices share and nothing changes; the (component, monomial) pairs, what
+    `limit` bounds; the `_parity` of each row; and `slices`, the slice of
+    each set of picked rows, keyed by their indices, made the first time it
+    is asked for."""
 
     rows: tuple
     pairs: int
@@ -426,28 +376,26 @@ def _parity(key) -> int:
 
 
 def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int):
-    """Solve the slice system of the shear and `elements`: the `KeptSystem`
-    and its count of parameters, its size in `KEPT_SYSTEMS`."""
-    params, pairs = _parameters(linear, degree, kind, limit)
-    shear = _shear_rows(params)
-    forced = {k for row in shear.values() if len(row) == 1 for k in row}
-    live = [k for k in range(len(params)) if k not in forced]
-    # the multi-entry shear rows lose their forced parameters; the group
-    # rows are built on live parameters only and hold none.  A row left
-    # with one entry forces its parameter, which goes in once, as a unit
-    # row ahead of the rest
-    kept = ({k: v for k, v in row.items() if k not in forced} for row in shear.values())
-    units: set = set()
-    others = []
-    for row in itertools.chain(_group_rows(elements, kind, params, live).values(), kept):
-        if len(row) == 1:
-            units.update(row)
-        elif row:
-            others.append(row)
-    solutions = Echelon([{k: 1} for k in sorted(units)] + others).nullspace(live)
-    rows = tuple(_solution_row(params, degree, sol) for sol in solutions)
-    parities = tuple(_parity(next(iter(row))) for row in rows)
-    return KeptSystem(rows, pairs, parities, {}), len(params)
+    """The orbit sums of the shear and `elements`: the `KeptSystem` and its
+    size in `KEPT_SYSTEMS`, its (component, monomial) pairs.  An element
+    keeps a row of E_d's basis when its character there, (-1) to the number
+    of negated coordinates in the row's `_parity`, and -1 more for an
+    imaginary part under a conjugating element, is its s."""
+    actions = [
+        (*_signed_permutation(i, el), _sign(el, kind) < 0) for i, el in enumerate(elements)
+    ]
+    basis, pairs = _equivariant_basis(linear, degree, kind, limit)
+    rows, parities = [], []
+    for row in basis:
+        key = next(iter(row))
+        parity = _parity(key)
+        if all(
+            (parity & negated).bit_count() + (key[2] & conj) & 1 == odd
+            for negated, conj, odd in actions
+        ):
+            rows.append(row)
+            parities.append(parity)
+    return KeptSystem(tuple(rows), pairs, tuple(parities), {}), pairs
 
 
 class SystemMemo:
@@ -490,13 +438,13 @@ class SystemMemo:
         return kept
 
 
-# the most that `KEPT_SYSTEMS` holds in all: a solved system counts its
-# unknowns (parameters), some 200 bytes each with the slices and canonical
-# bases it keeps, and a module slice its products, some 480 bytes a kept
-# row, so at most some 10 MB.  tracemalloc: the 19 jobs of the
-# certify_deep benchmark pool keep 3,088 unknowns and 998 products in
-# 1.6 MB; a res_n1n2_C3 (5,7) module sweep over degrees 1..49 leaves its
-# last slice, 15,564 products in 7.5 MB
+# the most that `KEPT_SYSTEMS` holds in all: a kept system counts its
+# (component, monomial) pairs, some 310 bytes each with the slices and
+# canonical bases it keeps, and a module slice its products, some 490 bytes
+# a kept row, so at most some 10 MB.  tracemalloc: the 19 jobs of the
+# certify_deep benchmark pool keep 2,052 pairs in 0.63 MB and 998 products
+# in 0.49 MB; a res_n1n2_C3 (5,7) module sweep over degrees 1..49 leaves
+# its last slice, 15,564 products in 7.5 MB
 SYSTEM_BUDGET = DEFAULT_MONOMIAL_LIMIT // 10
 
 KEPT_SYSTEMS = SystemMemo(SYSTEM_BUDGET)
@@ -505,10 +453,11 @@ KEPT_SYSTEMS = SystemMemo(SYSTEM_BUDGET)
 def _flip(elements: Sequence[SignedElement]) -> int | None:
     """The coordinates that D = B A negates, as a bitmask, for the last two
     elements A and B, when D is a diagonal sign flip that scales x1 and x2
-    alike and commutes with every element but B; else None, and for fewer
-    than two elements.  Read off the monomial rows: row i of D is B's entry
-    b at column j times A's entry a at column k of row j, at column k,
-    multiplied out on the parts of b and a."""
+    alike; else None, and for fewer than two elements.  Read off the
+    monomial rows: row i of D is B's entry b at column j times A's entry a
+    at column k of row j, at column k, multiplied out on the parts of b and
+    a.  D commutes with every element the oracle slices
+    (`_signed_permutation`), so no commutation is checked."""
     if len(elements) < 2:
         return None
     before = elements[-2].rows
@@ -519,12 +468,7 @@ def _flip(elements: Sequence[SignedElement]) -> int | None:
         if k != i or b.re * a.im + b.im * a.re or re not in (1, -1):
             return None
         flip |= (re < 0) << i
-    commutes = all(
-        (flip >> i ^ flip >> j) & 1 == 0
-        for el in elements[:-1]
-        for i, ((j, _),) in enumerate(el.rows)
-    )
-    return flip if (flip ^ flip >> 1) & 1 == 0 and commutes else None
+    return flip if (flip ^ flip >> 1) & 1 == 0 else None
 
 
 def slice_space(
@@ -535,15 +479,16 @@ def slice_space(
 ) -> DegreeSlice:
     """Exact basis of the degree-d members of the requested class.
 
-    `limit` bounds the (component, admissible monomial) pairs, which is the
-    number of unknowns solved for up to the real/imaginary split.  The
-    solved system comes from `KEPT_SYSTEMS`: of every element but the last
-    when the last two differ by a diagonal sign flip D (`_flip`), and the
-    slice is then the rows of D's character s_A s_B, those whose `_parity`
-    meets D's negated coordinates in a set of the parity that s_A s_B asks
-    for; of every element otherwise, and the slice is all its rows.  The
-    system keeps the slice of the rows picked, so a later call that picks
-    them gets the same slice, its canonical basis included.
+    `limit` bounds the (component, torus-admissible monomial) pairs of the
+    degree-d space, the unknowns of the defining identities up to the
+    real/imaginary split.  The orbit rows come from `KEPT_SYSTEMS`: of
+    every element but the last when the last two differ by a diagonal sign
+    flip D (`_flip`), and the slice is then the rows of D's character
+    s_A s_B, those whose `_parity` meets D's negated coordinates in a set
+    of the parity that s_A s_B asks for; of every element otherwise, and
+    the slice is all its rows.  The system keeps the slice of the rows
+    picked, so a later call that picks them gets the same slice, its
+    canonical basis included.
     """
     if degree < 0:
         raise DimensionError("degree must be nonnegative")

@@ -303,9 +303,9 @@ def _two_part_sweep() -> list:
 
 def test_one_budget_bounds_the_oracle_systems_and_module_slices(monkeypatch):
     # verify jobs on every sign class of two linear parts, each job twice,
-    # on one memo whose budget is about a quarter of the 1,144 that the
-    # sweep keeps on an unbounded memo (its biggest entry, an oracle system,
-    # is 264): after every job the oracle systems and the module slices kept
+    # on one memo whose budget is about a third of the 924 that the sweep
+    # keeps on an unbounded memo (its biggest entry, an oracle system, is
+    # 174): after every job the oracle systems and the module slices kept
     # together stay within the budget, entries of both kinds are dropped
     # and made again, no oracle key is a module key, and each job prints
     # what cleared memos print
