@@ -377,17 +377,30 @@ def enumerate_involution_pairs(linear_part: LinearPart) -> tuple[SymmetryContext
     closed under products of the diagonal, so commuting, D_k, and D(a) is
     the product of the D_k of its flipped signs.  A listing that also takes
     a0 = -1 checks the flip k = 0 as well.
+
+    Only those n + 1 psi(a) are built by `psi_element`; each listed psi(a)
+    is D(a) phi on their rows, unchecked, an involution as shown.
     """
     n = require_sign_classes(linear_part.n)
     phi = phi_element(n)
-    pairs = tuple(
-        SymmetryContext(linear_part, signs, phi, psi_element(signs))
-        for signs in iter_product((1,), *[(1, -1)] * n)
-    )
+    vectors = tuple(iter_product((1,), *[(1, -1)] * n))
     # the all-ones vector comes first, and the flip of a_k alone at 2^(n-k)
-    for index in (0, *(1 << (n - k) for k in range(1, n + 1))):
-        check_involution_pair(linear_part, phi, pairs[index].psi)
-    return pairs
+    checked = {i: psi_element(vectors[i]) for i in (0, *(1 << (n - k) for k in range(1, n + 1)))}
+    for psi in checked.values():
+        check_involution_pair(linear_part, phi, psi)
+    # row i of psi(a) is that of the flip of a_k, k = i // 2, when a_k = -1,
+    # else phi's (a0 = 1 throughout)
+    choices = [
+        (row, checked[1 << (n - i // 2)].rows[i] if i > 1 else row)
+        for i, row in enumerate(phi.rows)
+    ]
+    return tuple(
+        SymmetryContext(linear_part, signs, phi, checked.get(index) or SignedElement._trusted(
+            tuple(pair[signs[i // 2] < 0] for i, pair in enumerate(choices)),
+            phi.sign, "psi", involution=True,
+        ))
+        for index, signs in enumerate(vectors)
+    )
 
 
 def orbit_representative(linear_part: LinearPart, signs: Sequence[int]) -> tuple[int, ...]:

@@ -56,11 +56,11 @@ class SignedElement(Frozen):
     `rows` lists each row's (column, entry) pairs; `action` is the checked
     LinearAction built from them, the form the substitution methods take,
     and construction replaces `rows` with its canonical rows.  Every
-    element is checked (monomial, conjugation compatible, invertible);
-    no product is built as an element or an action: the checks compare
-    the (column, re, im) rows that `poly.compose` gives.  An element is
-    frozen; equality and the hash, computed once, read `rows` and `sign`,
-    not `name`.
+    element is checked (monomial, conjugation compatible, invertible),
+    once: `_trusted` takes rows built from checked ones.  No product is
+    built as an element or an action: the checks compare the (column, re,
+    im) rows that `poly.compose` gives.  An element is frozen; equality
+    and the hash, computed once, read `rows` and `sign`, not `name`.
     """
 
     def __init__(self, rows: tuple, sign: int, name: str = ""):
@@ -72,6 +72,15 @@ class SignedElement(Frozen):
         if len({j for row in action.rows for j, _ in row}) != size:
             raise DimensionError("group element matrix must be invertible")
         vars(self).update(rows=action.rows, sign=sign, name=name, action=action, _hash=None)
+
+    @classmethod
+    def _trusted(cls, rows: tuple, sign: int, name: str, involution: bool):
+        """An element on a checked element's rows, unchecked, whose
+        `is_involution()` answers `involution`."""
+        action = LinearAction._trusted(rows, len(rows))
+        return super()._trusted(
+            rows=rows, sign=sign, name=name, action=action, _hash=None, _involution=involution
+        )
 
     def _value(self) -> tuple:
         return (self.rows, self.sign)

@@ -92,18 +92,24 @@ def _right_hand_sides(
     A factor with several terms or a leading minus sign is bracketed; `times`
     joins a factor to its f_k(X).
     """
+    # each term's components and its f_k(X), built once for every component
+    columns = [
+        ((*t.generator.x_components, *t.generator.z_components),
+         notation.subscript.format("f", t.f_index) + "(X)")
+        for t in nf.terms
+    ]
     rows = []
     for comp, linear_term in enumerate(linear):
         pieces = [linear_term] if linear_term else []
-        for term in nf.terms:
-            comp_poly = (*term.generator.x_components, *term.generator.z_components)[comp]
+        for comps, function in columns:
+            comp_poly = comps[comp]
             if not comp_poly:
                 continue
-            function = notation.subscript.format("f", term.f_index) + "(X)"
-            if comp_poly == Polynomial.constant(comp_poly.nvars, 1):
+            factor = render_polynomial(comp_poly, notation)
+            # only the constant 1 renders as "1"
+            if factor == "1":
                 pieces.append(function)
                 continue
-            factor = render_polynomial(comp_poly, notation)
             if len(comp_poly) > 1 or factor.startswith("-"):
                 factor = notation.bracket(factor)
             pieces.append(f"{factor}{times}{function}")

@@ -97,6 +97,7 @@ the orbit rows, and both against the membership predicates.
 from __future__ import annotations
 
 from collections import OrderedDict
+from fractions import Fraction
 from functools import cached_property
 from threading import Lock
 from typing import NamedTuple, Sequence
@@ -127,9 +128,11 @@ class DegreeSlice(Frozen):
     dimension is their count.  `canonical` is the reduced row-echelon
     basis of their span, unique for it: the rows themselves when
     `reduced` says they are that basis (a module slice), else built the
-    first time it is read.  `basis` is the elements of the rows, sorted by
-    `sort_key`, built the first time it is read.  A slice is frozen, and
-    equality and the hash read every field but `reduced`.
+    first time it is read, with no elimination when the rows have
+    disjoint supports (an oracle slice's orbit sums).  `basis` is the
+    elements of the rows, sorted by `sort_key`, built the first time it is
+    read.  A slice is frozen, and equality and the hash read every field
+    but `reduced`.
     """
 
     def __init__(self, degree: int, kind: str, rows: tuple, nvars: int, reduced: bool = False):
@@ -144,7 +147,15 @@ class DegreeSlice(Frozen):
 
     @cached_property
     def canonical(self) -> tuple:
-        return self.rows if self.reduced else tuple(Echelon(self.rows).reduced_rows())
+        rows = self.rows
+        if self.reduced:
+            return rows
+        if all(rows) and sum(map(len, rows)) == len({k for row in rows for k in row}):
+            # rows of pairwise disjoint supports, orbit sums among them, are
+            # independent and 0 at each other's pivots: scaled to 1 at its
+            # pivot, its least key, each is a reduced row
+            return tuple(sorted(map(_unit_at_pivot, rows), key=min))
+        return tuple(Echelon(rows).reduced_rows())
 
     @cached_property
     def basis(self) -> tuple:
@@ -154,6 +165,12 @@ class DegreeSlice(Frozen):
             nblocks = nblocks_of(self.nvars)
             elements = [polymap_from_vector(row, nblocks) for row in self.rows]
         return tuple(sorted(elements, key=lambda e: e.sort_key()))
+
+
+def _unit_at_pivot(row: dict) -> dict:
+    """row divided by its entry at its least key, as `Echelon.reduced_rows` divides."""
+    p = row[min(row)]
+    return row if p == 1 else {k: v // p if v % p == 0 else Fraction(v, p) for k, v in row.items()}
 
 
 def _linear_part_of(context: GroupContext):
@@ -385,10 +402,12 @@ def _kept_system(linear, elements: tuple, degree: int, kind: str, limit: int):
         (*_signed_permutation(i, el), _sign(el, kind) < 0) for i, el in enumerate(elements)
     ]
     basis, pairs = _equivariant_basis(linear, degree, kind, limit)
-    rows, parities = [], []
+    rows, parities, record = [], [], None
     for row in basis:
         key = next(iter(row))
-        parity = _parity(key)
+        # a record's real and imaginary rows are adjacent and share a parity
+        if key[:2] != record:
+            record, parity = key[:2], _parity(key)
         if all(
             (parity & negated).bit_count() + (key[2] & conj) & 1 == odd
             for negated, conj, odd in actions

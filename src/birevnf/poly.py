@@ -12,8 +12,11 @@ lattice conditions, while a reality constraint on coefficients recovers
 real-valued functions of (x, z).
 
 All values are immutable after construction and safe to share between
-threads.  The term order is graded lexicographic (degree first, then the
-exponent tuple), fixed once so rendering and iteration are deterministic.
+threads.  A Polynomial keeps its hash, its sort key and its rendering in
+each notation, and a PolyMap its hash and sort key, from the first read
+on; two threads that race to fill one write equal values.  The term order
+is graded lexicographic (degree first, then the exponent tuple), fixed
+once so rendering and iteration are deterministic.
 No floating point is used anywhere: a GaussianRational rejects float parts
 and keeps each part canonical, an int when it is integral and a Fraction
 only when its denominator is above 1, so the common small-integer
@@ -75,6 +78,13 @@ class Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """A value holding `fields` as given, unchecked: they were checked before."""
+        value = cls.__new__(cls)
+        vars(value).update(fields)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -368,7 +378,7 @@ def render_monomial(mono: Monomial, notation: Notation = TEXT) -> str:
 class Polynomial:
     """Immutable sparse polynomial over the Gaussian rationals."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_hash", "_sort_key", "_renderings")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, GaussianRational] | None = None):
         clean: dict[Monomial, GaussianRational] = {}
@@ -383,6 +393,8 @@ class Polynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sort_key", None)
+        object.__setattr__(self, "_renderings", None)
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
@@ -392,6 +404,8 @@ class Polynomial:
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "_terms", terms)
         object.__setattr__(p, "_hash", None)
+        object.__setattr__(p, "_sort_key", None)
+        object.__setattr__(p, "_renderings", None)
         return p
 
     def __setattr__(self, name, value):
@@ -564,11 +578,12 @@ class Polynomial:
     def sort_key(self):
         # grlex-descending term sequence, negated so that tuple order sorts
         # polynomials with larger leading monomials first within a degree
-        terms = tuple(
-            ((-sum(m), tuple(-e for e in m)), c.sort_key())
-            for m, c in self.sorted_terms()
-        )
-        return (self.degree(), terms)
+        if self._sort_key is None:
+            terms = tuple(
+                ((-sum(m), tuple(-e for e in m)), c.sort_key()) for m, c in self.sorted_terms()
+            )
+            object.__setattr__(self, "_sort_key", (self.degree(), terms))
+        return self._sort_key
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -649,6 +664,14 @@ class LinearAction:
         rows = check_conjugation_compatible(rows, nvars)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, rows: tuple, nvars: int) -> "LinearAction":
+        """An action on rows `check_conjugation_compatible` returns as they are."""
+        action = cls.__new__(cls)
+        object.__setattr__(action, "nvars", nvars)
+        object.__setattr__(action, "rows", rows)
+        return action
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearAction is immutable")
@@ -821,7 +844,7 @@ class PolyMap:
     so the map sends the real locus to itself.
     """
 
-    __slots__ = ("x_components", "z_components", "_hash")
+    __slots__ = ("x_components", "z_components", "_hash", "_sort_key")
 
     def __init__(self, x_components: Sequence[Polynomial], z_components: Sequence[Polynomial]):
         x_components = tuple(x_components)
@@ -842,6 +865,7 @@ class PolyMap:
         object.__setattr__(self, "x_components", x_components)
         object.__setattr__(self, "z_components", z_components)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sort_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")
@@ -928,12 +952,12 @@ class PolyMap:
         return PolyMap(xs, zs)
 
     def sort_key(self):
-        leading = next(
-            (i for i, c in enumerate((*self.x_components, *self.z_components)) if c),
-            -1,
-        )
-        comps = tuple(c.sort_key() for c in (*self.x_components, *self.z_components))
-        return (self.degree(), leading, comps)
+        if self._sort_key is None:
+            comps = (*self.x_components, *self.z_components)
+            leading = next((i for i, c in enumerate(comps) if c), -1)
+            key = (self.degree(), leading, tuple(c.sort_key() for c in comps))
+            object.__setattr__(self, "_sort_key", key)
+        return self._sort_key
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -961,6 +985,18 @@ class PolyMap:
 
 
 def render_polynomial(p: Polynomial, notation: Notation = TEXT) -> str:
+    """p's text in the notation, built on the first read and kept on p."""
+    kept = p._renderings
+    if kept is None:
+        kept = {}
+        object.__setattr__(p, "_renderings", kept)
+    text = kept.get(notation)
+    if text is None:
+        text = kept[notation] = _rendered(p, notation)
+    return text
+
+
+def _rendered(p: Polynomial, notation: Notation) -> str:
     if p.is_zero():
         return "0"
     text = ""

@@ -400,8 +400,9 @@ class GeneratorSet(Frozen):
     """Hilbert basis plus module generators for one symmetry context.
 
     Construction checks that every element acts on the context's
-    coordinates and is homogeneous.  A set is frozen, and equality and the
-    hash read all four fields.
+    coordinates and is homogeneous; `_trusted` checks nothing, for the
+    rungs of `transported`, checked when made.  A set is frozen, and
+    equality and the hash read all four fields.
     """
 
     def __init__(
@@ -508,12 +509,14 @@ def pipeline(context: SymmetryContext) -> GeneratorSet:
     certified each rung against its own group when it made it; the last
     rung's group, <S, phi, orbit psi>, is the caller's group with the
     caller's sign map, so a kept result is certified for it and runs no
-    check again.  The result carries the caller's context and signs, and
-    the rung's own tuples, so it shares the module slices that
-    `oracle.KEPT_SYSTEMS` keeps for them.
+    check again (its prunes checked each element homogeneous).  The result
+    carries the caller's context and signs, and the rung's own tuples, so
+    it shares the module slices that `oracle.KEPT_SYSTEMS` keeps for them.
     """
-    rung = transported(context.linear_part, context.phi, context.orbit_psi)
-    return GeneratorSet(*rung, context, certified=True)
+    ring, generators = transported(context.linear_part, context.phi, context.orbit_psi)
+    return GeneratorSet._trusted(
+        ring_basis=ring, module_generators=generators, context=context, certified=True
+    )
 
 
 # -- serialization -----------------------------------------------------------

@@ -494,12 +494,29 @@ def test_every_action_the_engine_builds_is_monomial(case, params, monkeypatch):
         assert all(len(row) <= 1 and all(c for _, c in row) for row in action.rows)
 
 
+@pytest.mark.parametrize("case, params, n", REGIMES)
+def test_each_listed_psi_is_the_checked_element_of_its_signs(case, params, n, monkeypatch):
+    # built as D(a) phi on checked rows, each listed psi has the rows, the
+    # sign and the hash of `psi_element`, and knows it is an involution:
+    # asking composes nothing
+    pairs = enumerate_involution_pairs(linear_part_for_case(case, params))
+    assert [pair.signs for pair in pairs] == list(product((1,), *[(1, -1)] * n))
+    composed = []
+    monkeypatch.setattr(group, "compose", lambda *args: composed.append(args))
+    for pair in pairs:
+        want = psi_element(pair.signs)
+        assert (pair.psi.rows, pair.psi.sign, hash(pair.psi)) == (want.rows, want.sign, hash(want))
+        assert pair.psi == want and pair.psi.action.rows == want.action.rows
+        assert pair.psi.is_involution()
+    assert composed == []
+
+
 def test_the_listing_builds_no_entry_per_product(monkeypatch):
     # the listing and the fixed-point dimension of every element it lists
     # build no more GaussianRationals at n = 8 than at n = 6: an element's
     # entries are the shared 1 and -1, and the checks compose rows on the
-    # entries' int parts; every check still runs, n + 1 pair checks and one
-    # conjugation check for phi and for each of the 2^n psi
+    # entries' int parts; n + 1 pair checks run, and one conjugation check
+    # for phi and for each of the n + 1 psi they check, none for the others
     built = {}
     for n in (6, 8):
         linear = LinearPart(n)
@@ -524,7 +541,7 @@ def test_the_listing_builds_no_entry_per_product(monkeypatch):
             pairs = enumerate_involution_pairs(linear)
             dimensions = {(fix_dimension(ctx.phi), fix_dimension(ctx.psi)) for ctx in pairs}
         assert dimensions == {(n + 1, n + 1)}
-        assert (calls["pair"], calls["compatible"]) == (n + 1, 1 + 2**n)
+        assert (calls["pair"], calls["compatible"]) == (n + 1, 1 + (n + 1))
         built[n] = calls["entry"]
     assert built[8] <= built[6]
 

@@ -293,6 +293,23 @@ def test_the_parity_filter_picks_the_rows_of_the_character(case, params, n):
     assert {want for _, _, want, _, _ in picked} == {1, -1}
 
 
+@pytest.mark.parametrize("case, params, n", REGIMES)
+def test_orbit_rows_scaled_at_their_pivots_are_the_eliminated_basis(case, params, n):
+    # every sign vector, both a0, in the full context and phi's, each kind
+    # at degrees 0..5 (0..4 at four blocks): the canonical basis read off
+    # the orbit rows is the reduced row-echelon basis an elimination gives
+    slices = {}
+    for signs in itertools.product((1, -1), repeat=n + 1):
+        ctx = SymmetryContext.from_case(case, params, signs)
+        for context in (ctx.full_context(), phi_context(ctx)):
+            for degree in range(6 if n < 4 else 5):
+                for kind in FUNCTION_KINDS + MAP_KINDS:
+                    span = slice_space(context, degree, kind)
+                    slices[id(span)] = span
+    for span in slices.values():
+        assert span.canonical == tuple(Echelon(span.rows).reduced_rows())
+
+
 def test_a_hit_on_another_sign_class_builds_no_orbit_row(monkeypatch):
     # a miss of the kept systems builds E_d's basis once, for phi alone; a
     # hit, on another sign class of the linear part, builds no orbit row:

@@ -1,6 +1,8 @@
 """Exact arithmetic, substitution, and rendering of the polynomial layer."""
 
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,8 @@ from birevnf.continuous import (
 from birevnf.errors import DimensionError, IncompatibleMatrix
 from birevnf.group import SignedElement
 from birevnf.poly import (
+    LATEX,
+    TEXT,
     GaussianRational,
     I,
     LinearAction,
@@ -639,3 +643,75 @@ def test_public_constructor_still_validates():
         Polynomial(4, {(1, 0, 0, 0): 0.5})
     with pytest.raises(TypeError):
         Polynomial(4, {(1, 0, 0, 0): 0.0})
+
+
+# -- values kept on first read -----------------------------------------------
+
+
+def _fresh(p: Polynomial) -> Polynomial:
+    """An equal polynomial that has computed nothing yet."""
+    return Polynomial(p.nvars, dict(p.terms))
+
+
+@given(st.integers(0, 10_000))
+def test_kept_sort_keys_and_renderings_are_fresh_computations(seed):
+    # the first and second reads of a sort key and of each notation's text
+    # equal what an equal, new value computes; text, then LaTeX, then text
+    # gives each notation its own; equality and the hash do not change
+    rng = make_rng(seed)
+    p = random_polynomial(rng, 2, max_degree=4)
+    g = random_polymap(rng, 2, max_degree=3)
+    copy = PolyMap(tuple(map(_fresh, g.x_components)), tuple(map(_fresh, g.z_components)))
+    hashes = (hash(p), hash(g))
+    for _ in range(2):
+        assert p.sort_key() == _fresh(p).sort_key()
+        assert g.sort_key() == PolyMap(g.x_components, g.z_components).sort_key()
+        assert g.sort_key() == copy.sort_key()
+        for notation in (TEXT, LATEX, TEXT):
+            assert render_polynomial(p, notation) == render_polynomial(_fresh(p), notation)
+            assert render_polymap(g, notation) == render_polymap(copy, notation)
+    assert render_polynomial(p, TEXT) == str(_fresh(p))
+    if p.degree() > 0:
+        assert render_polynomial(p, TEXT) != render_polynomial(p, LATEX)
+    assert (hash(p), hash(g)) == hashes
+    assert p == _fresh(p) and hash(p) == hash(_fresh(p)) and g == copy and hash(g) == hash(copy)
+
+
+def test_threads_racing_to_fill_the_kept_values_read_fresh_ones():
+    # eight threads read the sort keys and both renderings of the same new
+    # polynomials and maps at once, with a short switch interval so that
+    # they race to fill each slot; every read equals a fresh computation
+    rng = make_rng(7)
+    polys = [random_polynomial(rng, 2, max_degree=4) for _ in range(40)]
+    maps = [random_polymap(rng, 2, max_degree=3) for _ in range(20)]
+
+    def reads(p, g):
+        return (
+            [(q.sort_key(), render_polynomial(q, TEXT), render_polynomial(q, LATEX)) for q in p],
+            [(h.sort_key(), render_polymap(h, LATEX), render_polymap(h, TEXT)) for h in g],
+        )
+
+    fresh = reads(
+        [_fresh(p) for p in polys],
+        [PolyMap(tuple(map(_fresh, g.x_components)), tuple(map(_fresh, g.z_components)))
+         for g in maps],
+    )
+    results = []
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=10)
+        results.append(reads(polys, maps))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [fresh] * 8

@@ -15,8 +15,8 @@ one of them fails this test.
 not reach the pipeline's transport kernel or any elimination: no
 `Substitution`, `output_columns`, `add_output_image`, `mul_terms`,
 `Echelon`, `transfer_T` or `reynolds_R` in its body or in the bodies of
-the functions of its module it calls, and a cold call inserts no
-`Echelon` row.
+the functions of its module it calls, and a cold call, or a read of
+the slice's canonical basis, inserts no `Echelon` row.
 
 `group.membership` and `LinearPart.infinitesimal_ok` are what `certify`
 checks the pipeline's output with, so they may not reach the term kernel
@@ -167,6 +167,22 @@ def test_the_oracle_slice_reaches_no_kernel(monkeypatch):
         for kind in FUNCTION_KINDS + MAP_KINDS
     )
     assert oracle.KEPT_SYSTEMS.misses == 8 and rows > 0
+    assert inserted == []
+
+
+def test_an_oracle_slice_reads_its_canonical_basis_off_its_rows(monkeypatch):
+    # the orbit sums have pairwise disjoint supports, so reading the
+    # canonical basis that `spans_equal` compares inserts no `Echelon` row
+    full = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1)).full_context()
+    inserted = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, r: inserted.append(r) or insert(self, r))
+    canonical = [
+        slice_space(full, degree, kind).canonical
+        for degree in range(6)
+        for kind in FUNCTION_KINDS + MAP_KINDS
+    ]
+    assert sum(map(len, canonical)) > 0
     assert inserted == []
 
 

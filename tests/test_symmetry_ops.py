@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from birevnf.cli import FORMATS
 from birevnf.continuous import (
     LinearPart,
     SymmetryContext,
@@ -48,12 +49,14 @@ from birevnf.poly import (
     x_index,
     z_index,
 )
+from birevnf import poly
 from birevnf.symmetry_ops import (
     TRANSPORT_CACHE,
     GeneratorSet,
     _canonical,
     _transfer,
     certify,
+    emit_genset,
     extend_hilbert_basis,
     generators_over_extension,
     genset_to_json,
@@ -1002,6 +1005,63 @@ def test_a_generator_set_acts_on_its_contexts_coordinates():
     ]:
         with pytest.raises(DimensionError):
             GeneratorSet(ring, gens, ctx)
+
+
+def test_the_public_constructor_refuses_an_element_that_is_not_homogeneous():
+    ctx = SymmetryContext.from_case("non_resonant", (1,), (1, 1))
+    x1, x2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
+    mixed = x1 + x1 * x1
+    zero = Polynomial.zero(4)
+    with pytest.raises(CertificationFailure, match="ring basis"):
+        GeneratorSet((x1, mixed), (), ctx)
+    with pytest.raises(CertificationFailure, match="module generators"):
+        GeneratorSet((x1,), (PolyMap((mixed, x2 * x1), (zero,)),), ctx)
+
+
+def test_a_warm_pipeline_checks_no_element_again(monkeypatch):
+    # the kept rung's elements were checked homogeneous when pruned, so a
+    # later call on it runs no homogeneity check; the set is the one the
+    # public constructor builds, with its checks, from the same fields
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, -1, 1))
+    first = pipeline(ctx)
+    checks = Counter()
+
+    def counted(cls):
+        real = cls.is_homogeneous
+        return lambda e: checks.update([cls]) or real(e)
+
+    for cls in (Polynomial, PolyMap):
+        monkeypatch.setattr(cls, "is_homogeneous", counted(cls))
+    again = pipeline(ctx)
+    assert checks == Counter()
+    rung = transported(ctx.linear_part, ctx.phi, ctx.orbit_psi)
+    assert again == first == GeneratorSet(*rung, ctx, certified=True)
+    assert checks[Polynomial] and checks[PolyMap]
+
+
+def test_rendering_a_generator_set_twice_builds_each_text_once(monkeypatch):
+    # each polynomial's text in each notation is built the first time it is
+    # asked for and kept; a second rendering of the set and of its normal
+    # form, in every format, builds none and prints the same
+    ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, 1, 1))
+    genset = pipeline(ctx)
+    nf = assemble(genset, ctx.linear_part, 4)
+    built = Counter()
+    rendered = poly._rendered
+
+    def counted(p, notation):
+        built.update([(id(p), notation)])
+        return rendered(p, notation)
+
+    monkeypatch.setattr(poly, "_rendered", counted)
+
+    def outputs():
+        return [f(x, fmt) for f, x in ((emit_genset, genset), (emit, nf)) for fmt in FORMATS]
+
+    first = outputs()
+    assert built and max(built.values()) == 1
+    count = sum(built.values())
+    assert outputs() == first and sum(built.values()) == count
 
 
 @pytest.mark.parametrize("case, params, n", GOLDEN_REGIMES)
