@@ -546,8 +546,8 @@ def closure_data(linear: LinearPart) -> Catalog:
         column = tuple(row[j] for row in weights)
         columns += [column, tuple(-w for w in column)]
 
-    def monomial(x) -> Polynomial:
-        return Polynomial.monomial(nvars, (0, 0) + x)
+    def monomial(x, coeff=1) -> Polynomial:
+        return Polynomial.monomial(nvars, (0, 0) + x, coeff)
 
     def degree_key(x):
         return (sum(x), tuple(-e for e in x))
@@ -569,8 +569,7 @@ def closure_data(linear: LinearPart) -> Catalog:
         for x in sorted(
             _minimal_solutions(columns, columns[2 * j], invariant), key=degree_key
         ):
-            p = monomial(x)
-            gens += [_unit_map(n, 2 + j, p), _unit_map(n, 2 + j, p.scale(I))]
+            gens += [_unit_map(n, 2 + j, monomial(x)), _unit_map(n, 2 + j, monomial(x, I))]
     return Catalog(tuple(basis), tuple(gens))
 
 
@@ -605,14 +604,33 @@ def case_blocks(case: str, params: Sequence[int]) -> int:
     if case == "non_resonant":
         return params[0]
     if case == "res_double_C4":
-        _require_coprime(*params[:2])
-        _require_coprime(*params[2:])
-        return 4
-    n = params[2] if case == "res_n1n2_Cn" else 3
-    if n < 3:
-        raise UnsupportedCase("res_n1n2_Cn requires n >= 3")
-    _require_coprime(*params[:2])
+        n, pairs = 4, (params[:2], params[2:])
+    else:
+        n, pairs = (params[2] if case == "res_n1n2_Cn" else 3), (params[:2],)
+        if n < 3:
+            raise UnsupportedCase("res_n1n2_Cn requires n >= 3")
+    for a, b in pairs:
+        if gcd(a, b) != 1:
+            raise UnsupportedCase(
+                f"resonance exponents ({a}, {b}) share a factor; use the reduced pair"
+            )
+    if (1, 1) in pairs:
+        # the linear part these parameters name, for the API to take
+        relations = _case_relations(case, params, n)
+        raise UnsupportedCase(
+            "equal frequencies (the 1:1 case) are outside the named cases; use "
+            f"SymmetryContext.build(LinearPart({n}, {relations}), signs)"
+        )
     return n
+
+
+def _case_relations(case: str, params: Sequence[int], n: int) -> tuple:
+    """The resonance relations of a resonant case on n blocks."""
+    if case == "res_double_C4":
+        n1, n2, m1, m2 = params
+        return ((-n2, n1, 0, 0), (0, 0, -m2, m1))
+    n1, n2 = params[:2]
+    return ((-n2, n1) + (0,) * (n - 2),)
 
 
 def linear_part_for_case(case: str, params: Sequence[int]) -> LinearPart:
@@ -620,23 +638,7 @@ def linear_part_for_case(case: str, params: Sequence[int]) -> LinearPart:
     n = case_blocks(case, params)
     if case == "non_resonant":
         return LinearPart(n)
-    if case == "res_double_C4":
-        n1, n2, m1, m2 = params
-        return LinearPart(4, ((-n2, n1, 0, 0), (0, 0, -m2, m1)))
-    n1, n2 = params[:2]
-    return LinearPart(n, ((-n2, n1) + (0,) * (n - 2),))
-
-
-def _require_coprime(a: int, b: int):
-    if gcd(a, b) != 1:
-        raise UnsupportedCase(
-            f"resonance exponents ({a}, {b}) share a factor; use the reduced pair"
-        )
-    if a == 1 and b == 1:
-        raise UnsupportedCase(
-            "equal frequencies (the 1:1 case) are outside the named cases; "
-            "use SymmetryContext.build(LinearPart(2, ((1, -1),)), signs)"
-        )
+    return LinearPart(n, _case_relations(case, params, n))
 
 
 def catalog(case: str, params: Sequence[int]) -> Catalog:

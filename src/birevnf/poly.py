@@ -32,19 +32,18 @@ take only a LinearAction.  No product of two actions is built as an
 action: `compose` gives its rows as (column, re, im) triples on the
 entries' int or Fraction parts, for the involution checks to compare.
 
-The span building of the pipeline and of the oracle uses one term kernel,
-kept here: exponent-tuple terms with (re, im) parts (`add_term`,
-`mul_terms`), the one-term images of monomials under a LinearAction
-(`Substitution`), its action on a map's output (`output_columns`,
-`add_output_image`), and the conversions between terms and
-Polynomial/PolyMap.  `group.membership` reads a Polynomial's terms
-(`Polynomial.terms`) and an element's rows directly, outside the kernel.
-`Polynomial.substitute_linear` and `PolyMap.apply_linear` are not called
-by the engine: they stay the independent reference that the tests compare
-the kernel and membership against.  The module product of a PolyMap by a
-Polynomial, the composition g . A of a PolyMap with a linear map and the
-partial derivative of a Polynomial are kept with the tests, the only
-place they are used.
+The package has one polynomial arithmetic, the term kernel kept here:
+exponent-tuple terms with (re, im) parts (`add_term`, `mul_terms`), the
+one-term images of monomials under a LinearAction (`Substitution`), its
+action on a map's output (`output_columns`, `add_output_image`), and the
+conversions between terms and Polynomial/PolyMap.  The pipeline, the
+oracle, `re_part`/`im_part` and the parser all compute on it; a Polynomial
+or PolyMap is a value built from terms, with no arithmetic of its own.
+`group.membership` reads a Polynomial's terms (`Polynomial.terms`) and an
+element's rows directly, outside the kernel.  The reference arithmetic
+the tests compare the kernel and membership against (sums, products and
+powers of Polynomials, p(Av), A g, g . A, the module product and partial
+derivatives) is in `tests/reference_oracle.py`.
 
 One family of functions renders coefficients, monomials, polynomials and
 maps, as text (the form the parser reads back) or as LaTeX.  The two differ
@@ -193,10 +192,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def sort_key(self):
         return (self.re.numerator, self.re.denominator, self.im.numerator, self.im.denominator)
 
@@ -228,7 +223,6 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
-HALF = GaussianRational(Fraction(1, 2))
 
 
 class Notation(NamedTuple):
@@ -327,10 +321,6 @@ def conj_monomial(mono: Monomial) -> Monomial:
     for j in range(2, len(mono) - 1, 2):
         out[j], out[j + 1] = out[j + 1], out[j]
     return tuple(out)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def grlex_key(mono: Monomial):
@@ -470,109 +460,6 @@ class Polynomial:
                 return False
         return True
 
-    # arithmetic
-
-    def _check(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise DimensionError("polynomials over different coordinate spaces")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = terms.get(mono, ZERO) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        return Polynomial._trusted(self.nvars, terms)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.nvars, {m: -c for m, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check(other)
-            terms: dict[Monomial, GaussianRational] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = mono_mul(m1, m2)
-                    acc = terms.get(mono, ZERO) + c1 * c2
-                    if acc:
-                        terms[mono] = acc
-                    else:
-                        terms.pop(mono, None)
-            return Polynomial._trusted(self.nvars, terms)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        c = _coerce(c)
-        if not c:
-            return Polynomial.zero(self.nvars)
-        # a product of nonzero Gaussian rationals is nonzero
-        return Polynomial._trusted(self.nvars, {m: c * v for m, v in self._terms.items()})
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def conj(self) -> "Polynomial":
-        """Formal conjugate: conjugate coefficients, swap each z_j/zb_j pair."""
-        return Polynomial._trusted(
-            self.nvars,
-            {conj_monomial(m): c.conjugate() for m, c in self._terms.items()},
-        )
-
-    def substitute_linear(self, action: LinearAction) -> "Polynomial":
-        """Compose with a linear change of coordinates: returns p(A v).
-
-        The map acts on the coordinate column vector, (A v)_i = sum_j
-        A[i][j] v_j; its LinearAction was checked for the conjugation
-        pairing when it was built, so the real locus maps to itself.  It is
-        monomial, so each variable maps to a scalar multiple of one
-        variable (or to zero) and each term to one term (or to nothing).
-        """
-        _require_coordinates(action, self.nvars)
-        if self.is_zero():
-            return self
-        rows = action.rows
-        terms: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in self._terms.items():
-            out = [0] * self.nvars
-            c = coeff
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                if not rows[i]:
-                    c = ZERO
-                    break
-                j, entry = rows[i][0]
-                out[j] += e
-                c = c * entry ** e if e > 1 else c * entry
-            if not c:
-                continue
-            key = tuple(out)
-            acc = terms.get(key, ZERO) + c
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return Polynomial._trusted(self.nvars, terms)
-
     # ordering, equality, rendering
 
     def sort_key(self):
@@ -700,12 +587,6 @@ def compose(a: LinearAction, b: LinearAction) -> tuple:
     return tuple(out)
 
 
-def _require_coordinates(action: LinearAction, nvars: int):
-    """Require an action on nvars coordinates."""
-    if action.nvars != nvars:
-        raise DimensionError(f"action is on {action.nvars} coordinates, expected {nvars}")
-
-
 # -- exponent-tuple terms ----------------------------------------------------
 #
 # The span building of the pipeline and of the oracle runs on terms: a dict
@@ -823,14 +704,25 @@ def add_output_image(acc, columns: list[list], comp: int, terms: dict, sign: int
                 add_term(target, m, sign * (ar * pr - ai * pi), sign * (ar * pi + ai * pr))
 
 
+def _half_with_conjugate(p: Polynomial, sign: int) -> dict:
+    """The terms of (p + sign * conj p)/2, conj p swapping each z_j/zb_j pair."""
+    half = Fraction(1, 2)
+    acc = {m: (c.re * half, c.im * half) for m, c in p._terms.items()}
+    for m, c in p._terms.items():
+        add_term(acc, conj_monomial(m), sign * c.re * half, -sign * c.im * half)
+    return acc
+
+
 def re_part(p: Polynomial) -> Polynomial:
     """(p + conj p)/2 - the real part of a complex-valued polynomial."""
-    return (p + p.conj()).scale(HALF)
+    return polynomial_from_terms(p.nvars, _half_with_conjugate(p, 1))
 
 
 def im_part(p: Polynomial) -> Polynomial:
     """(p - conj p)/(2i) - the imaginary part, itself real-valued."""
-    return (p - p.conj()).scale(GaussianRational(0, Fraction(-1, 2)))
+    # (re + im*i)/i = im - re*i
+    terms = _half_with_conjugate(p, -1)
+    return polynomial_from_terms(p.nvars, {m: (im, -re) for m, (re, im) in terms.items()})
 
 
 # -- polynomial mappings -----------------------------------------------------
@@ -884,14 +776,6 @@ class PolyMap:
     def nblocks(self) -> int:
         return len(self.z_components)
 
-    def components(self) -> tuple[Polynomial, ...]:
-        """Full component vector (x1, x2, z1, zb1, ..., zn, zbn)."""
-        out = list(self.x_components)
-        for comp in self.z_components:
-            out.append(comp)
-            out.append(comp.conj())
-        return tuple(out)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.x_components) and all(
             c.is_zero() for c in self.z_components
@@ -909,47 +793,6 @@ class PolyMap:
         for c in (*self.x_components, *self.z_components):
             degs.update({sum(m) for m in c.monomials()})
         return len(degs) <= 1
-
-    def __add__(self, other: "PolyMap") -> "PolyMap":
-        return PolyMap(
-            tuple(a + b for a, b in zip(self.x_components, other.x_components)),
-            tuple(a + b for a, b in zip(self.z_components, other.z_components)),
-        )
-
-    def __sub__(self, other: "PolyMap") -> "PolyMap":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyMap":
-        return PolyMap(
-            tuple(-c for c in self.x_components),
-            tuple(-c for c in self.z_components),
-        )
-
-    def scale(self, c) -> "PolyMap":
-        c = _coerce(c)
-        if not c.is_real:
-            raise IncompatibleMatrix("maps may only be scaled by real rationals")
-        return PolyMap(
-            tuple(comp.scale(c) for comp in self.x_components),
-            tuple(comp.scale(c) for comp in self.z_components),
-        )
-
-    def apply_linear(self, action: LinearAction) -> "PolyMap":
-        """A . g : act on the output vector by the matrix."""
-        _require_coordinates(action, self.nvars)
-        rows = action.rows
-        full = self.components()
-        nvars = self.nvars
-
-        def row(i: int) -> Polynomial:
-            acc = Polynomial.zero(nvars)
-            for j, entry in rows[i]:
-                acc = acc + full[j].scale(entry)
-            return acc
-
-        xs = (row(0), row(1))
-        zs = tuple(row(z_index(j)) for j in range(1, self.nblocks + 1))
-        return PolyMap(xs, zs)
 
     def sort_key(self):
         if self._sort_key is None:
@@ -1053,47 +896,54 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        p = self.parse_sum()
+        terms = self.parse_sum()
         if self.peek() is not None:
             raise ValueError(f"trailing input at token {self.peek()}")
-        return p
+        return polynomial_from_terms(self.nvars, terms)
 
-    def parse_sum(self) -> Polynomial:
+    def parse_sum(self) -> dict:
+        acc: dict = {}
         sign = 1
         tok = self.peek()
         if tok and tok[0] in "+-":
             self.next()
             sign = -1 if tok[0] == "-" else 1
-        acc = self.parse_product()
-        if sign < 0:
-            acc = -acc
         while True:
+            for mono, (re, im) in self.parse_product().items():
+                add_term(acc, mono, sign * re, sign * im)
             tok = self.peek()
             if tok is None or tok[0] not in "+-":
                 return acc
             self.next()
-            term = self.parse_product()
-            acc = acc + term if tok[0] == "+" else acc - term
+            sign = -1 if tok[0] == "-" else 1
 
-    def parse_product(self) -> Polynomial:
+    def parse_product(self) -> dict:
         acc = self.parse_power()
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "*":
                 return acc
             self.next()
-            acc = acc * self.parse_power()
+            acc = mul_terms(acc, self.parse_power())
 
-    def parse_power(self) -> Polynomial:
+    def parse_power(self) -> dict:
         base = self.parse_atom()
         tok = self.peek()
-        if tok and tok[0] == "^":
-            self.next()
-            exp = int(self.expect("num")[1])
-            return base ** exp
-        return base
+        if not (tok and tok[0] == "^"):
+            return base
+        self.next()
+        exp = int(self.expect("num")[1])
+        # repeated squaring, so x1^N costs O(log N) products
+        result = {(0,) * self.nvars: (1, 0)}
+        while exp:
+            if exp & 1:
+                result = mul_terms(result, base)
+            exp >>= 1
+            if exp:
+                base = mul_terms(base, base)
+        return result
 
-    def parse_atom(self) -> Polynomial:
+    def parse_atom(self) -> dict:
         tok = self.next()
         if tok is None:
             raise ValueError("unexpected end of input")
@@ -1104,12 +954,13 @@ class _Parser:
             if tok and tok[0] == "/":
                 self.next()
                 num /= int(self.expect("num")[1])
-            return Polynomial.constant(self.nvars, num)
+            return {(0,) * self.nvars: (num, 0)} if num else {}
         if kind == "name":
             if value == "i":
-                return Polynomial.constant(self.nvars, I)
-            index = variable_index(value, self.nvars)
-            return Polynomial.variable(self.nvars, index)
+                return {(0,) * self.nvars: (0, 1)}
+            mono = [0] * self.nvars
+            mono[variable_index(value, self.nvars)] = 1
+            return {tuple(mono): (1, 0)}
         if kind == "(":
             inner = self.parse_sum()
             self.expect(")")

@@ -58,10 +58,10 @@ deduplication, the ring-product table and the rows of both prunes run on
 the exponent-tuple terms of `poly` (the kernel the oracle uses too) and
 emit rows through `linalg.vectorize_terms`; a Polynomial or PolyMap is
 built only for a candidate handed to a prune or a result that leaves this
-module.  The Polynomial arithmetic they replace (`Polynomial.__mul__`,
-`substitute_linear`, `apply_linear`, and the module product and the
-composition with a linear map on PolyMap that the tests keep) is the
-reference the tests compare against.  `certify` checks each rung with
+module.  The reference the tests compare them against, products,
+substitutions p(Av), images A g and g . A, and the module product on
+whole Polynomials and PolyMaps, is in `tests/reference_oracle.py`, not
+in the package.  `certify` checks each rung with
 `group.membership`, which decides on terms and rows without this kernel.
 """
 
@@ -245,19 +245,6 @@ class ProductTable:
                         )
                 levels.append(level)
         return [p for p, _ in levels[degree]]
-
-
-def ring_products(basis: Sequence[Polynomial], degree: int) -> list[Polynomial]:
-    """All monomials in the basis elements of the given total degree.
-
-    One `ProductTable` level converted to Polynomials, in no particular
-    order; empty for an empty basis.  A basis element of degree 0 raises
-    `DimensionError`, one that is not real-valued `IncompatibleMatrix`.
-    """
-    if not basis:
-        return []
-    nvars = basis[0].nvars
-    return [polynomial_from_terms(nvars, p) for p in ProductTable(basis, nvars)[degree]]
 
 
 def module_row(gen_terms: Sequence[dict], product: dict) -> dict:

@@ -13,6 +13,8 @@ from birevnf.oracle import DegreeSlice
 from birevnf.poly import I, ONE, ZERO, GaussianRational, PolyMap, Polynomial
 from birevnf.symmetry_ops import pipeline, transported
 
+from reference_oracle import add, conj, scale
+
 settings.register_profile("exact", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("exact")
 
@@ -152,8 +154,7 @@ def random_real_polynomial(
     rng: random.Random, nblocks: int, max_degree: int = 6, terms: int = 4
 ) -> Polynomial:
     p = random_polynomial(rng, nblocks, max_degree, terms)
-    doubled = p + p.conj()
-    return doubled
+    return add(p, conj(p))
 
 
 def normalize_leading(elem):
@@ -169,7 +170,7 @@ def normalize_leading(elem):
     if lead is None:
         return elem
     c = lead.sorted_terms()[0][1]
-    return elem.scale(Fraction(1) / (c.re if c.re else c.im))
+    return scale(elem, Fraction(1) / (c.re if c.re else c.im))
 
 
 def random_polymap(

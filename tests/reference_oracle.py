@@ -1,4 +1,16 @@
-"""The naive degree-slice oracle and the Polynomial module product.
+"""The naive degree-slice oracle and the reference polynomial arithmetic.
+
+The package computes on one polynomial arithmetic, the exponent-tuple term
+kernel of `poly`; a Polynomial or PolyMap there is a value with no
+arithmetic of its own.  The arithmetic below is the reference the tests
+compare that kernel against, written on GaussianRational coefficients one
+monomial at a time: `add`, `sub`, `neg` and `scale` of Polynomials or
+PolyMaps, `mul`, `power`, `conj`, `substitute_linear` (p(Av)) and
+`partial` of Polynomials, and `components`, `apply_linear` (A g),
+`compose_linear` (g . A) and `mul_invariant` (the module product) of
+PolyMaps.  It reads `Polynomial.terms` and builds through the public
+constructors, and `test_reference_independence.py` fails if it reaches
+the term kernel it is the reference for.
 
 `slice_space_naive` is the independent reference for `oracle.slice_space`.
 It skips the torus prefilter and imposes the torus conditions as explicit
@@ -12,12 +24,9 @@ combination).  It shares neither the assembly nor the elimination with
 path's pieces.  The tests cross-check the two paths, the compiled rows
 against the PolyMap rows, and both against the membership predicates.
 
-`mul_invariant` is the module action on PolyMap by Polynomial products,
-the reference for the products the pipeline builds on terms.
-`compose_linear` and `partial` are the Polynomial operations the engine
-no longer has; with `substitute_linear` and `apply_linear` they make
-`reference_membership`, the membership test built from whole Polynomial
-and PolyMap images, against which `group.membership` is compared.
+`reference_membership` is the membership test built from whole
+Polynomial and PolyMap images, against which `group.membership` is
+compared.
 """
 
 from __future__ import annotations
@@ -38,10 +47,13 @@ from birevnf.oracle import (
 )
 from birevnf.poly import (
     I,
+    ZERO,
+    GaussianRational,
     LinearAction,
     Monomial,
     PolyMap,
     Polynomial,
+    _coerce,
     conj_monomial,
     grlex_key,
     x_index,
@@ -49,14 +61,143 @@ from birevnf.poly import (
     zbar_index,
 )
 
+HALF = GaussianRational(Fraction(1, 2))
+
+
+def _same_space(p: Polynomial, q: Polynomial):
+    if p.nvars != q.nvars:
+        raise DimensionError("polynomials over different coordinate spaces")
+
+
+def add(a, b):
+    """a + b, of two Polynomials or of two PolyMaps."""
+    if isinstance(a, PolyMap):
+        return PolyMap(
+            tuple(map(add, a.x_components, b.x_components)),
+            tuple(map(add, a.z_components, b.z_components)),
+        )
+    _same_space(a, b)
+    terms = dict(a.terms)
+    for mono, coeff in b.terms.items():
+        terms[mono] = terms.get(mono, ZERO) + coeff
+    return Polynomial(a.nvars, terms)
+
+
+def neg(a):
+    """-a, of a Polynomial or a PolyMap."""
+    if isinstance(a, PolyMap):
+        return PolyMap(tuple(map(neg, a.x_components)), tuple(map(neg, a.z_components)))
+    return Polynomial(a.nvars, {m: -c for m, c in a.terms.items()})
+
+
+def sub(a, b):
+    """a - b, of two Polynomials or of two PolyMaps."""
+    return add(a, neg(b))
+
+
+def scale(a, c):
+    """c a, of a Polynomial by a Gaussian rational or of a PolyMap by a real one."""
+    if isinstance(a, PolyMap):
+        if _coerce(c).im:
+            raise IncompatibleMatrix("maps may only be scaled by real rationals")
+        return PolyMap(
+            tuple(scale(p, c) for p in a.x_components),
+            tuple(scale(p, c) for p in a.z_components),
+        )
+    return Polynomial(a.nvars, {m: v * c for m, v in a.terms.items()})
+
+
+def mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The product p q."""
+    _same_space(p, q)
+    terms: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            terms[mono] = terms.get(mono, ZERO) + c1 * c2
+    return Polynomial(p.nvars, terms)
+
+
+def power(p: Polynomial, exponent: int) -> Polynomial:
+    """p to a nonnegative power, by repeated squaring."""
+    if exponent < 0:
+        raise ValueError("negative polynomial power")
+    result = Polynomial.constant(p.nvars, 1)
+    while exponent:
+        if exponent & 1:
+            result = mul(result, p)
+        exponent >>= 1
+        if exponent:
+            p = mul(p, p)
+    return result
+
+
+def conj(p: Polynomial) -> Polynomial:
+    """Formal conjugate: conjugate coefficients, swap each z_j/zb_j pair."""
+    return Polynomial(p.nvars, {conj_monomial(m): c.conjugate() for m, c in p.terms.items()})
+
+
+def _require_coordinates(action: LinearAction, nvars: int):
+    if action.nvars != nvars:
+        raise DimensionError(f"action is on {action.nvars} coordinates, expected {nvars}")
+
+
+def substitute_linear(p: Polynomial, action: LinearAction) -> Polynomial:
+    """p(Av), A acting on the coordinate column vector: (A v)_i = sum_j A[i][j] v_j.
+
+    A is monomial, so each variable maps to a multiple of one variable or
+    to 0, and each term to one term or to nothing.
+    """
+    _require_coordinates(action, p.nvars)
+    terms: dict = {}
+    for mono, coeff in p.terms.items():
+        out = [0] * p.nvars
+        c = coeff
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            if not action.rows[i]:
+                c = ZERO
+                break
+            j, entry = action.rows[i][0]
+            out[j] += e
+            c = c * entry ** e
+        key = tuple(out)
+        terms[key] = terms.get(key, ZERO) + c
+    return Polynomial(p.nvars, terms)
+
+
+def components(g: PolyMap) -> tuple[Polynomial, ...]:
+    """The full component vector (x1, x2, z1, zb1, ..., zn, zbn) of g."""
+    out = list(g.x_components)
+    for comp in g.z_components:
+        out += [comp, conj(comp)]
+    return tuple(out)
+
+
+def apply_linear(g: PolyMap, action: LinearAction) -> PolyMap:
+    """A g: the matrix acting on g's output vector."""
+    _require_coordinates(action, g.nvars)
+    full = components(g)
+
+    def row(i: int) -> Polynomial:
+        acc = Polynomial.zero(g.nvars)
+        for j, entry in action.rows[i]:
+            acc = add(acc, scale(full[j], entry))
+        return acc
+
+    return PolyMap(
+        (row(0), row(1)), tuple(row(z_index(j)) for j in range(1, g.nblocks + 1))
+    )
+
 
 def mul_invariant(g: PolyMap, u: Polynomial) -> PolyMap:
     """Module action: multiply every component of g by a real-valued polynomial."""
     if not u.is_real_valued():
         raise IncompatibleMatrix("module coefficients must be real-valued")
     return PolyMap(
-        tuple(comp * u for comp in g.x_components),
-        tuple(comp * u for comp in g.z_components),
+        tuple(mul(comp, u) for comp in g.x_components),
+        tuple(mul(comp, u) for comp in g.z_components),
     )
 
 
@@ -68,15 +209,15 @@ def partial(p: Polynomial, index: int) -> Polynomial:
         if e:
             lowered = list(mono)
             lowered[index] = e - 1
-            acc = acc + Polynomial.monomial(p.nvars, tuple(lowered), coeff * e)
+            acc = add(acc, Polynomial.monomial(p.nvars, tuple(lowered), coeff * e))
     return acc
 
 
 def compose_linear(g: PolyMap, action: LinearAction) -> PolyMap:
     """g . A : substitute the linear map into every component."""
     return PolyMap(
-        tuple(c.substitute_linear(action) for c in g.x_components),
-        tuple(c.substitute_linear(action) for c in g.z_components),
+        tuple(substitute_linear(c, action) for c in g.x_components),
+        tuple(substitute_linear(c, action) for c in g.z_components),
     )
 
 
@@ -96,9 +237,9 @@ def reference_infinitesimal_ok(linear_part, obj, kind: str) -> bool:
                 ) != target:
                     return False
     x1 = Polynomial.variable(obj.nvars, x_index(1))
-    sheared = [x1 * partial(poly, x_index(2)) for poly in comps]
+    sheared = [mul(x1, partial(poly, x_index(2))) for poly in comps]
     if kind == "equivariant":
-        sheared[1] -= comps[0]
+        sheared[1] = sub(sheared[1], comps[0])
     return not any(sheared)
 
 
@@ -108,8 +249,8 @@ def reference_membership(obj, context: GroupContext, kind: str) -> bool:
         if not isinstance(obj, Polynomial):
             raise TypeError("function membership kinds apply to Polynomial")
         for el in context.elements:
-            pulled = obj.substitute_linear(el.action)
-            expected = obj if kind == "invariant" else obj.scale(el.sign)
+            pulled = substitute_linear(obj, el.action)
+            expected = obj if kind == "invariant" else scale(obj, el.sign)
             if pulled != expected:
                 return False
         if context.continuous is not None:
@@ -120,9 +261,9 @@ def reference_membership(obj, context: GroupContext, kind: str) -> bool:
             raise TypeError("mapping membership kinds apply to PolyMap")
         for el in context.elements:
             lhs = compose_linear(obj, el.action)
-            rhs = obj.apply_linear(el.action)
+            rhs = apply_linear(obj, el.action)
             if kind == "reversible_equivariant":
-                rhs = rhs.scale(el.sign)
+                rhs = scale(rhs, el.sign)
             if lhs != rhs:
                 return False
         if context.continuous is not None:
@@ -157,18 +298,18 @@ def _real_parameter_polys(nvars: int, monos: Sequence[Monomial]) -> list[Polynom
     mono_set = set(monos)
     out = []
     for mono in sorted(mono_set, key=grlex_key, reverse=True):
-        conj = conj_monomial(mono)
-        if conj == mono:
+        partner = conj_monomial(mono)
+        if partner == mono:
             out.append(Polynomial.monomial(nvars, mono))
-        elif grlex_key(mono) > grlex_key(conj):
-            if conj not in mono_set:
+        elif grlex_key(mono) > grlex_key(partner):
+            if partner not in mono_set:
                 # a full degree slice is conj-closed; a missing partner can
                 # only mean the caller passed a bad set
                 raise DimensionError("monomial set is not conjugation-closed")
             base = Polynomial.monomial(nvars, mono)
-            out.append(base + base.conj())
+            out.append(add(base, conj(base)))
             imag = Polynomial.monomial(nvars, mono, I)
-            out.append(imag + imag.conj())
+            out.append(add(imag, conj(imag)))
     return out
 
 
@@ -202,15 +343,15 @@ def _map_parameters(nblocks: int, degree: int) -> list[PolyMap]:
 
 def _shear_defect_function(p: Polynomial) -> Polynomial:
     x1 = Polynomial.variable(p.nvars, x_index(1))
-    return x1 * partial(p, x_index(2))
+    return mul(x1, partial(p, x_index(2)))
 
 
 def _shear_defect_map(g: PolyMap) -> PolyMap:
     x1 = Polynomial.variable(g.nvars, x_index(1))
     gx1, gx2 = g.x_components
     return PolyMap(
-        (x1 * partial(gx1, x_index(2)), x1 * partial(gx2, x_index(2)) - gx1),
-        tuple(x1 * partial(comp, x_index(2)) for comp in g.z_components),
+        (mul(x1, partial(gx1, x_index(2))), sub(mul(x1, partial(gx2, x_index(2))), gx1)),
+        tuple(mul(x1, partial(comp, x_index(2))) for comp in g.z_components),
     )
 
 
@@ -219,7 +360,7 @@ def _function_constraints(context: GroupContext, kind: str, param: Polynomial):
     images = []
     for idx, el in enumerate(context.elements):
         sign = 1 if kind == "invariant" else el.sign
-        defect = param.substitute_linear(el.action) - param.scale(sign)
+        defect = sub(substitute_linear(param, el.action), scale(param, sign))
         images.append((f"el{idx}", vectorize_polynomial(defect)))
     images.append(("shear", vectorize_polynomial(_shear_defect_function(param))))
     return images
@@ -228,10 +369,10 @@ def _function_constraints(context: GroupContext, kind: str, param: Polynomial):
 def _map_constraints(context: GroupContext, kind: str, param: PolyMap):
     images = []
     for idx, el in enumerate(context.elements):
-        rhs = param.apply_linear(el.action)
+        rhs = apply_linear(param, el.action)
         if kind == "reversible_equivariant":
-            rhs = rhs.scale(el.sign)
-        defect = compose_linear(param, el.action) - rhs
+            rhs = scale(rhs, el.sign)
+        defect = sub(compose_linear(param, el.action), rhs)
         images.append((f"el{idx}", vectorize_polymap(defect)))
     images.append(("shear", vectorize_polymap(_shear_defect_map(param))))
     return images
@@ -349,12 +490,12 @@ def slice_space_naive(
 def _combine_polys(params: Sequence[Polynomial], sol: dict) -> Polynomial:
     acc = Polynomial.zero(params[0].nvars) if params else None
     for k, coeff in sol.items():
-        acc = acc + params[k].scale(Fraction(coeff))
+        acc = add(acc, scale(params[k], Fraction(coeff)))
     return acc
 
 
 def _combine_maps(params: Sequence[PolyMap], sol: dict) -> PolyMap:
     acc = PolyMap.zero(params[0].nblocks) if params else None
     for k, coeff in sol.items():
-        acc = acc + params[k].scale(Fraction(coeff))
+        acc = add(acc, scale(params[k], Fraction(coeff)))
     return acc

@@ -31,7 +31,7 @@ from birevnf.poly import PolyMap, Polynomial
 from birevnf.symmetry_ops import GeneratorSet, _transport, reynolds_S, transfer_T
 
 from conftest import normalize_leading
-from reference_oracle import mul_invariant
+from reference_oracle import mul, mul_invariant
 
 
 def phi_context(ctx: SymmetryContext) -> GroupContext:
@@ -172,7 +172,7 @@ def double_resonance_coefficients(
     v1 = u[0]
     v4 = u[3]
     v7 = u[7]
-    v8 = u[4] * u[8]  # product of the two imaginary resonant invariants
+    v8 = mul(u[4], u[8])  # product of the two imaginary resonant invariants
     return (("1", None), ("v1", v1), ("v4", v4), ("v7", v7), ("v8", v8))
 
 

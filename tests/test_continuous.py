@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -40,10 +41,11 @@ from birevnf.poly import (
     PolyMap,
     Polynomial,
     compose,
+    polynomial_from_terms,
     z_index,
     zbar_index,
 )
-from birevnf.symmetry_ops import pipeline, ring_products
+from birevnf.symmetry_ops import ProductTable, pipeline
 
 from conftest import (
     dense,
@@ -378,6 +380,61 @@ def test_derived_catalogs_pass_the_audit(drawn):
     assert catalog_faults(linear, *closure_data(linear)) == []
 
 
+def _rank(vectors) -> int:
+    """The rank of integer vectors, by plain Fraction elimination."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def assert_weight_rows_solve_the_relations(linear):
+    """The weight rows are a basis of the frequencies the relations allow."""
+    rows, relations = linear.torus_weight_rows(), linear.resonance_relations
+    assert all(sum(c * w for c, w in zip(rel, row)) == 0 for rel in relations for row in rows)
+    assert _rank(rows) == len(rows)
+    assert _rank(rows) + _rank(relations) == linear.n
+
+
+@settings(max_examples=200)
+@given(DRAWN_LINEAR_PARTS)
+def test_weight_rows_span_the_solutions_of_the_relations(drawn):
+    assert_weight_rows_solve_the_relations(_drawn_linear_part(drawn))
+
+
+@pytest.mark.parametrize(
+    "linear",
+    [
+        linear_part_for_case("res_n1n2_C3", (1, 2)),
+        linear_part_for_case("res_double_C4", (1, 2, 1, 3)),
+        LinearPart(3, ((1, 1, -2), (2, 2, -4))),
+    ],
+)
+def test_a_doubled_weight_entry_fails_the_weight_row_check(monkeypatch, linear):
+    # one entry w_k of one row doubled, where a relation has c_k != 0
+    rows = [list(row) for row in linear.torus_weight_rows()]
+    i, k = next(
+        (i, k)
+        for i, row in enumerate(rows)
+        for k, w in enumerate(row)
+        if w and any(rel[k] for rel in linear.resonance_relations)
+    )
+    rows[i][k] *= 2
+    mutated = tuple(map(tuple, rows))
+    assert_weight_rows_solve_the_relations(linear)
+    monkeypatch.setattr(LinearPart, "torus_weight_rows", lambda self: mutated)
+    with pytest.raises(AssertionError):
+        assert_weight_rows_solve_the_relations(linear)
+
+
 NOT_INTEGERS = [
     (lambda: LinearPart(2, ((1.5, -1),)), DimensionError),
     (lambda: LinearPart(True), DimensionError),
@@ -570,7 +627,10 @@ def test_derived_catalog_spans_the_oracle_slices(linear, top):
     data = closure_data(linear)
     assert catalog_faults(linear, *data) == []
     continuous_only = GroupContext((), linear)
-    products = {d: ring_products(data.hilbert_basis, d) for d in range(top + 1)}
+    table = ProductTable(data.hilbert_basis, linear.nvars)
+    products = {
+        d: [polynomial_from_terms(linear.nvars, p) for p in table[d]] for d in range(top + 1)
+    }
     for d in range(top + 1):
         ring = Echelon(vectorize(p) for p in products[d])
         module = Echelon(

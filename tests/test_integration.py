@@ -1,8 +1,12 @@
 """Cross-cutting certification runs beyond the acceptance minimums."""
 
+import ast
+import re
+
 import pytest
 
-from birevnf.continuous import SymmetryContext, closure_data
+from birevnf.continuous import LinearPart, SymmetryContext, case_blocks, closure_data
+from birevnf.errors import UnsupportedCase
 from birevnf.oracle import module_slice, slice_space, spans_equal
 from birevnf.symmetry_ops import pipeline
 
@@ -48,6 +52,8 @@ def test_user_supplied_group_data_equal_frequencies():
     from birevnf.continuous import LinearPart
     from birevnf.poly import I, PolyMap, Polynomial, im_part, re_part
 
+    from reference_oracle import scale
+
     n = 2
     nvars = 6
     linear = LinearPart(n, ((1, -1),))
@@ -86,13 +92,13 @@ def test_user_supplied_group_data_equal_frequencies():
         ),
         unit(1, Polynomial.constant(nvars, 1)),
         unit(2, z1),
-        unit(2, z1.scale(I)),
+        unit(2, scale(z1, I)),
         unit(2, z2),
-        unit(2, z2.scale(I)),
+        unit(2, scale(z2, I)),
         unit(3, z2),
-        unit(3, z2.scale(I)),
+        unit(3, scale(z2, I)),
         unit(3, z1),
-        unit(3, z1.scale(I)),
+        unit(3, scale(z1, I)),
     )
     # the derived catalog has the same elements, in its own order
     derived = closure_data(linear)
@@ -109,6 +115,26 @@ def test_user_supplied_group_data_equal_frequencies():
         "z1^2*zb2^2 + 2*z1*zb1*z2*zb2 + zb1^2*z2^2",
     ]
     assert len(gs.module_generators) == 6
+
+
+@pytest.mark.parametrize(
+    "case,params,signs",
+    [
+        ("res_n1n2_C3", (1, 1), (1, 1, -1, 1)),
+        ("res_n1n2_Cn", (1, 1, 4), (1, 1, 1, -1, 1)),
+        ("res_double_C4", (1, 2, 1, 1), (-1, 1, 1, 1, -1)),
+    ],
+)
+def test_the_one_to_one_refusal_names_a_linear_part_that_certifies(case, params, signs):
+    # the refusal names the linear part of the case's own blocks and
+    # relations, and the API certifies that part against the oracle
+    with pytest.raises(UnsupportedCase) as refused:
+        case_blocks(case, params)
+    named = re.search(r"SymmetryContext\.build\(LinearPart\((\d+), (.*)\), signs\)$",
+                      str(refused.value))
+    n, relations = int(named[1]), ast.literal_eval(named[2])
+    assert n == len(signs) - 1 and all(len(rel) == n for rel in relations)
+    certify_against_oracle(SymmetryContext.build(LinearPart(n, relations), signs), range(1, 6))
 
 
 def test_dimension_regression_snapshot():

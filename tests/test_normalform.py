@@ -9,7 +9,7 @@ from birevnf.normalform import assemble, emit
 from birevnf.poly import I, PolyMap, Polynomial, render_polynomial
 from birevnf.symmetry_ops import GeneratorSet, pipeline
 
-from reference_oracle import mul_invariant
+from reference_oracle import mul_invariant, scale
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def test_nonresonant_reversible_normal_form_structure(nonres3_plus):
     assert nf.terms[0].f_index == 0
     for j in range(1, n + 1):
         zs = [zero] * n
-        zs[j - 1] = Polynomial.variable(nvars, 2 * j).scale(I)
+        zs[j - 1] = scale(Polynomial.variable(nvars, 2 * j), I)
         assert nf.terms[j].generator == PolyMap((zero, zero), tuple(zs))
         assert nf.terms[j].f_index == j
     args = [render_polynomial(p) for p in nf.argument_list]

@@ -8,8 +8,12 @@ the term kernel's `Substitution` and `output_columns`, `slice_space`
 itself, the orbit sums' `_equivariant_basis`, `_real_parts`,
 `_torus_monomials` and `_signed_permutation`, the kept systems'
 `_kept_system`, `SystemMemo` and `KEPT_SYSTEMS`, or the sign-flip
-filter's `_flip` and `_parity`.  Any import of, or attribute access to,
-one of them fails this test.
+filter's `_flip` and `_parity`.  Its polynomial arithmetic is the
+reference for the term kernel, so it may not reach that kernel's
+arithmetic either: `add_term`, `mul_terms`, `add_output_image`, or the
+conversions `terms_of`, `polymap_terms`, `polynomial_from_terms` and
+`polymap_from_terms`.  Any import of, or attribute access to, one of
+them fails this test.
 
 `oracle.slice_space` certifies what the pipeline transports, so it may
 not reach the pipeline's transport kernel or any elimination: no
@@ -58,29 +62,44 @@ ORBIT_PATH = {
     "_parity",
 }
 
+TERM_ARITHMETIC = {
+    "add_term",
+    "mul_terms",
+    "add_output_image",
+    "terms_of",
+    "polymap_terms",
+    "polynomial_from_terms",
+    "polymap_from_terms",
+}
 
-def orbit_names_reached(source: str) -> set:
-    """The ORBIT_PATH names that source imports or reads as an attribute."""
+
+def forbidden_names_reached(source: str) -> set:
+    """The ORBIT_PATH and TERM_ARITHMETIC names that source imports or reads
+    as an attribute."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name.split(".")[-1] for alias in node.names)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-    return found & ORBIT_PATH
+    return found & (ORBIT_PATH | TERM_ARITHMETIC)
 
 
-def test_reference_oracle_reaches_no_orbit_path():
-    assert orbit_names_reached(REFERENCE.read_text(encoding="utf-8")) == set()
+def test_reference_oracle_reaches_no_orbit_path_or_term_kernel():
+    assert forbidden_names_reached(REFERENCE.read_text(encoding="utf-8")) == set()
 
 
 def test_the_scan_sees_imports_and_attributes():
     source = (
         "from birevnf.linalg import Echelon as E\n"
         "import birevnf.oracle as oracle\n"
+        "from birevnf import poly\n"
         "oracle._equivariant_basis(None, 0, 'invariant', 1)\n"
+        "poly.polynomial_from_terms(4, {})\n"
     )
-    assert orbit_names_reached(source) == {"Echelon", "_equivariant_basis"}
+    assert forbidden_names_reached(source) == {
+        "Echelon", "_equivariant_basis", "polynomial_from_terms"
+    }
 
 
 KERNEL = {

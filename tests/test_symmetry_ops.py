@@ -38,7 +38,6 @@ from birevnf.linalg import (
 from birevnf.normalform import assemble, emit
 from birevnf.oracle import module_slice, spans_equal
 from birevnf.poly import (
-    HALF,
     GaussianRational,
     I,
     PolyMap,
@@ -53,6 +52,7 @@ from birevnf import poly
 from birevnf.symmetry_ops import (
     TRANSPORT_CACHE,
     GeneratorSet,
+    ProductTable,
     _canonical,
     _transfer,
     certify,
@@ -67,7 +67,6 @@ from birevnf.symmetry_ops import (
     prune_ring,
     reynolds_R,
     reynolds_S,
-    ring_products,
     transfer_T,
     transported,
 )
@@ -84,7 +83,19 @@ from conftest import (
     random_real_polynomial,
     sparse,
 )
-from reference_oracle import compose_linear, mul_invariant, reference_membership
+from reference_oracle import (
+    HALF,
+    add,
+    apply_linear,
+    compose_linear,
+    mul,
+    mul_invariant,
+    power,
+    reference_membership,
+    scale,
+    sub,
+    substitute_linear,
+)
 from test_golden_gensets import REGIMES as GOLDEN_REGIMES, gensets
 
 
@@ -125,7 +136,7 @@ def test_reynolds_S_keeps_exact_half_factor(a0):
     # S(v1) = (1 - a0) v1 / 2 exactly, no constant elimination
     psi = psi_element((a0, 1, 1))
     v1 = Polynomial.variable(6, 0)
-    expected = v1.scale(GaussianRational(Fraction(1 - a0, 2)))
+    expected = scale(v1, GaussianRational(Fraction(1 - a0, 2)))
     assert reynolds_S(v1, psi) == expected
 
 
@@ -155,7 +166,7 @@ def test_transfer_fixes_its_image():
 
 
 def _transfer_reference(g, action):
-    return (g - compose_linear(g, action).apply_linear(action)).scale(HALF)
+    return scale(sub(g, apply_linear(compose_linear(g, action), action)), HALF)
 
 
 # an involution that is neither phi nor psi: x1 and x2 swapped, z -> i zb
@@ -195,7 +206,7 @@ def test_operator_laws_on_random_samples():
     for _ in range(25):
         f = random_polynomial(rng, 2, max_degree=5)
         r, s = reynolds_R(f, phi), reynolds_S(f, phi)
-        assert r + s == f
+        assert add(r, s) == f
         assert reynolds_R(r, phi) == r
         assert reynolds_S(s, phi) == s
         assert reynolds_S(r, phi).is_zero()
@@ -203,14 +214,14 @@ def test_operator_laws_on_random_samples():
 
 
 def test_reynolds_match_the_polynomial_path():
-    # the term kernel against (f +- f . kappa)/2 by Polynomial.substitute_linear
+    # the term kernel against (f +- f . kappa)/2 by the reference substitute_linear
     rng = make_rng(12)
     for n, kappa in ((2, phi_element(2)), (2, psi_element((-1, 1, -1))), (1, _MIXING_INVOLUTION)):
         for _ in range(10):
             f = random_polynomial(rng, n, max_degree=4)
-            pulled = f.substitute_linear(kappa.action)
-            assert reynolds_R(f, kappa) == (f + pulled).scale(HALF)
-            assert reynolds_S(f, kappa) == (f - pulled).scale(HALF)
+            pulled = substitute_linear(f, kappa.action)
+            assert reynolds_R(f, kappa) == scale(add(f, pulled), HALF)
+            assert reynolds_S(f, kappa) == scale(sub(f, pulled), HALF)
 
 
 def test_transfer_is_module_homomorphism():
@@ -281,12 +292,12 @@ def test_extend_basis_type_d_products(c3_data):
         c3_data.hilbert_basis[5],
     )
     expected = {
-        normalize_leading(v1 * v1),
+        normalize_leading(mul(v1, v1)),
         v2,
         v3,
         v6,
-        normalize_leading(v4 * v4),
-        normalize_leading(v1 * v4),
+        normalize_leading(mul(v4, v4)),
+        normalize_leading(mul(v1, v4)),
     }
     assert set(second) == expected
 
@@ -341,7 +352,7 @@ def test_prune_module_cleans_normalized_candidates():
     nvars = 4
     zero = Polynomial.zero(nvars)
     l0 = PolyMap((zero, Polynomial.constant(nvars, 1)), (zero,))
-    l1 = PolyMap((zero, zero), (Polynomial.variable(nvars, 2).scale(GaussianRational(0, 1)),))
+    l1 = PolyMap((zero, zero), (scale(Polynomial.variable(nvars, 2), I),))
     ring = pipeline(ctx).ring_basis
     assert prune_ring(normalize_leading(p) for p in ring) == ring
 
@@ -349,11 +360,11 @@ def test_prune_module_cleans_normalized_candidates():
         return prune_module((normalize_leading(g) for g in gens), ring)
 
     # {(1 + a0) L0} with a0 = 1 reduces to {L0}
-    assert clean((l0.scale(2),)) == (l0,)
+    assert clean((scale(l0, 2),)) == (l0,)
     # zero maps are dropped
     assert clean((PolyMap.zero(1), l1)) == (l1,)
     # scalar multiples are deduplicated
-    assert clean((l1, l1.scale(2))) == (l1,)
+    assert clean((l1, scale(l1, 2))) == (l1,)
 
 
 def test_prune_module_drops_module_redundant_generator(c3_data):
@@ -400,14 +411,14 @@ def test_pipeline_ring_bases_per_type(c3_gensets, c3_contexts):
     n4 = normalize_leading(u4)
     expected = {
         "A": {u1, u2, u3, n4, u6},
-        "B": {u1, u2, u3, normalize_leading(n4 * n4), u6},
-        "C": {normalize_leading(u1 * u1), u2, u3, n4, u6},
+        "B": {u1, u2, u3, normalize_leading(mul(n4, n4)), u6},
+        "C": {normalize_leading(mul(u1, u1)), u2, u3, n4, u6},
         "D": {
-            normalize_leading(u1 * u1),
+            normalize_leading(mul(u1, u1)),
             u2,
             u3,
-            normalize_leading(n4 * n4),
-            normalize_leading(u1 * n4),
+            normalize_leading(mul(n4, n4)),
+            normalize_leading(mul(u1, n4)),
             u6,
         },
     }
@@ -439,7 +450,7 @@ def _changed_copies(gens, change):
 def _scaled_or_dropped(c: int, comp: Polynomial):
     """comp times 2, then comp without each term (and its conjugate term in
     an x component, which stays real)."""
-    yield comp.scale(2)
+    yield scale(comp, 2)
     for mono in sorted(comp.monomials()):
         dropped = {mono, conj_monomial(mono) if c < 2 else mono}
         yield Polynomial(comp.nvars, {m: v for m, v in comp.terms.items() if m not in dropped})
@@ -448,7 +459,7 @@ def _scaled_or_dropped(c: int, comp: Polynomial):
 def _z_times_i(c: int, comp: Polynomial):
     """a nonzero z component times i, which phi sends to the other side."""
     if c >= 2 and comp:
-        yield comp.scale(I)
+        yield scale(comp, I)
 
 
 @pytest.mark.parametrize("case, params, n", GOLDEN_REGIMES)
@@ -463,7 +474,7 @@ def test_certify_names_the_element_that_fails(case, params, n):
     full = ctx.full_context()
     certify(genset.ring_basis, genset.module_generators, full)
     ring = list(genset.ring_basis)
-    ring[-1] = ring[-1] * Polynomial.variable(2 * n + 2, x_index(2))
+    ring[-1] = mul(ring[-1], Polynomial.variable(2 * n + 2, x_index(2)))
     with pytest.raises(CertificationFailure) as caught:
         certify(ring, genset.module_generators, full)
     assert str(caught.value) == f"ring element is not invariant: {ring[-1]}"
@@ -515,13 +526,12 @@ def test_genset_serialization_surfaces(c3_gensets):
     assert "ring basis:" in text and "module generators:" in text
 
 
-def test_ring_products_enumeration():
+def test_product_table_enumeration():
     data = catalog("non_resonant", (1,))
-    basis = data.hilbert_basis  # degrees 1, 2
-    prods = ring_products(basis, 4)
+    products = ProductTable(data.hilbert_basis, 4)  # degrees 1, 2
     # x1^4, x1^2 |z1|^2, |z1|^4
-    assert len(prods) == 3
-    assert len(ring_products(basis, 0)) == 1  # the empty product
+    assert len(products[4]) == 3
+    assert products[0] == [{(0, 0, 0, 0): (1, 0)}]  # the empty product
 
 
 # -- the degree-order prune against the reverse-deletion reference -----------
@@ -551,7 +561,7 @@ def _reference_ring_products(basis, degree):
         prod = Polynomial.constant(basis[0].nvars, 1)
         for u, e in zip(basis, exps):
             if e:
-                prod = prod * u ** e
+                prod = mul(prod, power(u, e))
         out.append(prod)
     return out
 
@@ -700,11 +710,11 @@ def _with_redundancies(elems, ring, ops, multiply):
     for kind, i, j, scalar in ops:
         a, b = elems[i % len(elems)], elems[j % len(elems)]
         if kind == "scale":
-            out.append(a.scale(scalar))
+            out.append(scale(a, scalar))
         elif kind == "ring":
             out.append(multiply(a, ring[j % len(ring)]))
         elif a.degree() == b.degree():
-            out.append(a + b.scale(scalar))
+            out.append(add(a, scale(b, scalar)))
     return out
 
 
@@ -726,7 +736,7 @@ _redundancy_ops = st.lists(
 )
 def test_prune_ring_matches_reverse_deletion_with_redundancies(which, ops, order):
     basis = list(catalog(*which).hilbert_basis)
-    candidates = _with_redundancies(basis, basis, ops, lambda a, u: a * u)
+    candidates = _with_redundancies(basis, basis, ops, mul)
     order.shuffle(candidates)
     assert prune_ring(candidates) == _reference_prune_ring(candidates)
 
@@ -749,31 +759,32 @@ def test_prune_module_matches_reverse_deletion_with_redundancies(which, ops, ord
 @pytest.mark.parametrize(
     "case,params", [("non_resonant", (3,)), ("res_n1n2_C3", (1, 2)), ("res_n1n2_Cn", (1, 2, 3))]
 )
-def test_ring_products_match_exponent_enumeration(case, params):
+def test_product_table_matches_exponent_enumeration(case, params):
     basis = catalog(case, params).hilbert_basis
-    # the table's recursion with Polynomial.__mul__: level d holds p * u_i
-    # for p in level d - deg(u_i) whose last factor index is at most i
-    levels = [[(Polynomial.constant(basis[0].nvars, 1), 0)]]
+    nvars = basis[0].nvars
+    table = ProductTable(basis, nvars)
+    # the table's recursion with the reference product: level d holds
+    # p * u_i for p in level d - deg(u_i) whose last factor index is at most i
+    levels = [[(Polynomial.constant(nvars, 1), 0)]]
     for degree in range(9):
         if degree:
             levels.append([
-                (p * u, i)
+                (mul(p, u), i)
                 for i, u in enumerate(basis)
                 if u.degree() <= degree
                 for p, last in levels[degree - u.degree()]
                 if last <= i
             ])
-        assert Counter(ring_products(basis, degree)) == Counter(
-            _reference_ring_products(basis, degree)
-        ), degree
-        assert ring_products(basis, degree) == [p for p, _ in levels[degree]], degree
+        level = [polynomial_from_terms(nvars, p) for p in table[degree]]
+        assert Counter(level) == Counter(_reference_ring_products(basis, degree)), degree
+        assert level == [p for p, _ in levels[degree]], degree
 
 
-def test_ring_products_reject_degree_zero_elements():
+def test_product_table_rejects_degree_zero_elements():
     one = Polynomial.constant(4, 1)
     with pytest.raises(DimensionError):
-        ring_products([one, Polynomial.variable(4, 0)], 2)
-    assert ring_products([Polynomial.variable(4, 0)], -1) == []
+        ProductTable([one, Polynomial.variable(4, 0)], 4)
+    assert ProductTable([Polynomial.variable(4, 0)], 4)[-1] == []
 
 
 def test_ring_elements_that_are_not_real_valued_are_rejected(c3_data):
@@ -783,7 +794,7 @@ def test_ring_elements_that_are_not_real_valued_are_rejected(c3_data):
     g = c3_data.equivariant_generators[0]
     ctx = SymmetryContext.from_case("res_n1n2_C3", (1, 2), (1, 1, 1, 1))
     with pytest.raises(IncompatibleMatrix):
-        ring_products([z1], 2)
+        ProductTable([z1], 8)
     with pytest.raises(IncompatibleMatrix):
         prune_module([g], [z1])
     with pytest.raises(IncompatibleMatrix):
@@ -796,14 +807,14 @@ def test_prune_rejects_inhomogeneous_input(c3_data):
     u1, u2 = c3_data.hilbert_basis[:2]
     assert u1.degree() != u2.degree()
     with pytest.raises(DimensionError):
-        prune_ring([u1, u1 + u2])
+        prune_ring([u1, add(u1, u2)])
     g = c3_data.equivariant_generators[0]
     with pytest.raises(DimensionError):
-        prune_module([g, g + mul_invariant(g, u2)], c3_data.hilbert_basis)
+        prune_module([g, add(g, mul_invariant(g, u2))], c3_data.hilbert_basis)
     # homogeneity is checked before the ring basis is found not real-valued
     z1 = Polynomial.variable(8, z_index(1))
     with pytest.raises(DimensionError):
-        prune_module([g, g + mul_invariant(g, u2)], [z1])
+        prune_module([g, add(g, mul_invariant(g, u2))], [z1])
 
 
 # -- one involution step: each generator is projected once -------------------
@@ -831,7 +842,7 @@ def test_transfer_of_an_odd_multiple_is_the_multiple_of_the_even_part(regime, da
     rng = data.draw(st.randoms(use_true_random=False))
     g = random_polymap(rng, n, max_degree=3)
     s = reynolds_S(random_real_polynomial(rng, n, max_degree=3), kappa)
-    assert transfer_T(mul_invariant(g, s), kappa) == mul_invariant(g - transfer_T(g, kappa), s)
+    assert transfer_T(mul_invariant(g, s), kappa) == mul_invariant(sub(g, transfer_T(g, kappa)), s)
 
 
 def _product_then_project(basis, gens, kappa):
@@ -880,7 +891,7 @@ def test_project_generators_rescales_and_drops_repeats(c3_data):
     phi = phi_element(3)
     images = [transfer_T(g, phi) for g in c3_data.equivariant_generators]
     nonzero = [image for image in images if image]
-    doubled = [*images, *(image.scale(-2) for image in nonzero)]
+    doubled = [*images, *(scale(image, -2) for image in nonzero)]
     expected = tuple(_dedupe(normalize_leading(image) for image in nonzero))
     assert project_generators(doubled) == expected
     assert project_generators([]) == ()
@@ -1010,12 +1021,12 @@ def test_a_generator_set_acts_on_its_contexts_coordinates():
 def test_the_public_constructor_refuses_an_element_that_is_not_homogeneous():
     ctx = SymmetryContext.from_case("non_resonant", (1,), (1, 1))
     x1, x2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
-    mixed = x1 + x1 * x1
+    mixed = add(x1, mul(x1, x1))
     zero = Polynomial.zero(4)
     with pytest.raises(CertificationFailure, match="ring basis"):
         GeneratorSet((x1, mixed), (), ctx)
     with pytest.raises(CertificationFailure, match="module generators"):
-        GeneratorSet((x1,), (PolyMap((mixed, x2 * x1), (zero,)),), ctx)
+        GeneratorSet((x1,), (PolyMap((mixed, mul(x2, x1)), (zero,)),), ctx)
 
 
 def test_a_warm_pipeline_checks_no_element_again(monkeypatch):
